@@ -41,11 +41,8 @@ def build_metric(basis: EigenBasis) -> np.ndarray:
     """
     if basis.phase is not Phase.UNBROKEN:
         raise PhaseError("the metric operator exists only in the unbroken phase")
-    n = basis.spec.n_sites
-    eta = np.zeros((n, n), dtype=complex)
-    for _, g in basis.g_states:
-        eta += np.outer(g, np.conj(g))
-    return eta
+    g = np.array([state for _, state in basis.g_states])
+    return g.T @ g.conj()
 
 
 def exchange_matrix(n: int) -> np.ndarray:
@@ -87,50 +84,67 @@ def gauge_real(eta: np.ndarray, imag_tol: float = 1e-8) -> np.ndarray:
     return gauged.real
 
 
-def gauge_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """The chain Hamiltonian in the gauge of `gauge_real`; purely imaginary."""
-    n = spec.n_sites
-    d = _gauge_phases(n)
-    return np.conj(d)[:, None] * build_hamiltonian(spec) * d[None, :]
+def _round_robin(m: int) -> np.ndarray:
+    """The m-1 rounds of m/2 disjoint index pairs that cover every pair once (m even).
+
+    Circle method: index 0 stays put while the others rotate one place per
+    round, and a round pairs position i with position m-1-i.  Returns an
+    (m-1, m/2, 2) array of (p, q) rows.
+    """
+    shift = np.arange(m - 1)
+    ring = (shift[None, :] - shift[:, None]) % (m - 1) + 1
+    players = np.hstack((np.zeros((shift.size, 1), dtype=int), ring))
+    return np.stack((players[:, : m // 2], players[:, ::-1][:, : m // 2]), axis=2)
 
 
 def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
                        max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a real symmetric matrix.
 
-    Cyclic Jacobi rotation sweeps until the off-diagonal Frobenius mass drops
-    below `tol`.  Returns (values, vectors) with vectors in columns.
+    Parallel-ordered Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)
+    69-84): each sweep runs the m-1 round-robin rounds of m/2 disjoint (p, q)
+    pairs, m = n rounded up to even; odd n gets one zero pad row and column.
+    Rotations on disjoint pairs commute and leave each other's (p, q) entries
+    alone, so a round applies all its rotations at once.  Each angle is the
+    small one, |phi| <= pi/4, and a pair with an exactly-zero a[p, q] is not
+    rotated, so the pad is never mixed in.  Sweeps run until the off-diagonal
+    Frobenius mass drops below `tol`.  Returns (values, vectors) with vectors
+    in columns.
     """
-    a = np.array(sym, dtype=float)
+    a = np.asarray(sym, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
+    if (a.shape != (n, n) or not np.allclose(
+            a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.linalg.norm(a))))):
         raise ValueError("input must be real symmetric")
-    v = np.eye(n)
+    m = n + n % 2
+    # x = [a | V^T]: a rotation G acts on the rows of both (G^T a, G^T V^T),
+    # and the column half of G^T a G is the same row rotation applied to a^T.
+    x = np.zeros((m, 2 * m))
+    x[:n, :n] = a
+    x[:, m:] = np.eye(m)
+    a = x[:, :m]
+    a_t, diag = a.T, a.diagonal()
+    rounds = _round_robin(m)
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2)
-        if off < tol:
+        if np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2) < tol:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                phi = 0.5 * np.arctan2(2 * apq, a[q, q] - a[p, p])
-                c, s = np.cos(phi), np.sin(phi)
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p = c * v[:, p] - s * v[:, q]
-                vec_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vec_p, vec_q
+        for pairs in rounds:
+            p, q = pairs[:, 0], pairs[:, 1]
+            apq = a[p, q]
+            live = apq != 0.0
+            theta = (diag[q] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
+            t = np.where(live, np.copysign(
+                1.0 / (np.abs(theta) + np.hypot(theta, 1.0)), theta), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
+            x[pairs] = rot @ x[pairs]
+            a_t[pairs] = rot @ a_t[pairs]
+            a[p, q] = a[q, p] = 0.0
     else:
         raise NonConvergence(f"Jacobi sweeps exceeded {max_sweeps}")
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order].copy(), v[:, order].copy()
+    order = np.argsort(diag[:n])
+    return diag[order], x[order, m:m + n].T
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,20 @@ def wavefunction_unbroken(spec: ChainSpec, k: float) -> np.ndarray:
     return _fix_sign(f)
 
 
-def wavefunction_dual(spec: ChainSpec, k: float) -> np.ndarray:
-    """Eigenvector of H^dagger at the same real eigenvalue, scaled so <g|f> = +1."""
+def _dual_for(spec: ChainSpec, k: float, f: np.ndarray) -> np.ndarray:
+    # The dual state at root k, scaled so <g|f> = +1 against the given f.
     raw = _raw_dual_amplitude(spec, k)
     if np.max(np.abs(raw)) < NULL_STATE_THRESHOLD:
         raise NullState(f"k={k} yields a null dual amplitude vector")
     g = raw / _closed_form_denominator(spec, k, _coef(spec, k, +1.0))
     g = g / np.sqrt(abs(np.sum(g * g)))
-    overlap = np.vdot(g, wavefunction_unbroken(spec, k))  # +-1 on-shell
+    overlap = np.vdot(g, f)  # +-1 on-shell
     return g * np.copysign(1.0, overlap.real) / abs(overlap)
+
+
+def wavefunction_dual(spec: ChainSpec, k: float) -> np.ndarray:
+    """Eigenvector of H^dagger at the same real eigenvalue, scaled so <g|f> = +1."""
+    return _dual_for(spec, k, wavefunction_unbroken(spec, k))
 
 
 def wavefunction_broken(spec: ChainSpec, branch: int,
@@ -130,8 +135,9 @@ def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
     for k in solve_real_momenta(spec, tol):
         mode = Mode(k=complex(k, 0.0),
                     energy=complex(mode_energy(spec, k), 0.0))
-        fs.append((mode, wavefunction_unbroken(spec, k)))
-        gs.append((mode, wavefunction_dual(spec, k)))
+        f = wavefunction_unbroken(spec, k)
+        fs.append((mode, f))
+        gs.append((mode, _dual_for(spec, k, f)))
     return EigenBasis(spec=spec, phase=phase, f_states=tuple(fs), g_states=tuple(gs))
 
 
@@ -139,11 +145,8 @@ def build_c_operator(basis: EigenBasis) -> COperator:
     """C(m,l) = sum_k f_k^m f_k^l (no conjugation); C^2 = 1 on a complete basis."""
     if basis.phase is not Phase.UNBROKEN:
         raise PhaseError("the C operator exists only in the unbroken phase")
-    n = basis.spec.n_sites
-    c = np.zeros((n, n), dtype=complex)
-    for _, f in basis.f_states:
-        c += np.outer(f, f)
-    return COperator(matrix=c)
+    f = np.array([state for _, state in basis.f_states])
+    return COperator(matrix=f.T @ f)
 
 
 def cpt_inner(c_op: COperator, u: np.ndarray, v: np.ndarray) -> complex:

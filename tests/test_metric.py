@@ -4,8 +4,9 @@ import pytest
 from ptchain import (ChainSpec, build_eigenbasis, build_hamiltonian,
                      build_metric, canonical_basis, equivalent_hermitian,
                      gamma_critical, gauge_real, hermitian_equivalent,
-                     jacobi_eigensystem, metric_decomposition, poly_roots)
-from ptchain.errors import GaugeError, PhaseError
+                     jacobi_eigensystem, metric, metric_decomposition,
+                     poly_roots)
+from ptchain.errors import GaugeError, NonConvergence, PhaseError
 from ptchain.metric import reflection_matrix
 from ptchain.oracle import CharPoly
 
@@ -39,6 +40,13 @@ def _metric(n, frac):
 def test_metric_identity_at_gamma_zero():
     eta = build_metric(build_eigenbasis(ChainSpec(6, 1.0, 0.0)))
     assert np.max(np.abs(eta - np.eye(6))) < 1e-12
+
+
+@pytest.mark.parametrize("n,frac", [(3, 0.95), (8, 0.5), (12, 0.9), (33, 0.7)])
+def test_metric_is_sum_of_outer_products(n, frac):
+    basis = build_eigenbasis(ChainSpec(n, 1.0, frac * gamma_critical(n)))
+    ref = sum(np.outer(g, g.conj()) for _, g in basis.g_states)
+    assert np.max(np.abs(build_metric(basis) - ref)) <= 1e-14
 
 
 def test_metric_rejects_broken_phase():
@@ -124,6 +132,59 @@ def test_jacobi_against_polynomial_oracle():
     assert np.max(np.abs(np.sort(w) - roots)) < 1e-8
     assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
     assert np.max(np.abs(sym @ v - v @ np.diag(w))) < 1e-10
+
+
+def _assert_eigensystem(a, w, v, bound):
+    n = a.shape[0]
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(w - np.linalg.eigh(a)[0]), initial=0.0) <= bound
+    assert np.max(np.abs(v.T @ v - np.eye(n)), initial=0.0) <= bound
+    assert np.max(np.abs(a @ v - v * w), initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("n", list(range(1, 10)) + [33, 64, 65])
+def test_jacobi_matches_eigh(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    a = a + a.T
+    w, v = jacobi_eigensystem(a)
+    _assert_eigensystem(a, w, v, 1e-12 * max(1.0, np.linalg.norm(a)))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_jacobi_exact_zero_couplings_at_odd_n(n):
+    # Uncoupled sites, a zero diagonal entry and repeated diagonal values: a
+    # rotation of any pair with a[p, q] == 0, the zero pad included, would
+    # move a real index into the pad or divide 0 by 0.
+    a = np.diag(np.arange(n, dtype=float) % 3)
+    a[0, 1] = a[1, 0] = 0.5
+    a[n - 2, n - 1] = a[n - 1, n - 2] = -1.25
+    w, v = jacobi_eigensystem(a)
+    _assert_eigensystem(a, w, v, 1e-12 * max(1.0, np.linalg.norm(a)))
+
+
+def test_jacobi_sweep_budget_exhausted():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(8, 8))
+    with pytest.raises(NonConvergence):
+        jacobi_eigensystem(a + a.T, max_sweeps=1)
+
+
+def test_jacobi_rejects_relative_asymmetry():
+    # within numpy's default rtol=1e-5 of symmetric, but 5e-6 off in absolute terms
+    with pytest.raises(ValueError):
+        jacobi_eigensystem(np.array([[3.0, 1.0], [1.0 + 5e-6, 2.0]]))
+
+
+@pytest.mark.parametrize("n", [9, 30, 56, 64])
+@pytest.mark.parametrize("frac", [0.3, 0.95])
+def test_equivalent_hermitian_against_eigh_driven_pipeline(n, frac, monkeypatch):
+    spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
+    got = equivalent_hermitian(spec).h_matrix
+    monkeypatch.setattr(metric, "jacobi_eigensystem",
+                        lambda sym, tol=None: np.linalg.eigh(sym))
+    want = equivalent_hermitian(spec).h_matrix
+    assert np.max(np.abs(got - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("n,frac", GRID)

@@ -109,6 +109,20 @@ def test_c_operator_identities(n, frac):
     assert np.max(np.abs(c @ p - p @ c.conj())) < 1e-8
 
 
+@pytest.mark.parametrize("n,frac", [(3, 0.95), (8, 0.5), (12, 0.9), (33, 0.7)])
+def test_c_operator_is_sum_of_outer_products(n, frac):
+    basis = build_eigenbasis(_unbroken_spec(n, frac))
+    ref = sum(np.outer(f, f) for _, f in basis.f_states)
+    assert np.max(np.abs(build_c_operator(basis).matrix - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,frac", [(5, 0.5), (12, 0.9)])
+def test_eigenbasis_duals_match_wavefunction_dual(n, frac):
+    spec = _unbroken_spec(n, frac)
+    for mode, g in build_eigenbasis(spec).g_states:
+        assert np.array_equal(g, wavefunction_dual(spec, mode.k.real))
+
+
 def test_c_operator_broken_phase_rejected():
     spec = ChainSpec(6, 1.0, 1.4)
     with pytest.raises(PhaseError):
