@@ -272,10 +272,17 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
 
 
 def kappa_residual(spec: ChainSpec, kappa: float) -> float:
-    """gamma^2 sinh/cosh(kappa(N-1)) - J^2 sinh/cosh(kappa(N+1)) (odd/even N)."""
+    """The kappa condition scaled by 2 e^(-kappa(N+1)), so it never overflows.
+
+    gamma^2 (e^(-2kappa) -+ e^(-2kappa N)) - J^2 (1 -+ e^(-2kappa(N+1))), with
+    - for odd N (sinh) and + for even N (cosh); written through expm1 so the
+    odd-N differences keep their relative accuracy as kappa -> 0.
+    """
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
-    fn = math.sinh if n % 2 else math.cosh
-    return g * g * fn(kappa * (n - 1)) - j * j * fn(kappa * (n + 1))
+    s = -1.0 if n % 2 else 1.0
+    x = -2.0 * kappa
+    return (g * g * (1.0 + s + math.expm1(x) + s * math.expm1(x * n))
+            - j * j * (1.0 + s + s * math.expm1(x * (n + 1))))
 
 
 def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
@@ -287,14 +294,14 @@ def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    s = -1.0 if n % 2 else 1.0
 
     def w(x: float) -> float:
         return kappa_residual(spec, x)
 
     def dw(x: float) -> float:
-        fn = math.cosh if n % 2 else math.sinh
-        return (g * g * (n - 1) * fn(x * (n - 1))
-                - j * j * (n + 1) * fn(x * (n + 1)))
+        return (-2.0 * g * g * (math.exp(-2.0 * x) + s * n * math.exp(-2.0 * x * n))
+                + 2.0 * s * (n + 1) * j * j * math.exp(-2.0 * x * (n + 1)))
 
     lo = 1e-12
     hi = math.log(g / j) + 1.0

@@ -8,11 +8,15 @@ Pipeline (unbroken phase):
    imaginary.  The gauged eta commutes with a reflection operator: the plain
    site exchange for even N, the sign-twisted exchange (exchange o R) for odd
    N, where R|l> = (-1)^l |l>.
-3. Jacobi-diagonalize the real eta.  Eigenvalues come in reciprocal pairs
-   (eps, 1/eps) mapped onto each other by R; eigenvectors carry a definite
-   reflection parity.  Matrix elements of the gauged H between equal-parity
-   vectors vanish identically, which is what makes the final block structure
-   possible.
+3. Project the real eta onto the orthonormal parity basis
+   (e_l + s refl e_l)/|.| of each reflection sector s = +-1 and
+   Jacobi-diagonalize one sector block at a time, so every eigenvector has
+   exact parity.  Eigenvalues come in reciprocal pairs (eps, 1/eps) mapped
+   onto each other by R.  For even N, R swaps the two sectors, so only the
+   N/2 x N/2 + block is solved and R supplies the other half; for odd N, R
+   keeps each sector, whose blocks are sized (N-1)/2 and (N+1)/2.  Matrix
+   elements of the gauged H between equal-parity vectors vanish identically,
+   which is what makes the final block structure possible.
 4. Order the basis into two parity-uniform halves paired through R, scale by
    sqrt(eps_m/eps_n), and twist the second half by i.  The result is a real
    symmetric matrix with vanishing diagonal blocks: a bipartite hopping model
@@ -174,28 +178,15 @@ class HermitianEquivalent:
     sublattice_sizes: tuple[int, int]
 
 
-def _purified_parity(vectors: np.ndarray,
-                     refl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project each column onto its dominant reflection-parity component."""
-    _, m = vectors.shape
-    out = np.empty_like(vectors)
-    parity = np.empty(m)
-    for i in range(m):
-        v = vectors[:, i]
-        pv = refl @ v
-        q = float(v @ pv)
-        if abs(abs(q) - 1.0) > 0.1:
-            raise DegeneracyError(
-                f"eigenvector {i} has no dominant parity (q={q:.3f}); "
-                "degenerate cluster not resolved")
-        sgn = 1.0 if q >= 0 else -1.0
-        w = v + sgn * pv
-        out[:, i] = w / np.linalg.norm(w)
-        parity[i] = sgn
-    return out, parity
+def _sector_basis(refl: np.ndarray, s: float) -> np.ndarray:
+    """Orthonormal columns (e_l + s refl e_l)/|.| spanning the sector refl = s."""
+    n = refl.shape[0]
+    cols = (np.eye(n) + s * refl)[:, : (n + 1) // 2]
+    norms = np.linalg.norm(cols, axis=0)
+    return cols[:, norms > 0] / norms[norms > 0]
 
 
-def _fix_pair_signs(basis: np.ndarray, pairing: list[int]) -> None:
+def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
     # Deterministic gauge: each vector's first significant component is made
     # non-negative.  Partners flip together so the pairing signs survive.
     for i, partner in enumerate(pairing):
@@ -212,127 +203,78 @@ def _fix_pair_signs(basis: np.ndarray, pairing: list[int]) -> None:
 def canonical_basis(eta_real: np.ndarray, tol: float = 1e-8) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
-    Degenerate eigenvalue clusters are resolved by diagonalizing the
-    reflection inside each cluster; every vector is then purified to an exact
-    parity eigenvector.  The first half collects one member per reciprocal
-    pair (descending eigenvalue); the partner positions are constructed
-    explicitly through R so the pairing is exact.
+    eta_real is projected onto the orthonormal parity basis (e_l + s refl e_l)/|.|
+    of each reflection sector s = +-1 and diagonalized one sector block at a
+    time, so every eigenvector has exact parity.  Even N: only the + block
+    (N/2 x N/2) is solved; it is the first half (descending eigenvalue) and R
+    maps it onto the - sector with reciprocal eigenvalues, which is the second
+    half.  Odd N: R preserves the sectors, so each block, sized (N-1)/2 and
+    (N+1)/2, is its own half: eps > 1 (descending), the self-paired eps = 1
+    vector of the odd-sized block, then the R-partners of the eps > 1 vectors.
+    Every R-partner is checked against eta through its Rayleigh quotient.
     """
     n = eta_real.shape[0]
-    w, v = jacobi_eigensystem(
-        eta_real, tol=1e-13 * max(1.0, float(np.linalg.norm(eta_real))))
     refl = reflection_matrix(n)
     r = alternating_matrix(n)
+    jacobi_tol = 1e-14 * max(1.0, float(np.linalg.norm(eta_real)))
 
-    # Resolve near-degenerate clusters by simultaneous reflection diagonalization.
-    start = 0
-    while start < n:
-        end = start + 1
-        while end < n and w[end] - w[end - 1] < 1e-9 * max(1.0, w[end]):
-            end += 1
-        if end - start > 1:
-            block = v[:, start:end]
-            s, u = jacobi_eigensystem(block.T @ refl @ block, tol=1e-13)
-            v[:, start:end] = block @ u
-        start = end
-    v, parity = _purified_parity(v, refl)
+    def sector_solve(s: float) -> tuple[np.ndarray, np.ndarray]:
+        p = _sector_basis(refl, s)
+        w, u = jacobi_eigensystem(p.T @ eta_real @ p, tol=jacobi_tol)
+        return w[::-1], p @ u[:, ::-1]
 
-    def rayleigh(vec: np.ndarray) -> float:
-        return float(vec @ eta_real @ vec)
-
-    half = n // 2
-    basis = np.empty((n, n))
-    eps = np.empty(n)
-    pairing = list(range(n))
+    def partner(vec: np.ndarray, eps: float, sign: float = 1.0) -> np.ndarray:
+        out = sign * (r @ vec)
+        rec = float(out @ eta_real @ out)
+        if abs(eps * rec - 1.0) > tol:
+            raise DegeneracyError(
+                f"reciprocal pairing failed: eps={eps:.6g}, R-partner "
+                f"Rayleigh quotient {rec:.6g}")
+        return out
 
     if n % 2 == 0:
-        plus = [i for i in range(n) if parity[i] > 0]
-        if len(plus) != half:
-            raise DegeneracyError(
-                f"expected {half} positive-parity vectors, found {len(plus)}")
-        plus.sort(key=lambda i: -w[i])
-        for pos, i in enumerate(plus):
-            partner = r @ v[:, i]
-            rec = rayleigh(partner)
-            if abs(w[i] * rec - 1.0) > tol:
-                raise DegeneracyError(
-                    f"reciprocal pairing failed: eps={w[i]:.6g}, R-partner "
-                    f"Rayleigh quotient {rec:.6g}")
-            basis[:, pos] = v[:, i]
-            basis[:, n - 1 - pos] = partner
-            eps[pos], eps[n - 1 - pos] = w[i], 1.0 / w[i]
-            pairing[pos], pairing[n - 1 - pos] = n - 1 - pos, pos
+        w, v = sector_solve(1.0)
+        partners = [partner(v[:, i], w[i]) for i in reversed(range(n // 2))]
+        basis = np.column_stack([v] + partners)
+        eps = np.concatenate((w, 1.0 / w[::-1]))
+        pairing = tuple(range(n - 1, -1, -1))
         _fix_pair_signs(basis, pairing)
-        return MetricDecomposition(eta_real, eps, basis, tuple(pairing), half)
+        return MetricDecomposition(eta_real, eps, basis, pairing, n // 2)
 
-    # Odd N: halves are the two reflection sectors, sized (N-1)/2 and (N+1)/2;
-    # the self-paired eps = 1 vector lives in the odd-sized sector, and each
-    # reciprocal pair stays inside one sector (R preserves the parity here).
-    sector_a = [i for i in range(n) if parity[i] > 0]
-    sector_b = [i for i in range(n) if parity[i] < 0]
-    rows_sec, cols_sec = ((sector_a, sector_b) if len(sector_a) < len(sector_b)
-                          else (sector_b, sector_a))
-    if {len(rows_sec), len(cols_sec)} != {half, half + 1}:
-        raise DegeneracyError(
-            f"reflection sectors sized {len(rows_sec)}/{len(cols_sec)}, "
-            f"expected {half}/{half + 1}")
-
-    def split_sector(sec: list[int], expect_single: bool):
-        single = min(sec, key=lambda i: abs(w[i] - 1.0))
-        has_single = abs(w[single] - 1.0) <= 1e-8
-        if has_single != expect_single:
+    # Odd N: the self-paired eps = 1 vector lives in the odd-sized sector; the
+    # other eigenvalues pair up inside their own sector.
+    halves = []
+    for w, v in sorted((sector_solve(s) for s in (1.0, -1.0)), key=lambda e: e[0].size):
+        odd = w.size % 2 == 1
+        single = int(np.argmin(np.abs(w - 1.0)))
+        if (abs(w[single] - 1.0) <= 1e-8) != odd:
             raise DegeneracyError(
-                f"self-paired eigenvalue {'missing from' if expect_single else 'found in'} "
-                f"a sector of size {len(sec)}")
-        rest = [i for i in sec if not (expect_single and i == single)]
-        ups = sorted([i for i in rest if w[i] > 1.0], key=lambda i: -w[i])
+                f"self-paired eigenvalue {'missing from' if odd else 'found in'} "
+                f"a sector of size {w.size}")
+        rest = [i for i in range(w.size) if not (odd and i == single)]
+        ups = [i for i in rest if w[i] > 1.0]
         if 2 * len(ups) != len(rest):
             raise DegeneracyError("reciprocal pairs unbalanced inside a sector")
-        return ups, (single if expect_single else None)
+        halves.append((w, v, ups, [single] if odd else []))
 
-    rows_single = len(rows_sec) % 2 == 1
-    rows_ups, rows_s = split_sector(rows_sec, rows_single)
-    cols_ups, cols_s = split_sector(cols_sec, not rows_single)
-
-    single_idx = rows_s if rows_single else cols_s
-    s_vec = v[:, single_idx]
+    s_vec = next(v[:, mid[0]] for _, v, _, mid in halves if mid)
     sigma = float(s_vec @ r @ s_vec)
     if abs(abs(sigma) - 1.0) > tol:
         raise DegeneracyError(f"self-paired vector is not an R eigenvector ({sigma:.3f})")
-    sigma = 1.0 if sigma > 0 else -1.0
     # Partner-sign convention that makes the coupling block reflection-symmetric:
     # the singleton's half uses sigma, the other half -sigma.
-    sign_rows, sign_cols = (sigma, -sigma) if rows_single else (-sigma, sigma)
-
-    def layout(ups: list[int], single: int | None, sign: float, offset: int):
-        seq_vecs, seq_eps, seq_pair = [], [], []
-        width = 2 * len(ups) + (1 if single is not None else 0)
-        for i in ups:
-            seq_vecs.append(v[:, i])
-            seq_eps.append(w[i])
-        if single is not None:
-            seq_vecs.append(v[:, single])
-            seq_eps.append(w[single])
-        for i in reversed(ups):
-            partner = sign * (r @ v[:, i])
-            rec = rayleigh(partner)
-            if abs(w[i] * rec - 1.0) > tol:
-                raise DegeneracyError(
-                    f"reciprocal pairing failed: eps={w[i]:.6g} vs {rec:.6g}")
-            seq_vecs.append(partner)
-            seq_eps.append(1.0 / w[i])
-        for local in range(width):
-            seq_pair.append(offset + width - 1 - local)
-        return seq_vecs, seq_eps, seq_pair
-
-    rv, re, rp = layout(rows_ups, rows_s, sign_rows, 0)
-    cv, ce, cp = layout(cols_ups, cols_s, sign_cols, len(rv))
-    for pos, vec in enumerate(rv + cv):
-        basis[:, pos] = vec
-    eps[:] = np.array(re + ce)
-    pairing = rp + cp
+    sigma = 1.0 if sigma > 0 else -1.0
+    vecs, eps = [], []
+    for w, v, ups, mid in halves:
+        sign = sigma if mid else -sigma
+        vecs += [v[:, i] for i in ups + mid]
+        vecs += [partner(v[:, i], w[i], sign) for i in reversed(ups)]
+        eps += [w[i] for i in ups + mid] + [1.0 / w[i] for i in reversed(ups)]
+    h = n // 2
+    basis = np.column_stack(vecs)
+    pairing = tuple(range(h - 1, -1, -1)) + tuple(range(n - 1, h - 1, -1))
     _fix_pair_signs(basis, pairing)
-    return MetricDecomposition(eta_real, eps, basis, tuple(pairing), len(rv))
+    return MetricDecomposition(eta_real, np.array(eps), basis, pairing, h)
 
 
 def hermitian_equivalent(decomp: MetricDecomposition,

@@ -175,12 +175,15 @@ def spectral_distance(a, b) -> float:
     """Largest pairing distance between two equal-size eigenvalue multisets.
 
     Greedy nearest-neighbour matching; adequate when the sets agree far better
-    than their internal spacing, which is what every caller asserts.
+    than their internal spacing, which is what every caller asserts.  A
+    non-finite entry in either set gives math.inf, so NaN never passes a bound.
     """
     a = list(np.asarray(a, dtype=complex))
     b = list(np.asarray(b, dtype=complex))
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return math.inf
     worst = 0.0
     for x in a:
         dists = [abs(x - y) for y in b]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ptchain import (ChainSpec, Phase, gamma_critical, locate_critical_gamma,
                      momentum_index, solve_kappa, solve_real_momenta,
                      solve_spectrum)
-from ptchain.bethe import count_real_momenta
+from ptchain.bethe import count_real_momenta, kappa_residual
 from ptchain.errors import PhaseError
 
 
@@ -87,6 +87,23 @@ def test_kappa_vanishes_at_boundary():
               for off in (1e-2, 1e-4, 1e-6)]
     assert kappas[0] > kappas[1] > kappas[2] > 0
     assert kappas[2] < 1e-2
+
+
+@pytest.mark.parametrize("n", [600, 1001, 4096])
+def test_kappa_deep_in_the_broken_phase_does_not_overflow(n):
+    # kappa (N+1) ~ 400-1700: the unscaled sinh/cosh would overflow; the
+    # e^(-2 kappa N) corrections vanish, leaving kappa = ln(gamma/J)
+    assert solve_kappa(ChainSpec(n, 1.0, 1.5)) == pytest.approx(math.log(1.5), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
+@pytest.mark.parametrize("kappa", [1e-3, 0.1, 0.7])
+def test_kappa_residual_is_the_scaled_condition(n, kappa):
+    spec = ChainSpec(n, 1.0, 1.3)
+    fn = math.sinh if n % 2 else math.cosh
+    raw = 1.3 ** 2 * fn(kappa * (n - 1)) - fn(kappa * (n + 1))
+    want = 2.0 * math.exp(-kappa * (n + 1)) * raw
+    assert kappa_residual(spec, kappa) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_kappa_large_n_approximation():

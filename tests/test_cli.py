@@ -72,6 +72,16 @@ def test_invalid_n_exits_2(capsys):
     assert "error" in err
 
 
+def test_spectrum_deep_in_the_broken_phase(capsys):
+    # kappa (N+1) exceeds the float range of sinh/cosh here
+    code, out, _ = run(capsys, "spectrum", "--n", "1000", "--gamma", "1.5")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert len(rows) == 1000
+    assert sum(float(r[5]) != 0.0 for r in rows) == 2
+    assert all(r[6] == "broken" for r in rows)
+
+
 def test_solver_error_exits_1(capsys):
     # metric construction is impossible in the broken phase
     code, _, err = run(capsys, "metric", "--n", "6", "--gamma", "1.5")

@@ -206,7 +206,36 @@ def test_canonical_basis_pairing(n, frac):
     assert np.max(np.abs(b.T @ b - np.eye(n))) < 1e-9
     refl = reflection_matrix(n)
     parities = [b[:, i] @ refl @ b[:, i] for i in range(n)]
-    assert np.max(np.abs(np.abs(parities) - 1.0)) < 1e-9
+    assert np.max(np.abs(np.abs(parities) - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_canonical_basis_of_a_fully_degenerate_metric(n):
+    # every eps = 1: the reflection sectors alone fix the basis
+    decomp = canonical_basis(np.eye(n))
+    assert decomp.pairing == tuple(range(n - 1, -1, -1))
+    assert np.max(np.abs(decomp.eigenvalues - 1.0)) < 1e-15
+    b, refl = decomp.basis, reflection_matrix(n)
+    half = n // 2
+    assert np.array_equal(refl @ b[:, :half], b[:, :half])
+    assert np.array_equal(refl @ b[:, half:], -b[:, half:])
+    assert np.max(np.abs(b.T @ b - np.eye(n))) < 1e-15
+
+
+def test_metric_is_solved_one_reflection_sector_at_a_time(monkeypatch):
+    sizes = []
+    solve = metric.jacobi_eigensystem
+
+    def spy(sym, *args, **kwargs):
+        sizes.append(sym.shape[0])
+        return solve(sym, *args, **kwargs)
+
+    monkeypatch.setattr(metric, "jacobi_eigensystem", spy)
+    for n in range(2, 65):
+        sizes.clear()
+        metric_decomposition(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
+        want = [n // 2] if n % 2 == 0 else [(n - 1) // 2, (n + 1) // 2]
+        assert sorted(sizes) == want, (n, sizes)
 
 
 def test_gamma_zero_canonical_basis_is_continuous_limit():

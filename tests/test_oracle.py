@@ -63,6 +63,14 @@ def test_root_residuals_and_conjugation_symmetry(n, frac):
     assert spectral_distance(roots, np.conj(roots)) < 1e-9
 
 
+@pytest.mark.parametrize("a,b", [([1.0, 2.0], [math.nan, math.nan]),
+                                 ([math.nan, math.nan], [1.0, 2.0]),
+                                 ([1.0, 2.0], [1.0, complex(2.0, math.inf)])])
+def test_spectral_distance_never_scores_non_finite_as_close(a, b):
+    # max(0.0, nan) is 0.0: a NaN oracle must not pass a distance bound
+    assert spectral_distance(a, b) == math.inf
+
+
 def test_eigenvector_symmetric_mode():
     h = build_hamiltonian(ChainSpec(2, 1.0, 0.0))
     v = oracle_eigenvector(h, -1.0)
