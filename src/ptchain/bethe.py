@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NonConvergence, PhaseError, RootCountMismatch
 from .model import ChainSpec, Phase, classify_phase
 
-# A root is spurious when its unnormalized amplitude vector is this small.
+# An unnormalized amplitude vector this small is a null state (`states` rejects it).
 NULL_STATE_THRESHOLD = 1e-10
 
 _DEDUPE_TOL = 1e-11
@@ -69,8 +69,8 @@ class SpectralSolution:
 def raw_amplitude(spec: ChainSpec, k: complex) -> np.ndarray:
     """Unnormalized Bethe amplitude e^{ik(l-N0)} - eta(k) e^{-ik(l+N0)}, l = 1..N.
 
-    Used both by the spurious-root filter here and as the starting point for
-    the normalized eigenfunctions in `states`.
+    The starting point for the normalized eigenfunctions in `states`, which
+    reject a vector below NULL_STATE_THRESHOLD as a null state.
     """
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     n0 = (n + 1) / 2
@@ -192,7 +192,11 @@ def _newton_polish(f, df, x0: float, lo: float, hi: float) -> float:
 
 
 def _real_roots_unchecked(spec: ChainSpec, tol: float) -> np.ndarray:
-    """All non-null roots of G in (0, pi); no count enforcement."""
+    """All roots of G in (0, pi), sorted; no count enforcement.
+
+    None is a null state: the amplitude vanishes for every l only where
+    e^{2ik} = 1, i.e. k in {0, pi}, which the scan excludes.
+    """
     half = math.pi / 2
     roots = []
     for x in _positive_offsets(spec, tol):
@@ -200,9 +204,7 @@ def _real_roots_unchecked(spec: ChainSpec, tol: float) -> np.ndarray:
     if spec.n_sites % 2:
         roots.append(half)  # exact zero of G for odd N (the zero-energy mode)
     roots.sort()
-    kept = [r for r in roots
-            if np.max(np.abs(raw_amplitude(spec, r))) > NULL_STATE_THRESHOLD]
-    return np.array(kept)
+    return np.array(roots)
 
 
 def critical_offset(spec: ChainSpec) -> float:
@@ -214,7 +216,7 @@ def critical_offset(spec: ChainSpec) -> float:
 
 
 def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
-    """Number of non-null real roots (no count check; used for boundary bisection)."""
+    """Number of real roots in (0, pi) (no count check; used for boundary bisection)."""
     return len(_real_roots_unchecked(spec, tol))
 
 
@@ -226,7 +228,7 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     Raises
     ------
     RootCountMismatch
-        If the filtered root count is neither N nor N-2 (e.g. exactly at the
+        If the root count is neither N nor N-2 (e.g. exactly at the
         phase boundary, where two roots coalesce).
     NonConvergence
         If a bracket fails to converge to `tol`.

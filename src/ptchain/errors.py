@@ -6,7 +6,7 @@ class PTChainError(Exception):
 
 
 class RootCountMismatch(PTChainError):
-    """Real quasimomentum count is neither N nor N-2 after filtering."""
+    """Real quasimomentum count is neither N nor N-2."""
 
 
 class NonConvergence(PTChainError):

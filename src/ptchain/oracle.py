@@ -1,18 +1,18 @@
 """Brute-force diagonalization oracle, independent of the Bethe solvers.
 
-The characteristic polynomial comes from the tridiagonal three-term recurrence
+The characteristic polynomial D_N(x) = det(H - x I) obeys the three-term
+recurrence
 
     D_n(x) = (d_n - x) D_{n-1}(x) - J^2 D_{n-2}(x),   d_1 = i*gamma, d_N = -i*gamma
 
-expanded in coefficients; its roots come from Durand-Kerner simultaneous
-iteration with compensated-Horner evaluation.  Eigenvectors come from inverse
-iteration.  For large chains the recurrence is evaluated pointwise (no
-coefficient expansion) and selected eigenvalues are Newton-refined.
+evaluated with its derivative pointwise, with no coefficient expansion.  One
+vectorized Aberth-Ehrlich iteration on D_N / D_N' (O. Aberth, Math. Comp. 27
+(1973) 339; D. A. Bini, Numer. Algorithms 13 (1996)) finds all N roots, or
+Newton-refines one.  Eigenvectors come from inverse iteration.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +21,8 @@ import numpy as np
 from .errors import NonConvergence, SingularSolve
 from .model import ChainSpec
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+# Aberth from the bounding circle takes N/2 to 3N/4 iterations (measured to N=500)
+_ORACLE_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -36,139 +37,97 @@ class CharPoly:
 
 
 def char_poly(spec: ChainSpec) -> CharPoly:
-    n, j = spec.n_sites, spec.hopping
-    d = np.zeros(n, dtype=complex)
-    d[0], d[-1] = 1j * spec.gamma, -1j * spec.gamma
-
-    prev2 = np.array([1.0 + 0j])           # D_0
-    prev1 = np.array([d[0], -1.0 + 0j])    # D_1 = d_1 - x
-    for m in range(1, n):
-        cur = np.zeros(m + 2, dtype=complex)
-        cur[: m + 1] += d[m] * prev1       # d_m * D_{m-1}
-        cur[1: m + 2] -= prev1             # -x * D_{m-1}
-        cur[: m] -= j * j * prev2
-        prev2, prev1 = prev1, cur
-    return CharPoly(coefficients=prev1)
+    """The recurrence expanded in coefficients: the small-N reference."""
+    n, jj = spec.n_sites, spec.hopping ** 2
+    prev2, prev1 = np.array([1.0 + 0j]), np.array([-1.0, 1j * spec.gamma])  # D_0, D_1
+    for m in range(2, n + 1):
+        shift = -1j * spec.gamma if m == n else 0.0
+        prev2, prev1 = prev1, np.polysub(np.polymul([-1.0, shift], prev1), jj * prev2)
+    return CharPoly(coefficients=prev1[::-1])
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def char_poly_ratio(spec: ChainSpec, x):
+    """D_N(x) / D_N'(x) via the pointwise recurrence, rescaled against overflow.
+
+    Elementwise on an array of points; a scalar gives a complex.  The ratio is
+    all Newton and Aberth need, and the rescaling leaves it unchanged.
+    """
+    n, jj = spec.n_sites, spec.hopping ** 2
+    x = np.asarray(x, dtype=complex)
+    d_prev, d_cur = np.ones_like(x), 1j * spec.gamma - x   # D_0, D_1
+    p_prev, p_cur = np.zeros_like(x), -np.ones_like(x)      # derivatives
+    for m in range(2, n + 1):
+        shift = (-1j * spec.gamma if m == n else 0.0) - x
+        d_next = shift * d_cur - jj * d_prev
+        p_next = shift * p_cur - jj * p_prev - d_cur
+        d_prev, d_cur, p_prev, p_cur = d_cur, d_next, p_cur, p_next
+        big = np.maximum(np.abs(d_cur), np.abs(p_cur))
+        if np.max(big) > 1e150:
+            big = np.where(big > 1e150, big, 1.0)
+            d_prev, d_cur, p_prev, p_cur = (d_prev / big, d_cur / big,
+                                            p_prev / big, p_cur / big)
+    if np.any(p_cur == 0):
+        raise NonConvergence("vanishing derivative in recurrence Newton")
+    return d_cur / p_cur
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _seed_circle(radius: float, count: int) -> np.ndarray:
+    # the fixed angular offset keeps seeds off the real and imaginary axes
+    return radius * np.exp(1j * (2 * np.pi * np.arange(count) / count + 0.5))
 
 
-def _two_prod_complex(x: complex, y: complex) -> tuple[complex, complex]:
-    p1, e1 = _two_prod(x.real, y.real)
-    p2, e2 = _two_prod(x.imag, y.imag)
-    p3, e3 = _two_prod(x.real, y.imag)
-    p4, e4 = _two_prod(x.imag, y.real)
-    re, f1 = _two_sum(p1, -p2)
-    im, f2 = _two_sum(p3, p4)
-    return complex(re, im), complex(e1 - e2 + f1, e3 + e4 + f2)
+def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Roots by Aberth-Ehrlich simultaneous iteration, sorted (real, imag).
 
-
-def _two_sum_complex(x: complex, y: complex) -> tuple[complex, complex]:
-    re, er = _two_sum(x.real, y.real)
-    im, ei = _two_sum(x.imag, y.imag)
-    return complex(re, im), complex(er, ei)
-
-
-def compensated_horner(coeffs: np.ndarray, x: complex) -> complex:
-    """Horner evaluation with error-free transformations (ascending coeffs)."""
-    r = complex(coeffs[-1])
-    err = 0j
-    for c in coeffs[-2::-1]:
-        p, ep = _two_prod_complex(r, x)
-        s, es = _two_sum_complex(p, complex(c))
-        r = s
-        err = err * x + (ep + es)
-    return r + err
+    `ratio(z)` is p(z)/p'(z) elementwise.  Each estimate moves by
+    w_i = r_i / (1 - r_i sum_{j != i} 1/(z_i - z_j)), which is Newton for a
+    single estimate, until every |w_i| < tol * max(1, |z_i|).  A non-finite
+    step raises, so the iteration never converges on NaN.
+    """
+    z = np.array(seeds, dtype=complex)
+    for _ in range(max_iter):
+        r = ratio(z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        step = r / (1.0 - r * inv.sum(axis=1))
+        if not np.all(np.isfinite(step)):
+            raise NonConvergence("Aberth step is not finite")
+        z -= step
+        if np.all(np.abs(step) < tol * np.maximum(1.0, np.abs(z))):
+            return np.sort(z)
+    raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
 
 
 def poly_roots(poly: CharPoly, tol: float = 1e-13,
                max_iter: int = 1000) -> np.ndarray:
-    """All roots by Durand-Kerner iteration, deterministic seed geometry.
+    """All roots of a coefficient polynomial by Aberth iteration with Horner.
 
-    Initial guesses sit on a circle of radius 1 + max|c_i / c_N| with a fixed
-    angular offset; iteration stops when the largest correction is below tol.
+    Seeds sit on the Cauchy circle of radius 1 + max|c_i / c_N|.
     """
     deg = poly.degree
     if deg < 1:
         raise ValueError("polynomial degree must be >= 1")
-    monic = poly.coefficients / poly.coefficients[-1]
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-    z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / deg + 0.5))
-                  for m in range(deg)])
-
-    for _ in range(max_iter):
-        max_step = 0.0
-        for m in range(deg):
-            den = 1.0 + 0j
-            for other in range(deg):
-                if other != m:
-                    den *= z[m] - z[other]
-            if den == 0:
-                den = 1e-30
-            step = compensated_horner(monic, z[m]) / den
-            z[m] -= step
-            max_step = max(max_step, abs(step))
-        if max_step < tol:
-            return np.array(sorted(z, key=lambda w: (w.real, w.imag)))
-    raise NonConvergence(f"Durand-Kerner stalled after {max_iter} iterations")
+    monic = poly.coefficients[::-1] / poly.coefficients[-1]
+    deriv = np.polyder(monic)
+    radius = 1.0 + float(np.max(np.abs(monic[1:])))
+    return _aberth(lambda z: np.polyval(monic, z) / np.polyval(deriv, z),
+                   _seed_circle(radius, deg), tol, max_iter)
 
 
 def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:
-    """Eigenvalues of the chain from the characteristic-polynomial oracle."""
-    return poly_roots(char_poly(spec), tol)
-
-
-def char_poly_ratio(spec: ChainSpec, x: complex) -> complex:
-    """D_N(x) / D_N'(x) via the pointwise recurrence, rescaled against overflow.
-
-    No coefficient expansion, so it stays stable for N of a few hundred; the
-    ratio is all Newton needs and is invariant under the rescaling.
-    """
-    n, j = spec.n_sites, spec.hopping
-    jj = j * j
-    d_prev, d_cur = 1.0 + 0j, 1j * spec.gamma - x   # D_0, D_1
-    p_prev, p_cur = 0j, -1.0 + 0j                   # derivatives
-    for m in range(2, n + 1):
-        dm = -1j * spec.gamma if m == n else 0.0
-        d_next = (dm - x) * d_cur - jj * d_prev
-        p_next = -d_cur + (dm - x) * p_cur - jj * p_prev
-        d_prev, d_cur, p_prev, p_cur = d_cur, d_next, p_cur, p_next
-        big = max(abs(d_cur), abs(p_cur))
-        if big > 1e150:
-            d_prev /= big
-            d_cur /= big
-            p_prev /= big
-            p_cur /= big
-    if p_cur == 0:
-        raise NonConvergence("vanishing derivative in recurrence Newton")
-    return d_cur / p_cur
+    """All N eigenvalues, seeded on the circle |E| = 2J + gamma that bounds them."""
+    return _aberth(lambda z: char_poly_ratio(spec, z),
+                   _seed_circle(2 * spec.hopping + spec.gamma, spec.n_sites),
+                   tol, _ORACLE_MAX_ITER)
 
 
 def refine_eigenvalue(spec: ChainSpec, guess: complex, tol: float = 1e-13,
                       max_iter: int = 100) -> complex:
     """Newton on the recurrence-evaluated characteristic polynomial."""
-    x = complex(guess)
-    for _ in range(max_iter):
-        step = char_poly_ratio(spec, x)
-        x -= step
-        if abs(step) < tol * max(1.0, abs(x)):
-            return x
-    raise NonConvergence(f"eigenvalue Newton stalled near {guess}")
+    return complex(_aberth(lambda z: char_poly_ratio(spec, z),
+                           np.array([guess]), tol, max_iter)[0])
 
 
 def spectral_distance(a, b) -> float:

@@ -120,8 +120,14 @@ def wavefunction_broken(spec: ChainSpec, branch: int,
     l = np.arange(1, n + 1)
     s = float(branch)
     ratio = (j - g * np.exp(-s * kappa)) / (j + g * np.exp(s * kappa))
-    f = np.exp(s * kappa * n0) * ((1j) ** l * np.exp(-s * kappa * l)
-                                  - (-1j) ** l * ratio * np.exp(s * kappa * l))
+    # Each term as one exponent, less the largest, before exp: e^{kappa N}
+    # overflows once kappa N passes ~709, and the norm fixes the scale anyway.
+    first = s * kappa * (n0 - l)
+    with np.errstate(divide="ignore"):  # ratio = 0 drops the second term
+        second = s * kappa * (n0 + l) + np.log(abs(ratio))
+    top = max(first.max(), second.max())
+    f = ((1j) ** l * np.exp(first - top)
+         - (-1j) ** l * np.sign(ratio) * np.exp(second - top))
     return _fix_sign(f / np.linalg.norm(f))
 
 

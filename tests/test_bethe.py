@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from ptchain import (ChainSpec, Phase, gamma_critical, locate_critical_gamma,
                      momentum_index, solve_kappa, solve_real_momenta,
                      solve_spectrum)
-from ptchain.bethe import count_real_momenta, kappa_residual
+from ptchain.bethe import (_real_roots_unchecked, count_real_momenta,
+                           kappa_residual, raw_amplitude)
 from ptchain.errors import PhaseError
 
 
 def test_roots_n3_gamma_one():
-    # G reduces to 2 J^2 sin(3k) cos(k); k = pi rejected as a null state.
+    # G reduces to 2 J^2 sin(3k) cos(k); its null-state root k = pi lies
+    # outside the scanned interval (0, pi).
     roots = solve_real_momenta(ChainSpec(3, 1.0, 1.0))
     assert np.allclose(roots, [np.pi / 3, np.pi / 2, 2 * np.pi / 3], atol=1e-12)
 
@@ -45,6 +47,18 @@ def test_momentum_index_consistency(n, gamma):
     spec = ChainSpec(n, 1.0, gamma)
     for k in solve_real_momenta(spec):
         assert 0 <= momentum_index(spec, k) <= n
+
+
+def test_no_scanned_root_is_a_null_state():
+    # The amplitude vanishes for every l only at k in {0, pi}, which the scan
+    # excludes, so the solver needs no per-root null-state filter.
+    for n in range(2, 81):
+        gc = gamma_critical(n)
+        for gamma in (0.0, 0.3 * gc, 0.9 * gc, gc - 1e-9, gc, gc + 1e-9,
+                      1.0, 1.5 * gc, 2.0 * gc):
+            spec = ChainSpec(n, 1.0, gamma)
+            for k in _real_roots_unchecked(spec, 1e-12):
+                assert np.max(np.abs(raw_amplitude(spec, k))) >= 0.5, (n, gamma, k)
 
 
 def test_root_count_transition():

@@ -138,3 +138,14 @@ def test_verify_small(capsys):
     lines = out.strip().split("\n")
     assert lines[-1] == "total_failures,,0"
     assert all(ln.endswith(",pass") for ln in lines[:-1])
+
+
+def test_verify_past_the_coefficient_overflow(capsys):
+    # N = 44 is past N ~ 41, where expanding det(H - E) in coefficients
+    # overflows or cancels
+    code, out, _ = run(capsys, "verify", "--n-max", "44")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert "oracle_match_0.5,44,pass" in lines
+    assert "oracle_match_1.3,44,pass" in lines
+    assert lines[-1] == "total_failures,,0"

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ptchain import (ChainSpec, build_hamiltonian, char_poly, gamma_critical,
-                     oracle_eigenvector, oracle_spectrum, poly_roots,
-                     refine_eigenvalue, solve_spectrum, spectral_distance)
+from ptchain import (ChainSpec, CharPoly, build_hamiltonian, char_poly,
+                     gamma_critical, oracle_eigenvector, oracle_spectrum,
+                     poly_roots, refine_eigenvalue, solve_spectrum,
+                     spectral_distance)
+from ptchain.errors import NonConvergence
 from ptchain.exceptional import critical_levels
-from ptchain.oracle import compensated_horner
+from ptchain.oracle import char_poly_ratio
 
 
 def test_char_poly_n2():
@@ -30,10 +32,14 @@ def test_char_poly_structure(n, gamma):
     assert abs(p.coefficients[-2]) < 1e-14
 
 
-def test_compensated_horner_exact_cases():
-    coeffs = np.array([-0.64, 0.0, 1.0], dtype=complex)
-    assert compensated_horner(coeffs, 0.8) == pytest.approx(0.0, abs=1e-16)
-    assert compensated_horner(coeffs, 2.0) == pytest.approx(3.36, abs=1e-15)
+def test_char_poly_ratio_exact_cases():
+    # D_2(x) = x^2 - 0.64 and D_2'(x) = 2x at gamma = 0.6
+    spec = ChainSpec(2, 1.0, 0.6)
+    assert char_poly_ratio(spec, 0.8) == pytest.approx(0.0, abs=1e-16)
+    assert char_poly_ratio(spec, 2.0) == pytest.approx(0.84, abs=1e-15)
+    ratios = char_poly_ratio(spec, np.array([0.8, 2.0]))
+    assert ratios.shape == (2,)
+    assert np.max(np.abs(ratios - [0.0, 0.84])) <= 1e-15
 
 
 def test_poly_roots_quadratic_and_cubic():
@@ -55,12 +61,24 @@ def test_poly_roots_broken_phase_pair():
 @pytest.mark.parametrize("n,frac", [(5, 0.5), (9, 0.8), (12, 1.4)])
 def test_root_residuals_and_conjugation_symmetry(n, frac):
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
-    p = char_poly(spec)
-    roots = poly_roots(p)
-    scale = np.max(np.abs(p.coefficients))
-    for r in roots:
-        assert abs(compensated_horner(p.coefficients, r)) / scale < 1e-9
+    roots = poly_roots(char_poly(spec))
+    assert np.max(np.abs(char_poly_ratio(spec, roots))) <= 1e-12
     assert spectral_distance(roots, np.conj(roots)) < 1e-9
+
+
+def test_poly_roots_raises_on_nan_coefficient():
+    with pytest.raises(NonConvergence):
+        poly_roots(CharPoly(coefficients=np.array([1.0, math.nan, 1.0])))
+
+
+@pytest.mark.parametrize("n", [35, 44, 64, 200])
+@pytest.mark.parametrize("frac", [0.5, 0.99, 1.3])
+def test_oracle_matches_dense_eigvals(n, frac):
+    # past N ~ 41 a coefficient expansion overflows or cancels; the
+    # recurrence does not (a non-finite root scores inf)
+    spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
+    dense = np.linalg.eigvals(build_hamiltonian(spec))
+    assert spectral_distance(oracle_spectrum(spec), dense) <= 1e-12
 
 
 @pytest.mark.parametrize("a,b", [([1.0, 2.0], [math.nan, math.nan]),
@@ -100,7 +118,7 @@ def test_refine_eigenvalue_matches_oracle_small():
 
 
 def test_spectral_distance_matches_bethe():
-    for n in (3, 6, 10):
+    for n in (3, 6, 10, 35, 44, 101, 200):
         for frac in (0.4, 1.5):
             spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
             d = spectral_distance(solve_spectrum(spec).energies, oracle_spectrum(spec))

@@ -91,6 +91,29 @@ def test_broken_states(n, gamma):
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
+def _apply_tridiagonal(spec, f):
+    # H f without the dense N x N matrix
+    hf = np.zeros_like(f)
+    hf[:-1] -= spec.hopping * f[1:]
+    hf[1:] -= spec.hopping * f[:-1]
+    hf[0] += 1j * spec.gamma * f[0]
+    hf[-1] -= 1j * spec.gamma * f[-1]
+    return hf
+
+
+@pytest.mark.parametrize("n", [1760, 2000, 4096])
+@pytest.mark.parametrize("branch", [+1, -1])
+def test_broken_states_deep_in_the_broken_phase(n, branch):
+    # kappa N passes ~709 here, where unscaled e^{kappa l} factors overflow
+    spec = ChainSpec(n, 1.0, 1.5)
+    kappa = solve_kappa(spec)
+    f = wavefunction_broken(spec, branch, kappa)
+    assert np.all(np.isfinite(f))
+    assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+    energy = 2j * branch * math.sinh(kappa)
+    assert np.max(np.abs(_apply_tridiagonal(spec, f) - energy * f)) <= 1e-10
+
+
 def test_broken_state_requires_broken_phase():
     with pytest.raises(PhaseError):
         wavefunction_broken(ChainSpec(8, 1.0, 0.5), +1)
