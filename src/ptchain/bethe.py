@@ -1,16 +1,35 @@
 """Quantization conditions for the chain: real quasimomenta and the broken-phase kappa.
 
-In the unbroken phase the condition
+The real quasimomenta are the roots in (0, pi) of
 
-    G(k) = gamma^2 sin(k(N-1)) + J^2 sin(k(N+1)) = 0,    k in (0, pi)
+    G(k) = gamma^2 sin(k(N-1)) + J^2 sin(k(N+1))
+         = (gamma^2 + J^2) (cos k / cos theta) sin(N k - theta),
 
-has N roots with non-null amplitude vectors; in the broken phase it has N-2,
-and the missing pair moves to k = pi/2 +- i*kappa with kappa > 0 solving
+with theta(k) = atan(c tan k) and c = (gamma^2 - J^2)/(gamma^2 + J^2): each
+root is a level F(k) = m pi of the counting function F(k) = N k - theta(k),
+with m its quantization integer (`momentum_index`).  Since |theta| < pi/2,
+the root of level m lies in its own bracket ((m - 1/2) pi/N, (m + 1/2) pi/N)
+wherever F increases, and |G| = (gamma^2 + J^2) |cos k| at the bracket ends.
+F' = N - c/(cos^2 k + c^2 sin^2 k) is negative only for 0 < c < 1/N, within
+about 1/(2N) of pi/2: inside the bracket at pi/2, which holds the critical
+pair.  For even N that bracket is centred on pi/2 and holds the pair
+pi/2 +- x below gamma_c (c < 0) and no root above.  For odd N, pi/2 is a
+root (the zero-energy mode) and the bracket (pi/2, pi/2 + pi/N) holds one
+root below gamma_c (c < 1/N) and none above.  The sign of G at the ends of
+each bracket decides whether it holds a root, so the real-root count rests
+on evaluations of G alone.
+
+The roots are symmetric about pi/2 (chirality), so only the offsets
+x = k - pi/2 > 0 are solved: all at once, by a safeguarded Newton iteration on
+G(pi/2 + x) written in x, which keeps relative accuracy in x up to the
+critical pair.  In the broken phase the missing pair moves to
+k = pi/2 +- i*kappa, with kappa > 0 solving
 
     gamma^2 sinh(kappa(N-1)) = J^2 sinh(kappa(N+1))   (odd N)
-    gamma^2 cosh(kappa(N-1)) = J^2 cosh(kappa(N+1))   (even N).
+    gamma^2 cosh(kappa(N-1)) = J^2 cosh(kappa(N+1))   (even N),
 
-Real roots give energies -2J cos k, the complex pair gives +-2iJ sinh kappa.
+found by the same iteration.  Real roots give energies -2J cos k, the
+complex pair gives +-2iJ sinh kappa.
 """
 
 from __future__ import annotations
@@ -26,7 +45,10 @@ from .model import ChainSpec, Phase, classify_phase
 # An unnormalized amplitude vector this small is a null state (`states` rejects it).
 NULL_STATE_THRESHOLD = 1e-10
 
-_DEDUPE_TOL = 1e-11
+# Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
+# Newton needs 2-6 on most brackets and up to ~30 next to gamma_c, where the
+# critical pair or kappa approaches a double root.
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -55,15 +77,19 @@ class Mode:
         return int(np.sign(self.k.imag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSolution:
+    """Quasimomenta `k` and `energies` as complex arrays, ordered by (Re E, Im E)."""
+
     spec: ChainSpec
-    modes: tuple[Mode, ...]
+    k: np.ndarray
+    energies: np.ndarray
     phase: Phase
 
     @property
-    def energies(self) -> np.ndarray:
-        return np.array([m.energy for m in self.modes])
+    def modes(self) -> tuple[Mode, ...]:
+        return tuple(Mode(k=complex(k), energy=complex(e))
+                     for k, e in zip(self.k, self.energies))
 
 
 def raw_amplitude(spec: ChainSpec, k: complex) -> np.ndarray:
@@ -79,140 +105,101 @@ def raw_amplitude(spec: ChainSpec, k: complex) -> np.ndarray:
     return np.exp(1j * k * (l - n0)) - eta * np.exp(-1j * k * (l + n0))
 
 
-def _quantization(spec: ChainSpec):
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
-    a, b = g * g, j * j
-
-    def gfun(k: float) -> float:
-        return a * math.sin(k * (n - 1)) + b * math.sin(k * (n + 1))
-
-    def dgfun(k: float) -> float:
-        return a * (n - 1) * math.cos(k * (n - 1)) + b * (n + 1) * math.cos(k * (n + 1))
-
-    return gfun, dgfun
-
-
-def _sinc(t: float) -> float:
-    return 1.0 - t * t / 6.0 if abs(t) < 1e-4 else math.sin(t) / t
-
-
 def _reduced_quantization(spec: ChainSpec):
-    """G(pi/2 + x) up to a constant sign, in a cancellation-controlled form.
+    """x -> (R(x), R'(x)) elementwise, with G(pi/2 + x) = +-R(x), the sign fixed by N.
 
-    The spectrum is chiral, so the roots of G are symmetric about pi/2 and the
-    whole set is recovered from x > 0.  For odd N the trivial root at x = 0
-    (the zero-energy mode) is divided out, which keeps the sign of the
-    function reliable arbitrarily close to the phase boundary.
+    R is G expanded about the chain centre: (gamma^2 - J^2) cos(Nx) cos x
+    + (gamma^2 + J^2) sin(Nx) sin x for even N, and the same with Nx - pi/2
+    in place of Nx for odd N.  Its arguments grow with x, not with k, so R
+    keeps relative accuracy in x right up to the critical pair; for odd N it
+    vanishes exactly at x = 0 (the zero-energy mode) with slope
+    (gamma^2 - J^2) N - (gamma^2 + J^2).
     """
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
-    a, b = g * g, j * j
-    if n % 2:
-        def fun(x: float) -> float:
-            return ((a - b) * n * _sinc(n * x) * math.cos(x)
-                    - (a + b) * math.cos(n * x) * _sinc(x))
+    dif, tot = g * g - j * j, g * g + j * j
 
-        def grid_fun(x: np.ndarray) -> np.ndarray:
-            return ((a - b) * n * np.sinc(n * x / np.pi) * np.cos(x)
-                    - (a + b) * np.cos(n * x) * np.sinc(x / np.pi))
-    else:
-        def fun(x: float) -> float:
-            return ((a - b) * math.cos(n * x) * math.cos(x)
-                    + (a + b) * math.sin(n * x) * math.sin(x))
-
-        def grid_fun(x: np.ndarray) -> np.ndarray:
-            return ((a - b) * np.cos(n * x) * np.cos(x)
-                    + (a + b) * np.sin(n * x) * np.sin(x))
-    return fun, grid_fun
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cu, su = np.cos(n * x), np.sin(n * x)
+        if n % 2:
+            cu, su = su, -cu
+        cx, sx = np.cos(x), np.sin(x)
+        cs, sc = cu * sx, su * cx
+        return (dif * cu * cx + tot * su * sx,
+                (n * tot - dif) * cs + (tot - n * dif) * sc)
+    return fun
 
 
-def _positive_offsets(spec: ChainSpec, tol: float) -> list[float]:
-    """All roots x > 0 of the reduced quantization function in (0, pi/2)."""
-    n = spec.n_sites
-    fun, grid_fun = _reduced_quantization(spec)
-    gfun, dgfun = _quantization(spec)
-    hi = math.pi / 2 - 1e-9  # x = pi/2 is k = pi, always a null state
-    uniform = np.linspace(hi / max(25 * n, 200), hi, max(25 * n, 200))
-    # log-spaced points resolve the critical pair arbitrarily close to pi/2
-    xs = np.concatenate([np.logspace(-13, math.log10(uniform[0]), 120), uniform])
-    vals = grid_fun(xs)
+def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """The root of `fun` in every bracket (lo, hi) whose end signs differ.
 
-    xtol = min(tol, 1e-14)
-    offsets: list[float] = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        x = _bisect(fun, xs[i], xs[i + 1], vals[i], xtol)
-        # polish on the raw condition; it backs off where cancellation bites
-        k = _newton_polish(gfun, dgfun, math.pi / 2 + x, math.pi / 2 + xs[i],
-                           math.pi / 2 + xs[i + 1])
-        offsets.append(k - math.pi / 2)
-    for i in np.nonzero(vals == 0.0)[0]:
-        offsets.append(float(xs[i]))
-    offsets.sort()
-    deduped: list[float] = []
-    for x in offsets:
-        if not deduped or x - deduped[-1] > _DEDUPE_TOL:
-            deduped.append(x)
-    return deduped
-
-
-def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Bisection on a sign-change bracket, then a capped Newton-free midpoint."""
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    else:
-        raise NonConvergence(f"bisection stalled on [{lo}, {hi}]")
-    return 0.5 * (lo + hi)
+    `fun` gives value and slope elementwise.  Where the value at lo is exactly
+    zero its slope gives the sign just inside the bracket.  A bracket without
+    a sign change is dropped.  Safeguarded Newton from `seed`, on all brackets
+    at once: each evaluation shrinks its bracket, a step that would leave it
+    bisects instead, and a root is done once its last step is at most `tol`.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    f, slope = fun(np.concatenate([lo, hi]))
+    m = len(lo)
+    side = np.sign(np.where(f[:m] != 0, f[:m], slope[:m]))
+    keep = side * np.sign(f[m:]) < 0
+    lo, hi, side, x = lo[keep], hi[keep], side[keep], seed[keep]
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    roots, active = x.copy(), np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            if not len(x):
+                return roots
+            f, slope = fun(x)
+            right = np.sign(f) == side  # the root lies above x
+            lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+            new = x - f / slope
+            new = np.where((lo < new) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
+            done = np.abs(new - x) <= tol
+            roots[active], x = new, new
+            if done.any():
+                active, x, lo, hi, side = (v[~done] for v in (active, x, lo, hi, side))
+    raise NonConvergence(f"{len(active)} bracketed roots not within {tol} "
+                         f"after {_MAX_ITER} steps")
 
 
-def _newton_polish(f, df, x0: float, lo: float, hi: float) -> float:
-    # Keeps the bisection result when Newton does not improve |f|; 50-step cap.
-    x, fx = x0, f(x0)
-    for _ in range(50):
-        d = df(x)
-        if d == 0.0:
-            break
-        step = fx / d
-        x1 = x - step
-        if not (lo < x1 < hi):
-            break
-        f1 = f(x1)
-        if abs(f1) >= abs(fx):
-            break
-        x, fx = x1, f1
-        if abs(step) < 1e-16:
-            break
-    return x
+def _positive_offsets(spec: ChainSpec, tol: float) -> np.ndarray:
+    """All roots x > 0 of the reduced quantization function, ascending.
+
+    One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
+    i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
+    at x = 0.  Newton starts from the counting function's first fixed-point
+    step k = (m pi + theta(m pi/N))/N.
+    """
+    n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    c = (g * g - j * j) / (g * g + j * j)
+    h = math.pi / (2 * n)
+    centre = np.arange(n % 2, n - 1, 2) * h
+    seed = centre - np.arctan2(c, np.tan(centre)) / n
+    return _bracketed_roots(_reduced_quantization(spec), np.maximum(centre - h, 0.0),
+                            centre + h, seed, min(tol, 1e-14))
 
 
 def _real_roots_unchecked(spec: ChainSpec, tol: float) -> np.ndarray:
     """All roots of G in (0, pi), sorted; no count enforcement.
 
     None is a null state: the amplitude vanishes for every l only where
-    e^{2ik} = 1, i.e. k in {0, pi}, which the scan excludes.
+    e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
     """
     half = math.pi / 2
-    roots = []
-    for x in _positive_offsets(spec, tol):
-        roots.extend((half - x, half + x))
-    if spec.n_sites % 2:
-        roots.append(half)  # exact zero of G for odd N (the zero-energy mode)
-    roots.sort()
-    return np.array(roots)
+    x = _positive_offsets(spec, tol)
+    zero_mode = [half] if spec.n_sites % 2 else []  # exact zero of G for odd N
+    return np.concatenate([half - x[::-1], zero_mode, half + x])
 
 
 def critical_offset(spec: ChainSpec) -> float:
     """Smallest x > 0 with k = pi/2 + x a real root: the critical-pair offset."""
     offsets = _positive_offsets(spec, 1e-14)
-    if not offsets:
+    if not len(offsets):
         raise NonConvergence("no real root found above pi/2")
-    return offsets[0]
+    return float(offsets[0])
 
 
 def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
@@ -233,8 +220,6 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     NonConvergence
         If a bracket fails to converge to `tol`.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     roots = _real_roots_unchecked(spec, tol)
     n = spec.n_sites
     if len(roots) not in (n, n - 2):
@@ -244,13 +229,13 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     return roots
 
 
-def mode_energy(spec: ChainSpec, k: float) -> float:
-    """Real-mode energy -2J cos k, evaluated as 2J sin(k - pi/2).
+def mode_energy(spec: ChainSpec, k):
+    """Real-mode energy -2J cos k, evaluated as 2J sin(k - pi/2), elementwise.
 
     The two forms are identical; the sine form keeps the odd-N zero mode at
     exactly 0 and preserves relative accuracy for the near-critical pair.
     """
-    return 2 * spec.hopping * math.sin(k - math.pi / 2)
+    return 2 * spec.hopping * np.sin(k - math.pi / 2)
 
 
 def momentum_index(spec: ChainSpec, k: float) -> int:
@@ -273,50 +258,48 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     return int(nk)
 
 
-def kappa_residual(spec: ChainSpec, kappa: float) -> float:
+def kappa_residual(spec: ChainSpec, kappa):
     """The kappa condition scaled by 2 e^(-kappa(N+1)), so it never overflows.
 
     gamma^2 (e^(-2kappa) -+ e^(-2kappa N)) - J^2 (1 -+ e^(-2kappa(N+1))), with
     - for odd N (sinh) and + for even N (cosh); written through expm1 so the
-    odd-N differences keep their relative accuracy as kappa -> 0.
+    odd-N differences keep their relative accuracy as kappa -> 0.  Elementwise.
     """
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     s = -1.0 if n % 2 else 1.0
     x = -2.0 * kappa
-    return (g * g * (1.0 + s + math.expm1(x) + s * math.expm1(x * n))
-            - j * j * (1.0 + s + s * math.expm1(x * (n + 1))))
+    return (g * g * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
+            - j * j * (1.0 + s + s * np.expm1(x * (n + 1))))
 
 
 def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     """The unique kappa > 0 of the broken-phase quantization condition.
 
-    Bisection on (0, ln(gamma/J) + 1], where the residual changes sign, then a
-    Newton polish.  Raises PhaseError outside the broken phase.
+    Safeguarded Newton on (0, ln(gamma/J) + 1], where the residual changes
+    sign, from the large-N limit ln(gamma/J).  Raises PhaseError outside the
+    broken phase.
     """
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     s = -1.0 if n % 2 else 1.0
 
-    def w(x: float) -> float:
-        return kappa_residual(spec, x)
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        e1, en = np.exp(-2.0 * x), np.exp(-2.0 * n * x)
+        return kappa_residual(spec, x), 2.0 * (s * (n + 1) * j * j * e1 * en
+                                               - g * g * (e1 + s * n * en))
 
-    def dw(x: float) -> float:
-        return (-2.0 * g * g * (math.exp(-2.0 * x) + s * n * math.exp(-2.0 * x * n))
-                + 2.0 * s * (n + 1) * j * j * math.exp(-2.0 * x * (n + 1)))
-
-    lo = 1e-12
     hi = math.log(g / j) + 1.0
-    flo = w(lo)
-    if flo <= 0 or w(hi) >= 0:
+    kappa = _bracketed_roots(fun, np.array([1e-12]), np.array([hi]),
+                             np.array([hi - 1.0]), min(tol, 1e-15))
+    if not len(kappa):
         raise NonConvergence(
             f"kappa bracket (0, {hi:.3f}] lost its sign change for {spec}")
-    kappa = _bisect(w, lo, hi, flo, min(tol, 1e-15))
-    return _newton_polish(w, dw, kappa, 0.0, hi)
+    return float(kappa[0])
 
 
 def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
-    """Full mode list: N real modes, or N-2 real plus the conjugate imaginary pair.
+    """Full mode set: N real modes, or N-2 real plus the conjugate imaginary pair.
 
     Exactly at the boundary (Critical phase) the coalesced pair is missing and
     whatever real roots remain are returned best-effort.
@@ -333,15 +316,15 @@ def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
             raise RootCountMismatch(
                 f"{phase} phase expects {expected} real roots, found {len(roots)}")
 
-    modes = [Mode(k=complex(k, 0.0), energy=complex(mode_energy(spec, k), 0.0))
-             for k in roots]
+    k = roots.astype(complex)
+    energies = mode_energy(spec, roots).astype(complex)
     if phase is Phase.BROKEN:
         kappa = solve_kappa(spec, tol)
-        for s in (+1, -1):
-            modes.append(Mode(k=complex(math.pi / 2, s * kappa),
-                              energy=complex(0.0, s * 2 * j * math.sinh(kappa))))
-    modes.sort(key=lambda m: (m.energy.real, m.energy.imag))
-    return SpectralSolution(spec=spec, modes=tuple(modes), phase=phase)
+        level = 2 * j * math.sinh(kappa)
+        k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, -kappa)])
+        energies = np.append(energies, [complex(0.0, level), complex(0.0, -level)])
+    order = np.lexsort((energies.imag, energies.real))
+    return SpectralSolution(spec=spec, k=k[order], energies=energies[order], phase=phase)
 
 
 def locate_critical_gamma(n_sites: int, hopping: float = 1.0,

@@ -82,16 +82,18 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     `ratio(z)` is p(z)/p'(z) elementwise.  Each estimate moves by
     w_i = r_i / (1 - r_i sum_{j != i} 1/(z_i - z_j)), which is Newton for a
     single estimate, until every |w_i| < tol * max(1, |z_i|).  A non-finite
-    step raises, so the iteration never converges on NaN.
+    step raises, without a numpy warning, so the iteration never converges
+    on NaN.
     """
     z = np.array(seeds, dtype=complex)
     for _ in range(max_iter):
-        r = ratio(z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        step = r / (1.0 - r * inv.sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN steps raise below
+            r = ratio(z)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            inv = 1.0 / diff
+            np.fill_diagonal(inv, 0.0)
+            step = r / (1.0 - r * inv.sum(axis=1))
         if not np.all(np.isfinite(step)):
             raise NonConvergence("Aberth step is not finite")
         z -= step

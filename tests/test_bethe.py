@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptchain import (ChainSpec, Phase, gamma_critical, locate_critical_gamma,
-                     momentum_index, solve_kappa, solve_real_momenta,
-                     solve_spectrum)
+                     momentum_index, refine_eigenvalue, solve_kappa,
+                     solve_real_momenta, solve_spectrum)
 from ptchain.bethe import (_real_roots_unchecked, count_real_momenta,
                            kappa_residual, raw_amplitude)
 from ptchain.errors import PhaseError
@@ -50,8 +50,8 @@ def test_momentum_index_consistency(n, gamma):
 
 
 def test_no_scanned_root_is_a_null_state():
-    # The amplitude vanishes for every l only at k in {0, pi}, which the scan
-    # excludes, so the solver needs no per-root null-state filter.
+    # The amplitude vanishes for every l only at k in {0, pi}, which no
+    # bracket reaches, so the solver needs no per-root null-state filter.
     for n in range(2, 81):
         gc = gamma_critical(n)
         for gamma in (0.0, 0.3 * gc, 0.9 * gc, gc - 1e-9, gc, gc + 1e-9,
@@ -69,14 +69,14 @@ def test_root_count_transition():
 
 
 def test_root_detection_survives_near_coalescence():
-    # The two roots straddling pi/2 sit ~2e-4 apart here; the uniform grid
-    # alone would miss them.
+    # The two roots straddling pi/2 sit ~2e-4 apart here, both in the one
+    # bracket centred on pi/2; their offset from pi/2 is solved directly.
     n = 20
     spec = ChainSpec(n, 1.0, gamma_critical(n) - 1e-5)
     assert len(solve_real_momenta(spec)) == n
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 255, 256, 1001])
 def test_locate_critical_gamma(n):
     assert locate_critical_gamma(n) == pytest.approx(gamma_critical(n), abs=1e-6)
 
@@ -163,3 +163,48 @@ def test_spectrum_traceless_and_chiral(n, frac):
     assert abs(np.sum(energies)) < 1e-9
     ordered = np.sort_complex(energies)
     assert np.max(np.abs(ordered + ordered[::-1])) < 1e-9
+
+
+@pytest.mark.parametrize("solve,gamma,tol", [
+    (solve_spectrum, 1.0, -1.0),        # gamma_c of N=8: the Critical-phase path
+    (solve_spectrum, 1.5, 0.0),
+    (solve_real_momenta, 0.5, math.nan),
+    (count_real_momenta, 0.5, 0.0),
+    (solve_kappa, 1.5, 0.0),
+])
+def test_non_positive_tol_is_a_value_error(solve, gamma, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve(ChainSpec(8, 1.0, gamma), tol=tol)
+
+
+def _check_large_chain(spec):
+    n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    sol = solve_spectrum(spec)
+    energies = sol.energies
+    n_real = int(np.sum(sol.k.imag == 0))
+    assert len(energies) == n
+    assert n_real == (n if sol.phase is Phase.UNBROKEN else n - 2)
+    # chiral pairs share one offset from pi/2, so they cancel to the rounding of k
+    assert np.max(np.abs(energies + energies[::-1])) <= 2 * j * np.spacing(np.pi)
+    assert abs(np.sum(energies)) <= 1e-9 * n
+    assert abs(np.sum(energies ** 2) - (2 * (n - 1) * j * j - 2 * g * g)) <= 1e-9 * n
+    return energies
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(min_value=2, max_value=10**4),
+       frac=st.floats(min_value=0.0, max_value=3.0).filter(lambda f: abs(f - 1) >= 1e-3),
+       picks=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                      min_size=3, max_size=3))
+def test_large_chain_spectrum(n, frac, picks):
+    spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
+    energies = _check_large_chain(spec)
+    # the oracle's Newton on the recurrence, independent of the Bethe roots
+    for u in picks:
+        e = energies[int(u * n)]
+        assert abs(refine_eigenvalue(spec, e) - e) <= 1e-10
+
+
+@pytest.mark.parametrize("frac", [0.5, 1.5])
+def test_spectrum_at_n_1e5(frac):
+    _check_large_chain(ChainSpec(10**5, 1.0, frac * gamma_critical(10**5)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,8 +68,11 @@ def test_root_residuals_and_conjugation_symmetry(n, frac):
 
 
 def test_poly_roots_raises_on_nan_coefficient():
-    with pytest.raises(NonConvergence):
-        poly_roots(CharPoly(coefficients=np.array([1.0, math.nan, 1.0])))
+    # and raises cleanly: a numpy warning would fail here as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            poly_roots(CharPoly(coefficients=np.array([1.0, math.nan, 1.0])))
 
 
 @pytest.mark.parametrize("n", [35, 44, 64, 200])
