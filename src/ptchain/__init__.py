@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .model import (ChainSpec, Phase, apply_pt, build_hamiltonian,
                     classify_phase, gamma_critical, pt_conjugate)
-from .bethe import (Mode, SpectralSolution, locate_critical_gamma,
-                    momentum_index, solve_kappa, solve_real_momenta,
-                    solve_spectrum)
+from .bethe import (SpectralSolution, locate_critical_gamma, momentum_index,
+                    solve_kappa, solve_real_momenta, solve_spectrum)
 from .states import (COperator, EigenBasis, build_c_operator, build_eigenbasis,
                      cpt_inner, pt_norm, wavefunction_broken,
                      wavefunction_dual, wavefunction_unbroken)
@@ -24,14 +23,14 @@ from .metric import (HermitianEquivalent, MetricDecomposition, build_metric,
                      canonical_basis, equivalent_hermitian, gauge_real,
                      hermitian_equivalent, jacobi_eigensystem,
                      metric_decomposition)
-from .oracle import (CharPoly, char_poly, oracle_eigenvector, oracle_spectrum,
-                     poly_roots, refine_eigenvalue, spectral_distance)
+from .oracle import (oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
+                     spectral_distance)
 from . import errors
 
 __all__ = [
     "ChainSpec", "Phase", "apply_pt", "build_hamiltonian", "classify_phase",
     "gamma_critical", "pt_conjugate",
-    "Mode", "SpectralSolution", "locate_critical_gamma", "momentum_index",
+    "SpectralSolution", "locate_critical_gamma", "momentum_index",
     "solve_kappa", "solve_real_momenta", "solve_spectrum",
     "COperator", "EigenBasis", "build_c_operator", "build_eigenbasis",
     "cpt_inner", "pt_norm", "wavefunction_broken", "wavefunction_dual",
@@ -41,7 +40,7 @@ __all__ = [
     "HermitianEquivalent", "MetricDecomposition", "build_metric",
     "canonical_basis", "equivalent_hermitian", "gauge_real",
     "hermitian_equivalent", "jacobi_eigensystem", "metric_decomposition",
-    "CharPoly", "char_poly", "oracle_eigenvector", "oracle_spectrum",
-    "poly_roots", "refine_eigenvalue", "spectral_distance",
+    "oracle_eigenvector", "oracle_spectrum", "refine_eigenvalue",
+    "spectral_distance",
     "errors",
 ]

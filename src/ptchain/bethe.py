@@ -42,39 +42,10 @@ import numpy as np
 from .errors import NonConvergence, PhaseError, RootCountMismatch
 from .model import ChainSpec, Phase, classify_phase
 
-# An unnormalized amplitude vector this small is a null state (`states` rejects it).
-NULL_STATE_THRESHOLD = 1e-10
-
 # Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
 # Newton needs 2-6 on most brackets and up to ~30 next to gamma_c, where the
 # critical pair or kappa approaches a double root.
 _MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One eigen-solution: quasimomentum (possibly complex) and its energy.
-
-    Real modes carry k in (0, pi) with energy -2J cos k (imaginary part exactly
-    zero); broken-phase modes carry k = pi/2 +- i*kappa with energy
-    +-2iJ sinh kappa (real part exactly zero).
-    """
-
-    k: complex
-    energy: complex
-
-    @property
-    def is_real(self) -> bool:
-        return self.k.imag == 0.0
-
-    @property
-    def kappa(self) -> float:
-        return abs(self.k.imag)
-
-    @property
-    def branch(self) -> int:
-        """+1 / -1 for the two members of the complex pair, 0 for real modes."""
-        return int(np.sign(self.k.imag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,21 +57,18 @@ class SpectralSolution:
     energies: np.ndarray
     phase: Phase
 
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        return tuple(Mode(k=complex(k), energy=complex(e))
-                     for k, e in zip(self.k, self.energies))
 
-
-def raw_amplitude(spec: ChainSpec, k: complex) -> np.ndarray:
+def raw_amplitude(spec: ChainSpec, k) -> np.ndarray:
     """Unnormalized Bethe amplitude e^{ik(l-N0)} - eta(k) e^{-ik(l+N0)}, l = 1..N.
 
-    The starting point for the normalized eigenfunctions in `states`, which
-    reject a vector below NULL_STATE_THRESHOLD as a null state.
+    Sites run along the last axis: a scalar k gives one vector, an array of
+    roots one row per root.  The starting point for the normalized
+    eigenfunctions in `states`.
     """
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     n0 = (n + 1) / 2
     l = np.arange(1, n + 1)
+    k = np.asarray(k)[..., None]
     eta = (g * np.exp(1j * k) - 1j * j) / (g * np.exp(-1j * k) - 1j * j)
     return np.exp(1j * k * (l - n0)) - eta * np.exp(-1j * k * (l + n0))
 

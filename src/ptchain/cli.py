@@ -1,4 +1,4 @@
-"""Command-line front end: spectra, sweeps, phase boundary, metric, couplings, verify.
+"""Command-line front end: spectra, sweeps, phase boundary, metric, lambda table, verify.
 
 Output is byte-deterministic for a fixed invocation: floats are printed with
 12 significant digits, rows end with a bare newline, CSV uses ','.
@@ -18,13 +18,17 @@ from .bethe import locate_critical_gamma, solve_spectrum
 from .errors import PTChainError
 from .metric import (build_metric, canonical_basis, equivalent_hermitian,
                      gauge_real, reflection_matrix)
-from .model import ChainSpec, build_hamiltonian, gamma_critical
+from .model import ChainSpec, apply_pt, build_hamiltonian, gamma_critical
 from .oracle import oracle_spectrum, spectral_distance
-from .states import build_c_operator, build_eigenbasis, cpt_inner
+from .states import build_c_operator, build_eigenbasis
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _rounded(record: dict) -> dict:
+    return {h: float(_fmt(v)) if isinstance(v, float) else v for h, v in record.items()}
 
 
 def _emit(rows: list[dict], header: list[str], args, meta: dict) -> None:
@@ -36,7 +40,7 @@ def _emit(rows: list[dict], header: list[str], args, meta: dict) -> None:
                 for h in header))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"meta": meta, "records": rows}
+        payload = {"meta": _rounded(meta), "records": [_rounded(row) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -54,13 +58,11 @@ def _meta(args, **extra) -> dict:
 
 def _spectrum_rows(spec: ChainSpec, tol: float) -> list[dict]:
     sol = solve_spectrum(spec, tol)
-    rows = []
-    for idx, mode in enumerate(sol.modes):
-        rows.append({"gamma": spec.gamma, "level_index": idx,
-                     "k_re": mode.k.real, "k_im": mode.k.imag,
-                     "energy_re": mode.energy.real, "energy_im": mode.energy.imag,
-                     "phase": sol.phase.value})
-    return rows
+    return [{"gamma": spec.gamma, "level_index": idx,
+             "k_re": float(k.real), "k_im": float(k.imag),
+             "energy_re": float(e.real), "energy_im": float(e.imag),
+             "phase": sol.phase.value}
+            for idx, (k, e) in enumerate(zip(sol.k, sol.energies))]
 
 
 SPECTRUM_HEADER = ["gamma", "level_index", "k_re", "k_im",
@@ -111,9 +113,10 @@ def cmd_metric(args) -> int:
 
 def cmd_hermitian(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
-    equiv = equivalent_hermitian(spec)
-    rows = [{"n": args.n, "gamma": args.gamma, "i": i, "j": j, "lambda": lam}
-            for (i, j), lam in sorted(equiv.couplings.items())]
+    block = equivalent_hermitian(spec).block_a
+    rows = [{"n": args.n, "gamma": args.gamma, "i": i + 1, "j": j + 1,
+             "lambda": float(block[i, j])}
+            for i in range(block.shape[0]) for j in range(block.shape[1])]
     _emit(rows, ["n", "gamma", "i", "j", "lambda"], args,
           _meta(args, gamma=args.gamma, command="hermitian"))
     return 0
@@ -142,11 +145,10 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
         yield ("c_commutes_h", n, np.max(np.abs(c.matrix @ h - h @ c.matrix)) <= ident_tol)
         yield ("c_commutes_pt", n,
                np.max(np.abs(c.matrix @ p - p @ c.matrix.conj())) <= ident_tol)
-        gram = np.array([[cpt_inner(c, fa, fb) for _, fb in basis.f_states]
-                         for _, fa in basis.f_states])
+        # cpt_inner and the Euclidean inner product <g|f> over every pair of states
+        gram = (c.matrix @ apply_pt(basis.f)).T @ basis.f
         yield ("cpt_gram", n, np.max(np.abs(gram - eye)) <= ident_tol)
-        bio = np.array([[np.vdot(ga, fb) for _, fb in basis.f_states]
-                        for _, ga in basis.g_states])
+        bio = basis.g.conj().T @ basis.f
         yield ("biorthonormal", n, np.max(np.abs(bio - eye)) <= ident_tol)
 
         eta = build_metric(basis)
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sweep", help="spectra over a gamma grid"), grange=True)
     common(sub.add_parser("phase", help="phase boundary, analytic vs root-count bisection"))
     common(sub.add_parser("metric", help="gauged real metric operator entries"), gamma=True)
-    common(sub.add_parser("hermitian", help="bipartite couplings of the Hermitian equivalent"),
+    common(sub.add_parser("hermitian", help="coupling table of the Hermitian equivalent"),
            gamma=True)
     vp = sub.add_parser("verify", help="run the invariant suite")
     vp.add_argument("--n-max", type=int, default=8)

@@ -20,7 +20,7 @@ Pipeline (unbroken phase):
 4. Order the basis into two parity-uniform halves paired through R, scale by
    sqrt(eps_m/eps_n), and twist the second half by i.  The result is a real
    symmetric matrix with vanishing diagonal blocks: a bipartite hopping model
-   whose couplings are the lambda table.
+   whose hopping amplitudes are the lambda table.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, GaugeError, NonConvergence, PhaseError, StructureError
-from .model import ChainSpec, Phase, build_hamiltonian
+from .errors import DegeneracyError, GaugeError, NonConvergence, StructureError
+from .model import ChainSpec, build_hamiltonian
 from .states import EigenBasis, build_eigenbasis
 
 # Below this gamma the metric is numerically degenerate (all eps -> 1) and the
@@ -43,10 +43,7 @@ def build_metric(basis: EigenBasis) -> np.ndarray:
 
     Positive-definite and Hermitian; satisfies eta H = H^dagger eta.
     """
-    if basis.phase is not Phase.UNBROKEN:
-        raise PhaseError("the metric operator exists only in the unbroken phase")
-    g = np.array([state for _, state in basis.g_states])
-    return g.T @ g.conj()
+    return basis.g @ basis.g.conj().T
 
 
 def exchange_matrix(n: int) -> np.ndarray:
@@ -174,7 +171,6 @@ class HermitianEquivalent:
 
     h_matrix: np.ndarray
     block_a: np.ndarray
-    couplings: dict[tuple[int, int], float]
     sublattice_sizes: tuple[int, int]
 
 
@@ -223,58 +219,59 @@ def canonical_basis(eta_real: np.ndarray, tol: float = 1e-8) -> MetricDecomposit
         w, u = jacobi_eigensystem(p.T @ eta_real @ p, tol=jacobi_tol)
         return w[::-1], p @ u[:, ::-1]
 
-    def partner(vec: np.ndarray, eps: float, sign: float = 1.0) -> np.ndarray:
-        out = sign * (r @ vec)
-        rec = float(out @ eta_real @ out)
-        if abs(eps * rec - 1.0) > tol:
-            raise DegeneracyError(
-                f"reciprocal pairing failed: eps={eps:.6g}, R-partner "
-                f"Rayleigh quotient {rec:.6g}")
-        return out
-
+    h = n // 2
     if n % 2 == 0:
         w, v = sector_solve(1.0)
-        partners = [partner(v[:, i], w[i]) for i in reversed(range(n // 2))]
-        basis = np.column_stack([v] + partners)
+        basis = np.hstack((v, r @ v[:, ::-1]))
         eps = np.concatenate((w, 1.0 / w[::-1]))
         pairing = tuple(range(n - 1, -1, -1))
-        _fix_pair_signs(basis, pairing)
-        return MetricDecomposition(eta_real, eps, basis, pairing, n // 2)
+    else:
+        # The self-paired eps = 1 vector lives in the odd-sized sector; the
+        # other eigenvalues pair up inside their own sector.
+        halves = []
+        for w, v in sorted((sector_solve(s) for s in (1.0, -1.0)),
+                           key=lambda e: e[0].size):
+            odd = w.size % 2 == 1
+            single = int(np.argmin(np.abs(w - 1.0)))
+            if (abs(w[single] - 1.0) <= 1e-8) != odd:
+                raise DegeneracyError(
+                    f"self-paired eigenvalue {'missing from' if odd else 'found in'} "
+                    f"a sector of size {w.size}")
+            rest = [i for i in range(w.size) if not (odd and i == single)]
+            ups = [i for i in rest if w[i] > 1.0]
+            if 2 * len(ups) != len(rest):
+                raise DegeneracyError("reciprocal pairs unbalanced inside a sector")
+            halves.append((w, v, ups, [single] if odd else []))
 
-    # Odd N: the self-paired eps = 1 vector lives in the odd-sized sector; the
-    # other eigenvalues pair up inside their own sector.
-    halves = []
-    for w, v in sorted((sector_solve(s) for s in (1.0, -1.0)), key=lambda e: e[0].size):
-        odd = w.size % 2 == 1
-        single = int(np.argmin(np.abs(w - 1.0)))
-        if (abs(w[single] - 1.0) <= 1e-8) != odd:
+        s_vec = next(v[:, mid[0]] for _, v, _, mid in halves if mid)
+        sigma = float(s_vec @ r @ s_vec)
+        if abs(abs(sigma) - 1.0) > tol:
             raise DegeneracyError(
-                f"self-paired eigenvalue {'missing from' if odd else 'found in'} "
-                f"a sector of size {w.size}")
-        rest = [i for i in range(w.size) if not (odd and i == single)]
-        ups = [i for i in rest if w[i] > 1.0]
-        if 2 * len(ups) != len(rest):
-            raise DegeneracyError("reciprocal pairs unbalanced inside a sector")
-        halves.append((w, v, ups, [single] if odd else []))
+                f"self-paired vector is not an R eigenvector ({sigma:.3f})")
+        # Partner-sign convention that makes the coupling block reflection-symmetric:
+        # the singleton's half uses sigma, the other half -sigma.
+        sigma = 1.0 if sigma > 0 else -1.0
+        cols, eps = [], []
+        for w, v, ups, mid in halves:
+            sign = sigma if mid else -sigma
+            cols += [v[:, ups + mid], sign * (r @ v[:, ups[::-1]])]
+            eps += [w[ups + mid], 1.0 / w[ups[::-1]]]
+        basis, eps = np.hstack(cols), np.concatenate(eps)
+        pairing = tuple(range(h - 1, -1, -1)) + tuple(range(n - 1, h - 1, -1))
 
-    s_vec = next(v[:, mid[0]] for _, v, _, mid in halves if mid)
-    sigma = float(s_vec @ r @ s_vec)
-    if abs(abs(sigma) - 1.0) > tol:
-        raise DegeneracyError(f"self-paired vector is not an R eigenvector ({sigma:.3f})")
-    # Partner-sign convention that makes the coupling block reflection-symmetric:
-    # the singleton's half uses sigma, the other half -sigma.
-    sigma = 1.0 if sigma > 0 else -1.0
-    vecs, eps = [], []
-    for w, v, ups, mid in halves:
-        sign = sigma if mid else -sigma
-        vecs += [v[:, i] for i in ups + mid]
-        vecs += [partner(v[:, i], w[i], sign) for i in reversed(ups)]
-        eps += [w[i] for i in ups + mid] + [1.0 / w[i] for i in reversed(ups)]
-    h = n // 2
-    basis = np.column_stack(vecs)
-    pairing = tuple(range(h - 1, -1, -1)) + tuple(range(n - 1, h - 1, -1))
+    # Each R-partner is the later column of its pair: one diagonal of
+    # (RV)^T eta (RV) checks them all against 1/eps of the earlier one.
+    later = [j for j, i in enumerate(pairing) if j > i]
+    rv = basis[:, later]
+    rec = np.einsum("ij,ij->j", rv, eta_real @ rv)
+    w = eps[[pairing[j] for j in later]]
+    bad = np.flatnonzero(~(np.abs(w * rec - 1.0) <= tol))  # NaN never passes
+    if bad.size:
+        raise DegeneracyError(
+            f"reciprocal pairing failed: eps={w[bad[0]]:.6g}, R-partner "
+            f"Rayleigh quotient {rec[bad[0]]:.6g}")
     _fix_pair_signs(basis, pairing)
-    return MetricDecomposition(eta_real, np.array(eps), basis, pairing, h)
+    return MetricDecomposition(eta_real, eps, basis, pairing, h)
 
 
 def hermitian_equivalent(decomp: MetricDecomposition,
@@ -306,11 +303,12 @@ def hermitian_equivalent(decomp: MetricDecomposition,
         raise StructureError(f"imaginary residue {imag_resid:.2e} after phase twist")
 
     h_matrix = full.real  # diagonal-block residues kept; callers assert on them
-    block_a = h_matrix[:h, h:].copy()
-    couplings = {(i + 1, j + 1): float(block_a[i, j])
-                 for i in range(h) for j in range(n - h)}
-    return HermitianEquivalent(h_matrix=h_matrix, block_a=block_a,
-                               couplings=couplings, sublattice_sizes=(h, n - h))
+    return HermitianEquivalent(h_matrix=h_matrix, block_a=h_matrix[:h, h:].copy(),
+                               sublattice_sizes=(h, n - h))
+
+
+def _at_floor(spec: ChainSpec) -> ChainSpec:
+    return ChainSpec(spec.n_sites, spec.hopping, max(spec.gamma, GAMMA_FLOOR))
 
 
 def metric_decomposition(spec: ChainSpec, tol: float = 1e-8) -> MetricDecomposition:
@@ -320,15 +318,15 @@ def metric_decomposition(spec: ChainSpec, tol: float = 1e-8) -> MetricDecomposit
     canonical basis is taken from the continuity limit: the pipeline runs at
     gamma = GAMMA_FLOOR instead.
     """
-    gamma = max(spec.gamma, GAMMA_FLOOR)
-    eff = ChainSpec(spec.n_sites, spec.hopping, gamma)
-    basis = build_eigenbasis(eff)
+    basis = build_eigenbasis(_at_floor(spec))
     return canonical_basis(gauge_real(build_metric(basis)), tol)
 
 
 def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-8) -> HermitianEquivalent:
-    """Equivalent Hermitian Hamiltonian of the chain (unbroken phase)."""
-    gamma = max(spec.gamma, GAMMA_FLOOR)
-    eff = ChainSpec(spec.n_sites, spec.hopping, gamma)
-    decomp = metric_decomposition(eff, tol)
-    return hermitian_equivalent(decomp, build_hamiltonian(eff))
+    """Equivalent Hermitian Hamiltonian of the chain (unbroken phase).
+
+    Like `metric_decomposition`, it runs at gamma = GAMMA_FLOOR below the floor.
+    """
+    basis = build_eigenbasis(_at_floor(spec))
+    decomp = canonical_basis(gauge_real(build_metric(basis)), tol)
+    return hermitian_equivalent(decomp, build_hamiltonian(basis.spec))

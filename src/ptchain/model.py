@@ -33,9 +33,9 @@ class ChainSpec:
     n_sites : int
         Chain length N >= 2.
     hopping : float
-        Hopping energy J > 0; the energy unit (default 1).
+        Finite hopping energy J > 0; the energy unit (default 1).
     gamma : float
-        Strength gamma >= 0 of the imaginary end potentials, in units of J.
+        Finite strength gamma >= 0 of the imaginary end potentials, in units of J.
     """
 
     n_sites: int
@@ -45,10 +45,10 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
-        if not self.hopping > 0:
-            raise ValueError(f"hopping must be positive, got {self.hopping}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not (math.isfinite(self.hopping) and self.hopping > 0):
+            raise ValueError(f"hopping must be positive and finite, got {self.hopping}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
 
     @property
     def gamma_c(self) -> float:

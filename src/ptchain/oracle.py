@@ -14,7 +14,6 @@ Newton-refines one.  Eigenvectors come from inverse iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +22,6 @@ from .model import ChainSpec
 
 # Aberth from the bounding circle takes N/2 to 3N/4 iterations (measured to N=500)
 _ORACLE_MAX_ITER = 1000
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """det(H - x I) as ascending coefficients; leading coefficient (-1)^N."""
-
-    coefficients: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def char_poly(spec: ChainSpec) -> CharPoly:
-    """The recurrence expanded in coefficients: the small-N reference."""
-    n, jj = spec.n_sites, spec.hopping ** 2
-    prev2, prev1 = np.array([1.0 + 0j]), np.array([-1.0, 1j * spec.gamma])  # D_0, D_1
-    for m in range(2, n + 1):
-        shift = -1j * spec.gamma if m == n else 0.0
-        prev2, prev1 = prev1, np.polysub(np.polymul([-1.0, shift], prev1), jj * prev2)
-    return CharPoly(coefficients=prev1[::-1])
 
 
 def char_poly_ratio(spec: ChainSpec, x):
@@ -100,22 +78,6 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         if np.all(np.abs(step) < tol * np.maximum(1.0, np.abs(z))):
             return np.sort(z)
     raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
-
-
-def poly_roots(poly: CharPoly, tol: float = 1e-13,
-               max_iter: int = 1000) -> np.ndarray:
-    """All roots of a coefficient polynomial by Aberth iteration with Horner.
-
-    Seeds sit on the Cauchy circle of radius 1 + max|c_i / c_N|.
-    """
-    deg = poly.degree
-    if deg < 1:
-        raise ValueError("polynomial degree must be >= 1")
-    monic = poly.coefficients[::-1] / poly.coefficients[-1]
-    deriv = np.polyder(monic)
-    radius = 1.0 + float(np.max(np.abs(monic[1:])))
-    return _aberth(lambda z: np.polyval(monic, z) / np.polyval(deriv, z),
-                   _seed_circle(radius, deg), tol, max_iter)
 
 
 def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Eigenfunctions of H and H^dagger, the discrete C operator, and CPT machinery.
 
-Unbroken-phase states come from the closed forms
+Unbroken-phase states come from the Bethe amplitude
 
-    f_k^l = (e^{ik(l-N0)} - eta(k) e^{-ik(l+N0)}) / D_eta(k)
-    g_k^l = (e^{ik(l-N0)} - zeta(k) e^{-ik(l+N0)}) / D_zeta(k)
+    f_k^l = e^{ik(l-N0)} - eta(k) e^{-ik(l+N0)},   l = 1..N,
 
-with N0 = (N+1)/2 the chain center, eta = (g e^{ik} - iJ)/(g e^{-ik} - iJ),
-zeta the same with +iJ, and D the modulus of the square root of
-[1+|c|^2] sin(Nk)/sin(k) - 2N c e^{-ik(N+1)}.  On-shell the closed-form D
-equals |PT self-pairing|^(1/2); a final numeric rescale enforces that exactly,
-so the CPT self-inner-product of every state is +1 and the g/f system is
-biorthonormal after a sign fix of g.
+with N0 = (N+1)/2 the chain center and eta = (g e^{ik} - iJ)/(g e^{-ik} - iJ),
+divided by |sum_l (f_k^l)^2|^(1/2), so the PT self-pairing of every state is
+s_k = +-1 (the sign is intrinsic to the mode and is what the C operator
+encodes).  H is complex symmetric (H^T = H), so H^dagger = H^* and the dual
+state at a real root is g_k = s_k f_k^*: then <g_k|f_k> = +1 and the g/f
+system is biorthonormal.
+
+The paper writes the normalization as D(k), the modulus of the square root
+of [1+|c|^2] sin(Nk)/sin(k) - 2N c e^{-ik(N+1)} with c = eta, and the dual
+through a second closed form, eta with +iJ.  On-shell D(k)^2 equals
+|sum_l (f_k^l)^2| and the closed-form dual is parallel to f_k^*; both are
+identities the tests check, not steps of the construction.
 """
 
 from __future__ import annotations
@@ -19,20 +24,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (Mode, NULL_STATE_THRESHOLD, mode_energy, raw_amplitude,
-                    solve_kappa, solve_real_momenta)
+from .bethe import mode_energy, raw_amplitude, solve_kappa, solve_real_momenta
 from .errors import NullState, PhaseError
 from .model import ChainSpec, Phase, apply_pt, classify_phase
 
+# An unnormalized amplitude vector this small is a null state.
+NULL_STATE_THRESHOLD = 1e-10
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Paired eigenbases {f_k} of H and {g_k} of H^dagger (unbroken phase)."""
+    """Paired eigenbases of the unbroken phase, one state per column.
+
+    `f[:, i]` is the eigenvector of H and `g[:, i]` that of H^dagger at the
+    real root `k[i]` with energy `energies[i]`; roots ascend.
+    """
 
     spec: ChainSpec
-    phase: Phase
-    f_states: tuple[tuple[Mode, np.ndarray], ...]
-    g_states: tuple[tuple[Mode, np.ndarray], ...]
+    k: np.ndarray
+    energies: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,66 +52,43 @@ class COperator:
     matrix: np.ndarray
 
 
-def _coef(spec: ChainSpec, k: float, sign: float) -> complex:
-    g, j = spec.gamma, spec.hopping
-    return (g * np.exp(1j * k) + sign * 1j * j) / (g * np.exp(-1j * k) + sign * 1j * j)
-
-
-def _raw_dual_amplitude(spec: ChainSpec, k: float) -> np.ndarray:
-    n = spec.n_sites
-    n0 = (n + 1) / 2
-    l = np.arange(1, n + 1)
-    zeta = _coef(spec, k, +1.0)
-    return np.exp(1j * k * (l - n0)) - zeta * np.exp(-1j * k * (l + n0))
-
-
-def _closed_form_denominator(spec: ChainSpec, k: float, coef: complex) -> float:
-    n = spec.n_sites
-    z = ((1 + abs(coef) ** 2) * np.sin(n * k) / np.sin(k)
-         - 2 * n * coef * np.exp(-1j * k * (n + 1)))
-    return abs(np.sqrt(z))
-
-
 def _fix_sign(v: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    # Deterministic +-1 gauge: first component gets a non-negative real part,
-    # tie-broken by a non-negative imaginary part.  Only real flips are allowed
-    # (a complex phase would break the PT symmetry of the state).
-    z = v[0]
-    if z.real < -atol or (abs(z.real) <= atol and z.imag < -atol):
-        return -v
-    return v
+    # Deterministic +-1 gauge of each vector along the last axis: its first
+    # component gets a non-negative real part, tie-broken by a non-negative
+    # imaginary part.  Only real flips are allowed (a complex phase would
+    # break the PT symmetry of the state).
+    z = v[..., :1]
+    flip = (z.real < -atol) | ((np.abs(z.real) <= atol) & (z.imag < -atol))
+    return np.where(flip, -v, v)
+
+
+def _cpt_states(spec: ChainSpec, k) -> tuple[np.ndarray, np.ndarray]:
+    """CPT-normalized f_k and their duals g_k = s_k f_k^*, sites along the last axis.
+
+    A scalar k gives two vectors, an array of roots two arrays with one row
+    per root.  Every per-state reduction runs along the contiguous last axis,
+    so a row equals the vector of its root alone.
+    """
+    raw = raw_amplitude(spec, k)
+    if np.any(np.max(np.abs(raw), axis=-1) < NULL_STATE_THRESHOLD):
+        raise NullState(f"k={k} yields a null amplitude vector")
+    pairing = np.sum(raw * raw, axis=-1, keepdims=True)  # real on-shell
+    f = _fix_sign(raw / np.sqrt(np.abs(pairing)))
+    return f, np.copysign(1.0, pairing.real) * f.conj()
 
 
 def wavefunction_unbroken(spec: ChainSpec, k: float) -> np.ndarray:
     """CPT-normalized eigenvector of H for a real Bethe root k.
 
-    The closed-form denominator is applied first, then the vector is rescaled
-    so its PT self-pairing is exactly +-1 (the sign is intrinsic to the mode
-    and is what the C operator encodes).
+    Its PT self-pairing is exactly +-1 (the sign is intrinsic to the mode and
+    is what the C operator encodes).
     """
-    raw = raw_amplitude(spec, k)
-    if np.max(np.abs(raw)) < NULL_STATE_THRESHOLD:
-        raise NullState(f"k={k} yields a null amplitude vector")
-    f = raw / _closed_form_denominator(spec, k, _coef(spec, k, -1.0))
-    pairing = np.sum(f * f)  # real +-1 on-shell
-    f = f / np.sqrt(abs(pairing))
-    return _fix_sign(f)
-
-
-def _dual_for(spec: ChainSpec, k: float, f: np.ndarray) -> np.ndarray:
-    # The dual state at root k, scaled so <g|f> = +1 against the given f.
-    raw = _raw_dual_amplitude(spec, k)
-    if np.max(np.abs(raw)) < NULL_STATE_THRESHOLD:
-        raise NullState(f"k={k} yields a null dual amplitude vector")
-    g = raw / _closed_form_denominator(spec, k, _coef(spec, k, +1.0))
-    g = g / np.sqrt(abs(np.sum(g * g)))
-    overlap = np.vdot(g, f)  # +-1 on-shell
-    return g * np.copysign(1.0, overlap.real) / abs(overlap)
+    return _cpt_states(spec, k)[0]
 
 
 def wavefunction_dual(spec: ChainSpec, k: float) -> np.ndarray:
     """Eigenvector of H^dagger at the same real eigenvalue, scaled so <g|f> = +1."""
-    return _dual_for(spec, k, wavefunction_unbroken(spec, k))
+    return _cpt_states(spec, k)[1]
 
 
 def wavefunction_broken(spec: ChainSpec, branch: int,
@@ -132,27 +121,19 @@ def wavefunction_broken(spec: ChainSpec, branch: int,
 
 
 def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
-    """All N (mode, f) and (mode, g) pairs of the unbroken phase."""
+    """All N eigenvectors of H and of H^dagger in the unbroken phase."""
     phase = classify_phase(spec)
     if phase is not Phase.UNBROKEN:
         raise PhaseError(f"complete CPT eigenbasis requires the unbroken phase, "
                          f"got {phase} at gamma={spec.gamma}")
-    fs, gs = [], []
-    for k in solve_real_momenta(spec, tol):
-        mode = Mode(k=complex(k, 0.0),
-                    energy=complex(mode_energy(spec, k), 0.0))
-        f = wavefunction_unbroken(spec, k)
-        fs.append((mode, f))
-        gs.append((mode, _dual_for(spec, k, f)))
-    return EigenBasis(spec=spec, phase=phase, f_states=tuple(fs), g_states=tuple(gs))
+    k = solve_real_momenta(spec, tol)
+    f, g = _cpt_states(spec, k)
+    return EigenBasis(spec=spec, k=k, energies=mode_energy(spec, k), f=f.T, g=g.T)
 
 
 def build_c_operator(basis: EigenBasis) -> COperator:
     """C(m,l) = sum_k f_k^m f_k^l (no conjugation); C^2 = 1 on a complete basis."""
-    if basis.phase is not Phase.UNBROKEN:
-        raise PhaseError("the C operator exists only in the unbroken phase")
-    f = np.array([state for _, state in basis.f_states])
-    return COperator(matrix=f.T @ f)
+    return COperator(matrix=basis.f @ basis.f.T)
 
 
 def cpt_inner(c_op: COperator, u: np.ndarray, v: np.ndarray) -> complex:

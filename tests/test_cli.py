@@ -72,6 +72,35 @@ def test_invalid_n_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--gamma", "--j"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_input_exits_2(capsys, flag, value):
+    args = {"--gamma": "0.5", "--j": "1.0", flag: value}
+    code, out, err = run(capsys, "spectrum", "--n", "4",
+                         *(x for pair in args.items() for x in pair))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_json_floats_match_csv(capsys):
+    # both formats print floats to 12 significant digits
+    _, csv_out, _ = run(capsys, "spectrum", "--n", "9", "--gamma", "0.73")
+    _, json_out, _ = run(capsys, "spectrum", "--n", "9", "--gamma", "0.73",
+                         "--format", "json")
+    lines = csv_out.strip().split("\n")
+    header = lines[0].split(",")
+    records = json.loads(json_out)["records"]
+    assert len(records) == len(lines) - 1 == 9
+    floats = 0
+    for line, record in zip(lines[1:], records):
+        for name, cell in zip(header, line.split(",")):
+            if isinstance(record[name], float):
+                assert record[name] == float(cell), (name, cell, record[name])
+                floats += 1
+    assert floats == 9 * 5
+
+
 def test_spectrum_deep_in_the_broken_phase(capsys):
     # kappa (N+1) exceeds the float range of sinh/cosh here
     code, out, _ = run(capsys, "spectrum", "--n", "1000", "--gamma", "1.5")

@@ -4,11 +4,9 @@ import pytest
 from ptchain import (ChainSpec, build_eigenbasis, build_hamiltonian,
                      build_metric, canonical_basis, equivalent_hermitian,
                      gamma_critical, gauge_real, hermitian_equivalent,
-                     jacobi_eigensystem, metric, metric_decomposition,
-                     poly_roots)
-from ptchain.errors import GaugeError, NonConvergence, PhaseError
+                     jacobi_eigensystem, metric, metric_decomposition)
+from ptchain.errors import DegeneracyError, GaugeError, NonConvergence, PhaseError
 from ptchain.metric import reflection_matrix
-from ptchain.oracle import CharPoly
 
 GRID = [(n, frac) for n in (2, 3, 5, 7, 8, 11, 12) for frac in (0.3, 0.6, 0.9)]
 
@@ -45,7 +43,7 @@ def test_metric_identity_at_gamma_zero():
 @pytest.mark.parametrize("n,frac", [(3, 0.95), (8, 0.5), (12, 0.9), (33, 0.7)])
 def test_metric_is_sum_of_outer_products(n, frac):
     basis = build_eigenbasis(ChainSpec(n, 1.0, frac * gamma_critical(n)))
-    ref = sum(np.outer(g, g.conj()) for _, g in basis.g_states)
+    ref = sum(np.outer(g, g.conj()) for g in basis.g.T)
     assert np.max(np.abs(build_metric(basis) - ref)) <= 1e-14
 
 
@@ -108,32 +106,6 @@ def test_jacobi_identity_and_2x2():
     assert np.max(np.abs(v.T @ v - np.eye(2))) < 1e-12
 
 
-def _leverrier_char_poly(a: np.ndarray) -> CharPoly:
-    # Faddeev-LeVerrier: det(xI - A) coefficients from traces alone; converted
-    # to det(A - xI) ascending so the polynomial oracle can consume it.
-    n = a.shape[0]
-    coeffs = [1.0 + 0j]
-    mk = np.zeros_like(a, dtype=complex)
-    ck = 1.0 + 0j
-    for k in range(1, n + 1):
-        mk = a @ mk + ck * np.eye(n)
-        ck = -np.trace(a @ mk) / k
-        coeffs.append(ck)
-    ascending = np.array([(-1.0) ** n * coeffs[n - i] for i in range(n + 1)])
-    return CharPoly(coefficients=ascending)
-
-
-def test_jacobi_against_polynomial_oracle():
-    rng = np.random.default_rng(20240817)
-    sym = rng.normal(size=(8, 8))
-    sym = 0.5 * (sym + sym.T)
-    w, v = jacobi_eigensystem(sym)
-    roots = np.sort(poly_roots(_leverrier_char_poly(sym)).real)
-    assert np.max(np.abs(np.sort(w) - roots)) < 1e-8
-    assert np.max(np.abs(v.T @ v - np.eye(8))) < 1e-10
-    assert np.max(np.abs(sym @ v - v @ np.diag(w))) < 1e-10
-
-
 def _assert_eigensystem(a, w, v, bound):
     n = a.shape[0]
     assert np.all(np.diff(w) >= 0.0)
@@ -149,6 +121,14 @@ def test_jacobi_matches_eigh(n):
     a = a + a.T
     w, v = jacobi_eigensystem(a)
     _assert_eigensystem(a, w, v, 1e-12 * max(1.0, np.linalg.norm(a)))
+
+
+def test_jacobi_matches_eigh_on_a_fixed_random_matrix():
+    rng = np.random.default_rng(20240817)
+    sym = rng.normal(size=(8, 8))
+    sym = 0.5 * (sym + sym.T)
+    w, v = jacobi_eigensystem(sym)
+    _assert_eigensystem(sym, w, v, 1e-12 * max(1.0, np.linalg.norm(sym)))
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -222,6 +202,12 @@ def test_canonical_basis_of_a_fully_degenerate_metric(n):
     assert np.max(np.abs(b.T @ b - np.eye(n))) < 1e-15
 
 
+def test_canonical_basis_rejects_a_non_reciprocal_metric():
+    # reflection-symmetric, but its sector eigenvalues 2.5 and 1.5 are not reciprocal
+    with pytest.raises(DegeneracyError, match="reciprocal pairing"):
+        canonical_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
+
+
 def test_metric_is_solved_one_reflection_sector_at_a_time(monkeypatch):
     sizes = []
     solve = metric.jacobi_eigensystem
@@ -248,7 +234,7 @@ def test_gamma_zero_canonical_basis_is_continuous_limit():
 def test_hermitian_equivalent_n2():
     eq = equivalent_hermitian(ChainSpec(2, 1.0, 0.6))
     assert eq.sublattice_sizes == (1, 1)
-    assert abs(eq.couplings[(1, 1)]) == pytest.approx(0.8, abs=1e-10)
+    assert abs(eq.block_a[0, 0]) == pytest.approx(0.8, abs=1e-10)
 
 
 @pytest.mark.parametrize("gamma,expected,mult", [

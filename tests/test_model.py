@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,8 @@ def test_hamiltonian_trace_and_corner():
 @pytest.mark.parametrize("kwargs", [
     {"n_sites": 1}, {"n_sites": 0}, {"n_sites": 3, "hopping": 0.0},
     {"n_sites": 3, "hopping": -1.0}, {"n_sites": 3, "gamma": -0.1},
+    {"n_sites": 3, "hopping": math.nan}, {"n_sites": 3, "hopping": math.inf},
+    {"n_sites": 3, "gamma": math.nan}, {"n_sites": 3, "gamma": math.inf},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):

@@ -4,33 +4,38 @@ import warnings
 import numpy as np
 import pytest
 
-from ptchain import (ChainSpec, CharPoly, build_hamiltonian, char_poly,
-                     gamma_critical, oracle_eigenvector, oracle_spectrum,
-                     poly_roots, refine_eigenvalue, solve_spectrum,
-                     spectral_distance)
+from ptchain import (ChainSpec, build_hamiltonian, gamma_critical,
+                     oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
+                     solve_spectrum, spectral_distance)
 from ptchain.errors import NonConvergence
 from ptchain.exceptional import critical_levels
 from ptchain.oracle import char_poly_ratio
 
 
+def _assert_roots(spec, want):
+    # the oracle's roots, sorted by real part, and the recurrence's D/D' at
+    # the exact roots
+    roots = oracle_spectrum(spec)
+    assert np.max(np.abs(roots - want)) <= 1e-12
+    assert np.max(np.abs(char_poly_ratio(spec, np.array(want)))) <= 1e-12
+
+
 def test_char_poly_n2():
     # (i g - x)(-i g - x) - J^2 = x^2 + g^2 - J^2
-    p = char_poly(ChainSpec(2, 1.0, 0.6))
-    assert np.allclose(p.coefficients, [-0.64, 0.0, 1.0], atol=1e-15)
+    _assert_roots(ChainSpec(2, 1.0, 0.6), [-0.8, 0.8])
 
 
 def test_char_poly_n3():
-    p = char_poly(ChainSpec(3, 1.0, 1.0))
-    assert np.allclose(p.coefficients, [0.0, 1.0, 0.0, -1.0], atol=1e-15)
+    # -x^3 + (2 J^2 - g^2) x
+    _assert_roots(ChainSpec(3, 1.0, 1.0), [-1.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.5), (7, 1.1), (10, 0.2)])
 def test_char_poly_structure(n, gamma):
-    p = char_poly(ChainSpec(n, 1.0, gamma))
-    assert p.degree == n
-    assert p.coefficients[-1] == (-1.0) ** n
-    # traceless matrix: no x^(N-1) term
-    assert abs(p.coefficients[-2]) < 1e-14
+    roots = oracle_spectrum(ChainSpec(n, 1.0, gamma))
+    assert roots.shape == (n,)
+    # traceless matrix: the roots sum to zero
+    assert abs(np.sum(roots)) <= 1e-14
 
 
 def test_char_poly_ratio_exact_cases():
@@ -41,14 +46,6 @@ def test_char_poly_ratio_exact_cases():
     ratios = char_poly_ratio(spec, np.array([0.8, 2.0]))
     assert ratios.shape == (2,)
     assert np.max(np.abs(ratios - [0.0, 0.84])) <= 1e-15
-
-
-def test_poly_roots_quadratic_and_cubic():
-    roots = poly_roots(char_poly(ChainSpec(2, 1.0, 0.6)))
-    assert np.allclose(np.sort(roots.real), [-0.8, 0.8], atol=1e-12)
-    assert np.max(np.abs(roots.imag)) < 1e-12
-    roots = poly_roots(char_poly(ChainSpec(3, 1.0, 1.0)))
-    assert np.allclose(np.sort(roots.real), [-1.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_poly_roots_broken_phase_pair():
@@ -62,17 +59,17 @@ def test_poly_roots_broken_phase_pair():
 @pytest.mark.parametrize("n,frac", [(5, 0.5), (9, 0.8), (12, 1.4)])
 def test_root_residuals_and_conjugation_symmetry(n, frac):
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
-    roots = poly_roots(char_poly(spec))
+    roots = oracle_spectrum(spec)
     assert np.max(np.abs(char_poly_ratio(spec, roots))) <= 1e-12
     assert spectral_distance(roots, np.conj(roots)) < 1e-9
 
 
-def test_poly_roots_raises_on_nan_coefficient():
+def test_refine_eigenvalue_raises_on_nan_guess():
     # and raises cleanly: a numpy warning would fail here as an error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergence):
-            poly_roots(CharPoly(coefficients=np.array([1.0, math.nan, 1.0])))
+            refine_eigenvalue(ChainSpec(6, 1.0, 0.5), complex(math.nan))
 
 
 @pytest.mark.parametrize("n", [35, 44, 64, 200])

@@ -8,9 +8,11 @@ from ptchain import (ChainSpec, apply_pt, build_c_operator, build_eigenbasis,
                      oracle_eigenvector, pt_norm, solve_kappa,
                      solve_real_momenta, wavefunction_broken,
                      wavefunction_dual, wavefunction_unbroken)
+from ptchain.bethe import raw_amplitude
 from ptchain.errors import NullState, PhaseError
 
 GRID = [(n, frac) for n in (2, 3, 5, 8, 11, 12) for frac in (0.3, 0.6, 0.9)]
+LARGE = [(n, frac) for n in (64, 128, 256) for frac in (0.3, 0.95)]
 
 
 def _unbroken_spec(n, frac):
@@ -66,12 +68,10 @@ def test_dual_residual_and_biorthonormality(n, frac):
     spec = _unbroken_spec(n, frac)
     hdag = build_hamiltonian(spec).conj().T
     basis = build_eigenbasis(spec)
-    for mode, g in basis.g_states:
-        assert np.max(np.abs(hdag @ g - mode.energy.real * g)) < 1e-8
-        assert np.max(np.abs(apply_pt(g) - g)) < 1e-10
-    gram = np.array([[np.vdot(g, f) for _, f in basis.f_states]
-                     for _, g in basis.g_states])
-    assert np.max(np.abs(gram - np.eye(n))) < 1e-8
+    g = basis.g
+    assert np.max(np.abs(hdag @ g - g * basis.energies)) < 1e-8
+    assert np.max(np.abs(apply_pt(g) - g)) < 1e-10
+    assert np.max(np.abs(g.conj().T @ basis.f - np.eye(n))) < 1e-8
 
 
 @pytest.mark.parametrize("n,gamma", [(8, 1.2), (7, 1.5), (2, 1.5)])
@@ -135,15 +135,55 @@ def test_c_operator_identities(n, frac):
 @pytest.mark.parametrize("n,frac", [(3, 0.95), (8, 0.5), (12, 0.9), (33, 0.7)])
 def test_c_operator_is_sum_of_outer_products(n, frac):
     basis = build_eigenbasis(_unbroken_spec(n, frac))
-    ref = sum(np.outer(f, f) for _, f in basis.f_states)
+    ref = sum(np.outer(f, f) for f in basis.f.T)
     assert np.max(np.abs(build_c_operator(basis).matrix - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,frac", LARGE)
+def test_eigenbasis_at_large_n(n, frac):
+    spec = _unbroken_spec(n, frac)
+    basis = build_eigenbasis(spec)
+    f, eye = basis.f, np.eye(n)
+    assert np.max(np.abs(build_hamiltonian(spec) @ f - f * basis.energies)) <= 1e-10
+    assert np.max(np.abs(basis.g.conj().T @ f - eye)) <= 1e-8
+    assert np.max(np.abs(apply_pt(f) - f)) <= 1e-10
+    c = build_c_operator(basis).matrix
+    assert np.max(np.abs(c @ c - eye)) <= 1e-8
+
+
+def _paper_coef(spec, k, sign):
+    g, j = spec.gamma, spec.hopping
+    return (g * np.exp(1j * k) + sign * 1j * j) / (g * np.exp(-1j * k) + sign * 1j * j)
+
+
+@pytest.mark.parametrize("n,frac", GRID + LARGE)
+def test_paper_closed_forms(n, frac):
+    # The paper's normalization D(k) and its dual amplitude (zeta: eta with
+    # +iJ in place of -iJ), against the construction they are not used in.
+    spec = _unbroken_spec(n, frac)
+    k = solve_real_momenta(spec)
+    l = np.arange(1, n + 1)
+    n0 = (n + 1) / 2
+    eta = _paper_coef(spec, k, -1.0)
+    d_squared = np.abs((1 + np.abs(eta) ** 2) * np.sin(n * k) / np.sin(k)
+                       - 2 * n * eta * np.exp(-1j * k * (n + 1)))
+    raw = raw_amplitude(spec, k)
+    pairing = np.abs(np.sum(raw * raw, axis=-1))
+    assert np.max(np.abs(d_squared - pairing) / pairing) <= 1e-12
+    zeta = _paper_coef(spec, k, +1.0)[:, None]
+    dual = np.exp(1j * k[:, None] * (l - n0)) - zeta * np.exp(-1j * k[:, None] * (l + n0))
+    f = build_eigenbasis(spec).f.T  # one state per row
+    along = np.sum(f * dual, axis=-1) / np.sum(np.abs(f) ** 2, axis=-1)
+    off = np.linalg.norm(dual - along[:, None] * f.conj(), axis=-1)
+    assert np.max(off / np.linalg.norm(dual, axis=-1)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,frac", [(5, 0.5), (12, 0.9)])
 def test_eigenbasis_duals_match_wavefunction_dual(n, frac):
     spec = _unbroken_spec(n, frac)
-    for mode, g in build_eigenbasis(spec).g_states:
-        assert np.array_equal(g, wavefunction_dual(spec, mode.k.real))
+    basis = build_eigenbasis(spec)
+    for k, g in zip(basis.k, basis.g.T):
+        assert np.array_equal(g, wavefunction_dual(spec, k))
 
 
 def test_c_operator_broken_phase_rejected():
@@ -157,7 +197,7 @@ def test_cpt_gram_identity(n, frac):
     spec = _unbroken_spec(n, frac)
     basis = build_eigenbasis(spec)
     c = build_c_operator(basis)
-    fs = [f for _, f in basis.f_states]
+    fs = basis.f.T
     gram = np.array([[cpt_inner(c, fa, fb) for fb in fs] for fa in fs])
     assert np.max(np.abs(gram - np.eye(n))) < 1e-8
 
@@ -166,7 +206,7 @@ def test_cpt_reduces_to_euclidean_at_gamma_zero():
     spec = ChainSpec(6, 1.0, 0.0)
     basis = build_eigenbasis(spec)
     c = build_c_operator(basis)
-    fs = [f for _, f in basis.f_states]
+    fs = basis.f.T
     for a, fa in enumerate(fs):
         for b, fb in enumerate(fs):
             assert cpt_inner(c, fa, fb) == pytest.approx(np.vdot(fa, fb), abs=1e-10)
