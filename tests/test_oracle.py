@@ -9,7 +9,26 @@ from ptchain import (ChainSpec, build_hamiltonian, gamma_critical,
                      solve_spectrum, spectral_distance)
 from ptchain.errors import NonConvergence
 from ptchain.exceptional import critical_levels
-from ptchain.oracle import char_poly_ratio
+from ptchain.oracle import _aberth, _seed_ellipse, char_poly_ratio
+
+
+def _recurrence_ratio(spec, x):
+    # Reference for char_poly_ratio: D_n = (d_n - x) D_{n-1} - J^2 D_{n-2}
+    # with d_1 = i gamma, d_N = -i gamma, one site at a time, and its
+    # derivative alongside; both rescaled together, as the ratio allows.
+    n, jj = spec.n_sites, spec.hopping ** 2
+    x = np.asarray(x, dtype=complex)
+    d_prev, d_cur = np.ones_like(x), 1j * spec.gamma - x
+    p_prev, p_cur = np.zeros_like(x), -np.ones_like(x)
+    for m in range(2, n + 1):
+        shift = (-1j * spec.gamma if m == n else 0.0) - x
+        d_prev, d_cur, p_prev, p_cur = (d_cur, shift * d_cur - jj * d_prev,
+                                        p_cur, shift * p_cur - jj * p_prev - d_cur)
+        big = np.maximum(np.abs(d_cur), np.abs(p_cur))
+        big = np.where((big < 1e-100) | (big > 1e100), big, 1.0)
+        d_prev, d_cur, p_prev, p_cur = (d_prev / big, d_cur / big,
+                                        p_prev / big, p_cur / big)
+    return d_cur / p_cur
 
 
 def _assert_roots(spec, want):
@@ -72,7 +91,76 @@ def test_refine_eigenvalue_raises_on_nan_guess():
             refine_eigenvalue(ChainSpec(6, 1.0, 0.5), complex(math.nan))
 
 
-@pytest.mark.parametrize("n", [35, 44, 64, 200])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64])
+@pytest.mark.parametrize("frac", [0.5, 1.3])
+def test_doubling_matches_the_site_by_site_recurrence(n, frac):
+    spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
+    seeds = _seed_ellipse(spec.hopping, n)
+    ratios = char_poly_ratio(spec, seeds)
+    assert np.max(np.abs(ratios / _recurrence_ratio(spec, seeds) - 1)) <= 1e-12
+    dense = np.linalg.eigvals(build_hamiltonian(spec))
+    by_recurrence = _aberth(lambda z: _recurrence_ratio(spec, z), seeds, 1e-13, 1000)
+    assert spectral_distance(by_recurrence, dense) <= 1e-12
+    assert spectral_distance(oracle_spectrum(spec), dense) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1100, 2000, 4097])
+@pytest.mark.parametrize("j", [0.1, 0.5])
+def test_char_poly_ratio_scales_with_hopping(n, j):
+    # D_N scales like J^N: without rescaling from below, it underflows for
+    # J < 1 at large N and the ratio ends in a vanishing derivative
+    y = np.concatenate([_seed_ellipse(1.0, 16), [0.3 + 0.5j, -1.9 + 0.1j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = char_poly_ratio(ChainSpec(n, j, 0.4 * j), j * y)
+        want = j * char_poly_ratio(ChainSpec(n, 1.0, 0.4), y)
+    assert np.max(np.abs(got / want - 1)) <= 1e-12
+
+
+def test_oracle_at_large_n_with_weak_hopping():
+    spec = ChainSpec(1100, 0.5, 0.2)
+    d = spectral_distance(oracle_spectrum(spec), solve_spectrum(spec).energies)
+    assert d <= 1e-8
+
+
+EXCEPTIONAL_NS = list(range(2, 42)) + [64, 100]
+
+
+@pytest.mark.parametrize("j", [1.0, 3.0])
+def test_oracle_at_the_exceptional_point(j):
+    # At gamma_c an odd chain has a triple root at E = 0.  Dense eigvals
+    # resolves it only to about eps^(1/3); the oracle, whose D_N is odd in x
+    # there, to about sqrt(eps)
+    for n in EXCEPTIONAL_NS:
+        spec = ChainSpec(n, j, gamma_critical(n, j))
+        roots = oracle_spectrum(spec)
+        dense = np.linalg.eigvals(build_hamiltonian(spec))
+        assert spectral_distance(roots, dense) <= 1e-5 * j, n
+        if n % 2:
+            assert np.sort(np.abs(roots))[2] <= 1e-7 * j, n
+
+
+@pytest.mark.parametrize("j", [1.0, 3.0])
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+def test_oracle_next_to_the_exceptional_point(j, offset):
+    for n in EXCEPTIONAL_NS:
+        spec = ChainSpec(n, j, (1 + offset) * gamma_critical(n, j))
+        dense = np.linalg.eigvals(build_hamiltonian(spec))
+        assert spectral_distance(oracle_spectrum(spec), dense) <= 1e-6 * j, n
+
+
+@pytest.mark.parametrize("j", [0.5, 3.0])
+@pytest.mark.parametrize("frac", [0.0, 1.01, 10.0])
+def test_oracle_matches_dense_eigvals_at_any_hopping(j, frac):
+    # the seeds scale with J alone, whatever gamma is
+    for n in list(range(2, 65)) + [100]:
+        spec = ChainSpec(n, j, frac * gamma_critical(n, j))
+        dense = np.linalg.eigvals(build_hamiltonian(spec))
+        d = spectral_distance(oracle_spectrum(spec), dense)
+        assert d <= 1e-12 * max(1.0, j, spec.gamma), n
+
+
+@pytest.mark.parametrize("n", [35, 44, 64, 200, 500])
 @pytest.mark.parametrize("frac", [0.5, 0.99, 1.3])
 def test_oracle_matches_dense_eigvals(n, frac):
     # past N ~ 41 a coefficient expansion overflows or cancels; the

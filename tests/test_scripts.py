@@ -7,14 +7,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_coupling_tables_script():
+def _run_script(name, *args):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "coupling_tables.py"),
-         "--sizes", "7", "8", "--gammas", "0.5"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_coupling_tables_script():
+    proc = _run_script("coupling_tables.py", "--sizes", "7", "8", "--gammas", "0.5")
     resids = re.findall(r"(reflection|spectrum)_resid=(\S+)", proc.stdout)
     assert len(resids) == 4, proc.stdout
     assert all(float(value) <= 1e-8 for _, value in resids), proc.stdout
+
+
+def test_oracle_scaling_script():
+    lines = _run_script("oracle_scaling.py", "--sizes", "8", "16").stdout.splitlines()
+    assert lines[0] == "n,seconds,eigvals_distance"
+    rows = [line.split(",") for line in lines[1:3]]
+    assert [int(row[0]) for row in rows] == [8, 16], lines
+    assert all(float(row[1]) > 0 and float(row[2]) <= 1e-12 for row in rows), lines
+    assert re.fullmatch(r"slope d\(log seconds\)/d\(log N\) = -?\d+\.\d\d", lines[3]), lines
+    assert len(lines) == 4, lines

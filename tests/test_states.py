@@ -186,6 +186,23 @@ def test_eigenbasis_duals_match_wavefunction_dual(n, frac):
         assert np.array_equal(g, wavefunction_dual(spec, k))
 
 
+def _in_sign_gauge(v, atol=1e-12):
+    z = v[0]
+    return z.real > atol or (abs(z.real) <= atol and z.imag >= -atol)
+
+
+@pytest.mark.parametrize("n", [5, 8, 33])
+@pytest.mark.parametrize("frac", [0.3, 0.9])
+def test_unbroken_states_carry_the_sign_gauge(n, frac):
+    # each state is fixed up to +-1 by everything else checked here (eta, C,
+    # the Gram matrices and the couplings are all even in it); the gauge puts
+    # the first component in the right half-plane, ties to the upper half
+    spec = _unbroken_spec(n, frac)
+    basis = build_eigenbasis(spec)
+    assert all(_in_sign_gauge(f) for f in basis.f.T)
+    assert all(_in_sign_gauge(wavefunction_unbroken(spec, k)) for k in basis.k)
+
+
 def test_c_operator_broken_phase_rejected():
     spec = ChainSpec(6, 1.0, 1.4)
     with pytest.raises(PhaseError):
