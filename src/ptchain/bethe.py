@@ -74,17 +74,18 @@ def raw_amplitude(spec: ChainSpec, k) -> np.ndarray:
 
 
 def _reduced_quantization(spec: ChainSpec):
-    """x -> (R(x), R'(x)) elementwise, with G(pi/2 + x) = +-R(x), the sign fixed by N.
+    """x -> (R(x), R'(x)) elementwise, with G(pi/2 + x) = +-J^2 R(x), sign fixed by N.
 
-    R is G expanded about the chain centre: (gamma^2 - J^2) cos(Nx) cos x
-    + (gamma^2 + J^2) sin(Nx) sin x for even N, and the same with Nx - pi/2
-    in place of Nx for odd N.  Its arguments grow with x, not with k, so R
-    keeps relative accuracy in x right up to the critical pair; for odd N it
-    vanishes exactly at x = 0 (the zero-energy mode) with slope
-    (gamma^2 - J^2) N - (gamma^2 + J^2).
+    R is G / J^2 expanded about the chain centre: (r^2 - 1) cos(Nx) cos x
+    + (r^2 + 1) sin(Nx) sin x for even N, with r = gamma/J, and the same with
+    Nx - pi/2 in place of Nx for odd N.  Written in r, it stays finite and
+    normal however small or large J is.  Its arguments grow with x, not
+    with k, so R keeps relative accuracy in x right up to the critical pair;
+    for odd N it vanishes exactly at x = 0 (the zero-energy mode) with slope
+    (r^2 - 1) N - (r^2 + 1).
     """
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
-    dif, tot = g * g - j * j, g * g + j * j
+    n, r = spec.n_sites, spec.gamma / spec.hopping
+    dif, tot = r * r - 1.0, r * r + 1.0
 
     def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cu, su = np.cos(n * x), np.sin(n * x)
@@ -97,22 +98,29 @@ def _reduced_quantization(spec: ChainSpec):
     return fun
 
 
+def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(side, keep): the sign of `fun` just inside each lo; whether hi has the other.
+
+    `fun` gives value and slope elementwise; a zero value takes its slope's sign.
+    """
+    f, slope = fun(np.concatenate([lo, hi]))
+    m = len(lo)
+    side = np.sign(np.where(f[:m] != 0, f[:m], slope[:m]))
+    return side, side * np.sign(f[m:]) < 0
+
+
 def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
                      tol: float) -> np.ndarray:
     """The root of `fun` in every bracket (lo, hi) whose end signs differ.
 
-    `fun` gives value and slope elementwise.  Where the value at lo is exactly
-    zero its slope gives the sign just inside the bracket.  A bracket without
-    a sign change is dropped.  Safeguarded Newton from `seed`, on all brackets
-    at once: each evaluation shrinks its bracket, a step that would leave it
-    bisects instead, and a root is done once its last step is at most `tol`.
+    `fun` gives value and slope elementwise.  A bracket without a sign change
+    is dropped.  Safeguarded Newton from `seed`, on all brackets at once: each
+    evaluation shrinks its bracket, a step that would leave it bisects
+    instead, and a root is done once its last step is at most `tol`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    f, slope = fun(np.concatenate([lo, hi]))
-    m = len(lo)
-    side = np.sign(np.where(f[:m] != 0, f[:m], slope[:m]))
-    keep = side * np.sign(f[m:]) < 0
+    side, keep = _sign_changes(fun, lo, hi)
     lo, hi, side, x = lo[keep], hi[keep], side[keep], seed[keep]
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     roots, active = x.copy(), np.arange(len(x))
@@ -133,21 +141,31 @@ def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
                          f"after {_MAX_ITER} steps")
 
 
-def _positive_offsets(spec: ChainSpec, tol: float) -> np.ndarray:
-    """All roots x > 0 of the reduced quantization function, ascending.
+def _theta_slope(spec: ChainSpec) -> float:
+    """c = (gamma^2 - J^2)/(gamma^2 + J^2) of theta = atan(c tan k), in r = gamma/J."""
+    r = spec.gamma / spec.hopping
+    return (r * r - 1.0) / (r * r + 1.0)
+
+
+def _offset_brackets(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, seed) of the brackets for the roots x > 0 of the reduced function.
 
     One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
     i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
-    at x = 0.  Newton starts from the counting function's first fixed-point
-    step k = (m pi + theta(m pi/N))/N.
+    at x = 0.  The seed is the counting function's first fixed-point step
+    k = (m pi + theta(m pi/N))/N.
     """
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
-    c = (g * g - j * j) / (g * g + j * j)
+    n = spec.n_sites
     h = math.pi / (2 * n)
     centre = np.arange(n % 2, n - 1, 2) * h
-    seed = centre - np.arctan2(c, np.tan(centre)) / n
-    return _bracketed_roots(_reduced_quantization(spec), np.maximum(centre - h, 0.0),
-                            centre + h, seed, min(tol, 1e-14))
+    seed = centre - np.arctan2(_theta_slope(spec), np.tan(centre)) / n
+    return np.maximum(centre - h, 0.0), centre + h, seed
+
+
+def _positive_offsets(spec: ChainSpec, tol: float) -> np.ndarray:
+    """All roots x > 0 of the reduced quantization function, ascending."""
+    return _bracketed_roots(_reduced_quantization(spec), *_offset_brackets(spec),
+                            min(tol, 1e-14))
 
 
 def _real_roots_unchecked(spec: ChainSpec, tol: float) -> np.ndarray:
@@ -171,8 +189,18 @@ def critical_offset(spec: ChainSpec) -> float:
 
 
 def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
-    """Number of real roots in (0, pi) (no count check; used for boundary bisection)."""
-    return len(_real_roots_unchecked(spec, tol))
+    """Number of real roots in (0, pi) (no count check; used for boundary bisection).
+
+    Read from the signs of the reduced function G / J^2 at the bracket ends
+    alone, the same signs that decide which brackets the solve refines, with
+    no root solved: the count does not depend on `tol`, which is still
+    validated.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    lo, hi, _ = _offset_brackets(spec)
+    _, keep = _sign_changes(_reduced_quantization(spec), lo, hi)
+    return 2 * int(keep.sum()) + spec.n_sites % 2
 
 
 def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
@@ -213,8 +241,7 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     the limiting value +-pi/2 at k = pi/2.  Raises ValueError when k does not
     satisfy the quantization identity to 1e-9.
     """
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
-    c = (g * g - j * j) / (g * g + j * j)
+    n, c = spec.n_sites, _theta_slope(spec)
     if abs(math.cos(k)) < 1e-12:
         theta = math.copysign(math.pi / 2, c) if c != 0 else 0.0
     else:
@@ -227,17 +254,19 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
 
 
 def kappa_residual(spec: ChainSpec, kappa):
-    """The kappa condition scaled by 2 e^(-kappa(N+1)), so it never overflows.
+    """The kappa condition scaled by 2 e^(-kappa(N+1)) / J^2, so it never overflows.
 
-    gamma^2 (e^(-2kappa) -+ e^(-2kappa N)) - J^2 (1 -+ e^(-2kappa(N+1))), with
-    - for odd N (sinh) and + for even N (cosh); written through expm1 so the
-    odd-N differences keep their relative accuracy as kappa -> 0.  Elementwise.
+    r^2 (e^(-2kappa) -+ e^(-2kappa N)) - (1 -+ e^(-2kappa(N+1))), with r = gamma/J,
+    - for odd N (sinh) and + for even N (cosh).  The value is divided by J^2,
+    so it stays finite and normal however small or large J is.  Written
+    through expm1 so the odd-N differences keep their relative accuracy as
+    kappa -> 0.  Elementwise.
     """
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    n, r = spec.n_sites, spec.gamma / spec.hopping
     s = -1.0 if n % 2 else 1.0
     x = -2.0 * kappa
-    return (g * g * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
-            - j * j * (1.0 + s + s * np.expm1(x * (n + 1))))
+    return (r * r * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
+            - (1.0 + s + s * np.expm1(x * (n + 1))))
 
 
 def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
@@ -249,15 +278,15 @@ def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     """
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    n, r = spec.n_sites, spec.gamma / spec.hopping
     s = -1.0 if n % 2 else 1.0
 
     def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e1, en = np.exp(-2.0 * x), np.exp(-2.0 * n * x)
-        return kappa_residual(spec, x), 2.0 * (s * (n + 1) * j * j * e1 * en
-                                               - g * g * (e1 + s * n * en))
+        return kappa_residual(spec, x), 2.0 * (s * (n + 1) * e1 * en
+                                               - r * r * (e1 + s * n * en))
 
-    hi = math.log(g / j) + 1.0
+    hi = math.log(r) + 1.0
     kappa = _bracketed_roots(fun, np.array([1e-12]), np.array([hi]),
                              np.array([hi - 1.0]), min(tol, 1e-15))
     if not len(kappa):
@@ -301,6 +330,8 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
 
     Independent of the closed-form boundary; agrees with it to `tol`.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     j = hopping
     lo, hi = 0.5 * j, 2.2 * j  # count N at lo, N-2 at hi, for every N >= 2
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 computation/verification failure, 2 invalid arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,16 +32,16 @@ def _rounded(record: dict) -> dict:
     return {h: float(_fmt(v)) if isinstance(v, float) else v for h, v in record.items()}
 
 
-def _emit(rows: list[dict], header: list[str], args, meta: dict) -> None:
+def _emit(rows: list[tuple], header: list[str], args, meta: dict) -> None:
+    """Write `rows`, tuples in `header` order whose columns keep one type each."""
     if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                _fmt(row[h]) if isinstance(row[h], float) else str(row[h])
-                for h in header))
-        text = "\n".join(lines) + "\n"
+        # one template per table: %.12g prints a float as _fmt does, %s as str
+        template = ",".join("%.12g" if isinstance(v, float) else "%s"
+                            for v in (rows[0] if rows else ()))
+        text = "\n".join([",".join(header), *(template % row for row in rows)]) + "\n"
     else:
-        payload = {"meta": _rounded(meta), "records": [_rounded(row) for row in rows]}
+        payload = {"meta": _rounded(meta),
+                   "records": [_rounded(dict(zip(header, row))) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -56,13 +57,11 @@ def _meta(args, **extra) -> dict:
     return base
 
 
-def _spectrum_rows(spec: ChainSpec, tol: float) -> list[dict]:
+def _spectrum_rows(spec: ChainSpec, tol: float) -> list[tuple]:
     sol = solve_spectrum(spec, tol)
-    return [{"gamma": spec.gamma, "level_index": idx,
-             "k_re": float(k.real), "k_im": float(k.imag),
-             "energy_re": float(e.real), "energy_im": float(e.imag),
-             "phase": sol.phase.value}
-            for idx, (k, e) in enumerate(zip(sol.k, sol.energies))]
+    gamma, phase = spec.gamma, sol.phase.value
+    return [(gamma, idx, k.real, k.imag, e.real, e.imag, phase)
+            for idx, (k, e) in enumerate(zip(sol.k.tolist(), sol.energies.tolist()))]
 
 
 SPECTRUM_HEADER = ["gamma", "level_index", "k_re", "k_im",
@@ -93,8 +92,7 @@ def cmd_sweep(args) -> int:
 def cmd_phase(args) -> int:
     analytic = gamma_critical(args.n, args.j)
     numeric = locate_critical_gamma(args.n, args.j, tol=max(args.tol, 1e-10))
-    rows = [{"n": args.n, "j": args.j, "gamma_c_analytic": analytic,
-             "gamma_c_numeric": numeric, "abs_error": abs(analytic - numeric)}]
+    rows = [(args.n, args.j, analytic, numeric, abs(analytic - numeric))]
     _emit(rows, ["n", "j", "gamma_c_analytic", "gamma_c_numeric", "abs_error"],
           args, _meta(args, command="phase"))
     return 0
@@ -103,9 +101,8 @@ def cmd_phase(args) -> int:
 def cmd_metric(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
     eta = gauge_real(build_metric(build_eigenbasis(spec, args.tol)))
-    rows = [{"n": args.n, "gamma": args.gamma, "row": i + 1, "col": k + 1,
-             "value": float(eta[i, k])}
-            for i in range(args.n) for k in range(args.n)]
+    rows = [(args.n, args.gamma, i + 1, k + 1, value)
+            for i, line in enumerate(eta.tolist()) for k, value in enumerate(line)]
     _emit(rows, ["n", "gamma", "row", "col", "value"], args,
           _meta(args, gamma=args.gamma, command="metric"))
     return 0
@@ -114,9 +111,8 @@ def cmd_metric(args) -> int:
 def cmd_hermitian(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
     block = equivalent_hermitian(spec).block_a
-    rows = [{"n": args.n, "gamma": args.gamma, "i": i + 1, "j": j + 1,
-             "lambda": float(block[i, j])}
-            for i in range(block.shape[0]) for j in range(block.shape[1])]
+    rows = [(args.n, args.gamma, i + 1, j + 1, value)
+            for i, line in enumerate(block.tolist()) for j, value in enumerate(line)]
     _emit(rows, ["n", "gamma", "i", "j", "lambda"], args,
           _meta(args, gamma=args.gamma, command="hermitian"))
     return 0
@@ -192,7 +188,9 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ptchain",
         description="Exact solver for the PT-symmetric chain with imaginary end potentials")

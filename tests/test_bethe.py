@@ -61,6 +61,18 @@ def test_no_scanned_root_is_a_null_state():
                 assert np.max(np.abs(raw_amplitude(spec, k))) >= 0.5, (n, gamma, k)
 
 
+def test_sign_count_equals_solved_count():
+    # the count reads only the bracket-end signs that decide which brackets
+    # the solve refines, so the two agree even at gamma_c itself
+    for n in range(2, 81):
+        for j in (0.5, 1.0, 3.0):
+            gc = gamma_critical(n, j)
+            for frac in (0.0, 0.3, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0):
+                spec = ChainSpec(n, j, frac * gc)
+                assert count_real_momenta(spec) == len(_real_roots_unchecked(spec, 1e-12)), \
+                    (n, j, frac)
+
+
 def test_root_count_transition():
     for n in (6, 7, 11, 20):
         gc = gamma_critical(n)
@@ -79,6 +91,41 @@ def test_root_detection_survives_near_coalescence():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 255, 256, 1001])
 def test_locate_critical_gamma(n):
     assert locate_critical_gamma(n) == pytest.approx(gamma_critical(n), abs=1e-6)
+
+
+# float.hex of locate_critical_gamma(n, j, 1e-10) from the count by full root solves
+PINNED_GAMMA_C = {
+    1.0: ["0x1.0000000023334p+0", "0x1.6a09e667f0000p+0", "0x1.0000000023334p+0",
+          "0x1.1e3779b990000p+0", "0x1.0000000023334p+0", "0x1.028c1d9596666p+0",
+          "0x1.0000000023334p+0"],
+    3.0: ["0x1.7ffffffff799ap+1", "0x1.0f876ccdfe334p+2", "0x1.7ffffffff799ap+1",
+          "0x1.ad5336964399cp+1", "0x1.7ffffffff799ap+1", "0x1.83d22c6076002p+1",
+          "0x1.7ffffffff799ap+1"],
+}
+
+
+@pytest.mark.parametrize("j", sorted(PINNED_GAMMA_C))
+def test_locate_critical_gamma_is_pinned(j):
+    got = [locate_critical_gamma(n, j, 1e-10).hex() for n in (2, 3, 8, 9, 100, 101, 1000)]
+    assert got == PINNED_GAMMA_C[j]
+
+
+@pytest.mark.parametrize("j", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("n", [8, 9, 64, 65])
+@pytest.mark.parametrize("frac", [0.5, 1.5])
+def test_spectrum_scales_with_hopping(j, n, frac):
+    # G, c and kappa depend on gamma/J only, so a tiny or huge J neither
+    # underflows nor overflows: the spectrum is J times that of J = 1
+    r = frac * gamma_critical(n)
+    unit = ChainSpec(n, 1.0, r)
+    spec = ChainSpec(n, j, r * j)
+    assert np.max(np.abs(solve_spectrum(spec).energies / j
+                         - solve_spectrum(unit).energies)) <= 1e-12
+    assert count_real_momenta(spec) == count_real_momenta(unit)
+    # the kappa residual is the condition divided by J^2
+    kappa = np.array([1e-3, 0.1, 0.7])
+    assert np.allclose(kappa_residual(spec, kappa), kappa_residual(unit, kappa),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_kappa_analytic_n2():
@@ -169,6 +216,9 @@ def test_spectrum_traceless_and_chiral(n, frac):
     (solve_real_momenta, 0.5, math.nan),
     (count_real_momenta, 0.5, 0.0),
     (solve_kappa, 1.5, 0.0),
+    # a NaN tol would end the bisection at once, a negative one never
+    (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, math.nan),
+    (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, -1e-6),
 ])
 def test_non_positive_tol_is_a_value_error(solve, gamma, tol):
     with pytest.raises(ValueError, match="tol must be positive"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,11 +8,63 @@ from ptchain.cli import main
 
 REF_COUPLINGS_7_050 = [0.5703, 0.9731, 0.3089, 0.0883, 0.2039, 1.2075]
 
+# sha256 of stdout for each invocation (exit code 0), recorded with the
+# row-dict emitter that formatted every cell through isinstance checks
+PINNED_OUTPUT = {
+    "spectrum --n 8 --gamma 1.5 --format csv":
+        "b42eb2997a41298e452a1c5d930fb4a72bd765b400364d714e1a33ba11ecff04",
+    "spectrum --n 8 --gamma 1.5 --format json":
+        "d2678c2dd11a2cc696ddf503bf6c0f39a01c3d216b4570adf0b8eb5af1d8d1ec",
+    "spectrum --n 9 --gamma 0.73 --j 0.7 --format csv":
+        "47780b8dcc61d4984bf835686ece62f0056ddb87ddf68518cb5da01df277b6ff",
+    "spectrum --n 9 --gamma 0.73 --j 0.7 --format json":
+        "4d99dcddc3acda89fab37f960d19c87f49bb5c3e9de87e7aca9f196046072e98",
+    "sweep --n 9 --gamma-min 0.3 --gamma-max 1.6 --steps 5 --format csv":
+        "2e601d2bb8cab9ab43c0a92c07848c61acb2826f93327a5f07309f6ba453e621",
+    "sweep --n 9 --gamma-min 0.3 --gamma-max 1.6 --steps 5 --format json":
+        "d0564b8d14edd53cd8f27a2d4a73f9f5b9d82284f6fe2f12aeccd3f0ee0958b0",
+    "phase --n 9 --format csv":
+        "0f257f8adabcd964d52f858040e4dd10eac6ddcb79043a726190580581025486",
+    "phase --n 9 --format json":
+        "6f902dfdd282572379504ac818055f85178144313f499b6bdc7ba4113fc76478",
+    "phase --n 8 --j 3 --format csv":
+        "25e3fb2553adcdcc1089ba25d3dad9e5bcc0083de5e76ab3dda17d91b32b42db",
+    "phase --n 8 --j 3 --format json":
+        "87741dd519c327a69ec17f1dfce3b54a89d63152803e5b1b497bcc20b39a9fd3",
+    "metric --n 4 --gamma 0.4 --format csv":
+        "63f0765d422a51016f98b77696ea9f3d7f557279cc59f41b31fc3de7c27c88be",
+    "metric --n 4 --gamma 0.4 --format json":
+        "d945fb52634057a4b728eff03fbf601f2d55909ead9b2d06bf2fcc6afd3acb29",
+    "hermitian --n 6 --gamma 0.4 --format csv":
+        "7fe9340ea646ddc632ddc06f33bb63387a8d201a15af4a37e3e98258fd94fde9",
+    "hermitian --n 6 --gamma 0.4 --format json":
+        "bc0a75aa4a2d9bd19c3c8f4595b2e5838d4333fa827d53205ce8c341f6203f3d",
+    "verify --n-max 8":
+        "29b896ad4071709d31db247beefc34bea76fba9bb362c39c09dbd51b7bb0db76",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_pinned_output_bytes(capsys):
+    # one process, in sequence: the parser is built once and reused, so each
+    # subcommand must see no state left by the one before
+    for argv, digest in PINNED_OUTPUT.items():
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_empty_table(capsys):
+    # exactly at gamma_c = J for N = 2 the coalesced pair leaves no real root
+    code, out, _ = run(capsys, "spectrum", "--n", "2", "--gamma", "1")
+    assert (code, out) == (0, "gamma,level_index,k_re,k_im,energy_re,energy_im,phase\n")
+    code, out, _ = run(capsys, "spectrum", "--n", "2", "--gamma", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["records"] == []
 
 
 def test_spectrum_csv_schema(capsys):
@@ -126,6 +179,12 @@ def test_phase_command(capsys):
     fields = row.split(",")
     assert float(fields[2]) == pytest.approx(np.sqrt(4 / 3), rel=1e-12)
     assert float(fields[4]) < 1e-6
+
+
+def test_phase_rejects_nan_tol(capsys):
+    code, out, err = run(capsys, "phase", "--n", "8", "--tol", "nan")
+    assert (code, out) == (2, "")
+    assert "tol must be positive" in err
 
 
 def test_hermitian_command_matches_couplings(capsys):
