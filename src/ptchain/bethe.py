@@ -20,7 +20,7 @@ each bracket decides whether it holds a root, so the real-root count rests
 on evaluations of G alone.
 
 The roots are symmetric about pi/2 (chirality), so only the offsets
-x = k - pi/2 > 0 are solved: all at once, by a safeguarded Newton iteration on
+x = k - pi/2 > 0 are solved, by a safeguarded Newton iteration on
 G(pi/2 + x) written in x, which keeps relative accuracy in x up to the
 critical pair.  In the broken phase the missing pair moves to
 k = pi/2 +- i*kappa, with kappa > 0 solving
@@ -30,6 +30,12 @@ k = pi/2 +- i*kappa, with kappa > 0 solving
 
 found by the same iteration.  Real roots give energies -2J cos k, the
 complex pair gives +-2iJ sinh kappa.
+
+Both conditions depend on gamma and J only through r = gamma/J, which the
+iteration carries per root.  So one solve refines every root of a whole
+gamma grid at fixed N and J (`solve_spectra`; `exceptional.critical_sweep`
+solves only kappa and the bracket at pi/2), and each root takes the same
+float steps as in a one-gamma solve: the results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,13 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, PhaseError, RootCountMismatch
+from .errors import DomainError, NonConvergence, PhaseError, RootCountMismatch
 from .model import ChainSpec, Phase, classify_phase
 
 # Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
 # Newton needs 2-6 on most brackets and up to ~30 next to gamma_c, where the
 # critical pair or kappa approaches a double root.
 _MAX_ITER = 100
+
+# Largest gamma/J solved: r^2 times N stays far inside the float range.
+_MAX_RATIO = 1e150
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +82,31 @@ def raw_amplitude(spec: ChainSpec, k) -> np.ndarray:
     return np.exp(1j * k * (l - n0)) - eta * np.exp(-1j * k * (l + n0))
 
 
-def _reduced_quantization(spec: ChainSpec):
-    """x -> (R(x), R'(x)) elementwise, with G(pi/2 + x) = +-J^2 R(x), sign fixed by N.
+def _ratio(spec: ChainSpec) -> float:
+    """r = gamma/J, the one parameter of G / J^2, of c and of the kappa condition."""
+    r = spec.gamma / spec.hopping
+    if r > _MAX_RATIO:
+        raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, "
+                          f"where (gamma/J)^2 leaves the float range")
+    return r
 
-    R is G / J^2 expanded about the chain centre: (r^2 - 1) cos(Nx) cos x
-    + (r^2 + 1) sin(Nx) sin x for even N, with r = gamma/J, and the same with
-    Nx - pi/2 in place of Nx for odd N.  Written in r, it stays finite and
+
+def _reduced_quantization(n: int, dif=None, tot=None):
+    """(x, dif, tot) -> (R(x), R'(x)) elementwise, with G(pi/2 + x) = +-J^2 R(x).
+
+    R is G / J^2 expanded about the chain centre: dif cos(Nx) cos x
+    + tot sin(Nx) sin x for even N, with dif = r^2 - 1, tot = r^2 + 1 and
+    r = gamma/J, and the same with Nx - pi/2 in place of Nx for odd N; N
+    fixes the sign.  dif and tot are bound here when every root shares
+    them, else given per root with x.  Written in r, it stays finite and
     normal however small or large J is.  Its arguments grow with x, not
     with k, so R keeps relative accuracy in x right up to the critical pair;
     for odd N it vanishes exactly at x = 0 (the zero-energy mode) with slope
     (r^2 - 1) N - (r^2 + 1).
     """
-    n, r = spec.n_sites, spec.gamma / spec.hopping
-    dif, tot = r * r - 1.0, r * r + 1.0
-
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cu, su = np.cos(n * x), np.sin(n * x)
+    def fun(x: np.ndarray, dif=dif, tot=tot) -> tuple[np.ndarray, np.ndarray]:
+        nx = n * x
+        cu, su = np.cos(nx), np.sin(nx)
         if n % 2:
             cu, su = su, -cu
         cx, sx = np.cos(x), np.sin(x)
@@ -98,37 +116,44 @@ def _reduced_quantization(spec: ChainSpec):
     return fun
 
 
-def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
+                  *params) -> tuple[np.ndarray, np.ndarray]:
     """(side, keep): the sign of `fun` just inside each lo; whether hi has the other.
 
-    `fun` gives value and slope elementwise; a zero value takes its slope's sign.
+    `fun(x, *params)` gives value and slope elementwise; a zero value takes
+    its slope's sign.
     """
-    f, slope = fun(np.concatenate([lo, hi]))
+    f, slope = fun(np.concatenate([lo, hi]), *(np.concatenate([p, p]) for p in params))
     m = len(lo)
     side = np.sign(np.where(f[:m] != 0, f[:m], slope[:m]))
     return side, side * np.sign(f[m:]) < 0
 
 
 def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """The root of `fun` in every bracket (lo, hi) whose end signs differ.
+                     tol: float, *params) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, keep): the root of `fun` in every bracket (lo, hi) whose end signs differ.
 
-    `fun` gives value and slope elementwise.  A bracket without a sign change
-    is dropped.  Safeguarded Newton from `seed`, on all brackets at once: each
-    evaluation shrinks its bracket, a step that would leave it bisects
-    instead, and a root is done once its last step is at most `tol`.
+    `fun(x, *params)` gives value and slope elementwise; each of `params`
+    holds one value per bracket.  `keep` marks the brackets with a sign
+    change and `roots` holds their roots, in bracket order.  Safeguarded
+    Newton from `seed`, on all brackets at once: each evaluation shrinks its
+    bracket, a step that would leave it bisects instead, and a root is done
+    once its last step is at most `tol`.  A done root leaves the iteration
+    with its parameters, so every root takes the float steps of its solo
+    solve.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    side, keep = _sign_changes(fun, lo, hi)
+    side, keep = _sign_changes(fun, lo, hi, *params)
     lo, hi, side, x = lo[keep], hi[keep], side[keep], seed[keep]
+    params = [p[keep] for p in params]
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     roots, active = x.copy(), np.arange(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             if not len(x):
-                return roots
-            f, slope = fun(x)
+                return roots, keep
+            f, slope = fun(x, *params)
             right = np.sign(f) == side  # the root lies above x
             lo, hi = np.where(right, x, lo), np.where(right, hi, x)
             new = x - f / slope
@@ -136,56 +161,78 @@ def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
             done = np.abs(new - x) <= tol
             roots[active], x = new, new
             if done.any():
-                active, x, lo, hi, side = (v[~done] for v in (active, x, lo, hi, side))
+                live = ~done
+                active, x, lo, hi, side, *params = (
+                    v[live] for v in (active, x, lo, hi, side, *params))
     raise NonConvergence(f"{len(active)} bracketed roots not within {tol} "
                          f"after {_MAX_ITER} steps")
 
 
-def _theta_slope(spec: ChainSpec) -> float:
+def _theta_slope(r):
     """c = (gamma^2 - J^2)/(gamma^2 + J^2) of theta = atan(c tan k), in r = gamma/J."""
-    r = spec.gamma / spec.hopping
     return (r * r - 1.0) / (r * r + 1.0)
 
 
-def _offset_brackets(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, seed) of the brackets for the roots x > 0 of the reduced function.
+def _offset_brackets(specs: list[ChainSpec], first_only: bool = False):
+    """(fun, lo, hi, seed, params): R and its brackets for the roots x > 0, spec after spec.
 
     One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
     i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
-    at x = 0.  The seed is the counting function's first fixed-point step
-    k = (m pi + theta(m pi/N))/N.
+    at x = 0; `first_only` keeps just the one at pi/2.  The seed is the
+    counting function's first fixed-point step k = (m pi + theta(m pi/N))/N.
+    A lone spec's r^2 -+ 1 are bound into `fun`; for several, `params`
+    repeats them for each bracket of a spec.  The specs share N and J.
     """
-    n = spec.n_sites
+    n = specs[0].n_sites
     h = math.pi / (2 * n)
-    centre = np.arange(n % 2, n - 1, 2) * h
-    seed = centre - np.arctan2(_theta_slope(spec), np.tan(centre)) / n
-    return np.maximum(centre - h, 0.0), centre + h, seed
+    centre = np.arange(n % 2, n % 2 + 1 if first_only else n - 1, 2) * h
+    lo, hi = np.maximum(centre - h, 0.0), centre + h
+    r = [_ratio(spec) for spec in specs]
+    if len(r) == 1:  # bound scalars keep the one-gamma solve free of per-root arrays
+        c, params = _theta_slope(r[0]), ()
+        fun = _reduced_quantization(n, r[0] * r[0] - 1.0, r[0] * r[0] + 1.0)
+    else:
+        r = np.array(r)
+        c = _theta_slope(r)[:, None]
+        params = tuple(np.repeat(v, len(centre)) for v in (r * r - 1.0, r * r + 1.0))
+        fun = _reduced_quantization(n)
+        lo, hi = np.tile(lo, len(r)), np.tile(hi, len(r))
+    seed = centre - np.arctan2(c, np.tan(centre)) / n
+    return fun, lo, hi, seed.ravel(), params
 
 
-def _positive_offsets(spec: ChainSpec, tol: float) -> np.ndarray:
-    """All roots x > 0 of the reduced quantization function, ascending."""
-    return _bracketed_roots(_reduced_quantization(spec), *_offset_brackets(spec),
-                            min(tol, 1e-14))
-
-
-def _real_roots_unchecked(spec: ChainSpec, tol: float) -> np.ndarray:
-    """All roots of G in (0, pi), sorted; no count enforcement.
+def _real_roots(specs: list[ChainSpec], tol: float) -> list[np.ndarray]:
+    """All roots of G in (0, pi) per spec, sorted, from one solve; no count enforcement.
 
     None is a null state: the amplitude vanishes for every l only where
     e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
     """
-    half = math.pi / 2
-    x = _positive_offsets(spec, tol)
-    zero_mode = [half] if spec.n_sites % 2 else []  # exact zero of G for odd N
-    return np.concatenate([half - x[::-1], zero_mode, half + x])
+    n, half = specs[0].n_sites, math.pi / 2
+    fun, lo, hi, seed, params = _offset_brackets(specs)
+    x, keep = _bracketed_roots(fun, lo, hi, seed, min(tol, 1e-14), *params)
+    zero_mode = [half] if n % 2 else []  # exact zero of G for odd N
+    m, roots, end = len(keep) // len(specs), [], 0
+    for i in range(len(specs)):  # the last spec's roots end the array
+        start, end = end, (end + np.count_nonzero(keep[i * m:(i + 1) * m])
+                           if i + 1 < len(specs) else len(x))
+        xs = x[start:end]
+        roots.append(np.concatenate([half - xs[::-1], zero_mode, half + xs]))
+    return roots
 
 
-def critical_offset(spec: ChainSpec) -> float:
-    """Smallest x > 0 with k = pi/2 + x a real root: the critical-pair offset."""
-    offsets = _positive_offsets(spec, 1e-14)
-    if not len(offsets):
-        raise NonConvergence("no real root found above pi/2")
-    return float(offsets[0])
+def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
+    """Per spec the critical-pair offset x > 0: the root in the bracket at pi/2.
+
+    That bracket holds the smallest root wherever it has one, below gamma_c.
+    """
+    if not specs:
+        return np.empty(0)
+    fun, lo, hi, seed, params = _offset_brackets(specs, first_only=True)
+    x, keep = _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
+    if len(x) < len(specs):
+        raise NonConvergence(f"no real root found next to pi/2 for "
+                             f"{specs[int(np.argmin(keep))]}")
+    return x
 
 
 def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
@@ -198,9 +245,18 @@ def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lo, hi, _ = _offset_brackets(spec)
-    _, keep = _sign_changes(_reduced_quantization(spec), lo, hi)
+    fun, lo, hi, _, _ = _offset_brackets([spec])
+    _, keep = _sign_changes(fun, lo, hi)
     return 2 * int(keep.sum()) + spec.n_sites % 2
+
+
+def _counted(spec: ChainSpec, roots: np.ndarray) -> np.ndarray:
+    n = spec.n_sites
+    if len(roots) not in (n, n - 2):
+        raise RootCountMismatch(
+            f"found {len(roots)} real roots for N={n}, gamma={spec.gamma} "
+            f"(expected {n} or {n - 2}); gamma may be too close to gamma_c")
+    return roots
 
 
 def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
@@ -216,13 +272,7 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     NonConvergence
         If a bracket fails to converge to `tol`.
     """
-    roots = _real_roots_unchecked(spec, tol)
-    n = spec.n_sites
-    if len(roots) not in (n, n - 2):
-        raise RootCountMismatch(
-            f"found {len(roots)} real roots for N={n}, gamma={spec.gamma} "
-            f"(expected {n} or {n - 2}); gamma may be too close to gamma_c")
-    return roots
+    return _counted(spec, _real_roots([spec], tol)[0])
 
 
 def mode_energy(spec: ChainSpec, k):
@@ -241,7 +291,7 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     the limiting value +-pi/2 at k = pi/2.  Raises ValueError when k does not
     satisfy the quantization identity to 1e-9.
     """
-    n, c = spec.n_sites, _theta_slope(spec)
+    n, c = spec.n_sites, _theta_slope(_ratio(spec))
     if abs(math.cos(k)) < 1e-12:
         theta = math.copysign(math.pi / 2, c) if c != 0 else 0.0
     else:
@@ -253,20 +303,53 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     return int(nk)
 
 
-def kappa_residual(spec: ChainSpec, kappa):
-    """The kappa condition scaled by 2 e^(-kappa(N+1)) / J^2, so it never overflows.
+def _kappa_condition(n: int):
+    """(kappa, r2) -> (value, slope) of the scaled kappa condition, elementwise.
 
-    r^2 (e^(-2kappa) -+ e^(-2kappa N)) - (1 -+ e^(-2kappa(N+1))), with r = gamma/J,
-    - for odd N (sinh) and + for even N (cosh).  The value is divided by J^2,
-    so it stays finite and normal however small or large J is.  Written
-    through expm1 so the odd-N differences keep their relative accuracy as
-    kappa -> 0.  Elementwise.
+    The value is r2 (e^(-2kappa) -+ e^(-2kappa N)) - (1 -+ e^(-2kappa(N+1))),
+    with r2 = (gamma/J)^2 given per root, - for odd N (sinh) and + for even N
+    (cosh): the condition times 2 e^(-kappa(N+1)) / J^2, so it never
+    overflows and stays finite and normal however small or large J is.
+    Written through expm1 so the odd-N differences keep their relative
+    accuracy as kappa -> 0.
     """
-    n, r = spec.n_sites, spec.gamma / spec.hopping
     s = -1.0 if n % 2 else 1.0
-    x = -2.0 * kappa
-    return (r * r * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
-            - (1.0 + s + s * np.expm1(x * (n + 1))))
+
+    def fun(kappa, r2):
+        x = -2.0 * kappa
+        e1, en = np.exp(x), np.exp(-2.0 * n * kappa)
+        return (r2 * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
+                - (1.0 + s + s * np.expm1(x * (n + 1))),
+                2.0 * (s * (n + 1) * e1 * en - r2 * (e1 + s * n * en)))
+    return fun
+
+
+def kappa_residual(spec: ChainSpec, kappa):
+    """The kappa condition times 2 e^(-kappa(N+1)) / J^2, elementwise.
+
+    See `_kappa_condition`; r = gamma/J may not pass 1e150.
+    """
+    r = _ratio(spec)
+    return _kappa_condition(spec.n_sites)(kappa, r * r)[0]
+
+
+def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
+    """kappa per spec, from one safeguarded Newton solve (see solve_kappa)."""
+    for spec in specs:
+        if classify_phase(spec) is not Phase.BROKEN:
+            raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
+    if not specs:
+        return np.empty(0)
+    r = [_ratio(spec) for spec in specs]
+    hi = np.array([math.log(v) + 1.0 for v in r])  # np.log may differ by 1 ulp
+    kappa, keep = _bracketed_roots(_kappa_condition(specs[0].n_sites),
+                                   np.full(len(r), 1e-12), hi, hi - 1.0, min(tol, 1e-15),
+                                   np.square(r))
+    if len(kappa) < len(r):
+        lost = int(np.argmin(keep))
+        raise NonConvergence(f"kappa bracket (0, {hi[lost]:.3f}] lost its sign change "
+                             f"for {specs[lost]}")
+    return kappa
 
 
 def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
@@ -276,23 +359,62 @@ def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     sign, from the large-N limit ln(gamma/J).  Raises PhaseError outside the
     broken phase.
     """
-    if classify_phase(spec) is not Phase.BROKEN:
-        raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
-    n, r = spec.n_sites, spec.gamma / spec.hopping
-    s = -1.0 if n % 2 else 1.0
+    return float(_kappas([spec], tol)[0])
 
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        e1, en = np.exp(-2.0 * x), np.exp(-2.0 * n * x)
-        return kappa_residual(spec, x), 2.0 * (s * (n + 1) * e1 * en
-                                               - r * r * (e1 + s * n * en))
 
-    hi = math.log(r) + 1.0
-    kappa = _bracketed_roots(fun, np.array([1e-12]), np.array([hi]),
-                             np.array([hi - 1.0]), min(tol, 1e-15))
-    if not len(kappa):
-        raise NonConvergence(
-            f"kappa bracket (0, {hi:.3f}] lost its sign change for {spec}")
-    return float(kappa[0])
+def _in_gamma_order(solve, gammas) -> list:
+    """solve(gammas) as one batch; on failure, the error of the first gamma failing alone.
+
+    Every root of a batch takes its solo float steps, so replaying the gammas
+    one at a time raises exactly what a per-gamma loop would have raised.
+    """
+    gammas = list(gammas)
+    try:
+        return solve(gammas)
+    except Exception as exc:  # whatever it is, the replay below decides what to raise
+        batch_error = exc
+    for gamma in gammas:
+        solve([gamma])
+    raise batch_error
+
+
+def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
+    """A solution per spec (shared N and J): one solve for the real roots, one for kappa."""
+    phases = [classify_phase(spec) for spec in specs]
+    roots = _real_roots(specs, tol) if specs else []
+    for spec, phase, found in zip(specs, phases, roots):
+        if phase is not Phase.CRITICAL:
+            expected = spec.n_sites if phase is Phase.UNBROKEN else spec.n_sites - 2
+            if len(_counted(spec, found)) != expected:
+                raise RootCountMismatch(
+                    f"{phase} phase expects {expected} real roots, found {len(found)}")
+    kappas = iter(_kappas([s for s, p in zip(specs, phases) if p is Phase.BROKEN],
+                          tol).tolist())
+    out = []
+    for spec, phase, found in zip(specs, phases, roots):
+        k = found.astype(complex)
+        energies = mode_energy(spec, found).astype(complex)
+        if phase is Phase.BROKEN:
+            kappa = next(kappas)
+            level = 2 * spec.hopping * math.sinh(kappa)
+            k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, -kappa)])
+            energies = np.append(energies, [complex(0.0, level), complex(0.0, -level)])
+        order = np.lexsort((energies.imag, energies.real))
+        out.append(SpectralSolution(spec=spec, k=k[order], energies=energies[order],
+                                    phase=phase))
+    return out
+
+
+def solve_spectra(n_sites: int, hopping: float, gammas,
+                  tol: float = 1e-12) -> list[SpectralSolution]:
+    """`solve_spectrum` at every gamma of a grid with shared N and J, in one solve.
+
+    Each solution is bit-identical to its one-gamma solve.  If several gammas
+    fail, the error raised is the first failing gamma's.
+    """
+    return _in_gamma_order(
+        lambda grid: _spectra([ChainSpec(n_sites, hopping, float(g)) for g in grid], tol),
+        gammas)
 
 
 def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
@@ -301,27 +423,7 @@ def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
     Exactly at the boundary (Critical phase) the coalesced pair is missing and
     whatever real roots remain are returned best-effort.
     """
-    phase = classify_phase(spec)
-    j = spec.hopping
-
-    if phase is Phase.CRITICAL:
-        roots = _real_roots_unchecked(spec, tol)
-    else:
-        roots = solve_real_momenta(spec, tol)
-        expected = spec.n_sites if phase is Phase.UNBROKEN else spec.n_sites - 2
-        if len(roots) != expected:
-            raise RootCountMismatch(
-                f"{phase} phase expects {expected} real roots, found {len(roots)}")
-
-    k = roots.astype(complex)
-    energies = mode_energy(spec, roots).astype(complex)
-    if phase is Phase.BROKEN:
-        kappa = solve_kappa(spec, tol)
-        level = 2 * j * math.sinh(kappa)
-        k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, -kappa)])
-        energies = np.append(energies, [complex(0.0, level), complex(0.0, -level)])
-    order = np.lexsort((energies.imag, energies.real))
-    return SpectralSolution(spec=spec, k=k[order], energies=energies[order], phase=phase)
+    return _spectra([spec], tol)[0]
 
 
 def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
@@ -330,8 +432,8 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
 
     Independent of the closed-form boundary; agrees with it to `tol`.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     j = hopping
     lo, hi = 0.5 * j, 2.2 * j  # count N at lo, N-2 at hi, for every N >= 2
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bethe import locate_critical_gamma, solve_spectrum
+from .bethe import SpectralSolution, locate_critical_gamma, solve_spectra, solve_spectrum
 from .errors import PTChainError
 from .metric import (build_metric, canonical_basis, equivalent_hermitian,
                      gauge_real, reflection_matrix)
@@ -57,9 +57,8 @@ def _meta(args, **extra) -> dict:
     return base
 
 
-def _spectrum_rows(spec: ChainSpec, tol: float) -> list[tuple]:
-    sol = solve_spectrum(spec, tol)
-    gamma, phase = spec.gamma, sol.phase.value
+def _spectrum_rows(sol: SpectralSolution) -> list[tuple]:
+    gamma, phase = sol.spec.gamma, sol.phase.value
     return [(gamma, idx, k.real, k.imag, e.real, e.imag, phase)
             for idx, (k, e) in enumerate(zip(sol.k.tolist(), sol.energies.tolist()))]
 
@@ -69,8 +68,8 @@ SPECTRUM_HEADER = ["gamma", "level_index", "k_re", "k_im",
 
 
 def cmd_spectrum(args) -> int:
-    spec = ChainSpec(args.n, args.j, args.gamma)
-    _emit(_spectrum_rows(spec, args.tol), SPECTRUM_HEADER, args,
+    sol = solve_spectrum(ChainSpec(args.n, args.j, args.gamma), args.tol)
+    _emit(_spectrum_rows(sol), SPECTRUM_HEADER, args,
           _meta(args, gamma=args.gamma, command="spectrum"))
     return 0
 
@@ -80,9 +79,9 @@ def cmd_sweep(args) -> int:
         raise _UsageError("--gamma-min must be below --gamma-max")
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    rows = []
-    for gamma in np.linspace(args.gamma_min, args.gamma_max, args.steps):
-        rows.extend(_spectrum_rows(ChainSpec(args.n, args.j, float(gamma)), args.tol))
+    gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
+    rows = [row for sol in solve_spectra(args.n, args.j, gammas, args.tol)
+            for row in _spectrum_rows(sol)]
     _emit(rows, SPECTRUM_HEADER, args,
           _meta(args, gamma_min=args.gamma_min, gamma_max=args.gamma_max,
                 steps=args.steps, command="sweep"))

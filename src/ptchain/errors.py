@@ -22,7 +22,7 @@ class NullState(PTChainError):
 
 
 class DomainError(PTChainError):
-    """Asymptotic formula evaluated outside its domain of validity."""
+    """A formula or solver evaluated outside its domain of validity."""
 
 
 class GaugeError(PTChainError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import critical_offset, solve_kappa
+from .bethe import _critical_offsets, _in_gamma_order, _kappas
 from .errors import DomainError, PhaseError
 from .model import ChainSpec, Phase, classify_phase
 from .states import pt_norm, wavefunction_broken, wavefunction_unbroken
@@ -123,26 +123,29 @@ def critical_levels(spec: ChainSpec, with_vectors: bool = True):
 
     Unbroken side: the +-|e| pair from the roots at pi/2 +- x0; broken side:
     the imaginary pair.  (For odd N the exact zero mode is not part of the
-    critical pair.)
+    critical pair.)  Where the bracket at pi/2 holds no root, as at gamma_c
+    for even N, the pair has coalesced and NonConvergence is raised.
     """
-    phase = classify_phase(spec)
+    broken = classify_phase(spec) is Phase.BROKEN
+    root = (_kappas if broken else _critical_offsets)([spec])[0]
+    return _critical_pair(spec, broken, float(root), with_vectors)
+
+
+def _critical_pair(spec: ChainSpec, broken: bool, root: float, with_vectors: bool):
+    """critical_levels from the pair's kappa (broken) or offset x0 (otherwise)."""
     j = spec.hopping
-    if phase is Phase.BROKEN:
-        kappa = solve_kappa(spec)
-        levels = (complex(0.0, 2 * j * math.sinh(kappa)),
-                  complex(0.0, -2 * j * math.sinh(kappa)))
+    if broken:
+        levels = (complex(0.0, 2 * j * math.sinh(root)),
+                  complex(0.0, -2 * j * math.sinh(root)))
         if not with_vectors:
             return levels, None
-        vecs = (wavefunction_broken(spec, +1, kappa),
-                wavefunction_broken(spec, -1, kappa))
-        return levels, vecs
-    x0 = critical_offset(spec)
-    levels = (complex(2 * j * math.sin(x0), 0.0), complex(-2 * j * math.sin(x0), 0.0))
+        return levels, (wavefunction_broken(spec, +1, root),
+                        wavefunction_broken(spec, -1, root))
+    levels = (complex(2 * j * math.sin(root), 0.0), complex(-2 * j * math.sin(root), 0.0))
     if not with_vectors:
         return levels, None
-    vecs = (wavefunction_unbroken(spec, math.pi / 2 + x0),
-            wavefunction_unbroken(spec, math.pi / 2 - x0))
-    return levels, vecs
+    return levels, (wavefunction_unbroken(spec, math.pi / 2 + root),
+                    wavefunction_unbroken(spec, math.pi / 2 - root))
 
 
 def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
@@ -155,18 +158,32 @@ def critical_sweep(chain: ChainSpec | int, gamma_values, hopping: float = 1.0,
                    phase_tol: float | None = None) -> list[CriticalReport]:
     """CriticalReport per gamma; points inside the Critical band are flagged.
 
-    `chain` may be a ChainSpec (its gamma is ignored) or a site count.
+    `chain` may be a ChainSpec (its gamma is ignored) or a site count.  The
+    critical pairs of the whole grid come from two solves: one for kappa at
+    the broken points and one for the bracket at pi/2 at the unbroken ones.
+    Each pair is bit-identical to its `critical_levels`, and if several
+    gammas fail, the error raised is the first failing gamma's.
     """
     if isinstance(chain, ChainSpec):
         n_sites, hopping = chain.n_sites, chain.hopping
     else:
         n_sites = chain
+    return _in_gamma_order(
+        lambda grid: _critical_reports(
+            [ChainSpec(n_sites, hopping, float(g)) for g in grid], phase_tol),
+        gamma_values)
+
+
+def _critical_reports(specs: list[ChainSpec],
+                      phase_tol: float | None) -> list[CriticalReport]:
+    phases = [classify_phase(spec, phase_tol) for spec in specs]
+    kappas = _kappas([s for s, p in zip(specs, phases) if p is Phase.BROKEN])
+    offsets = _critical_offsets([s for s, p in zip(specs, phases) if p is Phase.UNBROKEN])
+    roots = {Phase.BROKEN: iter(kappas.tolist()), Phase.UNBROKEN: iter(offsets.tolist())}
     reports = []
-    for gamma in gamma_values:
-        spec = ChainSpec(n_sites, hopping, float(gamma))
+    for spec, phase in zip(specs, phases):
         gc = spec.gamma_c
         offset = spec.gamma - gc
-        phase = classify_phase(spec, phase_tol)
         window = in_asymptotic_window(spec)
         if phase is Phase.CRITICAL:
             zero = complex(0.0, 0.0)
@@ -176,7 +193,7 @@ def critical_sweep(chain: ChainSpec | int, gamma_values, hopping: float = 1.0,
                 alpha=alpha_parameter(spec), coalescence_gap=0.0,
                 pt_norms=(zero, zero), in_window=window, skipped=True))
             continue
-        levels, vecs = critical_levels(spec)
+        levels, vecs = _critical_pair(spec, phase is Phase.BROKEN, next(roots[phase]), True)
         unit = tuple(v / np.linalg.norm(v) for v in vecs)
         j = spec.hopping
         try:

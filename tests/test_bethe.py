@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ptchain import (ChainSpec, Phase, gamma_critical, locate_critical_gamma,
                      momentum_index, refine_eigenvalue, solve_kappa,
-                     solve_real_momenta, solve_spectrum)
-from ptchain.bethe import (_real_roots_unchecked, count_real_momenta,
-                           kappa_residual, raw_amplitude)
-from ptchain.errors import PhaseError
+                     solve_real_momenta, solve_spectra, solve_spectrum)
+from ptchain.bethe import (_bracketed_roots, _kappas, _offset_brackets, _real_roots,
+                           count_real_momenta, kappa_residual, raw_amplitude)
+from ptchain.errors import DomainError, PhaseError, PTChainError
 
 
 def test_roots_n3_gamma_one():
@@ -57,7 +57,7 @@ def test_no_scanned_root_is_a_null_state():
         for gamma in (0.0, 0.3 * gc, 0.9 * gc, gc - 1e-9, gc, gc + 1e-9,
                       1.0, 1.5 * gc, 2.0 * gc):
             spec = ChainSpec(n, 1.0, gamma)
-            for k in _real_roots_unchecked(spec, 1e-12):
+            for k in _real_roots([spec], 1e-12)[0]:
                 assert np.max(np.abs(raw_amplitude(spec, k))) >= 0.5, (n, gamma, k)
 
 
@@ -69,7 +69,7 @@ def test_sign_count_equals_solved_count():
             gc = gamma_critical(n, j)
             for frac in (0.0, 0.3, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0):
                 spec = ChainSpec(n, j, frac * gc)
-                assert count_real_momenta(spec) == len(_real_roots_unchecked(spec, 1e-12)), \
+                assert count_real_momenta(spec) == len(_real_roots([spec], 1e-12)[0]), \
                     (n, j, frac)
 
 
@@ -223,6 +223,89 @@ def test_spectrum_traceless_and_chiral(n, frac):
 def test_non_positive_tol_is_a_value_error(solve, gamma, tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         solve(ChainSpec(8, 1.0, gamma), tol=tol)
+
+
+def test_locate_critical_gamma_rejects_infinite_tol():
+    # an infinite tol would end the bisection at once, at the bracket midpoint
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        locate_critical_gamma(8, tol=math.inf)
+
+
+@pytest.mark.parametrize("j,gamma", [(1.0, 1e200), (1e-200, 1.0), (1.0, 1.0001e150)])
+def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
+    # (gamma/J)^2 would overflow: a PTChainError, not a numpy RuntimeWarning
+    # (tier-1 runs with warnings as errors)
+    spec = ChainSpec(8, j, gamma)
+    for solve in (solve_spectrum, solve_real_momenta, solve_kappa, count_real_momenta,
+                  lambda s: kappa_residual(s, 1.0), lambda s: momentum_index(s, 1.0)):
+        with pytest.raises(DomainError, match="above 1e\\+150"):
+            solve(spec)
+
+
+def _solve_brackets(specs, first_only, tol=1e-14):
+    fun, lo, hi, seed, params = _offset_brackets(specs, first_only)
+    return _bracketed_roots(fun, lo, hi, seed, tol, *params)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(min_value=2, max_value=2000),
+       far=st.lists(st.floats(min_value=1e-6, max_value=3.0), min_size=1, max_size=3),
+       near=st.lists(st.tuples(st.integers(min_value=3, max_value=9),
+                               st.sampled_from([-1.0, 1.0])), max_size=3),
+       first_only=st.booleans())
+def test_batched_roots_equal_solo_roots(n, far, near, first_only):
+    # per-bracket parameters leave the iteration with their root, so a root
+    # of a batch takes the float steps of its solo solve: near gamma_c
+    # (~28 steps) and far from it (2-6) mixed in one batch
+    gc = gamma_critical(n)
+    ratios = far + [gc * (1 + sign * 10.0 ** -e) for e, sign in near]
+    specs = [ChainSpec(n, 1.0, r) for r in ratios]
+    roots, keep = _solve_brackets(specs, first_only)
+    solo = [_solve_brackets([s], first_only) for s in specs]
+    assert keep.tolist() == [k for _, kept in solo for k in kept.tolist()]
+    assert roots.tobytes() == np.concatenate([x for x, _ in solo]).tobytes()
+    broken = [s for s in specs if s.gamma > gc + 1e-9]
+    assert _kappas(broken).tobytes() == b"".join(_kappas([s]).tobytes() for s in broken)
+    # zero-width brackets change sign nowhere
+    fun, lo, _, seed, params = _offset_brackets(specs, first_only)
+    roots, keep = _bracketed_roots(fun, lo, lo, seed, 1e-14, *params)
+    assert roots.shape == (0,) and not keep.any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
+def test_solve_spectra_equals_solve_spectrum(n):
+    gc = gamma_critical(n)
+    gammas = np.concatenate([np.linspace(0.0, 2.0 * gc, 9),
+                             gc * (1 + np.array([-1e-3, -1e-9, 1e-9, 1e-3]))])
+    for sol, gamma in zip(solve_spectra(n, 1.0, gammas), gammas):
+        alone = solve_spectrum(ChainSpec(n, 1.0, float(gamma)))
+        assert sol.spec == alone.spec and sol.phase is alone.phase
+        assert sol.k.tobytes() == alone.k.tobytes()
+        assert sol.energies.tobytes() == alone.energies.tobytes()
+
+
+@pytest.mark.parametrize("gammas,error", [
+    ([0.5, -1.0, 1e200], ValueError),
+    ([0.5, 1e200, -1.0], DomainError),
+    ([1.2, 1e200, 1e300], DomainError),
+    ([0.5, math.nan], ValueError),
+])
+def test_solve_spectra_raises_the_first_failing_gammas_error(gammas, error):
+    first = next(g for g in gammas if not 0 <= g < 1e150)
+    with pytest.raises(error) as batch:
+        solve_spectra(8, 1.0, gammas)
+    with pytest.raises((ValueError, PTChainError)) as alone:
+        solve_spectrum(ChainSpec(8, 1.0, first))
+    assert str(batch.value) == str(alone.value)
+
+
+def test_solve_spectra_validates_tol_like_one_gamma():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_spectra(8, 1.0, [0.5, 1.5], tol=0.0)
+    # an invalid first gamma fails before the tol is read
+    with pytest.raises(ValueError, match="gamma must be"):
+        solve_spectra(8, 1.0, [-1.0, 0.5], tol=0.0)
+    assert solve_spectra(8, 1.0, []) == []
 
 
 def _check_large_chain(spec):

@@ -44,6 +44,32 @@ PINNED_OUTPUT = {
 }
 
 
+# sha256 of stdout for sweeps with gamma = 0, both phases and a step exactly
+# at gamma_c (Critical: best-effort roots), recorded with the per-gamma loop
+PINNED_SWEEPS = {
+    "sweep --n 2 --gamma-min 0 --gamma-max 2 --steps 3 --format csv":
+        "34368a3802b8805329e96f906a80c4666790c5acf12bf2c30d72a536db211654",
+    "sweep --n 2 --gamma-min 0 --gamma-max 2 --steps 3 --format json":
+        "cd91ec36227c6d5987c8f35a4c4767fa41ecf8cd3962e5983e7aecaec4429525",
+    "sweep --n 8 --gamma-min 0 --gamma-max 2 --steps 9 --format csv":
+        "8382fd08578af07316149c2bd653fb1dafd425197426629100973aa1c8e0e684",
+    "sweep --n 8 --gamma-min 0 --gamma-max 2 --steps 9 --format json":
+        "72d6f80c7f2f75e15b23068f7f4dd60d3d92c89a594e32f834006861f314f8f2",
+    "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5 --format csv":
+        "3225f6401514551afcda050e8512d349635717ccf4a6c7c5bbd3b349b4a452f0",
+    "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5 --format json":
+        "6647a0674a6f1bcdd4377e39cb943566292b33a57754accf398200185550c148",
+    "sweep --n 64 --gamma-min 0 --gamma-max 2 --steps 21 --format csv":
+        "3b0c2fb0f726afa6951f656dd2d65dd53bc039ea8138013d42c528b15ed42b06",
+    "sweep --n 64 --gamma-min 0 --gamma-max 2 --steps 21 --format json":
+        "90f9df6d77e055e8900ad1cc8e96370e4619ab2783a9bbb9c8bcfdd672d3a02d",
+    "sweep --n 255 --gamma-min 0 --gamma-max 2.0078585764421075 --steps 21 --format csv":
+        "40619f73c7115a05c0e5c278218a37fc0a0f9b09c9d3ff8693fa90f6aa0861d1",
+    "sweep --n 255 --gamma-min 0 --gamma-max 2.0078585764421075 --steps 21 --format json":
+        "3c44a95b3320a09d99b414defdefb3ac5b36f4c65dc5d8ba25bfa6ed2a245a58",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -57,6 +83,26 @@ def test_pinned_output_bytes(capsys):
         code, out, err = run(capsys, *argv.split())
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_pinned_sweep_bytes(capsys):
+    for argv, digest in PINNED_SWEEPS.items():
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_sweep_reports_the_first_failing_gamma(capsys):
+    # the gamma grid is solved at once, but the error is the first gamma's
+    code, out, err = run(capsys, "sweep", "--n", "8", "--gamma-min", "-1",
+                         "--gamma-max", "1e200", "--steps", "3")
+    assert (code, out, err) == (2, "", "error: gamma must be non-negative and finite, "
+                                       "got -1.0\n")
+    code, out, err = run(capsys, "sweep", "--n", "8", "--gamma-min", "1",
+                         "--gamma-max", "1e200", "--steps", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: DomainError: gamma/J = 5e+199 is above 1e+150")
+    assert err.count("\n") == 1
 
 
 def test_empty_table(capsys):
@@ -185,6 +231,18 @@ def test_phase_rejects_nan_tol(capsys):
     code, out, err = run(capsys, "phase", "--n", "8", "--tol", "nan")
     assert (code, out) == (2, "")
     assert "tol must be positive" in err
+
+
+def test_phase_rejects_infinite_tol(capsys):
+    code, out, err = run(capsys, "phase", "--n", "8", "--tol", "inf")
+    assert (code, out) == (2, "")
+    assert "tol must be positive and finite" in err
+
+
+def test_spectrum_past_the_ratio_limit_exits_1(capsys):
+    code, out, err = run(capsys, "spectrum", "--n", "8", "--gamma", "1e200")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
 
 def test_hermitian_command_matches_couplings(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from ptchain import (ChainSpec, alpha_parameter, coalescence_gap,
                      critical_levels, critical_sweep, delta_approx,
                      gamma_critical, kappa_approx, repulsion_law, solve_kappa)
-from ptchain.errors import DomainError, PhaseError
-from ptchain.exceptional import in_asymptotic_window
+from ptchain.errors import DomainError, NonConvergence, PhaseError
+from ptchain.exceptional import CriticalReport, in_asymptotic_window
 
 
 def test_alpha_and_delta_n20():
@@ -168,3 +169,100 @@ def test_coalescence_gap_bounds():
     u = np.array([1.0, 0.0])
     assert coalescence_gap(u, u) == 0.0
     assert coalescence_gap(u, np.array([0.0, 1.0])) == 1.0
+
+
+def _hexes(value):
+    if isinstance(value, bool):
+        return [str(value)]
+    if isinstance(value, float):
+        return [value.hex()]
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    return [h for v in value for h in _hexes(v)]
+
+
+def _digest(reports):
+    fields = list(CriticalReport.__dataclass_fields__)
+    text = ",".join(h for r in reports for f in fields for h in _hexes(getattr(r, f)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _log_grid(n):
+    # |gamma - gamma_c| / gamma_c from 1e-4 to 1e-2 on each side, 13 points each
+    gc = gamma_critical(n)
+    offsets = gc * np.logspace(-4.0, -2.0, 13)
+    return np.concatenate([gc - offsets[::-1], gc + offsets])
+
+
+# sha256 prefix of every report field's float.hex, recorded with the
+# per-gamma sweep that solved each critical pair on its own
+PINNED_LOG_GRID = {
+    2: "dfb01644cc21ff10", 3: "a7ac9a0941d2eb28", 4: "5cd2d9626ea74e4f",
+    5: "f16a4138459bf054", 6: "77abba37e8754fab", 7: "47bb16da58a1e2c5",
+    8: "0f5bdd84a44846a0", 9: "1425a25c8f3dfe9f", 10: "e1634ad98fe92163",
+    11: "c4d76cc1423df84e", 12: "a351e8031852d4d4", 13: "2b7d8cce216bd827",
+    14: "bbe4d5f5101d2532", 15: "ac521bd1ed28e7de", 16: "94ccadf504400987",
+    17: "5825dbd74a1df8a2", 18: "a7c7eb8f7defd510", 19: "5c9203f641c0686e",
+    20: "21c5ec9c96152ad2", 21: "5d146e44e9ab97e9", 22: "d968e74563e7a619",
+    23: "98d8931949351b5c", 24: "50a8fad11705c426", 25: "ad477324378a2181",
+    26: "1bb2105a0345533b", 27: "6c437d0fbfd6d96e", 28: "12613a07eb09b9ce",
+    29: "b99d824e0175ff68", 30: "0f4417ad07066ea8", 31: "0c4687053cf0e746",
+    32: "028442a82b135992", 33: "a46ae3b382f99a7a", 34: "2da87cfde8697224",
+    35: "1eda79e19ea54573", 36: "05067e3d19251afa", 37: "be8fe1466223c9f3",
+    38: "b5f2bff8a19e2c05", 39: "d3049dd568dacc7d", 40: "0a26d8a1026e5ce2",
+    41: "9cd4340589b26f13", 42: "9148848e8649e39a", 43: "99463e40a56ea315",
+    44: "d6b5ad054d57c44c", 45: "fce3792b2689abc6", 46: "d94f62c3730aa87b",
+    47: "c14f730cdfc08483", 48: "e10f567311264119", 49: "0d7a7e6cf310b56e",
+    50: "45a3b57fd0692e20", 51: "9d86dec147304eac", 52: "858df1aa7397ef67",
+    53: "de0178bb84c1a486", 54: "f26cc684ae5cc53d", 55: "deef1aa403478c7c",
+    56: "dbcfc03fb33ebaf8", 57: "891d43d0b2cb0c44", 58: "8b0ce8792fcd7c82",
+    59: "c4d9dcc0d0adfbf8", 60: "516847957dcb5201", 61: "8b38f1d78b4378f5",
+    62: "b7e2ba2430759f30", 63: "3145c6d36a763ff3", 64: "c46c7e66c4aa3475",
+    65: "796a1ffb718798fb", 66: "b364fc39f090ae62", 67: "4d6b4fd842f78ee0",
+    68: "bb5860ad81acff70", 69: "bec04c8991900bc0", 70: "a9c0b2d60c587c30",
+    71: "7bb56acb90ec0499", 72: "dd43c90af71ffa04", 73: "e3632d89083d3e84",
+    74: "adf65f680fd4fee5", 75: "6b04e408d8587a30", 76: "4cd90e109df92809",
+    77: "176985fa19b1680a", 78: "519d10afb5be5fc5", 79: "7babd3461302b8a4",
+    128: "e7b80df7317d9f8e", 200: "b80fdd313e42bbea", 255: "1705882f759d1aa3",
+    256: "65885249fbcab994", 1000: "2e31d8999d629f1a",
+}
+PINNED_MIXED_GRID = {
+    2: "763aadff265e6fe9", 3: "8f33374fb2ca934c", 8: "8fc6e0f08f895885",
+    9: "3d53991ec1f7f510", 64: "38067c7d1a5427fc", 65: "b481c48336e4ca5f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_LOG_GRID))
+def test_critical_sweep_is_pinned_on_the_log_grid(n):
+    assert _digest(critical_sweep(n, _log_grid(n))) == PINNED_LOG_GRID[n]
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MIXED_GRID))
+def test_critical_sweep_is_pinned_across_both_phases(n):
+    # 0 to 2 gamma_c in 9 steps: gamma = 0, gamma_c exactly (skipped) and
+    # odd-N points where the asymptotic formulas give NaN
+    grid = np.linspace(0.0, 2 * gamma_critical(n), 9)
+    assert _digest(critical_sweep(n, grid)) == PINNED_MIXED_GRID[n]
+
+
+@pytest.mark.parametrize("gammas,error", [
+    ([0.5, -1.0, 1e200], ValueError),
+    ([1.2, 1e200, -1.0], DomainError),
+    ([0.5, 1.0 + 1e-11], PhaseError),  # broken by phase_tol, Critical by default
+])
+def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error):
+    with pytest.raises(error) as batch:
+        critical_sweep(8, gammas, phase_tol=1e-12)
+    for gamma in gammas:  # the same error as the per-gamma sweep's
+        try:
+            critical_sweep(8, [gamma], phase_tol=1e-12)
+        except (ValueError, DomainError, PhaseError) as exc:
+            assert str(exc) == str(batch.value)
+            break
+
+
+def test_critical_levels_at_even_gamma_c_has_no_pair():
+    # the pair has coalesced at pi/2 and its bracket holds no root; the next
+    # bracket's root is not a critical level
+    with pytest.raises(NonConvergence, match="next to pi/2"):
+        critical_levels(ChainSpec(8, 1.0, 1.0))
