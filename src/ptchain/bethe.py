@@ -91,29 +91,34 @@ def _ratio(spec: ChainSpec) -> float:
     return r
 
 
-def _reduced_quantization(n: int, dif=None, tot=None):
-    """(x, dif, tot) -> (R(x), R'(x)) elementwise, with G(pi/2 + x) = +-J^2 R(x).
+def _reduced_quantization(n: int):
+    """fun(x, dif, tot, dif_slope, tot_slope) -> (R(x), R'(x)) elementwise.
 
-    R is G / J^2 expanded about the chain centre: dif cos(Nx) cos x
-    + tot sin(Nx) sin x for even N, with dif = r^2 - 1, tot = r^2 + 1 and
-    r = gamma/J, and the same with Nx - pi/2 in place of Nx for odd N; N
-    fixes the sign.  dif and tot are bound here when every root shares
-    them, else given per root with x.  Written in r, it stays finite and
+    G(pi/2 + x) = +-J^2 R(x), N fixing the sign.  R is G / J^2 expanded
+    about the chain centre: dif cos(Nx) cos x + tot sin(Nx) sin x for even N,
+    with dif = r^2 - 1, tot = r^2 + 1 and r = gamma/J, and the same with
+    Nx - pi/2 in place of Nx for odd N.  The four parameters, one value per
+    root or one for all, are `_reduced_coefficients`.  Written in r, R stays finite and
     normal however small or large J is.  Its arguments grow with x, not
     with k, so R keeps relative accuracy in x right up to the critical pair;
     for odd N it vanishes exactly at x = 0 (the zero-energy mode) with slope
     (r^2 - 1) N - (r^2 + 1).
     """
-    def fun(x: np.ndarray, dif=dif, tot=tot) -> tuple[np.ndarray, np.ndarray]:
+    def fun(x, dif, tot, dif_slope, tot_slope) -> tuple[np.ndarray, np.ndarray]:
         nx = n * x
         cu, su = np.cos(nx), np.sin(nx)
         if n % 2:
             cu, su = su, -cu
         cx, sx = np.cos(x), np.sin(x)
-        cs, sc = cu * sx, su * cx
         return (dif * cu * cx + tot * su * sx,
-                (n * tot - dif) * cs + (tot - n * dif) * sc)
+                dif_slope * (cu * sx) + tot_slope * (su * cx))
     return fun
+
+
+def _reduced_coefficients(n: int, r: float) -> tuple[float, float, float, float]:
+    """dif = r^2 - 1, tot = r^2 + 1 and the slope's N tot - dif and tot - N dif."""
+    dif, tot = r * r - 1.0, r * r + 1.0
+    return dif, tot, n * tot - dif, tot - n * dif
 
 
 def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
@@ -123,10 +128,9 @@ def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
     `fun(x, *params)` gives value and slope elementwise; a zero value takes
     its slope's sign.
     """
-    f, slope = fun(np.concatenate([lo, hi]), *(np.concatenate([p, p]) for p in params))
-    m = len(lo)
-    side = np.sign(np.where(f[:m] != 0, f[:m], slope[:m]))
-    return side, side * np.sign(f[m:]) < 0
+    f, slope = fun(lo, *params)
+    side = np.sign(np.where(f != 0, f, slope))
+    return side, side * np.sign(fun(hi, *params)[0]) < 0
 
 
 def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
@@ -173,32 +177,34 @@ def _theta_slope(r):
     return (r * r - 1.0) / (r * r + 1.0)
 
 
-def _offset_brackets(specs: list[ChainSpec], first_only: bool = False):
-    """(fun, lo, hi, seed, params): R and its brackets for the roots x > 0, spec after spec.
+def _brackets(n: int, first_only: bool = False):
+    """(centre, lo, hi) of the brackets for the roots x > 0 of R.
 
     One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
     i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
-    at x = 0; `first_only` keeps just the one at pi/2.  The seed is the
-    counting function's first fixed-point step k = (m pi + theta(m pi/N))/N.
-    A lone spec's r^2 -+ 1 are bound into `fun`; for several, `params`
-    repeats them for each bracket of a spec.  The specs share N and J.
+    at x = 0; `first_only` keeps just the one at pi/2.
     """
-    n = specs[0].n_sites
     h = math.pi / (2 * n)
     centre = np.arange(n % 2, n % 2 + 1 if first_only else n - 1, 2) * h
-    lo, hi = np.maximum(centre - h, 0.0), centre + h
-    r = [_ratio(spec) for spec in specs]
-    if len(r) == 1:  # bound scalars keep the one-gamma solve free of per-root arrays
-        c, params = _theta_slope(r[0]), ()
-        fun = _reduced_quantization(n, r[0] * r[0] - 1.0, r[0] * r[0] + 1.0)
-    else:
-        r = np.array(r)
-        c = _theta_slope(r)[:, None]
-        params = tuple(np.repeat(v, len(centre)) for v in (r * r - 1.0, r * r + 1.0))
-        fun = _reduced_quantization(n)
-        lo, hi = np.tile(lo, len(r)), np.tile(hi, len(r))
-    seed = centre - np.arctan2(c, np.tan(centre)) / n
-    return fun, lo, hi, seed.ravel(), params
+    return centre, np.maximum(centre - h, 0.0), centre + h
+
+
+def _offset_brackets(specs: list[ChainSpec], first_only: bool = False):
+    """(fun, params, lo, hi, seed): R and its `_brackets`, spec after spec.
+
+    The seed is the counting function's first fixed-point step
+    k = (m pi + theta(m pi/N))/N.  `params` holds R's coefficients for every
+    bracket.  The specs share N and J.
+    """
+    n = specs[0].n_sites
+    centre, lo, hi = _brackets(n, first_only)
+    tan, zero = np.tan(centre), 0.0 * centre
+    # spec by spec, with scalar operands: for a lone gamma this costs about
+    # half of building the grid by 2-D broadcasting, np.tile and np.repeat
+    per_spec = [(lo, hi, centre - np.arctan2(_theta_slope(r), tan) / n,
+                 *(zero + v for v in _reduced_coefficients(n, r))) for r in map(_ratio, specs)]
+    lo, hi, seed, *params = map(np.concatenate, zip(*per_spec))
+    return _reduced_quantization(n), params, lo, hi, seed
 
 
 def _real_roots(specs: list[ChainSpec], tol: float) -> list[np.ndarray]:
@@ -208,14 +214,13 @@ def _real_roots(specs: list[ChainSpec], tol: float) -> list[np.ndarray]:
     e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
     """
     n, half = specs[0].n_sites, math.pi / 2
-    fun, lo, hi, seed, params = _offset_brackets(specs)
+    fun, params, lo, hi, seed = _offset_brackets(specs)
     x, keep = _bracketed_roots(fun, lo, hi, seed, min(tol, 1e-14), *params)
     zero_mode = [half] if n % 2 else []  # exact zero of G for odd N
-    m, roots, end = len(keep) // len(specs), [], 0
-    for i in range(len(specs)):  # the last spec's roots end the array
-        start, end = end, (end + np.count_nonzero(keep[i * m:(i + 1) * m])
-                           if i + 1 < len(specs) else len(x))
-        xs = x[start:end]
+    m, start, roots = len(keep) // len(specs), 0, []
+    for i in range(len(specs)):
+        xs = x[start:start + np.count_nonzero(keep[i * m:(i + 1) * m])]
+        start += len(xs)
         roots.append(np.concatenate([half - xs[::-1], zero_mode, half + xs]))
     return roots
 
@@ -224,14 +229,17 @@ def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
     """Per spec the critical-pair offset x > 0: the root in the bracket at pi/2.
 
     That bracket holds the smallest root wherever it has one, below gamma_c.
+    Where it has none, as at gamma_c for even N, the pair has coalesced and
+    PhaseError names the first such spec.
     """
     if not specs:
         return np.empty(0)
-    fun, lo, hi, seed, params = _offset_brackets(specs, first_only=True)
+    fun, params, lo, hi, seed = _offset_brackets(specs, first_only=True)
     x, keep = _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
     if len(x) < len(specs):
-        raise NonConvergence(f"no real root found next to pi/2 for "
-                             f"{specs[int(np.argmin(keep))]}")
+        spec = specs[int(np.argmin(keep))]
+        raise PhaseError(f"no real critical pair next to pi/2 for {spec}: gamma is "
+                         f"too close to gamma_c={spec.gamma_c!r}, where the pair coalesces")
     return x
 
 
@@ -245,9 +253,11 @@ def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    fun, lo, hi, _, _ = _offset_brackets([spec])
-    _, keep = _sign_changes(fun, lo, hi)
-    return 2 * int(keep.sum()) + spec.n_sites % 2
+    n = spec.n_sites
+    _, lo, hi = _brackets(n)  # R's coefficients broadcast as scalars
+    _, keep = _sign_changes(_reduced_quantization(n), lo, hi,
+                            *_reduced_coefficients(n, _ratio(spec)))
+    return 2 * int(keep.sum()) + n % 2
 
 
 def _counted(spec: ChainSpec, roots: np.ndarray) -> np.ndarray:
@@ -334,10 +344,10 @@ def kappa_residual(spec: ChainSpec, kappa):
 
 
 def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
-    """kappa per spec, from one safeguarded Newton solve (see solve_kappa)."""
-    for spec in specs:
-        if classify_phase(spec) is not Phase.BROKEN:
-            raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
+    """kappa per spec, from one safeguarded Newton solve (see solve_kappa).
+
+    The callers pick the broken specs, each by its own phase tolerance.
+    """
     if not specs:
         return np.empty(0)
     r = [_ratio(spec) for spec in specs]
@@ -359,6 +369,8 @@ def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     sign, from the large-N limit ln(gamma/J).  Raises PhaseError outside the
     broken phase.
     """
+    if classify_phase(spec) is not Phase.BROKEN:
+        raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
     return float(_kappas([spec], tol)[0])
 
 

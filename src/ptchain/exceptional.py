@@ -124,7 +124,7 @@ def critical_levels(spec: ChainSpec, with_vectors: bool = True):
     Unbroken side: the +-|e| pair from the roots at pi/2 +- x0; broken side:
     the imaginary pair.  (For odd N the exact zero mode is not part of the
     critical pair.)  Where the bracket at pi/2 holds no root, as at gamma_c
-    for even N, the pair has coalesced and NonConvergence is raised.
+    for even N, the pair has coalesced and PhaseError is raised.
     """
     broken = classify_phase(spec) is Phase.BROKEN
     root = (_kappas if broken else _critical_offsets)([spec])[0]
@@ -158,11 +158,13 @@ def critical_sweep(chain: ChainSpec | int, gamma_values, hopping: float = 1.0,
                    phase_tol: float | None = None) -> list[CriticalReport]:
     """CriticalReport per gamma; points inside the Critical band are flagged.
 
-    `chain` may be a ChainSpec (its gamma is ignored) or a site count.  The
-    critical pairs of the whole grid come from two solves: one for kappa at
-    the broken points and one for the bracket at pi/2 at the unbroken ones.
-    Each pair is bit-identical to its `critical_levels`, and if several
-    gammas fail, the error raised is the first failing gamma's.
+    `chain` may be a ChainSpec (its gamma is ignored) or a site count.  Each
+    point's phase is read once, at `phase_tol`, and the critical pairs of
+    the whole grid come from two solves: one for kappa at the broken points
+    and one for the bracket at pi/2 at the unbroken ones.  Where that phase
+    agrees with the default band, each pair is bit-identical to its
+    `critical_levels`.  If several gammas fail, the error raised is the
+    first failing gamma's.
     """
     if isinstance(chain, ChainSpec):
         n_sites, hopping = chain.n_sites, chain.hopping

@@ -96,10 +96,10 @@ def wavefunction_broken(spec: ChainSpec, branch: int,
     """Broken-phase eigenvector for k = pi/2 + i*branch*kappa, unit Euclidean norm.
 
     CPT normalization is invalid for these states (their PT self-pairing is
-    exactly zero), so the Euclidean norm is used instead.
+    exactly zero), so the Euclidean norm is used instead.  Without `kappa`
+    it is solved, and PhaseError is raised outside the broken phase; a given
+    `kappa` is used as is, whichever phase band its caller read.
     """
-    if classify_phase(spec) is not Phase.BROKEN:
-        raise PhaseError(f"gamma={spec.gamma} is not in the broken phase")
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     if kappa is None:

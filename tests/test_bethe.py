@@ -243,7 +243,7 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
 
 
 def _solve_brackets(specs, first_only, tol=1e-14):
-    fun, lo, hi, seed, params = _offset_brackets(specs, first_only)
+    fun, params, lo, hi, seed = _offset_brackets(specs, first_only)
     return _bracketed_roots(fun, lo, hi, seed, tol, *params)
 
 
@@ -267,7 +267,7 @@ def test_batched_roots_equal_solo_roots(n, far, near, first_only):
     broken = [s for s in specs if s.gamma > gc + 1e-9]
     assert _kappas(broken).tobytes() == b"".join(_kappas([s]).tobytes() for s in broken)
     # zero-width brackets change sign nowhere
-    fun, lo, _, seed, params = _offset_brackets(specs, first_only)
+    fun, params, lo, _, seed = _offset_brackets(specs, first_only)
     roots, keep = _bracketed_roots(fun, lo, lo, seed, 1e-14, *params)
     assert roots.shape == (0,) and not keep.any()
 

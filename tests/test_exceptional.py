@@ -7,7 +7,7 @@ import pytest
 from ptchain import (ChainSpec, alpha_parameter, coalescence_gap,
                      critical_levels, critical_sweep, delta_approx,
                      gamma_critical, kappa_approx, repulsion_law, solve_kappa)
-from ptchain.errors import DomainError, NonConvergence, PhaseError
+from ptchain.errors import DomainError, PhaseError
 from ptchain.exceptional import CriticalReport, in_asymptotic_window
 
 
@@ -248,7 +248,6 @@ def test_critical_sweep_is_pinned_across_both_phases(n):
 @pytest.mark.parametrize("gammas,error", [
     ([0.5, -1.0, 1e200], ValueError),
     ([1.2, 1e200, -1.0], DomainError),
-    ([0.5, 1.0 + 1e-11], PhaseError),  # broken by phase_tol, Critical by default
 ])
 def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error):
     with pytest.raises(error) as batch:
@@ -261,8 +260,23 @@ def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error):
             break
 
 
+@pytest.mark.parametrize("n,offset", [(8, 1e-11), (9, 2e-11)])
+def test_critical_sweep_reads_the_phase_at_its_phase_tol(n, offset):
+    # broken at phase_tol=1e-12 but inside the default Critical band: the
+    # report holds the kappa pair, not a real pair from another bracket
+    gamma = gamma_critical(n) + offset
+    (report,) = critical_sweep(n, [gamma], phase_tol=1e-12)
+    law, _ = repulsion_law(ChainSpec(n, 1.0, gamma))
+    assert not report.skipped
+    assert report.two_levels[0].real == 0.0 == report.two_levels[1].real
+    assert report.two_levels[0].imag == pytest.approx(law, rel=1e-5)
+    assert report.two_levels[1] == report.two_levels[0].conjugate()
+    assert report.coalescence_gap < 1e-9
+    assert max(map(abs, report.pt_norms)) < 1e-12
+
+
 def test_critical_levels_at_even_gamma_c_has_no_pair():
     # the pair has coalesced at pi/2 and its bracket holds no root; the next
     # bracket's root is not a critical level
-    with pytest.raises(NonConvergence, match="next to pi/2"):
+    with pytest.raises(PhaseError, match="next to pi/2"):
         critical_levels(ChainSpec(8, 1.0, 1.0))
