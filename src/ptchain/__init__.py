@@ -14,9 +14,9 @@ from .model import (ChainSpec, Phase, apply_pt, build_hamiltonian,
 from .bethe import (SpectralSolution, locate_critical_gamma, momentum_index,
                     solve_kappa, solve_real_momenta, solve_spectra,
                     solve_spectrum)
-from .states import (COperator, EigenBasis, build_c_operator, build_eigenbasis,
-                     cpt_inner, pt_norm, wavefunction_broken,
-                     wavefunction_dual, wavefunction_unbroken)
+from .states import (EigenBasis, build_c_operator, build_eigenbasis, cpt_inner,
+                     pt_norm, wavefunction_broken, wavefunction_dual,
+                     wavefunction_unbroken)
 from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
                           critical_levels, critical_sweep, delta_approx,
                           kappa_approx, repulsion_law)
@@ -33,7 +33,7 @@ __all__ = [
     "gamma_critical", "pt_conjugate",
     "SpectralSolution", "locate_critical_gamma", "momentum_index",
     "solve_kappa", "solve_real_momenta", "solve_spectra", "solve_spectrum",
-    "COperator", "EigenBasis", "build_c_operator", "build_eigenbasis",
+    "EigenBasis", "build_c_operator", "build_eigenbasis",
     "cpt_inner", "pt_norm", "wavefunction_broken", "wavefunction_dual",
     "wavefunction_unbroken",
     "CriticalReport", "alpha_parameter", "coalescence_gap", "critical_levels",

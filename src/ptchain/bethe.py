@@ -243,16 +243,13 @@ def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
     return x
 
 
-def count_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> int:
+def count_real_momenta(spec: ChainSpec) -> int:
     """Number of real roots in (0, pi) (no count check; used for boundary bisection).
 
     Read from the signs of the reduced function G / J^2 at the bracket ends
     alone, the same signs that decide which brackets the solve refines, with
-    no root solved: the count does not depend on `tol`, which is still
-    validated.
+    no root solved.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     n = spec.n_sites
     _, lo, hi = _brackets(n)  # R's coefficients broadcast as scalars
     _, keep = _sign_changes(_reduced_quantization(n), lo, hi,
@@ -294,6 +291,15 @@ def mode_energy(spec: ChainSpec, k):
     return 2 * spec.hopping * np.sin(k - math.pi / 2)
 
 
+def _pair_levels(j: float, broken: bool, root: float) -> tuple[complex, complex]:
+    """The critical pair: +-2iJ sinh(kappa) from root = kappa if `broken`, else +-2J sin(x0)."""
+    if broken:
+        level = 2 * j * math.sinh(root)
+        return complex(0.0, level), complex(0.0, -level)
+    level = 2 * j * math.sin(root)
+    return complex(level, 0.0), complex(-level, 0.0)
+
+
 def momentum_index(spec: ChainSpec, k: float) -> int:
     """Quantization integer n_k with k = (n_k pi + theta_k)/N.
 
@@ -321,7 +327,8 @@ def _kappa_condition(n: int):
     (cosh): the condition times 2 e^(-kappa(N+1)) / J^2, so it never
     overflows and stays finite and normal however small or large J is.
     Written through expm1 so the odd-N differences keep their relative
-    accuracy as kappa -> 0.
+    accuracy as kappa -> 0.  Used for kappa <= 1 only: as kappa grows,
+    r2 e^(-2kappa) nears 1 and the sum cancels.
     """
     s = -1.0 if n % 2 else 1.0
 
@@ -331,6 +338,30 @@ def _kappa_condition(n: int):
         return (r2 * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
                 - (1.0 + s + s * np.expm1(x * (n + 1))),
                 2.0 * (s * (n + 1) * e1 * en - r2 * (e1 + s * n * en)))
+    return fun
+
+
+def _log_kappa_condition(n: int):
+    """(kappa, log_r2) -> (value, slope) of the log of the kappa condition, elementwise.
+
+    The value is log_r2 - 2 kappa + L(kappa(N-1)) - L(kappa(N+1)), with
+    log_r2 = 2 ln(gamma/J) given per root and L(y) = ln(1 -+ e^(-2y)), - for
+    odd N and + for even N: the log of r2 (e^(-2kappa) -+ e^(-2kappa N)) over
+    1 -+ e^(-2kappa(N+1)).  It keeps full relative accuracy for kappa > 1,
+    up to gamma/J = 1e150.
+    """
+    s = -1.0 if n % 2 else 1.0
+
+    def log_term(y):  # L(y) and L'(y)
+        e = np.exp(-2.0 * y)
+        one = -np.expm1(-2.0 * y) if n % 2 else 1.0 + e
+        return (np.log(one) if n % 2 else np.log1p(e)), -2.0 * s * e / one
+
+    def fun(kappa, log_r2):
+        low, low_slope = log_term(kappa * (n - 1))
+        high, high_slope = log_term(kappa * (n + 1))
+        return (log_r2 - 2.0 * kappa + low - high,
+                (n - 1) * low_slope - (n + 1) * high_slope - 2.0)
     return fun
 
 
@@ -344,21 +375,36 @@ def kappa_residual(spec: ChainSpec, kappa):
 
 
 def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
-    """kappa per spec, from one safeguarded Newton solve (see solve_kappa).
+    """kappa per spec, from one safeguarded Newton solve per form of the condition.
 
-    The callers pick the broken specs, each by its own phase tolerance.
+    A spec whose r2 passes the condition's closed-form value at kappa = 1
+    has kappa > 1 and is solved through `_log_kappa_condition`, every other
+    one through `_kappa_condition` (see solve_kappa).  The callers pick the
+    broken specs, each by its own phase tolerance.
     """
     if not specs:
         return np.empty(0)
+    n = specs[0].n_sites
     r = [_ratio(spec) for spec in specs]
-    hi = np.array([math.log(v) + 1.0 for v in r])  # np.log may differ by 1 ulp
-    kappa, keep = _bracketed_roots(_kappa_condition(specs[0].n_sites),
-                                   np.full(len(r), 1e-12), hi, hi - 1.0, min(tol, 1e-15),
-                                   np.square(r))
-    if len(kappa) < len(r):
-        lost = int(np.argmin(keep))
-        raise NonConvergence(f"kappa bracket (0, {hi[lost]:.3f}] lost its sign change "
-                             f"for {specs[lost]}")
+    s = -1.0 if n % 2 else 1.0
+    r2_at_one = (1.0 + s * math.exp(-2.0 * (n + 1))) / (math.exp(-2.0) + s * math.exp(-2.0 * n))
+    kappa = np.empty(len(r))
+    for far, condition in ((False, _kappa_condition), (True, _log_kappa_condition)):
+        part = [i for i, v in enumerate(r) if (v * v > r2_at_one) == far]
+        if not part:
+            continue
+        hi = np.array([math.log(r[i]) + 1.0 for i in part])  # np.log may differ by 1 ulp
+        param = (np.array([2.0 * math.log(r[i]) for i in part]) if far
+                 else np.square([r[i] for i in part]))
+        roots, keep = _bracketed_roots(condition(n), np.full(len(part), 1e-12), hi,
+                                       hi - 1.0, min(tol, 1e-15), param)
+        if len(roots) < len(part):
+            lost = int(np.argmin(keep))
+            raise NonConvergence(f"kappa bracket (0, {hi[lost]:.3f}] lost its sign change "
+                                 f"for {specs[part[lost]]}")
+        if len(part) == len(r):
+            return roots
+        kappa[part] = roots
     return kappa
 
 
@@ -366,8 +412,8 @@ def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     """The unique kappa > 0 of the broken-phase quantization condition.
 
     Safeguarded Newton on (0, ln(gamma/J) + 1], where the residual changes
-    sign, from the large-N limit ln(gamma/J).  Raises PhaseError outside the
-    broken phase.
+    sign, from the large-N limit ln(gamma/J); past kappa = 1 on the log of
+    the condition.  Raises PhaseError outside the broken phase.
     """
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
@@ -408,9 +454,8 @@ def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
         energies = mode_energy(spec, found).astype(complex)
         if phase is Phase.BROKEN:
             kappa = next(kappas)
-            level = 2 * spec.hopping * math.sinh(kappa)
             k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, -kappa)])
-            energies = np.append(energies, [complex(0.0, level), complex(0.0, -level)])
+            energies = np.append(energies, _pair_levels(spec.hopping, True, kappa))
         order = np.lexsort((energies.imag, energies.real))
         out.append(SpectralSolution(spec=spec, k=k[order], energies=energies[order],
                                     phase=phase))

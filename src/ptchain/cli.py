@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .bethe import SpectralSolution, locate_critical_gamma, solve_spectra, solve_spectrum
 from .errors import PTChainError
-from .metric import (build_metric, canonical_basis, equivalent_hermitian,
-                     gauge_real, reflection_matrix)
+from .metric import (build_metric, canonical_basis, equivalent_hermitian, exchange_matrix,
+                     gauge_real, hermitian_equivalent, reflection_matrix)
 from .model import ChainSpec, apply_pt, build_hamiltonian, gamma_critical
 from .oracle import oracle_spectrum, spectral_distance
 from .states import build_c_operator, build_eigenbasis
@@ -76,9 +76,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep(args) -> int:
     if not args.gamma_min < args.gamma_max:
-        raise _UsageError("--gamma-min must be below --gamma-max")
+        raise ValueError("--gamma-min must be below --gamma-max")
     if args.steps < 2:
-        raise _UsageError("--steps must be at least 2")
+        raise ValueError("--steps must be at least 2")
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
     rows = [row for sol in solve_spectra(args.n, args.j, gammas, args.tol)
             for row in _spectrum_rows(sol)]
@@ -124,24 +124,24 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
         yield ("phase_boundary", n,
                abs(locate_critical_gamma(n, hopping) - gamma_critical(n, hopping)) <= 1e-6)
         gc = gamma_critical(n, hopping)
+        solved = {}
         for frac in (0.5, 1.3):
             spec = ChainSpec(n, hopping, frac * gc)
-            dist = spectral_distance(solve_spectrum(spec, tol).energies,
-                                     oracle_spectrum(spec))
+            solved[frac] = solve_spectrum(spec, tol)
+            dist = spectral_distance(solved[frac].energies, oracle_spectrum(spec))
             yield (f"oracle_match_{frac}", n, dist <= ident_tol)
 
-        spec = ChainSpec(n, hopping, 0.5 * gc)
+        spec = solved[0.5].spec
         h = build_hamiltonian(spec)
         basis = build_eigenbasis(spec, tol)
         c = build_c_operator(basis)
         eye = np.eye(n)
-        p = np.eye(n)[::-1]
-        yield ("c_squared", n, np.max(np.abs(c.matrix @ c.matrix - eye)) <= ident_tol)
-        yield ("c_commutes_h", n, np.max(np.abs(c.matrix @ h - h @ c.matrix)) <= ident_tol)
-        yield ("c_commutes_pt", n,
-               np.max(np.abs(c.matrix @ p - p @ c.matrix.conj())) <= ident_tol)
+        p = exchange_matrix(n)
+        yield ("c_squared", n, np.max(np.abs(c @ c - eye)) <= ident_tol)
+        yield ("c_commutes_h", n, np.max(np.abs(c @ h - h @ c)) <= ident_tol)
+        yield ("c_commutes_pt", n, np.max(np.abs(c @ p - p @ c.conj())) <= ident_tol)
         # cpt_inner and the Euclidean inner product <g|f> over every pair of states
-        gram = (c.matrix @ apply_pt(basis.f)).T @ basis.f
+        gram = (c @ apply_pt(basis.f)).T @ basis.f
         yield ("cpt_gram", n, np.max(np.abs(gram - eye)) <= ident_tol)
         bio = basis.g.conj().T @ basis.f
         yield ("biorthonormal", n, np.max(np.abs(bio - eye)) <= ident_tol)
@@ -164,10 +164,9 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
                np.max(np.abs(decomp.eigenvalues * decomp.eigenvalues[list(decomp.pairing)] - 1.0))
                <= ident_tol)
 
-        equiv = equivalent_hermitian(spec)
-        hm = equiv.h_matrix
+        hm = hermitian_equivalent(decomp, h).h_matrix
         spec_h = np.sort(np.linalg.eigvalsh(hm))
-        spec_site = np.sort(solve_spectrum(spec, tol).energies.real)
+        spec_site = np.sort(solved[0.5].energies.real)
         yield ("hermitian_equiv_spectrum", n,
                float(np.max(np.abs(spec_h - spec_site))) <= ident_tol)
         yield ("hermitian_equiv_symmetric", n,
@@ -181,10 +180,6 @@ def cmd_verify(args) -> int:
         failures += 0 if ok else 1
     sys.stdout.write(f"total_failures,,{failures}\n")
     return 0 if failures == 0 else 1
-
-
-class _UsageError(Exception):
-    pass
 
 
 @functools.cache
@@ -230,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

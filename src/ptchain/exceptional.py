@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _critical_offsets, _in_gamma_order, _kappas
+from .bethe import _critical_offsets, _in_gamma_order, _kappas, _pair_levels
 from .errors import DomainError, PhaseError
 from .model import ChainSpec, Phase, classify_phase
 from .states import pt_norm, wavefunction_broken, wavefunction_unbroken
@@ -65,44 +65,35 @@ def in_asymptotic_window(spec: ChainSpec) -> bool:
 
 def delta_approx(spec: ChainSpec) -> float:
     """Leading-order offset of the two critical momenta from pi/2 (unbroken side)."""
-    if spec.gamma > spec.gamma_c:
-        raise PhaseError("delta_approx applies on the unbroken side")
+    return _approx(spec, broken=False)
+
+
+def kappa_approx(spec: ChainSpec) -> float:
+    """Mirror of delta_approx across gamma_c (broken side)."""
+    return _approx(spec, broken=True)
+
+
+def _approx(spec: ChainSpec, broken: bool) -> float:
+    """delta_approx, or kappa_approx if `broken`: the radicand changes sign."""
+    s = 1.0 if broken else -1.0
+    if s * (spec.gamma - spec.gamma_c) < 0:
+        raise PhaseError(f"{'kappa' if broken else 'delta'}_approx applies on the "
+                         f"{'broken' if broken else 'unbroken'} side")
     n = spec.n_sites
     alpha = alpha_parameter(spec)
     if not math.isfinite(alpha):  # gamma = J: the even-N boundary limit
         return 0.0
     if n % 2 == 0:
-        radicand = -n * alpha
+        radicand = s * n * alpha
         if radicand <= 0:
             raise DomainError(f"negative radicand at gamma={spec.gamma}")
         return 1.0 / math.sqrt(radicand)
-    radicand = 3 * (alpha - n) / (n**3 - alpha)
+    radicand = 3 * s * (n - alpha) / (n**3 - alpha)
     if radicand < 0:
         if radicand > -1e-10:  # fp residue of alpha = N exactly at the boundary
             return 0.0
-        raise DomainError(
-            f"gamma={spec.gamma} is outside the odd-N asymptotic domain (J, gamma_c]")
-    return math.sqrt(radicand)
-
-
-def kappa_approx(spec: ChainSpec) -> float:
-    """Mirror of delta_approx across gamma_c (broken side)."""
-    if spec.gamma < spec.gamma_c:
-        raise PhaseError("kappa_approx applies on the broken side")
-    n = spec.n_sites
-    alpha = alpha_parameter(spec)
-    if not math.isfinite(alpha):
-        return 0.0
-    if n % 2 == 0:
-        radicand = n * alpha
-        if radicand <= 0:
-            raise DomainError(f"negative radicand at gamma={spec.gamma}")
-        return 1.0 / math.sqrt(radicand)
-    radicand = 3 * (n - alpha) / (n**3 - alpha)
-    if radicand < 0:
-        if radicand > -1e-10:
-            return 0.0
-        raise DomainError(f"gamma={spec.gamma} is outside the odd-N asymptotic domain")
+        raise DomainError(f"gamma={spec.gamma} is outside the odd-N asymptotic domain"
+                          + ("" if broken else " (J, gamma_c]"))
     return math.sqrt(radicand)
 
 
@@ -118,8 +109,8 @@ def repulsion_law(spec: ChainSpec) -> tuple[float, float]:
     return mag, -mag
 
 
-def critical_levels(spec: ChainSpec, with_vectors: bool = True):
-    """The two levels closest to zero plus (optionally) their eigenvectors.
+def critical_levels(spec: ChainSpec):
+    """The two levels closest to zero and their eigenvectors.
 
     Unbroken side: the +-|e| pair from the roots at pi/2 +- x0; broken side:
     the imaginary pair.  (For odd N the exact zero mode is not part of the
@@ -128,24 +119,17 @@ def critical_levels(spec: ChainSpec, with_vectors: bool = True):
     """
     broken = classify_phase(spec) is Phase.BROKEN
     root = (_kappas if broken else _critical_offsets)([spec])[0]
-    return _critical_pair(spec, broken, float(root), with_vectors)
+    return _critical_pair(spec, broken, float(root))
 
 
-def _critical_pair(spec: ChainSpec, broken: bool, root: float, with_vectors: bool):
+def _critical_pair(spec: ChainSpec, broken: bool, root: float):
     """critical_levels from the pair's kappa (broken) or offset x0 (otherwise)."""
-    j = spec.hopping
     if broken:
-        levels = (complex(0.0, 2 * j * math.sinh(root)),
-                  complex(0.0, -2 * j * math.sinh(root)))
-        if not with_vectors:
-            return levels, None
-        return levels, (wavefunction_broken(spec, +1, root),
-                        wavefunction_broken(spec, -1, root))
-    levels = (complex(2 * j * math.sin(root), 0.0), complex(-2 * j * math.sin(root), 0.0))
-    if not with_vectors:
-        return levels, None
-    return levels, (wavefunction_unbroken(spec, math.pi / 2 + root),
-                    wavefunction_unbroken(spec, math.pi / 2 - root))
+        vectors = (wavefunction_broken(spec, +1, root), wavefunction_broken(spec, -1, root))
+    else:
+        vectors = (wavefunction_unbroken(spec, math.pi / 2 + root),
+                   wavefunction_unbroken(spec, math.pi / 2 - root))
+    return _pair_levels(spec.hopping, broken, root), vectors
 
 
 def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
@@ -154,22 +138,17 @@ def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
     return float(max(0.0, 1.0 - overlap))
 
 
-def critical_sweep(chain: ChainSpec | int, gamma_values, hopping: float = 1.0,
+def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0,
                    phase_tol: float | None = None) -> list[CriticalReport]:
     """CriticalReport per gamma; points inside the Critical band are flagged.
 
-    `chain` may be a ChainSpec (its gamma is ignored) or a site count.  Each
-    point's phase is read once, at `phase_tol`, and the critical pairs of
-    the whole grid come from two solves: one for kappa at the broken points
-    and one for the bracket at pi/2 at the unbroken ones.  Where that phase
-    agrees with the default band, each pair is bit-identical to its
+    Each point's phase is read once, at `phase_tol`, and the critical pairs
+    of the whole grid come from two solves: one for kappa at the broken
+    points and one for the bracket at pi/2 at the unbroken ones.  Where that
+    phase agrees with the default band, each pair is bit-identical to its
     `critical_levels`.  If several gammas fail, the error raised is the
     first failing gamma's.
     """
-    if isinstance(chain, ChainSpec):
-        n_sites, hopping = chain.n_sites, chain.hopping
-    else:
-        n_sites = chain
     return _in_gamma_order(
         lambda grid: _critical_reports(
             [ChainSpec(n_sites, hopping, float(g)) for g in grid], phase_tol),
@@ -195,18 +174,12 @@ def _critical_reports(specs: list[ChainSpec],
                 alpha=alpha_parameter(spec), coalescence_gap=0.0,
                 pt_norms=(zero, zero), in_window=window, skipped=True))
             continue
-        levels, vecs = _critical_pair(spec, phase is Phase.BROKEN, next(roots[phase]), True)
+        broken = phase is Phase.BROKEN
+        levels, vecs = _critical_pair(spec, broken, next(roots[phase]))
         unit = tuple(v / np.linalg.norm(v) for v in vecs)
-        j = spec.hopping
         try:
-            if phase is Phase.UNBROKEN:
-                dk = delta_approx(spec)
-                analytic = (complex(2 * j * math.sin(dk), 0.0),
-                            complex(-2 * j * math.sin(dk), 0.0))
-            else:
-                dk = kappa_approx(spec)
-                analytic = (complex(0.0, 2 * j * math.sinh(dk)),
-                            complex(0.0, -2 * j * math.sinh(dk)))
+            dk = _approx(spec, broken)
+            analytic = _pair_levels(spec.hopping, broken, dk)
         except DomainError:
             dk = math.nan
             analytic = (complex(math.nan, math.nan),) * 2

@@ -37,6 +37,11 @@ from .states import EigenBasis, build_eigenbasis
 # canonical basis is defined by continuity: evaluate at GAMMA_FLOOR instead.
 GAMMA_FLOOR = 1e-6
 
+# Largest imaginary residue of the gauged metric, and largest error of a
+# reciprocal pair eps * (1/eps) or of the self-paired vector's R eigenvalue.
+GAUGE_TOL = 1e-8
+PAIRING_TOL = 1e-8
+
 
 def build_metric(basis: EigenBasis) -> np.ndarray:
     """eta[m,n] = sum_k g_k^m conj(g_k^n), i.e. sum_k |g_k><g_k|.
@@ -70,17 +75,17 @@ def _gauge_phases(n: int) -> np.ndarray:
     return 1j ** (np.arange(1, n + 1) % 2)
 
 
-def gauge_real(eta: np.ndarray, imag_tol: float = 1e-8) -> np.ndarray:
+def gauge_real(eta: np.ndarray) -> np.ndarray:
     """Conjugate by diag(i^(l mod 2)); the result is real symmetric.
 
-    Raises GaugeError when the imaginary residue exceeds `imag_tol`, which
+    Raises GaugeError when the imaginary residue exceeds GAUGE_TOL, which
     signals that the input was not a valid metric of this model.
     """
     n = eta.shape[0]
     d = _gauge_phases(n)
     gauged = np.conj(d)[:, None] * eta * d[None, :]
     resid = float(np.max(np.abs(gauged.imag)))
-    if resid > imag_tol:
+    if resid > GAUGE_TOL:
         raise GaugeError(f"imaginary residue {resid:.2e} after gauging")
     return gauged.real
 
@@ -158,7 +163,6 @@ class MetricDecomposition:
     with itself).
     """
 
-    eta_real: np.ndarray
     eigenvalues: np.ndarray
     basis: np.ndarray
     pairing: tuple[int, ...]
@@ -196,7 +200,7 @@ def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
                 basis[:, partner] = -basis[:, partner]
 
 
-def canonical_basis(eta_real: np.ndarray, tol: float = 1e-8) -> MetricDecomposition:
+def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
     eta_real is projected onto the orthonormal parity basis (e_l + s refl e_l)/|.|
@@ -207,7 +211,8 @@ def canonical_basis(eta_real: np.ndarray, tol: float = 1e-8) -> MetricDecomposit
     half.  Odd N: R preserves the sectors, so each block, sized (N-1)/2 and
     (N+1)/2, is its own half: eps > 1 (descending), the self-paired eps = 1
     vector of the odd-sized block, then the R-partners of the eps > 1 vectors.
-    Every R-partner is checked against eta through its Rayleigh quotient.
+    Every R-partner is checked against eta through its Rayleigh quotient, to
+    PAIRING_TOL.
     """
     n = eta_real.shape[0]
     refl = reflection_matrix(n)
@@ -245,7 +250,7 @@ def canonical_basis(eta_real: np.ndarray, tol: float = 1e-8) -> MetricDecomposit
 
         s_vec = next(v[:, mid[0]] for _, v, _, mid in halves if mid)
         sigma = float(s_vec @ r @ s_vec)
-        if abs(abs(sigma) - 1.0) > tol:
+        if abs(abs(sigma) - 1.0) > PAIRING_TOL:
             raise DegeneracyError(
                 f"self-paired vector is not an R eigenvector ({sigma:.3f})")
         # Partner-sign convention that makes the coupling block reflection-symmetric:
@@ -265,13 +270,13 @@ def canonical_basis(eta_real: np.ndarray, tol: float = 1e-8) -> MetricDecomposit
     rv = basis[:, later]
     rec = np.einsum("ij,ij->j", rv, eta_real @ rv)
     w = eps[[pairing[j] for j in later]]
-    bad = np.flatnonzero(~(np.abs(w * rec - 1.0) <= tol))  # NaN never passes
+    bad = np.flatnonzero(~(np.abs(w * rec - 1.0) <= PAIRING_TOL))  # NaN never passes
     if bad.size:
         raise DegeneracyError(
             f"reciprocal pairing failed: eps={w[bad[0]]:.6g}, R-partner "
             f"Rayleigh quotient {rec[bad[0]]:.6g}")
     _fix_pair_signs(basis, pairing)
-    return MetricDecomposition(eta_real, eps, basis, pairing, h)
+    return MetricDecomposition(eps, basis, pairing, h)
 
 
 def hermitian_equivalent(decomp: MetricDecomposition,
@@ -283,7 +288,7 @@ def hermitian_equivalent(decomp: MetricDecomposition,
     real with vanishing diagonal blocks.  Raises StructureError when the
     diagonal-block residue exceeds 1e-6 (an ordering/sign convention failure).
     """
-    n = decomp.eta_real.shape[0]
+    n = decomp.basis.shape[0]
     d = _gauge_phases(n)
     h_gauged = np.conj(d)[:, None] * hamiltonian * d[None, :]
     eps = decomp.eigenvalues
@@ -311,22 +316,19 @@ def _at_floor(spec: ChainSpec) -> ChainSpec:
     return ChainSpec(spec.n_sites, spec.hopping, max(spec.gamma, GAMMA_FLOOR))
 
 
-def metric_decomposition(spec: ChainSpec, tol: float = 1e-8) -> MetricDecomposition:
+def metric_decomposition(spec: ChainSpec) -> MetricDecomposition:
     """Full pipeline from a chain spec to the canonical metric eigensystem.
 
     Below GAMMA_FLOOR the metric is fully degenerate (eta -> identity), so the
     canonical basis is taken from the continuity limit: the pipeline runs at
     gamma = GAMMA_FLOOR instead.
     """
-    basis = build_eigenbasis(_at_floor(spec))
-    return canonical_basis(gauge_real(build_metric(basis)), tol)
+    return canonical_basis(gauge_real(build_metric(build_eigenbasis(_at_floor(spec)))))
 
 
-def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-8) -> HermitianEquivalent:
+def equivalent_hermitian(spec: ChainSpec) -> HermitianEquivalent:
     """Equivalent Hermitian Hamiltonian of the chain (unbroken phase).
 
     Like `metric_decomposition`, it runs at gamma = GAMMA_FLOOR below the floor.
     """
-    basis = build_eigenbasis(_at_floor(spec))
-    decomp = canonical_basis(gauge_real(build_metric(basis)), tol)
-    return hermitian_equivalent(decomp, build_hamiltonian(basis.spec))
+    return hermitian_equivalent(metric_decomposition(spec), build_hamiltonian(_at_floor(spec)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import mode_energy, raw_amplitude, solve_kappa, solve_real_momenta
+from .bethe import mode_energy, raw_amplitude, solve_real_momenta
 from .errors import NullState, PhaseError
 from .model import ChainSpec, Phase, apply_pt, classify_phase
 
@@ -45,11 +45,6 @@ class EigenBasis:
     energies: np.ndarray
     f: np.ndarray
     g: np.ndarray
-
-
-@dataclass(frozen=True)
-class COperator:
-    matrix: np.ndarray
 
 
 def _fix_sign(v: np.ndarray, atol: float = 1e-12) -> np.ndarray:
@@ -91,19 +86,16 @@ def wavefunction_dual(spec: ChainSpec, k: float) -> np.ndarray:
     return _cpt_states(spec, k)[1]
 
 
-def wavefunction_broken(spec: ChainSpec, branch: int,
-                        kappa: float | None = None) -> np.ndarray:
+def wavefunction_broken(spec: ChainSpec, branch: int, kappa: float) -> np.ndarray:
     """Broken-phase eigenvector for k = pi/2 + i*branch*kappa, unit Euclidean norm.
 
     CPT normalization is invalid for these states (their PT self-pairing is
-    exactly zero), so the Euclidean norm is used instead.  Without `kappa`
-    it is solved, and PhaseError is raised outside the broken phase; a given
-    `kappa` is used as is, whichever phase band its caller read.
+    exactly zero), so the Euclidean norm is used instead.  `kappa` is that of
+    `solve_kappa`, which raises PhaseError outside the broken phase; it is
+    used as is, whichever phase band its caller read.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    if kappa is None:
-        kappa = solve_kappa(spec)
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     n0 = (n + 1) / 2
     l = np.arange(1, n + 1)
@@ -131,14 +123,17 @@ def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
     return EigenBasis(spec=spec, k=k, energies=mode_energy(spec, k), f=f.T, g=g.T)
 
 
-def build_c_operator(basis: EigenBasis) -> COperator:
+def build_c_operator(basis: EigenBasis) -> np.ndarray:
     """C(m,l) = sum_k f_k^m f_k^l (no conjugation); C^2 = 1 on a complete basis."""
-    return COperator(matrix=basis.f @ basis.f.T)
+    return basis.f @ basis.f.T
 
 
-def cpt_inner(c_op: COperator, u: np.ndarray, v: np.ndarray) -> complex:
-    """CPT inner product sum_l (C PT u)_l v_l; delta_{kk'} on the eigenbasis."""
-    return complex(np.sum((c_op.matrix @ apply_pt(u)) * v))
+def cpt_inner(c_op: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
+    """CPT inner product sum_l (C PT u)_l v_l; delta_{kk'} on the eigenbasis.
+
+    `c_op` is the matrix of `build_c_operator`.
+    """
+    return complex(np.sum((c_op @ apply_pt(u)) * v))
 
 
 def pt_norm(u: np.ndarray) -> complex:

@@ -95,8 +95,7 @@ def test_criterion_4_critical_behavior():
         offsets = gc * np.logspace(-4, -2, 9)
         mags = []
         for off in offsets:
-            levels, _ = critical_levels(ChainSpec(n, 1.0, gc - off),
-                                        with_vectors=False)
+            levels, _ = critical_levels(ChainSpec(n, 1.0, gc - off))
             mags.append(abs(levels[0].real))
         for off in offsets:
             kappa = solve_kappa(ChainSpec(n, 1.0, gc + off))
@@ -112,7 +111,7 @@ def test_criterion_4_critical_behavior():
         off = scaled * gc / n
         below = ChainSpec(n, 1.0, gc - off)
         above = ChainSpec(n, 1.0, gc + off)
-        levels, _ = critical_levels(below, with_vectors=False)
+        levels, _ = critical_levels(below)
         numeric = {"unbroken": abs(levels[0].real),
                    "broken": 2 * math.sinh(solve_kappa(above))}
         for side, value in numeric.items():
@@ -134,13 +133,12 @@ def test_criterion_5_cpt_formalism():
         spec = ChainSpec(n, 1.0, 0.5 * gamma_critical(n))
         h = build_hamiltonian(spec)
         basis = build_eigenbasis(spec)
-        c = build_c_operator(basis).matrix
+        c = build_c_operator(basis)
         eye, p = np.eye(n), np.eye(n)[::-1]
         fs = basis.f.T
-        cop = build_c_operator(basis)
         checks = {
             "CPT gram": np.max(np.abs(np.array(
-                [[cpt_inner(cop, fa, fb) for fb in fs] for fa in fs]) - eye)),
+                [[cpt_inner(c, fa, fb) for fb in fs] for fa in fs]) - eye)),
             "biorthonormal gram": np.max(np.abs(basis.g.conj().T @ basis.f - eye)),
             "C^2": np.max(np.abs(c @ c - eye)),
             "[C,H]": np.max(np.abs(c @ h - h @ c)),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptchain import (ChainSpec, Phase, gamma_critical, locate_critical_gamma,
-                     momentum_index, refine_eigenvalue, solve_kappa,
-                     solve_real_momenta, solve_spectra, solve_spectrum)
+from ptchain import (ChainSpec, Phase, build_hamiltonian, gamma_critical,
+                     locate_critical_gamma, momentum_index, refine_eigenvalue,
+                     solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
+                     spectral_distance)
 from ptchain.bethe import (_bracketed_roots, _kappas, _offset_brackets, _real_roots,
                            count_real_momenta, kappa_residual, raw_amplitude)
 from ptchain.errors import DomainError, PhaseError, PTChainError
@@ -167,6 +168,32 @@ def test_kappa_residual_is_the_scaled_condition(n, kappa):
     assert kappa_residual(spec, kappa) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("ratio", [3.0, 10.0, 1e2, 1e4, 1e8, 1e9, 1e20, 1e150])
+def test_kappa_above_one_is_within_two_ulp(ratio):
+    # past kappa = 1 the scaled condition cancels (r^2 e^(-2 kappa) -> 1);
+    # its log form keeps kappa to the float spacing up to gamma/J = 1e150
+    mp = pytest.importorskip("mpmath")
+    for n in (2, 3, 8, 9, 64, 65, 1000, 1001):
+        s = -1 if n % 2 else 1
+        with mp.workdps(40):
+            log_r2 = 2 * mp.log(mp.mpf(ratio))
+            want = mp.findroot(
+                lambda k: (log_r2 - 2 * k + mp.log(1 + s * mp.exp(-2 * k * (n - 1)))
+                           - mp.log(1 + s * mp.exp(-2 * k * (n + 1)))), log_r2 / 2)
+            kappa = solve_kappa(ChainSpec(n, 1.0, ratio))
+            assert want > 1
+            assert abs(mp.mpf(kappa) - want) <= 2 * np.spacing(kappa), n
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e8])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65])
+def test_spectrum_far_in_the_broken_phase_matches_dense_eigvals(n, ratio):
+    spec = ChainSpec(n, 1.0, ratio)
+    dense = np.linalg.eigvals(build_hamiltonian(spec))
+    dist = spectral_distance(solve_spectrum(spec).energies, dense)
+    assert dist <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_kappa_large_n_approximation():
     spec = ChainSpec(20, 1.0, 1.01)
     kappa = solve_kappa(spec)
@@ -214,7 +241,6 @@ def test_spectrum_traceless_and_chiral(n, frac):
     (solve_spectrum, 1.0, -1.0),        # gamma_c of N=8: the Critical-phase path
     (solve_spectrum, 1.5, 0.0),
     (solve_real_momenta, 0.5, math.nan),
-    (count_real_momenta, 0.5, 0.0),
     (solve_kappa, 1.5, 0.0),
     # a NaN tol would end the bisection at once, a negative one never
     (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, math.nan),

@@ -41,6 +41,9 @@ PINNED_OUTPUT = {
         "bc0a75aa4a2d9bd19c3c8f4595b2e5838d4333fa827d53205ce8c341f6203f3d",
     "verify --n-max 8":
         "29b896ad4071709d31db247beefc34bea76fba9bb362c39c09dbd51b7bb0db76",
+    # recorded while verify still solved each chain's pipeline twice
+    "verify --n-max 20 --j 0.7":
+        "1d60a6825aeb6c12a8c5107211f087b2091d2c65202d1815721c71176eec2d7d",
 }
 
 

@@ -195,7 +195,7 @@ def test_refine_eigenvalue_large_chain():
     # The positive critical level of a 199-site chain, cross-checked by Newton
     # on the recurrence-evaluated determinant (no coefficient expansion).
     spec = ChainSpec(199, 1.0, gamma_critical(199) - 0.005)
-    levels, _ = critical_levels(spec, with_vectors=False)
+    levels, _ = critical_levels(spec)
     refined = refine_eigenvalue(spec, levels[0])
     assert abs(refined - levels[0]) < 1e-8
 

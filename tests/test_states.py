@@ -79,8 +79,8 @@ def test_broken_states(n, gamma):
     spec = ChainSpec(n, 1.0, gamma)
     h = build_hamiltonian(spec)
     kappa = solve_kappa(spec)
-    plus = wavefunction_broken(spec, +1)
-    minus = wavefunction_broken(spec, -1)
+    plus = wavefunction_broken(spec, +1, kappa)
+    minus = wavefunction_broken(spec, -1, kappa)
     for branch, f in ((+1, plus), (-1, minus)):
         energy = 2j * branch * math.sinh(kappa)
         assert np.max(np.abs(h @ f - energy * f)) < 1e-8
@@ -115,15 +115,17 @@ def test_broken_states_deep_in_the_broken_phase(n, branch):
 
 
 def test_broken_state_requires_broken_phase():
+    # the kappa of a broken state comes from solve_kappa, which reads the phase
+    spec = ChainSpec(8, 1.0, 0.5)
     with pytest.raises(PhaseError):
-        wavefunction_broken(ChainSpec(8, 1.0, 0.5), +1)
+        wavefunction_broken(spec, +1, solve_kappa(spec))
 
 
 @pytest.mark.parametrize("n,frac", GRID)
 def test_c_operator_identities(n, frac):
     spec = _unbroken_spec(n, frac)
     h = build_hamiltonian(spec)
-    c = build_c_operator(build_eigenbasis(spec)).matrix
+    c = build_c_operator(build_eigenbasis(spec))
     eye = np.eye(n)
     p = eye[::-1]
     assert np.max(np.abs(c @ c - eye)) < 1e-8
@@ -136,7 +138,7 @@ def test_c_operator_identities(n, frac):
 def test_c_operator_is_sum_of_outer_products(n, frac):
     basis = build_eigenbasis(_unbroken_spec(n, frac))
     ref = sum(np.outer(f, f) for f in basis.f.T)
-    assert np.max(np.abs(build_c_operator(basis).matrix - ref)) <= 1e-14
+    assert np.max(np.abs(build_c_operator(basis) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("n,frac", LARGE)
@@ -147,7 +149,7 @@ def test_eigenbasis_at_large_n(n, frac):
     assert np.max(np.abs(build_hamiltonian(spec) @ f - f * basis.energies)) <= 1e-10
     assert np.max(np.abs(basis.g.conj().T @ f - eye)) <= 1e-8
     assert np.max(np.abs(apply_pt(f) - f)) <= 1e-10
-    c = build_c_operator(basis).matrix
+    c = build_c_operator(basis)
     assert np.max(np.abs(c @ c - eye)) <= 1e-8
 
 
