@@ -2,7 +2,7 @@
 """Time oracle_spectrum against the chain length N.
 
 For each requested N, at gamma = gamma_c / 2 and J = 1: the seconds one
-oracle_spectrum call takes and, for N <= 1000, the largest distance from its
+oracle_spectrum call takes and, for N <= 2000, the largest distance from its
 roots to dense numpy eigvals.  The last line is the log-log slope of time
 against N, the oracle's measured N-scaling.
 """
@@ -15,12 +15,12 @@ import numpy as np
 from ptchain import (ChainSpec, build_hamiltonian, gamma_critical, oracle_spectrum,
                      spectral_distance)
 
-DENSE_MAX_N = 1000
+DENSE_MAX_N = 2000
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 500, 1000])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 500, 1000, 2000])
     args = ap.parse_args()
     if len(args.sizes) < 2:
         ap.error("--sizes needs at least two chain lengths for a slope")

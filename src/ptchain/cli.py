@@ -21,7 +21,7 @@ from .metric import (build_metric, canonical_basis, equivalent_hermitian, exchan
                      gauge_real, hermitian_equivalent, reflection_matrix)
 from .model import ChainSpec, apply_pt, build_hamiltonian, gamma_critical
 from .oracle import oracle_spectrum, spectral_distance
-from .states import build_c_operator, build_eigenbasis
+from .states import _eigenbasis, build_c_operator, build_eigenbasis
 
 
 def _fmt(x: float) -> str:
@@ -133,7 +133,8 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
 
         spec = solved[0.5].spec
         h = build_hamiltonian(spec)
-        basis = build_eigenbasis(spec, tol)
+        # unbroken at 0.5 gamma_c, so its k are the N real roots, ascending in E
+        basis = _eigenbasis(spec, np.sort(solved[0.5].k.real))
         c = build_c_operator(basis)
         eye = np.eye(n)
         p = exchange_matrix(n)

@@ -22,6 +22,7 @@ Newton-refines one.  Eigenvectors come from inverse iteration.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -29,10 +30,15 @@ import numpy as np
 from .errors import NonConvergence, SingularSolve
 from .model import ChainSpec
 
-# Aberth from the fixed ellipse takes 5-15 iterations at N <= 20, 20-27 at
-# N = 64, 54-59 at N = 200 and 128-132 at N = 500 (measured for J in
-# {0.5, 1, 3} and gamma up to 10 gamma_c): about N/4 at large N
+# Aberth from the free-chain seeds takes 3-31 iterations at N <= 80 and
+# 11-17 at N = 128 and 200 (measured for J in {0.5, 1, 3} and gamma from 0
+# to 1e3 gamma_c, within 1e-9 of gamma_c too), then 34-35 at N = 500, 62-63
+# at N = 1000 and 124-130 at N = 2000 (J = 1, 0.5 and 1.3 gamma_c): about
+# N/16 at large N
 _ORACLE_MAX_ITER = 1000
+
+# The common offset of the free-chain seeds, in units of J
+_SEED_OFFSET = cmath.rect(0.01, 0.5)
 
 # A step this small (relative) that no longer shrinks has hit the rounding
 # floor, which for a root of multiplicity m lies near eps^(1/m).
@@ -70,12 +76,6 @@ def char_poly_ratio(spec: ChainSpec, x):
     return (c * p + jj * x * q) / d_prime
 
 
-def _seed_ellipse(hopping: float, count: int) -> np.ndarray:
-    # the fixed angular offset keeps seeds off the real and imaginary axes
-    t = 2 * np.pi * np.arange(count) / count + 0.5
-    return hopping * (2.2 * np.cos(t) + 1j * np.sin(t))
-
-
 def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Roots by Aberth-Ehrlich simultaneous iteration, sorted (real, imag).
 
@@ -93,30 +93,38 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     z = np.array(seeds, dtype=complex)
     moving = np.ones(z.shape, dtype=bool)
     last = np.full(z.shape, np.inf)
-    for _ in range(max_iter):
-        with np.errstate(divide="ignore", invalid="ignore"):  # NaN steps raise below
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN steps raise below
+        for _ in range(max_iter):
             r = ratio(z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
-            inv = 1.0 / diff
+            inv = np.divide(1.0, diff, out=diff)  # in place: N^2 arrays bound large N
             np.fill_diagonal(inv, 0.0)
             step = r / (1.0 - r * inv.sum(axis=1))
-        if not np.all(np.isfinite(step)):
-            raise NonConvergence("Aberth step is not finite")
-        size = np.abs(step)
-        moving &= (size >= _FREEZE_STEP * np.maximum(1.0, np.abs(z))) | (size < last)
-        last = size
-        z -= np.where(moving, step, 0.0)
-        if np.all(~moving | (size < tol * np.maximum(1.0, np.abs(z)))):
-            return np.sort(z)
+            if not np.all(np.isfinite(step)):
+                raise NonConvergence("Aberth step is not finite")
+            size = np.abs(step)
+            moving &= (size >= _FREEZE_STEP * np.maximum(1.0, np.abs(z))) | (size < last)
+            last = size
+            z -= np.where(moving, step, 0.0)
+            if np.all(~moving | (size < tol * np.maximum(1.0, np.abs(z)))):
+                return np.sort(z)
     raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
 
 
 def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:
-    """All N eigenvalues, seeded on the fixed ellipse 2.2J cos t + iJ sin t."""
-    return _aberth(lambda z: char_poly_ratio(spec, z),
-                   _seed_ellipse(spec.hopping, spec.n_sites),
-                   tol, _ORACLE_MAX_ITER)
+    """All N eigenvalues, seeded at the free-chain levels -2J cos(m pi/(N+1)).
+
+    At gamma = 0 these are the roots; for gamma > 0 they sit close to all but
+    the critical pair.  Every seed is moved by the same offset J 0.01 e^{0.5i}.
+    Real seeds would stay on the real axis, where D_N is real.  Aberth keeps
+    the symmetry z -> -conj(z) of D_N's roots in any seed set that has it;
+    a purely imaginary offset keeps it too, and takes up to 49 iterations
+    where this one takes 31.
+    """
+    n, j = spec.n_sites, spec.hopping
+    seeds = -2 * j * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) + j * _SEED_OFFSET
+    return _aberth(lambda z: char_poly_ratio(spec, z), seeds, tol, _ORACLE_MAX_ITER)
 
 
 def refine_eigenvalue(spec: ChainSpec, guess: complex, tol: float = 1e-13,
@@ -129,23 +137,32 @@ def refine_eigenvalue(spec: ChainSpec, guess: complex, tol: float = 1e-13,
 def spectral_distance(a, b) -> float:
     """Largest pairing distance between two equal-size eigenvalue multisets.
 
-    Greedy nearest-neighbour matching; adequate when the sets agree far better
-    than their internal spacing, which is what every caller asserts.  A
+    Greedy nearest-neighbour matching, in the order of `a`; adequate when the
+    sets agree far better than their internal spacing, which is what every
+    caller asserts.  When the nearest neighbours in `b` of the entries of `a`
+    are all distinct, no entry's first choice is ever taken by another, so
+    the greedy pairing is the nearest-neighbour one and needs no loop.  A
     non-finite entry in either set gives math.inf, so NaN never passes a bound.
     """
-    a = list(np.asarray(a, dtype=complex))
-    b = list(np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         return math.inf
-    worst = 0.0
-    for x in a:
-        dists = [abs(x - y) for y in b]
-        m = int(np.argmin(dists))
-        worst = max(worst, dists[m])
-        b.pop(m)
-    return worst
+    if not len(a):
+        return 0.0
+    diff = a[:, None] - b[None, :]
+    dist = np.hypot(diff.real, diff.imag)  # abs() of each; np.abs can be 1 ulp off
+    nearest = np.argmin(dist, axis=1)
+    if len(set(nearest.tolist())) == len(a):
+        return float(dist[np.arange(len(a)), nearest].max())
+    worst, free = 0.0, np.arange(len(b))
+    for row in dist:
+        m = int(np.argmin(row[free]))
+        worst = max(worst, row[free[m]])
+        free = np.delete(free, m)
+    return float(worst)
 
 
 def oracle_eigenvector(h: np.ndarray, eigenvalue: complex,

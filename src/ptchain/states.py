@@ -118,7 +118,11 @@ def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
     if phase is not Phase.UNBROKEN:
         raise PhaseError(f"complete CPT eigenbasis requires the unbroken phase, "
                          f"got {phase} at gamma={spec.gamma}")
-    k = solve_real_momenta(spec, tol)
+    return _eigenbasis(spec, solve_real_momenta(spec, tol))
+
+
+def _eigenbasis(spec: ChainSpec, k: np.ndarray) -> EigenBasis:
+    """The eigenbasis at the N ascending real roots `k` of an unbroken spec."""
     f, g = _cpt_states(spec, k)
     return EigenBasis(spec=spec, k=k, energies=mode_energy(spec, k), f=f.T, g=g.T)
 

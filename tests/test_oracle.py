@@ -3,13 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ptchain import (ChainSpec, build_hamiltonian, gamma_critical,
                      oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
                      solve_spectrum, spectral_distance)
 from ptchain.errors import NonConvergence
 from ptchain.exceptional import critical_levels
-from ptchain.oracle import _aberth, _seed_ellipse, char_poly_ratio
+from ptchain.oracle import _aberth, char_poly_ratio
+
+
+def _ellipse_points(hopping, count):
+    # evaluation points off both axes, on the ellipse 2.2J cos t + iJ sin t
+    t = 2 * np.pi * np.arange(count) / count + 0.5
+    return hopping * (2.2 * np.cos(t) + 1j * np.sin(t))
 
 
 def _recurrence_ratio(spec, x):
@@ -95,7 +102,7 @@ def test_refine_eigenvalue_raises_on_nan_guess():
 @pytest.mark.parametrize("frac", [0.5, 1.3])
 def test_doubling_matches_the_site_by_site_recurrence(n, frac):
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
-    seeds = _seed_ellipse(spec.hopping, n)
+    seeds = _ellipse_points(spec.hopping, n)
     ratios = char_poly_ratio(spec, seeds)
     assert np.max(np.abs(ratios / _recurrence_ratio(spec, seeds) - 1)) <= 1e-12
     dense = np.linalg.eigvals(build_hamiltonian(spec))
@@ -109,7 +116,7 @@ def test_doubling_matches_the_site_by_site_recurrence(n, frac):
 def test_char_poly_ratio_scales_with_hopping(n, j):
     # D_N scales like J^N: without rescaling from below, it underflows for
     # J < 1 at large N and the ratio ends in a vanishing derivative
-    y = np.concatenate([_seed_ellipse(1.0, 16), [0.3 + 0.5j, -1.9 + 0.1j]])
+    y = np.concatenate([_ellipse_points(1.0, 16), [0.3 + 0.5j, -1.9 + 0.1j]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = char_poly_ratio(ChainSpec(n, j, 0.4 * j), j * y)
@@ -149,18 +156,20 @@ def test_oracle_next_to_the_exceptional_point(j, offset):
         assert spectral_distance(oracle_spectrum(spec), dense) <= 1e-6 * j, n
 
 
-@pytest.mark.parametrize("j", [0.5, 3.0])
-@pytest.mark.parametrize("frac", [0.0, 1.01, 10.0])
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("frac", [0.0, 1 - 1e-9, 1 + 1e-9, 1.01, 10.0])
 def test_oracle_matches_dense_eigvals_at_any_hopping(j, frac):
-    # the seeds scale with J alone, whatever gamma is
-    for n in list(range(2, 65)) + [100]:
+    # the seeds scale with J alone, whatever gamma is; next to gamma_c, where
+    # the critical pair nearly coalesces, the bound is that of the tests above
+    near = abs(frac - 1) < 1e-6
+    for n in list(range(2, 81)) + [100]:
         spec = ChainSpec(n, j, frac * gamma_critical(n, j))
         dense = np.linalg.eigvals(build_hamiltonian(spec))
         d = spectral_distance(oracle_spectrum(spec), dense)
-        assert d <= 1e-12 * max(1.0, j, spec.gamma), n
+        assert d <= (1e-6 * j if near else 1e-12 * max(1.0, j, spec.gamma)), n
 
 
-@pytest.mark.parametrize("n", [35, 44, 64, 200, 500])
+@pytest.mark.parametrize("n", [35, 44, 64, 200, 500, 1000])
 @pytest.mark.parametrize("frac", [0.5, 0.99, 1.3])
 def test_oracle_matches_dense_eigvals(n, frac):
     # past N ~ 41 a coefficient expansion overflows or cancels; the
@@ -176,6 +185,44 @@ def test_oracle_matches_dense_eigvals(n, frac):
 def test_spectral_distance_never_scores_non_finite_as_close(a, b):
     # max(0.0, nan) is 0.0: a NaN oracle must not pass a distance bound
     assert spectral_distance(a, b) == math.inf
+
+
+def _greedy_distance(a, b):
+    # spectral_distance before its array pass, verbatim
+    a = list(np.asarray(a, dtype=complex))
+    b = list(np.asarray(b, dtype=complex))
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return math.inf
+    worst = 0.0
+    for x in a:
+        dists = [abs(x - y) for y in b]
+        m = int(np.argmin(dists))
+        worst = max(worst, dists[m])
+        b.pop(m)
+    return worst
+
+
+# few distinct coordinates, so that nearest neighbours often collide and
+# +-i kappa pairs with real parts +-1e-16 come up
+_COORD = st.sampled_from([0.0, 1e-16, -1e-16, 0.5, 1.0, -1.0]) | st.floats(-3.0, 3.0)
+_POINT = st.builds(complex, _COORD, _COORD)
+_SET_PAIRS = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(_POINT, min_size=n, max_size=n)] * 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(sets=_SET_PAIRS)
+# the nearest neighbour of both 0 and 0.1 is 0.05: the greedy fallback
+@example(sets=([0.0, 0.1], [0.05, 1.0]))
+# sorted by real part, the +-i pair would match i with -i
+@example(sets=([complex(1e-16, 1), complex(-1e-16, -1)],
+               [complex(-1e-16, 1), complex(1e-16, -1)]))
+def test_spectral_distance_is_the_greedy_matching(sets):
+    got = spectral_distance(*sets)
+    assert type(got) is float
+    assert got == _greedy_distance(*sets)
 
 
 def test_eigenvector_symmetric_mode():
