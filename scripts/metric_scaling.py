@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Time equivalent_hermitian against the chain length N.
+
+For each requested N, at gamma = gamma_c / 2 and J = 1: the seconds one
+equivalent_hermitian call takes and the largest distance of its Hermitian
+equivalent from the one built with LAPACK eigh in place of the Jacobi solver
+(the eigh-driven pipeline).  The last line is the log-log slope of time
+against N, the pipeline's measured N-scaling.
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from ptchain import ChainSpec, equivalent_hermitian, gamma_critical, metric
+
+
+def _eigh(sym, tol=None):
+    return np.linalg.eigh(sym)
+
+
+def _eigh_driven(spec: ChainSpec) -> np.ndarray:
+    jacobi = metric.jacobi_eigensystem
+    metric.jacobi_eigensystem = _eigh
+    try:
+        return equivalent_hermitian(spec).h_matrix
+    finally:
+        metric.jacobi_eigensystem = jacobi
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
+    args = ap.parse_args()
+    if len(args.sizes) < 2:
+        ap.error("--sizes needs at least two chain lengths for a slope")
+
+    print("n,seconds,eigh_distance")
+    seconds = []
+    for n in args.sizes:
+        spec = ChainSpec(n, 1.0, 0.5 * gamma_critical(n))
+        start = time.perf_counter()
+        got = equivalent_hermitian(spec).h_matrix
+        seconds.append(time.perf_counter() - start)
+        distance = float(np.max(np.abs(got - _eigh_driven(spec))))
+        print(f"{n},{seconds[-1]:.4f},{distance:.2e}")
+    slope = np.polyfit(np.log(args.sizes), np.log(seconds), 1)[0]
+    print(f"slope d(log seconds)/d(log N) = {slope:.2f}")
+
+
+if __name__ == "__main__":
+    main()

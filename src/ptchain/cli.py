@@ -109,7 +109,7 @@ def cmd_metric(args) -> int:
 
 def cmd_hermitian(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
-    block = equivalent_hermitian(spec).block_a
+    block = equivalent_hermitian(spec, args.tol).block_a
     rows = [(args.n, args.gamma, i + 1, j + 1, value)
             for i, line in enumerate(block.tolist()) for j, value in enumerate(line)]
     _emit(rows, ["n", "gamma", "i", "j", "lambda"], args,

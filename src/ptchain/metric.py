@@ -9,14 +9,16 @@ Pipeline (unbroken phase):
    site exchange for even N, the sign-twisted exchange (exchange o R) for odd
    N, where R|l> = (-1)^l |l>.
 3. Project the real eta onto the orthonormal parity basis
-   (e_l + s refl e_l)/|.| of each reflection sector s = +-1 and
-   Jacobi-diagonalize one sector block at a time, so every eigenvector has
-   exact parity.  Eigenvalues come in reciprocal pairs (eps, 1/eps) mapped
-   onto each other by R.  For even N, R swaps the two sectors, so only the
-   N/2 x N/2 + block is solved and R supplies the other half; for odd N, R
-   keeps each sector, whose blocks are sized (N-1)/2 and (N+1)/2.  Matrix
-   elements of the gauged H between equal-parity vectors vanish identically,
-   which is what makes the final block structure possible.
+   (e_l + s refl e_l)/|.| of each reflection sector s = +-1, and
+   Jacobi-diagonalize the sector blocks together, as one stack in one call,
+   so every eigenvector has exact parity.  Eigenvalues come in reciprocal
+   pairs (eps, 1/eps) mapped onto each other by R.  For even N, R swaps the
+   two sectors, so only the N/2 x N/2 + block is solved and R supplies the
+   other half; for odd N, R keeps each sector, whose blocks are sized
+   (N-1)/2 and (N+1)/2, and the smaller one is padded by a zero row and
+   column to stack with the larger.  Matrix elements of the gauged H between
+   equal-parity vectors vanish identically, which is what makes the final
+   block structure possible.
 4. Order the basis into two parity-uniform halves paired through R, scale by
    sqrt(eps_m/eps_n), and twist the second half by i.  The result is a real
    symmetric matrix with vanishing diagonal blocks: a bipartite hopping model
@@ -90,6 +92,13 @@ def gauge_real(eta: np.ndarray) -> np.ndarray:
     return gauged.real
 
 
+# Rows per block of the block-cyclic rounds, at most.  A matrix of at most
+# 2 * _BLOCK rows is solved by scalar rounds alone, as is every sector block
+# up to N = 64.  Of 8, 16 and 32, 16 measured fastest at N = 1024 and level
+# with 8 at N = 512.
+_BLOCK = 16
+
+
 def _round_robin(m: int) -> np.ndarray:
     """The m-1 rounds of m/2 disjoint index pairs that cover every pair once (m even).
 
@@ -103,54 +112,117 @@ def _round_robin(m: int) -> np.ndarray:
     return np.stack((players[:, : m // 2], players[:, ::-1][:, : m // 2]), axis=2)
 
 
+def _rotation_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat m x m indices of each round's (a_pp, a_qq, a_pq) and (pp, qq, pq, qp)."""
+    pairs = _round_robin(m)
+    p, q = pairs[..., 0], pairs[..., 1]
+    pp, qq, pq = p * (m + 1), q * (m + 1), p * m + q
+    return (np.concatenate((pp, qq, pq), axis=1),
+            np.concatenate((pp, qq, pq, q * m + p), axis=1))
+
+
+def _sweep(y: np.ndarray, rounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One sweep of round-robin rounds on a stack y = [a; V] of shape (k, 2m, m).
+
+    A round rotates its m/2 disjoint pairs of every stack entry at once, as
+    one dense rotation G: [a G; V G], then G^T (a G).  Each angle is the
+    small one, |phi| <= pi/4, that zeroes a[p, q], which is then set to
+    exactly 0; a pair with an exactly-zero a[p, q] is not rotated, so a zero
+    pad row never mixes in.  Returns the new stack.
+    """
+    k, m = y.shape[0], y.shape[2]
+    h = m // 2
+    read, write = rounds
+    g = np.zeros((k, m * m))
+    gm = g.reshape(k, m, m)
+    for r in range(m - 1):
+        v = y.reshape(k, -1)[:, read[r]]
+        d = v[:, h:2 * h] - v[:, :h]
+        phi = 0.5 * np.arctan2(v[:, 2 * h:] * np.copysign(2.0, d), np.abs(d))
+        c, s = np.cos(phi), np.sin(phi)
+        g.fill(0.0)
+        g[:, write[r]] = np.concatenate((c, c, s, -s), axis=1)
+        y = y @ gm
+        y[:, :m] = gm.transpose(0, 2, 1) @ y[:, :m]
+        y.reshape(k, -1)[:, write[r, m:]] = 0.0
+    return y
+
+
 def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
                        max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a real symmetric matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of real symmetric matrices.
 
-    Parallel-ordered Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)
-    69-84): each sweep runs the m-1 round-robin rounds of m/2 disjoint (p, q)
-    pairs, m = n rounded up to even; odd n gets one zero pad row and column.
-    Rotations on disjoint pairs commute and leave each other's (p, q) entries
-    alone, so a round applies all its rotations at once.  Each angle is the
-    small one, |phi| <= pi/4, and a pair with an exactly-zero a[p, q] is not
-    rotated, so the pad is never mixed in.  Sweeps run until the off-diagonal
-    Frobenius mass drops below `tol`.  Returns (values, vectors) with vectors
-    in columns.
+    `sym` is one n x n matrix or a stack (..., n, n) of them, solved together
+    in the same rounds.  Parallel-ordered Jacobi (Brent & Luk, SIAM J. Sci.
+    Stat. Comput. 6 (1985) 69-84): each sweep runs the round-robin rounds of
+    disjoint (p, q) pairs; rotations on disjoint pairs commute and leave each
+    other's (p, q) entries alone, so a round applies them all at once (see
+    `_sweep`).  Odd n gets one zero pad row and column.
+
+    Above 2 * _BLOCK rows, the rows are split into an even number of blocks
+    of at most _BLOCK rows (the last ones padded by zero rows), and a sweep
+    runs the round-robin rounds over blocks instead.  A block round takes
+    every block pair of the round, in every stack entry, through one sweep of
+    the scalar rounds as one stack, then applies each pair's accumulated
+    rotation to the rest of its rows and columns by matrix products.  So the
+    method stays scalar Jacobi, in a block-cyclic order: every rotation
+    zeroes one a[p, q], nothing is truncated, and the relative accuracy of
+    Jacobi (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13 (1992)
+    1204-1245) is kept.  Brent & Luk's ordering is that of the scalar rounds;
+    no proof cited here covers the block-cyclic order, whose convergence is
+    measured: 7-10 sweeps against the scalar rounds' 10-12 for sector blocks
+    of N = 256 and 512.
+
+    Sweeps run until the off-diagonal Frobenius mass of every stack entry
+    drops below `tol`.  Returns (values, vectors) with vectors in columns; a
+    zero row and column of the input come back with eigenvalue 0 and exactly
+    their unit vector.
     """
     a = np.asarray(sym, dtype=float)
-    n = a.shape[0]
-    if (a.shape != (n, n) or not np.allclose(
-            a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.linalg.norm(a))))):
+    n = a.shape[-1] if a.ndim else 0
+    if (a.ndim < 2 or a.shape[-2] != n or not np.all(
+            np.abs(a - a.swapaxes(-1, -2)) <= 1e-12 * np.maximum(
+                1.0, np.linalg.norm(a, axis=(-2, -1)))[..., None, None])):
         raise ValueError("input must be real symmetric")
-    m = n + n % 2
-    # x = [a | V^T]: a rotation G acts on the rows of both (G^T a, G^T V^T),
-    # and the column half of G^T a G is the same row rotation applied to a^T.
-    x = np.zeros((m, 2 * m))
-    x[:n, :n] = a
+    stack = a.reshape(-1, n, n)
+    k = stack.shape[0]
+    blocked = n > 2 * _BLOCK
+    if blocked:
+        # the fewest blocks of at most _BLOCK rows, in pairs: little padding
+        count = -(-n // (2 * _BLOCK)) * 2
+        size = -(-n // count)
+        m, span = count * size, 2 * size
+        blocks = (_round_robin(count)[..., None] * size + np.arange(size)).reshape(
+            count - 1, count // 2, span)
+        rounds = _rotation_indices(span)
+    else:
+        m = n + n % 2
+        rounds = _rotation_indices(m)
+    # x = [a; V], as in _sweep
+    x = np.zeros((k, 2 * m, m))
+    x[:, :n, :n] = stack
     x[:, m:] = np.eye(m)
-    a = x[:, :m]
-    a_t, diag = a.T, a.diagonal()
-    rounds = _round_robin(m)
     for _ in range(max_sweeps):
-        if np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2) < tol:
+        if np.all(np.sqrt(np.sum(np.tril(x[:, :m], -1) ** 2, axis=(1, 2)) * 2) < tol):
             break
-        for pairs in rounds:
-            p, q = pairs[:, 0], pairs[:, 1]
-            apq = a[p, q]
-            live = apq != 0.0
-            theta = (diag[q] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
-            t = np.where(live, np.copysign(
-                1.0 / (np.abs(theta) + np.hypot(theta, 1.0)), theta), 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
-            x[pairs] = rot @ x[pairs]
-            a_t[pairs] = rot @ a_t[pairs]
-            a[p, q] = a[q, p] = 0.0
+        if not blocked:
+            x = _sweep(x, rounds)
+            continue
+        for rows in blocks:
+            y = np.zeros((k, count // 2, 2 * span, span))
+            y[:, :, :span] = x[:, rows[:, :, None], rows[:, None, :]]
+            y[:, :, span:] = np.eye(span)
+            y = _sweep(y.reshape(-1, 2 * span, span), rounds).reshape(y.shape)
+            u = y[:, :, span:]
+            x[:, :, rows] = (x[:, :, rows].transpose(0, 2, 1, 3) @ u).transpose(0, 2, 1, 3)
+            x[:, rows] = u.transpose(0, 1, 3, 2) @ x[:, rows]
+            x[:, rows[:, :, None], rows[:, None, :]] = y[:, :, :span]
     else:
         raise NonConvergence(f"Jacobi sweeps exceeded {max_sweeps}")
-    order = np.argsort(diag[:n])
-    return diag[order], x[order, m:m + n].T
+    values = np.diagonal(x[:, :n, :n], axis1=1, axis2=2)
+    order = np.argsort(values, axis=-1)
+    return (np.take_along_axis(values, order, axis=-1).reshape(a.shape[:-1]),
+            np.take_along_axis(x[:, m:m + n, :n], order[:, None, :], axis=-1).reshape(a.shape))
 
 
 @dataclass(frozen=True)
@@ -187,46 +259,52 @@ def _sector_basis(refl: np.ndarray, s: float) -> np.ndarray:
 
 
 def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
-    # Deterministic gauge: each vector's first significant component is made
-    # non-negative.  Partners flip together so the pairing signs survive.
-    for i, partner in enumerate(pairing):
-        if partner < i:
-            continue
-        v = basis[:, i]
-        lead = v[np.nonzero(np.abs(v) > 1e-8)[0][0]]
-        if lead < 0:
-            basis[:, i] = -v
-            if partner != i:
-                basis[:, partner] = -basis[:, partner]
+    # Deterministic gauge: the first significant component of the earlier
+    # vector of each pair is made non-negative, and its partner flips with it
+    # so the pairing signs survive.
+    n = basis.shape[1]
+    lead = basis[np.argmax(np.abs(basis) > 1e-8, axis=0), np.arange(n)]
+    basis *= np.where(lead[np.minimum(np.arange(n), pairing)] < 0, -1.0, 1.0)
 
 
 def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
     eta_real is projected onto the orthonormal parity basis (e_l + s refl e_l)/|.|
-    of each reflection sector s = +-1 and diagonalized one sector block at a
-    time, so every eigenvector has exact parity.  Even N: only the + block
-    (N/2 x N/2) is solved; it is the first half (descending eigenvalue) and R
-    maps it onto the - sector with reciprocal eigenvalues, which is the second
-    half.  Odd N: R preserves the sectors, so each block, sized (N-1)/2 and
-    (N+1)/2, is its own half: eps > 1 (descending), the self-paired eps = 1
-    vector of the odd-sized block, then the R-partners of the eps > 1 vectors.
-    Every R-partner is checked against eta through its Rayleigh quotient, to
-    PAIRING_TOL.
+    of each reflection sector s = +-1, and the sector blocks are diagonalized
+    together by one `jacobi_eigensystem` call, so every eigenvector has exact
+    parity.  Even N: only the + block (N/2 x N/2) is solved; it is the first
+    half (descending eigenvalue) and R maps it onto the - sector with
+    reciprocal eigenvalues, which is the second half.  Odd N: R preserves the
+    sectors, so each block, sized (N-1)/2 and (N+1)/2, is its own half:
+    eps > 1 (descending), the self-paired eps = 1 vector of the odd-sized
+    block, then the R-partners of the eps > 1 vectors.  Every R-partner is
+    checked against eta through its Rayleigh quotient, to PAIRING_TOL.
     """
     n = eta_real.shape[0]
     refl = reflection_matrix(n)
     r = alternating_matrix(n)
-    jacobi_tol = 1e-14 * max(1.0, float(np.linalg.norm(eta_real)))
-
-    def sector_solve(s: float) -> tuple[np.ndarray, np.ndarray]:
-        p = _sector_basis(refl, s)
-        w, u = jacobi_eigensystem(p.T @ eta_real @ p, tol=jacobi_tol)
-        return w[::-1], p @ u[:, ::-1]
+    # Both sector blocks in one stack; the smaller one of odd N gets a zero
+    # pad row and column, whose eigenvector is exactly its unit vector.
+    bases = [_sector_basis(refl, s) for s in ((1.0,) if n % 2 == 0 else (1.0, -1.0))]
+    size = max(p.shape[1] for p in bases)
+    stack = np.zeros((len(bases), size, size))
+    for block, p in zip(stack, bases):
+        block[: p.shape[1], : p.shape[1]] = p.T @ eta_real @ p
+    # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
+    # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
+    values, vectors = jacobi_eigensystem(
+        stack, tol=1e-15 * max(1.0, float(np.linalg.norm(eta_real))))
+    sectors = []
+    for p, w, u in zip(bases, values, vectors):
+        keep = np.arange(size)[::-1]  # descending eigenvalue
+        if p.shape[1] < size:  # drop the pad's eigenpair, found by its vector
+            keep = keep[keep != np.argmax(np.abs(u[-1]))]
+        sectors.append((w[keep], p @ u[: p.shape[1], keep]))
 
     h = n // 2
     if n % 2 == 0:
-        w, v = sector_solve(1.0)
+        w, v = sectors[0]
         basis = np.hstack((v, r @ v[:, ::-1]))
         eps = np.concatenate((w, 1.0 / w[::-1]))
         pairing = tuple(range(n - 1, -1, -1))
@@ -234,8 +312,7 @@ def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
         # The self-paired eps = 1 vector lives in the odd-sized sector; the
         # other eigenvalues pair up inside their own sector.
         halves = []
-        for w, v in sorted((sector_solve(s) for s in (1.0, -1.0)),
-                           key=lambda e: e[0].size):
+        for w, v in sorted(sectors, key=lambda e: e[0].size):
             odd = w.size % 2 == 1
             single = int(np.argmin(np.abs(w - 1.0)))
             if (abs(w[single] - 1.0) <= 1e-8) != odd:
@@ -316,19 +393,22 @@ def _at_floor(spec: ChainSpec) -> ChainSpec:
     return ChainSpec(spec.n_sites, spec.hopping, max(spec.gamma, GAMMA_FLOOR))
 
 
-def metric_decomposition(spec: ChainSpec) -> MetricDecomposition:
+def metric_decomposition(spec: ChainSpec, tol: float = 1e-12) -> MetricDecomposition:
     """Full pipeline from a chain spec to the canonical metric eigensystem.
 
-    Below GAMMA_FLOOR the metric is fully degenerate (eta -> identity), so the
+    `tol` is the Bethe root tolerance of `build_eigenbasis`.  Below
+    GAMMA_FLOOR the metric is fully degenerate (eta -> identity), so the
     canonical basis is taken from the continuity limit: the pipeline runs at
     gamma = GAMMA_FLOOR instead.
     """
-    return canonical_basis(gauge_real(build_metric(build_eigenbasis(_at_floor(spec)))))
+    return canonical_basis(gauge_real(build_metric(build_eigenbasis(_at_floor(spec), tol))))
 
 
-def equivalent_hermitian(spec: ChainSpec) -> HermitianEquivalent:
+def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-12) -> HermitianEquivalent:
     """Equivalent Hermitian Hamiltonian of the chain (unbroken phase).
 
-    Like `metric_decomposition`, it runs at gamma = GAMMA_FLOOR below the floor.
+    Like `metric_decomposition`, which `tol` is passed to, it runs at
+    gamma = GAMMA_FLOOR below the floor.
     """
-    return hermitian_equivalent(metric_decomposition(spec), build_hamiltonian(_at_floor(spec)))
+    return hermitian_equivalent(metric_decomposition(spec, tol),
+                                build_hamiltonian(_at_floor(spec)))

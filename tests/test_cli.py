@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ptchain import states
 from ptchain.cli import main
 
 REF_COUPLINGS_7_050 = [0.5703, 0.9731, 0.3089, 0.0883, 0.2039, 1.2075]
@@ -257,6 +258,20 @@ def test_hermitian_command_matches_couplings(capsys):
     mags = sorted(abs(float(ln.split(",")[4])) for ln in lines[1:])
     expected = sorted(np.repeat(REF_COUPLINGS_7_050, 2))
     assert np.max(np.abs(np.array(mags) - expected)) < 2e-4
+
+
+@pytest.mark.parametrize("command", ["metric", "hermitian"])
+def test_tol_reaches_the_bethe_solver(capsys, monkeypatch, command):
+    seen = []
+    solve = states.solve_real_momenta
+
+    def spy(spec, tol):
+        seen.append(tol)
+        return solve(spec, tol)
+
+    monkeypatch.setattr(states, "solve_real_momenta", spy)
+    code, _, _ = run(capsys, command, "--n", "7", "--gamma", "0.5", "--tol", "1e-7")
+    assert (code, seen) == (0, [1e-7])
 
 
 def test_metric_command_schema(capsys):

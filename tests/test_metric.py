@@ -150,13 +150,142 @@ def test_jacobi_sweep_budget_exhausted():
         jacobi_eigensystem(a + a.T, max_sweeps=1)
 
 
+def test_jacobi_block_path_sweep_budget_exhausted():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(2 * metric._BLOCK + 8,) * 2)
+    with pytest.raises(NonConvergence):
+        jacobi_eigensystem(a + a.T, max_sweeps=2)
+
+
+def _random_stack(sizes, n, seed):
+    # one symmetric matrix per size, zero-padded to n x n
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((len(sizes), n, n))
+    for block, size in zip(stack, sizes):
+        a = rng.normal(size=(size, size))
+        block[:size, :size] = a + a.T
+    return stack
+
+
+@pytest.mark.parametrize("n", [7, 16, 2 * metric._BLOCK + 7])
+def test_jacobi_stack_matches_each_member_and_eigh(n):
+    stack = _random_stack([n, n, n], n, seed=n)
+    w, v = jacobi_eigensystem(stack)
+    assert w.shape == (3, n) and v.shape == (3, n, n)
+    for a, w_k, v_k in zip(stack, w, v):
+        bound = 1e-12 * np.linalg.norm(a)
+        _assert_eigensystem(a, w_k, v_k, bound)
+        assert np.max(np.abs(w_k - jacobi_eigensystem(a)[0])) <= bound
+
+
+@pytest.mark.parametrize("n", [9, 2 * metric._BLOCK + 1, 3 * metric._BLOCK + 2])
+def test_jacobi_pad_rows_come_back_as_unit_vectors(n):
+    # the smaller member carries one zero pad row and column, as in
+    # canonical_basis; its eigenpair is exactly (0, e_pad)
+    stack = _random_stack([n - 1, n], n, seed=n)
+    w, v = jacobi_eigensystem(stack)
+    pad = np.flatnonzero(v[0, -1])
+    assert pad.size == 1 and v[0, -1, pad[0]] in (1.0, -1.0) and w[0, pad[0]] == 0.0
+    assert np.count_nonzero(v[0, :, pad[0]]) == 1
+    rest = np.delete(np.arange(n), pad[0])
+    _assert_eigensystem(stack[0, :-1, :-1], w[0][rest], v[0][:-1][:, rest],
+                        1e-12 * np.linalg.norm(stack[0]))
+
+
+@pytest.mark.parametrize("n", [2 * metric._BLOCK + 1, 3 * metric._BLOCK,
+                               4 * metric._BLOCK + 1])
+def test_jacobi_block_path_matches_eigh(n):
+    assert n > 2 * metric._BLOCK  # solved by block rounds
+    stack = _random_stack([n, n], n, seed=n)
+    for a, w, v in zip(stack, *jacobi_eigensystem(stack)):
+        _assert_eigensystem(a, w, v, 1e-12 * np.linalg.norm(a))
+
+
+def _scalar_jacobi(sym, tol):
+    # The one-matrix solver this module had before the stacked and block
+    # rounds, kept verbatim as the reference for relative accuracy.
+    a = np.asarray(sym, dtype=float)
+    n = a.shape[0]
+    m = n + n % 2
+    x = np.zeros((m, 2 * m))
+    x[:n, :n] = a
+    x[:, m:] = np.eye(m)
+    a = x[:, :m]
+    a_t, diag = a.T, a.diagonal()
+    rounds = metric._round_robin(m)
+    for _ in range(100):
+        if np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2) < tol:
+            break
+        for pairs in rounds:
+            p, q = pairs[:, 0], pairs[:, 1]
+            apq = a[p, q]
+            live = apq != 0.0
+            theta = (diag[q] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
+            t = np.where(live, np.copysign(
+                1.0 / (np.abs(theta) + np.hypot(theta, 1.0)), theta), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
+            x[pairs] = rot @ x[pairs]
+            a_t[pairs] = rot @ a_t[pairs]
+            a[p, q] = a[q, p] = 0.0
+    else:
+        raise NonConvergence("reference Jacobi did not converge")
+    order = np.argsort(diag[:n])
+    return diag[order], x[order, m:m + n].T
+
+
+@pytest.mark.parametrize("n", [12, 3 * metric._BLOCK])
+def test_jacobi_keeps_small_eigenvalues_of_a_graded_matrix(n):
+    # D A D with A well conditioned and D from 1e-8 to 1: the eigenvalues run
+    # from about 1e-16 to 1, and Jacobi fixes each to a few ulps of itself.
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=(n, n))
+    d = np.logspace(-8, 0, n)
+    a = d[:, None] * (b @ b.T / n + np.eye(n)) * d[None, :]
+    got = jacobi_eigensystem(a, tol=1e-30)[0]
+    want = _scalar_jacobi(a, tol=1e-30)[0]
+    assert want[0] < 1e-15
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+def _fix_pair_signs_loop(basis, pairing):
+    # the per-pair loop that _fix_pair_signs replaces
+    for i, partner in enumerate(pairing):
+        if partner < i:
+            continue
+        v = basis[:, i]
+        lead = v[np.nonzero(np.abs(v) > 1e-8)[0][0]]
+        if lead < 0:
+            basis[:, i] = -v
+            if partner != i:
+                basis[:, partner] = -basis[:, partner]
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 33])
+def test_fix_pair_signs_matches_the_loop(n):
+    rng = np.random.default_rng(n)
+    h = n // 2
+    pairing = tuple(range(h - 1, -1, -1)) + tuple(range(n - 1, h - 1, -1)) \
+        if n % 2 else tuple(range(n - 1, -1, -1))
+    for _ in range(20):
+        basis = rng.normal(size=(n, n))
+        basis[: rng.integers(n), :] *= 1e-9  # leads below the 1e-8 cut
+        basis[:-1, rng.integers(n)] = -0.0  # a flip must turn these into +0.0
+        got, want = basis.copy(), basis.copy()
+        metric._fix_pair_signs(got, pairing)
+        _fix_pair_signs_loop(want, pairing)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_jacobi_rejects_relative_asymmetry():
     # within numpy's default rtol=1e-5 of symmetric, but 5e-6 off in absolute terms
     with pytest.raises(ValueError):
         jacobi_eigensystem(np.array([[3.0, 1.0], [1.0 + 5e-6, 2.0]]))
 
 
-@pytest.mark.parametrize("n", [9, 30, 56, 64])
+@pytest.mark.parametrize("n", [9, 30, 56, 64, 128, 256])
 @pytest.mark.parametrize("frac", [0.3, 0.95])
 def test_equivalent_hermitian_against_eigh_driven_pipeline(n, frac, monkeypatch):
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
@@ -208,20 +337,26 @@ def test_canonical_basis_rejects_a_non_reciprocal_metric():
         canonical_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
 
 
-def test_metric_is_solved_one_reflection_sector_at_a_time(monkeypatch):
-    sizes = []
+def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
+    stacks = []
     solve = metric.jacobi_eigensystem
 
     def spy(sym, *args, **kwargs):
-        sizes.append(sym.shape[0])
+        stacks.append(sym.copy())
         return solve(sym, *args, **kwargs)
 
     monkeypatch.setattr(metric, "jacobi_eigensystem", spy)
     for n in range(2, 65):
-        sizes.clear()
+        stacks.clear()
         metric_decomposition(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
+        assert len(stacks) == 1, n
         want = [n // 2] if n % 2 == 0 else [(n - 1) // 2, (n + 1) // 2]
-        assert sorted(sizes) == want, (n, sizes)
+        size = max(want)
+        assert stacks[0].shape == (len(want), size, size), n
+        # each block is nonzero exactly on its sector's rows and columns
+        got = sorted(int(np.count_nonzero(np.any(block != 0.0, axis=0)))
+                     for block in stacks[0])
+        assert got == want, (n, got)
 
 
 def test_gamma_zero_canonical_basis_is_continuous_limit():
