@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from ptchain import (ChainSpec, build_eigenbasis, build_hamiltonian,
                      build_metric, canonical_basis, equivalent_hermitian,
                      gamma_critical, gauge_real, hermitian_equivalent,
                      jacobi_eigensystem, metric, metric_decomposition)
-from ptchain.errors import DegeneracyError, GaugeError, NonConvergence, PhaseError
-from ptchain.metric import reflection_matrix
+from ptchain.errors import (DegeneracyError, GaugeError, NonConvergence, PhaseError,
+                             StructureError)
+from ptchain.metric import _sector_basis, reflection_matrix
 
 GRID = [(n, frac) for n in (2, 3, 5, 7, 8, 11, 12) for frac in (0.3, 0.6, 0.9)]
 
@@ -337,6 +340,37 @@ def test_canonical_basis_rejects_a_non_reciprocal_metric():
         canonical_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
 
 
+def _sector_metric(n, plus, minus, turn=0.0):
+    """eta with eigenvalues `plus` and `minus` on the parity bases of the + and - sectors.
+
+    `turn` first rotates the two leading - basis vectors into each other; at
+    N = 5 these are (e_1 + e_5)/sqrt 2, odd under R, and (e_2 - e_4)/sqrt 2, even.
+    """
+    refl = reflection_matrix(n)
+    p, m = _sector_basis(refl, 1.0), _sector_basis(refl, -1.0)
+    if turn:
+        c, s = np.cos(turn), np.sin(turn)
+        m[:, :2] = m[:, :2] @ np.array([[c, -s], [s, c]])
+    return p @ np.diag(plus) @ p.T + m @ np.diag(minus) @ m.T
+
+
+@pytest.mark.parametrize("n,plus,minus,turn,match", [
+    (3, [3.0, 1 / 3], [2.0], 0.0, "self-paired eigenvalue missing from a sector of size 1"),
+    (5, [1.0, 1.0], [2.0, 1.0, 0.5], 0.0, "self-paired eigenvalue found in a sector of size 2"),
+    (5, [3.0, 2.0], [2.0, 1.0, 0.5], 0.0, "reciprocal pairs unbalanced inside a sector"),
+    (5, [3.0, 1 / 3], [2.0, 1.0, 3.0], 0.0, "reciprocal pairs unbalanced inside a sector"),
+    # the eps = 1 vector mixes an R-odd and an R-even vector: <R> = 0
+    (5, [3.0, 1 / 3], [1.0, 2.0, 0.5], np.pi / 4,
+     "self-paired vector is not an R eigenvector"),
+])
+def test_canonical_basis_rejects_a_broken_sector_structure(n, plus, minus, turn, match):
+    eta = _sector_metric(n, plus, minus, turn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match=match):
+            canonical_basis(eta)
+
+
 def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
     stacks = []
     solve = metric.jacobi_eigensystem
@@ -414,13 +448,26 @@ def test_hermitian_equivalent_structure(n, frac):
 
 
 def test_hermitian_equivalent_structure_error_path():
-    from ptchain.errors import StructureError
     spec = ChainSpec(6, 1.0, 0.5)
     decomp = metric_decomposition(spec)
     # a real diagonal offset survives the gauge and pollutes the diagonal blocks
     shifted = build_hamiltonian(spec) + 0.5 * np.eye(6)
     with pytest.raises(StructureError):
         hermitian_equivalent(decomp, shifted)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_hermitian_equivalent_rejects_a_real_gauged_coupling(n):
+    # gauged, an imaginary hopping is real: it stays out of the diagonal
+    # blocks, but no real bipartite matrix can carry it
+    spec = ChainSpec(n, 1.0, 0.5)
+    decomp = metric_decomposition(spec)
+    hop = np.eye(n, k=1) + np.eye(n, k=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError, match="residue 1.4") as err:
+            hermitian_equivalent(decomp, build_hamiltonian(spec) + 1e-3j * hop)
+    assert "diagonal" not in str(err.value)
 
 
 @pytest.mark.parametrize("n", [7, 8])
