@@ -487,7 +487,9 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
                           tol: float = 1e-6) -> float:
     """gamma_c by bisection on the real-root count (N above, N-2 below).
 
-    Independent of the closed-form boundary; agrees with it to `tol`.
+    Independent of the closed-form boundary; agrees with it to `tol`, or to
+    the float spacing at gamma_c where that is coarser (large J): the
+    bisection stops once the midpoint is one of the bracket's ends.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -501,6 +503,8 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
         raise NonConvergence("root-count bracket invalid; model assumptions broken")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if is_unbroken(mid):
             lo = mid
         else:

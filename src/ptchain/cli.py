@@ -175,6 +175,11 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
 
 
 def cmd_verify(args) -> int:
+    # checked before the first line is written: an error leaves no output
+    if args.n_max < 2:
+        raise ValueError("--n-max must be at least 2")
+    if not args.tol > 0:
+        raise ValueError("tol must be positive")
     failures = 0
     for check, n, ok in _verify_checks(args.n_max, args.j, args.tol):
         sys.stdout.write(f"{check},{n},{'pass' if ok else 'FAIL'}\n")

@@ -19,10 +19,17 @@ Pipeline (unbroken phase):
    column to stack with the larger.  Matrix elements of the gauged H between
    equal-parity vectors vanish identically, which is what makes the final
    block structure possible.
-4. Order the basis into two parity-uniform halves paired through R, scale by
-   sqrt(eps_m/eps_n), and twist the second half by i.  The result is a real
-   symmetric matrix with vanishing diagonal blocks: a bipartite hopping model
-   whose hopping amplitudes are the lambda table.
+4. One rule orders the basis for both parities: each solved sector, with
+   eigenvalues descending, contributes its leading vectors, then their
+   R-partners in reverse, and each column pairs with its mirror inside the
+   sector's columns.  For even N the whole + sector leads; for odd N the
+   eps > 1 vectors of each sector lead, plus the self-paired eps = 1 vector
+   in the middle of the odd-sized sector.  This gives two parity-uniform
+   halves, the sectors' columns for odd N.  In this basis, scaled by
+   sqrt(eps_m/eps_n), the gauged H is imaginary with vanishing diagonal
+   blocks; twisting the second half by i is a sign on its imaginary part,
+   which leaves a real symmetric matrix: a bipartite hopping model whose
+   hopping amplitudes are the lambda table.
 """
 
 from __future__ import annotations
@@ -231,8 +238,8 @@ class MetricDecomposition:
 
     `basis` holds real orthonormal columns ordered into the two parity-uniform
     halves; `eigenvalues` follows the same order; `pairing[i] = j` means
-    basis[:, i] is R basis[:, j] up to sign (the middle column of odd N pairs
-    with itself).
+    basis[:, i] is R basis[:, j] up to sign (for odd N, the column in the
+    middle of the odd-sized sector's columns pairs with itself).
     """
 
     eigenvalues: np.ndarray
@@ -273,97 +280,89 @@ def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
     eta_real is projected onto the orthonormal parity basis (e_l + s refl e_l)/|.|
     of each reflection sector s = +-1, and the sector blocks are diagonalized
     together by one `jacobi_eigensystem` call, so every eigenvector has exact
-    parity.  Even N: only the + block (N/2 x N/2) is solved; it is the first
-    half (descending eigenvalue) and R maps it onto the - sector with
-    reciprocal eigenvalues, which is the second half.  Odd N: R preserves the
-    sectors, so each block, sized (N-1)/2 and (N+1)/2, is its own half:
-    eps > 1 (descending), the self-paired eps = 1 vector of the odd-sized
-    block, then the R-partners of the eps > 1 vectors.  Every R-partner is
-    checked against eta through its Rayleigh quotient, to PAIRING_TOL.
+    parity.  One rule then orders the basis: each solved sector, smaller
+    first, with eigenvalues descending, contributes its leading vectors and
+    then their R-partners s R v in reverse, so each column pairs with its
+    mirror inside the sector's columns.  Even N: R maps the + sector onto the
+    - sector with reciprocal eigenvalues, so only the + block (N/2 x N/2) is
+    solved and all its vectors lead.  Odd N: R keeps each sector, sized
+    (N-1)/2 and (N+1)/2; its leading vectors are those with eps > 1 and, in
+    the odd-sized - sector, the self-paired eps = 1 vector, whose R
+    eigenvalue must be -1 (the trace of R on that sector).  Every R-partner
+    is checked against eta through its Rayleigh quotient, to PAIRING_TOL.
     """
     n = eta_real.shape[0]
     refl = reflection_matrix(n)
     r = alternating_matrix(n)
+    signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
+    # the smaller sector of odd N first: its columns are the first half
+    sectors = sorted(((s, _sector_basis(refl, s)) for s in signs), key=lambda e: e[1].shape[1])
     # Both sector blocks in one stack; the smaller one of odd N gets a zero
-    # pad row and column, whose eigenvector is exactly its unit vector.
-    bases = [_sector_basis(refl, s) for s in ((1.0,) if n % 2 == 0 else (1.0, -1.0))]
-    size = max(p.shape[1] for p in bases)
-    stack = np.zeros((len(bases), size, size))
-    for block, p in zip(stack, bases):
+    # pad row and column, whose eigenpair is exactly (0, its unit vector).
+    size = sectors[-1][1].shape[1]
+    stack = np.zeros((len(sectors), size, size))
+    for block, (_, p) in zip(stack, sectors):
         block[: p.shape[1], : p.shape[1]] = p.T @ eta_real @ p
     # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
     # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
     values, vectors = jacobi_eigensystem(
         stack, tol=1e-15 * max(1.0, float(np.linalg.norm(eta_real))))
-    sectors = []
-    for p, w, u in zip(bases, values, vectors):
-        keep = np.arange(size)[::-1]  # descending eigenvalue
-        if p.shape[1] < size:  # drop the pad's eigenpair, found by its vector
-            keep = keep[keep != np.argmax(np.abs(u[-1]))]
-        sectors.append((w[keep], p @ u[: p.shape[1], keep]))
 
-    h = n // 2
-    if n % 2 == 0:
-        w, v = sectors[0]
-        basis = np.hstack((v, r @ v[:, ::-1]))
-        eps = np.concatenate((w, 1.0 / w[::-1]))
-        pairing = tuple(range(n - 1, -1, -1))
-    else:
-        # The self-paired eps = 1 vector lives in the odd-sized sector; the
-        # other eigenvalues pair up inside their own sector.
-        halves = []
-        for w, v in sorted(sectors, key=lambda e: e[0].size):
-            odd = w.size % 2 == 1
+    cols, eps, pairing = [], [], ()
+    for (s, p), w, u in zip(sectors, values, vectors):
+        k = p.shape[1]
+        # descending eigenvalue; a pad's eigenvalue 0 is the smallest of a
+        # positive eta, so the first k are the sector's own
+        w, v = w[::-1][:k], p @ u[:k, ::-1][:, :k]
+        if not w[-1] > 0:
+            raise DegeneracyError("metric is not positive definite")
+        ups, mid = list(range(k)), []
+        if n % 2:
             single = int(np.argmin(np.abs(w - 1.0)))
-            if (abs(w[single] - 1.0) <= 1e-8) != odd:
+            mid = [single] if abs(w[single] - 1.0) <= 1e-8 else []
+            if len(mid) != k % 2:
                 raise DegeneracyError(
-                    f"self-paired eigenvalue {'missing from' if odd else 'found in'} "
-                    f"a sector of size {w.size}")
-            rest = [i for i in range(w.size) if not (odd and i == single)]
-            ups = [i for i in rest if w[i] > 1.0]
-            if 2 * len(ups) != len(rest):
+                    f"self-paired eigenvalue {'missing from' if k % 2 else 'found in'} "
+                    f"a sector of size {k}")
+            ups = [i for i in range(k) if w[i] > 1.0 and i not in mid]
+            if 2 * len(ups) + len(mid) != k:
                 raise DegeneracyError("reciprocal pairs unbalanced inside a sector")
-            halves.append((w, v, ups, [single] if odd else []))
-
-        s_vec = next(v[:, mid[0]] for _, v, _, mid in halves if mid)
-        sigma = float(s_vec @ r @ s_vec)
-        if abs(abs(sigma) - 1.0) > PAIRING_TOL:
+            sigma = float(v[:, single] @ r @ v[:, single])
+            if mid and abs(sigma - s) > PAIRING_TOL:
+                raise DegeneracyError(
+                    f"self-paired vector is not an R eigenvector of eigenvalue -1 ({sigma:.3f})")
+        lead, back = ups + mid, ups[::-1]
+        # The partners are s R v, the sign that makes the coupling block
+        # reflection-symmetric.  Each is checked against 1/eps of its leader
+        # through its Rayleigh quotient, one diagonal of (RV)^T eta (RV).
+        partners = s * (r @ v[:, back])
+        rec = np.einsum("ij,ij->j", partners, eta_real @ partners)
+        bad = np.flatnonzero(~(np.abs(w[back] * rec - 1.0) <= PAIRING_TOL))  # NaN never passes
+        if bad.size:
             raise DegeneracyError(
-                f"self-paired vector is not an R eigenvector ({sigma:.3f})")
-        # Partner-sign convention that makes the coupling block reflection-symmetric:
-        # the singleton's half uses sigma, the other half -sigma.
-        sigma = 1.0 if sigma > 0 else -1.0
-        cols, eps = [], []
-        for w, v, ups, mid in halves:
-            sign = sigma if mid else -sigma
-            cols += [v[:, ups + mid], sign * (r @ v[:, ups[::-1]])]
-            eps += [w[ups + mid], 1.0 / w[ups[::-1]]]
-        basis, eps = np.hstack(cols), np.concatenate(eps)
-        pairing = tuple(range(h - 1, -1, -1)) + tuple(range(n - 1, h - 1, -1))
-
-    # Each R-partner is the later column of its pair: one diagonal of
-    # (RV)^T eta (RV) checks them all against 1/eps of the earlier one.
-    later = [j for j, i in enumerate(pairing) if j > i]
-    rv = basis[:, later]
-    rec = np.einsum("ij,ij->j", rv, eta_real @ rv)
-    w = eps[[pairing[j] for j in later]]
-    bad = np.flatnonzero(~(np.abs(w * rec - 1.0) <= PAIRING_TOL))  # NaN never passes
-    if bad.size:
-        raise DegeneracyError(
-            f"reciprocal pairing failed: eps={w[bad[0]]:.6g}, R-partner "
-            f"Rayleigh quotient {rec[bad[0]]:.6g}")
+                f"reciprocal pairing failed: eps={w[back][bad[0]]:.6g}, R-partner "
+                f"Rayleigh quotient {rec[bad[0]]:.6g}")
+        start = len(pairing)
+        pairing += tuple(range(start + len(lead) + len(back) - 1, start - 1, -1))
+        cols += [v[:, lead], partners]
+        eps += [w[lead], 1.0 / w[back]]
+    basis = np.hstack(cols)
     _fix_pair_signs(basis, pairing)
-    return MetricDecomposition(eps, basis, pairing, h)
+    return MetricDecomposition(np.concatenate(eps), basis, pairing, n // 2)
 
 
 def hermitian_equivalent(decomp: MetricDecomposition,
                          hamiltonian: np.ndarray) -> HermitianEquivalent:
     """Real symmetric block-anti-diagonal equivalent of the (site-basis) Hamiltonian.
 
-    Forms sqrt(eps_m/eps_n) <eps_m|H|eps_n> in the canonical basis of the
-    gauged metric and twists the second half by i, which renders the matrix
-    real with vanishing diagonal blocks.  Raises StructureError when the
-    diagonal-block residue exceeds 1e-6 (an ordering/sign convention failure).
+    Forms pre = sqrt(eps_m/eps_n) <eps_m|H|eps_n> in the canonical basis of
+    the gauged metric.  The gauged H is i times a real matrix, and matrix
+    elements between equal-parity vectors vanish, so pre is imaginary with
+    empty diagonal blocks.  Twisting the second half by i makes it real: the
+    coupling block is -Im(pre) above the diagonal blocks and Im(pre) below.
+    Raises StructureError when the diagonal-block residue or the real part
+    of pre exceeds 1e-6 (an ordering/sign convention failure, or a
+    Hamiltonian that is not of this model's form).
     """
     n = decomp.basis.shape[0]
     d = _gauge_phases(n)
@@ -377,14 +376,13 @@ def hermitian_equivalent(decomp: MetricDecomposition,
                      float(np.max(np.abs(pre[h:, h:]))))
     if diag_resid > 1e-6:
         raise StructureError(f"diagonal-block residue {diag_resid:.2e}")
+    real_resid = float(np.max(np.abs(pre.real)))
+    if real_resid > 1e-6:
+        raise StructureError(f"real residue {real_resid:.2e} of the gauged couplings")
 
-    twist = 1j ** np.concatenate([np.zeros(h, dtype=int), np.ones(n - h, dtype=int)])
-    full = np.conj(twist)[:, None] * pre * twist[None, :]
-    imag_resid = float(np.max(np.abs(full.imag)))
-    if imag_resid > 1e-6:
-        raise StructureError(f"imaginary residue {imag_resid:.2e} after phase twist")
-
-    h_matrix = full.real  # diagonal-block residues kept; callers assert on them
+    h_matrix = np.zeros((n, n))
+    h_matrix[:h, h:] = -pre[:h, h:].imag
+    h_matrix[h:, :h] = pre[h:, :h].imag
     return HermitianEquivalent(h_matrix=h_matrix, block_a=h_matrix[:h, h:].copy(),
                                sublattice_sizes=(h, n - h))
 

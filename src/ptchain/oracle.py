@@ -48,32 +48,43 @@ _FREEZE_STEP = 1e-6
 def char_poly_ratio(spec: ChainSpec, x):
     """D_N(x) / D_N'(x) by end-site expansion and transfer-matrix doubling.
 
-    Elementwise on an array of points; a scalar gives a complex.  The ratio is
-    all Newton and Aberth need: it is unchanged by the common rescaling of
-    (P_k, P_{k-1}, P_k', P_{k-1}') that keeps them in range for any N and J.
+    Elementwise on an array of points; a scalar gives a complex.  The chain
+    with hopping J has D_N(x) = J^N D_N(x/J) of the unit chain (J = 1,
+    gamma/J), so the ratio is J times the unit chain's at x/J, which keeps
+    J^2 and every power of J out of the arithmetic for any J.
     """
-    m, jj = spec.n_sites - 2, spec.hopping ** 2
-    x = np.asarray(x, dtype=complex)
+    j = spec.hopping
+    return j * _unit_ratio(spec.n_sites, spec.gamma / j, np.asarray(x, dtype=complex) / j)
+
+
+def _unit_ratio(n: int, gamma: float, x: np.ndarray):
+    """D_N(x) / D_N'(x) of the unit chain (J = 1) at the complex points x.
+
+    The ratio is all Newton and Aberth need: it is unchanged by the common
+    rescaling of (P_k, P_{k-1}, P_k', P_{k-1}') that keeps them in range for
+    any N.
+    """
+    m = n - 2
     one, zero = np.ones_like(x), np.zeros_like(x)
     # (P_k, P_{k-1}, P_k', P_{k-1}') at k = 1, or at k = 0 when N = 2
     p, q, dp, dq = (-x, one, -one, zero) if m else (one, zero, zero, zero)
     for bit in bin(m)[3:]:  # k -> 2k, then k -> k + 1 on a set bit
         s = 2 * p + x * q
-        p, q, dp, dq = (p * p - jj * q * q, s * q, 2 * (p * dp - jj * q * dq),
+        p, q, dp, dq = (p * p - q * q, s * q, 2 * (p * dp - q * dq),
                         (2 * dp + q + x * dq) * q + s * dq)
         if bit == "1":
-            p, q, dp, dq = -x * p - jj * q, p, -p - x * dp - jj * dq, dp
+            p, q, dp, dq = -x * p - q, p, -p - x * dp - dq, dp
         # squaring doubles the exponent: rescale before it can leave the range
         big = np.maximum(np.maximum(np.abs(p), np.abs(q)),
                          np.maximum(np.abs(dp), np.abs(dq)))
         if not 1e-100 <= big.min() <= big.max() <= 1e100:
             big = np.where((big < 1e-100) | (big > 1e100), big, 1.0)
             p, q, dp, dq = p / big, q / big, dp / big, dq / big
-    c = x * x + (spec.gamma ** 2 - jj)
-    d_prime = 2 * x * p + c * dp + jj * (q + x * dq)
+    c = x * x + (gamma ** 2 - 1.0)
+    d_prime = 2 * x * p + c * dp + (q + x * dq)
     if np.any(d_prime == 0):
         raise NonConvergence("vanishing derivative in recurrence Newton")
-    return (c * p + jj * x * q) / d_prime
+    return (c * p + x * q) / d_prime
 
 
 def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -112,6 +123,12 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
 
 
+def _unit_roots(spec: ChainSpec, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Aberth on the unit chain (J = 1, gamma/J) from seeds in units of J; roots times J."""
+    j, gamma = spec.hopping, spec.gamma / spec.hopping
+    return j * _aberth(lambda z: _unit_ratio(spec.n_sites, gamma, z), seeds, tol, max_iter)
+
+
 def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:
     """All N eigenvalues, seeded at the free-chain levels -2J cos(m pi/(N+1)).
 
@@ -120,18 +137,18 @@ def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:
     Real seeds would stay on the real axis, where D_N is real.  Aberth keeps
     the symmetry z -> -conj(z) of D_N's roots in any seed set that has it;
     a purely imaginary offset keeps it too, and takes up to 49 iterations
-    where this one takes 31.
+    where this one takes 31.  The roots are those of the unit chain (J = 1,
+    gamma/J) times J, so `tol` is relative to max(J, |E|).
     """
-    n, j = spec.n_sites, spec.hopping
-    seeds = -2 * j * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) + j * _SEED_OFFSET
-    return _aberth(lambda z: char_poly_ratio(spec, z), seeds, tol, _ORACLE_MAX_ITER)
+    n = spec.n_sites
+    seeds = -2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) + _SEED_OFFSET
+    return _unit_roots(spec, seeds, tol, _ORACLE_MAX_ITER)
 
 
 def refine_eigenvalue(spec: ChainSpec, guess: complex, tol: float = 1e-13,
                       max_iter: int = 100) -> complex:
-    """Newton on the pointwise-evaluated characteristic polynomial."""
-    return complex(_aberth(lambda z: char_poly_ratio(spec, z),
-                           np.array([guess]), tol, max_iter)[0])
+    """Newton on the pointwise-evaluated characteristic polynomial, on the unit chain."""
+    return complex(_unit_roots(spec, np.array([guess / spec.hopping]), tol, max_iter)[0])
 
 
 def spectral_distance(a, b) -> float:

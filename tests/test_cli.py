@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,21 @@ def test_phase_command(capsys):
     assert float(fields[4]) < 1e-6
 
 
+@pytest.mark.parametrize("j", ["1e6", "1e300"])
+def test_phase_ends_where_the_float_spacing_exceeds_tol(j):
+    # near gamma_c = 1e6 the float spacing, 1.2e-10, exceeds the bisection
+    # tol of 1e-10, so the midpoint stops splitting the bracket; run in a
+    # subprocess with a timeout, a hang fails the test instead of the suite
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "ptchain.cli", "phase", "--n", "8", "--j", j],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    fields = proc.stdout.splitlines()[1].split(",")
+    assert fields[2] == fields[3] == fields[1], fields
+
+
 def test_phase_rejects_nan_tol(capsys):
     code, out, err = run(capsys, "phase", "--n", "8", "--tol", "nan")
     assert (code, out) == (2, "")
@@ -302,6 +321,14 @@ def test_verify_small(capsys):
     lines = out.strip().split("\n")
     assert lines[-1] == "total_failures,,0"
     assert all(ln.endswith(",pass") for ln in lines[:-1])
+
+
+@pytest.mark.parametrize("argv", [["--n-max", "1"], ["--n-max", "-3"],
+                                  ["--tol", "0"], ["--tol", "nan"]])
+def test_verify_rejects_bad_arguments_before_any_output(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_past_the_coefficient_overflow(capsys):

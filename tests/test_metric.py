@@ -340,34 +340,49 @@ def test_canonical_basis_rejects_a_non_reciprocal_metric():
         canonical_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
 
 
-def _sector_metric(n, plus, minus, turn=0.0):
+def _sector_metric(n, plus, minus, turn=np.pi / 4):
     """eta with eigenvalues `plus` and `minus` on the parity bases of the + and - sectors.
 
-    `turn` first rotates the two leading - basis vectors into each other; at
-    N = 5 these are (e_1 + e_5)/sqrt 2, odd under R, and (e_2 - e_4)/sqrt 2, even.
+    `turn` first rotates the two leading basis vectors of each sector into
+    each other; one is odd and one even under R, so at pi/4 the rotated pair
+    is mapped onto itself by R, as a reciprocal pair must be.
     """
     refl = reflection_matrix(n)
-    p, m = _sector_basis(refl, 1.0), _sector_basis(refl, -1.0)
-    if turn:
-        c, s = np.cos(turn), np.sin(turn)
-        m[:, :2] = m[:, :2] @ np.array([[c, -s], [s, c]])
-    return p @ np.diag(plus) @ p.T + m @ np.diag(minus) @ m.T
+    c, s = np.cos(turn), np.sin(turn)
+    eta = np.zeros((n, n))
+    for values, q in ((plus, _sector_basis(refl, 1.0)), (minus, _sector_basis(refl, -1.0))):
+        if q.shape[1] > 1:
+            q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+        eta += q @ np.diag(values) @ q.T
+    return eta
 
 
-@pytest.mark.parametrize("n,plus,minus,turn,match", [
-    (3, [3.0, 1 / 3], [2.0], 0.0, "self-paired eigenvalue missing from a sector of size 1"),
-    (5, [1.0, 1.0], [2.0, 1.0, 0.5], 0.0, "self-paired eigenvalue found in a sector of size 2"),
-    (5, [3.0, 2.0], [2.0, 1.0, 0.5], 0.0, "reciprocal pairs unbalanced inside a sector"),
-    (5, [3.0, 1 / 3], [2.0, 1.0, 3.0], 0.0, "reciprocal pairs unbalanced inside a sector"),
-    # the eps = 1 vector mixes an R-odd and an R-even vector: <R> = 0
-    (5, [3.0, 1 / 3], [1.0, 2.0, 0.5], np.pi / 4,
-     "self-paired vector is not an R eigenvector"),
+@pytest.mark.parametrize("n,plus,minus,match", [
+    (3, [3.0, 1 / 3], [2.0], "self-paired eigenvalue missing from a sector of size 1"),
+    (5, [1.0, 1.0], [2.0, 1.0, 0.5], "self-paired eigenvalue found in a sector of size 2"),
+    (5, [3.0, 2.0], [2.0, 1.0, 0.5], "reciprocal pairs unbalanced inside a sector"),
+    (5, [3.0, 1 / 3], [2.0, 1.0, 3.0], "reciprocal pairs unbalanced inside a sector"),
+    # the eps = 1 vector is the rotated one, half R-odd and half R-even: <R> = 0
+    (5, [3.0, 1 / 3], [1.0, 2.0, 0.5], "self-paired vector is not an R eigenvector"),
 ])
-def test_canonical_basis_rejects_a_broken_sector_structure(n, plus, minus, turn, match):
-    eta = _sector_metric(n, plus, minus, turn)
+def test_canonical_basis_rejects_a_broken_sector_structure(n, plus, minus, match):
+    eta = _sector_metric(n, plus, minus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegeneracyError, match=match):
+            canonical_basis(eta)
+
+
+@pytest.mark.parametrize("eta", [
+    *(scale * np.eye(n) for n in (2, 3, 4, 5) for scale in (0.0, -1.0)),
+    # a negative eigenvalue in the smaller, zero-padded sector of odd N
+    _sector_metric(5, [3.0, -0.5], [2.0, 1.0, 0.5]),
+    _sector_metric(7, [3.0, 1.0, 1 / 3, 2.0], [2.0, 1.0, -0.5]),
+])
+def test_canonical_basis_rejects_a_metric_that_is_not_positive(eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="not positive definite"):
             canonical_basis(eta)
 
 

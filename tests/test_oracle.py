@@ -112,7 +112,7 @@ def test_doubling_matches_the_site_by_site_recurrence(n, frac):
 
 
 @pytest.mark.parametrize("n", [1100, 2000, 4097])
-@pytest.mark.parametrize("j", [0.1, 0.5])
+@pytest.mark.parametrize("j", [0.1, 0.5, 1e-300, 1e300])
 def test_char_poly_ratio_scales_with_hopping(n, j):
     # D_N scales like J^N: without rescaling from below, it underflows for
     # J < 1 at large N and the ratio ends in a vanishing derivative
@@ -122,6 +122,23 @@ def test_char_poly_ratio_scales_with_hopping(n, j):
         got = char_poly_ratio(ChainSpec(n, j, 0.4 * j), j * y)
         want = j * char_poly_ratio(ChainSpec(n, 1.0, 0.4), y)
     assert np.max(np.abs(got / want - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [1e-300, 1e-160, 1e-100, 0.7, 3.0, 1e100, 1e155, 1e300])
+@pytest.mark.parametrize("n", [8, 9, 64])
+@pytest.mark.parametrize("frac", [0.5, 1.3])
+def test_oracle_at_any_hopping_scale(j, n, frac):
+    # the oracle solves the unit chain (J = 1, gamma/J) and scales by J, so
+    # no power of J is ever formed to overflow or underflow
+    spec = ChainSpec(n, j, frac * gamma_critical(n, j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies = solve_spectrum(spec).energies
+        roots = oracle_spectrum(spec)
+        top = energies[np.argmax(np.abs(energies))]
+        refined = refine_eigenvalue(spec, top * (1 + 1e-9))
+    assert spectral_distance(roots, energies) <= 1e-12 * j
+    assert abs(refined - top) <= 1e-12 * j
 
 
 def test_oracle_at_large_n_with_weak_hopping():
