@@ -340,19 +340,18 @@ def test_canonical_basis_rejects_a_non_reciprocal_metric():
         canonical_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
 
 
-def _sector_metric(n, plus, minus, turn=np.pi / 4):
+def _sector_metric(n, plus, minus):
     """eta with eigenvalues `plus` and `minus` on the parity bases of the + and - sectors.
 
-    `turn` first rotates the two leading basis vectors of each sector into
-    each other; one is odd and one even under R, so at pi/4 the rotated pair
-    is mapped onto itself by R, as a reciprocal pair must be.
+    The two leading basis vectors of each sector, one odd and one even under
+    R, are first turned by pi/4 into each other, so R maps the turned pair
+    onto itself, as a reciprocal pair must be.
     """
     refl = reflection_matrix(n)
-    c, s = np.cos(turn), np.sin(turn)
     eta = np.zeros((n, n))
     for values, q in ((plus, _sector_basis(refl, 1.0)), (minus, _sector_basis(refl, -1.0))):
         if q.shape[1] > 1:
-            q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+            q[:, :2] = q[:, :2] @ np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
         eta += q @ np.diag(values) @ q.T
     return eta
 
