@@ -74,10 +74,14 @@ def raw_amplitude(spec: ChainSpec, k) -> np.ndarray:
     roots one row per root.  The starting point for the normalized
     eigenfunctions in `states`.
     """
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    return _amplitude(spec.n_sites, spec.hopping, spec.gamma, k)
+
+
+def _amplitude(n: int, j: float, g, k) -> np.ndarray:
+    """`raw_amplitude` with gamma `g` broadcast against k: one gamma per root if an array."""
     n0 = (n + 1) / 2
     l = np.arange(1, n + 1)
-    k = np.asarray(k)[..., None]
+    k, g = np.asarray(k)[..., None], np.asarray(g)[..., None]
     eta = (g * np.exp(1j * k) - 1j * j) / (g * np.exp(-1j * k) - 1j * j)
     return np.exp(1j * k * (l - n0)) - eta * np.exp(-1j * k * (l + n0))
 
@@ -105,14 +109,28 @@ def _reduced_quantization(n: int):
     (r^2 - 1) N - (r^2 + 1).
     """
     def fun(x, dif, tot, dif_slope, tot_slope) -> tuple[np.ndarray, np.ndarray]:
-        nx = n * x
-        cu, su = np.cos(nx), np.sin(nx)
-        if n % 2:
-            cu, su = su, -cu
-        cx, sx = np.cos(x), np.sin(x)
-        return (dif * cu * cx + tot * su * sx,
-                dif_slope * (cu * sx) + tot_slope * (su * cx))
+        trig = _reduced_trig(n, x)
+        return _reduced_value(trig, dif, tot), _reduced_slope(trig, dif_slope, tot_slope)
     return fun
+
+
+def _reduced_trig(n: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gamma-free factors of R at x: cos and sin of Nx (of Nx - pi/2 for odd N) and of x."""
+    nx = n * x
+    cu, su = np.cos(nx), np.sin(nx)
+    if n % 2:
+        cu, su = su, -cu
+    return cu, su, np.cos(x), np.sin(x)
+
+
+def _reduced_value(trig, dif, tot) -> np.ndarray:
+    cu, su, cx, sx = trig
+    return dif * cu * cx + tot * su * sx
+
+
+def _reduced_slope(trig, dif_slope, tot_slope) -> np.ndarray:
+    cu, su, cx, sx = trig
+    return dif_slope * (cu * sx) + tot_slope * (su * cx)
 
 
 def _reduced_coefficients(n: int, r: float) -> tuple[float, float, float, float]:
@@ -243,18 +261,34 @@ def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
     return x
 
 
+def _real_root_counter(n: int):
+    """count(r) -> the number of real roots in (0, pi) at gamma/J = r, for N = n.
+
+    Read from the signs of R at the bracket ends alone, the same signs that
+    decide which brackets the solve refines, with no root solved.  The
+    gamma-free factors of R at the ends are computed once, so each count
+    costs only the sign test with that r's coefficients; a zero value at a
+    lower end takes its slope's sign.
+    """
+    _, lo, hi = _brackets(n)
+    at_lo, at_hi = _reduced_trig(n, lo), _reduced_trig(n, hi)
+
+    def count(r: float) -> int:
+        dif, tot, dif_slope, tot_slope = _reduced_coefficients(n, r)
+        f = _reduced_value(at_lo, dif, tot)
+        if not f.all():
+            f = np.where(f != 0, f, _reduced_slope(at_lo, dif_slope, tot_slope))
+        keep = np.sign(f) * np.sign(_reduced_value(at_hi, dif, tot)) < 0
+        return 2 * int(keep.sum()) + n % 2
+    return count
+
+
 def count_real_momenta(spec: ChainSpec) -> int:
     """Number of real roots in (0, pi) (no count check; used for boundary bisection).
 
-    Read from the signs of the reduced function G / J^2 at the bracket ends
-    alone, the same signs that decide which brackets the solve refines, with
-    no root solved.
+    The one-gamma call of `_real_root_counter`: no root is solved.
     """
-    n = spec.n_sites
-    _, lo, hi = _brackets(n)  # R's coefficients broadcast as scalars
-    _, keep = _sign_changes(_reduced_quantization(n), lo, hi,
-                            *_reduced_coefficients(n, _ratio(spec)))
-    return 2 * int(keep.sum()) + n % 2
+    return _real_root_counter(spec.n_sites)(_ratio(spec))
 
 
 def _counted(spec: ChainSpec, roots: np.ndarray) -> np.ndarray:
@@ -494,10 +528,12 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     j = hopping
+    ChainSpec(n_sites, j)  # rejects a bad N or J
+    count = _real_root_counter(n_sites)
     lo, hi = 0.5 * j, 2.2 * j  # count N at lo, N-2 at hi, for every N >= 2
 
     def is_unbroken(g: float) -> bool:
-        return count_real_momenta(ChainSpec(n_sites, j, g)) == n_sites
+        return count(g / j) == n_sites
 
     if not is_unbroken(lo) or is_unbroken(hi):
         raise NonConvergence("root-count bracket invalid; model assumptions broken")

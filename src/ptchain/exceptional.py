@@ -25,7 +25,7 @@ import numpy as np
 from .bethe import _critical_offsets, _in_gamma_order, _kappas, _pair_levels
 from .errors import DomainError, PhaseError
 from .model import ChainSpec, Phase, classify_phase
-from .states import pt_norm, wavefunction_broken, wavefunction_unbroken
+from .states import _critical_pairs, _pt_norms, _row_norms
 
 # Largest scaled distance N |gamma - gamma_c| / gamma_c flagged as inside the
 # window; there the repulsion law is within about 4% of the exact pair.  For
@@ -118,24 +118,20 @@ def critical_levels(spec: ChainSpec):
     for even N, the pair has coalesced and PhaseError is raised.
     """
     broken = classify_phase(spec) is Phase.BROKEN
-    root = (_kappas if broken else _critical_offsets)([spec])[0]
-    return _critical_pair(spec, broken, float(root))
-
-
-def _critical_pair(spec: ChainSpec, broken: bool, root: float):
-    """critical_levels from the pair's kappa (broken) or offset x0 (otherwise)."""
-    if broken:
-        vectors = (wavefunction_broken(spec, +1, root), wavefunction_broken(spec, -1, root))
-    else:
-        vectors = (wavefunction_unbroken(spec, math.pi / 2 + root),
-                   wavefunction_unbroken(spec, math.pi / 2 - root))
-    return _pair_levels(spec.hopping, broken, root), vectors
+    root = (_kappas if broken else _critical_offsets)([spec])
+    vectors = _critical_pairs(spec.n_sites, spec.hopping, [spec.gamma], root, broken)[0]
+    return _pair_levels(spec.hopping, broken, float(root[0])), tuple(vectors)
 
 
 def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
     """1 - |<u,v>| / (||u|| ||v||); tends to 0 as the two eigenvectors coalesce."""
-    overlap = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(max(0.0, 1.0 - overlap))
+    return float(_coalescence_gaps(np.asarray(u), np.asarray(v)))
+
+
+def _coalescence_gaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`coalescence_gap` of each pair of rows of u and v."""
+    gap = 1.0 - np.abs(np.vecdot(u, v)) / (_row_norms(u) * _row_norms(v))[..., 0]
+    return np.where(gap > 0.0, gap, 0.0)  # as max(0.0, gap): NaN gives 0
 
 
 def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0,
@@ -144,7 +140,9 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0,
 
     Each point's phase is read once, at `phase_tol`, and the critical pairs
     of the whole grid come from two solves: one for kappa at the broken
-    points and one for the bracket at pi/2 at the unbroken ones.  Where that
+    points and one for the bracket at pi/2 at the unbroken ones.  Their
+    eigenvectors are built as one stack per side and reduced to gaps and PT
+    self-pairings in one pass over the stack.  Where that
     phase agrees with the default band, each pair is bit-identical to its
     `critical_levels`.  If several gammas fail, the error raised is the
     first failing gamma's.
@@ -157,10 +155,22 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0,
 
 def _critical_reports(specs: list[ChainSpec],
                       phase_tol: float | None) -> list[CriticalReport]:
+    if not specs:
+        return []
+    n, j = specs[0].n_sites, specs[0].hopping
     phases = [classify_phase(spec, phase_tol) for spec in specs]
-    kappas = _kappas([s for s, p in zip(specs, phases) if p is Phase.BROKEN])
-    offsets = _critical_offsets([s for s, p in zip(specs, phases) if p is Phase.UNBROKEN])
-    roots = {Phase.BROKEN: iter(kappas.tolist()), Phase.UNBROKEN: iter(offsets.tolist())}
+    broken = [s for s, p in zip(specs, phases) if p is Phase.BROKEN]
+    unbroken = [s for s, p in zip(specs, phases) if p is Phase.UNBROKEN]
+    kappas, offsets = _kappas(broken), _critical_offsets(unbroken)
+    # both sides' pairs in one stack, broken first: each reduction is one array pass
+    unit = np.concatenate([
+        _critical_pairs(n, j, [s.gamma for s in broken], kappas, True),
+        _critical_pairs(n, j, [s.gamma for s in unbroken], offsets, False)])
+    unit /= _row_norms(unit)
+    rows = list(zip(np.concatenate([kappas, offsets]).tolist(),
+                    _coalescence_gaps(unit[:, 0], unit[:, 1]).tolist(),
+                    map(tuple, _pt_norms(unit).tolist())))
+    points = {Phase.BROKEN: iter(rows[:len(broken)]), Phase.UNBROKEN: iter(rows[len(broken):])}
     reports = []
     for spec, phase in zip(specs, phases):
         gc = spec.gamma_c
@@ -175,8 +185,7 @@ def _critical_reports(specs: list[ChainSpec],
                 pt_norms=(zero, zero), in_window=window, skipped=True))
             continue
         broken = phase is Phase.BROKEN
-        levels, vecs = _critical_pair(spec, broken, next(roots[phase]))
-        unit = tuple(v / np.linalg.norm(v) for v in vecs)
+        root, gap, pt = next(points[phase])
         try:
             dk = _approx(spec, broken)
             analytic = _pair_levels(spec.hopping, broken, dk)
@@ -184,10 +193,9 @@ def _critical_reports(specs: list[ChainSpec],
             dk = math.nan
             analytic = (complex(math.nan, math.nan),) * 2
         reports.append(CriticalReport(
-            gamma=spec.gamma, gamma_offset=offset, two_levels=levels,
+            gamma=spec.gamma, gamma_offset=offset,
+            two_levels=_pair_levels(spec.hopping, broken, root),
             analytic_pair=analytic, delta_or_kappa=dk,
-            alpha=alpha_parameter(spec),
-            coalescence_gap=coalescence_gap(unit[0], unit[1]),
-            pt_norms=(pt_norm(unit[0]), pt_norm(unit[1])),
-            in_window=window))
+            alpha=alpha_parameter(spec), coalescence_gap=gap,
+            pt_norms=pt, in_window=window))
     return reports

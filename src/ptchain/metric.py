@@ -361,8 +361,8 @@ def hermitian_equivalent(decomp: MetricDecomposition,
     empty diagonal blocks.  Twisting the second half by i makes it real: the
     coupling block is -Im(pre) above the diagonal blocks and Im(pre) below.
     Raises StructureError when the diagonal-block residue or the real part
-    of pre exceeds 1e-6 (an ordering/sign convention failure, or a
-    Hamiltonian that is not of this model's form).
+    of pre exceeds 1e-6 J, with J = |H[0, 1]| (an ordering/sign convention
+    failure, or a Hamiltonian that is not of this model's form).
     """
     n = decomp.basis.shape[0]
     d = _gauge_phases(n)
@@ -371,13 +371,13 @@ def hermitian_equivalent(decomp: MetricDecomposition,
     core = decomp.basis.T @ h_gauged @ decomp.basis
     pre = np.sqrt(np.outer(eps, 1.0 / eps)) * core
 
-    h = decomp.first_half
+    h, bound = decomp.first_half, 1e-6 * abs(hamiltonian[0, 1])
     diag_resid = max(float(np.max(np.abs(pre[:h, :h]))),
                      float(np.max(np.abs(pre[h:, h:]))))
-    if diag_resid > 1e-6:
+    if diag_resid > bound:
         raise StructureError(f"diagonal-block residue {diag_resid:.2e}")
     real_resid = float(np.max(np.abs(pre.real)))
-    if real_resid > 1e-6:
+    if real_resid > bound:
         raise StructureError(f"real residue {real_resid:.2e} of the gauged couplings")
 
     h_matrix = np.zeros((n, n))

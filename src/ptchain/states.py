@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import mode_energy, raw_amplitude, solve_real_momenta
+from .bethe import _amplitude, mode_energy, raw_amplitude, solve_real_momenta
 from .errors import NullState, PhaseError
 from .model import ChainSpec, Phase, apply_pt, classify_phase
 
@@ -57,14 +57,14 @@ def _fix_sign(v: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     return np.where(flip, -v, v)
 
 
-def _cpt_states(spec: ChainSpec, k) -> tuple[np.ndarray, np.ndarray]:
+def _cpt_states(raw: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """CPT-normalized f_k and their duals g_k = s_k f_k^*, sites along the last axis.
 
-    A scalar k gives two vectors, an array of roots two arrays with one row
-    per root.  Every per-state reduction runs along the contiguous last axis,
-    so a row equals the vector of its root alone.
+    `raw` holds the Bethe amplitudes of the real roots `k`: one vector for a
+    scalar k, one row per root for an array.  Every per-state reduction runs
+    along the contiguous last axis, so a row equals the vector of its root
+    alone.
     """
-    raw = raw_amplitude(spec, k)
     if np.any(np.max(np.abs(raw), axis=-1) < NULL_STATE_THRESHOLD):
         raise NullState(f"k={k} yields a null amplitude vector")
     pairing = np.sum(raw * raw, axis=-1, keepdims=True)  # real on-shell
@@ -78,12 +78,12 @@ def wavefunction_unbroken(spec: ChainSpec, k: float) -> np.ndarray:
     Its PT self-pairing is exactly +-1 (the sign is intrinsic to the mode and
     is what the C operator encodes).
     """
-    return _cpt_states(spec, k)[0]
+    return _cpt_states(raw_amplitude(spec, k), k)[0]
 
 
 def wavefunction_dual(spec: ChainSpec, k: float) -> np.ndarray:
     """Eigenvector of H^dagger at the same real eigenvalue, scaled so <g|f> = +1."""
-    return _cpt_states(spec, k)[1]
+    return _cpt_states(raw_amplitude(spec, k), k)[1]
 
 
 def wavefunction_broken(spec: ChainSpec, branch: int, kappa: float) -> np.ndarray:
@@ -96,20 +96,47 @@ def wavefunction_broken(spec: ChainSpec, branch: int, kappa: float) -> np.ndarra
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    n, j, g = spec.n_sites, spec.hopping, spec.gamma
+    return _broken_states(spec.n_sites, spec.hopping, spec.gamma, float(branch), kappa)
+
+
+def _critical_pairs(n: int, j: float, gammas, roots, broken: bool) -> np.ndarray:
+    """The critical pair's two eigenvectors per gamma, shape (len(gammas), 2, N).
+
+    Each pair is that of its own chain, with one gamma and one root per pair:
+    kappa and the branches +1, -1 if `broken`, else the offset x0 and the
+    CPT-normalized f at pi/2 + x0, pi/2 - x0.
+    """
+    signs = np.array([1.0, -1.0])
+    g, root = np.asarray(gammas)[:, None], np.asarray(roots)[:, None]
+    if broken:
+        return _broken_states(n, j, g, signs, root)
+    k = np.pi / 2 + signs * root
+    return _cpt_states(_amplitude(n, j, g, k), k)[0]
+
+
+def _broken_states(n: int, j: float, g, s, kappa) -> np.ndarray:
+    """`wavefunction_broken` with gamma `g`, branch `s` and `kappa` broadcast together.
+
+    Sites run along the last axis: one row per (g, s, kappa).
+    """
     n0 = (n + 1) / 2
     l = np.arange(1, n + 1)
-    s = float(branch)
+    g, s, kappa = (np.asarray(v)[..., None] for v in (g, s, kappa))
     ratio = (j - g * np.exp(-s * kappa)) / (j + g * np.exp(s * kappa))
     # Each term as one exponent, less the largest, before exp: e^{kappa N}
     # overflows once kappa N passes ~709, and the norm fixes the scale anyway.
     first = s * kappa * (n0 - l)
     with np.errstate(divide="ignore"):  # ratio = 0 drops the second term
         second = s * kappa * (n0 + l) + np.log(abs(ratio))
-    top = max(first.max(), second.max())
+    top = np.maximum(first.max(axis=-1), second.max(axis=-1))[..., None]
     f = ((1j) ** l * np.exp(first - top)
          - (-1j) ** l * np.sign(ratio) * np.exp(second - top))
-    return _fix_sign(f / np.linalg.norm(f))
+    return _fix_sign(f / _row_norms(f))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """||v|| along the last axis, kept as a length-1 axis; per row the bits of np.linalg.norm."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
 def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
@@ -123,7 +150,7 @@ def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
 
 def _eigenbasis(spec: ChainSpec, k: np.ndarray) -> EigenBasis:
     """The eigenbasis at the N ascending real roots `k` of an unbroken spec."""
-    f, g = _cpt_states(spec, k)
+    f, g = _cpt_states(raw_amplitude(spec, k), k)
     return EigenBasis(spec=spec, k=k, energies=mode_energy(spec, k), f=f.T, g=g.T)
 
 
@@ -142,4 +169,9 @@ def cpt_inner(c_op: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
 
 def pt_norm(u: np.ndarray) -> complex:
     """PT self-pairing sum_l conj(u_{N+1-l}) u_l; vanishes for broken-phase states."""
-    return complex(np.sum(apply_pt(u) * np.asarray(u)))
+    return complex(_pt_norms(np.asarray(u)))
+
+
+def _pt_norms(u: np.ndarray) -> np.ndarray:
+    """`pt_norm` of each row: the PT reversal runs along the last (site) axis."""
+    return np.sum(np.conj(u[..., ::-1]) * u, axis=-1)

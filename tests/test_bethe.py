@@ -8,8 +8,9 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, gamma_critical,
                      locate_critical_gamma, momentum_index, refine_eigenvalue,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
-from ptchain.bethe import (_bracketed_roots, _kappas, _offset_brackets, _real_roots,
-                           count_real_momenta, kappa_residual, raw_amplitude)
+from ptchain.bethe import (_bracketed_roots, _brackets, _kappas, _offset_brackets,
+                           _real_roots, _reduced_coefficients, _reduced_quantization,
+                           _sign_changes, count_real_momenta, kappa_residual, raw_amplitude)
 from ptchain.errors import DomainError, PhaseError, PTChainError
 
 
@@ -109,6 +110,46 @@ PINNED_GAMMA_C = {
 def test_locate_critical_gamma_is_pinned(j):
     got = [locate_critical_gamma(n, j, 1e-10).hex() for n in (2, 3, 8, 9, 100, 101, 1000)]
     assert got == PINNED_GAMMA_C[j]
+
+
+def _bisection_by_counts(n, j, tol):
+    """locate_critical_gamma as a loop of one-gamma root counts, one spec per midpoint."""
+    def is_unbroken(g):
+        return count_real_momenta(ChainSpec(n, j, g)) == n
+
+    lo, hi = 0.5 * j, 2.2 * j
+    assert is_unbroken(lo) and not is_unbroken(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if is_unbroken(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("j", [1e-300, 1e-3, 0.5, 1.0, 3.0, 1e6, 1e300])
+def test_locate_critical_gamma_is_the_loop_of_root_counts(j):
+    # the bisection shares the gamma-free factors of R across its midpoints
+    # and must take the same steps as counting each midpoint afresh
+    for n in [*range(2, 80), 128, 200, 255, 256, 1000, 1001]:
+        for tol in (1e-6, 1e-10, 1e-14, 1e-300):
+            got, want = locate_critical_gamma(n, j, tol), _bisection_by_counts(n, j, tol)
+            assert got.hex() == want.hex(), (n, tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
+def test_root_count_is_the_sign_test_of_the_solve(n):
+    # count_real_momenta reads the same signs that pick the brackets to refine
+    _, lo, hi = _brackets(n)
+    gc = gamma_critical(n)
+    for gamma in gc * np.array([0.0, 0.3, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1e9]):
+        spec = ChainSpec(n, 1.0, float(gamma))
+        _, keep = _sign_changes(_reduced_quantization(n), lo, hi,
+                                *_reduced_coefficients(n, float(gamma)))
+        assert count_real_momenta(spec) == 2 * int(keep.sum()) + n % 2
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e-150, 1e150, 1e300])

@@ -340,3 +340,36 @@ def test_verify_past_the_coefficient_overflow(capsys):
     assert "oracle_match_0.5,44,pass" in lines
     assert "oracle_match_1.3,44,pass" in lines
     assert lines[-1] == "total_failures,,0"
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_phase_at_tiny_j_resolves_gamma_c(capsys, n):
+    # the bisection floor of 1e-10 is in units of J below J = 1: at J = 1e-300
+    # an absolute floor exceeds the whole bracket and returns its midpoint
+    code, out, _ = run(capsys, "phase", "--n", str(n), "--j", "1e-300")
+    assert code == 0
+    _, _, analytic, _, error = out.splitlines()[1].split(",")
+    assert float(error) <= 1e-10 * float(analytic)
+
+
+@pytest.mark.parametrize("j", ["1e-300", "1e-10", "3", "1e10", "1e300"])
+def test_verify_passes_at_every_hopping(capsys, j):
+    # energy-scale bounds are in units of J, so no check fails for its scale
+    code, out, _ = run(capsys, "verify", "--n-max", "3", "--j", j)
+    assert (code, out.splitlines()[-1]) == (0, "total_failures,,0"), out
+
+
+def test_verify_energy_bounds_shrink_with_j(capsys, monkeypatch):
+    # at J = 1e-10 a phase boundary or spectrum off by 1e-3 J must fail: an
+    # absolute bound would pass it
+    from ptchain import cli
+
+    j = 1e-10
+    locate, oracle = cli.locate_critical_gamma, cli.oracle_spectrum
+    monkeypatch.setattr(cli, "locate_critical_gamma",
+                        lambda n, hopping, tol=1e-6: locate(n, hopping, tol) + 1e-3 * j)
+    monkeypatch.setattr(cli, "oracle_spectrum", lambda spec: oracle(spec) + 1e-3 * j)
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--j", str(j))
+    assert code == 1
+    failed = {line.split(",")[0] for line in out.splitlines() if line.endswith(",FAIL")}
+    assert failed == {"phase_boundary", "oracle_match_0.5", "oracle_match_1.3"}

@@ -1,13 +1,15 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptchain import (ChainSpec, alpha_parameter, coalescence_gap,
                      critical_levels, critical_sweep, delta_approx,
                      gamma_critical, kappa_approx, repulsion_law, solve_kappa)
-from ptchain.errors import DomainError, PhaseError
+from ptchain.errors import DomainError, PhaseError, PTChainError
 from ptchain.exceptional import CriticalReport, in_asymptotic_window
 
 
@@ -281,3 +283,61 @@ def test_critical_levels_at_even_gamma_c_has_no_pair():
     # bracket's root is not a critical level
     with pytest.raises(PhaseError, match="next to pi/2"):
         critical_levels(ChainSpec(8, 1.0, 1.0))
+
+
+def _gammas_across_both_phases(n):
+    # gamma = 0, gamma_c itself (skipped), gamma_c (1 +- 1e-9..1e-3) and
+    # points anywhere up to 3 gamma_c
+    gc = gamma_critical(n)
+    near = st.floats(-9.0, -3.0).map(lambda e: 10.0 ** e)
+    return st.one_of(st.sampled_from([0.0, gc]),
+                     near.map(lambda e: gc * (1 - e)), near.map(lambda e: gc * (1 + e)),
+                     st.floats(0.0, 3 * gc))
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=300))
+def test_critical_sweep_batch_equals_its_one_gamma_sweeps(data, n):
+    grid = data.draw(st.lists(_gammas_across_both_phases(n), min_size=1, max_size=10))
+    error = _first_solo_error(n, grid)
+    if error is not None:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            critical_sweep(n, grid)
+        return
+    batch = critical_sweep(n, grid)
+    assert len(batch) == len(grid)
+    for gamma, report in zip(grid, batch):
+        (solo,) = critical_sweep(n, [gamma])
+        for field in CriticalReport.__dataclass_fields__:
+            assert _hexes(getattr(report, field)) == _hexes(getattr(solo, field)), field
+        if not report.skipped:
+            levels, vectors = critical_levels(ChainSpec(n, 1.0, gamma))
+            assert _hexes(levels) == _hexes(report.two_levels)
+            unit = [v / np.linalg.norm(v) for v in vectors]
+            assert _hexes(coalescence_gap(*unit)) == _hexes(report.coalescence_gap)
+
+
+def test_critical_sweep_of_an_empty_grid_is_empty():
+    assert critical_sweep(8, []) == []
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=300),
+       bad=st.sampled_from([-1.0, math.nan, 1e200]))
+def test_critical_sweep_raises_the_first_failing_gamma(data, n, bad):
+    grid = data.draw(st.lists(_gammas_across_both_phases(n), max_size=6))
+    grid.insert(data.draw(st.integers(0, len(grid))), bad)
+    error = _first_solo_error(n, grid)
+    assert isinstance(error, DomainError if bad == 1e200 else ValueError)
+    with pytest.raises(type(error), match=re.escape(str(error))):
+        critical_sweep(n, grid)
+
+
+def _first_solo_error(n, grid):
+    """The error of the first gamma whose one-gamma sweep fails, or None."""
+    for gamma in grid:
+        try:
+            critical_sweep(n, [gamma])
+        except (ValueError, PTChainError) as exc:
+            return exc
+    return None

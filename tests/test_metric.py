@@ -496,3 +496,16 @@ def test_coupling_stability_across_gamma(n):
     assert np.all(tables > 0.1 * base[None, :])
     spread = tables.max(axis=0) - tables.min(axis=0)
     assert np.all(spread < np.abs(base))
+
+
+@pytest.mark.parametrize("j", [1e-10, 1e10])
+def test_hermitian_equivalent_residues_are_in_units_of_j(j):
+    # the same chain in units of J: exact passes at every J, and a real
+    # diagonal offset of 1e-3 J is rejected however small J is
+    spec = ChainSpec(8, j, 0.5 * j)
+    decomp = canonical_basis(gauge_real(build_metric(build_eigenbasis(spec))))
+    h = build_hamiltonian(spec)
+    assert np.allclose(hermitian_equivalent(decomp, h).block_a / j,
+                       equivalent_hermitian(ChainSpec(8, 1.0, 0.5)).block_a, atol=1e-9)
+    with pytest.raises(StructureError, match="diagonal-block residue"):
+        hermitian_equivalent(decomp, h + 1e-3 * j * np.eye(8))

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -41,3 +42,18 @@ def test_metric_scaling_script():
     assert all(float(row[1]) > 0 and float(row[2]) <= 1e-11 for row in rows), lines
     assert re.fullmatch(r"slope d\(log seconds\)/d\(log N\) = -?\d+\.\d\d", lines[3]), lines
     assert len(lines) == 4, lines
+
+
+def test_level_repulsion_sweep_script(tmp_path):
+    proc = _run_script("level_repulsion_sweep.py", "--sizes", "8", "9", "--points", "3",
+                       "--outdir", str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["repulsion_n8.csv",
+                                                         "repulsion_n9.csv"], proc.stdout
+    for n in (8, 9):
+        lines = (tmp_path / f"repulsion_n{n}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ("gamma,gamma_offset,level_re,level_im,analytic_re,analytic_im,"
+                            "coalescence_gap,pt_norm_abs")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 12 and all(len(row) == 8 for row in rows), lines
+        assert all(math.isfinite(v) for row in rows for v in row), lines
+        assert all(row[6] >= 0 for row in rows), lines
