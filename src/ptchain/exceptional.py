@@ -159,18 +159,19 @@ def _critical_reports(specs: list[ChainSpec],
         return []
     n, j = specs[0].n_sites, specs[0].hopping
     phases = [classify_phase(spec, phase_tol) for spec in specs]
-    broken = [s for s, p in zip(specs, phases) if p is Phase.BROKEN]
-    unbroken = [s for s, p in zip(specs, phases) if p is Phase.UNBROKEN]
-    kappas, offsets = _kappas(broken), _critical_offsets(unbroken)
+    broken_side = [s for s, p in zip(specs, phases) if p is Phase.BROKEN]
+    unbroken_side = [s for s, p in zip(specs, phases) if p is Phase.UNBROKEN]
+    kappas, offsets = _kappas(broken_side), _critical_offsets(unbroken_side)
     # both sides' pairs in one stack, broken first: each reduction is one array pass
     unit = np.concatenate([
-        _critical_pairs(n, j, [s.gamma for s in broken], kappas, True),
-        _critical_pairs(n, j, [s.gamma for s in unbroken], offsets, False)])
+        _critical_pairs(n, j, [s.gamma for s in broken_side], kappas, True),
+        _critical_pairs(n, j, [s.gamma for s in unbroken_side], offsets, False)])
     unit /= _row_norms(unit)
     rows = list(zip(np.concatenate([kappas, offsets]).tolist(),
                     _coalescence_gaps(unit[:, 0], unit[:, 1]).tolist(),
                     map(tuple, _pt_norms(unit).tolist())))
-    points = {Phase.BROKEN: iter(rows[:len(broken)]), Phase.UNBROKEN: iter(rows[len(broken):])}
+    split = len(broken_side)
+    points = {Phase.BROKEN: iter(rows[:split]), Phase.UNBROKEN: iter(rows[split:])}
     reports = []
     for spec, phase in zip(specs, phases):
         gc = spec.gamma_c
