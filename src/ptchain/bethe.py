@@ -521,9 +521,11 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
                           tol: float = 1e-6) -> float:
     """gamma_c by bisection on the real-root count (N above, N-2 below).
 
-    Independent of the closed-form boundary; agrees with it to `tol`, or to
-    the float spacing at gamma_c where that is coarser (large J): the
-    bisection stops once the midpoint is one of the bracket's ends.
+    One `_real_root_counter` serves every midpoint, so the gamma-free factors
+    of the count are computed once.  Independent of the closed-form
+    boundary; agrees with it to `tol`, or to the float spacing at gamma_c
+    where that is coarser (large J): the bisection stops once the midpoint
+    is one of the bracket's ends.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
