@@ -10,10 +10,10 @@ against an independent characteristic-polynomial oracle.
 __version__ = "0.1.0"
 
 from .model import (ChainSpec, Phase, apply_pt, build_hamiltonian,
-                    classify_phase, gamma_critical, pt_conjugate)
-from .bethe import (SpectralSolution, locate_critical_gamma, momentum_index,
-                    solve_kappa, solve_real_momenta, solve_spectra,
-                    solve_spectrum)
+                    gamma_critical, pt_conjugate)
+from .bethe import (SpectralSolution, classify_phase, locate_critical_gamma,
+                    momentum_index, solve_kappa, solve_real_momenta,
+                    solve_spectra, solve_spectrum)
 from .states import (EigenBasis, build_c_operator, build_eigenbasis, cpt_inner,
                      pt_norm, wavefunction_broken, wavefunction_dual,
                      wavefunction_unbroken)

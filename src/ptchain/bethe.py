@@ -28,8 +28,9 @@ k = pi/2 +- i*kappa, with kappa > 0 solving
     gamma^2 sinh(kappa(N-1)) = J^2 sinh(kappa(N+1))   (odd N)
     gamma^2 cosh(kappa(N-1)) = J^2 cosh(kappa(N+1))   (even N),
 
-found by the same iteration.  Real roots give energies -2J cos k, the
-complex pair gives +-2iJ sinh kappa.
+found by the same iteration on R at x = i*kappa.  Real roots give energies
+-2J cos k, the complex pair gives +-2iJ sinh kappa.  One float, R's
+coefficient c0 at x = 0, decides the phase (`classify_phase`).
 
 Both conditions depend on gamma and J only through r = gamma/J, which the
 iteration carries per root.  So one solve refines every root of a whole
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PhaseError, RootCountMismatch
-from .model import ChainSpec, Phase, classify_phase
+from .model import ChainSpec, Phase
 
 # Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
 # Newton needs 2-6 on most brackets and up to ~30 next to gamma_c, where the
@@ -137,6 +138,21 @@ def _reduced_coefficients(n: int, r: float) -> tuple[float, float, float, float]
     """dif = r^2 - 1, tot = r^2 + 1 and the slope's N tot - dif and tot - N dif."""
     dif, tot = r * r - 1.0, r * r + 1.0
     return dif, tot, n * tot - dif, tot - n * dif
+
+
+def classify_phase(spec: ChainSpec) -> Phase:
+    """Unbroken, Broken or Critical for c0 < 0, > 0 or = 0: R's coefficient at x = 0.
+
+    c0 is R(0) = dif for even N and R'(0) = -tot_slope = (r^2 - 1) N - (r^2 + 1)
+    for odd N: the very float that the bracket at pi/2 and the kappa
+    condition at kappa = 0 read.  At c0 = 0 the pair has coalesced, kappa = 0.
+    """
+    n, r = spec.n_sites, spec.gamma / spec.hopping
+    if r > _MAX_RATIO:  # for odd N, squaring r would give inf - inf
+        return Phase.BROKEN
+    dif, _, _, tot_slope = _reduced_coefficients(n, r)
+    c0 = -tot_slope if n % 2 else dif
+    return Phase.UNBROKEN if c0 < 0 else Phase.BROKEN if c0 > 0 else Phase.CRITICAL
 
 
 def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
@@ -244,20 +260,18 @@ def _real_roots(specs: list[ChainSpec], tol: float) -> list[np.ndarray]:
 
 
 def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
-    """Per spec the critical-pair offset x > 0: the root in the bracket at pi/2.
+    """Per unbroken spec the critical-pair offset x > 0: the root in the bracket at pi/2.
 
-    That bracket holds the smallest root wherever it has one, below gamma_c.
-    Where it has none, as at gamma_c for even N, the pair has coalesced and
-    PhaseError names the first such spec.
+    That bracket holds the smallest root exactly where `classify_phase`
+    reads c0 < 0.
     """
     if not specs:
         return np.empty(0)
     fun, params, lo, hi, seed = _offset_brackets(specs, first_only=True)
     x, keep = _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
-    if len(x) < len(specs):
-        spec = specs[int(np.argmin(keep))]
-        raise PhaseError(f"no real critical pair next to pi/2 for {spec}: gamma is "
-                         f"too close to gamma_c={spec.gamma_c!r}, where the pair coalesces")
+    if len(x) < len(specs):  # a missing root would misalign the results
+        raise NonConvergence(f"bracket at pi/2 lost its sign change for "
+                             f"{specs[int(np.argmin(keep))]}")
     return x
 
 
@@ -296,7 +310,7 @@ def _counted(spec: ChainSpec, roots: np.ndarray) -> np.ndarray:
     if len(roots) not in (n, n - 2):
         raise RootCountMismatch(
             f"found {len(roots)} real roots for N={n}, gamma={spec.gamma} "
-            f"(expected {n} or {n - 2}); gamma may be too close to gamma_c")
+            f"(expected {n} or {n - 2})")
     return roots
 
 
@@ -308,8 +322,7 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     Raises
     ------
     RootCountMismatch
-        If the root count is neither N nor N-2 (e.g. exactly at the
-        phase boundary, where two roots coalesce).
+        If the root count is neither N nor N-2.
     NonConvergence
         If a bracket fails to converge to `tol`.
     """
@@ -329,7 +342,7 @@ def _pair_levels(j: float, broken: bool, root: float) -> tuple[complex, complex]
     """The critical pair: +-2iJ sinh(kappa) from root = kappa if `broken`, else +-2J sin(x0)."""
     if broken:
         level = 2 * j * math.sinh(root)
-        return complex(0.0, level), complex(0.0, -level)
+        return complex(0.0, level), complex(0.0, 0.0 - level)  # kappa = 0: no -0
     level = 2 * j * math.sin(root)
     return complex(level, 0.0), complex(-level, 0.0)
 
@@ -354,24 +367,23 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
 
 
 def _kappa_condition(n: int):
-    """(kappa, r2) -> (value, slope) of the scaled kappa condition, elementwise.
+    """(kappa, dif, tot) -> (value, slope) of R at x = i kappa, scaled, elementwise.
 
-    The value is r2 (e^(-2kappa) -+ e^(-2kappa N)) - (1 -+ e^(-2kappa(N+1))),
-    with r2 = (gamma/J)^2 given per root, - for odd N (sinh) and + for even N
-    (cosh): the condition times 2 e^(-kappa(N+1)) / J^2, so it never
-    overflows and stays finite and normal however small or large J is.
-    Written through expm1 so the odd-N differences keep their relative
-    accuracy as kappa -> 0.  Used for kappa <= 1 only: as kappa grows,
-    r2 e^(-2kappa) nears 1 and the sum cancels.
+    The value is (dif (1+a)(1+b) - tot (1-a)(1-b))/2, with 1+a and 1-a
+    swapped for odd N, a = e^(-2 kappa N), b = e^(-2 kappa) and R's dif, tot
+    per root: R(i kappa) (over i for odd N) times 2 e^(-kappa(N+1)), which is
+    the condition times 2 e^(-kappa(N+1)) / J^2, finite however small or
+    large J is.  1-a, 1-b come from expm1.  At kappa = 0 it has c0's sign
+    (its slope's for odd N).  For kappa <= 1 only: past it the terms cancel.
     """
-    s = -1.0 if n % 2 else 1.0
+    s = 1.0 if n % 2 else -1.0  # d(1 -+ a)/d kappa = +-2 N a
 
-    def fun(kappa, r2):
-        x = -2.0 * kappa
-        e1, en = np.exp(x), np.exp(-2.0 * n * kappa)
-        return (r2 * (1.0 + s + np.expm1(x) + s * np.expm1(x * n))
-                - (1.0 + s + s * np.expm1(x * (n + 1))),
-                2.0 * (s * (n + 1) * e1 * en - r2 * (e1 + s * n * en)))
+    def fun(kappa, dif, tot):
+        a, b = np.exp(-2.0 * n * kappa), np.exp(-2.0 * kappa)
+        a_minus, b_minus = -np.expm1(-2.0 * n * kappa), -np.expm1(-2.0 * kappa)
+        u, v = (a_minus, 1.0 + a) if n % 2 else (1.0 + a, a_minus)
+        return (0.5 * (dif * u * (1.0 + b) - tot * v * b_minus),
+                s * n * a * (dif * (1.0 + b) + tot * b_minus) - b * (dif * u + tot * v))
     return fun
 
 
@@ -404,17 +416,17 @@ def kappa_residual(spec: ChainSpec, kappa):
 
     See `_kappa_condition`; r = gamma/J may not pass 1e150.
     """
-    r = _ratio(spec)
-    return _kappa_condition(spec.n_sites)(kappa, r * r)[0]
+    n = spec.n_sites
+    return _kappa_condition(n)(kappa, *_reduced_coefficients(n, _ratio(spec))[:2])[0]
 
 
 def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
-    """kappa per spec, from one safeguarded Newton solve per form of the condition.
+    """kappa per broken or critical spec, from one safeguarded Newton solve per form.
 
-    A spec whose r2 passes the condition's closed-form value at kappa = 1
-    has kappa > 1 and is solved through `_log_kappa_condition`, every other
-    one through `_kappa_condition` (see solve_kappa).  The callers pick the
-    broken specs, each by its own phase tolerance.
+    A critical spec has kappa = 0 and is not solved.  A spec whose r2 passes
+    the condition's closed-form value at kappa = 1 has kappa > 1 and is
+    solved through `_log_kappa_condition`, every other one through
+    `_kappa_condition` from kappa = 0 (see solve_kappa).
     """
     if not specs:
         return np.empty(0)
@@ -422,22 +434,21 @@ def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
     r = [_ratio(spec) for spec in specs]
     s = -1.0 if n % 2 else 1.0
     r2_at_one = (1.0 + s * math.exp(-2.0 * (n + 1))) / (math.exp(-2.0) + s * math.exp(-2.0 * n))
-    kappa = np.empty(len(r))
+    kappa = np.zeros(len(r))
     for far, condition in ((False, _kappa_condition), (True, _log_kappa_condition)):
-        part = [i for i, v in enumerate(r) if (v * v > r2_at_one) == far]
+        part = [i for i, v in enumerate(r) if (v * v > r2_at_one) == far
+                and classify_phase(specs[i]) is not Phase.CRITICAL]
         if not part:
             continue
         hi = np.array([math.log(r[i]) + 1.0 for i in part])  # np.log may differ by 1 ulp
-        param = (np.array([2.0 * math.log(r[i]) for i in part]) if far
-                 else np.square([r[i] for i in part]))
-        roots, keep = _bracketed_roots(condition(n), np.full(len(part), 1e-12), hi,
-                                       hi - 1.0, min(tol, 1e-15), param)
+        params = ([np.array([2.0 * math.log(r[i]) for i in part])] if far
+                  else list(np.array([_reduced_coefficients(n, r[i])[:2] for i in part]).T))
+        roots, keep = _bracketed_roots(condition(n), np.full(len(part), 1e-12 if far else 0.0),
+                                       hi, hi - 1.0, min(tol, 1e-15), *params)
         if len(roots) < len(part):
             lost = int(np.argmin(keep))
             raise NonConvergence(f"kappa bracket (0, {hi[lost]:.3f}] lost its sign change "
                                  f"for {specs[part[lost]]}")
-        if len(part) == len(r):
-            return roots
         kappa[part] = roots
     return kappa
 
@@ -445,12 +456,14 @@ def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
 def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     """The unique kappa > 0 of the broken-phase quantization condition.
 
-    Safeguarded Newton on (0, ln(gamma/J) + 1], where the residual changes
+    Safeguarded Newton on [0, ln(gamma/J) + 1], where the residual changes
     sign, from the large-N limit ln(gamma/J); past kappa = 1 on the log of
-    the condition.  Raises PhaseError outside the broken phase.
+    the condition.  Raises PhaseError outside the broken phase, also at an
+    exact coalescence, where kappa = 0.
     """
     if classify_phase(spec) is not Phase.BROKEN:
-        raise PhaseError(f"gamma={spec.gamma} is not above gamma_c={spec.gamma_c}")
+        raise PhaseError(f"gamma={spec.gamma} is not in the broken phase "
+                         f"(gamma_c={spec.gamma_c})")
     return float(_kappas([spec], tol)[0])
 
 
@@ -475,20 +488,19 @@ def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
     phases = [classify_phase(spec) for spec in specs]
     roots = _real_roots(specs, tol) if specs else []
     for spec, phase, found in zip(specs, phases, roots):
-        if phase is not Phase.CRITICAL:
-            expected = spec.n_sites if phase is Phase.UNBROKEN else spec.n_sites - 2
-            if len(_counted(spec, found)) != expected:
-                raise RootCountMismatch(
-                    f"{phase} phase expects {expected} real roots, found {len(found)}")
-    kappas = iter(_kappas([s for s, p in zip(specs, phases) if p is Phase.BROKEN],
+        expected = spec.n_sites if phase is Phase.UNBROKEN else spec.n_sites - 2
+        if len(found) != expected:
+            raise RootCountMismatch(f"found {len(found)} real roots for N={spec.n_sites}, "
+                                    f"gamma={spec.gamma}; its {phase} phase has {expected}")
+    kappas = iter(_kappas([s for s, p in zip(specs, phases) if p is not Phase.UNBROKEN],
                           tol).tolist())
     out = []
     for spec, phase, found in zip(specs, phases, roots):
         k = found.astype(complex)
         energies = mode_energy(spec, found).astype(complex)
-        if phase is Phase.BROKEN:
+        if phase is not Phase.UNBROKEN:
             kappa = next(kappas)
-            k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, -kappa)])
+            k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, 0.0 - kappa)])
             energies = np.append(energies, _pair_levels(spec.hopping, True, kappa))
         order = np.lexsort((energies.imag, energies.real))
         out.append(SpectralSolution(spec=spec, k=k[order], energies=energies[order],
@@ -511,8 +523,8 @@ def solve_spectra(n_sites: int, hopping: float, gammas,
 def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
     """Full mode set: N real modes, or N-2 real plus the conjugate imaginary pair.
 
-    Exactly at the boundary (Critical phase) the coalesced pair is missing and
-    whatever real roots remain are returned best-effort.
+    At an exact coalescence (Critical phase) the pair is E = 0 twice, at
+    k = pi/2.
     """
     return _spectra([spec], tol)[0]
 

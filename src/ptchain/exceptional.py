@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _critical_offsets, _in_gamma_order, _kappas, _pair_levels
+from .bethe import _critical_offsets, _in_gamma_order, _kappas, _pair_levels, classify_phase
 from .errors import DomainError, PhaseError
-from .model import ChainSpec, Phase, classify_phase
+from .model import ChainSpec, Phase
 from .states import _critical_pairs, _pt_norms, _row_norms
 
 # Largest scaled distance N |gamma - gamma_c| / gamma_c flagged as inside the
@@ -47,7 +47,7 @@ class CriticalReport:
     coalescence_gap: float
     pt_norms: tuple[complex, complex]
     in_window: bool
-    skipped: bool = False
+    skipped: bool = False  # always False: every point has its pair
 
 
 def alpha_parameter(spec: ChainSpec) -> float:
@@ -114,10 +114,10 @@ def critical_levels(spec: ChainSpec):
 
     Unbroken side: the +-|e| pair from the roots at pi/2 +- x0; broken side:
     the imaginary pair.  (For odd N the exact zero mode is not part of the
-    critical pair.)  Where the bracket at pi/2 holds no root, as at gamma_c
-    for even N, the pair has coalesced and PhaseError is raised.
+    critical pair.)  At an exact coalescence (`classify_phase` Critical) the
+    broken side's formulas give E = 0 twice and one vector twice.
     """
-    broken = classify_phase(spec) is Phase.BROKEN
+    broken = classify_phase(spec) is not Phase.UNBROKEN
     root = (_kappas if broken else _critical_offsets)([spec])
     vectors = _critical_pairs(spec.n_sites, spec.hopping, [spec.gamma], root, broken)[0]
     return _pair_levels(spec.hopping, broken, float(root[0])), tuple(vectors)
@@ -134,33 +134,28 @@ def _coalescence_gaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(gap > 0.0, gap, 0.0)  # as max(0.0, gap): NaN gives 0
 
 
-def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0,
-                   phase_tol: float | None = None) -> list[CriticalReport]:
-    """CriticalReport per gamma; points inside the Critical band are flagged.
+def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[CriticalReport]:
+    """CriticalReport per gamma, each pair bit-identical to its `critical_levels`.
 
-    Each point's phase is read once, at `phase_tol`, and the critical pairs
-    of the whole grid come from two solves: one for kappa at the broken
-    points and one for the bracket at pi/2 at the unbroken ones.  Their
-    eigenvectors are built as one stack per side and reduced to gaps and PT
-    self-pairings in one pass over the stack.  Where that
-    phase agrees with the default band, each pair is bit-identical to its
-    `critical_levels`.  If several gammas fail, the error raised is the
-    first failing gamma's.
+    Each point's phase is read once, by `classify_phase`, and the critical
+    pairs of the whole grid come from two solves: one for kappa at the
+    points that are not unbroken and one for the bracket at pi/2 at the
+    unbroken ones.  Their eigenvectors are built as one stack per side and
+    reduced to gaps and PT self-pairings in one pass over the stack.  If
+    several gammas fail, the error raised is the first failing gamma's.
     """
     return _in_gamma_order(
-        lambda grid: _critical_reports(
-            [ChainSpec(n_sites, hopping, float(g)) for g in grid], phase_tol),
+        lambda grid: _critical_reports([ChainSpec(n_sites, hopping, float(g)) for g in grid]),
         gamma_values)
 
 
-def _critical_reports(specs: list[ChainSpec],
-                      phase_tol: float | None) -> list[CriticalReport]:
+def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:
     if not specs:
         return []
     n, j = specs[0].n_sites, specs[0].hopping
-    phases = [classify_phase(spec, phase_tol) for spec in specs]
-    broken_side = [s for s, p in zip(specs, phases) if p is Phase.BROKEN]
-    unbroken_side = [s for s, p in zip(specs, phases) if p is Phase.UNBROKEN]
+    broken = [classify_phase(spec) is not Phase.UNBROKEN for spec in specs]
+    broken_side = [s for s, b in zip(specs, broken) if b]
+    unbroken_side = [s for s, b in zip(specs, broken) if not b]
     kappas, offsets = _kappas(broken_side), _critical_offsets(unbroken_side)
     # both sides' pairs in one stack, broken first: each reduction is one array pass
     unit = np.concatenate([
@@ -170,33 +165,20 @@ def _critical_reports(specs: list[ChainSpec],
     rows = list(zip(np.concatenate([kappas, offsets]).tolist(),
                     _coalescence_gaps(unit[:, 0], unit[:, 1]).tolist(),
                     map(tuple, _pt_norms(unit).tolist())))
-    split = len(broken_side)
-    points = {Phase.BROKEN: iter(rows[:split]), Phase.UNBROKEN: iter(rows[split:])}
+    points = {True: iter(rows[:len(broken_side)]), False: iter(rows[len(broken_side):])}
     reports = []
-    for spec, phase in zip(specs, phases):
-        gc = spec.gamma_c
-        offset = spec.gamma - gc
-        window = in_asymptotic_window(spec)
-        if phase is Phase.CRITICAL:
-            zero = complex(0.0, 0.0)
-            reports.append(CriticalReport(
-                gamma=spec.gamma, gamma_offset=offset, two_levels=(zero, zero),
-                analytic_pair=(zero, zero), delta_or_kappa=0.0,
-                alpha=alpha_parameter(spec), coalescence_gap=0.0,
-                pt_norms=(zero, zero), in_window=window, skipped=True))
-            continue
-        broken = phase is Phase.BROKEN
-        root, gap, pt = next(points[phase])
+    for spec, side in zip(specs, broken):
+        root, gap, pt = next(points[side])
         try:
-            dk = _approx(spec, broken)
-            analytic = _pair_levels(spec.hopping, broken, dk)
-        except DomainError:
+            dk = _approx(spec, side)
+            analytic = _pair_levels(spec.hopping, side, dk)
+        except (DomainError, PhaseError):  # PhaseError: the float gamma_c and c0 disagree
             dk = math.nan
             analytic = (complex(math.nan, math.nan),) * 2
         reports.append(CriticalReport(
-            gamma=spec.gamma, gamma_offset=offset,
-            two_levels=_pair_levels(spec.hopping, broken, root),
+            gamma=spec.gamma, gamma_offset=spec.gamma - spec.gamma_c,
+            two_levels=_pair_levels(spec.hopping, side, root),
             analytic_pair=analytic, delta_or_kappa=dk,
             alpha=alpha_parameter(spec), coalescence_gap=gap,
-            pt_norms=pt, in_window=window))
+            pt_norms=pt, in_window=in_asymptotic_window(spec)))
     return reports

@@ -42,8 +42,8 @@ from .errors import DegeneracyError, GaugeError, NonConvergence, StructureError
 from .model import ChainSpec, build_hamiltonian
 from .states import EigenBasis, build_eigenbasis
 
-# Below this gamma the metric is numerically degenerate (all eps -> 1) and the
-# canonical basis is defined by continuity: evaluate at GAMMA_FLOOR instead.
+# Below this gamma/J the metric is numerically degenerate (all eps -> 1) and
+# the canonical basis is defined by continuity: evaluate at GAMMA_FLOOR J instead.
 GAMMA_FLOOR = 1e-6
 
 # Largest imaginary residue of the gauged metric, and largest error of a
@@ -303,6 +303,8 @@ def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
     stack = np.zeros((len(sectors), size, size))
     for block, (_, p) in zip(stack, sectors):
         block[: p.shape[1], : p.shape[1]] = p.T @ eta_real @ p
+    # exact for a symmetric eta; the other sector's leaked rounding is left to the pairing checks
+    stack = 0.5 * (stack + stack.swapaxes(1, 2))
     # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
     # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
     values, vectors = jacobi_eigensystem(
@@ -388,16 +390,16 @@ def hermitian_equivalent(decomp: MetricDecomposition,
 
 
 def _at_floor(spec: ChainSpec) -> ChainSpec:
-    return ChainSpec(spec.n_sites, spec.hopping, max(spec.gamma, GAMMA_FLOOR))
+    return ChainSpec(spec.n_sites, spec.hopping, max(spec.gamma, GAMMA_FLOOR * spec.hopping))
 
 
 def metric_decomposition(spec: ChainSpec, tol: float = 1e-12) -> MetricDecomposition:
     """Full pipeline from a chain spec to the canonical metric eigensystem.
 
     `tol` is the Bethe root tolerance of `build_eigenbasis`.  Below
-    GAMMA_FLOOR the metric is fully degenerate (eta -> identity), so the
+    GAMMA_FLOOR J the metric is fully degenerate (eta -> identity), so the
     canonical basis is taken from the continuity limit: the pipeline runs at
-    gamma = GAMMA_FLOOR instead.
+    gamma = GAMMA_FLOOR J instead.
     """
     return canonical_basis(gauge_real(build_metric(build_eigenbasis(_at_floor(spec), tol))))
 
@@ -406,7 +408,7 @@ def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-12) -> HermitianEquiva
     """Equivalent Hermitian Hamiltonian of the chain (unbroken phase).
 
     Like `metric_decomposition`, which `tol` is passed to, it runs at
-    gamma = GAMMA_FLOOR below the floor.
+    gamma = GAMMA_FLOOR J below the floor.
     """
     return hermitian_equivalent(metric_decomposition(spec, tol),
                                 build_hamiltonian(_at_floor(spec)))

@@ -1,4 +1,4 @@
-"""Chain specification, Hamiltonian matrix, PT action, and phase classification.
+"""Chain specification, Hamiltonian matrix, PT action, and the phase labels.
 
 The model is an open N-site tight-binding chain with uniform real hopping J
 and a conjugate pair of imaginary on-site potentials +i*gamma / -i*gamma on
@@ -85,20 +85,3 @@ def gamma_critical(n_sites: int, hopping: float = 1.0) -> float:
         return hopping * math.sqrt((n + 1) / n)
     return float(hopping)
 
-
-def classify_phase(spec: ChainSpec, tol: float | None = None) -> Phase:
-    """Unbroken / Broken by comparison with gamma_c; Critical inside the tol band.
-
-    The default band is 1e-9 * J.  The classification is cross-checked
-    downstream by the real-root count of the quantization condition.
-    """
-    if tol is None:
-        tol = 1e-9 * spec.hopping
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    gc = spec.gamma_c
-    if spec.gamma < gc - tol:
-        return Phase.UNBROKEN
-    if spec.gamma > gc + tol:
-        return Phase.BROKEN
-    return Phase.CRITICAL

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _amplitude, mode_energy, raw_amplitude, solve_real_momenta
+from .bethe import _amplitude, classify_phase, mode_energy, raw_amplitude, solve_real_momenta
 from .errors import NullState, PhaseError
-from .model import ChainSpec, Phase, apply_pt, classify_phase
+from .model import ChainSpec, Phase, apply_pt
 
 # An unnormalized amplitude vector this small is a null state.
 NULL_STATE_THRESHOLD = 1e-10
@@ -91,8 +91,8 @@ def wavefunction_broken(spec: ChainSpec, branch: int, kappa: float) -> np.ndarra
 
     CPT normalization is invalid for these states (their PT self-pairing is
     exactly zero), so the Euclidean norm is used instead.  `kappa` is that of
-    `solve_kappa`, which raises PhaseError outside the broken phase; it is
-    used as is, whichever phase band its caller read.
+    `solve_kappa`; at kappa = 0, the exact coalescence, both branches give
+    the one coalesced vector.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptchain import (ChainSpec, Phase, build_hamiltonian, gamma_critical,
+from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
+                     critical_levels, critical_sweep, gamma_critical,
                      locate_critical_gamma, momentum_index, refine_eigenvalue,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
@@ -406,3 +407,74 @@ def test_large_chain_spectrum(n, frac, picks):
 @pytest.mark.parametrize("frac", [0.5, 1.5])
 def test_spectrum_at_n_1e5(frac):
     _check_large_chain(ChainSpec(10**5, 1.0, frac * gamma_critical(10**5)))
+
+
+def _near_gamma_c(n, j):
+    """gamma_c, 8 floats each side of it, and gamma_c (1 +- 10^-k) for k = 6..15."""
+    gc = gamma_critical(n, j)
+    grid = [gc]
+    for direction in (0.0, math.inf):
+        g = gc
+        for _ in range(8):
+            g = math.nextafter(g, direction)
+            grid.append(g)
+    return grid + [gc * (1 + s * 10.0 ** -k) for k in range(6, 16) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 255, 256, 1000, 1001])
+def test_one_phase_rule_near_gamma_c(n):
+    # the sign of c0 decides the phase; the bracket at pi/2 and the solve
+    # read the same float, so every gamma has all N levels and its pair
+    _, lo, hi = _brackets(n, first_only=True)
+    for j in (0.5, 1.0, 3.0):
+        grid = _near_gamma_c(n, j)
+        sweep = critical_sweep(n, grid, j)
+        for gamma, report in zip(grid, sweep):
+            spec = ChainSpec(n, j, gamma)
+            phase = classify_phase(spec)
+            sol = solve_spectrum(spec)
+            assert len(sol.energies) == n and sol.phase is phase, gamma
+            coefficients = [np.array([c]) for c in _reduced_coefficients(n, gamma / j)]
+            _, keep = _sign_changes(_reduced_quantization(n), lo, hi, *coefficients)
+            assert bool(keep[0]) == (phase is Phase.UNBROKEN), gamma
+            assert repr(report) == repr(critical_sweep(n, [gamma], j)[0]), gamma
+            levels, _ = critical_levels(spec)
+            assert len(levels) == 2 and levels == report.two_levels, gamma
+
+
+def _kappa_reference(n, gamma, guess):
+    """kappa at the float gamma (J = 1) to 50 digits, bracketed around `guess`."""
+    mp = pytest.importorskip("mpmath")
+    fn = mp.sinh if n % 2 else mp.cosh
+    with mp.workdps(50):
+        g2 = mp.mpf(gamma) ** 2
+        scaled = lambda k: (g2 * fn(k * (n - 1)) - fn(k * (n + 1))) * mp.exp(-k * (n + 1))
+        return mp.findroot(scaled, (mp.mpf(guess) / 2, mp.mpf(guess) * 2), solver="anderson")
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 255, 256, 1000, 1001])
+def test_kappa_next_to_gamma_c_is_within_its_condition(n):
+    # even N: within |1 - gamma/gamma_c|, the rounding of dif = r^2 - 1;
+    # odd N: within 4 eps/|1 - gamma/gamma_c|, the pair's change under one
+    # ulp of gamma (gamma_c is irrational there)
+    mp = pytest.importorskip("mpmath")
+    gc = gamma_critical(n)
+    for k in range(4, 16):
+        gamma = gc * (1 + 10.0 ** -k)
+        kappa = solve_kappa(ChainSpec(n, 1.0, gamma))
+        want = _kappa_reference(n, gamma, kappa)
+        offset = abs(1 - gamma / gc)
+        bound = 4 * np.finfo(float).eps / offset if n % 2 else max(offset, 2e-14)
+        assert abs(mp.mpf(kappa) - want) <= bound * want, k
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 21, 56, 64, 65, 128, 255, 256, 1000, 1001])
+def test_kappa_below_one_is_within_four_ulp(n):
+    mp = pytest.importorskip("mpmath")
+    gc = gamma_critical(n)
+    for frac in np.linspace(1.25, 2.0, 7):
+        gamma = float(frac * gc)
+        kappa = solve_kappa(ChainSpec(n, 1.0, gamma))
+        if kappa <= 1:
+            want = _kappa_reference(n, gamma, kappa)
+            assert abs(mp.mpf(kappa) - want) <= 4 * np.spacing(kappa), gamma

@@ -52,29 +52,30 @@ PINNED_OUTPUT = {
 }
 
 
-# sha256 of stdout for sweeps with gamma = 0, both phases and a step exactly
-# at gamma_c (Critical: best-effort roots), recorded with the per-gamma loop
+# sha256 of stdout for sweeps with gamma = 0, both phases and a step at
+# gamma_c, recorded with the per-gamma loop; re-recorded when the Critical
+# band was dropped, which gave the rows at gamma_c their critical pair
 PINNED_SWEEPS = {
     "sweep --n 2 --gamma-min 0 --gamma-max 2 --steps 3 --format csv":
-        "34368a3802b8805329e96f906a80c4666790c5acf12bf2c30d72a536db211654",
+        "e9a38985321456055f359c4fed97381773f9465b91dd82107de200d76b3517ad",
     "sweep --n 2 --gamma-min 0 --gamma-max 2 --steps 3 --format json":
-        "cd91ec36227c6d5987c8f35a4c4767fa41ecf8cd3962e5983e7aecaec4429525",
+        "14aca8b8bd1c4545b3138ad8a0907be6afb88eddf8cd984115b889e992adf21a",
     "sweep --n 8 --gamma-min 0 --gamma-max 2 --steps 9 --format csv":
-        "8382fd08578af07316149c2bd653fb1dafd425197426629100973aa1c8e0e684",
+        "ba47a636fbf67238a637baba88113922d4ab2d750afe12450ab94a8d688af42a",
     "sweep --n 8 --gamma-min 0 --gamma-max 2 --steps 9 --format json":
-        "72d6f80c7f2f75e15b23068f7f4dd60d3d92c89a594e32f834006861f314f8f2",
+        "248a37d9842b6b845c8d3eca5dcfde2e9aa88475a4be34a2158be6bea9d4d0e7",
     "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5 --format csv":
-        "3225f6401514551afcda050e8512d349635717ccf4a6c7c5bbd3b349b4a452f0",
+        "9e4e2687cd3da44a28dc381b23f858261f70e7a215ce3f5011c2e41225ce066c",
     "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5 --format json":
-        "6647a0674a6f1bcdd4377e39cb943566292b33a57754accf398200185550c148",
+        "fffc654ef58062598795eb0bdb1e4d63e48caebae22714fc075a377b502993bf",
     "sweep --n 64 --gamma-min 0 --gamma-max 2 --steps 21 --format csv":
-        "3b0c2fb0f726afa6951f656dd2d65dd53bc039ea8138013d42c528b15ed42b06",
+        "6e55054ca41ad3abe5c934c413b88a874c740955498b7f444fa69a11a3cfbc21",
     "sweep --n 64 --gamma-min 0 --gamma-max 2 --steps 21 --format json":
-        "90f9df6d77e055e8900ad1cc8e96370e4619ab2783a9bbb9c8bcfdd672d3a02d",
+        "83879f8433435569b1f4fb5a3020c348ed85454450d868c77d226c7e9fa923dd",
     "sweep --n 255 --gamma-min 0 --gamma-max 2.0078585764421075 --steps 21 --format csv":
-        "40619f73c7115a05c0e5c278218a37fc0a0f9b09c9d3ff8693fa90f6aa0861d1",
+        "9fcf0df86d096c633769584c867479c5f1615afba26dde38d96148659ed0623b",
     "sweep --n 255 --gamma-min 0 --gamma-max 2.0078585764421075 --steps 21 --format json":
-        "3c44a95b3320a09d99b414defdefb3ac5b36f4c65dc5d8ba25bfa6ed2a245a58",
+        "0776dbce19aa447efb6f6e193183299c913626c297602556b8dd88b32a51cb94",
 }
 
 
@@ -114,11 +115,16 @@ def test_sweep_reports_the_first_failing_gamma(capsys):
 
 
 def test_empty_table(capsys):
-    # exactly at gamma_c = J for N = 2 the coalesced pair leaves no real root
+    # exactly at gamma_c = J for N = 2 no real root is left: the table holds
+    # just the coalesced pair, E = 0 twice at k = pi/2
     code, out, _ = run(capsys, "spectrum", "--n", "2", "--gamma", "1")
-    assert (code, out) == (0, "gamma,level_index,k_re,k_im,energy_re,energy_im,phase\n")
+    assert (code, out) == (0, "gamma,level_index,k_re,k_im,energy_re,energy_im,phase\n"
+                              "1,0,1.57079632679,0,0,0,critical\n"
+                              "1,1,1.57079632679,0,0,0,critical\n")
     code, out, _ = run(capsys, "spectrum", "--n", "2", "--gamma", "1", "--format", "json")
-    assert code == 0 and json.loads(out)["records"] == []
+    records = json.loads(out)["records"]
+    assert code == 0 and [r["level_index"] for r in records] == [0, 1]
+    assert all(r["energy_re"] == r["energy_im"] == r["k_im"] == 0.0 for r in records)
 
 
 def test_spectrum_csv_schema(capsys):
@@ -373,3 +379,42 @@ def test_verify_energy_bounds_shrink_with_j(capsys, monkeypatch):
     assert code == 1
     failed = {line.split(",")[0] for line in out.splitlines() if line.endswith(",FAIL")}
     assert failed == {"phase_boundary", "oracle_match_0.5", "oracle_match_1.3"}
+
+
+def test_hermitian_next_to_odd_gamma_c_fails_in_one_line(capsys):
+    # 0.999999 gamma_c of N = 9 is a valid chain: the metric pipeline may
+    # fail there (a PTChainError, exit 1), but never as a bad argument (exit 2)
+    code, out, err = run(capsys, "hermitian", "--n", "9", "--gamma", "1.11803287072")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: DegeneracyError: ") and err.count("\n") == 1
+
+
+def test_hermitian_at_tiny_j(capsys):
+    # the gamma floor is in units of J: an absolute 1e-6 would put this chain
+    # at 1e4 gamma_c, in the broken phase
+    code, out, _ = run(capsys, "hermitian", "--n", "8", "--j", "1e-10", "--gamma", "5e-11")
+    assert code == 0
+    _, unit, _ = run(capsys, "hermitian", "--n", "8", "--gamma", "0.5")
+    for tiny, one in zip(out.splitlines()[1:], unit.splitlines()[1:], strict=True):
+        assert tiny.split(",")[2:4] == one.split(",")[2:4]
+        assert float(tiny.split(",")[4]) == pytest.approx(1e-10 * float(one.split(",")[4]),
+                                                          rel=1e-10, abs=1e-22)
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --n 2 --gamma 1", "spectrum --n 8 --gamma 1",
+    "spectrum --n 7 --j 0.5 --gamma 0.5773502691896257",
+    "spectrum --n 9 --gamma 1.118033988749895", "spectrum --n 9 --gamma 1.1180339887498951",
+    "sweep --n 8 --gamma-min 0 --gamma-max 2 --steps 9",
+    "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5",
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_negative_zero_in_the_output(capsys, argv, fmt):
+    # the coalesced pair's minus branch is 0.0 - 0.0: a zero prints as 0, never -0
+    code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        cells = [c for line in out.splitlines()[1:] for c in line.split(",")[:6]]
+    else:
+        cells = [str(v) for r in json.loads(out)["records"] for v in r.values()]
+    assert not [c for c in cells if c.lstrip("-").strip("0.") == "" and c.startswith("-")]

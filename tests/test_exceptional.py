@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptchain import (ChainSpec, alpha_parameter, coalescence_gap,
                      critical_levels, critical_sweep, delta_approx,
-                     gamma_critical, kappa_approx, repulsion_law, solve_kappa)
+                     gamma_critical, kappa_approx, pt_norm, repulsion_law, solve_kappa)
 from ptchain.errors import DomainError, PhaseError, PTChainError
 from ptchain.exceptional import CriticalReport, in_asymptotic_window
 
@@ -130,10 +130,14 @@ def test_critical_sweep_gap_monotone():
 
 
 def test_critical_sweep_flags_boundary_point():
+    # gamma_c = J exactly: the coalesced pair, E = 0 twice with one vector
     n = 8
     reports = critical_sweep(n, [0.5, 1.0, 1.2])
-    assert [r.skipped for r in reports] == [False, True, False]
+    assert [r.skipped for r in reports] == [False, False, False]
+    assert reports[1].two_levels == (0j, 0j) == reports[1].analytic_pair
+    assert math.copysign(1.0, reports[1].two_levels[1].imag) == 1.0  # never a -0
     assert reports[1].coalescence_gap == 0.0
+    assert reports[1].pt_norms == (0j, 0j)
 
 
 def test_critical_sweep_window_scales_with_n():
@@ -196,42 +200,46 @@ def _log_grid(n):
 
 
 # sha256 prefix of every report field's float.hex, recorded with the
-# per-gamma sweep that solved each critical pair on its own
+# per-gamma sweep that solved each critical pair on its own; re-recorded
+# when kappa <= 1 moved to R continued to x = i kappa, which moved the
+# broken side's two_levels, coalescence_gap and pt_norms in their last bits
 PINNED_LOG_GRID = {
-    2: "dfb01644cc21ff10", 3: "a7ac9a0941d2eb28", 4: "5cd2d9626ea74e4f",
-    5: "f16a4138459bf054", 6: "77abba37e8754fab", 7: "47bb16da58a1e2c5",
-    8: "0f5bdd84a44846a0", 9: "1425a25c8f3dfe9f", 10: "e1634ad98fe92163",
-    11: "c4d76cc1423df84e", 12: "a351e8031852d4d4", 13: "2b7d8cce216bd827",
-    14: "bbe4d5f5101d2532", 15: "ac521bd1ed28e7de", 16: "94ccadf504400987",
-    17: "5825dbd74a1df8a2", 18: "a7c7eb8f7defd510", 19: "5c9203f641c0686e",
-    20: "21c5ec9c96152ad2", 21: "5d146e44e9ab97e9", 22: "d968e74563e7a619",
-    23: "98d8931949351b5c", 24: "50a8fad11705c426", 25: "ad477324378a2181",
-    26: "1bb2105a0345533b", 27: "6c437d0fbfd6d96e", 28: "12613a07eb09b9ce",
-    29: "b99d824e0175ff68", 30: "0f4417ad07066ea8", 31: "0c4687053cf0e746",
-    32: "028442a82b135992", 33: "a46ae3b382f99a7a", 34: "2da87cfde8697224",
-    35: "1eda79e19ea54573", 36: "05067e3d19251afa", 37: "be8fe1466223c9f3",
-    38: "b5f2bff8a19e2c05", 39: "d3049dd568dacc7d", 40: "0a26d8a1026e5ce2",
-    41: "9cd4340589b26f13", 42: "9148848e8649e39a", 43: "99463e40a56ea315",
-    44: "d6b5ad054d57c44c", 45: "fce3792b2689abc6", 46: "d94f62c3730aa87b",
-    47: "c14f730cdfc08483", 48: "e10f567311264119", 49: "0d7a7e6cf310b56e",
-    50: "45a3b57fd0692e20", 51: "9d86dec147304eac", 52: "858df1aa7397ef67",
-    53: "de0178bb84c1a486", 54: "f26cc684ae5cc53d", 55: "deef1aa403478c7c",
-    56: "dbcfc03fb33ebaf8", 57: "891d43d0b2cb0c44", 58: "8b0ce8792fcd7c82",
-    59: "c4d9dcc0d0adfbf8", 60: "516847957dcb5201", 61: "8b38f1d78b4378f5",
-    62: "b7e2ba2430759f30", 63: "3145c6d36a763ff3", 64: "c46c7e66c4aa3475",
-    65: "796a1ffb718798fb", 66: "b364fc39f090ae62", 67: "4d6b4fd842f78ee0",
-    68: "bb5860ad81acff70", 69: "bec04c8991900bc0", 70: "a9c0b2d60c587c30",
-    71: "7bb56acb90ec0499", 72: "dd43c90af71ffa04", 73: "e3632d89083d3e84",
-    74: "adf65f680fd4fee5", 75: "6b04e408d8587a30", 76: "4cd90e109df92809",
-    77: "176985fa19b1680a", 78: "519d10afb5be5fc5", 79: "7babd3461302b8a4",
-    128: "e7b80df7317d9f8e", 200: "b80fdd313e42bbea", 255: "1705882f759d1aa3",
-    256: "65885249fbcab994", 1000: "2e31d8999d629f1a",
+    2: "2ece720e068dbf72", 3: "0a33ce87ee3f98ad", 4: "2c99ff8cf558ea79",
+    5: "205257b269626973", 6: "ede92e1686a0e612", 7: "9dab0b51d7fee1ff",
+    8: "887c7e277a583a5c", 9: "f0d5a7c4daa2af8e", 10: "2bc22d78c7675d17",
+    11: "8810a684bda02e16", 12: "a38ec671b8cd0598", 13: "24387f489443035d",
+    14: "6109f82b276b91db", 15: "c0ce13d17b9a1544", 16: "b09683ed7a9c0deb",
+    17: "edfd5b75ebde033b", 18: "6016306493c9b7e4", 19: "32b97502e8e8e401",
+    20: "f459b1f1a659c253", 21: "6780480012922ed9", 22: "164a8c9d6ad80c5b",
+    23: "7bd12304f030145e", 24: "280b3611268fb73a", 25: "24852f5e5ae53001",
+    26: "1eda28517baf0d57", 27: "782e79c0208e5755", 28: "228d29a2460f8022",
+    29: "2f565cb7b7598e0f", 30: "a0a01a3f075db7f9", 31: "4e8a94e2f5cc6484",
+    32: "ac71d5c89bce71c8", 33: "8177448bcaba0e91", 34: "0cc9e9912fdcd970",
+    35: "01a04370bad439ff", 36: "1995e374fb943a05", 37: "529db7044b27d7e9",
+    38: "4533f4994da8df5c", 39: "5cf2597db2db19de", 40: "b2a21879d03488e2",
+    41: "b901a1a27a96c513", 42: "714e7cc1a93b8c3c", 43: "0e23b479a5b92cdf",
+    44: "d02dc99c60fceb84", 45: "9688a90fa57b8809", 46: "2a74c7c20c0040dd",
+    47: "a63efd307c9a4750", 48: "b9e6762c7972c7d7", 49: "3fad96b4481a6c33",
+    50: "86d81ec7a521e21a", 51: "2e52dac00fa7d993", 52: "df2a3f664240c86c",
+    53: "e2f0e505a0768403", 54: "46387609aa68a427", 55: "ce28145a13c5054b",
+    56: "d51c0a47cd84cdc2", 57: "ad3f05f15c455d56", 58: "6e132334736fe8df",
+    59: "130fcccf456f1152", 60: "3ed18c40979616e7", 61: "3e7beccc09c9b9dc",
+    62: "178436c24f306c1d", 63: "e685b69628e53c0f", 64: "90b9e48d09d3ddd4",
+    65: "de4ce5c58ed3f763", 66: "e76e7ef24d28ea9b", 67: "da92895060522021",
+    68: "aec352950a6dd730", 69: "1d92d4d48989eadf", 70: "33fdc45894710425",
+    71: "228f5605068d4251", 72: "fd822d1cedddc9e8", 73: "1d34a2d97afeb539",
+    74: "3c864b592fa4304d", 75: "9d864f2caff805a7", 76: "1539ce304d27b174",
+    77: "bc3405bd247f6051", 78: "1c66f5e1bc974e81", 79: "902a16af2bb12517",
+    128: "2f49288cf5b96275", 200: "59caf6deb1787ae6", 255: "534c43a612d3785c",
+    256: "1c74dd16ba2f387e", 1000: "b955fc9841b2cbf3",
 }
-# N = 3 re-recorded when kappa > 1 moved to the log-form condition: its point
-# at 2 gamma_c has kappa = 1.03, now the correctly rounded value (was 1.2 ulp off)
+# re-recorded with the log grid; these grids also hold gamma_c itself, which
+# now reports the coalesced pair.  Before that, N = 3 was re-recorded when
+# kappa > 1 moved to the log-form condition: its point at 2 gamma_c has
+# kappa = 1.03, now the correctly rounded value (was 1.2 ulp off)
 PINNED_MIXED_GRID = {
-    2: "763aadff265e6fe9", 3: "cfb97355eb96dfad", 8: "8fc6e0f08f895885",
-    9: "3d53991ec1f7f510", 64: "38067c7d1a5427fc", 65: "b481c48336e4ca5f",
+    2: "70c6a2a9c174bd26", 3: "4556e9af2e4ead08", 8: "051688ae06b3b814",
+    9: "2d7810c674ec3157", 64: "5da384d768388c3a", 65: "afc0fd7fdf9c94ef",
 }
 
 
@@ -242,7 +250,7 @@ def test_critical_sweep_is_pinned_on_the_log_grid(n):
 
 @pytest.mark.parametrize("n", sorted(PINNED_MIXED_GRID))
 def test_critical_sweep_is_pinned_across_both_phases(n):
-    # 0 to 2 gamma_c in 9 steps: gamma = 0, gamma_c exactly (skipped) and
+    # 0 to 2 gamma_c in 9 steps: gamma = 0, gamma_c exactly (coalesced) and
     # odd-N points where the asymptotic formulas give NaN
     grid = np.linspace(0.0, 2 * gamma_critical(n), 9)
     assert _digest(critical_sweep(n, grid)) == PINNED_MIXED_GRID[n]
@@ -254,10 +262,10 @@ def test_critical_sweep_is_pinned_across_both_phases(n):
 ])
 def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error):
     with pytest.raises(error) as batch:
-        critical_sweep(8, gammas, phase_tol=1e-12)
+        critical_sweep(8, gammas)
     for gamma in gammas:  # the same error as the per-gamma sweep's
         try:
-            critical_sweep(8, [gamma], phase_tol=1e-12)
+            critical_sweep(8, [gamma])
         except (ValueError, DomainError, PhaseError) as exc:
             assert str(exc) == str(batch.value)
             break
@@ -265,10 +273,10 @@ def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error):
 
 @pytest.mark.parametrize("n,offset", [(8, 1e-11), (9, 2e-11)])
 def test_critical_sweep_reads_the_phase_at_its_phase_tol(n, offset):
-    # broken at phase_tol=1e-12 but inside the default Critical band: the
-    # report holds the kappa pair, not a real pair from another bracket
+    # broken, inside what was a 1e-9 J Critical band: the report holds the
+    # kappa pair, not a real pair from another bracket
     gamma = gamma_critical(n) + offset
-    (report,) = critical_sweep(n, [gamma], phase_tol=1e-12)
+    (report,) = critical_sweep(n, [gamma])
     law, _ = repulsion_law(ChainSpec(n, 1.0, gamma))
     assert not report.skipped
     assert report.two_levels[0].real == 0.0 == report.two_levels[1].real
@@ -279,14 +287,17 @@ def test_critical_sweep_reads_the_phase_at_its_phase_tol(n, offset):
 
 
 def test_critical_levels_at_even_gamma_c_has_no_pair():
-    # the pair has coalesced at pi/2 and its bracket holds no root; the next
-    # bracket's root is not a critical level
-    with pytest.raises(PhaseError, match="next to pi/2"):
-        critical_levels(ChainSpec(8, 1.0, 1.0))
+    # the pair has coalesced at pi/2 and its bracket holds no root: the
+    # broken side's formulas at kappa = 0 give E = 0 twice and one vector
+    # twice, not the next bracket's root
+    levels, (u, v) = critical_levels(ChainSpec(8, 1.0, 1.0))
+    assert levels == (0j, 0j)
+    assert np.array_equal(u, v) and np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+    assert pt_norm(u) == 0
 
 
 def _gammas_across_both_phases(n):
-    # gamma = 0, gamma_c itself (skipped), gamma_c (1 +- 1e-9..1e-3) and
+    # gamma = 0, gamma_c itself (coalesced), gamma_c (1 +- 1e-9..1e-3) and
     # points anywhere up to 3 gamma_c
     gc = gamma_critical(n)
     near = st.floats(-9.0, -3.0).map(lambda e: 10.0 ** e)

@@ -509,3 +509,19 @@ def test_hermitian_equivalent_residues_are_in_units_of_j(j):
                        equivalent_hermitian(ChainSpec(8, 1.0, 0.5)).block_a, atol=1e-9)
     with pytest.raises(StructureError, match="diagonal-block residue"):
         hermitian_equivalent(decomp, h + 1e-3 * j * np.eye(8))
+
+
+@pytest.mark.parametrize("j", [1e-300, 1e-10, 1e-3, 1e3, 1e10, 1e300])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 33])
+def test_gamma_floor_is_in_units_of_j(j, n):
+    # the table of the same chain in units of J is J times that of J = 1; an
+    # absolute floor of 1e-6 ran every chain with J below ~1e-6 in the broken
+    # phase
+    for frac in (0.1, 0.5, 0.9):
+        unit = equivalent_hermitian(ChainSpec(n, 1.0, frac * gamma_critical(n))).block_a
+        table = equivalent_hermitian(ChainSpec(n, j, frac * gamma_critical(n, j))).block_a
+        assert np.max(np.abs(table / j - unit)) <= 1e-12, frac
+    # gamma = 0 runs at GAMMA_FLOOR J, O(GAMMA_FLOOR^2) from the free chain
+    h = equivalent_hermitian(ChainSpec(n, j, 0.0)).h_matrix
+    free = -2.0 * j * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert np.max(np.abs(np.linalg.eigvalsh(h) - np.sort(free))) <= 1e-8 * j

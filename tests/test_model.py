@@ -85,6 +85,12 @@ def test_gamma_critical_odd_decreasing_to_one():
 def test_classify_phase():
     assert classify_phase(ChainSpec(8, 1.0, 0.5)) is Phase.UNBROKEN
     assert classify_phase(ChainSpec(8, 1.0, 1.2)) is Phase.BROKEN
-    assert classify_phase(ChainSpec(8, 1.0, 1.0), tol=1e-9) is Phase.CRITICAL
-    with pytest.raises(ValueError):
-        classify_phase(ChainSpec(8, 1.0, 1.0), tol=0.0)
+    assert classify_phase(ChainSpec(8, 1.0, 1.0)) is Phase.CRITICAL
+    # no band: one ulp from an exact coalescence is already a phase
+    assert classify_phase(ChainSpec(8, 1.0, math.nextafter(1.0, 0.0))) is Phase.UNBROKEN
+    assert classify_phase(ChainSpec(8, 1.0, math.nextafter(1.0, 2.0))) is Phase.BROKEN
+    # odd N: (r^2 - 1) N - (r^2 + 1) is exactly 0 at this float
+    assert classify_phase(ChainSpec(7, 0.5, 0.5773502691896257)) is Phase.CRITICAL
+    assert classify_phase(ChainSpec(9, 1.0, 1e200)) is Phase.BROKEN
+    with pytest.raises(TypeError):
+        classify_phase(ChainSpec(8, 1.0, 1.0), tol=1e-9)
