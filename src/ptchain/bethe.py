@@ -15,9 +15,11 @@ about 1/(2N) of pi/2: inside the bracket at pi/2, which holds the critical
 pair.  For even N that bracket is centred on pi/2 and holds the pair
 pi/2 +- x below gamma_c (c < 0) and no root above.  For odd N, pi/2 is a
 root (the zero-energy mode) and the bracket (pi/2, pi/2 + pi/N) holds one
-root below gamma_c (c < 1/N) and none above.  The sign of G at the ends of
-each bracket decides whether it holds a root, so the real-root count rests
-on evaluations of G alone.
+root below gamma_c (c < 1/N) and none above.  So the phase alone decides
+which brackets hold a root (all of them below gamma_c, all but the one at
+pi/2 above), and the solve refines just those; each must change sign.  The
+signs of G at the bracket ends give an independent real-root count
+(`count_real_momenta`), which the phase boundary is checked against.
 
 The roots are symmetric about pi/2 (chirality), so only the offsets
 x = k - pi/2 > 0 are solved, by a safeguarded Newton iteration on
@@ -41,6 +43,7 @@ float steps as in a one-gamma solve: the results agree bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,7 +160,7 @@ def classify_phase(spec: ChainSpec) -> Phase:
 
 def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
                   *params) -> tuple[np.ndarray, np.ndarray]:
-    """(side, keep): the sign of `fun` just inside each lo; whether hi has the other.
+    """(side, changes): the sign of `fun` just inside each lo; whether hi has the other.
 
     `fun(x, *params)` gives value and slope elementwise; a zero value takes
     its slope's sign.
@@ -168,12 +171,12 @@ def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
 
 
 def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
-                     tol: float, *params) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, keep): the root of `fun` in every bracket (lo, hi) whose end signs differ.
+                     tol: float, *params) -> np.ndarray:
+    """The root of `fun` in every bracket (lo, hi), in bracket order.
 
     `fun(x, *params)` gives value and slope elementwise; each of `params`
-    holds one value per bracket.  `keep` marks the brackets with a sign
-    change and `roots` holds their roots, in bracket order.  Safeguarded
+    holds one value per bracket.  Every bracket must change sign: the first
+    that does not raises RootCountMismatch, naming its ends.  Safeguarded
     Newton from `seed`, on all brackets at once: each evaluation shrinks its
     bracket, a step that would leave it bisects instead, and a root is done
     once its last step is at most `tol`.  A done root leaves the iteration
@@ -182,15 +185,17 @@ def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    side, keep = _sign_changes(fun, lo, hi, *params)
-    lo, hi, side, x = lo[keep], hi[keep], side[keep], seed[keep]
-    params = [p[keep] for p in params]
-    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    side, changes = _sign_changes(fun, lo, hi, *params)
+    if not changes.all():
+        i = int(np.argmin(changes))
+        raise RootCountMismatch(f"no sign change across the bracket "
+                                f"({float(lo[i])!r}, {float(hi[i])!r})")
+    x = np.where((lo < seed) & (seed < hi), seed, 0.5 * (lo + hi))
     roots, active = x.copy(), np.arange(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             if not len(x):
-                return roots, keep
+                return roots
             f, slope = fun(x, *params)
             right = np.sign(f) == side  # the root lies above x
             lo, hi = np.where(right, x, lo), np.where(right, hi, x)
@@ -206,13 +211,8 @@ def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
                          f"after {_MAX_ITER} steps")
 
 
-def _theta_slope(r):
-    """c = (gamma^2 - J^2)/(gamma^2 + J^2) of theta = atan(c tan k), in r = gamma/J."""
-    return (r * r - 1.0) / (r * r + 1.0)
-
-
 def _brackets(n: int, first_only: bool = False):
-    """(centre, lo, hi) of the brackets for the roots x > 0 of R.
+    """(centre, lo, hi) of the brackets for the roots x > 0 of R, the one at pi/2 first.
 
     One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
     i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
@@ -223,63 +223,66 @@ def _brackets(n: int, first_only: bool = False):
     return centre, np.maximum(centre - h, 0.0), centre + h
 
 
-def _offset_brackets(specs: list[ChainSpec], first_only: bool = False):
-    """(fun, params, lo, hi, seed): R and its `_brackets`, spec after spec.
+def _offset_brackets(specs: list[ChainSpec], phases: list[Phase], first_only: bool = False):
+    """(fun, params, lo, hi, seed): R and the `_brackets` that hold a root, spec after spec.
 
-    The seed is the counting function's first fixed-point step
-    k = (m pi + theta(m pi/N))/N.  `params` holds R's coefficients for every
-    bracket.  The specs share N and J.
+    By the phase rule an unbroken spec has a root in every bracket, any
+    other spec in every bracket but the one at pi/2; `first_only` keeps just
+    that one, for unbroken specs.  The seed is the counting function's first
+    fixed-point step k = (m pi + theta(m pi/N))/N.  `params` holds R's
+    coefficients for every bracket.  The specs share N and J.
     """
     n = specs[0].n_sites
     centre, lo, hi = _brackets(n, first_only)
-    tan, zero = np.tan(centre), 0.0 * centre
+    every = (centre, lo, hi, np.tan(centre), 0.0 * centre)
+    held = {True: every, False: tuple(v[1:] for v in every)}
     # spec by spec, with scalar operands: for a lone gamma this costs about
     # half of building the grid by 2-D broadcasting, np.tile and np.repeat
-    per_spec = [(lo, hi, centre - np.arctan2(_theta_slope(r), tan) / n,
-                 *(zero + v for v in _reduced_coefficients(n, r))) for r in map(_ratio, specs)]
+    per_spec = []
+    for spec, phase in zip(specs, phases):
+        centre, lo, hi, tan, zero = held[phase is Phase.UNBROKEN]
+        dif, tot, *slopes = _reduced_coefficients(n, _ratio(spec))
+        per_spec.append((lo, hi, centre - np.arctan2(dif / tot, tan) / n,
+                         *(zero + v for v in (dif, tot, *slopes))))
     lo, hi, seed, *params = map(np.concatenate, zip(*per_spec))
     return _reduced_quantization(n), params, lo, hi, seed
 
 
-def _real_roots(specs: list[ChainSpec], tol: float) -> list[np.ndarray]:
-    """All roots of G in (0, pi) per spec, sorted, from one solve; no count enforcement.
+def _real_roots(specs: list[ChainSpec], phases: list[Phase], tol: float) -> list[np.ndarray]:
+    """All roots of G in (0, pi) per spec, sorted, from one solve of the brackets that hold one.
 
-    None is a null state: the amplitude vanishes for every l only where
-    e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
+    N roots for an unbroken spec and N-2 for any other, counted before the
+    solve.  None is a null state: the amplitude vanishes for every l only
+    where e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
     """
     n, half = specs[0].n_sites, math.pi / 2
-    fun, params, lo, hi, seed = _offset_brackets(specs)
-    x, keep = _bracketed_roots(fun, lo, hi, seed, min(tol, 1e-14), *params)
+    fun, params, lo, hi, seed = _offset_brackets(specs, phases)
+    x = _bracketed_roots(fun, lo, hi, seed, min(tol, 1e-14), *params)
     zero_mode = [half] if n % 2 else []  # exact zero of G for odd N
-    m, start, roots = len(keep) // len(specs), 0, []
-    for i in range(len(specs)):
-        xs = x[start:start + np.count_nonzero(keep[i * m:(i + 1) * m])]
-        start += len(xs)
-        roots.append(np.concatenate([half - xs[::-1], zero_mode, half + xs]))
-    return roots
+    # N // 2 brackets, less the one at pi/2 for a spec that is not unbroken
+    ends = list(itertools.accumulate(n // 2 - (p is not Phase.UNBROKEN) for p in phases))
+    return [np.concatenate([half - x[a:b][::-1], zero_mode, half + x[a:b]])
+            for a, b in zip([0, *ends], ends)]
 
 
 def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
-    """Per unbroken spec the critical-pair offset x > 0: the root in the bracket at pi/2.
+    """The critical-pair offset x > 0 of each spec, all unbroken: the root in the bracket at pi/2.
 
     That bracket holds the smallest root exactly where `classify_phase`
-    reads c0 < 0.
+    reads c0 < 0; given any other spec it raises RootCountMismatch.
     """
     if not specs:
         return np.empty(0)
-    fun, params, lo, hi, seed = _offset_brackets(specs, first_only=True)
-    x, keep = _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
-    if len(x) < len(specs):  # a missing root would misalign the results
-        raise NonConvergence(f"bracket at pi/2 lost its sign change for "
-                             f"{specs[int(np.argmin(keep))]}")
-    return x
+    fun, params, lo, hi, seed = _offset_brackets(specs, [Phase.UNBROKEN] * len(specs),
+                                                 first_only=True)
+    return _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
 
 
 def _real_root_counter(n: int):
     """count(r) -> the number of real roots in (0, pi) at gamma/J = r, for N = n.
 
-    Read from the signs of R at the bracket ends alone, the same signs that
-    decide which brackets the solve refines, with no root solved.  The
+    Read from the signs of R at the bracket ends alone, with no root solved
+    and no use of the phase rule that picks the brackets to solve.  The
     gamma-free factors of R at the ends are computed once, so each count
     costs only the sign test with that r's coefficients; a zero value at a
     lower end takes its slope's sign.
@@ -305,15 +308,6 @@ def count_real_momenta(spec: ChainSpec) -> int:
     return _real_root_counter(spec.n_sites)(_ratio(spec))
 
 
-def _counted(spec: ChainSpec, roots: np.ndarray) -> np.ndarray:
-    n = spec.n_sites
-    if len(roots) not in (n, n - 2):
-        raise RootCountMismatch(
-            f"found {len(roots)} real roots for N={n}, gamma={spec.gamma} "
-            f"(expected {n} or {n - 2})")
-    return roots
-
-
 def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     """All real quasimomenta in (0, pi), sorted ascending.
 
@@ -322,11 +316,11 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     Raises
     ------
     RootCountMismatch
-        If the root count is neither N nor N-2.
+        If a bracket that the phase rule gives a root has no sign change.
     NonConvergence
         If a bracket fails to converge to `tol`.
     """
-    return _counted(spec, _real_roots([spec], tol)[0])
+    return _real_roots([spec], [classify_phase(spec)], tol)[0]
 
 
 def mode_energy(spec: ChainSpec, k):
@@ -354,7 +348,9 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     the limiting value +-pi/2 at k = pi/2.  Raises ValueError when k does not
     satisfy the quantization identity to 1e-9.
     """
-    n, c = spec.n_sites, _theta_slope(_ratio(spec))
+    n = spec.n_sites
+    dif, tot, _, _ = _reduced_coefficients(n, _ratio(spec))
+    c = dif / tot  # (gamma^2 - J^2)/(gamma^2 + J^2)
     if abs(math.cos(k)) < 1e-12:
         theta = math.copysign(math.pi / 2, c) if c != 0 else 0.0
     else:
@@ -443,17 +439,12 @@ def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
         hi = np.array([math.log(r[i]) + 1.0 for i in part])  # np.log may differ by 1 ulp
         params = ([np.array([2.0 * math.log(r[i]) for i in part])] if far
                   else list(np.array([_reduced_coefficients(n, r[i])[:2] for i in part]).T))
-        roots, keep = _bracketed_roots(condition(n), np.full(len(part), 1e-12 if far else 0.0),
+        kappa[part] = _bracketed_roots(condition(n), np.full(len(part), 1e-12 if far else 0.0),
                                        hi, hi - 1.0, min(tol, 1e-15), *params)
-        if len(roots) < len(part):
-            lost = int(np.argmin(keep))
-            raise NonConvergence(f"kappa bracket (0, {hi[lost]:.3f}] lost its sign change "
-                                 f"for {specs[part[lost]]}")
-        kappa[part] = roots
     return kappa
 
 
-def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
+def solve_kappa(spec: ChainSpec) -> float:
     """The unique kappa > 0 of the broken-phase quantization condition.
 
     Safeguarded Newton on [0, ln(gamma/J) + 1], where the residual changes
@@ -464,7 +455,7 @@ def solve_kappa(spec: ChainSpec, tol: float = 1e-14) -> float:
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not in the broken phase "
                          f"(gamma_c={spec.gamma_c})")
-    return float(_kappas([spec], tol)[0])
+    return float(_kappas([spec])[0])
 
 
 def _in_gamma_order(solve, gammas) -> list:
@@ -486,12 +477,7 @@ def _in_gamma_order(solve, gammas) -> list:
 def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
     """A solution per spec (shared N and J): one solve for the real roots, one for kappa."""
     phases = [classify_phase(spec) for spec in specs]
-    roots = _real_roots(specs, tol) if specs else []
-    for spec, phase, found in zip(specs, phases, roots):
-        expected = spec.n_sites if phase is Phase.UNBROKEN else spec.n_sites - 2
-        if len(found) != expected:
-            raise RootCountMismatch(f"found {len(found)} real roots for N={spec.n_sites}, "
-                                    f"gamma={spec.gamma}; its {phase} phase has {expected}")
+    roots = _real_roots(specs, phases, tol) if specs else []
     kappas = iter(_kappas([s for s, p in zip(specs, phases) if p is not Phase.UNBROKEN],
                           tol).tolist())
     out = []
@@ -539,10 +525,10 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
     where that is coarser (large J): the bisection stops once the midpoint
     is one of the bracket's ends.
     """
+    ChainSpec(n_sites, hopping)  # rejects a bad N or J, before the tol
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     j = hopping
-    ChainSpec(n_sites, j)  # rejects a bad N or J
     count = _real_root_counter(n_sites)
     lo, hi = 0.5 * j, 2.2 * j  # count N at lo, N-2 at hi, for every N >= 2
 

@@ -33,7 +33,7 @@ class ChainSpec:
     n_sites : int
         Chain length N >= 2.
     hopping : float
-        Finite hopping energy J > 0; the energy unit (default 1).
+        Hopping energy J in [1e-300, 1e300]; the energy unit (default 1).
     gamma : float
         Finite strength gamma >= 0 of the imaginary end potentials, in units of J.
     """
@@ -45,8 +45,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
-        if not (math.isfinite(self.hopping) and self.hopping > 0):
-            raise ValueError(f"hopping must be positive and finite, got {self.hopping}")
+        if not 1e-300 <= self.hopping <= 1e300:  # the range the pipelines are tested over
+            raise ValueError(f"hopping must be finite and in [1e-300, 1e+300], got {self.hopping}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
 

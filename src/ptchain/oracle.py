@@ -36,6 +36,9 @@ from .model import ChainSpec
 # at N = 1000 and 124-130 at N = 2000 (J = 1, 0.5 and 1.3 gamma_c): about
 # N/16 at large N
 _ORACLE_MAX_ITER = 1000
+_REFINE_MAX_ITER = 100
+_ROOT_TOL = 1e-13  # Aberth's last step, relative to max(J, |E|)
+_RESIDUAL_TOL = 1e-9  # inverse iteration's ||H v - lambda v||_inf
 
 # The common offset of the free-chain seeds, in units of J
 _SEED_OFFSET = cmath.rect(0.01, 0.5)
@@ -123,13 +126,13 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
 
 
-def _unit_roots(spec: ChainSpec, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _unit_roots(spec: ChainSpec, seeds: np.ndarray, max_iter: int) -> np.ndarray:
     """Aberth on the unit chain (J = 1, gamma/J) from seeds in units of J; roots times J."""
     j, gamma = spec.hopping, spec.gamma / spec.hopping
-    return j * _aberth(lambda z: _unit_ratio(spec.n_sites, gamma, z), seeds, tol, max_iter)
+    return j * _aberth(lambda z: _unit_ratio(spec.n_sites, gamma, z), seeds, _ROOT_TOL, max_iter)
 
 
-def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:
+def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
     """All N eigenvalues, seeded at the free-chain levels -2J cos(m pi/(N+1)).
 
     At gamma = 0 these are the roots; for gamma > 0 they sit close to all but
@@ -138,17 +141,16 @@ def oracle_spectrum(spec: ChainSpec, tol: float = 1e-13) -> np.ndarray:
     the symmetry z -> -conj(z) of D_N's roots in any seed set that has it;
     a purely imaginary offset keeps it too, and takes up to 49 iterations
     where this one takes 31.  The roots are those of the unit chain (J = 1,
-    gamma/J) times J, so `tol` is relative to max(J, |E|).
+    gamma/J) times J, so `_ROOT_TOL` is relative to max(J, |E|).
     """
     n = spec.n_sites
     seeds = -2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) + _SEED_OFFSET
-    return _unit_roots(spec, seeds, tol, _ORACLE_MAX_ITER)
+    return _unit_roots(spec, seeds, _ORACLE_MAX_ITER)
 
 
-def refine_eigenvalue(spec: ChainSpec, guess: complex, tol: float = 1e-13,
-                      max_iter: int = 100) -> complex:
+def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
     """Newton on the pointwise-evaluated characteristic polynomial, on the unit chain."""
-    return complex(_unit_roots(spec, np.array([guess / spec.hopping]), tol, max_iter)[0])
+    return complex(_unit_roots(spec, np.array([guess / spec.hopping]), _REFINE_MAX_ITER)[0])
 
 
 def spectral_distance(a, b) -> float:
@@ -182,13 +184,12 @@ def spectral_distance(a, b) -> float:
     return float(worst)
 
 
-def oracle_eigenvector(h: np.ndarray, eigenvalue: complex,
-                       tol: float = 1e-10) -> np.ndarray:
+def oracle_eigenvector(h: np.ndarray, eigenvalue: complex) -> np.ndarray:
     """Unit-norm eigenvector by inverse iteration on the shifted matrix.
 
     A small deterministic shift keeps the solve non-singular; three reshifts
     of growing size are tried before giving up.  The returned vector satisfies
-    ||H v - lambda v||_inf < 10 * tol and carries a fixed phase (largest
+    ||H v - lambda v||_inf < `_RESIDUAL_TOL` and carries a fixed phase (largest
     component real non-negative).
     """
     n = h.shape[0]
@@ -203,7 +204,7 @@ def oracle_eigenvector(h: np.ndarray, eigenvalue: complex,
             for _ in range(30):
                 w = np.linalg.solve(lu, v)
                 v = w / np.linalg.norm(w)
-                if np.max(np.abs(h @ v - eigenvalue * v)) < 10 * tol:
+                if np.max(np.abs(h @ v - eigenvalue * v)) < _RESIDUAL_TOL:
                     pivot = v[int(np.argmax(np.abs(v)))]
                     v = v * (abs(pivot) / pivot)
                     return v

@@ -47,12 +47,12 @@ class EigenBasis:
     g: np.ndarray
 
 
-def _fix_sign(v: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _fix_sign(v: np.ndarray) -> np.ndarray:
     # Deterministic +-1 gauge of each vector along the last axis: its first
     # component gets a non-negative real part, tie-broken by a non-negative
     # imaginary part.  Only real flips are allowed (a complex phase would
     # break the PT symmetry of the state).
-    z = v[..., :1]
+    z, atol = v[..., :1], 1e-12
     flip = (z.real < -atol) | ((np.abs(z.real) <= atol) & (z.imag < -atol))
     return np.where(flip, -v, v)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      locate_critical_gamma, momentum_index, refine_eigenvalue,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
-from ptchain.bethe import (_bracketed_roots, _brackets, _kappas, _offset_brackets,
-                           _real_roots, _reduced_coefficients, _reduced_quantization,
+from ptchain.bethe import (_bracketed_roots, _brackets, _critical_offsets, _kappas,
+                           _offset_brackets, _reduced_coefficients, _reduced_quantization,
                            _sign_changes, count_real_momenta, kappa_residual, raw_amplitude)
-from ptchain.errors import DomainError, PhaseError, PTChainError
+from ptchain.errors import DomainError, PhaseError, PTChainError, RootCountMismatch
 
 
 def test_roots_n3_gamma_one():
@@ -60,20 +61,22 @@ def test_no_scanned_root_is_a_null_state():
         for gamma in (0.0, 0.3 * gc, 0.9 * gc, gc - 1e-9, gc, gc + 1e-9,
                       1.0, 1.5 * gc, 2.0 * gc):
             spec = ChainSpec(n, 1.0, gamma)
-            for k in _real_roots([spec], 1e-12)[0]:
+            for k in solve_real_momenta(spec):
                 assert np.max(np.abs(raw_amplitude(spec, k))) >= 0.5, (n, gamma, k)
 
 
 def test_sign_count_equals_solved_count():
-    # the count reads only the bracket-end signs that decide which brackets
-    # the solve refines, so the two agree even at gamma_c itself
+    # the independent count reads only the bracket-end signs, the solve only
+    # the phase rule (N roots unbroken, N-2 otherwise): the two agree even
+    # at gamma_c itself
     for n in range(2, 81):
         for j in (0.5, 1.0, 3.0):
             gc = gamma_critical(n, j)
             for frac in (0.0, 0.3, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0):
                 spec = ChainSpec(n, j, frac * gc)
-                assert count_real_momenta(spec) == len(_real_roots([spec], 1e-12)[0]), \
-                    (n, j, frac)
+                expected = n if classify_phase(spec) is Phase.UNBROKEN else n - 2
+                assert count_real_momenta(spec) == expected, (n, j, frac)
+                assert len(solve_real_momenta(spec)) == expected, (n, j, frac)
 
 
 def test_root_count_transition():
@@ -283,7 +286,6 @@ def test_spectrum_traceless_and_chiral(n, frac):
     (solve_spectrum, 1.0, -1.0),        # gamma_c of N=8: the Critical-phase path
     (solve_spectrum, 1.5, 0.0),
     (solve_real_momenta, 0.5, math.nan),
-    (solve_kappa, 1.5, 0.0),
     # a NaN tol would end the bisection at once, a negative one never
     (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, math.nan),
     (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, -1e-6),
@@ -311,7 +313,8 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
 
 
 def _solve_brackets(specs, first_only, tol=1e-14):
-    fun, params, lo, hi, seed = _offset_brackets(specs, first_only)
+    phases = [classify_phase(s) for s in specs]
+    fun, params, lo, hi, seed = _offset_brackets(specs, phases, first_only)
     return _bracketed_roots(fun, lo, hi, seed, tol, *params)
 
 
@@ -328,16 +331,39 @@ def test_batched_roots_equal_solo_roots(n, far, near, first_only):
     gc = gamma_critical(n)
     ratios = far + [gc * (1 + sign * 10.0 ** -e) for e, sign in near]
     specs = [ChainSpec(n, 1.0, r) for r in ratios]
-    roots, keep = _solve_brackets(specs, first_only)
+    roots = _solve_brackets(specs, first_only)
     solo = [_solve_brackets([s], first_only) for s in specs]
-    assert keep.tolist() == [k for _, kept in solo for k in kept.tolist()]
-    assert roots.tobytes() == np.concatenate([x for x, _ in solo]).tobytes()
+    assert roots.tobytes() == np.concatenate(solo).tobytes()
     broken = [s for s in specs if s.gamma > gc + 1e-9]
     assert _kappas(broken).tobytes() == b"".join(_kappas([s]).tobytes() for s in broken)
-    # zero-width brackets change sign nowhere
-    fun, params, lo, _, seed = _offset_brackets(specs, first_only)
-    roots, keep = _bracketed_roots(fun, lo, lo, seed, 1e-14, *params)
-    assert roots.shape == (0,) and not keep.any()
+    # a zero-width bracket changes sign nowhere: the first one raises
+    fun, params, lo, _, seed = _offset_brackets(
+        specs, [classify_phase(s) for s in specs], first_only)
+    if len(lo):
+        ends = f"bracket ({float(lo[0])!r}, {float(lo[0])!r})"
+        with pytest.raises(RootCountMismatch, match=re.escape(ends)):
+            _bracketed_roots(fun, lo, lo, seed, 1e-14, *params)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
+def test_bracket_without_sign_change_raises_its_solo_error(n):
+    # the bracket at pi/2 of a broken spec holds no root; in the middle of a
+    # batch it raises the error of its solo solve, naming the bracket's ends
+    gc = gamma_critical(n)
+    unbroken, broken = ChainSpec(n, 1.0, 0.5 * gc), ChainSpec(n, 1.0, 1.5 * gc)
+    with pytest.raises(RootCountMismatch) as alone:
+        _critical_offsets([broken])
+    with pytest.raises(RootCountMismatch) as batch:
+        _critical_offsets([unbroken, broken, unbroken])
+    _, lo, hi = _brackets(n, first_only=True)
+    assert str(batch.value) == str(alone.value)
+    ends = f"({float(lo[0])!r}, {float(hi[0])!r})"
+    assert str(alone.value) == f"no sign change across the bracket {ends}"
+    # so do the whole spectra of a batch that gives a broken spec that bracket
+    phases = [Phase.UNBROKEN, Phase.UNBROKEN, Phase.UNBROKEN]
+    fun, params, lo, hi, seed = _offset_brackets([unbroken, broken, unbroken], phases)
+    with pytest.raises(RootCountMismatch, match="no sign change"):
+        _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])

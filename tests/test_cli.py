@@ -196,6 +196,24 @@ def test_non_finite_input_exits_2(capsys, flag, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "spectrum --n 4 --j 1e308 --gamma 5e307",
+    "sweep --n 4 --j 1e308 --gamma-min 0 --gamma-max 1e308 --steps 2",
+    "phase --n 4 --j 1e308",
+    "hermitian --n 8 --j 1e-310 --gamma 5e-311",
+    "verify --n-max 3 --j 1e-310",
+    "phase --n 8 --j 1e-320",
+    "spectrum --n 4 --j 1e-320 --gamma 5e-321",
+])
+def test_hopping_outside_the_tested_range_exits_2(capsys, argv):
+    # past J = 1e300 the energies overflow, below 1e-300 they and the
+    # tolerances in units of J go subnormal: one line naming the hopping
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: hopping must be finite and in [1e-300, 1e+300]")
+    assert err.count("\n") == 1
+
+
 def test_json_floats_match_csv(capsys):
     # both formats print floats to 12 significant digits
     _, csv_out, _ = run(capsys, "spectrum", "--n", "9", "--gamma", "0.73")

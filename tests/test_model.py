@@ -33,6 +33,9 @@ def test_hamiltonian_trace_and_corner():
     {"n_sites": 3, "hopping": -1.0}, {"n_sites": 3, "gamma": -0.1},
     {"n_sites": 3, "hopping": math.nan}, {"n_sites": 3, "hopping": math.inf},
     {"n_sites": 3, "gamma": math.nan}, {"n_sites": 3, "gamma": math.inf},
+    # outside the hopping range that the pipelines are tested over
+    {"n_sites": 3, "hopping": 1e-301}, {"n_sites": 3, "hopping": 5e-324},
+    {"n_sites": 3, "hopping": 1.0001e300}, {"n_sites": 3, "hopping": 1e308},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):

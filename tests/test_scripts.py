@@ -57,3 +57,22 @@ def test_level_repulsion_sweep_script(tmp_path):
         assert len(rows) == 12 and all(len(row) == 8 for row in rows), lines
         assert all(math.isfinite(v) for row in rows for v in row), lines
         assert all(row[6] >= 0 for row in rows), lines
+
+
+def test_line_count_script(tmp_path):
+    lines = _run_script("line_count.py").stdout.splitlines()
+    assert lines[0] == "module,raw,code"
+    rows = [line.split(",") for line in lines[1:]]
+    modules = sorted(p.stem for p in (ROOT / "src" / "ptchain").glob("*.py"))
+    assert [row[0] for row in rows] == [*modules, "total"], lines
+    counts = [(int(raw), int(code)) for _, raw, code in rows]
+    assert all(0 < code < raw for raw, code in counts), lines
+    assert counts[-1] == tuple(map(sum, zip(*counts[:-1]))), lines
+    # docstrings of the module, a class and a function, a comment-only line
+    # and blank lines are left out of `code`; a trailing comment is not
+    (tmp_path / "mod.py").write_text(
+        '"""Module\n\ndocstring."""\n\nimport math  # kept\n\n\n'
+        'class A:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+        '        # a comment\n        return math.pi\n', encoding="utf-8")
+    lines = _run_script("line_count.py", "--root", str(tmp_path)).stdout.splitlines()
+    assert lines == ["module,raw,code", "mod,15,4", "total,15,4"], lines
