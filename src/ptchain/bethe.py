@@ -416,8 +416,8 @@ def kappa_residual(spec: ChainSpec, kappa):
     return _kappa_condition(n)(kappa, *_reduced_coefficients(n, _ratio(spec))[:2])[0]
 
 
-def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
-    """kappa per broken or critical spec, from one safeguarded Newton solve per form.
+def _kappas(specs: list[ChainSpec], phases: list[Phase], tol: float = 1e-14) -> np.ndarray:
+    """kappa per broken or critical spec, given its phase, from one safeguarded Newton solve per form.
 
     A critical spec has kappa = 0 and is not solved.  A spec whose r2 passes
     the condition's closed-form value at kappa = 1 has kappa > 1 and is
@@ -433,7 +433,7 @@ def _kappas(specs: list[ChainSpec], tol: float = 1e-14) -> np.ndarray:
     kappa = np.zeros(len(r))
     for far, condition in ((False, _kappa_condition), (True, _log_kappa_condition)):
         part = [i for i, v in enumerate(r) if (v * v > r2_at_one) == far
-                and classify_phase(specs[i]) is not Phase.CRITICAL]
+                and phases[i] is not Phase.CRITICAL]
         if not part:
             continue
         hi = np.array([math.log(r[i]) + 1.0 for i in part])  # np.log may differ by 1 ulp
@@ -455,7 +455,7 @@ def solve_kappa(spec: ChainSpec) -> float:
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not in the broken phase "
                          f"(gamma_c={spec.gamma_c})")
-    return float(_kappas([spec])[0])
+    return float(_kappas([spec], [Phase.BROKEN])[0])
 
 
 def _in_gamma_order(solve, gammas) -> list:
@@ -479,7 +479,7 @@ def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
     phases = [classify_phase(spec) for spec in specs]
     roots = _real_roots(specs, phases, tol) if specs else []
     kappas = iter(_kappas([s for s, p in zip(specs, phases) if p is not Phase.UNBROKEN],
-                          tol).tolist())
+                          [p for p in phases if p is not Phase.UNBROKEN], tol).tolist())
     out = []
     for spec, phase, found in zip(specs, phases, roots):
         k = found.astype(complex)

@@ -117,8 +117,9 @@ def critical_levels(spec: ChainSpec):
     critical pair.)  At an exact coalescence (`classify_phase` Critical) the
     broken side's formulas give E = 0 twice and one vector twice.
     """
-    broken = classify_phase(spec) is not Phase.UNBROKEN
-    root = (_kappas if broken else _critical_offsets)([spec])
+    phase = classify_phase(spec)
+    broken = phase is not Phase.UNBROKEN
+    root = _kappas([spec], [phase]) if broken else _critical_offsets([spec])
     vectors = _critical_pairs(spec.n_sites, spec.hopping, [spec.gamma], root, broken)[0]
     return _pair_levels(spec.hopping, broken, float(root[0])), tuple(vectors)
 
@@ -153,10 +154,12 @@ def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:
     if not specs:
         return []
     n, j = specs[0].n_sites, specs[0].hopping
-    broken = [classify_phase(spec) is not Phase.UNBROKEN for spec in specs]
+    phases = [classify_phase(spec) for spec in specs]
+    broken = [p is not Phase.UNBROKEN for p in phases]
     broken_side = [s for s, b in zip(specs, broken) if b]
     unbroken_side = [s for s, b in zip(specs, broken) if not b]
-    kappas, offsets = _kappas(broken_side), _critical_offsets(unbroken_side)
+    kappas = _kappas(broken_side, [p for p in phases if p is not Phase.UNBROKEN])
+    offsets = _critical_offsets(unbroken_side)
     # both sides' pairs in one stack, broken first: each reduction is one array pass
     unit = np.concatenate([
         _critical_pairs(n, j, [s.gamma for s in broken_side], kappas, True),

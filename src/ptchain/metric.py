@@ -10,13 +10,14 @@ Pipeline (unbroken phase):
    N, where R|l> = (-1)^l |l>.
 3. Project the real eta onto the orthonormal parity basis
    (e_l + s refl e_l)/|.| of each reflection sector s = +-1, and
-   Jacobi-diagonalize the sector blocks together, as one stack in one call,
-   so every eigenvector has exact parity.  Eigenvalues come in reciprocal
-   pairs (eps, 1/eps) mapped onto each other by R.  For even N, R swaps the
-   two sectors, so only the N/2 x N/2 + block is solved and R supplies the
-   other half; for odd N, R keeps each sector, whose blocks are sized
-   (N-1)/2 and (N+1)/2, and the smaller one is padded by a zero row and
-   column to stack with the larger.  Matrix elements of the gauged H between
+   Jacobi-diagonalize the sector blocks together, as one stack in one call
+   of parallel Jacobi in the odd-even ordering (block-cyclic above
+   2 * _BLOCK rows), so every eigenvector has exact parity.  Eigenvalues
+   come in reciprocal pairs (eps, 1/eps) mapped onto each other by R.  For
+   even N, R swaps the two sectors, so only the N/2 x N/2 + block is solved
+   and R supplies the other half; for odd N, R keeps each sector, whose
+   blocks are sized (N-1)/2 and (N+1)/2, and the smaller one is padded by a
+   zero row and column to stack with the larger.  Matrix elements of the gauged H between
    equal-parity vectors vanish identically, which is what makes the final
    block structure possible.
 4. One rule orders the basis for both parities: each solved sector, with
@@ -100,7 +101,7 @@ def gauge_real(eta: np.ndarray) -> np.ndarray:
 
 
 # Rows per block of the block-cyclic rounds, at most.  A matrix of at most
-# 2 * _BLOCK rows is solved by scalar rounds alone, as is every sector block
+# 2 * _BLOCK rows is solved by odd-even rounds alone, as is every sector block
 # up to N = 64.  Of 8, 16 and 32, 16 measured fastest at N = 1024 and level
 # with 8 at N = 512.
 _BLOCK = 16
@@ -119,40 +120,64 @@ def _round_robin(m: int) -> np.ndarray:
     return np.stack((players[:, : m // 2], players[:, ::-1][:, : m // 2]), axis=2)
 
 
-def _rotation_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat m x m indices of each round's (a_pp, a_qq, a_pq) and (pp, qq, pq, qp)."""
-    pairs = _round_robin(m)
-    p, q = pairs[..., 0], pairs[..., 1]
-    pp, qq, pq = p * (m + 1), q * (m + 1), p * m + q
-    return (np.concatenate((pp, qq, pq), axis=1),
-            np.concatenate((pp, qq, pq, q * m + p), axis=1))
+def _pivot_slices(m: int) -> list[tuple[slice, ...]]:
+    """Flat slices of each odd-even round's (pp, qq, pq, qp) entries of an m x m matrix (m even).
+
+    Even rounds pivot on (2i, 2i+1), odd rounds on (2i+1, 2i+2), which
+    leaves rows 0 and m-1 idle.  Each pivot's entries sit 2(m+1) apart in
+    the flat matrix, so each set is one plain slice.
+    """
+    step = 2 * (m + 1)
+    return [tuple(slice(first + at, first + at + step * pairs, step) for at in (0, m + 1, 1, m))
+            for first, pairs in ((0, m // 2), (m + 1, m // 2 - 1))]
 
 
-def _sweep(y: np.ndarray, rounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """One sweep of round-robin rounds on a stack y = [a; V] of shape (k, 2m, m).
+def _odd_even_sweeper(y: np.ndarray):
+    """sweep() -> one in-place sweep of odd-even rounds on a stack y = [a; V] of shape (k, 2m, m).
 
-    A round rotates its m/2 disjoint pairs of every stack entry at once, as
-    one dense rotation G: [a G; V G], then G^T (a G).  Each angle is the
-    small one, |phi| <= pi/4, that zeroes a[p, q], which is then set to
-    exactly 0; a pair with an exactly-zero a[p, q] is not rotated, so a zero
-    pad row never mixes in.  Returns the new stack.
+    A round rotates its disjoint pairs of every stack entry at once and
+    swaps each rotated pair, as one dense G: [a G; V G], then G (a G).  Each
+    angle is the small one, |phi| <= pi/4, that zeroes a[p, q], which is then
+    set to exactly 0; rotating and then swapping a pair gives the symmetric
+    block [[s, c], [c, -s]], so G = G^T, and its entries sit at fixed places.
+    The two G buffers and all reads and writes are slices made here, once.
+    A zero a[p, q] gives c = 1, s = +-0, an exact swap, so a zero pad row
+    never mixes in.  After the m rounds of a sweep, the indices are in
+    reversed order (see `_unreverse`).
     """
     k, m = y.shape[0], y.shape[2]
-    h = m // 2
-    read, write = rounds
-    g = np.zeros((k, m * m))
-    gm = g.reshape(k, m, m)
-    for r in range(m - 1):
-        v = y.reshape(k, -1)[:, read[r]]
-        d = v[:, h:2 * h] - v[:, :h]
-        phi = 0.5 * np.arctan2(v[:, 2 * h:] * np.copysign(2.0, d), np.abs(d))
-        c, s = np.cos(phi), np.sin(phi)
-        g.fill(0.0)
-        g[:, write[r]] = np.concatenate((c, c, s, -s), axis=1)
-        y = y @ gm
-        y[:, :m] = gm.transpose(0, 2, 1) @ y[:, :m]
-        y.reshape(k, -1)[:, write[r, m:]] = 0.0
-    return y
+    a, v = y[:, :m], y[:, m:]
+    flat = y.reshape(k, -1)
+    t = np.empty((k, 2 * m, m))
+    rounds = []
+    for kind, cuts in enumerate(_pivot_slices(m)):
+        g = np.zeros((k, m, m))
+        if kind:
+            g[:, 0, 0] = g[:, -1, -1] = 1.0  # idle rows
+        g_flat = g.reshape(k, -1)
+        rounds.append((g, *(flat[:, cut] for cut in cuts), *(g_flat[:, cut] for cut in cuts)))
+
+    def sweep() -> None:
+        for g, pp, qq, pq, qp, g_pp, g_qq, g_pq, g_qp in rounds * (m // 2):
+            d = qq - pp
+            phi = 0.5 * np.arctan2(pq * np.copysign(2.0, d), np.abs(d))
+            np.sin(phi, out=g_pp)
+            np.negative(g_pp, out=g_qq)
+            np.cos(phi, out=g_pq)
+            g_qp[...] = g_pq
+            np.matmul(y, g, out=t)
+            np.matmul(g, t[:, :m], out=a)
+            v[...] = t[:, m:]
+            pq[...] = 0.0
+            qp[...] = 0.0
+    return sweep
+
+
+def _unreverse(y: np.ndarray) -> None:
+    """Undo one sweep's index reversal on y = [a; V], in place: reverse a's rows, y's columns."""
+    m = y.shape[2]
+    y[...] = y[:, :, ::-1]
+    y[:, :m] = y[:, m - 1::-1]
 
 
 def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
@@ -161,24 +186,27 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
 
     `sym` is one n x n matrix or a stack (..., n, n) of them, solved together
     in the same rounds.  Parallel-ordered Jacobi (Brent & Luk, SIAM J. Sci.
-    Stat. Comput. 6 (1985) 69-84): each sweep runs the round-robin rounds of
-    disjoint (p, q) pairs; rotations on disjoint pairs commute and leave each
-    other's (p, q) entries alone, so a round applies them all at once (see
-    `_sweep`).  Odd n gets one zero pad row and column.
+    Stat. Comput. 6 (1985) 69-84), in the odd-even ordering (Luk & Park,
+    SIAM J. Sci. Stat. Comput. 10 (1989) 18-26): rotations on disjoint
+    (p, q) pairs commute and leave each other's (p, q) entries alone, so a
+    round applies them all at once, and each rotated pair is swapped, so the
+    pairs of neighbours (2i, 2i+1) and (2i+1, 2i+2), taken in turn, meet
+    every index pair once in the m rounds of a sweep (see `_odd_even_sweeper`).
+    A sweep leaves the indices reversed, which is undone after an odd number
+    of sweeps.  Odd n gets one zero pad row and column.
 
     Above 2 * _BLOCK rows, the rows are split into an even number of blocks
     of at most _BLOCK rows (the last ones padded by zero rows), and a sweep
     runs the round-robin rounds over blocks instead.  A block round takes
     every block pair of the round, in every stack entry, through one sweep of
-    the scalar rounds as one stack, then applies each pair's accumulated
-    rotation to the rest of its rows and columns by matrix products.  So the
-    method stays scalar Jacobi, in a block-cyclic order: every rotation
-    zeroes one a[p, q], nothing is truncated, and the relative accuracy of
-    Jacobi (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13 (1992)
-    1204-1245) is kept.  Brent & Luk's ordering is that of the scalar rounds;
-    no proof cited here covers the block-cyclic order, whose convergence is
-    measured: 7-10 sweeps against the scalar rounds' 10-12 for sector blocks
-    of N = 256 and 512.
+    the odd-even rounds as one stack, undoes its reversal, then applies each
+    pair's accumulated rotation to the rest of its rows and columns by matrix
+    products.  So the method stays scalar Jacobi, in a block-cyclic order:
+    every rotation zeroes one a[p, q], nothing is truncated, and the relative
+    accuracy of Jacobi (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13
+    (1992) 1204-1245) is kept.  No proof cited here covers the block-cyclic
+    order, whose convergence is measured: 6-8 sweeps against 7-10 of the
+    odd-even rounds alone, for sector blocks of N = 128 to 512.
 
     Sweeps run until the off-diagonal Frobenius mass of every stack entry
     drops below `tol`.  Returns (values, vectors) with vectors in columns; a
@@ -201,31 +229,36 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
         m, span = count * size, 2 * size
         blocks = (_round_robin(count)[..., None] * size + np.arange(size)).reshape(
             count - 1, count // 2, span)
-        rounds = _rotation_indices(span)
+        # every block pair of a round, in every stack entry, as one stack
+        y = np.empty((k, count // 2, 2 * span, span))
+        pairs = y.reshape(-1, 2 * span, span)
     else:
         m = n + n % 2
-        rounds = _rotation_indices(m)
-    # x = [a; V], as in _sweep
+    # x = [a; V], as in _odd_even_sweeper
     x = np.zeros((k, 2 * m, m))
     x[:, :n, :n] = stack
     x[:, m:] = np.eye(m)
-    for _ in range(max_sweeps):
-        if np.all(np.sqrt(np.sum(np.tril(x[:, :m], -1) ** 2, axis=(1, 2)) * 2) < tol):
+    sweep = _odd_even_sweeper(pairs if blocked else x)
+    lower = np.tri(m, k=-1, dtype=bool)
+    for sweeps in range(max_sweeps):
+        if np.all(np.sqrt(np.sum(np.where(lower, x[:, :m], 0.0) ** 2, axis=(1, 2)) * 2) < tol):
             break
         if not blocked:
-            x = _sweep(x, rounds)
+            sweep()
             continue
         for rows in blocks:
-            y = np.zeros((k, count // 2, 2 * span, span))
             y[:, :, :span] = x[:, rows[:, :, None], rows[:, None, :]]
             y[:, :, span:] = np.eye(span)
-            y = _sweep(y.reshape(-1, 2 * span, span), rounds).reshape(y.shape)
+            sweep()
+            _unreverse(pairs)
             u = y[:, :, span:]
             x[:, :, rows] = (x[:, :, rows].transpose(0, 2, 1, 3) @ u).transpose(0, 2, 1, 3)
             x[:, rows] = u.transpose(0, 1, 3, 2) @ x[:, rows]
             x[:, rows[:, :, None], rows[:, None, :]] = y[:, :, :span]
     else:
         raise NonConvergence(f"Jacobi sweeps exceeded {max_sweeps}")
+    if sweeps % 2 and not blocked:
+        _unreverse(x)
     values = np.diagonal(x[:, :n, :n], axis1=1, axis2=2)
     order = np.argsort(values, axis=-1)
     return (np.take_along_axis(values, order, axis=-1).reshape(a.shape[:-1]),

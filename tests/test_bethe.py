@@ -10,6 +10,7 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      locate_critical_gamma, momentum_index, refine_eigenvalue,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
+from ptchain import bethe
 from ptchain.bethe import (_bracketed_roots, _brackets, _critical_offsets, _kappas,
                            _offset_brackets, _reduced_coefficients, _reduced_quantization,
                            _sign_changes, count_real_momenta, kappa_residual, raw_amplitude)
@@ -335,7 +336,9 @@ def test_batched_roots_equal_solo_roots(n, far, near, first_only):
     solo = [_solve_brackets([s], first_only) for s in specs]
     assert roots.tobytes() == np.concatenate(solo).tobytes()
     broken = [s for s in specs if s.gamma > gc + 1e-9]
-    assert _kappas(broken).tobytes() == b"".join(_kappas([s]).tobytes() for s in broken)
+    phases = [classify_phase(s) for s in broken]
+    assert _kappas(broken, phases).tobytes() == b"".join(
+        _kappas([s], [p]).tobytes() for s, p in zip(broken, phases))
     # a zero-width bracket changes sign nowhere: the first one raises
     fun, params, lo, _, seed = _offset_brackets(
         specs, [classify_phase(s) for s in specs], first_only)
@@ -376,6 +379,25 @@ def test_solve_spectra_equals_solve_spectrum(n):
         assert sol.spec == alone.spec and sol.phase is alone.phase
         assert sol.k.tobytes() == alone.k.tobytes()
         assert sol.energies.tobytes() == alone.energies.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_spectra_classify_each_spec_once(n, monkeypatch):
+    # unbroken, both kappa forms (below and past kappa = 1) and an exact
+    # coalescence (N = 8 at gamma = J): the phases read once feed every solve
+    calls = []
+
+    def spy(spec):
+        calls.append(spec)
+        return classify_phase(spec)
+
+    gc = gamma_critical(n)
+    gammas = [0.5 * gc, 1.0, 1.5 * gc, 20.0]
+    want = solve_spectra(n, 1.0, gammas)
+    monkeypatch.setattr(bethe, "classify_phase", spy)
+    got = solve_spectra(n, 1.0, gammas)
+    assert [spec.gamma for spec in calls] == gammas
+    assert [s.energies.tobytes() for s in got] == [s.energies.tobytes() for s in want]
 
 
 @pytest.mark.parametrize("gammas,error", [

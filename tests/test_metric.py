@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -204,6 +205,32 @@ def test_jacobi_block_path_matches_eigh(n):
         _assert_eigensystem(a, w, v, 1e-12 * np.linalg.norm(a))
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 32, 34])
+def test_odd_even_sweep_meets_every_pair_once_and_reverses(m):
+    # Follow each index through one sweep of the kernel's pivot slices: each
+    # rotated pair is swapped, so a round's pivots meet the indices now there.
+    at, flat, met = list(range(m)), np.arange(m * m), []
+    for r in range(m):
+        pp, qq, pq, qp = (flat[cut] for cut in metric._pivot_slices(m)[r % 2])
+        p, q = np.divmod(pq, m)
+        assert np.array_equal(q, p + 1) and np.array_equal(p % 2, np.full(p.size, r % 2))
+        assert np.array_equal(pp, p * (m + 1)) and np.array_equal(qq, q * (m + 1))
+        assert np.array_equal(qp, q * m + p)
+        for i, j in zip(p.tolist(), q.tolist()):
+            met.append(tuple(sorted((at[i], at[j]))))
+            at[i], at[j] = at[j], at[i]
+    assert sorted(met) == list(itertools.combinations(range(m), 2))
+    assert at == list(range(m))[::-1]
+    # The kernel itself: on a diagonal matrix every pivot is exactly 0, so each
+    # rotation is an exact swap, and one sweep reverses a and V's columns.
+    y = np.zeros((1, 2 * m, m))
+    y[0, :m] = np.diag(np.arange(1.0, m + 1))
+    y[0, m:] = np.eye(m)
+    metric._odd_even_sweeper(y)()
+    assert np.array_equal(y[0, :m], np.diag(np.arange(m, 0.0, -1)))
+    assert np.array_equal(y[0, m:], np.eye(m)[:, ::-1])
+
+
 def _scalar_jacobi(sym, tol):
     # The one-matrix solver this module had before the stacked and block
     # rounds, kept verbatim as the reference for relative accuracy.
@@ -238,7 +265,7 @@ def _scalar_jacobi(sym, tol):
     return diag[order], x[order, m:m + n].T
 
 
-@pytest.mark.parametrize("n", [12, 3 * metric._BLOCK])
+@pytest.mark.parametrize("n", [12, 2 * metric._BLOCK, 3 * metric._BLOCK])
 def test_jacobi_keeps_small_eigenvalues_of_a_graded_matrix(n):
     # D A D with A well conditioned and D from 1e-8 to 1: the eigenvalues run
     # from about 1e-16 to 1, and Jacobi fixes each to a few ulps of itself.
