@@ -21,7 +21,7 @@ from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
                           critical_levels, critical_sweep, delta_approx,
                           kappa_approx, repulsion_law)
 from .metric import (HermitianEquivalent, MetricDecomposition, build_metric,
-                     canonical_basis, equivalent_hermitian, gauge_real,
+                     canonical_basis, equivalent_hermitian, gauged_factor,
                      hermitian_equivalent, jacobi_eigensystem,
                      metric_decomposition)
 from .oracle import (oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
@@ -39,7 +39,7 @@ __all__ = [
     "CriticalReport", "alpha_parameter", "coalescence_gap", "critical_levels",
     "critical_sweep", "delta_approx", "kappa_approx", "repulsion_law",
     "HermitianEquivalent", "MetricDecomposition", "build_metric",
-    "canonical_basis", "equivalent_hermitian", "gauge_real",
+    "canonical_basis", "equivalent_hermitian", "gauged_factor",
     "hermitian_equivalent", "jacobi_eigensystem", "metric_decomposition",
     "oracle_eigenvector", "oracle_spectrum", "refine_eigenvalue",
     "spectral_distance",

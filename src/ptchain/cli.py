@@ -18,7 +18,7 @@ from . import __version__
 from .bethe import SpectralSolution, locate_critical_gamma, solve_spectra, solve_spectrum
 from .errors import PTChainError
 from .metric import (build_metric, canonical_basis, equivalent_hermitian, exchange_matrix,
-                     gauge_real, hermitian_equivalent, reflection_matrix)
+                     gauged_factor, hermitian_equivalent, reflection_matrix)
 from .model import ChainSpec, apply_pt, build_hamiltonian, gamma_critical
 from .oracle import oracle_spectrum, spectral_distance
 from .states import _eigenbasis, build_c_operator, build_eigenbasis
@@ -100,7 +100,8 @@ def cmd_phase(args) -> int:
 
 def cmd_metric(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
-    eta = gauge_real(build_metric(build_eigenbasis(spec, args.tol)))
+    w = gauged_factor(build_eigenbasis(spec, args.tol))
+    eta = w @ w.T
     rows = [(args.n, args.gamma, i + 1, k + 1, value)
             for i, line in enumerate(eta.tolist()) for k, value in enumerate(line)]
     _emit(rows, ["n", "gamma", "row", "col", "value"], args,
@@ -154,8 +155,10 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
         bio = basis.g.conj().T @ basis.f
         yield ("biorthonormal", n, np.max(np.abs(bio - eye)) <= ident_tol)
 
-        eta = build_metric(basis)
-        eta_r = gauge_real(eta)
+        # eta's own identities from the complex product; the gauged metric
+        # and the canonical basis from its real factor, as in the pipeline
+        eta, w = build_metric(basis), gauged_factor(basis)
+        eta_r = w @ w.T
         refl = reflection_matrix(n)
         yield ("metric_hermitian", n, np.max(np.abs(eta - eta.conj().T)) <= ident_tol)
         yield ("metric_inverse_conjugate", n,
@@ -167,7 +170,7 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
         yield ("metric_bisymmetric", n,
                np.max(np.abs(refl @ eta_r @ refl - eta_r)) <= ident_tol)
         yield ("metric_det_one", n, abs(np.linalg.det(eta_r) - 1.0) <= ident_tol)
-        decomp = canonical_basis(eta_r)
+        decomp = canonical_basis(w)
         yield ("metric_reciprocal_pairs", n,
                np.max(np.abs(decomp.eigenvalues * decomp.eigenvalues[list(decomp.pairing)] - 1.0))
                <= ident_tol)

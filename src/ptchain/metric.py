@@ -2,14 +2,18 @@
 
 Pipeline (unbroken phase):
 
-1. eta = sum_k |g_k><g_k| over the CPT-normalized dual states; Hermitian,
-   positive-definite, eta^-1 = eta^*, PT-invariant, det = 1.
-2. Gauge |l> -> i^(l mod 2) |l>: eta becomes real symmetric, H becomes purely
-   imaginary.  The gauged eta commutes with a reflection operator: the plain
-   site exchange for even N, the sign-twisted exchange (exchange o R) for odd
-   N, where R|l> = (-1)^l |l>.
-3. Project the real eta onto the orthonormal parity basis
-   (e_l + s refl e_l)/|.| of each reflection sector s = +-1, and
+1. eta = sum_k |g_k><g_k| = G G^dagger over the CPT-normalized dual states;
+   Hermitian, positive-definite, eta^-1 = eta^*, PT-invariant, det = 1.
+2. Gauge |l> -> i^(l mod 2) |l>: the gauged duals G~ = conj(D) G, with
+   D = diag(i^(l mod 2)), give the gauged metric G~ G~^dagger, which is real
+   symmetric, and H becomes purely imaginary.  So the real factor
+   W = [Re G~, Im G~] (N x 2N) carries it as eta_g = W W^T, and eta_g is
+   never formed.  eta_g commutes with a reflection operator: the plain site
+   exchange for even N, the sign-twisted exchange (exchange o R) for odd N,
+   where R|l> = (-1)^l |l>.
+3. Project W onto the orthonormal parity basis P = (e_l + s refl e_l)/|.| of
+   each reflection sector s = +-1; each sector block (P^T W)(P^T W)^T is
+   symmetric by construction and carries no rounding of the other sector.
    Jacobi-diagonalize the sector blocks together, as one stack in one call
    of parallel Jacobi in the odd-even ordering (block-cyclic above
    2 * _BLOCK rows), so every eigenvector has exact parity.  Eigenvalues
@@ -66,38 +70,35 @@ def exchange_matrix(n: int) -> np.ndarray:
     return np.eye(n)[::-1]
 
 
-def alternating_matrix(n: int) -> np.ndarray:
-    """R|l> = (-1)^l |l>, sites numbered 1..N."""
-    return np.diag((-1.0) ** np.arange(1, n + 1))
-
-
 def reflection_matrix(n: int) -> np.ndarray:
     """The reflection that commutes with the gauged metric.
 
     Plain exchange for even N; for odd N the gauge twists the exchange
-    symmetry into (exchange o R).
+    symmetry into (exchange o R), the exchange with alternating column signs
+    (R|l> = (-1)^l |l>, sites numbered 1..N).
     """
     p = exchange_matrix(n)
-    return p if n % 2 == 0 else p @ alternating_matrix(n)
+    return p if n % 2 == 0 else p * (-1.0) ** np.arange(1, n + 1)
 
 
 def _gauge_phases(n: int) -> np.ndarray:
     return 1j ** (np.arange(1, n + 1) % 2)
 
 
-def gauge_real(eta: np.ndarray) -> np.ndarray:
-    """Conjugate by diag(i^(l mod 2)); the result is real symmetric.
+def gauged_factor(basis: EigenBasis) -> np.ndarray:
+    """The real factor W = [Re G~, Im G~] of the gauged metric eta_g = W W^T.
 
-    Raises GaugeError when the imaginary residue exceeds GAUGE_TOL, which
-    signals that the input was not a valid metric of this model.
+    G~ = conj(D) G are the dual states in the gauge D = diag(i^(l mod 2)),
+    so G~ G~^dagger is the gauged metric, real symmetric for a valid metric
+    of this model.  Its imaginary part is X - X^T, with X = Im G~ Re G~^T;
+    GaugeError is raised when max|X - X^T| exceeds GAUGE_TOL.
     """
-    n = eta.shape[0]
-    d = _gauge_phases(n)
-    gauged = np.conj(d)[:, None] * eta * d[None, :]
-    resid = float(np.max(np.abs(gauged.imag)))
-    if resid > GAUGE_TOL:
+    g = np.conj(_gauge_phases(basis.g.shape[0]))[:, None] * basis.g
+    x = g.imag @ g.real.T
+    resid = float(np.max(np.abs(x - x.T)))
+    if not resid <= GAUGE_TOL:  # NaN never passes
         raise GaugeError(f"imaginary residue {resid:.2e} after gauging")
-    return gauged.real
+    return np.hstack((g.real, g.imag))
 
 
 # Rows per block of the block-cyclic rounds, at most.  A matrix of at most
@@ -307,11 +308,13 @@ def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
     basis *= np.where(lead[np.minimum(np.arange(n), pairing)] < 0, -1.0, 1.0)
 
 
-def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
+def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
-    eta_real is projected onto the orthonormal parity basis (e_l + s refl e_l)/|.|
-    of each reflection sector s = +-1, and the sector blocks are diagonalized
+    `factor` is a real factor W of the gauged metric eta_g = W W^T, for
+    example `gauged_factor`'s N x 2N one.  It is projected onto the
+    orthonormal parity basis P = (e_l + s refl e_l)/|.| of each reflection
+    sector s = +-1, and the sector blocks (P^T W)(P^T W)^T are diagonalized
     together by one `jacobi_eigensystem` call, so every eigenvector has exact
     parity.  One rule then orders the basis: each solved sector, smaller
     first, with eigenvalues descending, contributes its leading vectors and
@@ -322,11 +325,12 @@ def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
     (N-1)/2 and (N+1)/2; its leading vectors are those with eps > 1 and, in
     the odd-sized - sector, the self-paired eps = 1 vector, whose R
     eigenvalue must be -1 (the trace of R on that sector).  Every R-partner
-    is checked against eta through its Rayleigh quotient, to PAIRING_TOL.
+    p is checked against its leader's 1/eps through its Rayleigh quotient
+    p^T eta_g p = |W^T p|^2, a sum of squares, to PAIRING_TOL.
     """
-    n = eta_real.shape[0]
+    n = factor.shape[0]
     refl = reflection_matrix(n)
-    r = alternating_matrix(n)
+    r = (-1.0) ** np.arange(1, n + 1)  # R|l> = (-1)^l |l>, as a sign vector
     signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
     # the smaller sector of odd N first: its columns are the first half
     sectors = sorted(((s, _sector_basis(refl, s)) for s in signs), key=lambda e: e[1].shape[1])
@@ -335,13 +339,13 @@ def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
     size = sectors[-1][1].shape[1]
     stack = np.zeros((len(sectors), size, size))
     for block, (_, p) in zip(stack, sectors):
-        block[: p.shape[1], : p.shape[1]] = p.T @ eta_real @ p
-    # exact for a symmetric eta; the other sector's leaked rounding is left to the pairing checks
-    stack = 0.5 * (stack + stack.swapaxes(1, 2))
+        half = p.T @ factor
+        block[: p.shape[1], : p.shape[1]] = half @ half.T
     # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
     # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
+    # |W|^2 / sqrt(N) = tr(eta) / sqrt(N) is at most |eta|.
     values, vectors = jacobi_eigensystem(
-        stack, tol=1e-15 * max(1.0, float(np.linalg.norm(eta_real))))
+        stack, tol=1e-15 * max(1.0, float(np.vdot(factor, factor)) / np.sqrt(n)))
 
     cols, eps, pairing = [], [], ()
     for (s, p), w, u in zip(sectors, values, vectors):
@@ -362,16 +366,16 @@ def canonical_basis(eta_real: np.ndarray) -> MetricDecomposition:
             ups = [i for i in range(k) if w[i] > 1.0 and i not in mid]
             if 2 * len(ups) + len(mid) != k:
                 raise DegeneracyError("reciprocal pairs unbalanced inside a sector")
-            sigma = float(v[:, single] @ r @ v[:, single])
+            sigma = float(v[:, single] @ (r * v[:, single]))
             if mid and abs(sigma - s) > PAIRING_TOL:
                 raise DegeneracyError(
                     f"self-paired vector is not an R eigenvector of eigenvalue -1 ({sigma:.3f})")
         lead, back = ups + mid, ups[::-1]
         # The partners are s R v, the sign that makes the coupling block
         # reflection-symmetric.  Each is checked against 1/eps of its leader
-        # through its Rayleigh quotient, one diagonal of (RV)^T eta (RV).
-        partners = s * (r @ v[:, back])
-        rec = np.einsum("ij,ij->j", partners, eta_real @ partners)
+        # through its Rayleigh quotient |W^T p|^2.
+        partners = s * r[:, None] * v[:, back]
+        rec = np.sum((factor.T @ partners) ** 2, axis=0)
         bad = np.flatnonzero(~(np.abs(w[back] * rec - 1.0) <= PAIRING_TOL))  # NaN never passes
         if bad.size:
             raise DegeneracyError(
@@ -434,7 +438,7 @@ def metric_decomposition(spec: ChainSpec, tol: float = 1e-12) -> MetricDecomposi
     canonical basis is taken from the continuity limit: the pipeline runs at
     gamma = GAMMA_FLOOR J instead.
     """
-    return canonical_basis(gauge_real(build_metric(build_eigenbasis(_at_floor(spec), tol))))
+    return canonical_basis(gauged_factor(build_eigenbasis(_at_floor(spec), tol)))
 
 
 def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-12) -> HermitianEquivalent:

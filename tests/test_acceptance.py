@@ -13,7 +13,7 @@ import pytest
 from ptchain import (ChainSpec, build_c_operator, build_eigenbasis,
                      build_hamiltonian, build_metric, canonical_basis,
                      cpt_inner, critical_levels, equivalent_hermitian,
-                     gamma_critical, gauge_real, jacobi_eigensystem,
+                     gamma_critical, gauged_factor, jacobi_eigensystem,
                      locate_critical_gamma, oracle_spectrum, repulsion_law,
                      solve_kappa, solve_spectrum, spectral_distance)
 from ptchain.metric import reflection_matrix
@@ -156,10 +156,11 @@ def test_criterion_6_metric_identities():
     for n in range(2, 13):
         spec = ChainSpec(n, 1.0, 0.5 * gamma_critical(n))
         h = build_hamiltonian(spec)
-        eta = build_metric(build_eigenbasis(spec))
-        eta_r = gauge_real(eta)
+        basis = build_eigenbasis(spec)
+        eta, w = build_metric(basis), gauged_factor(basis)
+        eta_r = w @ w.T
         refl = reflection_matrix(n)
-        decomp = canonical_basis(eta_r)
+        decomp = canonical_basis(w)
         eps = decomp.eigenvalues
         eye, p = np.eye(n), np.eye(n)[::-1]
         checks = {

@@ -6,11 +6,12 @@ import pytest
 
 from ptchain import (ChainSpec, build_eigenbasis, build_hamiltonian,
                      build_metric, canonical_basis, equivalent_hermitian,
-                     gamma_critical, gauge_real, hermitian_equivalent,
-                     jacobi_eigensystem, metric, metric_decomposition)
+                     gamma_critical, gauged_factor, hermitian_equivalent,
+                     jacobi_eigensystem, metric, metric_decomposition, solve_spectrum)
 from ptchain.errors import (DegeneracyError, GaugeError, NonConvergence, PhaseError,
-                             StructureError)
+                             PTChainError, StructureError)
 from ptchain.metric import _sector_basis, reflection_matrix
+from ptchain.states import EigenBasis
 
 GRID = [(n, frac) for n in (2, 3, 5, 7, 8, 11, 12) for frac in (0.3, 0.6, 0.9)]
 
@@ -81,8 +82,13 @@ def test_metric_element_identities(n, frac):
 
 @pytest.mark.parametrize("n,frac", GRID)
 def test_gauged_metric_structure(n, frac):
-    spec, eta = _metric(n, frac)
-    eta_r = gauge_real(eta)
+    basis = build_eigenbasis(ChainSpec(n, 1.0, frac * gamma_critical(n)))
+    w = gauged_factor(basis)
+    assert w.shape == (n, 2 * n)
+    eta_r = w @ w.T
+    # the factor carries the gauged complex metric D* eta D
+    d = 1j ** (np.arange(1, n + 1) % 2)
+    assert np.max(np.abs(eta_r - np.conj(d)[:, None] * build_metric(basis) * d)) < 1e-12
     assert np.max(np.abs(eta_r - eta_r.T)) < 1e-10
     r = np.diag((-1.0) ** np.arange(1, n + 1))
     assert np.max(np.abs(r @ eta_r @ r - np.linalg.inv(eta_r))) < 1e-8
@@ -91,14 +97,28 @@ def test_gauged_metric_structure(n, frac):
     assert np.linalg.det(eta_r) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_gauge_real_identity_passthrough():
-    assert np.array_equal(gauge_real(np.eye(4).astype(complex)), np.eye(4))
+def _duals(g):
+    # an EigenBasis that holds only the dual states g
+    n = g.shape[0]
+    return EigenBasis(ChainSpec(n, 1.0, 0.0), np.zeros(n), np.zeros(n), g, g)
 
 
-def test_gauge_real_rejects_garbage():
+def test_gauged_factor_identity_passthrough():
+    # the gauge turns the odd sites' unit duals into -i e_l
+    w = gauged_factor(_duals(np.eye(4).astype(complex)))
+    assert np.array_equal(w, np.hstack((np.diag([0.0, 1.0, 0.0, 1.0]),
+                                        np.diag([-1.0, 0.0, -1.0, 0.0]))))
+    assert np.array_equal(w @ w.T, np.eye(4))
+
+
+def test_gauged_factor_rejects_garbage():
+    # every entry of G G^dagger is 1: the gauge leaves +-i between sites of
+    # opposite parity
     bad = np.full((4, 4), 0.3 + 0.4j)
-    with pytest.raises(GaugeError):
-        gauge_real(bad)
+    with pytest.raises(GaugeError, match="imaginary residue 1.00e"):
+        gauged_factor(_duals(bad))
+    with pytest.raises(GaugeError, match="imaginary residue nan"):
+        gauged_factor(_duals(np.full((4, 4), np.nan + 0j)))
 
 
 def test_jacobi_identity_and_2x2():
@@ -326,10 +346,32 @@ def test_equivalent_hermitian_against_eigh_driven_pipeline(n, frac, monkeypatch)
     assert np.max(np.abs(got - want)) <= 1e-11
 
 
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 256, 257])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_equivalent_hermitian_up_to_gamma_c(n, gap):
+    # eps_max grows as 1/gap (about 2/gap for odd N); a quotient p^T eta p of
+    # a formed eta carries rounding eps |eta|, which swamps 1/eps_max
+    spec = ChainSpec(n, 1.0, (1.0 - gap) * gamma_critical(n))
+    try:
+        decomp = metric_decomposition(spec)
+    except PTChainError:
+        # odd N may fail past 1 - 1e-6, where eps_max passes 2e6
+        assert n % 2 and gap < 1e-6
+        return
+    eps = decomp.eigenvalues
+    assert np.max(np.abs(eps * eps[list(decomp.pairing)] - 1.0)) <= 1e-8
+    eq = hermitian_equivalent(decomp, build_hamiltonian(spec))
+    hm, a = eq.h_matrix, eq.block_a
+    assert np.max(np.abs(hm - hm.T)) <= 1e-9
+    assert np.max(np.abs(a - (a[::-1, ::-1] if n % 2 else a.T[::-1, ::-1]))) <= 1e-8
+    bethe = np.sort(solve_spectrum(spec).energies.real)
+    assert np.max(np.abs(np.linalg.eigvalsh(hm) - bethe)) <= 1e-8
+
+
 @pytest.mark.parametrize("n,frac", GRID)
 def test_canonical_basis_pairing(n, frac):
-    spec, eta = _metric(n, frac)
-    decomp = canonical_basis(gauge_real(eta))
+    decomp = canonical_basis(gauged_factor(build_eigenbasis(
+        ChainSpec(n, 1.0, frac * gamma_critical(n)))))
     eps = decomp.eigenvalues
     partner = np.array([eps[j] for j in decomp.pairing])
     assert np.max(np.abs(eps * partner - 1.0)) < 1e-8
@@ -350,7 +392,7 @@ def test_canonical_basis_pairing(n, frac):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_canonical_basis_of_a_fully_degenerate_metric(n):
-    # every eps = 1: the reflection sectors alone fix the basis
+    # every eps = 1: the reflection sectors alone fix the basis (factor W = I)
     decomp = canonical_basis(np.eye(n))
     assert decomp.pairing == tuple(range(n - 1, -1, -1))
     assert np.max(np.abs(decomp.eigenvalues - 1.0)) < 1e-15
@@ -364,23 +406,24 @@ def test_canonical_basis_of_a_fully_degenerate_metric(n):
 def test_canonical_basis_rejects_a_non_reciprocal_metric():
     # reflection-symmetric, but its sector eigenvalues 2.5 and 1.5 are not reciprocal
     with pytest.raises(DegeneracyError, match="reciprocal pairing"):
-        canonical_basis(np.array([[2.0, 0.5], [0.5, 2.0]]))
+        canonical_basis(np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 2.0]])))
 
 
-def _sector_metric(n, plus, minus):
-    """eta with eigenvalues `plus` and `minus` on the parity bases of the + and - sectors.
+def _sector_factor(n, plus, minus):
+    """Factor W = [q+ sqrt(plus), q- sqrt(minus)] of the metric W W^T with
+    eigenvalues `plus` and `minus` on the parity bases q+ and q- of the + and - sectors.
 
     The two leading basis vectors of each sector, one odd and one even under
     R, are first turned by pi/4 into each other, so R maps the turned pair
     onto itself, as a reciprocal pair must be.
     """
     refl = reflection_matrix(n)
-    eta = np.zeros((n, n))
+    cols = []
     for values, q in ((plus, _sector_basis(refl, 1.0)), (minus, _sector_basis(refl, -1.0))):
         if q.shape[1] > 1:
             q[:, :2] = q[:, :2] @ np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
-        eta += q @ np.diag(values) @ q.T
-    return eta
+        cols.append(q * np.sqrt(values))
+    return np.hstack(cols)
 
 
 @pytest.mark.parametrize("n,plus,minus,match", [
@@ -392,18 +435,23 @@ def _sector_metric(n, plus, minus):
     (5, [3.0, 1 / 3], [1.0, 2.0, 0.5], "self-paired vector is not an R eigenvector"),
 ])
 def test_canonical_basis_rejects_a_broken_sector_structure(n, plus, minus, match):
-    eta = _sector_metric(n, plus, minus)
+    factor = _sector_factor(n, plus, minus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegeneracyError, match=match):
-            canonical_basis(eta)
+            canonical_basis(factor)
 
 
+# Each metric is given by its real factor W, eta = W W^T: a zero factor, or
+# I - s refl, whose columns lie outside the sector s that is solved first, so
+# that sector's block is zero.  (An indefinite eta has no real factor.)
 @pytest.mark.parametrize("eta", [
-    *(scale * np.eye(n) for n in (2, 3, 4, 5) for scale in (0.0, -1.0)),
-    # a negative eigenvalue in the smaller, zero-padded sector of odd N
-    _sector_metric(5, [3.0, -0.5], [2.0, 1.0, 0.5]),
-    _sector_metric(7, [3.0, 1.0, 1 / 3, 2.0], [2.0, 1.0, -0.5]),
+    *(factor for n, s in ((2, 1.0), (3, -1.0), (4, 1.0), (5, 1.0))
+      for factor in (np.zeros((n, n)), np.eye(n) - s * reflection_matrix(n))),
+    # a zero eigenvalue in the smaller, zero-padded sector of odd N: fewer
+    # of its columns than its size
+    np.hstack(((np.eye(5) + reflection_matrix(5))[:, :1], np.eye(5) - reflection_matrix(5))),
+    np.hstack((np.eye(7) + reflection_matrix(7), (np.eye(7) - reflection_matrix(7))[:, :2])),
 ])
 def test_canonical_basis_rejects_a_metric_that_is_not_positive(eta):
     with warnings.catch_warnings():
@@ -530,7 +578,7 @@ def test_hermitian_equivalent_residues_are_in_units_of_j(j):
     # the same chain in units of J: exact passes at every J, and a real
     # diagonal offset of 1e-3 J is rejected however small J is
     spec = ChainSpec(8, j, 0.5 * j)
-    decomp = canonical_basis(gauge_real(build_metric(build_eigenbasis(spec))))
+    decomp = canonical_basis(gauged_factor(build_eigenbasis(spec)))
     h = build_hamiltonian(spec)
     assert np.allclose(hermitian_equivalent(decomp, h).block_a / j,
                        equivalent_hermitian(ChainSpec(8, 1.0, 0.5)).block_a, atol=1e-9)
