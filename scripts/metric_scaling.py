@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time equivalent_hermitian against the chain length N.
 
-For each requested N, at gamma = gamma_c / 2 and J = 1: the seconds one
-equivalent_hermitian call takes and the largest distance of its Hermitian
-equivalent from the one built with LAPACK eigh in place of the Jacobi solver
-(the eigh-driven pipeline).  The last line is the log-log slope of time
-against N, the pipeline's measured N-scaling.
+For each requested N, at gamma = gamma_c / 2 and J = 1: the median seconds
+of three equivalent_hermitian calls, after one untimed warm-up call whose
+result is kept, and the largest distance of that Hermitian equivalent from
+the one built with LAPACK eigh in place of the Jacobi solver (the
+eigh-driven pipeline).  The last line is the log-log slope of the median
+time against N, the pipeline's measured N-scaling.
 """
 
 import argparse
@@ -40,9 +41,13 @@ def main() -> None:
     seconds = []
     for n in args.sizes:
         spec = ChainSpec(n, 1.0, 0.5 * gamma_critical(n))
-        start = time.perf_counter()
-        got = equivalent_hermitian(spec).h_matrix
-        seconds.append(time.perf_counter() - start)
+        got = equivalent_hermitian(spec).h_matrix  # the warm-up call
+        calls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            equivalent_hermitian(spec)
+            calls.append(time.perf_counter() - start)
+        seconds.append(float(np.median(calls)))
         distance = float(np.max(np.abs(got - _eigh_driven(spec))))
         print(f"{n},{seconds[-1]:.4f},{distance:.2e}")
     slope = np.polyfit(np.log(args.sizes), np.log(seconds), 1)[0]

@@ -26,7 +26,7 @@ class DomainError(PTChainError):
 
 
 class GaugeError(PTChainError):
-    """Gauge transformation left a non-negligible imaginary residue."""
+    """The gauged duals give no real metric factor: non-finite, or not on chiral roots."""
 
 
 class DegeneracyError(PTChainError):

@@ -5,12 +5,16 @@ Pipeline (unbroken phase):
 1. eta = sum_k |g_k><g_k| = G G^dagger over the CPT-normalized dual states;
    Hermitian, positive-definite, eta^-1 = eta^*, PT-invariant, det = 1.
 2. Gauge |l> -> i^(l mod 2) |l>: the gauged duals G~ = conj(D) G, with
-   D = diag(i^(l mod 2)), give the gauged metric G~ G~^dagger, which is real
-   symmetric, and H becomes purely imaginary.  So the real factor
-   W = [Re G~, Im G~] (N x 2N) carries it as eta_g = W W^T, and eta_g is
-   never formed.  eta_g commutes with a reflection operator: the plain site
-   exchange for even N, the sign-twisted exchange (exchange o R) for odd N,
-   where R|l> = (-1)^l |l>.
+   D = diag(i^(l mod 2)), give the gauged metric G~ G~^dagger, and H
+   becomes iA with A real.  So the gauged dual at pi - k is a unit-modulus
+   multiple of the conjugate of the one at k, and each chiral pair adds
+   2 Re(g~ g~^dagger) of its dual at k >= pi/2: the real factor
+   W = [Re G~, Im G~] of those columns, scaled by sqrt(2) (by 1 for the
+   zero mode of odd N, its own partner), is N x (N + N mod 2) and carries
+   the real symmetric metric as eta_g = W W^T, which is never formed.
+   eta_g commutes with a reflection operator: the plain site exchange for
+   even N, the sign-twisted exchange (exchange o R) for odd N, where
+   R|l> = (-1)^l |l>.
 3. Project W onto the orthonormal parity basis P = (e_l + s refl e_l)/|.| of
    each reflection sector s = +-1; each sector block (P^T W)(P^T W)^T is
    symmetric by construction and carries no rounding of the other sector.
@@ -51,9 +55,8 @@ from .states import EigenBasis, build_eigenbasis
 # the canonical basis is defined by continuity: evaluate at GAMMA_FLOOR J instead.
 GAMMA_FLOOR = 1e-6
 
-# Largest imaginary residue of the gauged metric, and largest error of a
-# reciprocal pair eps * (1/eps) or of the self-paired vector's R eigenvalue.
-GAUGE_TOL = 1e-8
+# Largest error of a reciprocal pair eps * (1/eps) or of the self-paired
+# vector's R eigenvalue.
 PAIRING_TOL = 1e-8
 
 
@@ -86,18 +89,24 @@ def _gauge_phases(n: int) -> np.ndarray:
 
 
 def gauged_factor(basis: EigenBasis) -> np.ndarray:
-    """The real factor W = [Re G~, Im G~] of the gauged metric eta_g = W W^T.
+    """The real factor W of the gauged metric eta_g = W W^T, one dual per chiral pair.
 
     G~ = conj(D) G are the dual states in the gauge D = diag(i^(l mod 2)),
-    so G~ G~^dagger is the gauged metric, real symmetric for a valid metric
-    of this model.  Its imaginary part is X - X^T, with X = Im G~ Re G~^T;
-    GaugeError is raised when max|X - X^T| exceeds GAUGE_TOL.
+    where H is iA with A real, so the dual at pi - k is a unit-modulus
+    multiple of conj(g~_k) and the pair adds 2 Re(g~_k g~_k^dagger) to the
+    gauged metric G~ G~^dagger.  W = [Re G~, Im G~] of the columns with
+    k >= pi/2, each scaled by sqrt(2) but the zero mode of odd N, its own
+    partner: N x (N + N mod 2), and W W^T is real symmetric by construction.
+    GaugeError is raised for non-finite duals and for roots that are not
+    chiral pairs, k_i + k_(N-1-i) more than a few ulp from pi.
     """
-    g = np.conj(_gauge_phases(basis.g.shape[0]))[:, None] * basis.g
-    x = g.imag @ g.real.T
-    resid = float(np.max(np.abs(x - x.T)))
-    if not resid <= GAUGE_TOL:  # NaN never passes
-        raise GaugeError(f"imaginary residue {resid:.2e} after gauging")
+    n, k = basis.g.shape[0], basis.k
+    if not np.all(np.isfinite(basis.g)):
+        raise GaugeError("non-finite dual states")
+    if not np.all(np.abs(k + k[::-1] - np.pi) <= 4 * np.spacing(np.pi)):  # NaN never passes
+        raise GaugeError("roots are not chiral pairs k, pi - k")
+    g = np.conj(_gauge_phases(n))[:, None] * basis.g[:, n // 2:]
+    g[:, n % 2:] *= np.sqrt(2.0)
     return np.hstack((g.real, g.imag))
 
 
@@ -106,6 +115,9 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
 # up to N = 64.  Of 8, 16 and 32, 16 measured fastest at N = 1024 and level
 # with 8 at N = 512.
 _BLOCK = 16
+
+# Sweeps of `jacobi_eigensystem` before it gives up.
+_MAX_SWEEPS = 100
 
 
 def _round_robin(m: int) -> np.ndarray:
@@ -181,8 +193,7 @@ def _unreverse(y: np.ndarray) -> None:
     y[:, :m] = y[:, m - 1::-1]
 
 
-def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
-                       max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of real symmetric matrices.
 
     `sym` is one n x n matrix or a stack (..., n, n) of them, solved together
@@ -210,9 +221,9 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
     odd-even rounds alone, for sector blocks of N = 128 to 512.
 
     Sweeps run until the off-diagonal Frobenius mass of every stack entry
-    drops below `tol`.  Returns (values, vectors) with vectors in columns; a
-    zero row and column of the input come back with eigenvalue 0 and exactly
-    their unit vector.
+    drops below `tol`; NonConvergence is raised after _MAX_SWEEPS sweeps.
+    Returns (values, vectors) with vectors in columns; a zero row and column
+    of the input come back with eigenvalue 0 and exactly their unit vector.
     """
     a = np.asarray(sym, dtype=float)
     n = a.shape[-1] if a.ndim else 0
@@ -241,7 +252,7 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
     x[:, m:] = np.eye(m)
     sweep = _odd_even_sweeper(pairs if blocked else x)
     lower = np.tri(m, k=-1, dtype=bool)
-    for sweeps in range(max_sweeps):
+    for sweeps in range(_MAX_SWEEPS):
         if np.all(np.sqrt(np.sum(np.where(lower, x[:, :m], 0.0) ** 2, axis=(1, 2)) * 2) < tol):
             break
         if not blocked:
@@ -257,7 +268,7 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12,
             x[:, rows] = u.transpose(0, 1, 3, 2) @ x[:, rows]
             x[:, rows[:, :, None], rows[:, None, :]] = y[:, :, :span]
     else:
-        raise NonConvergence(f"Jacobi sweeps exceeded {max_sweeps}")
+        raise NonConvergence(f"Jacobi sweeps exceeded {_MAX_SWEEPS}")
     if sweeps % 2 and not blocked:
         _unreverse(x)
     values = np.diagonal(x[:, :n, :n], axis1=1, axis2=2)
@@ -312,7 +323,7 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
     `factor` is a real factor W of the gauged metric eta_g = W W^T, for
-    example `gauged_factor`'s N x 2N one.  It is projected onto the
+    example `gauged_factor`'s N x (N + N mod 2) one.  It is projected onto the
     orthonormal parity basis P = (e_l + s refl e_l)/|.| of each reflection
     sector s = +-1, and the sector blocks (P^T W)(P^T W)^T are diagonalized
     together by one `jacobi_eigensystem` call, so every eigenvector has exact
@@ -381,8 +392,7 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
             raise DegeneracyError(
                 f"reciprocal pairing failed: eps={w[back][bad[0]]:.6g}, R-partner "
                 f"Rayleigh quotient {rec[bad[0]]:.6g}")
-        start = len(pairing)
-        pairing += tuple(range(start + len(lead) + len(back) - 1, start - 1, -1))
+        pairing += tuple(range(len(pairing) + len(lead) + len(back) - 1, len(pairing) - 1, -1))
         cols += [v[:, lead], partners]
         eps += [w[lead], 1.0 / w[back]]
     basis = np.hstack(cols)
@@ -411,8 +421,7 @@ def hermitian_equivalent(decomp: MetricDecomposition,
     pre = np.sqrt(np.outer(eps, 1.0 / eps)) * core
 
     h, bound = decomp.first_half, 1e-6 * abs(hamiltonian[0, 1])
-    diag_resid = max(float(np.max(np.abs(pre[:h, :h]))),
-                     float(np.max(np.abs(pre[h:, h:]))))
+    diag_resid = float(max(np.max(np.abs(pre[:h, :h])), np.max(np.abs(pre[h:, h:]))))
     if diag_resid > bound:
         raise StructureError(f"diagonal-block residue {diag_resid:.2e}")
     real_resid = float(np.max(np.abs(pre.real)))
