@@ -3,10 +3,12 @@
 
 For each requested N, at gamma = gamma_c / 2 and J = 1: the median seconds
 of three equivalent_hermitian calls, after one untimed warm-up call whose
-result is kept, and the largest distance of that Hermitian equivalent from
-the one built with LAPACK eigh in place of the Jacobi solver (the
-eigh-driven pipeline).  The last line is the log-log slope of the median
-time against N, the pipeline's measured N-scaling.
+result is kept; the median seconds of three hermitian_equivalent calls on
+one metric decomposition, the transform stage alone; and the largest
+distance of the kept Hermitian equivalent from the one built with LAPACK
+eigh in place of the Jacobi solver (the eigh-driven pipeline).  The last
+line is the log-log slope of the median equivalent_hermitian time against
+N, the pipeline's measured N-scaling.
 """
 
 import argparse
@@ -14,7 +16,8 @@ import time
 
 import numpy as np
 
-from ptchain import ChainSpec, equivalent_hermitian, gamma_critical, metric
+from ptchain import (ChainSpec, equivalent_hermitian, gamma_critical, hermitian_equivalent,
+                     metric, metric_decomposition)
 
 
 def _eigh(sym, tol=None):
@@ -30,6 +33,15 @@ def _eigh_driven(spec: ChainSpec) -> np.ndarray:
         metric.jacobi_eigensystem = jacobi
 
 
+def _median_seconds(fn, *args) -> float:
+    calls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(*args)
+        calls.append(time.perf_counter() - start)
+    return float(np.median(calls))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
@@ -37,19 +49,15 @@ def main() -> None:
     if len(args.sizes) < 2:
         ap.error("--sizes needs at least two chain lengths for a slope")
 
-    print("n,seconds,eigh_distance")
+    print("n,seconds,transform_seconds,eigh_distance")
     seconds = []
     for n in args.sizes:
         spec = ChainSpec(n, 1.0, 0.5 * gamma_critical(n))
         got = equivalent_hermitian(spec).h_matrix  # the warm-up call
-        calls = []
-        for _ in range(3):
-            start = time.perf_counter()
-            equivalent_hermitian(spec)
-            calls.append(time.perf_counter() - start)
-        seconds.append(float(np.median(calls)))
+        seconds.append(_median_seconds(equivalent_hermitian, spec))
+        transform = _median_seconds(hermitian_equivalent, metric_decomposition(spec), spec)
         distance = float(np.max(np.abs(got - _eigh_driven(spec))))
-        print(f"{n},{seconds[-1]:.4f},{distance:.2e}")
+        print(f"{n},{seconds[-1]:.4f},{transform:.6f},{distance:.2e}")
     slope = np.polyfit(np.log(args.sizes), np.log(seconds), 1)[0]
     print(f"slope d(log seconds)/d(log N) = {slope:.2f}")
 

@@ -9,14 +9,12 @@ against an independent characteristic-polynomial oracle.
 
 __version__ = "0.1.0"
 
-from .model import (ChainSpec, Phase, apply_pt, build_hamiltonian,
-                    gamma_critical, pt_conjugate)
+from .model import ChainSpec, Phase, apply_pt, build_hamiltonian, gamma_critical
 from .bethe import (SpectralSolution, classify_phase, locate_critical_gamma,
                     momentum_index, solve_kappa, solve_real_momenta,
                     solve_spectra, solve_spectrum)
 from .states import (EigenBasis, build_c_operator, build_eigenbasis, cpt_inner,
-                     pt_norm, wavefunction_broken, wavefunction_dual,
-                     wavefunction_unbroken)
+                     pt_norm, wavefunction_broken)
 from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
                           critical_levels, critical_sweep, delta_approx,
                           kappa_approx, repulsion_law)
@@ -30,12 +28,11 @@ from . import errors
 
 __all__ = [
     "ChainSpec", "Phase", "apply_pt", "build_hamiltonian", "classify_phase",
-    "gamma_critical", "pt_conjugate",
+    "gamma_critical",
     "SpectralSolution", "locate_critical_gamma", "momentum_index",
     "solve_kappa", "solve_real_momenta", "solve_spectra", "solve_spectrum",
     "EigenBasis", "build_c_operator", "build_eigenbasis",
-    "cpt_inner", "pt_norm", "wavefunction_broken", "wavefunction_dual",
-    "wavefunction_unbroken",
+    "cpt_inner", "pt_norm", "wavefunction_broken",
     "CriticalReport", "alpha_parameter", "coalescence_gap", "critical_levels",
     "critical_sweep", "delta_approx", "kappa_approx", "repulsion_law",
     "HermitianEquivalent", "MetricDecomposition", "build_metric",

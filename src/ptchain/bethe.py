@@ -407,15 +407,6 @@ def _log_kappa_condition(n: int):
     return fun
 
 
-def kappa_residual(spec: ChainSpec, kappa):
-    """The kappa condition times 2 e^(-kappa(N+1)) / J^2, elementwise.
-
-    See `_kappa_condition`; r = gamma/J may not pass 1e150.
-    """
-    n = spec.n_sites
-    return _kappa_condition(n)(kappa, *_reduced_coefficients(n, _ratio(spec))[:2])[0]
-
-
 def _kappas(specs: list[ChainSpec], phases: list[Phase], tol: float = 1e-14) -> np.ndarray:
     """kappa per broken or critical spec, given its phase, from one safeguarded Newton solve per form.
 

@@ -175,7 +175,7 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
                np.max(np.abs(decomp.eigenvalues * decomp.eigenvalues[list(decomp.pairing)] - 1.0))
                <= ident_tol)
 
-        hm = hermitian_equivalent(decomp, h).h_matrix
+        hm = hermitian_equivalent(decomp, spec).h_matrix
         spec_h = np.sort(np.linalg.eigvalsh(hm))
         spec_site = np.sort(solved[0.5].energies.real)
         yield ("hermitian_equiv_spectrum", n,

@@ -17,10 +17,6 @@ class PhaseError(PTChainError):
     """Operation requested in the wrong symmetry phase."""
 
 
-class NullState(PTChainError):
-    """A candidate root produced an identically vanishing amplitude vector."""
-
-
 class DomainError(PTChainError):
     """A formula or solver evaluated outside its domain of validity."""
 

@@ -34,11 +34,14 @@ Pipeline (unbroken phase):
    sector's columns.  For even N the whole + sector leads; for odd N the
    eps > 1 vectors of each sector lead, plus the self-paired eps = 1 vector
    in the middle of the odd-sized sector.  This gives two parity-uniform
-   halves, the sectors' columns for odd N.  In this basis, scaled by
-   sqrt(eps_m/eps_n), the gauged H is imaginary with vanishing diagonal
-   blocks; twisting the second half by i is a sign on its imaginary part,
-   which leaves a real symmetric matrix: a bipartite hopping model whose
-   hopping amplitudes are the lambda table.
+   halves, the sectors' columns for odd N.  The gauged H is iA, A the real
+   tridiagonal matrix of the chain's three-term recurrence: A[l, l+1] =
+   (-1)^(l+1) J = -A[l+1, l], A[1, 1] = gamma and A[N, N] = -gamma (sites
+   l = 1..N).  So A times the basis is three shifted row products, and
+   sqrt(eps_m/eps_n) <eps_m|A|eps_n> is one real product, whose diagonal
+   blocks vanish; twisting the second half by i turns i times it into a
+   real symmetric matrix: a bipartite hopping model whose hopping amplitudes
+   are the lambda table.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, GaugeError, NonConvergence, StructureError
-from .model import ChainSpec, build_hamiltonian
+from .model import ChainSpec
 from .states import EigenBasis, build_eigenbasis
 
 # Below this gamma/J the metric is numerically degenerate (all eps -> 1) and
@@ -400,37 +403,36 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     return MetricDecomposition(np.concatenate(eps), basis, pairing, n // 2)
 
 
-def hermitian_equivalent(decomp: MetricDecomposition,
-                         hamiltonian: np.ndarray) -> HermitianEquivalent:
-    """Real symmetric block-anti-diagonal equivalent of the (site-basis) Hamiltonian.
+def hermitian_equivalent(decomp: MetricDecomposition, spec: ChainSpec) -> HermitianEquivalent:
+    """Real symmetric block-anti-diagonal equivalent of the chain `spec`.
 
-    Forms pre = sqrt(eps_m/eps_n) <eps_m|H|eps_n> in the canonical basis of
-    the gauged metric.  The gauged H is i times a real matrix, and matrix
-    elements between equal-parity vectors vanish, so pre is imaginary with
-    empty diagonal blocks.  Twisting the second half by i makes it real: the
-    coupling block is -Im(pre) above the diagonal blocks and Im(pre) below.
-    Raises StructureError when the diagonal-block residue or the real part
-    of pre exceeds 1e-6 J, with J = |H[0, 1]| (an ordering/sign convention
-    failure, or a Hamiltonian that is not of this model's form).
+    `decomp` is the canonical basis of the chain's gauged metric.  In the
+    gauge D = diag(i^(l mod 2)), conj(D) H D = iA with A real and
+    tridiagonal (module docstring, step 4); A times the basis is formed from
+    the recurrence row by row, and pre = sqrt(eps_m/eps_n) <eps_m|A|eps_n>
+    is real.  Matrix elements between equal-parity vectors vanish, so pre
+    has empty diagonal blocks; twisting the second half by i makes i pre
+    real symmetric: the coupling block is -pre above the diagonal blocks
+    and pre below.  Raises StructureError when the diagonal-block residue
+    exceeds 1e-6 J (an ordering or sign convention failure of the basis).
     """
-    n = decomp.basis.shape[0]
-    d = _gauge_phases(n)
-    h_gauged = np.conj(d)[:, None] * hamiltonian * d[None, :]
-    eps = decomp.eigenvalues
-    core = decomp.basis.T @ h_gauged @ decomp.basis
-    pre = np.sqrt(np.outer(eps, 1.0 / eps)) * core
+    b, eps, h = decomp.basis, decomp.eigenvalues, decomp.first_half
+    n = b.shape[0]
+    hop = spec.hopping * (-1.0) ** np.arange(n - 1)[:, None]  # A[l, l+1]
+    ab = np.zeros_like(b)
+    ab[:-1] = hop * b[1:]
+    ab[1:] -= hop * b[:-1]
+    ab[0] += spec.gamma * b[0]
+    ab[-1] -= spec.gamma * b[-1]
+    pre = np.sqrt(np.outer(eps, 1.0 / eps)) * (b.T @ ab)
 
-    h, bound = decomp.first_half, 1e-6 * abs(hamiltonian[0, 1])
-    diag_resid = float(max(np.max(np.abs(pre[:h, :h])), np.max(np.abs(pre[h:, h:]))))
-    if diag_resid > bound:
+    diag_resid = float(np.maximum(np.max(np.abs(pre[:h, :h])), np.max(np.abs(pre[h:, h:]))))
+    if not diag_resid <= 1e-6 * spec.hopping:  # NaN never passes
         raise StructureError(f"diagonal-block residue {diag_resid:.2e}")
-    real_resid = float(np.max(np.abs(pre.real)))
-    if real_resid > bound:
-        raise StructureError(f"real residue {real_resid:.2e} of the gauged couplings")
 
     h_matrix = np.zeros((n, n))
-    h_matrix[:h, h:] = -pre[:h, h:].imag
-    h_matrix[h:, :h] = pre[h:, :h].imag
+    h_matrix[:h, h:] = -pre[:h, h:]
+    h_matrix[h:, :h] = pre[h:, :h]
     return HermitianEquivalent(h_matrix=h_matrix, block_a=h_matrix[:h, h:].copy(),
                                sublattice_sizes=(h, n - h))
 
@@ -456,5 +458,4 @@ def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-12) -> HermitianEquiva
     Like `metric_decomposition`, which `tol` is passed to, it runs at
     gamma = GAMMA_FLOOR J below the floor.
     """
-    return hermitian_equivalent(metric_decomposition(spec, tol),
-                                build_hamiltonian(_at_floor(spec)))
+    return hermitian_equivalent(metric_decomposition(spec, tol), _at_floor(spec))

@@ -71,11 +71,6 @@ def apply_pt(v: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(v)[::-1])
 
 
-def pt_conjugate(matrix: np.ndarray) -> np.ndarray:
-    """Matrix of PT M PT for a linear operator M (antilinear conjugation)."""
-    return np.conj(matrix[::-1, ::-1])
-
-
 def gamma_critical(n_sites: int, hopping: float = 1.0) -> float:
     """Exact phase boundary: J*sqrt((n+1)/n) for N = 2n+1, J for N = 2n."""
     if n_sites < 2:

@@ -25,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import _amplitude, classify_phase, mode_energy, raw_amplitude, solve_real_momenta
-from .errors import NullState, PhaseError
+from .errors import PhaseError
 from .model import ChainSpec, Phase, apply_pt
-
-# An unnormalized amplitude vector this small is a null state.
-NULL_STATE_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,33 +54,16 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return np.where(flip, -v, v)
 
 
-def _cpt_states(raw: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+def _cpt_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CPT-normalized f_k and their duals g_k = s_k f_k^*, sites along the last axis.
 
-    `raw` holds the Bethe amplitudes of the real roots `k`: one vector for a
-    scalar k, one row per root for an array.  Every per-state reduction runs
-    along the contiguous last axis, so a row equals the vector of its root
-    alone.
+    `raw` holds the Bethe amplitudes of real roots k, one row per root.
+    Every per-state reduction runs along the contiguous last axis, so a row
+    equals the vector of its root alone.
     """
-    if np.any(np.max(np.abs(raw), axis=-1) < NULL_STATE_THRESHOLD):
-        raise NullState(f"k={k} yields a null amplitude vector")
     pairing = np.sum(raw * raw, axis=-1, keepdims=True)  # real on-shell
     f = _fix_sign(raw / np.sqrt(np.abs(pairing)))
     return f, np.copysign(1.0, pairing.real) * f.conj()
-
-
-def wavefunction_unbroken(spec: ChainSpec, k: float) -> np.ndarray:
-    """CPT-normalized eigenvector of H for a real Bethe root k.
-
-    Its PT self-pairing is exactly +-1 (the sign is intrinsic to the mode and
-    is what the C operator encodes).
-    """
-    return _cpt_states(raw_amplitude(spec, k), k)[0]
-
-
-def wavefunction_dual(spec: ChainSpec, k: float) -> np.ndarray:
-    """Eigenvector of H^dagger at the same real eigenvalue, scaled so <g|f> = +1."""
-    return _cpt_states(raw_amplitude(spec, k), k)[1]
 
 
 def wavefunction_broken(spec: ChainSpec, branch: int, kappa: float) -> np.ndarray:
@@ -111,7 +91,7 @@ def _critical_pairs(n: int, j: float, gammas, roots, broken: bool) -> np.ndarray
     if broken:
         return _broken_states(n, j, g, signs, root)
     k = np.pi / 2 + signs * root
-    return _cpt_states(_amplitude(n, j, g, k), k)[0]
+    return _cpt_states(_amplitude(n, j, g, k))[0]
 
 
 def _broken_states(n: int, j: float, g, s, kappa) -> np.ndarray:
@@ -150,7 +130,7 @@ def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
 
 def _eigenbasis(spec: ChainSpec, k: np.ndarray) -> EigenBasis:
     """The eigenbasis at the N ascending real roots `k` of an unbroken spec."""
-    f, g = _cpt_states(raw_amplitude(spec, k), k)
+    f, g = _cpt_states(raw_amplitude(spec, k))
     return EigenBasis(spec=spec, k=k, energies=mode_energy(spec, k), f=f.T, g=g.T)
 
 

@@ -11,9 +11,10 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
 from ptchain import bethe
-from ptchain.bethe import (_bracketed_roots, _brackets, _critical_offsets, _kappas,
-                           _offset_brackets, _reduced_coefficients, _reduced_quantization,
-                           _sign_changes, count_real_momenta, kappa_residual, raw_amplitude)
+from ptchain.bethe import (_bracketed_roots, _brackets, _critical_offsets, _kappa_condition,
+                           _kappas, _offset_brackets, _reduced_coefficients,
+                           _reduced_quantization, _sign_changes, count_real_momenta,
+                           raw_amplitude)
 from ptchain.errors import DomainError, PhaseError, PTChainError, RootCountMismatch
 
 
@@ -171,8 +172,14 @@ def test_spectrum_scales_with_hopping(j, n, frac):
     assert count_real_momenta(spec) == count_real_momenta(unit)
     # the kappa residual is the condition divided by J^2
     kappa = np.array([1e-3, 0.1, 0.7])
-    assert np.allclose(kappa_residual(spec, kappa), kappa_residual(unit, kappa),
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(_scaled_kappa_condition(spec, kappa),
+                       _scaled_kappa_condition(unit, kappa), rtol=1e-12, atol=0.0)
+
+
+def _scaled_kappa_condition(spec, kappa):
+    # the kappa condition times 2 e^(-kappa(N+1)) / J^2, as the solver reads it
+    n = spec.n_sites
+    return _kappa_condition(n)(kappa, *_reduced_coefficients(n, spec.gamma / spec.hopping)[:2])[0]
 
 
 def test_kappa_analytic_n2():
@@ -211,7 +218,7 @@ def test_kappa_residual_is_the_scaled_condition(n, kappa):
     fn = math.sinh if n % 2 else math.cosh
     raw = 1.3 ** 2 * fn(kappa * (n - 1)) - fn(kappa * (n + 1))
     want = 2.0 * math.exp(-kappa * (n + 1)) * raw
-    assert kappa_residual(spec, kappa) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert _scaled_kappa_condition(spec, kappa) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("ratio", [3.0, 10.0, 1e2, 1e4, 1e8, 1e9, 1e20, 1e150])
@@ -308,7 +315,7 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
     # (tier-1 runs with warnings as errors)
     spec = ChainSpec(8, j, gamma)
     for solve in (solve_spectrum, solve_real_momenta, solve_kappa, count_real_momenta,
-                  lambda s: kappa_residual(s, 1.0), lambda s: momentum_index(s, 1.0)):
+                  lambda s: momentum_index(s, 1.0)):
         with pytest.raises(DomainError, match="above 1e\\+150"):
             solve(spec)
 

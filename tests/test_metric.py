@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -375,7 +376,7 @@ def test_equivalent_hermitian_up_to_gamma_c(n, gap):
         return
     eps = decomp.eigenvalues
     assert np.max(np.abs(eps * eps[list(decomp.pairing)] - 1.0)) <= 1e-8
-    eq = hermitian_equivalent(decomp, build_hamiltonian(spec))
+    eq = hermitian_equivalent(decomp, spec)
     hm, a = eq.h_matrix, eq.block_a
     assert np.max(np.abs(hm - hm.T)) <= 1e-9
     assert np.max(np.abs(a - (a[::-1, ::-1] if n % 2 else a.T[::-1, ::-1]))) <= 1e-8
@@ -394,7 +395,7 @@ def test_odd_equivalent_hermitian_at_one_minus_1e7_gamma_c(n):
     decomp = metric_decomposition(spec)
     eps = decomp.eigenvalues
     assert np.max(np.abs(eps * eps[list(decomp.pairing)] - 1.0)) <= 1e-8
-    eq = hermitian_equivalent(decomp, build_hamiltonian(spec))
+    eq = hermitian_equivalent(decomp, spec)
     assert np.max(np.abs(eq.block_a - eq.block_a[::-1, ::-1])) <= 1e-8
     bethe = np.sort(solve_spectrum(spec).energies.real)
     assert np.max(np.abs(np.linalg.eigvalsh(eq.h_matrix) - bethe)) <= 1e-8
@@ -568,27 +569,43 @@ def test_hermitian_equivalent_structure(n, frac):
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_hermitian_equivalent_structure_error_path():
-    spec = ChainSpec(6, 1.0, 0.5)
-    decomp = metric_decomposition(spec)
-    # a real diagonal offset survives the gauge and pollutes the diagonal blocks
-    shifted = build_hamiltonian(spec) + 0.5 * np.eye(6)
-    with pytest.raises(StructureError):
-        hermitian_equivalent(decomp, shifted)
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("j", [1e-10, 1.0, 1e10])
+def test_hermitian_equivalent_rejects_a_basis_that_mixes_the_halves(n, j):
+    # the same chain in units of J: the exact basis gives J times the table
+    # of J = 1 at every J; turning column 0 into the first column of the
+    # other half by 45 degrees keeps the basis orthonormal but moves
+    # couplings of order J into the diagonal blocks, rejected however small J is
+    spec = ChainSpec(n, j, 0.5 * j)
+    decomp = canonical_basis(gauged_factor(build_eigenbasis(spec)))
+    assert np.allclose(hermitian_equivalent(decomp, spec).block_a / j,
+                       equivalent_hermitian(ChainSpec(n, 1.0, 0.5)).block_a, atol=1e-9)
+    basis, h = decomp.basis.copy(), decomp.first_half
+    basis[:, [0, h]] = basis[:, [0, h]] @ np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
+    with pytest.raises(StructureError, match="diagonal-block residue"):
+        hermitian_equivalent(dataclasses.replace(decomp, basis=basis), spec)
+    # a NaN in the second half's block fails the check too
+    basis = decomp.basis.copy()
+    basis[0, -1] = np.nan
+    with pytest.raises(StructureError, match="diagonal-block residue nan"):
+        hermitian_equivalent(dataclasses.replace(decomp, basis=basis), spec)
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_hermitian_equivalent_rejects_a_real_gauged_coupling(n):
-    # gauged, an imaginary hopping is real: it stays out of the diagonal
-    # blocks, but no real bipartite matrix can carry it
-    spec = ChainSpec(n, 1.0, 0.5)
-    decomp = metric_decomposition(spec)
-    hop = np.eye(n, k=1) + np.eye(n, k=-1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(StructureError, match="residue 1.4") as err:
-            hermitian_equivalent(decomp, build_hamiltonian(spec) + 1e-3j * hop)
-    assert "diagonal" not in str(err.value)
+@pytest.mark.parametrize("n", [*range(2, 18), 31, 32, 33, 63, 64, 65, 127, 128])
+def test_hermitian_equivalent_matches_the_complex_product(n):
+    # the reference is the dense product basis^T (conj(D) H D) basis in the
+    # gauge D = diag(i^(l mod 2)), whose real part is exactly 0
+    d = 1j ** (np.arange(1, n + 1) % 2)
+    for frac in (0.0, 0.3, 0.5, 0.7, 0.95):
+        spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
+        decomp = metric_decomposition(spec)
+        gauged = np.conj(d)[:, None] * build_hamiltonian(metric._at_floor(spec)) * d
+        assert not np.any(gauged.real)
+        b, eps, h = decomp.basis, decomp.eigenvalues, decomp.first_half
+        pre = np.sqrt(np.outer(eps, 1.0 / eps)) * (b.T @ gauged @ b).imag
+        want = np.zeros((n, n))
+        want[:h, h:], want[h:, :h] = -pre[:h, h:], pre[h:, :h]
+        assert np.max(np.abs(equivalent_hermitian(spec).h_matrix - want)) <= 1e-13, frac
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -603,19 +620,6 @@ def test_coupling_stability_across_gamma(n):
     assert np.all(tables > 0.1 * base[None, :])
     spread = tables.max(axis=0) - tables.min(axis=0)
     assert np.all(spread < np.abs(base))
-
-
-@pytest.mark.parametrize("j", [1e-10, 1e10])
-def test_hermitian_equivalent_residues_are_in_units_of_j(j):
-    # the same chain in units of J: exact passes at every J, and a real
-    # diagonal offset of 1e-3 J is rejected however small J is
-    spec = ChainSpec(8, j, 0.5 * j)
-    decomp = canonical_basis(gauged_factor(build_eigenbasis(spec)))
-    h = build_hamiltonian(spec)
-    assert np.allclose(hermitian_equivalent(decomp, h).block_a / j,
-                       equivalent_hermitian(ChainSpec(8, 1.0, 0.5)).block_a, atol=1e-9)
-    with pytest.raises(StructureError, match="diagonal-block residue"):
-        hermitian_equivalent(decomp, h + 1e-3 * j * np.eye(8))
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e-10, 1e-3, 1e3, 1e10, 1e300])

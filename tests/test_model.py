@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ptchain import (ChainSpec, Phase, apply_pt, build_hamiltonian,
-                     classify_phase, gamma_critical, pt_conjugate)
+                     classify_phase, gamma_critical)
 
 
 def test_hamiltonian_n2():
@@ -62,7 +62,8 @@ def test_apply_pt_fixed_point():
 @pytest.mark.parametrize("n,gamma", [(5, 0.4), (6, 0.9), (9, 1.01)])
 def test_hamiltonian_pt_invariant(n, gamma):
     h = build_hamiltonian(ChainSpec(n, 1.0, gamma))
-    assert np.max(np.abs(pt_conjugate(h) - h)) == 0.0
+    # PT H PT: reversed sites, conjugated (PT is antilinear)
+    assert np.max(np.abs(np.conj(h[::-1, ::-1]) - h)) == 0.0
 
 
 def test_hamiltonian_dagger_flips_gamma():
@@ -97,3 +98,13 @@ def test_classify_phase():
     assert classify_phase(ChainSpec(9, 1.0, 1e200)) is Phase.BROKEN
     with pytest.raises(TypeError):
         classify_phase(ChainSpec(8, 1.0, 1.0), tol=1e-9)
+
+
+def test_every_export_resolves():
+    # a name deleted from a module but left in __all__ would break the star import
+    import ptchain
+    assert len(set(ptchain.__all__)) == len(ptchain.__all__)
+    assert all(hasattr(ptchain, name) for name in ptchain.__all__)
+    namespace = {}
+    exec("from ptchain import *", namespace)
+    assert set(ptchain.__all__) <= namespace.keys()

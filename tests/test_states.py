@@ -6,10 +6,9 @@ import pytest
 from ptchain import (ChainSpec, apply_pt, build_c_operator, build_eigenbasis,
                      build_hamiltonian, cpt_inner, gamma_critical,
                      oracle_eigenvector, pt_norm, solve_kappa,
-                     solve_real_momenta, wavefunction_broken,
-                     wavefunction_dual, wavefunction_unbroken)
+                     solve_real_momenta, wavefunction_broken)
 from ptchain.bethe import raw_amplitude
-from ptchain.errors import NullState, PhaseError
+from ptchain.errors import PhaseError
 
 GRID = [(n, frac) for n in (2, 3, 5, 8, 11, 12) for frac in (0.3, 0.6, 0.9)]
 LARGE = [(n, frac) for n in (64, 128, 256) for frac in (0.3, 0.95)]
@@ -21,46 +20,36 @@ def _unbroken_spec(n, frac):
 
 def test_hermitian_limit_is_standing_wave():
     n = 6
-    spec = ChainSpec(n, 1.0, 0.0)
-    for nk, k in enumerate(solve_real_momenta(spec), start=1):
-        f = wavefunction_unbroken(spec, k)
+    basis = build_eigenbasis(ChainSpec(n, 1.0, 0.0))
+    for nk, (k, f) in enumerate(zip(basis.k, basis.f.T), start=1):
         wave = np.sin(k * np.arange(1, n + 1))
         wave = wave / np.linalg.norm(wave)
         overlap = abs(np.vdot(wave, f))
         assert overlap == pytest.approx(1.0, abs=1e-12), nk
 
 
-def test_null_state_rejected():
-    with pytest.raises(NullState):
-        wavefunction_unbroken(ChainSpec(5, 1.0, 0.3), math.pi)
-
-
 @pytest.mark.parametrize("n,frac", GRID)
 def test_eigen_residual_and_pt_symmetry(n, frac):
     spec = _unbroken_spec(n, frac)
-    h = build_hamiltonian(spec)
-    for k in solve_real_momenta(spec):
-        f = wavefunction_unbroken(spec, k)
-        energy = -2 * spec.hopping * math.cos(k)
-        assert np.max(np.abs(h @ f - energy * f)) < 1e-10
-        assert np.max(np.abs(apply_pt(f) - f)) < 1e-10
+    basis = build_eigenbasis(spec)
+    f = basis.f
+    energy = -2 * spec.hopping * np.cos(basis.k)
+    assert np.max(np.abs(build_hamiltonian(spec) @ f - f * energy)) < 1e-10
+    assert np.max(np.abs(apply_pt(f) - f)) < 1e-10
 
 
 def test_n2_analytic_eigenpair():
     spec = ChainSpec(2, 1.0, 0.6)
     h = build_hamiltonian(spec)
-    k_lower = max(solve_real_momenta(spec))  # energy -2J cos k, so largest k
-    f = wavefunction_unbroken(spec, k_lower)
+    basis = build_eigenbasis(spec)
+    k_lower, f = basis.k[-1], basis.f[:, -1]  # energy -2J cos k, so largest k
     assert -2 * math.cos(k_lower) == pytest.approx(0.8, abs=1e-12)
     assert np.max(np.abs(h @ f - 0.8 * f)) < 1e-10
 
 
 def test_dual_equals_state_at_gamma_zero():
-    spec = ChainSpec(5, 1.0, 0.0)
-    for k in solve_real_momenta(spec):
-        f = wavefunction_unbroken(spec, k)
-        g = wavefunction_dual(spec, k)
-        assert np.max(np.abs(f - g)) < 1e-12
+    basis = build_eigenbasis(ChainSpec(5, 1.0, 0.0))
+    assert np.max(np.abs(basis.f - basis.g)) < 1e-12
 
 
 @pytest.mark.parametrize("n,frac", GRID)
@@ -180,14 +169,6 @@ def test_paper_closed_forms(n, frac):
     assert np.max(off / np.linalg.norm(dual, axis=-1)) <= 1e-12
 
 
-@pytest.mark.parametrize("n,frac", [(5, 0.5), (12, 0.9)])
-def test_eigenbasis_duals_match_wavefunction_dual(n, frac):
-    spec = _unbroken_spec(n, frac)
-    basis = build_eigenbasis(spec)
-    for k, g in zip(basis.k, basis.g.T):
-        assert np.array_equal(g, wavefunction_dual(spec, k))
-
-
 def _in_sign_gauge(v, atol=1e-12):
     z = v[0]
     return z.real > atol or (abs(z.real) <= atol and z.imag >= -atol)
@@ -199,10 +180,8 @@ def test_unbroken_states_carry_the_sign_gauge(n, frac):
     # each state is fixed up to +-1 by everything else checked here (eta, C,
     # the Gram matrices and the couplings are all even in it); the gauge puts
     # the first component in the right half-plane, ties to the upper half
-    spec = _unbroken_spec(n, frac)
-    basis = build_eigenbasis(spec)
+    basis = build_eigenbasis(_unbroken_spec(n, frac))
     assert all(_in_sign_gauge(f) for f in basis.f.T)
-    assert all(_in_sign_gauge(wavefunction_unbroken(spec, k)) for k in basis.k)
 
 
 def test_c_operator_broken_phase_rejected():
@@ -232,9 +211,7 @@ def test_cpt_reduces_to_euclidean_at_gamma_zero():
 
 
 def test_pt_norm_standing_wave():
-    spec = ChainSpec(7, 1.0, 0.0)
-    k = solve_real_momenta(spec)[2]
-    f = wavefunction_unbroken(spec, k)
+    f = build_eigenbasis(ChainSpec(7, 1.0, 0.0)).f[:, 2]
     assert abs(pt_norm(f)) == pytest.approx(float(np.linalg.norm(f)) ** 2, abs=1e-10)
 
 
@@ -243,10 +220,8 @@ def test_pt_norm_shrinks_toward_coalescence():
     gc = gamma_critical(n)
     norms = []
     for off in (1e-2, 1e-3, 1e-4):
-        spec = ChainSpec(n, 1.0, gc - off)
-        roots = solve_real_momenta(spec)
-        k = roots[np.argmin(np.abs(roots - math.pi / 2))]
-        f = wavefunction_unbroken(spec, k)
+        basis = build_eigenbasis(ChainSpec(n, 1.0, gc - off))
+        f = basis.f[:, np.argmin(np.abs(basis.k - math.pi / 2))]
         norms.append(abs(pt_norm(f / np.linalg.norm(f))))
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] < 0.1
@@ -256,8 +231,8 @@ def test_pt_norm_shrinks_toward_coalescence():
 def test_matches_oracle_eigenvectors(n, frac):
     spec = _unbroken_spec(n, frac)
     h = build_hamiltonian(spec)
-    for k in solve_real_momenta(spec):
-        f = wavefunction_unbroken(spec, k)
+    basis = build_eigenbasis(spec)
+    for k, f in zip(basis.k, basis.f.T):
         v = oracle_eigenvector(h, -2 * spec.hopping * math.cos(k))
         aligned = abs(np.vdot(v, f)) / np.linalg.norm(f)
         assert 1.0 - aligned < 1e-6
