@@ -19,15 +19,15 @@ Pipeline (unbroken phase):
    each reflection sector s = +-1; each sector block (P^T W)(P^T W)^T is
    symmetric by construction and carries no rounding of the other sector.
    Jacobi-diagonalize the sector blocks together, as one stack in one call
-   of parallel Jacobi in the odd-even ordering (block-cyclic above
-   2 * _BLOCK rows), so every eigenvector has exact parity.  Eigenvalues
-   come in reciprocal pairs (eps, 1/eps) mapped onto each other by R.  For
-   even N, R swaps the two sectors, so only the N/2 x N/2 + block is solved
-   and R supplies the other half; for odd N, R keeps each sector, whose
-   blocks are sized (N-1)/2 and (N+1)/2, and the smaller one is padded by a
-   zero row and column to stack with the larger.  Matrix elements of the gauged H between
-   equal-parity vectors vanish identically, which is what makes the final
-   block structure possible.
+   of parallel Jacobi in the odd-even ordering (also over neighbouring
+   blocks of rows, above 2 * _BLOCK rows), so every eigenvector has exact
+   parity.  Eigenvalues come in reciprocal pairs (eps, 1/eps) mapped onto
+   each other by R.  For even N, R swaps the two sectors, so only the
+   N/2 x N/2 + block is solved and R supplies the other half; for odd N,
+   R keeps each sector, whose blocks are sized (N-1)/2 and (N+1)/2, and the
+   smaller one is padded by a zero row and column to stack with the larger.
+   Matrix elements of the gauged H between equal-parity vectors vanish
+   identically, which is what makes the final block structure possible.
 4. One rule orders the basis for both parities: each solved sector, with
    eigenvalues descending, contributes its leading vectors, then their
    R-partners in reverse, and each column pairs with its mirror inside the
@@ -113,27 +113,15 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
     return np.hstack((g.real, g.imag))
 
 
-# Rows per block of the block-cyclic rounds, at most.  A matrix of at most
-# 2 * _BLOCK rows is solved by odd-even rounds alone, as is every sector block
-# up to N = 64.  Of 8, 16 and 32, 16 measured fastest at N = 1024 and level
-# with 8 at N = 512.
+# Rows per block of the block rounds, at most.  A matrix of at most 2 * _BLOCK
+# rows is solved by odd-even rounds alone, as is every sector block up to
+# N = 64.  Against 16, _BLOCK = 8 measured level at N = 256 and 1024, up to
+# 25% slower at N = 512, and 1.3-2.4x slower at N = 64, whose sector blocks
+# it moves onto block rounds.
 _BLOCK = 16
 
 # Sweeps of `jacobi_eigensystem` before it gives up.
 _MAX_SWEEPS = 100
-
-
-def _round_robin(m: int) -> np.ndarray:
-    """The m-1 rounds of m/2 disjoint index pairs that cover every pair once (m even).
-
-    Circle method: index 0 stays put while the others rotate one place per
-    round, and a round pairs position i with position m-1-i.  Returns an
-    (m-1, m/2, 2) array of (p, q) rows.
-    """
-    shift = np.arange(m - 1)
-    ring = (shift[None, :] - shift[:, None]) % (m - 1) + 1
-    players = np.hstack((np.zeros((shift.size, 1), dtype=int), ring))
-    return np.stack((players[:, : m // 2], players[:, ::-1][:, : m // 2]), axis=2)
 
 
 def _pivot_slices(m: int) -> list[tuple[slice, ...]]:
@@ -159,7 +147,7 @@ def _odd_even_sweeper(y: np.ndarray):
     The two G buffers and all reads and writes are slices made here, once.
     A zero a[p, q] gives c = 1, s = +-0, an exact swap, so a zero pad row
     never mixes in.  After the m rounds of a sweep, the indices are in
-    reversed order (see `_unreverse`).
+    reversed order.
     """
     k, m = y.shape[0], y.shape[2]
     a, v = y[:, :m], y[:, m:]
@@ -189,11 +177,44 @@ def _odd_even_sweeper(y: np.ndarray):
     return sweep
 
 
-def _unreverse(y: np.ndarray) -> None:
-    """Undo one sweep's index reversal on y = [a; V], in place: reverse a's rows, y's columns."""
-    m = y.shape[2]
-    y[...] = y[:, :, ::-1]
-    y[:, :m] = y[:, m - 1::-1]
+def _block_sweeper(x: np.ndarray, count: int):
+    """sweep() -> one in-place sweep of odd-even block rounds on x = [a; V] of shape (k, 2m, m).
+
+    The m rows are `count` blocks of m / count rows (count even).  Even
+    rounds pair the blocks (2i, 2i+1), odd rounds (2i+1, 2i+2), which leaves
+    the first and last blocks idle.  A round takes the diagonal blocks of its
+    pairs, in every stack entry, through one `_odd_even_sweeper` sweep as
+    one stack; that sweep reverses each pair's indices, so its two blocks
+    trade places.  Each pair's accumulated rotation u then updates its
+    columns of [a; V] and its rows of a by matrix products.  A pair's rows
+    and columns are contiguous, so every read and write is a view made here,
+    once: the diagonal blocks are reshapes of one flat slice, 2 m/count
+    (m+1) apart.  After the `count` rounds of a sweep every block pair has
+    met once and all m indices are reversed, as after one odd-even sweep.
+    """
+    k, m = x.shape[0], x.shape[2]
+    span = 2 * m // count
+    flat = x.reshape(k, -1)
+    rounds = []
+    for first, pairs in ((0, count // 2), (span // 2, count // 2 - 1)):
+        end = first + pairs * span
+        diag = flat[:, first * (m + 1):end * (m + 1)].reshape(k, pairs, -1)[:, :, :span * m]
+        y = np.empty((k, pairs, 2 * span, span))
+        rounds.append((diag.reshape(k, pairs, span, m)[..., :span],
+                       x[:, :, first:end].reshape(k, 2 * m, pairs, span).transpose(0, 2, 1, 3),
+                       x[:, first:end].reshape(k, pairs, span, m),
+                       y, _odd_even_sweeper(y.reshape(-1, 2 * span, span))))
+
+    def sweep() -> None:
+        for diag, cols, rows, y, pair_sweep in rounds * (count // 2):
+            y[:, :, :span] = diag
+            y[:, :, span:] = np.eye(span)
+            pair_sweep()
+            u = y[:, :, span:]
+            cols[...] = cols @ u
+            rows[...] = u.swapaxes(2, 3) @ rows
+            diag[...] = y[:, :, :span]
+    return sweep
 
 
 def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -212,16 +233,15 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray,
 
     Above 2 * _BLOCK rows, the rows are split into an even number of blocks
     of at most _BLOCK rows (the last ones padded by zero rows), and a sweep
-    runs the round-robin rounds over blocks instead.  A block round takes
-    every block pair of the round, in every stack entry, through one sweep of
-    the odd-even rounds as one stack, undoes its reversal, then applies each
-    pair's accumulated rotation to the rest of its rows and columns by matrix
-    products.  So the method stays scalar Jacobi, in a block-cyclic order:
-    every rotation zeroes one a[p, q], nothing is truncated, and the relative
-    accuracy of Jacobi (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13
-    (1992) 1204-1245) is kept.  No proof cited here covers the block-cyclic
-    order, whose convergence is measured: 6-8 sweeps against 7-10 of the
-    odd-even rounds alone, for sector blocks of N = 128 to 512.
+    runs the same odd-even ordering one level up, over neighbouring blocks
+    (see `_block_sweeper`): each block round is one odd-even sweep of every
+    pair's diagonal block, whose accumulated rotation then reaches the rest
+    of the pair's rows and columns by matrix products.  So the method stays
+    scalar Jacobi: every rotation zeroes one a[p, q], nothing is truncated,
+    and the relative accuracy of Jacobi (Demmel & Veselic, SIAM J. Matrix
+    Anal. Appl. 13 (1992) 1204-1245) is kept.  No proof cited here covers
+    the odd-even block order, whose convergence is measured: 6-9 sweeps for
+    the sector blocks of N = 128 to 1024.
 
     Sweeps run until the off-diagonal Frobenius mass of every stack entry
     drops below `tol`; NonConvergence is raised after _MAX_SWEEPS sweeps.
@@ -236,44 +256,24 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray,
         raise ValueError("input must be real symmetric")
     stack = a.reshape(-1, n, n)
     k = stack.shape[0]
-    blocked = n > 2 * _BLOCK
-    if blocked:
-        # the fewest blocks of at most _BLOCK rows, in pairs: little padding
-        count = -(-n // (2 * _BLOCK)) * 2
-        size = -(-n // count)
-        m, span = count * size, 2 * size
-        blocks = (_round_robin(count)[..., None] * size + np.arange(size)).reshape(
-            count - 1, count // 2, span)
-        # every block pair of a round, in every stack entry, as one stack
-        y = np.empty((k, count // 2, 2 * span, span))
-        pairs = y.reshape(-1, 2 * span, span)
-    else:
-        m = n + n % 2
+    # the fewest blocks of at most _BLOCK rows, in pairs: little padding
+    count = -(-n // (2 * _BLOCK)) * 2 if n > 2 * _BLOCK else 0
+    m = count * -(-n // count) if count else n + n % 2
     # x = [a; V], as in _odd_even_sweeper
     x = np.zeros((k, 2 * m, m))
     x[:, :n, :n] = stack
     x[:, m:] = np.eye(m)
-    sweep = _odd_even_sweeper(pairs if blocked else x)
+    sweep = _block_sweeper(x, count) if count else _odd_even_sweeper(x)
     lower = np.tri(m, k=-1, dtype=bool)
     for sweeps in range(_MAX_SWEEPS):
         if np.all(np.sqrt(np.sum(np.where(lower, x[:, :m], 0.0) ** 2, axis=(1, 2)) * 2) < tol):
             break
-        if not blocked:
-            sweep()
-            continue
-        for rows in blocks:
-            y[:, :, :span] = x[:, rows[:, :, None], rows[:, None, :]]
-            y[:, :, span:] = np.eye(span)
-            sweep()
-            _unreverse(pairs)
-            u = y[:, :, span:]
-            x[:, :, rows] = (x[:, :, rows].transpose(0, 2, 1, 3) @ u).transpose(0, 2, 1, 3)
-            x[:, rows] = u.transpose(0, 1, 3, 2) @ x[:, rows]
-            x[:, rows[:, :, None], rows[:, None, :]] = y[:, :, :span]
+        sweep()
     else:
         raise NonConvergence(f"Jacobi sweeps exceeded {_MAX_SWEEPS}")
-    if sweeps % 2 and not blocked:
-        _unreverse(x)
+    if sweeps % 2:  # undo the reversal: [a; V]'s columns, then a's rows
+        x[...] = x[:, :, ::-1]
+        x[:, :m] = x[:, m - 1::-1]
     values = np.diagonal(x[:, :n, :n], axis1=1, axis2=2)
     order = np.argsort(values, axis=-1)
     return (np.take_along_axis(values, order, axis=-1).reshape(a.shape[:-1]),
@@ -447,9 +447,16 @@ def metric_decomposition(spec: ChainSpec, tol: float = 1e-12) -> MetricDecomposi
     `tol` is the Bethe root tolerance of `build_eigenbasis`.  Below
     GAMMA_FLOOR J the metric is fully degenerate (eta -> identity), so the
     canonical basis is taken from the continuity limit: the pipeline runs at
-    gamma = GAMMA_FLOOR J instead.
+    gamma = GAMMA_FLOOR J instead.  Above gamma_c (1 - reach), reach = 1e-7
+    for odd N and 1e-9 for even N, it raises DegeneracyError: there the
+    rounding eps |eta| of the formed sector blocks swamps 1/eps_max, and the
+    tables were measured to break their bounds.
     """
-    return canonical_basis(gauged_factor(build_eigenbasis(_at_floor(spec), tol)))
+    basis = build_eigenbasis(_at_floor(spec), tol)
+    reach = 1e-7 if spec.n_sites % 2 else 1e-9
+    if spec.gamma > spec.gamma_c * (1.0 - reach):
+        raise DegeneracyError(f"gamma past gamma_c (1 - {reach:g}), the metric's reach")
+    return canonical_basis(gauged_factor(basis))
 
 
 def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-12) -> HermitianEquivalent:

@@ -267,9 +267,36 @@ def test_odd_even_sweep_meets_every_pair_once_and_reverses(m):
     assert np.array_equal(y[0, m:], np.eye(m)[:, ::-1])
 
 
+@pytest.mark.parametrize("n", [2 * metric._BLOCK + 1, 5 * metric._BLOCK + 3])
+def test_block_sweep_reverses_every_index(n):
+    # The block partition of jacobi_eigensystem: 4 blocks of 9 rows, or 6 of
+    # 14 with blocks 0 and 5 idle in the odd rounds.  On a diagonal matrix
+    # every pivot is exactly 0, so each pair's sweep is an exact swap and its
+    # rotation an exact permutation; one block sweep reverses a and V's columns.
+    count = -(-n // (2 * metric._BLOCK)) * 2
+    m = count * -(-n // count)
+    x = np.zeros((1, 2 * m, m))
+    x[0, :m] = np.diag(np.arange(1.0, m + 1))
+    x[0, m:] = np.eye(m)
+    metric._block_sweeper(x, count)()
+    assert np.array_equal(x[0, :m], np.diag(np.arange(m, 0.0, -1)))
+    assert np.array_equal(x[0, m:], np.eye(m)[:, ::-1])
+
+
+def _round_robin(m):
+    # Circle method: index 0 stays put while the others rotate one place per
+    # round, and a round pairs position i with position m-1-i.  Returns the
+    # m-1 rounds of m/2 disjoint (p, q) rows that cover every pair once.
+    shift = np.arange(m - 1)
+    ring = (shift[None, :] - shift[:, None]) % (m - 1) + 1
+    players = np.hstack((np.zeros((shift.size, 1), dtype=int), ring))
+    return np.stack((players[:, : m // 2], players[:, ::-1][:, : m // 2]), axis=2)
+
+
 def _scalar_jacobi(sym, tol):
     # The one-matrix solver this module had before the stacked and block
-    # rounds, kept verbatim as the reference for relative accuracy.
+    # rounds, kept verbatim as the reference for relative accuracy, with its
+    # round-robin schedule.
     a = np.asarray(sym, dtype=float)
     n = a.shape[0]
     m = n + n % 2
@@ -278,7 +305,7 @@ def _scalar_jacobi(sym, tol):
     x[:, m:] = np.eye(m)
     a = x[:, :m]
     a_t, diag = a.T, a.diagonal()
-    rounds = metric._round_robin(m)
+    rounds = _round_robin(m)
     for _ in range(100):
         if np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2) < tol:
             break
@@ -382,6 +409,25 @@ def test_equivalent_hermitian_up_to_gamma_c(n, gap):
     assert np.max(np.abs(a - (a[::-1, ::-1] if n % 2 else a.T[::-1, ::-1]))) <= 1e-8
     bethe = np.sort(solve_spectrum(spec).energies.real)
     assert np.max(np.abs(np.linalg.eigvalsh(hm) - bethe)) <= 1e-8
+
+
+def test_metric_refuses_chains_past_its_reach():
+    # Closer to gamma_c than the reach, the formed sector blocks' rounding
+    # eps |eta| swamps 1/eps_max: tables came back with |h - h^T| up to 1e-6
+    # (N = 16 at 1 - 1e-12) or spectra 8e-8 J off (N = 87 at 1 - 1e-8)
+    for n, gap in [(n, 1e-8) for n in range(3, 130, 2)] + [(n, 1e-12) for n in range(2, 129, 2)]:
+        with pytest.raises(DegeneracyError, match="reach"):
+            metric_decomposition(ChainSpec(n, 1.0, (1.0 - gap) * gamma_critical(n)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65])
+def test_equivalent_hermitian_at_its_reach(n):
+    spec = ChainSpec(n, 1.0, (1.0 - (1e-7 if n % 2 else 1e-9)) * gamma_critical(n))
+    hm = equivalent_hermitian(spec).h_matrix
+    bethe = np.sort(solve_spectrum(spec).energies.real)
+    assert np.max(np.abs(np.linalg.eigvalsh(hm) - bethe)) <= 1e-8
+    if n % 2 == 0:
+        assert np.max(np.abs(hm - hm.T)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [9, 65, 257])

@@ -35,10 +35,10 @@ def test_oracle_scaling_script():
 
 
 def test_metric_scaling_script():
-    lines = _run_script("metric_scaling.py", "--sizes", "8", "41").stdout.splitlines()
+    lines = _run_script("metric_scaling.py", "--sizes", "8", "70").stdout.splitlines()
     assert lines[0] == "n,seconds,transform_seconds,eigh_distance"
     rows = [line.split(",") for line in lines[1:3]]
-    assert [int(row[0]) for row in rows] == [8, 41], lines
+    assert [int(row[0]) for row in rows] == [8, 70], lines
     assert all(float(row[1]) > 0 and float(row[2]) > 0 and float(row[3]) <= 1e-11
                for row in rows), lines
     assert re.fullmatch(r"slope d\(log seconds\)/d\(log N\) = -?\d+\.\d\d", lines[3]), lines
