@@ -14,7 +14,7 @@ from .bethe import (SpectralSolution, classify_phase, locate_critical_gamma,
                     momentum_index, solve_kappa, solve_real_momenta,
                     solve_spectra, solve_spectrum)
 from .states import (EigenBasis, build_c_operator, build_eigenbasis, cpt_inner,
-                     pt_norm, wavefunction_broken)
+                     pt_norm)
 from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
                           critical_levels, critical_sweep, delta_approx,
                           kappa_approx, repulsion_law)
@@ -32,7 +32,7 @@ __all__ = [
     "SpectralSolution", "locate_critical_gamma", "momentum_index",
     "solve_kappa", "solve_real_momenta", "solve_spectra", "solve_spectrum",
     "EigenBasis", "build_c_operator", "build_eigenbasis",
-    "cpt_inner", "pt_norm", "wavefunction_broken",
+    "cpt_inner", "pt_norm",
     "CriticalReport", "alpha_parameter", "coalescence_gap", "critical_levels",
     "critical_sweep", "delta_approx", "kappa_approx", "repulsion_law",
     "HermitianEquivalent", "MetricDecomposition", "build_metric",

@@ -66,19 +66,6 @@ def _cpt_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, np.copysign(1.0, pairing.real) * f.conj()
 
 
-def wavefunction_broken(spec: ChainSpec, branch: int, kappa: float) -> np.ndarray:
-    """Broken-phase eigenvector for k = pi/2 + i*branch*kappa, unit Euclidean norm.
-
-    CPT normalization is invalid for these states (their PT self-pairing is
-    exactly zero), so the Euclidean norm is used instead.  `kappa` is that of
-    `solve_kappa`; at kappa = 0, the exact coalescence, both branches give
-    the one coalesced vector.
-    """
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return _broken_states(spec.n_sites, spec.hopping, spec.gamma, float(branch), kappa)
-
-
 def _critical_pairs(n: int, j: float, gammas, roots, broken: bool) -> np.ndarray:
     """The critical pair's two eigenvectors per gamma, shape (len(gammas), 2, N).
 
@@ -95,9 +82,13 @@ def _critical_pairs(n: int, j: float, gammas, roots, broken: bool) -> np.ndarray
 
 
 def _broken_states(n: int, j: float, g, s, kappa) -> np.ndarray:
-    """`wavefunction_broken` with gamma `g`, branch `s` and `kappa` broadcast together.
+    """Broken-phase eigenvectors at k = pi/2 + i s kappa, of unit Euclidean norm.
 
-    Sites run along the last axis: one row per (g, s, kappa).
+    One row per (g, s, kappa), with gamma `g`, branch `s` = +-1 and `kappa`
+    broadcast together; sites run along the last axis.  CPT normalization
+    is invalid for these states (their PT self-pairing is exactly zero), so
+    the Euclidean norm is used instead.  At kappa = 0, the exact
+    coalescence, both branches give the one coalesced vector.
     """
     n0 = (n + 1) / 2
     l = np.arange(1, n + 1)

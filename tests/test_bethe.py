@@ -211,20 +211,36 @@ def test_kappa_deep_in_the_broken_phase_does_not_overflow(n):
     assert solve_kappa(ChainSpec(n, 1.0, 1.5)) == pytest.approx(math.log(1.5), rel=1e-14)
 
 
+# (gamma/J, kappa): below kappa = 1, and past it up to gamma/J = 1e150,
+# 0.1 either side of the root near ln(gamma/J)
+_RESIDUAL_POINTS = [pytest.param(1.3, kappa, id=str(kappa)) for kappa in (1e-3, 0.1, 0.7)] + [
+    pytest.param(ratio, kappa, id=f"{ratio:g}-{kappa:.6g}")
+    for ratio, kappa in [(1.3, 1.5), (1.3, 5.0)] + [(r, math.log(r) + d) for r in (3.0, 1e4, 1e20, 1e150)
+                                                    for d in (-0.1, 0.1)]]
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
-@pytest.mark.parametrize("kappa", [1e-3, 0.1, 0.7])
-def test_kappa_residual_is_the_scaled_condition(n, kappa):
-    spec = ChainSpec(n, 1.0, 1.3)
-    fn = math.sinh if n % 2 else math.cosh
-    raw = 1.3 ** 2 * fn(kappa * (n - 1)) - fn(kappa * (n + 1))
-    want = 2.0 * math.exp(-kappa * (n + 1)) * raw
+@pytest.mark.parametrize("ratio,kappa", _RESIDUAL_POINTS)
+def test_kappa_residual_is_the_scaled_condition(n, ratio, kappa):
+    spec = ChainSpec(n, 1.0, ratio)
+    if kappa <= 1:
+        fn = math.sinh if n % 2 else math.cosh
+        raw = ratio ** 2 * fn(kappa * (n - 1)) - fn(kappa * (n + 1))
+        want = 2.0 * math.exp(-kappa * (n + 1)) * raw
+    else:  # math.cosh overflows or cancels here
+        mp = pytest.importorskip("mpmath")
+        fn = mp.sinh if n % 2 else mp.cosh
+        with mp.workdps(40):
+            k = mp.mpf(kappa)
+            raw = mp.mpf(ratio) ** 2 * fn(k * (n - 1)) - fn(k * (n + 1))
+            want = float(2 * mp.exp(-k * (n + 1)) * raw)
     assert _scaled_kappa_condition(spec, kappa) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("ratio", [3.0, 10.0, 1e2, 1e4, 1e8, 1e9, 1e20, 1e150])
 def test_kappa_above_one_is_within_two_ulp(ratio):
-    # past kappa = 1 the scaled condition cancels (r^2 e^(-2 kappa) -> 1);
-    # its log form keeps kappa to the float spacing up to gamma/J = 1e150
+    # the scaled condition has no term of size r^2 left to cancel, so it
+    # keeps kappa to the float spacing up to gamma/J = 1e150
     mp = pytest.importorskip("mpmath")
     for n in (2, 3, 8, 9, 64, 65, 1000, 1001):
         s = -1 if n % 2 else 1
@@ -390,8 +406,8 @@ def test_solve_spectra_equals_solve_spectrum(n):
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_spectra_classify_each_spec_once(n, monkeypatch):
-    # unbroken, both kappa forms (below and past kappa = 1) and an exact
-    # coalescence (N = 8 at gamma = J): the phases read once feed every solve
+    # unbroken, kappa below and past 1, and an exact coalescence (N = 8 at
+    # gamma = J): the phases read once feed every solve
     calls = []
 
     def spy(spec):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ptchain import (ChainSpec, apply_pt, build_c_operator, build_eigenbasis,
-                     build_hamiltonian, cpt_inner, gamma_critical,
-                     oracle_eigenvector, pt_norm, solve_kappa,
-                     solve_real_momenta, wavefunction_broken)
+                     build_hamiltonian, cpt_inner, critical_levels, gamma_critical,
+                     oracle_eigenvector, pt_norm, solve_kappa, solve_real_momenta)
 from ptchain.bethe import raw_amplitude
 from ptchain.errors import PhaseError
 
@@ -65,13 +64,14 @@ def test_dual_residual_and_biorthonormality(n, frac):
 
 @pytest.mark.parametrize("n,gamma", [(8, 1.2), (7, 1.5), (2, 1.5)])
 def test_broken_states(n, gamma):
+    # the broken side of critical_levels: branch +1 (k = pi/2 + i kappa) first
     spec = ChainSpec(n, 1.0, gamma)
     h = build_hamiltonian(spec)
     kappa = solve_kappa(spec)
-    plus = wavefunction_broken(spec, +1, kappa)
-    minus = wavefunction_broken(spec, -1, kappa)
-    for branch, f in ((+1, plus), (-1, minus)):
+    levels, (plus, minus) = critical_levels(spec)
+    for branch, level, f in ((+1, levels[0], plus), (-1, levels[1], minus)):
         energy = 2j * branch * math.sinh(kappa)
+        assert level == energy
         assert np.max(np.abs(h @ f - energy * f)) < 1e-8
         assert abs(pt_norm(f)) < 1e-10  # the zero self-pairing identity
     # the PT action maps the two branches onto each other
@@ -96,18 +96,11 @@ def test_broken_states_deep_in_the_broken_phase(n, branch):
     # kappa N passes ~709 here, where unscaled e^{kappa l} factors overflow
     spec = ChainSpec(n, 1.0, 1.5)
     kappa = solve_kappa(spec)
-    f = wavefunction_broken(spec, branch, kappa)
+    f = critical_levels(spec)[1][0 if branch > 0 else 1]
     assert np.all(np.isfinite(f))
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     energy = 2j * branch * math.sinh(kappa)
     assert np.max(np.abs(_apply_tridiagonal(spec, f) - energy * f)) <= 1e-10
-
-
-def test_broken_state_requires_broken_phase():
-    # the kappa of a broken state comes from solve_kappa, which reads the phase
-    spec = ChainSpec(8, 1.0, 0.5)
-    with pytest.raises(PhaseError):
-        wavefunction_broken(spec, +1, solve_kappa(spec))
 
 
 @pytest.mark.parametrize("n,frac", GRID)
