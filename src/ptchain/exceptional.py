@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _critical_offsets, _in_gamma_order, _kappas, _pair_levels, classify_phase
+from .bethe import _in_gamma_order, _pair_levels
 from .errors import DomainError, PhaseError
-from .model import ChainSpec, Phase
+from .model import ChainSpec
 from .states import _critical_pairs, _pt_norms, _row_norms
 
 # Largest scaled distance N |gamma - gamma_c| / gamma_c flagged as inside the
@@ -110,18 +110,18 @@ def repulsion_law(spec: ChainSpec) -> tuple[float, float]:
 
 
 def critical_levels(spec: ChainSpec):
-    """The two levels closest to zero and their eigenvectors.
+    """The two levels closest to zero and their eigenvectors, the upper level's first.
 
-    Unbroken side: the +-|e| pair from the roots at pi/2 +- x0; broken side:
-    the imaginary pair.  (For odd N the exact zero mode is not part of the
-    critical pair.)  At an exact coalescence (`classify_phase` Critical) the
-    broken side's formulas give E = 0 twice and one vector twice.
+    Unbroken side: the +-|e| pair from the roots at pi/2 +- x0, CPT-normalized;
+    broken side: the imaginary pair, of unit Euclidean norm, whose vector at
+    +2iJ sinh(kappa) is the PT image of the one at -2iJ sinh(kappa).  (For odd
+    N the exact zero mode is not part of the critical pair.)  At an exact
+    coalescence (`classify_phase` Critical) the broken side's formulas give
+    E = 0 twice and one vector twice.  The one-gamma case of `critical_sweep`'s
+    construction.
     """
-    phase = classify_phase(spec)
-    broken = phase is not Phase.UNBROKEN
-    root = _kappas([spec], [phase]) if broken else _critical_offsets([spec])
-    vectors = _critical_pairs(spec.n_sites, spec.hopping, [spec.gamma], root, broken)[0]
-    return _pair_levels(spec.hopping, broken, float(root[0])), tuple(vectors)
+    root, broken, pair = _critical_pairs([spec])
+    return _pair_levels(spec.hopping, bool(broken[0]), float(root[0])), tuple(pair[0])
 
 
 def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
@@ -131,18 +131,19 @@ def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
 
 def _coalescence_gaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """`coalescence_gap` of each pair of rows of u and v."""
-    gap = 1.0 - np.abs(np.vecdot(u, v)) / (_row_norms(u) * _row_norms(v))[..., 0]
-    return np.where(gap > 0.0, gap, 0.0)  # as max(0.0, gap): NaN gives 0
+    norms = (_row_norms(u) * _row_norms(v))[..., 0]
+    if not norms.all():
+        raise ValueError("coalescence_gap of a zero vector")
+    return np.maximum(1.0 - np.abs(np.vecdot(u, v)) / norms, 0.0)  # a NaN stays NaN
 
 
 def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[CriticalReport]:
     """CriticalReport per gamma, each pair bit-identical to its `critical_levels`.
 
-    Each point's phase is read once, by `classify_phase`, and the critical
-    pairs of the whole grid come from two solves: one for kappa at the
-    points that are not unbroken and one for the bracket at pi/2 at the
-    unbroken ones.  Their eigenvectors are built as one stack per side and
-    reduced to gaps and PT self-pairings in one pass over the stack.  If
+    The pairs of the whole grid come from one `_critical_pairs`: each
+    point's phase is read once, and two solves give kappa at the points that
+    are not unbroken and the bracket at pi/2 at the unbroken ones.  The
+    stack of pairs is reduced to gaps and PT self-pairings in one pass.  If
     several gammas fail, the error raised is the first failing gamma's.
     """
     return _in_gamma_order(
@@ -153,25 +154,12 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[Cri
 def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:
     if not specs:
         return []
-    n, j = specs[0].n_sites, specs[0].hopping
-    phases = [classify_phase(spec) for spec in specs]
-    broken = [p is not Phase.UNBROKEN for p in phases]
-    broken_side = [s for s, b in zip(specs, broken) if b]
-    unbroken_side = [s for s, b in zip(specs, broken) if not b]
-    kappas = _kappas(broken_side, [p for p in phases if p is not Phase.UNBROKEN])
-    offsets = _critical_offsets(unbroken_side)
-    # both sides' pairs in one stack, broken first: each reduction is one array pass
-    unit = np.concatenate([
-        _critical_pairs(n, j, [s.gamma for s in broken_side], kappas, True),
-        _critical_pairs(n, j, [s.gamma for s in unbroken_side], offsets, False)])
+    roots, broken, unit = _critical_pairs(specs)
     unit /= _row_norms(unit)
-    rows = list(zip(np.concatenate([kappas, offsets]).tolist(),
-                    _coalescence_gaps(unit[:, 0], unit[:, 1]).tolist(),
-                    map(tuple, _pt_norms(unit).tolist())))
-    points = {True: iter(rows[:len(broken_side)]), False: iter(rows[len(broken_side):])}
     reports = []
-    for spec, side in zip(specs, broken):
-        root, gap, pt = next(points[side])
+    for spec, root, side, gap, pt in zip(specs, roots.tolist(), broken.tolist(),
+                                         _coalescence_gaps(unit[:, 0], unit[:, 1]).tolist(),
+                                         map(tuple, _pt_norms(unit).tolist())):
         try:
             dk = _approx(spec, side)
             analytic = _pair_levels(spec.hopping, side, dk)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _amplitude, classify_phase, mode_energy, raw_amplitude, solve_real_momenta
+from .bethe import (_amplitude, _critical_offsets, _kappas, classify_phase, mode_energy,
+                    raw_amplitude, solve_real_momenta)
 from .errors import PhaseError
 from .model import ChainSpec, Phase, apply_pt
 
@@ -66,43 +67,58 @@ def _cpt_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, np.copysign(1.0, pairing.real) * f.conj()
 
 
-def _critical_pairs(n: int, j: float, gammas, roots, broken: bool) -> np.ndarray:
-    """The critical pair's two eigenvectors per gamma, shape (len(gammas), 2, N).
+def _critical_pairs(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(root, broken, pair) of every spec, in spec order; the specs share N and J.
 
-    Each pair is that of its own chain, with one gamma and one root per pair:
-    kappa and the branches +1, -1 if `broken`, else the offset x0 and the
-    CPT-normalized f at pi/2 + x0, pi/2 - x0.
+    Each spec's phase is read once, by `classify_phase`, and the roots come
+    from two solves: kappa from one `_kappas` at the specs that are not
+    unbroken (`broken`), and the offset x0 of the bracket at pi/2 from one
+    `_critical_offsets` at the others.  `pair` has shape (len(specs), 2, N),
+    the vector of the pair's upper level first: `_broken_states` at kappa,
+    or the CPT-normalized f at pi/2 + x0 and pi/2 - x0.
     """
-    signs = np.array([1.0, -1.0])
-    g, root = np.asarray(gammas)[:, None], np.asarray(roots)[:, None]
-    if broken:
-        return _broken_states(n, j, g, signs, root)
-    k = np.pi / 2 + signs * root
-    return _cpt_states(_amplitude(n, j, g, k))[0]
+    n, j = specs[0].n_sites, specs[0].hopping
+    phases = [classify_phase(spec) for spec in specs]
+    broken = np.array([phase is not Phase.UNBROKEN for phase in phases])
+    gamma = np.array([spec.gamma for spec in specs])
+    root, pair = np.empty(len(specs)), np.empty((len(specs), 2, n), complex)
+    root[broken] = _kappas([s for s, b in zip(specs, broken) if b],
+                           [p for p, b in zip(phases, broken) if b])
+    root[~broken] = _critical_offsets([s for s, b in zip(specs, broken) if not b])
+    pair[broken] = _broken_states(n, gamma[broken] / j, root[broken])
+    k = np.pi / 2 + np.array([1.0, -1.0]) * root[~broken, None]
+    pair[~broken] = _cpt_states(_amplitude(n, j, gamma[~broken, None], k))[0]
+    return root, broken, pair
 
 
-def _broken_states(n: int, j: float, g, s, kappa) -> np.ndarray:
-    """Broken-phase eigenvectors at k = pi/2 + i s kappa, of unit Euclidean norm.
+def _broken_states(n: int, r, kappa) -> np.ndarray:
+    """The broken pair at k = pi/2 +- i kappa, shape (..., 2, N), of unit Euclidean norm.
 
-    One row per (g, s, kappa), with gamma `g`, branch `s` = +-1 and `kappa`
-    broadcast together; sites run along the last axis.  CPT normalization
-    is invalid for these states (their PT self-pairing is exactly zero), so
-    the Euclidean norm is used instead.  At kappa = 0, the exact
-    coalescence, both branches give the one coalesced vector.
+    `r` = gamma/J and `kappa` broadcast together; sites run along the last
+    axis.  Only the branch at k = pi/2 - i kappa, level -2iJ sinh(kappa), is
+    built from the amplitude: its coefficient (1 - r e^kappa)/(1 + r e^-kappa)
+    has no cancellation and stays finite up to gamma/J = 1e150.  The other
+    branch, level +2iJ sinh(kappa), comes first; it is the PT image of the
+    built one, conj(f) reversed, since PT maps the eigenvector at E onto the
+    one at E*.  CPT normalization is invalid for these states (their PT
+    self-pairing is exactly zero), so the Euclidean norm is used instead.  At
+    kappa = 0, the exact coalescence, the pair is the one coalesced vector
+    twice.
     """
     n0 = (n + 1) / 2
     l = np.arange(1, n + 1)
-    g, s, kappa = (np.asarray(v)[..., None] for v in (g, s, kappa))
-    ratio = (j - g * np.exp(-s * kappa)) / (j + g * np.exp(s * kappa))
+    r, kappa = (np.asarray(v)[..., None] for v in (r, kappa))
+    ratio = (1.0 - r * np.exp(kappa)) / (1.0 + r * np.exp(-kappa))  # <= 0: r e^kappa >= 1
     # Each term as one exponent, less the largest, before exp: e^{kappa N}
     # overflows once kappa N passes ~709, and the norm fixes the scale anyway.
-    first = s * kappa * (n0 - l)
+    first = kappa * (l - n0)
     with np.errstate(divide="ignore"):  # ratio = 0 drops the second term
-        second = s * kappa * (n0 + l) + np.log(abs(ratio))
+        second = np.log(-ratio) - kappa * (n0 + l)
     top = np.maximum(first.max(axis=-1), second.max(axis=-1))[..., None]
-    f = ((1j) ** l * np.exp(first - top)
-         - (-1j) ** l * np.sign(ratio) * np.exp(second - top))
-    return _fix_sign(f / _row_norms(f))
+    f = (1j) ** l * np.exp(first - top) + (-1j) ** l * np.exp(second - top)
+    lower = _fix_sign(f / _row_norms(f))
+    upper = np.where(kappa > 0, _fix_sign(lower[..., ::-1].conj()), lower)
+    return np.stack([upper, lower], axis=-2)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

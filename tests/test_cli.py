@@ -88,20 +88,21 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def test_pinned_output_bytes(capsys):
-    # one process, in sequence: the parser is built once and reused, so each
+# one id per invocation, so that a run shows every moved pin
+@pytest.mark.parametrize("argv", PINNED_OUTPUT)
+def test_pinned_output_bytes(capsys, argv):
+    # one process, in dict order: the parser is built once and reused, so each
     # subcommand must see no state left by the one before
-    for argv, digest in PINNED_OUTPUT.items():
-        code, out, err = run(capsys, *argv.split())
-        assert (code, err) == (0, ""), argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
 
 
-def test_pinned_sweep_bytes(capsys):
-    for argv, digest in PINNED_SWEEPS.items():
-        code, out, err = run(capsys, *argv.split())
-        assert (code, err) == (0, ""), argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+@pytest.mark.parametrize("argv", PINNED_SWEEPS)
+def test_pinned_sweep_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEPS[argv]
 
 
 def test_sweep_reports_the_first_failing_gamma(capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptchain import (ChainSpec, alpha_parameter, coalescence_gap,
-                     critical_levels, critical_sweep, delta_approx,
-                     gamma_critical, kappa_approx, pt_norm, repulsion_law, solve_kappa)
+from ptchain import (ChainSpec, Phase, alpha_parameter, build_hamiltonian, classify_phase,
+                     coalescence_gap, critical_levels, critical_sweep, delta_approx,
+                     gamma_critical, kappa_approx, oracle_eigenvector, pt_norm,
+                     repulsion_law, solve_kappa)
 from ptchain.errors import DomainError, PhaseError, PTChainError
 from ptchain.exceptional import CriticalReport, in_asymptotic_window
 
@@ -176,6 +177,15 @@ def test_coalescence_gap_bounds():
     assert coalescence_gap(u, np.array([0.0, 1.0])) == 1.0
 
 
+def test_coalescence_gap_propagates_nan_and_rejects_a_zero_vector():
+    # a NaN vector is no coalesced pair, and a zero vector has no direction
+    assert math.isnan(coalescence_gap([math.nan, 1.0], [1.0, 0.0]))
+    with pytest.raises(ValueError, match="zero vector"):
+        coalescence_gap([0.0, 0.0], [1.0, 0.0])
+    ones = np.ones(3)  # |<u,u>| / ||u||^2 rounds above 1: the gap stays 0
+    assert coalescence_gap(ones, ones) == 0.0
+
+
 def _hexes(value):
     if isinstance(value, bool):
         return [str(value)]
@@ -206,36 +216,40 @@ def _log_grid(n):
 # and again when that condition lost its terms of size (gamma/J)^2 to cancel
 # and took over every kappa, which moved the same fields by rounding: a
 # median 3 ulp, and up to 1.7e3 ulp at 1e-4 from an odd-N gamma_c, inside
-# the odd-N bound 4 eps/|1 - gamma/gamma_c| of README
+# the odd-N bound 4 eps/|1 - gamma/gamma_c| of README; and again when the
+# broken pair's + branch became the PT image of the - branch, which moved
+# the broken side's coalescence_gap by up to 5.3e-15 and pt_norms by up to
+# 4.3e-15 (the formula's + branch had a coefficient that cancelled to
+# rounding noise)
 PINNED_LOG_GRID = {
-    2: "6f340b2e9ad8e8fb", 3: "6c2a9ce3bd486bbb", 4: "efe8af2b2eab2d17",
-    5: "f3e98a9e9305e8ca", 6: "7124e341994901e9", 7: "f3207824517e4326",
-    8: "ddddf95e8d09fc68", 9: "939112a333cc286f", 10: "94b3c710d4d333f1",
-    11: "635b7a106f41765d", 12: "85019b55119185c8", 13: "4a8b7a6b36d288da",
-    14: "ec164b9166bbb72b", 15: "66e5887301813d76", 16: "7fc4023252b0468e",
-    17: "413cee6ee5657b79", 18: "06b801c001d8ead5", 19: "bdf227fed1af9681",
-    20: "c513f60ad08457d4", 21: "3bbac9aa44922b6c", 22: "91e619ddd667e2ab",
-    23: "dabfd69d63908fe5", 24: "b083e8255d53eafa", 25: "51f0ac435f49ffe5",
-    26: "5ed0d8533659a120", 27: "7387e6cafb3c25f3", 28: "4af3ccf74bbbfd1a",
-    29: "36d5e289c9f320ef", 30: "2afc1e81ff727739", 31: "b3ca66488ebe2348",
-    32: "5715295baf92e935", 33: "d19b9877b3ea8ddc", 34: "5fd2eaf844d1cd2a",
-    35: "b785ea715192ca49", 36: "6df2d4972870be97", 37: "66cbacefcd9cbec4",
-    38: "34f5723a83d31e04", 39: "65ed06bc94e32103", 40: "2b27a55f00383203",
-    41: "6cb18c7dd74de1dd", 42: "53b2aca50987573b", 43: "a01a268f17e75977",
-    44: "253f5acd99b9d423", 45: "f4d34f8164991be5", 46: "8e93548717ad697e",
-    47: "00c1fcb98115f03e", 48: "a49faac62c4e0e09", 49: "0f4af5f05da5dc8c",
-    50: "90c53b75136ec9ee", 51: "aa7cf4e79bf2e56a", 52: "c5c7e8c414b69f45",
-    53: "4973a9756acd27e6", 54: "c00c5a7b3dbbfb57", 55: "0a82ae0798557024",
-    56: "2843024b9bbe1f95", 57: "4b79d983076a4cb2", 58: "25ebf300ac78d935",
-    59: "40ab36f7d28a1fdf", 60: "ce62e90b8ac69fc9", 61: "fe47c7269187b6cd",
-    62: "38fdea8337f6fca2", 63: "2a4687f19ace1fe6", 64: "62a5444704286972",
-    65: "f7bb1439032c2443", 66: "01e8a2c4a7eda183", 67: "3b3c090e5e8d9c97",
-    68: "16bc0b4fce440422", 69: "61749a52d9b8bb94", 70: "0167cb0feecf6d82",
-    71: "ac76c1c85fd7dd32", 72: "0fd2111d6ac34e82", 73: "b0ae0d787d792437",
-    74: "ec4ae8e111fca6a4", 75: "f3e84bc02acb2426", 76: "3caf294ee406bea7",
-    77: "4d73d7be74ed2469", 78: "33e60eb757460b35", 79: "a2d8fa6ccb337036",
-    128: "6ad40ac4ff085bd0", 200: "eb855354d01a198d", 255: "9b8fe15162817af5",
-    256: "6f9923b1dac2f34b", 1000: "669d729eb3c4817a",
+    2: "6c57df404ad6397b", 3: "85d5cd96f3dcaab9", 4: "aa66cd7d8af478df",
+    5: "e808b2f3d24817ca", 6: "425ee9810dd70afa", 7: "20de74ca3907c72d",
+    8: "e79142175233fa9d", 9: "77ec3b26b40568dc", 10: "825a5a2a83f85c7a",
+    11: "1cd2fdb7c782be7b", 12: "70e6428452ea21a8", 13: "c87b1a9bd52f857e",
+    14: "00ac3a35dce26b1c", 15: "b17dfdfe78324add", 16: "54110018cc8efe65",
+    17: "00712c762a50b84b", 18: "84095d76396ac2c9", 19: "dd53b6a357839ab0",
+    20: "f5da66e2bf2f3da1", 21: "34b5cea9760f5fa2", 22: "bc5af224b8242172",
+    23: "5dfcfc490b3e8b8d", 24: "fe84645af4548968", 25: "1a18613f2e0cd2cb",
+    26: "ca02d95f70be742b", 27: "efbbee99b9771b23", 28: "7461f628221695b7",
+    29: "a592f399a141bc2b", 30: "d01bb3798e6844ab", 31: "61cd9c74b2257752",
+    32: "e5b7086153ee2481", 33: "06d6d6a7382e354d", 34: "1cc00f21ea6ab318",
+    35: "76e68a4cb651e0a5", 36: "15ba00904d67983a", 37: "c7edf922236fbab0",
+    38: "0a42120b93a49e55", 39: "9756e41ca66689ee", 40: "ba5b486afca50591",
+    41: "06e2f315a2b017a3", 42: "96561e046e05d315", 43: "dd5ba8a1033ccfde",
+    44: "5e9927295de98c3f", 45: "2a8d7edf4aafb653", 46: "6809334dde8feea6",
+    47: "bfb5ea32845bc324", 48: "8fa797a224100678", 49: "2e8aeb6d0a2fe78a",
+    50: "671595c81d479041", 51: "c6637b97d4981332", 52: "0749fd1a6f7a9487",
+    53: "6254bc5611735360", 54: "1b1a66e24090f37a", 55: "9252d73867156766",
+    56: "8d1c4c9af76df084", 57: "b1460264f7995271", 58: "fe510324835e8a86",
+    59: "23374a2728e7f8f6", 60: "67479b95e3ca1794", 61: "3269d16f50d5b52c",
+    62: "eda4f65a65ca0a44", 63: "988a2fbcb2f883f5", 64: "dc7d39661af7aaf3",
+    65: "735e02d1234589ad", 66: "df224a32e147672f", 67: "5b38ae5445e53d5b",
+    68: "5052df2adce7f1d8", 69: "32cb92e56a076e1c", 70: "738b621766462d9d",
+    71: "4254e3cd26d90bf1", 72: "c4c6653d677122ac", 73: "df959ca9c0dd7508",
+    74: "95286276453acbee", 75: "0166561b4214a67c", 76: "d9bfa8a99cd1e4f0",
+    77: "c2279f0867f0c175", 78: "07249b60b2e05488", 79: "fc3cea31f9a0be90",
+    128: "d76da8c34576cd44", 200: "1609a8f614815651", 255: "fa1f8dcb4b38fed8",
+    256: "df37dbdb506f29e3", 1000: "b61d22ef81631afa",
 }
 # re-recorded with the log grid; these grids also hold gamma_c itself, which
 # now reports the coalesced pair.  Before that, N = 3 was re-recorded when
@@ -243,24 +257,43 @@ PINNED_LOG_GRID = {
 # kappa = 1.03, now the correctly rounded value (was 1.2 ulp off).  All six
 # were re-recorded when one kappa condition replaced the log form: the
 # broken points' kappa moved by rounding, most of all at the float gamma_c
-# of odd N, where kappa is set by rounding alone
+# of odd N, where kappa is set by rounding alone.  All six again with the
+# PT-image + branch: N = 65 at 1.5 gamma_c held |pt_norms| 7.7e-5 and a gap
+# 1.5e-5 below the oracle's, from the + vector that was no eigenvector
 PINNED_MIXED_GRID = {
-    2: "bff0c8a968f69e5b", 3: "ba3e0824b0684a70", 8: "e327edeeca61d84a",
-    9: "6f4f7a6e935b425d", 64: "24166f3d4e3783d5", 65: "3157c72c7cfa8971",
+    2: "018eeed06dfbc709", 3: "5409c586982a4c26", 8: "4eb575bd7653d9b2",
+    9: "a337a14ace895dd1", 64: "90938ac3de595e6a", 65: "5985aaa444fceaa3",
 }
+
+
+def _assert_pairs_hold(n, reports):
+    # a digest pins bits, not physics: before it is read, every broken pair
+    # is PT self-orthogonal and, up to N = 65, every gap is that of the pair
+    # the oracle gives on the dense H
+    for report in reports:
+        spec = ChainSpec(n, 1.0, report.gamma)
+        if classify_phase(spec) is not Phase.UNBROKEN:
+            assert max(map(abs, report.pt_norms)) <= 1e-12, report.gamma
+        if n <= 65:
+            h = build_hamiltonian(spec)
+            u, v = (oracle_eigenvector(h, level) for level in report.two_levels)
+            assert abs(report.coalescence_gap - coalescence_gap(u, v)) <= 1e-10, report.gamma
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_LOG_GRID))
 def test_critical_sweep_is_pinned_on_the_log_grid(n):
-    assert _digest(critical_sweep(n, _log_grid(n))) == PINNED_LOG_GRID[n]
+    reports = critical_sweep(n, _log_grid(n))
+    _assert_pairs_hold(n, reports)
+    assert _digest(reports) == PINNED_LOG_GRID[n]
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_MIXED_GRID))
 def test_critical_sweep_is_pinned_across_both_phases(n):
     # 0 to 2 gamma_c in 9 steps: gamma = 0, gamma_c exactly (coalesced) and
     # odd-N points where the asymptotic formulas give NaN
-    grid = np.linspace(0.0, 2 * gamma_critical(n), 9)
-    assert _digest(critical_sweep(n, grid)) == PINNED_MIXED_GRID[n]
+    reports = critical_sweep(n, np.linspace(0.0, 2 * gamma_critical(n), 9))
+    _assert_pairs_hold(n, reports)
+    assert _digest(reports) == PINNED_MIXED_GRID[n]
 
 
 @pytest.mark.parametrize("gammas,error", [

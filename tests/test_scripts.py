@@ -8,13 +8,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args):
+def _run_python(*args):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def _run_script(name, *args):
+    return _run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_library_quickstart():
+    # the python block under "Library quickstart", with warnings as errors
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library quickstart\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert block is not None
+    _run_python("-W", "error", "-c", block.group(1))
 
 
 def test_coupling_tables_script():

@@ -90,17 +90,48 @@ def _apply_tridiagonal(spec, f):
     return hf
 
 
-@pytest.mark.parametrize("n", [1760, 2000, 4096])
+# gamma = 1.5 keeps its ids; there fl(gamma e^-kappa) rounds to exactly J,
+# which hid a + branch built from that cancelling difference
+DEEP = ([pytest.param(n, 1.5, id=str(n)) for n in (1760, 2000, 4096)]
+        + [pytest.param(n, gamma, id=f"{n}-{gamma}") for n, gamma in
+           ((64, 10.0), (1760, 100.0), (4096, 10.0))])
+
+
+@pytest.mark.parametrize("n,gamma", DEEP)
 @pytest.mark.parametrize("branch", [+1, -1])
-def test_broken_states_deep_in_the_broken_phase(n, branch):
+def test_broken_states_deep_in_the_broken_phase(n, gamma, branch):
     # kappa N passes ~709 here, where unscaled e^{kappa l} factors overflow
-    spec = ChainSpec(n, 1.0, 1.5)
+    spec = ChainSpec(n, 1.0, gamma)
     kappa = solve_kappa(spec)
     f = critical_levels(spec)[1][0 if branch > 0 else 1]
     assert np.all(np.isfinite(f))
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     energy = 2j * branch * math.sinh(kappa)
     assert np.max(np.abs(_apply_tridiagonal(spec, f) - energy * f)) <= 1e-10
+
+
+DOMAIN_N = [2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65, 255, 256, 1000, 1001, 4096]
+
+
+@pytest.mark.parametrize("n", DOMAIN_N)
+@pytest.mark.parametrize("j", [1e-200, 1.0, 1e100])
+def test_broken_pair_over_the_domain(n, j):
+    # both critical_levels vectors just past gamma_c and from gamma/J = 1.5 to
+    # the solver's 1e150: eigenvectors to rounding, relative to the larger of
+    # J and |E|, PT self-orthogonal and each the PT image of the other
+    gc = gamma_critical(n, j)
+    gammas = ([gc * (1 + d) for d in (1e-12, 1e-9, 1e-6, 1e-3, 0.05)]
+              + [j * r for r in (1.5, 2, 3, 10, 37, 100, 1e4, 1e8, 1e20, 1e100, 1e150)])
+    for gamma in gammas:
+        spec = ChainSpec(n, j, gamma)
+        levels, (plus, minus) = critical_levels(spec)
+        for level, f in zip(levels, (plus, minus)):
+            residual = np.max(np.abs(_apply_tridiagonal(spec, f) - level * f))
+            assert residual <= 1e-10 * max(j, abs(level)), gamma
+            assert abs(pt_norm(f)) <= 1e-12, gamma
+            assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12), gamma
+        overlap = abs(np.vdot(apply_pt(plus), minus))
+        assert overlap == pytest.approx(1.0, abs=1e-10), gamma
 
 
 @pytest.mark.parametrize("n,frac", GRID)
