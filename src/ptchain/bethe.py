@@ -17,9 +17,12 @@ pi/2 +- x below gamma_c (c < 0) and no root above.  For odd N, pi/2 is a
 root (the zero-energy mode) and the bracket (pi/2, pi/2 + pi/N) holds one
 root below gamma_c (c < 1/N) and none above.  So the phase alone decides
 which brackets hold a root (all of them below gamma_c, all but the one at
-pi/2 above), and the solve refines just those; each must change sign.  The
-signs of G at the bracket ends give an independent real-root count
-(`count_real_momenta`), which the phase boundary is checked against.
+pi/2 above), and the solve refines just those.  Nor does it evaluate G at
+any bracket end: every end but pi/2 lies at k = pi/2 + j pi/(2N), where
+|G| = (gamma^2 + J^2) |cos k| and the signs alternate from bracket to
+bracket, and at pi/2 the sign is c0's (below).  The float signs of G at the
+bracket ends give an independent real-root count (`count_real_momenta`),
+which the phase boundary is checked against.
 
 The roots are symmetric about pi/2 (chirality), so only the offsets
 x = k - pi/2 > 0 are solved, by a safeguarded Newton iteration on
@@ -55,9 +58,11 @@ from .errors import DomainError, NonConvergence, PhaseError, RootCountMismatch
 from .model import ChainSpec, Phase
 
 # Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
-# Newton needs 1-3 steps on 99.7% of the real brackets and 1-6 on 70% of the
-# kappa solves, and up to 44 within 1e-12 of gamma_c, where the critical pair
-# or kappa approaches a double root (N = 2 to 4097, gamma from 0 to 1e150).
+# Newton needs 1-3 steps on 99.4% of the real brackets and 1-6 on 78% of the
+# kappa solves, and at most 9, at 0 to 1e9 gamma_c and 1% or more from it
+# (N = 2 to 4097, gamma/J up to 1e150).  It needs up to 39 within 1e-6 of
+# gamma_c, where the critical pair or kappa approaches a double root, and up
+# to 56 on the 8 floats each side of gamma_c.
 _MAX_ITER = 100
 
 # Largest gamma/J solved: r^2 times N stays far inside the float range.
@@ -161,38 +166,21 @@ def classify_phase(spec: ChainSpec) -> Phase:
     return Phase.UNBROKEN if c0 < 0 else Phase.BROKEN if c0 > 0 else Phase.CRITICAL
 
 
-def _sign_changes(fun, lo: np.ndarray, hi: np.ndarray,
-                  *params) -> tuple[np.ndarray, np.ndarray]:
-    """(side, changes): the sign of `fun` just inside each lo; whether hi has the other.
-
-    `fun(x, *params)` gives value and slope elementwise; a zero value takes
-    its slope's sign.
-    """
-    f, slope = fun(lo, *params)
-    side = np.sign(np.where(f != 0, f, slope))
-    return side, side * np.sign(fun(hi, *params)[0]) < 0
-
-
-def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, seed: np.ndarray,
-                     tol: float, *params) -> np.ndarray:
+def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, side: np.ndarray,
+                     seed: np.ndarray, tol: float, *params) -> np.ndarray:
     """The root of `fun` in every bracket (lo, hi), in bracket order.
 
     `fun(x, *params)` gives value and slope elementwise; each of `params`
-    holds one value per bracket.  Every bracket must change sign: the first
-    that does not raises RootCountMismatch, naming its ends.  Safeguarded
-    Newton from `seed`, on all brackets at once: each evaluation shrinks its
-    bracket, a step that would leave it bisects instead, and a root is done
-    once its last step is at most `tol`.  A done root leaves the iteration
-    with its parameters, so every root takes the float steps of its solo
-    solve.
+    holds one value per bracket.  `side` is the sign of `fun` just above each
+    lo, which the caller knows in closed form; every bracket must change sign,
+    which the caller guarantees.  Safeguarded Newton from `seed`, on all
+    brackets at once: each evaluation shrinks its bracket, a step that would
+    leave it bisects instead, and a root is done once its last step is at
+    most `tol`.  A done root leaves the iteration with its parameters, so
+    every root takes the float steps of its solo solve.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    side, changes = _sign_changes(fun, lo, hi, *params)
-    if not changes.all():
-        i = int(np.argmin(changes))
-        raise RootCountMismatch(f"no sign change across the bracket "
-                                f"({float(lo[i])!r}, {float(hi[i])!r})")
     x = np.where((lo < seed) & (seed < hi), seed, 0.5 * (lo + hi))
     roots, active = x.copy(), np.arange(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -227,28 +215,51 @@ def _brackets(n: int, first_only: bool = False):
 
 
 def _offset_brackets(specs: list[ChainSpec], phases: list[Phase], first_only: bool = False):
-    """(fun, params, lo, hi, seed): R and the `_brackets` that hold a root, spec after spec.
+    """(fun, params, lo, hi, side, seed): R and the `_brackets` that hold a root, spec after spec.
 
     By the phase rule an unbroken spec has a root in every bracket, any
     other spec in every bracket but the one at pi/2; `first_only` keeps just
-    that one, for unbroken specs.  The seed is the counting function's first
-    fixed-point step k = (m pi + theta(m pi/N))/N.  `params` holds R's
-    coefficients for every bracket.  The specs share N and J.
+    that one, for unbroken specs.  `params` holds R's coefficients for every
+    bracket.  The specs share N and J.
+
+    Every bracket end but x = 0 lies at x = j pi/(2N), where the cos and sin
+    of Nx (of Nx - pi/2 for odd N) are 0 and +-1 and cos x, sin x > 0, so R
+    there is +-tot sin x: positive at the upper end of the bracket at pi/2,
+    then alternating.  So `side`, R's sign just above lo, is -1, +1, -1, ...
+    by bracket index from the one at pi/2, whose lower end x = 0 has c0's
+    sign (its slope's for odd N).  That bracket changes sign only where
+    c0 < 0: a spec given it with c0 >= 0 raises RootCountMismatch, naming its
+    ends.
+
+    The seed is the counting function's first fixed-point step
+    k = (m pi + theta(m pi/N))/N.  For even N the bracket at pi/2 is centred
+    on m pi/N = pi/2, where that step lands on the upper end, so theta is
+    read at the bracket's midpoint instead.  Not with `first_only`: there the
+    solve restarts from the midpoint, as it always has, because
+    `critical_sweep` reports that root itself, and another start moves it
+    by an ulp at some gamma.
     """
     n = specs[0].n_sites
     centre, lo, hi = _brackets(n, first_only)
-    every = (centre, lo, hi, np.tan(centre), 0.0 * centre)
+    side = np.where(np.arange(len(centre)) % 2, 1.0, -1.0)
+    start = centre if first_only else np.where(centre > 0, centre, 0.5 * hi)
+    every = (centre, lo, hi, side, np.tan(start), 0.0 * centre)
     held = {True: every, False: tuple(v[1:] for v in every)}
     # spec by spec, with scalar operands: for a lone gamma this costs about
     # half of building the grid by 2-D broadcasting, np.tile and np.repeat
     per_spec = []
     for spec, phase in zip(specs, phases):
-        centre, lo, hi, tan, zero = held[phase is Phase.UNBROKEN]
+        unbroken = phase is Phase.UNBROKEN
+        centre, lo, hi, side, tan, zero = held[unbroken]
         dif, tot, *slopes = _reduced_coefficients(n, _ratio(spec))
-        per_spec.append((lo, hi, centre - np.arctan2(dif / tot, tan) / n,
+        c0 = -slopes[1] if n % 2 else dif  # as in classify_phase
+        if unbroken and not c0 < 0:
+            raise RootCountMismatch(f"no sign change across the bracket "
+                                    f"({float(lo[0])!r}, {float(hi[0])!r})")
+        per_spec.append((lo, hi, side, centre - np.arctan2(dif / tot, tan) / n,
                          *(zero + v for v in (dif, tot, *slopes))))
-    lo, hi, seed, *params = map(np.concatenate, zip(*per_spec))
-    return _reduced_quantization(n), params, lo, hi, seed
+    lo, hi, side, seed, *params = map(np.concatenate, zip(*per_spec))
+    return _reduced_quantization(n), params, lo, hi, side, seed
 
 
 def _real_roots(specs: list[ChainSpec], phases: list[Phase], tol: float) -> list[np.ndarray]:
@@ -259,8 +270,8 @@ def _real_roots(specs: list[ChainSpec], phases: list[Phase], tol: float) -> list
     where e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
     """
     n, half = specs[0].n_sites, math.pi / 2
-    fun, params, lo, hi, seed = _offset_brackets(specs, phases)
-    x = _bracketed_roots(fun, lo, hi, seed, min(tol, 1e-14), *params)
+    fun, params, lo, hi, side, seed = _offset_brackets(specs, phases)
+    x = _bracketed_roots(fun, lo, hi, side, seed, min(tol, 1e-14), *params)
     zero_mode = [half] if n % 2 else []  # exact zero of G for odd N
     # N // 2 brackets, less the one at pi/2 for a spec that is not unbroken
     ends = list(itertools.accumulate(n // 2 - (p is not Phase.UNBROKEN) for p in phases))
@@ -274,11 +285,9 @@ def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
     That bracket holds the smallest root exactly where `classify_phase`
     reads c0 < 0; given any other spec it raises RootCountMismatch.
     """
-    if not specs:
-        return np.empty(0)
-    fun, params, lo, hi, seed = _offset_brackets(specs, [Phase.UNBROKEN] * len(specs),
-                                                 first_only=True)
-    return _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
+    fun, params, lo, hi, side, seed = _offset_brackets(specs, [Phase.UNBROKEN] * len(specs),
+                                                       first_only=True)
+    return _bracketed_roots(fun, lo, hi, side, seed, 1e-14, *params)
 
 
 def _real_root_counter(n: int):
@@ -395,7 +404,8 @@ def _kappas(specs: list[ChainSpec], phases: list[Phase], tol: float = 1e-14) -> 
     """kappa per broken or critical spec, given its phase, from one safeguarded Newton solve.
 
     A critical spec has kappa = 0 and is not solved; every other one is
-    solved through `_kappa_condition` on [0, ln(gamma/J) + 1] (see solve_kappa).
+    solved through `_kappa_condition` on [0, ln(gamma/J) + 1] (see solve_kappa),
+    which is positive just above 0, where c0 > 0, and negative at the upper end.
     """
     kappa = np.zeros(len(specs))
     part = [i for i, phase in enumerate(phases) if phase is not Phase.CRITICAL]
@@ -405,8 +415,8 @@ def _kappas(specs: list[ChainSpec], phases: list[Phase], tol: float = 1e-14) -> 
     r = [_ratio(specs[i]) for i in part]
     hi = np.array([math.log(v) + 1.0 for v in r])  # np.log may differ by 1 ulp
     dif, tot = np.array([_reduced_coefficients(n, v)[:2] for v in r]).T
-    kappa[part] = _bracketed_roots(_kappa_condition(n), np.zeros(len(part)), hi, hi - 1.0,
-                                   min(tol, 1e-15), dif, tot)
+    kappa[part] = _bracketed_roots(_kappa_condition(n), np.zeros(len(part)), hi,
+                                   np.ones(len(part)), hi - 1.0, min(tol, 1e-15), dif, tot)
     return kappa
 
 

@@ -125,15 +125,34 @@ def critical_levels(spec: ChainSpec):
 
 
 def coalescence_gap(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - |<u,v>| / (||u|| ||v||); tends to 0 as the two eigenvectors coalesce."""
-    return float(_coalescence_gaps(np.asarray(u), np.asarray(v)))
+    """1 - |<u,v>| / (||u|| ||v||); tends to 0 as the two eigenvectors coalesce.
+
+    The gap does not depend on either vector's scale, so each is first
+    brought to a largest real or imaginary part in [1, 2) by a power of two:
+    finite vectors of any magnitude give a gap, with the bits of the
+    unscaled formula wherever that one stays in the float range.  A zero or
+    non-finite vector raises ValueError.
+    """
+    return float(_coalescence_gaps(*map(_scaled_to_one, (u, v))))
+
+
+def _scaled_to_one(u) -> np.ndarray:
+    """u times the power of two that brings its largest |real or imaginary part| into [1, 2)."""
+    u = np.asarray(u)
+    scale = np.max(np.maximum(np.abs(u.real), np.abs(u.imag)))
+    if not math.isfinite(scale):
+        raise ValueError("coalescence_gap of a non-finite vector")
+    if not scale:
+        raise ValueError("coalescence_gap of a zero vector")
+    e = 1 - math.frexp(scale)[1]  # exact: no part falls below the float range
+    if np.iscomplexobj(u):
+        return np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
+    return np.ldexp(u, e)
 
 
 def _coalescence_gaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`coalescence_gap` of each pair of rows of u and v."""
+    """`coalescence_gap` of each pair of rows of u and v, each row of nonzero norm."""
     norms = (_row_norms(u) * _row_norms(v))[..., 0]
-    if not norms.all():
-        raise ValueError("coalescence_gap of a zero vector")
     return np.maximum(1.0 - np.abs(np.vecdot(u, v)) / norms, 0.0)  # a NaN stays NaN
 
 

@@ -12,9 +12,8 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      spectral_distance)
 from ptchain import bethe
 from ptchain.bethe import (_bracketed_roots, _brackets, _critical_offsets, _kappa_condition,
-                           _kappas, _offset_brackets, _reduced_coefficients,
-                           _reduced_quantization, _sign_changes, count_real_momenta,
-                           raw_amplitude)
+                           _kappas, _offset_brackets, _reduced_coefficients, _reduced_slope,
+                           _reduced_trig, _reduced_value, count_real_momenta, raw_amplitude)
 from ptchain.errors import DomainError, PhaseError, PTChainError, RootCountMismatch
 
 
@@ -146,16 +145,66 @@ def test_locate_critical_gamma_is_the_loop_of_root_counts(j):
             assert got.hex() == want.hex(), (n, tol)
 
 
+def _end_signs(n, r, lo, hi):
+    """The float signs of R at lo, its slope's where R is 0 there, and at hi."""
+    dif, tot, *slopes = _reduced_coefficients(n, r)
+    at_lo = _reduced_trig(n, lo)
+    f = _reduced_value(at_lo, dif, tot)
+    f = np.where(f != 0, f, _reduced_slope(at_lo, *slopes))
+    return np.sign(f), np.sign(_reduced_value(_reduced_trig(n, hi), dif, tot))
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
 def test_root_count_is_the_sign_test_of_the_solve(n):
-    # count_real_momenta reads the same signs that pick the brackets to refine
-    _, lo, hi = _brackets(n)
+    # count_real_momenta reads the float signs at every bracket's ends; they
+    # change sign in just the brackets that the solve refines, from the
+    # closed-form side at lo to the other at hi
     gc = gamma_critical(n)
     for gamma in gc * np.array([0.0, 0.3, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1e9]):
         spec = ChainSpec(n, 1.0, float(gamma))
-        _, keep = _sign_changes(_reduced_quantization(n), lo, hi,
-                                *_reduced_coefficients(n, float(gamma)))
-        assert count_real_momenta(spec) == 2 * int(keep.sum()) + n % 2
+        _, _, lo, hi, side, _ = _offset_brackets([spec], [classify_phase(spec)])
+        at_lo, at_hi = _end_signs(n, float(gamma), lo, hi)
+        assert (at_lo == side).all() and (at_hi == -side).all(), gamma
+        assert count_real_momenta(spec) == 2 * len(lo) + n % 2, gamma
+
+
+_CLOSED_FORM_N = [2, 3, 8, 9, 64, 65, 1000, 1001, 10**5, 10**5 + 1]
+_CLOSED_FORM_FRACTIONS = [0.0, 0.3, 1 - 1e-15, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1e9]
+
+
+@pytest.mark.parametrize("n", _CLOSED_FORM_N)
+def test_bracket_sides_are_the_closed_form(n):
+    # every bracket end but x = 0 lies where R = +-tot sin x: the solve takes
+    # each bracket's side from that closed form and never evaluates R at an
+    # end, so the float R there must have exactly the closed-form sign
+    gc = gamma_critical(n)
+    for r in [*(gc * np.array(_CLOSED_FORM_FRACTIONS)), 1e150]:
+        spec = ChainSpec(n, 1.0, float(r))
+        phase = classify_phase(spec)
+        _, _, lo, hi, side, _ = _offset_brackets([spec], [phase])
+        assert len(lo) == n // 2 - (phase is not Phase.UNBROKEN), r
+        assert (side == np.where(np.arange(n // 2) % 2, 1.0, -1.0)[-len(lo):]).all(), r
+        at_lo, at_hi = _end_signs(n, float(r), lo, hi)
+        assert (at_lo == side).all() and (at_hi == -side).all(), r
+
+
+@pytest.mark.parametrize("n", _CLOSED_FORM_N)
+def test_kappa_bracket_side_is_the_closed_form(n):
+    # `_kappas` solves with side +1: the scaled condition is positive just
+    # above kappa = 0 (through its slope for odd N, where it is 0) and
+    # negative at ln(gamma/J) + 1, for every broken spec up to gamma/J = 1e150
+    gc = gamma_critical(n)
+    ratios = [*(gc * (1 + 10.0 ** -np.arange(15, 2, -1))), *(gc * np.array([1.7, 1e9])),
+              *(10.0 ** np.arange(10, 151, 10))]
+    fun, broken = _kappa_condition(n), 0
+    for r in ratios:
+        if classify_phase(ChainSpec(n, 1.0, float(r))) is not Phase.BROKEN:
+            continue
+        broken += 1
+        dif, tot = _reduced_coefficients(n, float(r))[:2]
+        value, slope = fun(np.array([0.0, math.log(r) + 1.0]), dif, tot)
+        assert (value[0] if value[0] != 0 else slope[0]) > 0 and value[1] < 0, r
+    assert broken >= len(ratios) - 2
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e-150, 1e150, 1e300])
@@ -338,8 +387,8 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
 
 def _solve_brackets(specs, first_only, tol=1e-14):
     phases = [classify_phase(s) for s in specs]
-    fun, params, lo, hi, seed = _offset_brackets(specs, phases, first_only)
-    return _bracketed_roots(fun, lo, hi, seed, tol, *params)
+    fun, params, lo, hi, side, seed = _offset_brackets(specs, phases, first_only)
+    return _bracketed_roots(fun, lo, hi, side, seed, tol, *params)
 
 
 @settings(deadline=None, max_examples=30)
@@ -362,13 +411,13 @@ def test_batched_roots_equal_solo_roots(n, far, near, first_only):
     phases = [classify_phase(s) for s in broken]
     assert _kappas(broken, phases).tobytes() == b"".join(
         _kappas([s], [p]).tobytes() for s, p in zip(broken, phases))
-    # a zero-width bracket changes sign nowhere: the first one raises
-    fun, params, lo, _, seed = _offset_brackets(
-        specs, [classify_phase(s) for s in specs], first_only)
-    if len(lo):
-        ends = f"bracket ({float(lo[0])!r}, {float(lo[0])!r})"
-        with pytest.raises(RootCountMismatch, match=re.escape(ends)):
-            _bracketed_roots(fun, lo, lo, seed, 1e-14, *params)
+    # the bracket at pi/2 changes sign only where c0 < 0: given to every
+    # spec of a batch that holds a broken one, it raises, naming its ends
+    _, lo, hi = _brackets(n, first_only=True)
+    ends = f"bracket ({float(lo[0])!r}, {float(hi[0])!r})"
+    with pytest.raises(RootCountMismatch, match=re.escape(ends)):
+        _offset_brackets([*specs, ChainSpec(n, 1.0, 2.0 * gc)],
+                         [Phase.UNBROKEN] * (len(specs) + 1), first_only)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
@@ -387,9 +436,8 @@ def test_bracket_without_sign_change_raises_its_solo_error(n):
     assert str(alone.value) == f"no sign change across the bracket {ends}"
     # so do the whole spectra of a batch that gives a broken spec that bracket
     phases = [Phase.UNBROKEN, Phase.UNBROKEN, Phase.UNBROKEN]
-    fun, params, lo, hi, seed = _offset_brackets([unbroken, broken, unbroken], phases)
-    with pytest.raises(RootCountMismatch, match="no sign change"):
-        _bracketed_roots(fun, lo, hi, seed, 1e-14, *params)
+    with pytest.raises(RootCountMismatch, match=re.escape(str(alone.value))):
+        _offset_brackets([unbroken, broken, unbroken], phases)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
@@ -505,9 +553,16 @@ def test_one_phase_rule_near_gamma_c(n):
             phase = classify_phase(spec)
             sol = solve_spectrum(spec)
             assert len(sol.energies) == n and sol.phase is phase, gamma
-            coefficients = [np.array([c]) for c in _reduced_coefficients(n, gamma / j)]
-            _, keep = _sign_changes(_reduced_quantization(n), lo, hi, *coefficients)
-            assert bool(keep[0]) == (phase is Phase.UNBROKEN), gamma
+            # the float R changes sign across that bracket, from the
+            # closed-form side -1, exactly where the phase rule gives it a root
+            at_lo, at_hi = _end_signs(n, gamma / j, lo, hi)
+            assert (at_lo[0] * at_hi[0] < 0) == (phase is Phase.UNBROKEN), gamma
+            if phase is Phase.UNBROKEN:
+                side = _offset_brackets([spec], [phase], first_only=True)[4]
+                assert (at_lo == side).all() and (at_hi == -side).all(), gamma
+            else:
+                with pytest.raises(RootCountMismatch, match="no sign change"):
+                    _critical_offsets([spec])
             assert repr(report) == repr(critical_sweep(n, [gamma], j)[0]), gamma
             levels, _ = critical_levels(spec)
             assert len(levels) == 2 and levels == report.two_levels, gamma

@@ -177,11 +177,25 @@ def test_coalescence_gap_bounds():
     assert coalescence_gap(u, np.array([0.0, 1.0])) == 1.0
 
 
-def test_coalescence_gap_propagates_nan_and_rejects_a_zero_vector():
-    # a NaN vector is no coalesced pair, and a zero vector has no direction
-    assert math.isnan(coalescence_gap([math.nan, 1.0], [1.0, 0.0]))
+def test_coalescence_gap_at_any_scale_rejects_a_nonfinite_or_zero_vector():
+    # the gap does not depend on scale: no component squares out of the
+    # float range; a NaN or inf vector is no coalesced pair, and a zero
+    # vector has no direction (run with warnings as errors)
+    for bad in ([math.inf, 1.0], [math.nan, 1.0], [1.0, complex(1.0, -math.inf)]):
+        for pair in ((bad, [1.0, 0.0]), ([1.0, 0.0], bad)):
+            with pytest.raises(ValueError, match="non-finite vector"):
+                coalescence_gap(*pair)
     with pytest.raises(ValueError, match="zero vector"):
         coalescence_gap([0.0, 0.0], [1.0, 0.0])
+    u, w = np.array([1.0, 1.0]), np.array([3.0, -1.0])
+    want = [coalescence_gap(u, u), coalescence_gap(u, w), coalescence_gap(1j * u, w)]
+    assert want[0] <= 4e-16 and want[1] == want[2] == pytest.approx(1 - 2 / 20**0.5)
+    for scale in (1e200, 1e-200, 1.7e308, 2.0**700, 2.0**-700, 2.0**-1074):
+        big = scale * u
+        got = [coalescence_gap(big, big), coalescence_gap(big, w), coalescence_gap(1j * big, w)]
+        assert got == pytest.approx(want, rel=0, abs=1e-15), scale
+        if math.frexp(scale)[0] == 0.5:  # a power of two: the bits of scale 1
+            assert got == want, scale
     ones = np.ones(3)  # |<u,u>| / ||u||^2 rounds above 1: the gap stays 0
     assert coalescence_gap(ones, ones) == 0.0
 

@@ -57,6 +57,18 @@ def test_metric_scaling_script():
     assert len(lines) == 4, lines
 
 
+def test_spectrum_scaling_script():
+    lines = _run_script("spectrum_scaling.py", "--sizes", "8", "9").stdout.splitlines()
+    assert lines[0] == "n,unbroken_seconds,broken_seconds"
+    rows = [line.split(",") for line in lines[1:3]]
+    assert [int(row[0]) for row in rows] == [8, 9], lines
+    assert all(len(row) == 3 and float(row[1]) > 0 and float(row[2]) > 0 for row in rows), lines
+    slope = r"-?\d+\.\d\d"
+    assert re.fullmatch(rf"slope d\(log seconds\)/d\(log N\) = {slope} unbroken, {slope} broken",
+                        lines[3]), lines
+    assert len(lines) == 4, lines
+
+
 def test_level_repulsion_sweep_script(tmp_path):
     proc = _run_script("level_repulsion_sweep.py", "--sizes", "8", "9", "--points", "3",
                        "--outdir", str(tmp_path))
