@@ -12,61 +12,62 @@ the root of level m lies in its own bracket ((m - 1/2) pi/N, (m + 1/2) pi/N)
 wherever F increases, and |G| = (gamma^2 + J^2) |cos k| at the bracket ends.
 F' = N - c/(cos^2 k + c^2 sin^2 k) is negative only for 0 < c < 1/N, within
 about 1/(2N) of pi/2: inside the bracket at pi/2, which holds the critical
-pair.  For even N that bracket is centred on pi/2 and holds the pair
-pi/2 +- x below gamma_c (c < 0) and no root above.  For odd N, pi/2 is a
-root (the zero-energy mode) and the bracket (pi/2, pi/2 + pi/N) holds one
-root below gamma_c (c < 1/N) and none above.  So the phase alone decides
-which brackets hold a root (all of them below gamma_c, all but the one at
-pi/2 above), and the solve refines just those.  Nor does it evaluate G at
-any bracket end: every end but pi/2 lies at k = pi/2 + j pi/(2N), where
-|G| = (gamma^2 + J^2) |cos k| and the signs alternate from bracket to
-bracket, and at pi/2 the sign is c0's (below).  The float signs of G at the
-bracket ends give an independent real-root count (`count_real_momenta`),
-which the phase boundary is checked against.
+pair.  The other N//2 - 1 brackets each side of pi/2 hold one root in
+either phase, and the solve evaluates G at none of their ends: each lies at
+k = pi/2 + j pi/(2N), where |G| = (gamma^2 + J^2) |cos k| and the signs
+alternate from bracket to bracket.  The float signs of G at the bracket ends
+give an independent real-root count (`count_real_momenta`), which the phase
+boundary is checked against.
 
 The roots are symmetric about pi/2 (chirality), so only the offsets
 x = k - pi/2 > 0 are solved, by a safeguarded Newton iteration on
-G(pi/2 + x) written in x, which keeps relative accuracy in x up to the
-critical pair.  In the broken phase the missing pair moves to
-k = pi/2 +- i*kappa, with kappa > 0 solving
+G(pi/2 + x) written in x.  The critical pair is solved apart, on both sides
+of gamma_c: R (G / J^2 in x) is an entire function of t = x^2 for even N,
+and R/x for odd N, which at t = -kappa^2 < 0 is the broken-phase condition
 
     gamma^2 sinh(kappa(N-1)) = J^2 sinh(kappa(N+1))   (odd N)
-    gamma^2 cosh(kappa(N-1)) = J^2 cosh(kappa(N+1))   (even N),
+    gamma^2 cosh(kappa(N-1)) = J^2 cosh(kappa(N+1))   (even N)
 
-found by the same iteration on R at x = i*kappa, scaled by 2 e^(-kappa(N+1))
-and written with no term of size (gamma/J)^2 left to cancel: one form keeps
-relative accuracy from kappa = 0 up to gamma/J = 1e150.  Real roots give
-energies -2J cos k, the complex pair gives +-2iJ sinh kappa.  One float, R's
-coefficient c0 at x = 0, decides the phase (`classify_phase`).
+for the pair k = pi/2 +- i*kappa.  In t the pair is a simple root that
+crosses t = 0 linearly at gamma_c, and one bracket holds it in both phases.
+Its value at t = 0 is c0, R's coefficient at the chain centre, which
+decides the phase (`classify_phase`); c0 is rounded once from r = gamma/J,
+and the rest is written with no term left to cancel, so the pair keeps
+relative accuracy right up to gamma_c and, scaled where t < 0, up to
+gamma/J = 1e150.  Real roots give energies -2J cos k, the complex pair
+gives +-2iJ sinh kappa.
 
 Both conditions depend on gamma and J only through r = gamma/J, which the
-iteration carries per root.  So one solve refines every root of a whole
-gamma grid at fixed N and J (`solve_spectra`; `exceptional.critical_sweep`
-solves only kappa and the bracket at pi/2), and each root takes the same
-float steps as in a one-gamma solve: the results agree bit for bit.
+iteration carries per root.  So one solve refines every other root of a
+whole gamma grid at fixed N and J (`solve_spectra`), and each root takes
+the same float steps as in a one-gamma solve: the results agree bit for
+bit.  The pairs are solved spec by spec (`_pair_roots`;
+`exceptional.critical_sweep` solves only those).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PhaseError, RootCountMismatch
+from .errors import DomainError, NonConvergence, PhaseError
 from .model import ChainSpec, Phase
 
 # Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
-# Newton needs 1-3 steps on 99.4% of the real brackets and 1-6 on 78% of the
-# kappa solves, and at most 9, at 0 to 1e9 gamma_c and 1% or more from it
-# (N = 2 to 4097, gamma/J up to 1e150).  It needs up to 39 within 1e-6 of
-# gamma_c, where the critical pair or kappa approaches a double root, and up
-# to 56 on the 8 floats each side of gamma_c.
+# Newton needs 1-3 steps on 99.4% of the real brackets.  The critical pair,
+# a simple root in t = x^2, takes at most 6 evaluations, its starts' among
+# them, at 0 to 1e9 gamma_c and 1e-5 or more from it (N = 2 to 4097, J in
+# {0.5, 1, 3}, gamma/J up to 1e150), at most 4 within 1e-6 of gamma_c and
+# at most 2 on the 8 floats each side of it.
 _MAX_ITER = 100
 
 # Largest gamma/J solved: r^2 times N stays far inside the float range.
 _MAX_RATIO = 1e150
+
+# Relative stop rule of the critical pair's t, which is 1e-30 next to gamma_c.
+_PAIR_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,18 +152,29 @@ def _reduced_coefficients(n: int, r: float) -> tuple[float, float, float, float]
     return dif, tot, n * tot - dif, tot - n * dif
 
 
+def _centre_coefficients(n: int, r: float) -> tuple[float, float]:
+    """(c0, dif): R's coefficient at x = 0 and dif = r^2 - 1, each correctly rounded.
+
+    c0 is dif for even N and (N - 1) r^2 - (N + 1), R'(0), for odd N.  The
+    float r is a ratio a/b of integers, so both are exact integer ratios,
+    rounded once by Python's int division: an error-free product, where
+    r*r - 1 loses the low half of r^2 next to gamma_c.  Valid up to
+    gamma/J = 1e150.
+    """
+    a, b = (v * v for v in r.as_integer_ratio())
+    dif = (a - b) / b
+    return (((n - 1) * a - (n + 1) * b) / b if n % 2 else dif), dif
+
+
 def classify_phase(spec: ChainSpec) -> Phase:
     """Unbroken, Broken or Critical for c0 < 0, > 0 or = 0: R's coefficient at x = 0.
 
-    c0 is R(0) = dif for even N and R'(0) = -tot_slope = (r^2 - 1) N - (r^2 + 1)
-    for odd N: the very float that the bracket at pi/2 and the kappa
-    condition at kappa = 0 read.  At c0 = 0 the pair has coalesced, kappa = 0.
+    c0 (`_centre_coefficients`) is R(0) for even N and R'(0) for odd N: the
+    value at t = 0 of the pair's condition, which `_pair_roots` solves.  At
+    c0 = 0 the pair has coalesced, kappa = 0.
     """
-    n, r = spec.n_sites, spec.gamma / spec.hopping
-    if r > _MAX_RATIO:  # for odd N, squaring r would give inf - inf
-        return Phase.BROKEN
-    dif, _, _, tot_slope = _reduced_coefficients(n, r)
-    c0 = -tot_slope if n % 2 else dif
+    r = spec.gamma / spec.hopping  # past _MAX_RATIO, r^2 would leave the float range
+    c0 = _centre_coefficients(spec.n_sites, r)[0] if r <= _MAX_RATIO else math.inf
     return Phase.UNBROKEN if c0 < 0 else Phase.BROKEN if c0 > 0 else Phase.CRITICAL
 
 
@@ -202,111 +214,74 @@ def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, side: np.ndarray,
                          f"after {_MAX_ITER} steps")
 
 
-def _brackets(n: int, first_only: bool = False):
+def _brackets(n: int):
     """(centre, lo, hi) of the brackets for the roots x > 0 of R, the one at pi/2 first.
 
     One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
     i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
-    at x = 0; `first_only` keeps just the one at pi/2.
+    at x = 0.  The one at pi/2 holds the critical pair, which `_pair_roots`
+    solves; the solve of the others (`_offset_brackets`) starts after it.
     """
     h = math.pi / (2 * n)
-    centre = np.arange(n % 2, n % 2 + 1 if first_only else n - 1, 2) * h
+    centre = np.arange(n % 2, n - 1, 2) * h
     return centre, np.maximum(centre - h, 0.0), centre + h
 
 
-def _offset_brackets(specs: list[ChainSpec], phases: list[Phase], first_only: bool = False):
-    """(fun, params, lo, hi, side, seed): R and the `_brackets` that hold a root, spec after spec.
+def _offset_brackets(specs: list[ChainSpec]):
+    """(fun, params, lo, hi, side, seed): R and the N//2 - 1 `_brackets` past the pair's, per spec.
 
-    By the phase rule an unbroken spec has a root in every bracket, any
-    other spec in every bracket but the one at pi/2; `first_only` keeps just
-    that one, for unbroken specs.  `params` holds R's coefficients for every
-    bracket.  The specs share N and J.
+    Every spec has a root in each of them, whatever its phase.  `params`
+    holds R's coefficients for every bracket.  The specs share N and J.
 
-    Every bracket end but x = 0 lies at x = j pi/(2N), where the cos and sin
+    Every end of these brackets lies at x = j pi/(2N), where the cos and sin
     of Nx (of Nx - pi/2 for odd N) are 0 and +-1 and cos x, sin x > 0, so R
-    there is +-tot sin x: positive at the upper end of the bracket at pi/2,
-    then alternating.  So `side`, R's sign just above lo, is -1, +1, -1, ...
-    by bracket index from the one at pi/2, whose lower end x = 0 has c0's
-    sign (its slope's for odd N).  That bracket changes sign only where
-    c0 < 0: a spec given it with c0 >= 0 raises RootCountMismatch, naming its
-    ends.
-
-    The seed is the counting function's first fixed-point step
-    k = (m pi + theta(m pi/N))/N.  For even N the bracket at pi/2 is centred
-    on m pi/N = pi/2, where that step lands on the upper end, so theta is
-    read at the bracket's midpoint instead.  Not with `first_only`: there the
-    solve restarts from the midpoint, as it always has, because
-    `critical_sweep` reports that root itself, and another start moves it
-    by an ulp at some gamma.
+    there is +-tot sin x: positive at the lower end of the first, then
+    alternating.  So `side`, R's sign just above lo, is +1, -1, +1, ... by
+    bracket index.  The seed is the counting function's first fixed-point
+    step k = (m pi + theta(m pi/N))/N.
     """
     n = specs[0].n_sites
-    centre, lo, hi = _brackets(n, first_only)
-    side = np.where(np.arange(len(centre)) % 2, 1.0, -1.0)
-    start = centre if first_only else np.where(centre > 0, centre, 0.5 * hi)
-    every = (centre, lo, hi, side, np.tan(start), 0.0 * centre)
-    held = {True: every, False: tuple(v[1:] for v in every)}
-    # spec by spec, with scalar operands: for a lone gamma this costs about
-    # half of building the grid by 2-D broadcasting, np.tile and np.repeat
-    per_spec = []
-    for spec, phase in zip(specs, phases):
-        unbroken = phase is Phase.UNBROKEN
-        centre, lo, hi, side, tan, zero = held[unbroken]
-        dif, tot, *slopes = _reduced_coefficients(n, _ratio(spec))
-        c0 = -slopes[1] if n % 2 else dif  # as in classify_phase
-        if unbroken and not c0 < 0:
-            raise RootCountMismatch(f"no sign change across the bracket "
-                                    f"({float(lo[0])!r}, {float(hi[0])!r})")
-        per_spec.append((lo, hi, side, centre - np.arctan2(dif / tot, tan) / n,
-                         *(zero + v for v in (dif, tot, *slopes))))
-    lo, hi, side, seed, *params = map(np.concatenate, zip(*per_spec))
-    return _reduced_quantization(n), params, lo, hi, side, seed
+    centre, lo, hi = (v[1:] for v in _brackets(n))
+    side = np.where(np.arange(len(centre)) % 2, -1.0, 1.0)
+    coef = np.array([_reduced_coefficients(n, _ratio(spec)) for spec in specs])
+    seed = centre - np.arctan2(coef[:, :1] / coef[:, 1:2], np.tan(centre)) / n
+    lo, hi, side = (np.tile(v, len(specs)) for v in (lo, hi, side))
+    return _reduced_quantization(n), np.repeat(coef.T, len(centre), 1), lo, hi, side, seed.ravel()
 
 
-def _real_roots(specs: list[ChainSpec], phases: list[Phase], tol: float) -> list[np.ndarray]:
-    """All roots of G in (0, pi) per spec, sorted, from one solve of the brackets that hold one.
+def _real_roots(specs: list[ChainSpec], pair: np.ndarray, tol: float) -> list[np.ndarray]:
+    """All roots of G in (0, pi) per spec, sorted: the pair from `pair` (`_pair_roots`) if
+    its t > 0, and one solve of every other bracket.
 
-    N roots for an unbroken spec and N-2 for any other, counted before the
-    solve.  None is a null state: the amplitude vanishes for every l only
-    where e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
+    N roots for an unbroken spec and N-2 for any other.  None is a null
+    state: the amplitude vanishes for every l only where e^{2ik} = 1, i.e.
+    k in {0, pi}, which no bracket reaches.
     """
     n, half = specs[0].n_sites, math.pi / 2
-    fun, params, lo, hi, side, seed = _offset_brackets(specs, phases)
+    fun, params, lo, hi, side, seed = _offset_brackets(specs)
     x = _bracketed_roots(fun, lo, hi, side, seed, min(tol, 1e-14), *params)
     zero_mode = [half] if n % 2 else []  # exact zero of G for odd N
-    # N // 2 brackets, less the one at pi/2 for a spec that is not unbroken
-    ends = list(itertools.accumulate(n // 2 - (p is not Phase.UNBROKEN) for p in phases))
-    return [np.concatenate([half - x[a:b][::-1], zero_mode, half + x[a:b]])
-            for a, b in zip([0, *ends], ends)]
-
-
-def _critical_offsets(specs: list[ChainSpec]) -> np.ndarray:
-    """The critical-pair offset x > 0 of each spec, all unbroken: the root in the bracket at pi/2.
-
-    That bracket holds the smallest root exactly where `classify_phase`
-    reads c0 < 0; given any other spec it raises RootCountMismatch.
-    """
-    fun, params, lo, hi, side, seed = _offset_brackets(specs, [Phase.UNBROKEN] * len(specs),
-                                                       first_only=True)
-    return _bracketed_roots(fun, lo, hi, side, seed, 1e-14, *params)
+    rows = [np.concatenate([[math.sqrt(t)] if t > 0 else [], row])
+            for row, t in zip(x.reshape(len(specs), -1), pair.tolist())]
+    return [np.concatenate([half - row[::-1], zero_mode, half + row]) for row in rows]
 
 
 def _real_root_counter(n: int):
     """count(r) -> the number of real roots in (0, pi) at gamma/J = r, for N = n.
 
-    Read from the signs of R at the bracket ends alone, with no root solved
-    and no use of the phase rule that picks the brackets to solve.  The
-    gamma-free factors of R at the ends are computed once, so each count
-    costs only the sign test with that r's coefficients; a zero value at a
-    lower end takes its slope's sign.
+    Read from the signs of R at the bracket ends alone, with no root solved.
+    The gamma-free factors of R at the ends are computed once, so each count
+    costs only the sign test with that r's coefficients.  At x = 0, where R
+    is 0 for odd N, the sign is c0's, the float `classify_phase` reads;
+    every other end has R = +-tot sin x, never 0.
     """
     _, lo, hi = _brackets(n)
     at_lo, at_hi = _reduced_trig(n, lo), _reduced_trig(n, hi)
 
     def count(r: float) -> int:
-        dif, tot, dif_slope, tot_slope = _reduced_coefficients(n, r)
+        dif, tot, *_ = _reduced_coefficients(n, r)
         f = _reduced_value(at_lo, dif, tot)
-        if not f.all():
-            f = np.where(f != 0, f, _reduced_slope(at_lo, dif_slope, tot_slope))
+        f[0] = _centre_coefficients(n, r)[0]
         keep = np.sign(f) * np.sign(_reduced_value(at_hi, dif, tot)) < 0
         return 2 * int(keep.sum()) + n % 2
     return count
@@ -327,12 +302,12 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
 
     Raises
     ------
-    RootCountMismatch
-        If a bracket that the phase rule gives a root has no sign change.
+    DomainError
+        If gamma/J is above 1e150.
     NonConvergence
         If a bracket fails to converge to `tol`.
     """
-    return _real_roots([spec], [classify_phase(spec)], tol)[0]
+    return _real_roots([spec], _pair_roots([spec]), tol)[0]
 
 
 def mode_energy(spec: ChainSpec, k):
@@ -374,64 +349,119 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     return int(nk)
 
 
-def _kappa_condition(n: int):
-    """(kappa, dif, tot) -> (value, slope) of R at x = i kappa, scaled, elementwise.
+# (P, u P') of S at small u, highest power first: sum_k a_(k+1) u^k and
+# sum_k k a_(k+1) u^k with a_j = (-1)^j/(2j+1)!, within eps for |u| < 1
+_SINC_SERIES = [((-1) ** (k + 1) / math.factorial(2 * k + 3),
+                 k * (-1) ** (k + 1) / math.factorial(2 * k + 3)) for k in reversed(range(9))]
 
-    The value is R(i kappa) (over i for odd N) times 2 e^(-kappa(N+1)), which
-    is the condition times 2 e^(-kappa(N+1)) / J^2, finite however small or
-    large J is.  With tot = dif + 2 it reads dif p - v (1-b), a = e^(-2 kappa N),
-    b = e^(-2 kappa), p = a + b and v = 1 - a for even N, p = b (1 - b^(N-1))
-    and v = 1 + a for odd N; 1-a, 1-b and 1 - b^(N-1) come from expm1.  No
-    term of size r^2 is left to cancel, so it keeps relative accuracy from
-    kappa = 0 up to gamma/J = 1e150.  At kappa = 0 it has c0's sign (its
-    slope's for odd N, 2 c0 in the very float that `classify_phase` reads).
+
+def _sinc(u: float) -> tuple[float, float, float, float, float]:
+    """(S, u S', e, P, u P') at u for S(u) = sin(sqrt u)/sqrt u and P = (S - 1)/u.
+
+    S is entire in u: sinh(y)/y at u = -y^2.  Where u < 0 all but e are
+    scaled by e = e^-y, which keeps them finite (e = 1 elsewhere).  P comes
+    from its series where |u| < 1, so S - 1 never cancels.
     """
-    s = 1.0 if n % 2 else -1.0  # d(1 -+ a)/d kappa = +-2 N a
+    y = math.sqrt(abs(u))
+    e = math.exp(-y) if u < 0 else 1.0
+    if abs(u) < 1.0:
+        p = dp = 0.0
+        for a, b in _SINC_SERIES:
+            p, dp = p * u + a, dp * u + b
+        p, dp = p * e, dp * e
+    else:
+        c, s = ((1 + e * e) / 2, (1 - e * e) / 2 / y) if u < 0 else (math.cos(y), math.sin(y) / y)
+        p, dp = (s - e) / u, (0.5 * (c - s) - s + e) / u  # u S' = (cos y - S)/2
+    return e + u * p, u * (p + dp), e, p, dp
 
-    def fun(kappa, dif, tot):
-        a, b = np.exp(-2.0 * n * kappa), np.exp(-2.0 * kappa)
-        a_minus, b_minus = -np.expm1(-2.0 * n * kappa), -np.expm1(-2.0 * kappa)
-        if n % 2:
-            u, v, p = a_minus, 1.0 + a, -b * np.expm1(-2.0 * (n - 1) * kappa)
-        else:
-            u, v, p = 1.0 + a, a_minus, a + b
-        return (dif * p - v * b_minus,
-                s * n * a * (dif * (1.0 + b) + tot * b_minus) - b * (dif * u + tot * v))
-    return fun
 
+def _pair_point(n: int, t: float, c0: float, dif: float) -> tuple[float, float]:
+    """Value and slope in t of the critical pair's condition F at t = x^2, for one spec.
 
-def _kappas(specs: list[ChainSpec], phases: list[Phase], tol: float = 1e-14) -> np.ndarray:
-    """kappa per broken or critical spec, given its phase, from one safeguarded Newton solve.
+    F(t) is R(sqrt t) for even N and R(sqrt t)/sqrt t for odd N: entire in
+    t, R at x = i kappa where t = -kappa^2.  With m = N - 1 it is c0 + t H,
 
-    A critical spec has kappa = 0 and is not solved; every other one is
-    solved through `_kappa_condition` on [0, ln(gamma/J) + 1] (see solve_kappa),
-    which is positive just above 0, where c0 > 0, and negative at the upper end.
+        H = 2N S(N^2 t) S(t) - dif m^2 S(m^2 t/4)^2 / 2          (even N)
+        H = dif m^3 P(m^2 t) + N^2 S(N^2 t/4)^2 S(t) - 2 P(t)     (odd N)
+
+    (`_sinc`; 2 sin^2(y/2) in place of 1 - cos y), in which no term
+    cancels; t H is formed so that it stays finite where H overflows.  Where
+    t < 0 F is scaled by e^-(N+1)kappa, finite up to gamma/J = 1e150, and
+    the slope is that of the scaled F.
     """
-    kappa = np.zeros(len(specs))
-    part = [i for i, phase in enumerate(phases) if phase is not Phase.CRITICAL]
-    if not part:
-        return kappa
-    n = specs[0].n_sites
-    r = [_ratio(specs[i]) for i in part]
-    hi = np.array([math.log(v) + 1.0 for v in r])  # np.log may differ by 1 ulp
-    dif, tot = np.array([_reduced_coefficients(n, v)[:2] for v in r]).T
-    kappa[part] = _bracketed_roots(_kappa_condition(n), np.zeros(len(part)), hi,
-                                   np.ones(len(part)), hi - 1.0, min(tol, 1e-15), dif, tot)
-    return kappa
+    m = n - 1
+    if n % 2 == 0:
+        u = m * m / 4 * t
+        (s0, d0, e0, *_), (s1, d1, e1, *_), (s2, d2, *_) = map(_sinc, (n * n * t, t, u))
+        w, a = dif * e1 * e1, 2 * n * s0 * s1
+        value = c0 * e0 * e1 + t * a - 2 * w * u * s2 * s2
+        slope = a - 0.5 * w * (m * s2) ** 2 + 2 * n * (d0 * s1 + s0 * d1) - w * m * m * s2 * d2
+    else:
+        u = m * m * t
+        (*_, p0, q0), (s1, d1, e1, *_), (s2, d2, e2, p2, q2) = map(_sinc, (u, n * n / 4 * t, t))
+        w, v, a = dif * e2 * e2, 2 * e1 * e1, n * n * s1 * s1 * s2
+        value = c0 * e1 * e1 * e2 + w * m * (u * p0) + t * (a - v * p2)
+        slope = w * (m ** 3 * (p0 + q0)) + a + n * n * s1 * (2 * d1 * s2 + s1 * d2) - v * (p2 + q2)
+    return value, slope + ((n + 1) / (2 * math.sqrt(-t)) * value if t < 0 else 0.0)
+
+
+def _pair_root(n: int, r: float) -> float:
+    """The pair's t at gamma/J = r: x0^2 > 0 if unbroken, else -kappa^2 <= 0.
+
+    The condition F (`_pair_point`) is c0 at t = 0, negative on all of
+    t <= 0 where c0 < 0, negative at t = -K^2 with K = ln r + 1 where c0 > 0,
+    and positive, tot sin h (over h for odd N), at t = h^2 with h = pi/(2N)
+    for even N and pi/N for odd N.  So [-K^2, h^2] holds one root whatever
+    the phase, and the root's sign is the phase.  Safeguarded Newton from
+    the start with the smallest step: the root of the quadratic through
+    F(0) = c0, F'(0) and F(h^2), which is 0 at a coalescence and close to
+    -c0/F'(0) next to gamma_c, or -(ln r)^2 if c0 > 0, kappa's limit where
+    kappa N is large.  t reaches 1e-30 next to gamma_c, so the stop rule is
+    relative; a coalescence stays at t = 0.
+    """
+    c0, dif, m = *_centre_coefficients(n, r), n - 1
+    lo, hi = -(math.log(max(r, 1.0)) + 1.0) ** 2, (math.pi / (n if n % 2 else 2 * n)) ** 2
+    slope = n * n + 1 / 3 - dif * (m ** 3 / 6) if n % 2 else 2 * n - dif * m * m / 2  # F'(0)
+    top = (dif + 2) * math.sin(math.sqrt(hi)) / (math.sqrt(hi) if n % 2 else 1.0)  # F(h^2)
+    q = slope * slope - 4 * c0 * (top - c0 - slope * hi) / (hi * hi)
+    starts = [-2 * c0 / (slope + math.sqrt(q)) if q >= 0 and slope > 0 else math.nan]
+    starts += [-math.log(r) ** 2] if c0 > 0 else []
+    starts = [t for t in starts if lo < t < hi] or [0.5 * (lo + hi)]
+    t, value, slope = min(((t, *_pair_point(n, t, c0, dif)) for t in starts),
+                          key=lambda p: abs(p[1] / p[2]) if p[2] else math.inf)
+    for _ in range(_MAX_ITER):
+        lo, hi = (t, hi) if value < 0 else (lo, t)
+        new = t - value / slope if slope else math.nan
+        if not (lo < new < hi or new == t):
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= _PAIR_TOL * abs(t):
+            return new
+        t = new
+        value, slope = _pair_point(n, t, c0, dif)
+    raise NonConvergence(f"critical pair not within {_PAIR_TOL} relative after {_MAX_ITER} steps")
+
+
+def _pair_roots(specs: list[ChainSpec]) -> np.ndarray:
+    """`_pair_root` of every spec, in spec order.
+
+    Root by root in floats: a numpy form of `_pair_point` takes some 60
+    calls of about 0.5 us each per step, more than this loop costs below a
+    few dozen specs.
+    """
+    return np.array([_pair_root(specs[0].n_sites, _ratio(spec)) for spec in specs])
 
 
 def solve_kappa(spec: ChainSpec) -> float:
     """The unique kappa > 0 of the broken-phase quantization condition.
 
-    Safeguarded Newton on the scaled condition `_kappa_condition` over
-    [0, ln(gamma/J) + 1], where it changes sign, from the large-N limit
-    ln(gamma/J).  Raises PhaseError outside the broken phase, also at an
+    kappa = sqrt(-t) at the root t < 0 of the pair's condition
+    (`_pair_roots`).  Raises PhaseError outside the broken phase, also at an
     exact coalescence, where kappa = 0.
     """
     if classify_phase(spec) is not Phase.BROKEN:
         raise PhaseError(f"gamma={spec.gamma} is not in the broken phase "
                          f"(gamma_c={spec.gamma_c})")
-    return float(_kappas([spec], [Phase.BROKEN])[0])
+    return math.sqrt(-float(_pair_roots([spec])[0]))
 
 
 def _in_gamma_order(solve, gammas) -> list:
@@ -451,17 +481,16 @@ def _in_gamma_order(solve, gammas) -> list:
 
 
 def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
-    """A solution per spec (shared N and J): one solve for the real roots, one for kappa."""
+    """A solution per spec (shared N and J): one solve for the critical pairs, one for the rest."""
     phases = [classify_phase(spec) for spec in specs]
-    roots = _real_roots(specs, phases, tol) if specs else []
-    kappas = iter(_kappas([s for s, p in zip(specs, phases) if p is not Phase.UNBROKEN],
-                          [p for p in phases if p is not Phase.UNBROKEN], tol).tolist())
+    pairs = _pair_roots(specs) if specs else np.empty(0)
+    roots = _real_roots(specs, pairs, tol) if specs else []
     out = []
-    for spec, phase, found in zip(specs, phases, roots):
+    for spec, phase, found, t in zip(specs, phases, roots, pairs.tolist()):
         k = found.astype(complex)
         energies = mode_energy(spec, found).astype(complex)
         if phase is not Phase.UNBROKEN:
-            kappa = next(kappas)
+            kappa = math.sqrt(-t)
             k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, 0.0 - kappa)])
             energies = np.append(energies, _pair_levels(spec.hopping, True, kappa))
         order = np.lexsort((energies.imag, energies.real))

@@ -5,10 +5,6 @@ class PTChainError(Exception):
     """Base class for all ptchain errors."""
 
 
-class RootCountMismatch(PTChainError):
-    """Real quasimomentum count is neither N nor N-2."""
-
-
 class NonConvergence(PTChainError):
     """An iterative solver exhausted its iteration budget."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _in_gamma_order, _pair_levels
+from .bethe import _MAX_RATIO, _centre_coefficients, _in_gamma_order, _pair_levels
 from .errors import DomainError, PhaseError
 from .model import ChainSpec
 from .states import _critical_pairs, _pt_norms, _row_norms
@@ -51,11 +51,10 @@ class CriticalReport:
 
 
 def alpha_parameter(spec: ChainSpec) -> float:
-    j, g = spec.hopping, spec.gamma
-    den = g * g - j * j
-    if den == 0:
-        return math.inf
-    return (j * j + g * g) / den
+    """alpha = (r^2 + 1)/(r^2 - 1) = tot/dif in r = gamma/J, inf at r = 1; 1 past r = 1e150."""
+    r = spec.gamma / spec.hopping  # past _MAX_RATIO, 2/dif is below the float spacing at 1
+    dif = _centre_coefficients(spec.n_sites, r)[1] if r <= _MAX_RATIO else math.inf
+    return 1.0 + 2.0 / dif if dif else math.inf
 
 
 def in_asymptotic_window(spec: ChainSpec) -> bool:
@@ -83,11 +82,8 @@ def _approx(spec: ChainSpec, broken: bool) -> float:
     alpha = alpha_parameter(spec)
     if not math.isfinite(alpha):  # gamma = J: the even-N boundary limit
         return 0.0
-    if n % 2 == 0:
-        radicand = s * n * alpha
-        if radicand <= 0:
-            raise DomainError(f"negative radicand at gamma={spec.gamma}")
-        return 1.0 / math.sqrt(radicand)
+    if n % 2 == 0:  # s alpha > 0: the side check fixes the sign of dif
+        return 1.0 / math.sqrt(s * n * alpha)
     radicand = 3 * s * (n - alpha) / (n**3 - alpha)
     if radicand < 0:
         if radicand > -1e-10:  # fp residue of alpha = N exactly at the boundary
@@ -160,8 +156,8 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[Cri
     """CriticalReport per gamma, each pair bit-identical to its `critical_levels`.
 
     The pairs of the whole grid come from one `_critical_pairs`: each
-    point's phase is read once, and two solves give kappa at the points that
-    are not unbroken and the bracket at pi/2 at the unbroken ones.  The
+    point's phase is read once, and one solve gives kappa at the points that
+    are not unbroken and the offset x0 at the unbroken ones.  The
     stack of pairs is reduced to gaps and PT self-pairings in one pass.  If
     several gammas fail, the error raised is the first failing gamma's.
     """

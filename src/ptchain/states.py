@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (_amplitude, _critical_offsets, _kappas, classify_phase, mode_energy,
-                    raw_amplitude, solve_real_momenta)
+from .bethe import (_amplitude, _pair_roots, classify_phase, mode_energy, raw_amplitude,
+                    solve_real_momenta)
 from .errors import PhaseError
 from .model import ChainSpec, Phase, apply_pt
 
@@ -71,27 +71,22 @@ def _critical_pairs(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray, np.
     """(root, broken, pair) of every spec, in spec order; the specs share N and J.
 
     Each spec's phase is read once, by `classify_phase`, and the roots come
-    from at most two solves: kappa from one `_kappas` at the specs that are
-    not unbroken (`broken`), and the offset x0 of the bracket at pi/2 from
-    one `_critical_offsets` at the others.  `pair` has shape (len(specs), 2, N),
-    the vector of the pair's upper level first: `_broken_states` at kappa,
-    or the CPT-normalized f at pi/2 + x0 and pi/2 - x0.
+    from one `_pair_roots`: kappa = sqrt(-t) at the specs that are not
+    unbroken (`broken`), the offset x0 = sqrt(t) at the others.  `pair` has
+    shape (len(specs), 2, N), the vector of the pair's upper level first:
+    `_broken_states` at kappa, or the CPT-normalized f at pi/2 + x0 and
+    pi/2 - x0.
     """
     n, j = specs[0].n_sites, specs[0].hopping
-    phases = [classify_phase(spec) for spec in specs]
-    broken = np.array([phase is not Phase.UNBROKEN for phase in phases])
-    root, pair = np.empty(len(specs)), np.empty((len(specs), 2, n), complex)
-    if broken.any():  # a side that holds no spec makes no call
-        side = [s for s, b in zip(specs, broken) if b]
-        kappa = _kappas(side, [p for p, b in zip(phases, broken) if b])
-        gamma = np.array([s.gamma for s in side])
-        root[broken], pair[broken] = kappa, _broken_states(n, gamma / j, kappa)
+    broken = np.array([classify_phase(spec) is not Phase.UNBROKEN for spec in specs])
+    root = np.sqrt(np.abs(_pair_roots(specs)))
+    gamma = np.array([spec.gamma for spec in specs])
+    pair = np.empty((len(specs), 2, n), complex)
+    if broken.any():  # a side that holds no spec builds no states
+        pair[broken] = _broken_states(n, gamma[broken] / j, root[broken])
     if not broken.all():
-        side = [s for s, b in zip(specs, broken) if not b]
-        x0 = _critical_offsets(side)
-        k = np.pi / 2 + np.array([1.0, -1.0]) * x0[:, None]
-        gamma = np.array([s.gamma for s in side])[:, None]
-        root[~broken], pair[~broken] = x0, _cpt_states(_amplitude(n, j, gamma, k))[0]
+        k = np.pi / 2 + np.array([1.0, -1.0]) * root[~broken, None]
+        pair[~broken] = _cpt_states(_amplitude(n, j, gamma[~broken, None], k))[0]
     return root, broken, pair
 
 

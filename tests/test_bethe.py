@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
 from ptchain import bethe
-from ptchain.bethe import (_bracketed_roots, _brackets, _critical_offsets, _kappa_condition,
-                           _kappas, _offset_brackets, _reduced_coefficients, _reduced_slope,
+from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _offset_brackets,
+                           _pair_point, _pair_roots, _reduced_coefficients, _reduced_slope,
                            _reduced_trig, _reduced_value, count_real_momenta, raw_amplitude)
-from ptchain.errors import DomainError, PhaseError, PTChainError, RootCountMismatch
+from ptchain.errors import DomainError, PhaseError, PTChainError
 
 
 def test_roots_n3_gamma_one():
@@ -52,6 +51,14 @@ def test_momentum_index_consistency(n, gamma):
     spec = ChainSpec(n, 1.0, gamma)
     for k in solve_real_momenta(spec):
         assert 0 <= momentum_index(spec, k) <= n
+
+
+def test_momentum_index_rejects_a_k_off_the_quantization_identity():
+    spec = ChainSpec(8, 1.0, 0.5)
+    k = solve_real_momenta(spec)[2]
+    assert momentum_index(spec, k) == momentum_index(spec, k + 1e-12)
+    with pytest.raises(ValueError, match="violates the quantization identity"):
+        momentum_index(spec, k + 1e-3)
 
 
 def test_no_scanned_root_is_a_null_state():
@@ -157,15 +164,18 @@ def _end_signs(n, r, lo, hi):
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
 def test_root_count_is_the_sign_test_of_the_solve(n):
     # count_real_momenta reads the float signs at every bracket's ends; they
-    # change sign in just the brackets that the solve refines, from the
-    # closed-form side at lo to the other at hi
+    # change sign in every bracket past the pair's, which the solve refines
+    # from the closed-form side at lo to the other at hi, and in the pair's
+    # just where the pair is real
     gc = gamma_critical(n)
     for gamma in gc * np.array([0.0, 0.3, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1e9]):
         spec = ChainSpec(n, 1.0, float(gamma))
-        _, _, lo, hi, side, _ = _offset_brackets([spec], [classify_phase(spec)])
+        _, _, lo, hi, side, _ = _offset_brackets([spec])
         at_lo, at_hi = _end_signs(n, float(gamma), lo, hi)
         assert (at_lo == side).all() and (at_hi == -side).all(), gamma
-        assert count_real_momenta(spec) == 2 * len(lo) + n % 2, gamma
+        real_pair = _pair_roots([spec])[0] > 0
+        assert real_pair == (classify_phase(spec) is Phase.UNBROKEN), gamma
+        assert count_real_momenta(spec) == 2 * (len(lo) + real_pair) + n % 2, gamma
 
 
 _CLOSED_FORM_N = [2, 3, 8, 9, 64, 65, 1000, 1001, 10**5, 10**5 + 1]
@@ -180,31 +190,30 @@ def test_bracket_sides_are_the_closed_form(n):
     gc = gamma_critical(n)
     for r in [*(gc * np.array(_CLOSED_FORM_FRACTIONS)), 1e150]:
         spec = ChainSpec(n, 1.0, float(r))
-        phase = classify_phase(spec)
-        _, _, lo, hi, side, _ = _offset_brackets([spec], [phase])
-        assert len(lo) == n // 2 - (phase is not Phase.UNBROKEN), r
-        assert (side == np.where(np.arange(n // 2) % 2, 1.0, -1.0)[-len(lo):]).all(), r
+        _, _, lo, hi, side, _ = _offset_brackets([spec])
+        assert len(lo) == n // 2 - 1, r
+        assert (side == np.where(np.arange(n // 2) % 2, 1.0, -1.0)[1:]).all(), r
         at_lo, at_hi = _end_signs(n, float(r), lo, hi)
         assert (at_lo == side).all() and (at_hi == -side).all(), r
 
 
 @pytest.mark.parametrize("n", _CLOSED_FORM_N)
 def test_kappa_bracket_side_is_the_closed_form(n):
-    # `_kappas` solves with side +1: the scaled condition is positive just
-    # above kappa = 0 (through its slope for odd N, where it is 0) and
-    # negative at ln(gamma/J) + 1, for every broken spec up to gamma/J = 1e150
+    # `_pair_roots` solves with side -1 on [-K^2, h^2]: its condition is c0
+    # at t = 0, negative at t = -K^2 = -(ln(gamma/J) + 1)^2 (on all of t <= 0
+    # for an unbroken spec) and tot sin h (over h for odd N) > 0 at t = h^2,
+    # for every spec up to gamma/J = 1e150
     gc = gamma_critical(n)
-    ratios = [*(gc * (1 + 10.0 ** -np.arange(15, 2, -1))), *(gc * np.array([1.7, 1e9])),
-              *(10.0 ** np.arange(10, 151, 10))]
-    fun, broken = _kappa_condition(n), 0
+    h = math.pi / (n if n % 2 else 2 * n)
+    ratios = [*(gc * (1 + 10.0 ** -np.arange(15, 2, -1))), *(gc * (1 - 10.0 ** -np.arange(15, 2, -1))),
+              *(gc * np.array([0.0, 0.3, 1.0, 1.7, 1e9])), *(10.0 ** np.arange(10, 151, 10))]
     for r in ratios:
-        if classify_phase(ChainSpec(n, 1.0, float(r))) is not Phase.BROKEN:
-            continue
-        broken += 1
-        dif, tot = _reduced_coefficients(n, float(r))[:2]
-        value, slope = fun(np.array([0.0, math.log(r) + 1.0]), dif, tot)
-        assert (value[0] if value[0] != 0 else slope[0]) > 0 and value[1] < 0, r
-    assert broken >= len(ratios) - 2
+        c0, dif = _centre_coefficients(n, float(r))
+        k2 = (math.log(max(r, 1.0)) + 1.0) ** 2
+        assert _pair_point(n, 0.0, c0, dif)[0] == c0, r
+        ends = [-k2, -k2 / 2, -1e-9] if c0 < 0 else [-k2]
+        assert all(_pair_point(n, t, c0, dif)[0] < 0 for t in ends), r
+        assert _pair_point(n, h * h, c0, dif)[0] > 0, r
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e-150, 1e150, 1e300])
@@ -226,9 +235,11 @@ def test_spectrum_scales_with_hopping(j, n, frac):
 
 
 def _scaled_kappa_condition(spec, kappa):
-    # the kappa condition times 2 e^(-kappa(N+1)) / J^2, as the solver reads it
+    # the kappa condition times e^(-kappa(N+1)) / J^2 (over kappa for odd N),
+    # the pair's condition at t = -kappa^2 as the solver reads it
     n = spec.n_sites
-    return _kappa_condition(n)(kappa, *_reduced_coefficients(n, spec.gamma / spec.hopping)[:2])[0]
+    coefficients = _centre_coefficients(n, spec.gamma / spec.hopping)
+    return np.array([_pair_point(n, -k * k, *coefficients)[0] for k in np.atleast_1d(kappa)])
 
 
 def test_kappa_analytic_n2():
@@ -283,7 +294,8 @@ def test_kappa_residual_is_the_scaled_condition(n, ratio, kappa):
             k = mp.mpf(kappa)
             raw = mp.mpf(ratio) ** 2 * fn(k * (n - 1)) - fn(k * (n + 1))
             want = float(2 * mp.exp(-k * (n + 1)) * raw)
-    assert _scaled_kappa_condition(spec, kappa) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    want /= 2.0 * (kappa if n % 2 else 1.0)
+    assert _scaled_kappa_condition(spec, kappa)[0] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("ratio", [3.0, 10.0, 1e2, 1e4, 1e8, 1e9, 1e20, 1e150])
@@ -385,59 +397,44 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
             solve(spec)
 
 
-def _solve_brackets(specs, first_only, tol=1e-14):
-    phases = [classify_phase(s) for s in specs]
-    fun, params, lo, hi, side, seed = _offset_brackets(specs, phases, first_only)
+def _solve_brackets(specs, tol=1e-14):
+    fun, params, lo, hi, side, seed = _offset_brackets(specs)
     return _bracketed_roots(fun, lo, hi, side, seed, tol, *params)
 
 
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(min_value=2, max_value=2000),
        far=st.lists(st.floats(min_value=1e-6, max_value=3.0), min_size=1, max_size=3),
-       near=st.lists(st.tuples(st.integers(min_value=3, max_value=9),
-                               st.sampled_from([-1.0, 1.0])), max_size=3),
-       first_only=st.booleans())
-def test_batched_roots_equal_solo_roots(n, far, near, first_only):
+       near=st.lists(st.tuples(st.integers(min_value=3, max_value=15),
+                               st.sampled_from([-1.0, 1.0])), max_size=3))
+def test_batched_roots_equal_solo_roots(n, far, near):
     # per-bracket parameters leave the iteration with their root, so a root
-    # of a batch takes the float steps of its solo solve: near gamma_c
-    # (~28 steps) and far from it (2-6) mixed in one batch
+    # of a batch takes the float steps of its solo solve: the critical pair
+    # near gamma_c and far from it mixed in one batch, and the other roots
     gc = gamma_critical(n)
     ratios = far + [gc * (1 + sign * 10.0 ** -e) for e, sign in near]
     specs = [ChainSpec(n, 1.0, r) for r in ratios]
-    roots = _solve_brackets(specs, first_only)
-    solo = [_solve_brackets([s], first_only) for s in specs]
-    assert roots.tobytes() == np.concatenate(solo).tobytes()
-    broken = [s for s in specs if s.gamma > gc + 1e-9]
-    phases = [classify_phase(s) for s in broken]
-    assert _kappas(broken, phases).tobytes() == b"".join(
-        _kappas([s], [p]).tobytes() for s, p in zip(broken, phases))
-    # the bracket at pi/2 changes sign only where c0 < 0: given to every
-    # spec of a batch that holds a broken one, it raises, naming its ends
-    _, lo, hi = _brackets(n, first_only=True)
-    ends = f"bracket ({float(lo[0])!r}, {float(hi[0])!r})"
-    with pytest.raises(RootCountMismatch, match=re.escape(ends)):
-        _offset_brackets([*specs, ChainSpec(n, 1.0, 2.0 * gc)],
-                         [Phase.UNBROKEN] * (len(specs) + 1), first_only)
+    assert _solve_brackets(specs).tobytes() == b"".join(
+        _solve_brackets([s]).tobytes() for s in specs)
+    assert _pair_roots(specs).tobytes() == b"".join(_pair_roots([s]).tobytes() for s in specs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
-def test_bracket_without_sign_change_raises_its_solo_error(n):
-    # the bracket at pi/2 of a broken spec holds no root; in the middle of a
-    # batch it raises the error of its solo solve, naming the bracket's ends
+def test_pair_of_a_mixed_batch_is_its_solo_pair(n):
+    # one bracket serves both phases: unbroken, broken and coalesced specs in
+    # one batch get the bits of their solo solves, with t > 0, t < 0 and
+    # t = 0 as classify_phase reads c0
     gc = gamma_critical(n)
-    unbroken, broken = ChainSpec(n, 1.0, 0.5 * gc), ChainSpec(n, 1.0, 1.5 * gc)
-    with pytest.raises(RootCountMismatch) as alone:
-        _critical_offsets([broken])
-    with pytest.raises(RootCountMismatch) as batch:
-        _critical_offsets([unbroken, broken, unbroken])
-    _, lo, hi = _brackets(n, first_only=True)
-    assert str(batch.value) == str(alone.value)
-    ends = f"({float(lo[0])!r}, {float(hi[0])!r})"
-    assert str(alone.value) == f"no sign change across the bracket {ends}"
-    # so do the whole spectra of a batch that gives a broken spec that bracket
-    phases = [Phase.UNBROKEN, Phase.UNBROKEN, Phase.UNBROKEN]
-    with pytest.raises(RootCountMismatch, match=re.escape(str(alone.value))):
-        _offset_brackets([unbroken, broken, unbroken], phases)
+    specs = [ChainSpec(n, 1.0, g) for g in (0.5 * gc, 1.5 * gc, 1.0, 0.5 * gc, 1e140)]
+    pairs = _pair_roots(specs)
+    assert pairs.tobytes() == b"".join(_pair_roots([s]).tobytes() for s in specs)
+    for spec, t in zip(specs, pairs):
+        c0 = _centre_coefficients(n, spec.gamma)[0]
+        assert np.sign(t) == -np.sign(c0), spec
+    if n % 2 == 0:  # gamma = J is gamma_c: the pair has coalesced, E = 0 twice
+        assert pairs[2] == 0.0 and classify_phase(specs[2]) is Phase.CRITICAL
+        levels = solve_spectrum(specs[2]).energies
+        assert np.count_nonzero(levels == 0) == 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
@@ -542,27 +539,19 @@ def _near_gamma_c(n, j):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 255, 256, 1000, 1001])
 def test_one_phase_rule_near_gamma_c(n):
-    # the sign of c0 decides the phase; the bracket at pi/2 and the solve
-    # read the same float, so every gamma has all N levels and its pair
-    _, lo, hi = _brackets(n, first_only=True)
+    # the sign of c0 decides the phase; the pair's condition is c0 at t = 0,
+    # so its root has the phase's sign, every gamma has all N levels and
+    # its pair, and the sign count agrees
     for j in (0.5, 1.0, 3.0):
         grid = _near_gamma_c(n, j)
         sweep = critical_sweep(n, grid, j)
-        for gamma, report in zip(grid, sweep):
+        for gamma, report, t in zip(grid, sweep, _pair_roots([ChainSpec(n, j, g) for g in grid])):
             spec = ChainSpec(n, j, gamma)
             phase = classify_phase(spec)
             sol = solve_spectrum(spec)
             assert len(sol.energies) == n and sol.phase is phase, gamma
-            # the float R changes sign across that bracket, from the
-            # closed-form side -1, exactly where the phase rule gives it a root
-            at_lo, at_hi = _end_signs(n, gamma / j, lo, hi)
-            assert (at_lo[0] * at_hi[0] < 0) == (phase is Phase.UNBROKEN), gamma
-            if phase is Phase.UNBROKEN:
-                side = _offset_brackets([spec], [phase], first_only=True)[4]
-                assert (at_lo == side).all() and (at_hi == -side).all(), gamma
-            else:
-                with pytest.raises(RootCountMismatch, match="no sign change"):
-                    _critical_offsets([spec])
+            assert np.sign(t) == {Phase.UNBROKEN: 1, Phase.BROKEN: -1, Phase.CRITICAL: 0}[phase]
+            assert count_real_momenta(spec) == n - 2 * (phase is not Phase.UNBROKEN), gamma
             assert repr(report) == repr(critical_sweep(n, [gamma], j)[0]), gamma
             levels, _ = critical_levels(spec)
             assert len(levels) == 2 and levels == report.two_levels, gamma
@@ -580,9 +569,10 @@ def _kappa_reference(n, gamma, guess):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 255, 256, 1000, 1001])
 def test_kappa_next_to_gamma_c_is_within_its_condition(n):
-    # even N: within |1 - gamma/gamma_c|, the rounding of dif = r^2 - 1;
-    # odd N: within 4 eps/|1 - gamma/gamma_c|, the pair's change under one
-    # ulp of gamma (gamma_c is irrational there)
+    # the bounds the solve met while c0 came from r*r - 1 (even N: within
+    # |1 - gamma/gamma_c|, that rounding; odd N: within 4 eps/|1 - gamma/gamma_c|,
+    # the pair's change under one ulp of gamma); the root in t = x^2 now
+    # meets 1e-13 (`test_scripts.py::test_critical_pair_accuracy_script`)
     mp = pytest.importorskip("mpmath")
     gc = gamma_critical(n)
     for k in range(4, 16):

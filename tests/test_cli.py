@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptchain import states
+from ptchain import ChainSpec, states
+from ptchain.bethe import _pair_roots
 from ptchain.cli import main
 
 REF_COUPLINGS_7_050 = [0.5703, 0.9731, 0.3089, 0.0883, 0.2039, 1.2075]
@@ -57,7 +59,10 @@ PINNED_OUTPUT = {
 # band was dropped, which gave the rows at gamma_c their critical pair.  N = 9
 # and 255 were re-recorded when one kappa condition replaced the log form:
 # their steps land on the float gamma_c, within 7e-17 of the odd-N boundary,
-# where kappa is set by rounding alone (see README's odd-N bound)
+# where kappa is set by rounding alone.  Both again when the pair became one
+# root in t = x^2 with c0 rounded once from the float gamma/J: kappa there
+# moved from 38% (N = 9) and 23% (N = 255) off the 60-digit root at that
+# float to within 1e-15 of it, which the test checks before the digest
 PINNED_SWEEPS = {
     "sweep --n 2 --gamma-min 0 --gamma-max 2 --steps 3 --format csv":
         "e9a38985321456055f359c4fed97381773f9465b91dd82107de200d76b3517ad",
@@ -68,17 +73,17 @@ PINNED_SWEEPS = {
     "sweep --n 8 --gamma-min 0 --gamma-max 2 --steps 9 --format json":
         "248a37d9842b6b845c8d3eca5dcfde2e9aa88475a4be34a2158be6bea9d4d0e7",
     "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5 --format csv":
-        "fd690bcff0e1754b90d7d1d82224f5304f7aba34f40032a5dd67af2e27ee36a9",
+        "96370ff836c0f39998c6aab4f414b4526a9879cc586b74a02237086fe5778978",
     "sweep --n 9 --gamma-min 0 --gamma-max 2.23606797749979 --steps 5 --format json":
-        "5a2286887cc07b9d937d2ba41f4aa6f9517815134f71800dd045f22132d91ec0",
+        "d1ada3cc1ceb4c844a8037a91647512b3ccc02f904a0f2ddc06b085f919cb579",
     "sweep --n 64 --gamma-min 0 --gamma-max 2 --steps 21 --format csv":
         "6e55054ca41ad3abe5c934c413b88a874c740955498b7f444fa69a11a3cfbc21",
     "sweep --n 64 --gamma-min 0 --gamma-max 2 --steps 21 --format json":
         "83879f8433435569b1f4fb5a3020c348ed85454450d868c77d226c7e9fa923dd",
     "sweep --n 255 --gamma-min 0 --gamma-max 2.0078585764421075 --steps 21 --format csv":
-        "79930181f1fe807385cfe105c2f087664584d2d6165df1445de4c1710d9fafb1",
+        "4d9c5bad61bae131c9e1d94d15466ee17b2cc32cb55824fde90956340f2e9924",
     "sweep --n 255 --gamma-min 0 --gamma-max 2.0078585764421075 --steps 21 --format json":
-        "6a1183e4503e3b3cbba7d93f3579b3b94d45c422958b5658907743beb9ee1cc1",
+        "9bd41a6a08067eda4e3ac2039822acdd061372489e1a323c831295d239760bf6",
 }
 
 
@@ -98,10 +103,42 @@ def test_pinned_output_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
 
 
+def _critical_pair_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "critical_pair_accuracy.py"
+    spec = importlib.util.spec_from_file_location("critical_pair_accuracy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_pairs_are_the_60_digit_roots(argv, csv):
+    # a digest pins bits, not physics: before it is read, each gamma's pair
+    # level, as printed to 12 digits, is that of the 60-digit root of the
+    # pair's condition at that float gamma (J = 1)
+    mp = pytest.importorskip("mpmath")
+    script = _critical_pair_script()
+    _, _, n, _, low, _, high, _, steps, *_ = argv.split()
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    cells = sorted({row[0] for row in rows}, key=float)
+    for gamma, cell in zip(np.linspace(float(low), float(high), int(steps)), cells):
+        levels = [abs(complex(float(r[4]), float(r[5]))) for r in rows if r[0] == cell]
+        t = float(_pair_roots([ChainSpec(int(n), 1.0, float(gamma))])[0])
+        with mp.workdps(60):
+            root = mp.sqrt(abs(script._reference(int(n), float(gamma), t)))
+            want = float(2 * (mp.sinh(root) if t < 0 else mp.sin(root)))
+        # the pair's level: the largest imaginary one if broken, else the
+        # smallest nonzero one (odd N also holds the zero mode); 0 twice if t = 0
+        pair = ([abs(float(r[5])) for r in rows if r[0] == cell and float(r[5])] if t < 0
+                else sorted(levels)[:2] if t == 0 else [min(e for e in levels if e)])
+        assert max(pair) == pytest.approx(want, rel=1e-11, abs=0.0), gamma
+
+
 @pytest.mark.parametrize("argv", PINNED_SWEEPS)
 def test_pinned_sweep_bytes(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
+    if argv.endswith("csv"):
+        _assert_pairs_are_the_60_digit_roots(argv, out)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEPS[argv]
 
 

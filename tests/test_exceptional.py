@@ -50,6 +50,25 @@ def test_kappa_approx_against_solver():
     assert approx == pytest.approx(solve_kappa(spec), rel=0.05)
 
 
+@pytest.mark.parametrize("j", [1e-300, 1e-200, 1e200, 1e300])
+def test_alpha_and_approximations_scale_with_hopping(j):
+    # alpha and both approximations depend on gamma/J alone; gamma^2 - J^2
+    # overflowed to NaN past J = 1e154 and underflowed to 0 below 1e-154,
+    # which gave alpha NaN or inf and approximations of 0.0
+    for n in (8, 9, 20, 21):
+        gc = gamma_critical(n)
+        for frac, approx in ((0.99, delta_approx), (1.01, kappa_approx)):
+            spec = ChainSpec(n, j, frac * gc * j)
+            unit = ChainSpec(n, 1.0, spec.gamma / spec.hopping)
+            assert alpha_parameter(spec) == pytest.approx(alpha_parameter(unit), rel=4e-16)
+            assert approx(spec) == pytest.approx(approx(unit), rel=4e-16) and approx(unit) > 0
+    (report,) = critical_sweep(8, [1.01 * j], hopping=j)
+    (unit,) = critical_sweep(8, [1.01])
+    assert report.delta_or_kappa == pytest.approx(unit.delta_or_kappa, rel=4e-16)
+    assert report.analytic_pair[0] == pytest.approx(j * unit.analytic_pair[0], rel=1e-15)
+    assert report.analytic_pair[0].imag > 0
+
+
 def test_kappa_zero_at_boundary():
     assert kappa_approx(ChainSpec(8, 1.0, 1.0)) == 0.0
 
@@ -234,36 +253,39 @@ def _log_grid(n):
 # broken pair's + branch became the PT image of the - branch, which moved
 # the broken side's coalescence_gap by up to 5.3e-15 and pt_norms by up to
 # 4.3e-15 (the formula's + branch had a coefficient that cancelled to
-# rounding noise)
+# rounding noise); and again when one root in t = x^2 gave the pair on both
+# sides of gamma_c from a correctly rounded c0: the pair's levels moved by
+# up to 3.4e-13 relative (median 1.2e-14), from up to 3.4e-13 off a
+# 60-digit root at the float gamma to within 5.7e-16 of it
 PINNED_LOG_GRID = {
-    2: "6c57df404ad6397b", 3: "85d5cd96f3dcaab9", 4: "aa66cd7d8af478df",
-    5: "e808b2f3d24817ca", 6: "425ee9810dd70afa", 7: "20de74ca3907c72d",
-    8: "e79142175233fa9d", 9: "77ec3b26b40568dc", 10: "825a5a2a83f85c7a",
-    11: "1cd2fdb7c782be7b", 12: "70e6428452ea21a8", 13: "c87b1a9bd52f857e",
-    14: "00ac3a35dce26b1c", 15: "b17dfdfe78324add", 16: "54110018cc8efe65",
-    17: "00712c762a50b84b", 18: "84095d76396ac2c9", 19: "dd53b6a357839ab0",
-    20: "f5da66e2bf2f3da1", 21: "34b5cea9760f5fa2", 22: "bc5af224b8242172",
-    23: "5dfcfc490b3e8b8d", 24: "fe84645af4548968", 25: "1a18613f2e0cd2cb",
-    26: "ca02d95f70be742b", 27: "efbbee99b9771b23", 28: "7461f628221695b7",
-    29: "a592f399a141bc2b", 30: "d01bb3798e6844ab", 31: "61cd9c74b2257752",
-    32: "e5b7086153ee2481", 33: "06d6d6a7382e354d", 34: "1cc00f21ea6ab318",
-    35: "76e68a4cb651e0a5", 36: "15ba00904d67983a", 37: "c7edf922236fbab0",
-    38: "0a42120b93a49e55", 39: "9756e41ca66689ee", 40: "ba5b486afca50591",
-    41: "06e2f315a2b017a3", 42: "96561e046e05d315", 43: "dd5ba8a1033ccfde",
-    44: "5e9927295de98c3f", 45: "2a8d7edf4aafb653", 46: "6809334dde8feea6",
-    47: "bfb5ea32845bc324", 48: "8fa797a224100678", 49: "2e8aeb6d0a2fe78a",
-    50: "671595c81d479041", 51: "c6637b97d4981332", 52: "0749fd1a6f7a9487",
-    53: "6254bc5611735360", 54: "1b1a66e24090f37a", 55: "9252d73867156766",
-    56: "8d1c4c9af76df084", 57: "b1460264f7995271", 58: "fe510324835e8a86",
-    59: "23374a2728e7f8f6", 60: "67479b95e3ca1794", 61: "3269d16f50d5b52c",
-    62: "eda4f65a65ca0a44", 63: "988a2fbcb2f883f5", 64: "dc7d39661af7aaf3",
-    65: "735e02d1234589ad", 66: "df224a32e147672f", 67: "5b38ae5445e53d5b",
-    68: "5052df2adce7f1d8", 69: "32cb92e56a076e1c", 70: "738b621766462d9d",
-    71: "4254e3cd26d90bf1", 72: "c4c6653d677122ac", 73: "df959ca9c0dd7508",
-    74: "95286276453acbee", 75: "0166561b4214a67c", 76: "d9bfa8a99cd1e4f0",
-    77: "c2279f0867f0c175", 78: "07249b60b2e05488", 79: "fc3cea31f9a0be90",
-    128: "d76da8c34576cd44", 200: "1609a8f614815651", 255: "fa1f8dcb4b38fed8",
-    256: "df37dbdb506f29e3", 1000: "b61d22ef81631afa",
+    2: "e5f0e916fc7a9860", 3: "cbbb592eca6d3f85", 4: "bdea697a04d784fd",
+    5: "9e71fe17a50738f4", 6: "d25f37f8609db853", 7: "d707cbf59de0123b",
+    8: "e4a39ddbb2672974", 9: "e6c9d8255da9390a", 10: "6b4e46c304ba8ac9",
+    11: "c1caa1c3a7c31e63", 12: "5cdc04a92f18f351", 13: "342c73db7faff0ed",
+    14: "77ad488081bd2a90", 15: "f707bdc6581cb8bf", 16: "4fb59d451f3ad0ff",
+    17: "5ff35f5a3345436b", 18: "49e9e369688288e1", 19: "ecfcb250397d345e",
+    20: "5db56d73c13fb2be", 21: "a94bf6f6b6926fac", 22: "d2570a1e44355cdc",
+    23: "62c924ac08dcacb9", 24: "5039c0f5911ad11f", 25: "08d6f8ae623e254a",
+    26: "836d2cd5cd923040", 27: "9306ee59707d5c47", 28: "ef71fd967add0ac9",
+    29: "2040b2ddbea1ea8e", 30: "1878e91eb694c249", 31: "c3177760daf9b7f5",
+    32: "5c5fb00636719ae2", 33: "3f5c62e43c3122f0", 34: "fe8e304bc0f16b14",
+    35: "8dd0baad371631cd", 36: "ad498bc6d3ac658b", 37: "a6ee97d044093d52",
+    38: "e36cdc292529173f", 39: "f90875d9fe44c6b6", 40: "4b8ab3a3d794af34",
+    41: "877f507ef1b78134", 42: "94fefc9d17af24ef", 43: "9d613e24b0906b24",
+    44: "15eea30766747acb", 45: "54eb78c1edbe0b3b", 46: "7ef8201708e1103c",
+    47: "b3787217de067b1f", 48: "10a88b103b05b40c", 49: "e91906fd6342b19b",
+    50: "52c2364d9f9c17da", 51: "a0a9c9889df666e7", 52: "6c175f7006b07695",
+    53: "24fa29435954dc7c", 54: "f98836983a97add3", 55: "10a5c9f44dba419c",
+    56: "a3aa125ecd0052f9", 57: "d4aeb72ea4aa4ef0", 58: "1497b8b0701da8eb",
+    59: "e457cd8b7fbff51e", 60: "b37e1500eef71bc5", 61: "4622a1df571f9f38",
+    62: "51b145bf0bc78906", 63: "ad4f8a77c6e8553d", 64: "eae61e9f4f8e97b1",
+    65: "8efedc02c72db206", 66: "3230fd79d751e627", 67: "33785f100440a09a",
+    68: "a3129984bc931118", 69: "90e4d7959374ebba", 70: "8dbd6698f7efc1a4",
+    71: "7f41f414ac311515", 72: "af5946f3e260b6f5", 73: "8c7fd91c28d6d5b5",
+    74: "4b1f37ce427cfeef", 75: "f185a9934e1511bd", 76: "c997bb09c30e966a",
+    77: "1f37cd93945b0b5b", 78: "aee671c8ed900488", 79: "1ccb7420870fdabe",
+    128: "416b42ea4b8ee5b0", 200: "45d5c2a8035f6c07", 255: "b316bb51ad26a8be",
+    256: "6d81bb17605a44b2", 1000: "b69d492004ac10d6",
 }
 # re-recorded with the log grid; these grids also hold gamma_c itself, which
 # now reports the coalesced pair.  Before that, N = 3 was re-recorded when
@@ -273,10 +295,13 @@ PINNED_LOG_GRID = {
 # broken points' kappa moved by rounding, most of all at the float gamma_c
 # of odd N, where kappa is set by rounding alone.  All six again with the
 # PT-image + branch: N = 65 at 1.5 gamma_c held |pt_norms| 7.7e-5 and a gap
-# 1.5e-5 below the oracle's, from the + vector that was no eigenvector
+# 1.5e-5 below the oracle's, from the + vector that was no eigenvector.  All
+# six again with the root in t = x^2: at the float gamma_c of odd N, kappa
+# was 29-38% off the 60-digit root there (set by the rounding of r*r - 1),
+# and now is within 5.7e-16 of it
 PINNED_MIXED_GRID = {
-    2: "018eeed06dfbc709", 3: "5409c586982a4c26", 8: "4eb575bd7653d9b2",
-    9: "a337a14ace895dd1", 64: "90938ac3de595e6a", 65: "5985aaa444fceaa3",
+    2: "a25bfd5db0237d95", 3: "d1ba0023d5b28ad1", 8: "e6c2a4b122d800e3",
+    9: "56f04479bac1eede", 64: "f5de46229e4181bf", 65: "0d3a5e66e64db9ab",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,11 @@ def test_gamma_critical_values():
     assert gamma_critical(5, hopping=2.0) == pytest.approx(2 * np.sqrt(1.5), abs=1e-15)
 
 
+def test_gamma_critical_rejects_a_chain_below_two_sites():
+    with pytest.raises(ValueError, match="n_sites must be >= 2, got 1"):
+        gamma_critical(1)
+
+
 def test_gamma_critical_odd_decreasing_to_one():
     ratios = [gamma_critical(2 * n + 1) for n in range(1, 40)]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -93,8 +99,12 @@ def test_classify_phase():
     # no band: one ulp from an exact coalescence is already a phase
     assert classify_phase(ChainSpec(8, 1.0, math.nextafter(1.0, 0.0))) is Phase.UNBROKEN
     assert classify_phase(ChainSpec(8, 1.0, math.nextafter(1.0, 2.0))) is Phase.BROKEN
-    # odd N: (r^2 - 1) N - (r^2 + 1) is exactly 0 at this float
-    assert classify_phase(ChainSpec(7, 0.5, 0.5773502691896257)) is Phase.CRITICAL
+    # odd N: c0 = (N - 1) r^2 - (N + 1) is rounded once from the exact r, so
+    # no odd N is Critical ((N + 1)/(N - 1) is no square of a binary
+    # fraction); at this float, where r*r rounded made c0 exactly 0, c0 < 0
+    r = Fraction(0.5773502691896257) / Fraction(0.5)
+    assert 6 * r * r - 8 < 0
+    assert classify_phase(ChainSpec(7, 0.5, 0.5773502691896257)) is Phase.UNBROKEN
     assert classify_phase(ChainSpec(9, 1.0, 1e200)) is Phase.BROKEN
     with pytest.raises(TypeError):
         classify_phase(ChainSpec(8, 1.0, 1.0), tol=1e-9)

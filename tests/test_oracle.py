@@ -276,3 +276,8 @@ def test_spectral_distance_matches_bethe():
             spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
             d = spectral_distance(solve_spectrum(spec).energies, oracle_spectrum(spec))
             assert d < 1e-8, (n, frac, d)
+
+
+def test_spectral_distance_rejects_sets_of_unequal_size():
+    with pytest.raises(ValueError, match="size mismatch: 2 vs 1"):
+        spectral_distance([1.0, 2.0], [1.0])

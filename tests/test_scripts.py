@@ -69,6 +69,20 @@ def test_spectrum_scaling_script():
     assert len(lines) == 4, lines
 
 
+def test_critical_pair_accuracy_script():
+    # kappa and x0 next to gamma_c within 1e-13 of the 60-digit root at the
+    # float gamma/J, in a handful of Newton passes
+    lines = _run_script("critical_pair_accuracy.py", "--sizes", "8", "9",
+                        "--max-exponent", "6").stdout.splitlines()
+    assert lines[0] == "n,j,kappa_rel_err,x0_rel_err,max_passes,total_passes"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(row[0]), float(row[1])) for row in rows] == [
+        (n, j) for n in (8, 9) for j in (0.5, 1.0, 3.0)], lines
+    for _, _, kappa, x0, most, total in rows:
+        assert float(kappa) <= 1e-13 and float(x0) <= 1e-13, lines
+        assert 1 <= int(most) <= 10 and int(most) <= int(total) <= 12 * int(most), lines
+
+
 def test_level_repulsion_sweep_script(tmp_path):
     proc = _run_script("level_repulsion_sweep.py", "--sizes", "8", "9", "--points", "3",
                        "--outdir", str(tmp_path))
