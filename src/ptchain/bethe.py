@@ -13,15 +13,18 @@ wherever F increases, and |G| = (gamma^2 + J^2) |cos k| at the bracket ends.
 F' = N - c/(cos^2 k + c^2 sin^2 k) is negative only for 0 < c < 1/N, within
 about 1/(2N) of pi/2: inside the bracket at pi/2, which holds the critical
 pair.  The other N//2 - 1 brackets each side of pi/2 hold one root in
-either phase, and the solve evaluates G at none of their ends: each lies at
-k = pi/2 + j pi/(2N), where |G| = (gamma^2 + J^2) |cos k| and the signs
-alternate from bracket to bracket.  The float signs of G at the bracket ends
-give an independent real-root count (`count_real_momenta`), which the phase
-boundary is checked against.
+either phase.  The float signs of G at the bracket ends, where |G| =
+(gamma^2 + J^2) |cos k| and the signs alternate from bracket to bracket,
+give an independent real-root count (`count_real_momenta`), which the
+phase boundary is checked against.
 
 The roots are symmetric about pi/2 (chirality), so only the offsets
-x = k - pi/2 > 0 are solved, by a safeguarded Newton iteration on
-G(pi/2 + x) written in x.  The critical pair is solved apart, on both sides
+x = k - pi/2 > 0 are solved.  In the bracket centred on x_j = j pi/(2N),
+x = x_j + d solves the counting function itself, less its level:
+Phi(d) = N d + atan2(c, tan x) = 0, which rises from below 0 to above 0
+as d runs over (-pi/(2N), pi/(2N)).  A safeguarded Newton iteration on
+Phi refines all these brackets at once, at one tan and one atan2 per root
+and step.  The critical pair is solved apart, on both sides
 of gamma_c: R (G / J^2 in x) is an entire function of t = x^2 for even N,
 and R/x for odd N, which at t = -kappa^2 < 0 is the broken-phase condition
 
@@ -34,14 +37,15 @@ Its value at t = 0 is c0, R's coefficient at the chain centre, which
 decides the phase (`classify_phase`); c0 is rounded once from r = gamma/J,
 and the rest is written with no term left to cancel, so the pair keeps
 relative accuracy right up to gamma_c and, scaled where t < 0, up to
-gamma/J = 1e150.  Real roots give energies -2J cos k, the complex pair
-gives +-2iJ sinh kappa.
+gamma/J = 1e150.  Real roots give energies -2J cos k = -+2J sin x at
+k = pi/2 -+ x, taken from x so that the levels next to E = 0 keep their
+relative accuracy; the complex pair gives +-2iJ sinh kappa.
 
 Both conditions depend on gamma and J only through r = gamma/J, which the
-iteration carries per root.  So one solve refines every other root of a
-whole gamma grid at fixed N and J (`solve_spectra`), and each root takes
-the same float steps as in a one-gamma solve: the results agree bit for
-bit.  The pairs are solved spec by spec (`_pair_roots`;
+iteration carries per root, as c.  So one solve refines every other root
+of a whole gamma grid at fixed N and J (`solve_spectra`), and each root
+takes the same float steps as in a one-gamma solve: the results agree bit
+for bit.  The pairs are solved spec by spec (`_pair_roots`;
 `exceptional.critical_sweep` solves only those).
 """
 
@@ -56,7 +60,10 @@ from .errors import DomainError, NonConvergence, PhaseError
 from .model import ChainSpec, Phase
 
 # Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
-# Newton needs 1-3 steps on 99.4% of the real brackets.  The critical pair,
+# Newton on the counting phase takes at most 4 evaluations per real root,
+# 2.09 on average and at most 2 on 88.8% (465,495 roots: N = 2 to 129 at 0
+# to 10 gamma_c, N = 256 to 4096 at 0 to 2 gamma_c), and at most 4 also at
+# N = 1e5 and at gamma/J = 1e150.  The critical pair,
 # a simple root in t = x^2, takes at most 6 evaluations, its starts' among
 # them, at 0 to 1e9 gamma_c and 1e-5 or more from it (N = 2 to 4097, J in
 # {0.5, 1, 3}, gamma/J up to 1e150), at most 4 within 1e-6 of gamma_c and
@@ -108,27 +115,15 @@ def _ratio(spec: ChainSpec) -> float:
     return r
 
 
-def _reduced_quantization(n: int):
-    """fun(x, dif, tot, dif_slope, tot_slope) -> (R(x), R'(x)) elementwise.
-
-    G(pi/2 + x) = +-J^2 R(x), N fixing the sign.  R is G / J^2 expanded
-    about the chain centre: dif cos(Nx) cos x + tot sin(Nx) sin x for even N,
-    with dif = r^2 - 1, tot = r^2 + 1 and r = gamma/J, and the same with
-    Nx - pi/2 in place of Nx for odd N.  The four parameters, one value per
-    root or one for all, are `_reduced_coefficients`.  Written in r, R stays finite and
-    normal however small or large J is.  Its arguments grow with x, not
-    with k, so R keeps relative accuracy in x right up to the critical pair;
-    for odd N it vanishes exactly at x = 0 (the zero-energy mode) with slope
-    (r^2 - 1) N - (r^2 + 1).
-    """
-    def fun(x, dif, tot, dif_slope, tot_slope) -> tuple[np.ndarray, np.ndarray]:
-        trig = _reduced_trig(n, x)
-        return _reduced_value(trig, dif, tot), _reduced_slope(trig, dif_slope, tot_slope)
-    return fun
-
-
 def _reduced_trig(n: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The gamma-free factors of R at x: cos and sin of Nx (of Nx - pi/2 for odd N) and of x."""
+    """The gamma-free factors of R at x: cos and sin of Nx (of Nx - pi/2 for odd N) and of x.
+
+    G(pi/2 + x) = +-J^2 R(x), N fixing the sign.  R is G / J^2 expanded about
+    the chain centre: dif cos(Nx) cos x + tot sin(Nx) sin x for even N, with
+    dif = r^2 - 1, tot = r^2 + 1 and r = gamma/J (`_reduced_coefficients`),
+    and the same with Nx - pi/2 in place of Nx for odd N (`_reduced_value`).
+    Written in r, R stays finite and normal however small or large J is.
+    """
     nx = n * x
     cu, su = np.cos(nx), np.sin(nx)
     if n % 2:
@@ -141,15 +136,9 @@ def _reduced_value(trig, dif, tot) -> np.ndarray:
     return dif * cu * cx + tot * su * sx
 
 
-def _reduced_slope(trig, dif_slope, tot_slope) -> np.ndarray:
-    cu, su, cx, sx = trig
-    return dif_slope * (cu * sx) + tot_slope * (su * cx)
-
-
-def _reduced_coefficients(n: int, r: float) -> tuple[float, float, float, float]:
-    """dif = r^2 - 1, tot = r^2 + 1 and the slope's N tot - dif and tot - N dif."""
-    dif, tot = r * r - 1.0, r * r + 1.0
-    return dif, tot, n * tot - dif, tot - n * dif
+def _reduced_coefficients(r: float) -> tuple[float, float]:
+    """dif = r^2 - 1 and tot = r^2 + 1."""
+    return r * r - 1.0, r * r + 1.0
 
 
 def _centre_coefficients(n: int, r: float) -> tuple[float, float]:
@@ -178,38 +167,53 @@ def classify_phase(spec: ChainSpec) -> Phase:
     return Phase.UNBROKEN if c0 < 0 else Phase.BROKEN if c0 > 0 else Phase.CRITICAL
 
 
-def _bracketed_roots(fun, lo: np.ndarray, hi: np.ndarray, side: np.ndarray,
-                     seed: np.ndarray, tol: float, *params) -> np.ndarray:
-    """The root of `fun` in every bracket (lo, hi), in bracket order.
+def _counting_phase(n: int, centre: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """(Phi, Phi') elementwise at the offset d from each bracket's centre.
 
-    `fun(x, *params)` gives value and slope elementwise; each of `params`
-    holds one value per bracket.  `side` is the sign of `fun` just above each
-    lo, which the caller knows in closed form; every bracket must change sign,
-    which the caller guarantees.  Safeguarded Newton from `seed`, on all
-    brackets at once: each evaluation shrinks its bracket, a step that would
-    leave it bisects instead, and a root is done once its last step is at
-    most `tol`.  A done root leaves the iteration with its parameters, so
+    Phi(d) = N d + atan2(c, tan(centre + d)) with c = dif/tot is the counting
+    function N k - theta(k) at k = pi/2 + centre + d, less its level m pi:
+    N centre (N centre - pi/2 for odd N) is a multiple of pi, and theta =
+    -atan2(c, tan x) at k = pi/2 + x.  Its roots are those of R, and its
+    slope is N - c (1 + t^2)/(t^2 + c^2) with t = tan(centre + d).
+    """
+    t = np.tan(centre + d)
+    tt = t * t
+    return n * d + np.arctan2(c, t), n - c * (1 + tt) / (tt + c * c)
+
+
+def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+    """The root x = centre + d of R in every bracket past the pair's, in bracket order.
+
+    Each bracket's counting phase (`_counting_phase`) rises through it:
+    Phi(-h) = -pi/2 + atan2(...) < 0 and Phi(h) = pi/2 + atan2(...) > 0 with
+    h = pi/(2N), and Phi' > N - N/pi - 1/2 > 0 at every x >= h for c in
+    [-1, 1].  So the offset d in (-h, h) is solved, where N d has no
+    cancellation, by safeguarded Newton from Phi's first fixed-point step
+    d = -atan2(c, tan centre)/N, on all brackets at once: each evaluation
+    shrinks its bracket, a step that would leave it bisects instead, and a
+    root is done once its last step is at most `tol`.  A done root leaves
+    the iteration with its parameters, and every array stays contiguous, so
     every root takes the float steps of its solo solve.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    x = np.where((lo < seed) & (seed < hi), seed, 0.5 * (lo + hi))
-    roots, active = x.copy(), np.arange(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_ITER):
-            if not len(x):
-                return roots
-            f, slope = fun(x, *params)
-            right = np.sign(f) == side  # the root lies above x
-            lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-            new = x - f / slope
-            new = np.where((lo < new) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
-            done = np.abs(new - x) <= tol
-            roots[active], x = new, new
-            if done.any():
-                live = ~done
-                active, x, lo, hi, side, *params = (
-                    v[live] for v in (active, x, lo, hi, side, *params))
+    h = math.pi / (2 * n)
+    full, d = centre, -np.arctan2(c, np.tan(centre)) / n
+    lo, hi = np.full_like(d, -h), np.full_like(d, h)
+    offsets, active = d.copy(), np.arange(len(d))
+    for _ in range(_MAX_ITER):
+        if not len(d):
+            return full + offsets
+        f, slope = _counting_phase(n, centre, c, d)
+        up = f < 0  # the root lies above d
+        lo, hi = np.where(up, d, lo), np.where(up, hi, d)
+        new = d - f / slope
+        new = np.where((lo < new) & (new < hi) | (new == d), new, 0.5 * (lo + hi))
+        done = np.abs(new - d) <= tol
+        offsets[active], d = new, new
+        if done.any():
+            live = ~done
+            active, d, lo, hi, centre, c = (v[live] for v in (active, d, lo, hi, centre, c))
     raise NonConvergence(f"{len(active)} bracketed roots not within {tol} "
                          f"after {_MAX_ITER} steps")
 
@@ -227,43 +231,31 @@ def _brackets(n: int):
     return centre, np.maximum(centre - h, 0.0), centre + h
 
 
-def _offset_brackets(specs: list[ChainSpec]):
-    """(fun, params, lo, hi, side, seed): R and the N//2 - 1 `_brackets` past the pair's, per spec.
+def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """(centre, c): the N//2 - 1 `_brackets` past the pair's for each spec in turn, and c.
 
-    Every spec has a root in each of them, whatever its phase.  `params`
-    holds R's coefficients for every bracket.  The specs share N and J.
-
-    Every end of these brackets lies at x = j pi/(2N), where the cos and sin
-    of Nx (of Nx - pi/2 for odd N) are 0 and +-1 and cos x, sin x > 0, so R
-    there is +-tot sin x: positive at the lower end of the first, then
-    alternating.  So `side`, R's sign just above lo, is +1, -1, +1, ... by
-    bracket index.  The seed is the counting function's first fixed-point
-    step k = (m pi + theta(m pi/N))/N.
+    Every spec has a root in each of them, whatever its phase.  c =
+    dif/tot = (gamma^2 - J^2)/(gamma^2 + J^2) is the spec's, one per
+    bracket.  The specs share N and J.
     """
     n = specs[0].n_sites
-    centre, lo, hi = (v[1:] for v in _brackets(n))
-    side = np.where(np.arange(len(centre)) % 2, -1.0, 1.0)
-    coef = np.array([_reduced_coefficients(n, _ratio(spec)) for spec in specs])
-    seed = centre - np.arctan2(coef[:, :1] / coef[:, 1:2], np.tan(centre)) / n
-    lo, hi, side = (np.tile(v, len(specs)) for v in (lo, hi, side))
-    return _reduced_quantization(n), np.repeat(coef.T, len(centre), 1), lo, hi, side, seed.ravel()
+    centre = _brackets(n)[0][1:]
+    c = np.array([dif / tot for dif, tot in (_reduced_coefficients(_ratio(s)) for s in specs)])
+    return np.tile(centre, len(specs)), np.repeat(c, len(centre))
 
 
-def _real_roots(specs: list[ChainSpec], pair: np.ndarray, tol: float) -> list[np.ndarray]:
-    """All roots of G in (0, pi) per spec, sorted: the pair from `pair` (`_pair_roots`) if
-    its t > 0, and one solve of every other bracket.
+def _real_offsets(specs: list[ChainSpec], pair: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The offsets x = k - pi/2 > 0 of the real roots of G per spec, ascending: the pair's
+    from `pair` (`_pair_roots`) if its t > 0, then one solve of every other bracket.
 
-    N roots for an unbroken spec and N-2 for any other.  None is a null
-    state: the amplitude vanishes for every l only where e^{2ik} = 1, i.e.
-    k in {0, pi}, which no bracket reaches.
+    N//2 offsets for an unbroken spec and N//2 - 1 for any other; the roots
+    are pi/2 -+ x, and pi/2 itself for odd N, an exact zero of G.  None is a
+    null state: the amplitude vanishes for every l only where e^{2ik} = 1,
+    i.e. k in {0, pi}, which no bracket reaches.
     """
-    n, half = specs[0].n_sites, math.pi / 2
-    fun, params, lo, hi, side, seed = _offset_brackets(specs)
-    x = _bracketed_roots(fun, lo, hi, side, seed, min(tol, 1e-14), *params)
-    zero_mode = [half] if n % 2 else []  # exact zero of G for odd N
-    rows = [np.concatenate([[math.sqrt(t)] if t > 0 else [], row])
+    x = _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs), min(tol, 1e-14))
+    return [np.concatenate([[math.sqrt(t)] if t > 0 else [], row])
             for row, t in zip(x.reshape(len(specs), -1), pair.tolist())]
-    return [np.concatenate([half - row[::-1], zero_mode, half + row]) for row in rows]
 
 
 def _real_root_counter(n: int):
@@ -279,7 +271,7 @@ def _real_root_counter(n: int):
     at_lo, at_hi = _reduced_trig(n, lo), _reduced_trig(n, hi)
 
     def count(r: float) -> int:
-        dif, tot, *_ = _reduced_coefficients(n, r)
+        dif, tot = _reduced_coefficients(r)
         f = _reduced_value(at_lo, dif, tot)
         f[0] = _centre_coefficients(n, r)[0]
         keep = np.sign(f) * np.sign(_reduced_value(at_hi, dif, tot)) < 0
@@ -307,14 +299,18 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     NonConvergence
         If a bracket fails to converge to `tol`.
     """
-    return _real_roots([spec], _pair_roots([spec]), tol)[0]
+    x, half = _real_offsets([spec], _pair_roots([spec]), tol)[0], math.pi / 2
+    return np.concatenate([half - x[::-1], [half] if spec.n_sites % 2 else [], half + x])
 
 
 def mode_energy(spec: ChainSpec, k):
     """Real-mode energy -2J cos k, evaluated as 2J sin(k - pi/2), elementwise.
 
     The two forms are identical; the sine form keeps the odd-N zero mode at
-    exactly 0 and preserves relative accuracy for the near-critical pair.
+    exactly 0.  Its error is that of the float k, up to half an ulp of pi/2,
+    so a few 1e-16 J absolute: the levels next to E = 0 (the critical pair
+    near gamma_c) lose relative accuracy.  `solve_spectrum` takes the levels
+    from the offsets x = k - pi/2 instead, E = -+2J sin x.
     """
     return 2 * spec.hopping * np.sin(k - math.pi / 2)
 
@@ -336,7 +332,7 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     satisfy the quantization identity to 1e-9.
     """
     n = spec.n_sites
-    dif, tot, _, _ = _reduced_coefficients(n, _ratio(spec))
+    dif, tot = _reduced_coefficients(_ratio(spec))
     c = dif / tot  # (gamma^2 - J^2)/(gamma^2 + J^2)
     if abs(math.cos(k)) < 1e-12:
         theta = math.copysign(math.pi / 2, c) if c != 0 else 0.0
@@ -481,21 +477,28 @@ def _in_gamma_order(solve, gammas) -> list:
 
 
 def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
-    """A solution per spec (shared N and J): one solve for the critical pairs, one for the rest."""
+    """A solution per spec (shared N and J): one solve for the critical pairs, one for the rest.
+
+    Each real level comes from its offset x > 0: k = pi/2 -+ x, E = -+2J sin x,
+    and the zero mode at pi/2 for odd N; a broken or coalesced pair sits in
+    the middle as pi/2 -+ i kappa, E = -+2iJ sinh kappa.  So the levels are
+    built in (Re E, Im E) order.
+    """
     phases = [classify_phase(spec) for spec in specs]
     pairs = _pair_roots(specs) if specs else np.empty(0)
-    roots = _real_roots(specs, pairs, tol) if specs else []
+    offsets = _real_offsets(specs, pairs, tol) if specs else []
+    half = math.pi / 2
     out = []
-    for spec, phase, found, t in zip(specs, phases, roots, pairs.tolist()):
-        k = found.astype(complex)
-        energies = mode_energy(spec, found).astype(complex)
+    for spec, phase, x, t in zip(specs, phases, offsets, pairs.tolist()):
+        k, e = ([half], [0.0]) if spec.n_sites % 2 else ([], [])
         if phase is not Phase.UNBROKEN:
             kappa = math.sqrt(-t)
-            k = np.append(k, [complex(math.pi / 2, kappa), complex(math.pi / 2, 0.0 - kappa)])
-            energies = np.append(energies, _pair_levels(spec.hopping, True, kappa))
-        order = np.lexsort((energies.imag, energies.real))
-        out.append(SpectralSolution(spec=spec, k=k[order], energies=energies[order],
-                                    phase=phase))
+            up, down = _pair_levels(spec.hopping, True, kappa)
+            k, e = [complex(half, 0.0 - kappa), *k, complex(half, kappa)], [down, *e, up]
+        level = 2 * spec.hopping * np.sin(x)
+        out.append(SpectralSolution(
+            spec=spec, k=np.concatenate([half - x[::-1], k, half + x], dtype=complex),
+            energies=np.concatenate([-level[::-1], e, level], dtype=complex), phase=phase))
     return out
 
 
@@ -535,13 +538,15 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
         raise ValueError("tol must be positive and finite")
     j = hopping
     count = _real_root_counter(n_sites)
-    lo, hi = 0.5 * j, 2.2 * j  # count N at lo, N-2 at hi, for every N >= 2
+    # The count is N at lo and N - 2 at hi for every N >= 2: every bracket
+    # but the pair's has end signs +-tot sin x of opposite sign, so only c0's
+    # sign moves it, and c0 is r^2 - 1 or (N - 1) r^2 - (N + 1), negative at
+    # r = 0.5 and positive at r = 2.2.
+    lo, hi = 0.5 * j, 2.2 * j
 
     def is_unbroken(g: float) -> bool:
         return count(g / j) == n_sites
 
-    if not is_unbroken(lo) or is_unbroken(hi):
-        raise NonConvergence("root-count bracket invalid; model assumptions broken")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -10,8 +10,8 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
                      spectral_distance)
 from ptchain import bethe
-from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _offset_brackets,
-                           _pair_point, _pair_roots, _reduced_coefficients, _reduced_slope,
+from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _counting_phase,
+                           _offset_brackets, _pair_point, _pair_roots, _reduced_coefficients,
                            _reduced_trig, _reduced_value, count_real_momenta, raw_amplitude)
 from ptchain.errors import DomainError, PhaseError, PTChainError
 
@@ -153,29 +153,37 @@ def test_locate_critical_gamma_is_the_loop_of_root_counts(j):
 
 
 def _end_signs(n, r, lo, hi):
-    """The float signs of R at lo, its slope's where R is 0 there, and at hi."""
-    dif, tot, *slopes = _reduced_coefficients(n, r)
-    at_lo = _reduced_trig(n, lo)
-    f = _reduced_value(at_lo, dif, tot)
-    f = np.where(f != 0, f, _reduced_slope(at_lo, *slopes))
-    return np.sign(f), np.sign(_reduced_value(_reduced_trig(n, hi), dif, tot))
+    """The float signs of R at lo and at hi."""
+    dif, tot = _reduced_coefficients(r)
+    return (np.sign(_reduced_value(_reduced_trig(n, x), dif, tot)) for x in (lo, hi))
+
+
+def _phase_at_ends(n, centre, c):
+    """The float counting phase at d = -h and d = +h of every bracket, h = pi/(2N)."""
+    h = math.pi / (2 * n)
+    return (_counting_phase(n, centre, c, d)[0] for d in (-h, h))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
 def test_root_count_is_the_sign_test_of_the_solve(n):
-    # count_real_momenta reads the float signs at every bracket's ends; they
-    # change sign in every bracket past the pair's, which the solve refines
-    # from the closed-form side at lo to the other at hi, and in the pair's
-    # just where the pair is real
+    # count_real_momenta reads the float signs of R at every bracket's ends;
+    # they change sign in every bracket past the pair's, in each of which the
+    # solve refines the counting phase from - at its lower end to + at its
+    # upper, and in the pair's just where the pair is real
     gc = gamma_critical(n)
+    h = math.pi / (2 * n)
     for gamma in gc * np.array([0.0, 0.3, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1e9]):
         spec = ChainSpec(n, 1.0, float(gamma))
-        _, _, lo, hi, side, _ = _offset_brackets([spec])
-        at_lo, at_hi = _end_signs(n, float(gamma), lo, hi)
+        centre, c = _offset_brackets([spec])
+        side = np.where(np.arange(len(centre)) % 2, -1.0, 1.0)
+        at_lo, at_hi = _end_signs(n, float(gamma), centre - h, centre + h)
         assert (at_lo == side).all() and (at_hi == -side).all(), gamma
+        phase_lo, phase_hi = _phase_at_ends(n, centre, c)
+        assert (phase_lo < 0).all() and (phase_hi > 0).all(), gamma
         real_pair = _pair_roots([spec])[0] > 0
         assert real_pair == (classify_phase(spec) is Phase.UNBROKEN), gamma
-        assert count_real_momenta(spec) == 2 * (len(lo) + real_pair) + n % 2, gamma
+        assert count_real_momenta(spec) == 2 * (len(centre) + real_pair) + n % 2, gamma
+        assert len(solve_real_momenta(spec)) == count_real_momenta(spec), gamma
 
 
 _CLOSED_FORM_N = [2, 3, 8, 9, 64, 65, 1000, 1001, 10**5, 10**5 + 1]
@@ -184,17 +192,16 @@ _CLOSED_FORM_FRACTIONS = [0.0, 0.3, 1 - 1e-15, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1
 
 @pytest.mark.parametrize("n", _CLOSED_FORM_N)
 def test_bracket_sides_are_the_closed_form(n):
-    # every bracket end but x = 0 lies where R = +-tot sin x: the solve takes
-    # each bracket's side from that closed form and never evaluates R at an
-    # end, so the float R there must have exactly the closed-form sign
+    # the counting phase is -pi/2 + atan2(c, tan x) < 0 at every bracket's
+    # lower end and pi/2 + atan2(c, tan x) > 0 at its upper: the solve never
+    # evaluates it at an end, so the float phase there must have exactly
+    # those signs, up to gamma/J = 1e150
     gc = gamma_critical(n)
     for r in [*(gc * np.array(_CLOSED_FORM_FRACTIONS)), 1e150]:
-        spec = ChainSpec(n, 1.0, float(r))
-        _, _, lo, hi, side, _ = _offset_brackets([spec])
-        assert len(lo) == n // 2 - 1, r
-        assert (side == np.where(np.arange(n // 2) % 2, 1.0, -1.0)[1:]).all(), r
-        at_lo, at_hi = _end_signs(n, float(r), lo, hi)
-        assert (at_lo == side).all() and (at_hi == -side).all(), r
+        centre, c = _offset_brackets([ChainSpec(n, 1.0, float(r))])
+        assert len(centre) == n // 2 - 1 and (c == c[:1]).all(), r
+        phase_lo, phase_hi = _phase_at_ends(n, centre, c)
+        assert (phase_lo < 0).all() and (phase_hi > 0).all(), r
 
 
 @pytest.mark.parametrize("n", _CLOSED_FORM_N)
@@ -398,8 +405,7 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
 
 
 def _solve_brackets(specs, tol=1e-14):
-    fun, params, lo, hi, side, seed = _offset_brackets(specs)
-    return _bracketed_roots(fun, lo, hi, side, seed, tol, *params)
+    return _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs), tol)
 
 
 @settings(deadline=None, max_examples=30)
@@ -417,6 +423,46 @@ def test_batched_roots_equal_solo_roots(n, far, near):
     assert _solve_brackets(specs).tobytes() == b"".join(
         _solve_brackets([s]).tobytes() for s in specs)
     assert _pair_roots(specs).tobytes() == b"".join(_pair_roots([s]).tobytes() for s in specs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001, 4096])
+def test_real_roots_past_the_pair_are_within_four_ulp(n):
+    # the offsets x of the first, middle and last brackets past the pair's
+    # against 40-digit roots of R at the float gamma/J
+    mp = pytest.importorskip("mpmath")
+    gc = gamma_critical(n)
+    for frac in (0.0, 0.3, 0.97, 1.03, 1.7, 1e9):
+        r = float(frac * gc)
+        x = _solve_brackets([ChainSpec(n, 1.0, r)])
+        assert len(x) == n // 2 - 1, frac
+        with mp.workdps(40):
+            dif, tot, h = mp.mpf(r) ** 2 - 1, mp.mpf(r) ** 2 + 1, mp.pi / (2 * n)
+            shift = mp.pi / 2 if n % 2 else 0
+
+            def reduced(y):
+                u = n * y - shift
+                return dif * mp.cos(u) * mp.cos(y) + tot * mp.sin(u) * mp.sin(y)
+
+            for b in sorted({0, len(x) // 2, len(x) - 1} & set(range(len(x)))):
+                i = n % 2 + 2 * (b + 1)  # the bracket's centre is i h
+                want = mp.findroot(reduced, ((i - 1) * h, (i + 1) * h), solver="anderson")
+                assert abs(mp.mpf(x[b]) - want) <= 4 * np.spacing(x[b]), (frac, b)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 1000])
+def test_unbroken_pair_is_critical_levels_next_to_gamma_c(n):
+    # the pair's levels come from its offset, E = +-2J sin x0, not from the
+    # rounded k = pi/2 +- x0, so they keep critical_levels' relative accuracy
+    # right up to gamma_c
+    gc = gamma_critical(n)
+    for k in range(4, 16):
+        spec = ChainSpec(n, 1.0, gc * (1 - 10.0 ** -k))
+        sol = solve_spectrum(spec)
+        assert sol.phase is Phase.UNBROKEN, k
+        (up, down), _ = critical_levels(spec)
+        for got, want in ((sol.energies[n // 2 - 1], down), (sol.energies[(n + 1) // 2], up)):
+            assert got.imag == 0.0 and want.imag == 0.0, k
+            assert abs(got.real - want.real) <= 4 * np.spacing(abs(want.real)), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
