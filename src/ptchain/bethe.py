@@ -303,18 +303,6 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     return np.concatenate([half - x[::-1], [half] if spec.n_sites % 2 else [], half + x])
 
 
-def mode_energy(spec: ChainSpec, k):
-    """Real-mode energy -2J cos k, evaluated as 2J sin(k - pi/2), elementwise.
-
-    The two forms are identical; the sine form keeps the odd-N zero mode at
-    exactly 0.  Its error is that of the float k, up to half an ulp of pi/2,
-    so a few 1e-16 J absolute: the levels next to E = 0 (the critical pair
-    near gamma_c) lose relative accuracy.  `solve_spectrum` takes the levels
-    from the offsets x = k - pi/2 instead, E = -+2J sin x.
-    """
-    return 2 * spec.hopping * np.sin(k - math.pi / 2)
-
-
 def _pair_levels(j: float, broken: bool, root: float) -> tuple[complex, complex]:
     """The critical pair: +-2iJ sinh(kappa) from root = kappa if `broken`, else +-2J sin(x0)."""
     if broken:

@@ -142,7 +142,7 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
         spec = solved[0.5].spec
         h = build_hamiltonian(spec)
         # unbroken at 0.5 gamma_c, so its k are the N real roots, ascending in E
-        basis = _eigenbasis(spec, np.sort(solved[0.5].k.real))
+        basis = _eigenbasis(solved[0.5])
         c = build_c_operator(basis)
         eye = np.eye(n)
         p = exchange_matrix(n)

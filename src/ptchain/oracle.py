@@ -6,18 +6,22 @@ potentials +-i*gamma, leaves the free chain between them:
     D_N(x) = (x^2 + gamma^2 - J^2) P_{N-2}(x) + J^2 x P_{N-3}(x),
 
 where P_m is the determinant of the free m-site chain (P_m = -x P_{m-1} -
-J^2 P_{m-2}, P_0 = 1, P_{-1} = 0), so D_N is real for real x.  The pair
-(P_k, P_{k-1}) is the first column of the k-th power of the free transfer
-matrix [[-x, -J^2], [1, 0]], so squaring that power gives
-
-    P_{2k} = P_k^2 - J^2 P_{k-1}^2,    P_{2k-1} = (2 P_k + x P_{k-1}) P_{k-1}.
+J^2 P_{m-2}, P_0 = 1, P_{-1} = 0), so D_N is real for real x.  The chain is
+bipartite, so P_m = x^(m mod 2) U_m(x^2) and D_N(x) = x^(N mod 2) Q(x^2):
+every level is +-sqrt(t) at a root t of Q, with an exact zero mode for odd
+N, and at the exceptional point the coalescing pair (with the zero mode of
+odd N) is one simple root t = 0 of Q.  The pair (P_k, P_{k-1}) is the first
+column of the k-th power of the free transfer matrix [[-x, -J^2], [1, 0]],
+so squaring that power gives P_{2k} = P_k^2 - J^2 P_{k-1}^2 and P_{2k-1} =
+(2 P_k + x P_{k-1}) P_{k-1}, which in t = x^2 carry no odd power of x.
 
 Binary powering over the bits of N-2 (one doubling per bit, one recurrence
-step per set bit, derivatives by the product rule) evaluates D_N and D_N'
+step per set bit, derivatives by the product rule) evaluates Q and Q' in t
 pointwise in O(log N) array operations, with no coefficient expansion.  One
-vectorized Aberth-Ehrlich iteration on D_N / D_N' (O. Aberth, Math. Comp. 27
-(1973) 339; D. A. Bini, Numer. Algorithms 13 (1996)) finds all N roots, or
-Newton-refines one.  Eigenvectors come from inverse iteration.
+vectorized Aberth-Ehrlich iteration on Q / Q' (O. Aberth, Math. Comp. 27
+(1973) 339; D. A. Bini, Numer. Algorithms 13 (1996)) finds all N//2 roots in
+t; D_N / D_N' from the same (Q, Q') Newton-refines one level in x.
+Eigenvectors come from inverse iteration.
 """
 
 from __future__ import annotations
@@ -30,22 +34,18 @@ import numpy as np
 from .errors import NonConvergence, SingularSolve
 from .model import ChainSpec
 
-# Aberth from the free-chain seeds takes 3-31 iterations at N <= 80 and
-# 11-17 at N = 128 and 200 (measured for J in {0.5, 1, 3} and gamma from 0
-# to 1e3 gamma_c, within 1e-9 of gamma_c too), then 34-35 at N = 500, 62-63
-# at N = 1000 and 124-130 at N = 2000 (J = 1, 0.5 and 1.3 gamma_c): about
-# N/16 at large N
+# Aberth in t from the free-chain seeds takes 2-15 iterations at N <= 80 and
+# 7-17 at N = 128 and 200 (measured for J in {0.5, 1, 3} and gamma from 0 to
+# 1e3 gamma_c, at gamma_c and within 1e-9 of it too), then 20-22 at N = 500,
+# 35-38 at N = 1000, 66-68 at N = 2000 and 124-126 at N = 4001 (J = 1, 0.5
+# and 1.3 gamma_c): about N/32 at large N
 _ORACLE_MAX_ITER = 1000
 _REFINE_MAX_ITER = 100
-_ROOT_TOL = 1e-13  # Aberth's last step, relative to max(J, |E|)
+_ROOT_TOL = 1e-13  # Aberth's last step, relative to max(J, |E|) in x and max(J^2, |E|^2) in t
 _RESIDUAL_TOL = 1e-9  # inverse iteration's ||H v - lambda v||_inf
 
-# The common offset of the free-chain seeds, in units of J
+# The common offset of the free-chain seeds in t, in units of J^2
 _SEED_OFFSET = cmath.rect(0.01, 0.5)
-
-# A step this small (relative) that no longer shrinks has hit the rounding
-# floor, which for a root of multiplicity m lies near eps^(1/m).
-_FREEZE_STEP = 1e-6
 
 
 def char_poly_ratio(spec: ChainSpec, x):
@@ -63,31 +63,53 @@ def char_poly_ratio(spec: ChainSpec, x):
 def _unit_ratio(n: int, gamma: float, x: np.ndarray):
     """D_N(x) / D_N'(x) of the unit chain (J = 1) at the complex points x.
 
-    The ratio is all Newton and Aberth need: it is unchanged by the common
-    rescaling of (P_k, P_{k-1}, P_k', P_{k-1}') that keeps them in range for
-    any N.
+    D_N is Q(x^2) for even N and x Q(x^2) for odd N, so with r = Q / Q' at
+    t = x^2 the ratio is r / (2x) and x r / (r + 2t).
+    """
+    r = _t_ratio(n, gamma, x * x)
+    num, den = (x * r, r + 2 * x * x) if n % 2 else (r, 2 * x)
+    if np.any(den == 0):
+        raise NonConvergence("vanishing derivative in recurrence Newton")
+    return num / den
+
+
+def _t_ratio(n: int, gamma: float, t: np.ndarray):
+    """Q(t) / Q'(t) of the unit chain (J = 1) at the complex points t = x^2.
+
+    P_k = x^(k mod 2) U(t) and P_{k-1} = x^((k-1) mod 2) V(t) are doubled in
+    t, with no odd power of x; the recurrence step k -> k + 1 follows a
+    doubling, so it always starts from an even k.  A doubling and step take
+    the largest of |U|, |V|, |U'|, |V'| from B to at most 14 T B^2, and Q and
+    Q' are at most 14 T B, with T = max(1, |t|, gamma^2).  So a log2 bound on
+    B, `size`, decides when to scale the four by a power of two to a largest
+    magnitude below 1, which keeps every product in range for any N and up
+    to gamma/J = 1e150 and leaves the ratio unchanged.
     """
     m = n - 2
-    one, zero = np.ones_like(x), np.zeros_like(x)
-    # (P_k, P_{k-1}, P_k', P_{k-1}') at k = 1, or at k = 0 when N = 2
-    p, q, dp, dq = (-x, one, -one, zero) if m else (one, zero, zero, zero)
-    for bit in bin(m)[3:]:  # k -> 2k, then k -> k + 1 on a set bit
-        s = 2 * p + x * q
-        p, q, dp, dq = (p * p - q * q, s * q, 2 * (p * dp - q * dq),
-                        (2 * dp + q + x * dq) * q + s * dq)
+    # (U, V, U', V') at k = 1, or at k = 0 when N = 2
+    u, v, du, dv = (-1.0, 1.0, 0.0, 0.0) if m else (1.0, 0.0, 0.0, 0.0)
+    grow, size = math.log2(14 * max(1.0, gamma ** 2, float(np.max(np.abs(t))))), 0.0
+    for last, bit in zip(bin(m)[2:], bin(m)[3:]):  # k -> 2k, then k -> k + 1 on a set bit
+        if last == "1":  # k is odd: P_k = x U, P_{k-1} = V
+            s = 2 * u + v
+            u, v, du, dv = (t * u * u - v * v, s * v, u * u + 2 * (t * u * du - v * dv),
+                            (2 * du + dv) * v + s * dv)
+        else:  # P_k = U, P_{k-1} = x V
+            s = 2 * u + t * v
+            u, v, du, dv = (u * u - t * v * v, s * v, 2 * (u * du - t * v * dv) - v * v,
+                            (2 * du + v + t * dv) * v + s * dv)
         if bit == "1":
-            p, q, dp, dq = -x * p - q, p, -p - x * dp - dq, dp
-        # squaring doubles the exponent: rescale before it can leave the range
-        big = np.maximum(np.maximum(np.abs(p), np.abs(q)),
-                         np.maximum(np.abs(dp), np.abs(dq)))
-        if not 1e-100 <= big.min() <= big.max() <= 1e100:
-            big = np.where((big < 1e-100) | (big > 1e100), big, 1.0)
-            p, q, dp, dq = p / big, q / big, dp / big, dq / big
-    c = x * x + (gamma ** 2 - 1.0)
-    d_prime = 2 * x * p + c * dp + (q + x * dq)
-    if np.any(d_prime == 0):
+            u, v, du, dv = -u - v, u, -du - dv, du
+        size = 2 * size + grow
+        if 2 * size + grow > 1020:  # the next doubling could pass 2^1024
+            big = np.maximum(np.maximum(np.abs(u), np.abs(v)), np.maximum(np.abs(du), np.abs(dv)))
+            scale = np.ldexp(1.0, -np.frexp(big)[1])
+            u, v, du, dv, size = u * scale, v * scale, du * scale, dv * scale, 0.0
+    c = t + (gamma ** 2 - 1.0)
+    q, dq = (c * u + v, u + c * du + dv) if n % 2 else (c * u + t * v, u + c * du + v + t * dv)
+    if np.any(dq == 0):
         raise NonConvergence("vanishing derivative in recurrence Newton")
-    return (c * p + x * q) / d_prime
+    return q / dq
 
 
 def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -95,18 +117,14 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
 
     `ratio(z)` is p(z)/p'(z) elementwise.  Each estimate moves by
     w_i = r_i / (1 - r_i sum_{j != i} 1/(z_i - z_j)), which is Newton for a
-    single estimate, until every |w_i| < tol * max(1, |z_i|).  An estimate
-    whose step is below 1e-6 * max(1, |z_i|) and no smaller than its previous
-    step is frozen where it stands, so the iteration ends at a multiple root
-    too.  In general a root of multiplicity m is determined only to about
-    eps^(1/m) relative (6e-6 for m = 3), as it is by dense eigvals; the
-    triple root E = 0 of an odd chain at gamma_c, where D_N is odd in x,
-    comes out within about sqrt(eps) J.  A non-finite step raises, without a
-    numpy warning, so the iteration never converges on NaN.
+    single estimate, until every |w_i| < tol * max(1, |z_i|).  The steps
+    shrink quadratically near a simple root (every root in t is one) and by
+    half per step near a double one; a step that never shrinks is no root,
+    and raises once `max_iter` is spent.
+    A non-finite step raises, without a numpy warning, so the iteration
+    never converges on NaN.
     """
     z = np.array(seeds, dtype=complex)
-    moving = np.ones(z.shape, dtype=bool)
-    last = np.full(z.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN steps raise below
         for _ in range(max_iter):
             r = ratio(z)
@@ -117,40 +135,37 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             step = r / (1.0 - r * inv.sum(axis=1))
             if not np.all(np.isfinite(step)):
                 raise NonConvergence("Aberth step is not finite")
-            size = np.abs(step)
-            moving &= (size >= _FREEZE_STEP * np.maximum(1.0, np.abs(z))) | (size < last)
-            last = size
-            z -= np.where(moving, step, 0.0)
-            if np.all(~moving | (size < tol * np.maximum(1.0, np.abs(z)))):
+            z -= step
+            if np.all(np.abs(step) < tol * np.maximum(1.0, np.abs(z))):
                 return np.sort(z)
     raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
 
 
-def _unit_roots(spec: ChainSpec, seeds: np.ndarray, max_iter: int) -> np.ndarray:
-    """Aberth on the unit chain (J = 1, gamma/J) from seeds in units of J; roots times J."""
-    j, gamma = spec.hopping, spec.gamma / spec.hopping
-    return j * _aberth(lambda z: _unit_ratio(spec.n_sites, gamma, z), seeds, _ROOT_TOL, max_iter)
-
-
 def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
-    """All N eigenvalues, seeded at the free-chain levels -2J cos(m pi/(N+1)).
+    """All N eigenvalues: +-sqrt(t) at the N//2 roots t of Q, and 0 for odd N.
 
-    At gamma = 0 these are the roots; for gamma > 0 they sit close to all but
-    the critical pair.  Every seed is moved by the same offset J 0.01 e^{0.5i}.
-    Real seeds would stay on the real axis, where D_N is real.  Aberth keeps
-    the symmetry z -> -conj(z) of D_N's roots in any seed set that has it;
-    a purely imaginary offset keeps it too, and takes up to 49 iterations
-    where this one takes 31.  The roots are those of the unit chain (J = 1,
-    gamma/J) times J, so `_ROOT_TOL` is relative to max(J, |E|).
+    Aberth in t is seeded at the squared free-chain levels 4J^2 cos^2(m pi/(N+1)),
+    m = 1..N//2, which are the roots at gamma = 0 and sit close to all but
+    the critical pair's for gamma > 0.  Every seed is moved by the same
+    offset J^2 0.01 e^{0.5i}: Q is real for real t, and real seeds would stay
+    on the real axis.  The roots are those of the unit chain (J = 1,
+    gamma/J) times J, so `_ROOT_TOL` is relative to max(J^2, |E|^2) in t.
+    The levels are sorted (real, imag); each level's negative is bit for bit
+    its partner.
     """
-    n = spec.n_sites
-    seeds = -2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) + _SEED_OFFSET
-    return _unit_roots(spec, seeds, _ORACLE_MAX_ITER)
+    n, j = spec.n_sites, spec.hopping
+    seeds = 4 * np.cos(np.pi * np.arange(1, n // 2 + 1) / (n + 1)) ** 2 + _SEED_OFFSET
+    t = _aberth(lambda z: _t_ratio(n, spec.gamma / j, z), seeds, _ROOT_TOL, _ORACLE_MAX_ITER)
+    x = j * np.sqrt(t)
+    return np.sort(np.concatenate([x, -x, np.zeros(n % 2, complex)]))
 
 
 def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
-    """Newton on the pointwise-evaluated characteristic polynomial, on the unit chain."""
-    return complex(_unit_roots(spec, np.array([guess / spec.hopping]), _REFINE_MAX_ITER)[0])
+    """Newton on D_N / D_N' in x (`char_poly_ratio`), on the unit chain."""
+    j, gamma = spec.hopping, spec.gamma / spec.hopping
+    root = _aberth(lambda z: _unit_ratio(spec.n_sites, gamma, z),
+                   np.array([guess / j]), _ROOT_TOL, _REFINE_MAX_ITER)
+    return complex(j * root[0])
 
 
 def spectral_distance(a, b) -> float:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (_amplitude, _pair_roots, classify_phase, mode_energy, raw_amplitude,
-                    solve_real_momenta)
+from .bethe import (SpectralSolution, _amplitude, _pair_roots, classify_phase, raw_amplitude,
+                    solve_spectrum)
 from .errors import PhaseError
 from .model import ChainSpec, Phase, apply_pt
 
@@ -131,13 +131,18 @@ def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
     if phase is not Phase.UNBROKEN:
         raise PhaseError(f"complete CPT eigenbasis requires the unbroken phase, "
                          f"got {phase} at gamma={spec.gamma}")
-    return _eigenbasis(spec, solve_real_momenta(spec, tol))
+    return _eigenbasis(solve_spectrum(spec, tol))
 
 
-def _eigenbasis(spec: ChainSpec, k: np.ndarray) -> EigenBasis:
-    """The eigenbasis at the N ascending real roots `k` of an unbroken spec."""
-    f, g = _cpt_states(raw_amplitude(spec, k))
-    return EigenBasis(spec=spec, k=k, energies=mode_energy(spec, k), f=f.T, g=g.T)
+def _eigenbasis(solution: SpectralSolution) -> EigenBasis:
+    """The eigenbasis at the N real roots of an unbroken solution, ascending.
+
+    The energies are the solution's, taken from the offsets x = k - pi/2,
+    E = -+2J sin x, so the levels next to E = 0 keep their relative accuracy.
+    """
+    k = solution.k.real
+    f, g = _cpt_states(raw_amplitude(solution.spec, k))
+    return EigenBasis(spec=solution.spec, k=k, energies=solution.energies.real, f=f.T, g=g.T)
 
 
 def build_c_operator(basis: EigenBasis) -> np.ndarray:

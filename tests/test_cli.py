@@ -350,13 +350,13 @@ def test_hermitian_command_matches_couplings(capsys):
 @pytest.mark.parametrize("command", ["metric", "hermitian"])
 def test_tol_reaches_the_bethe_solver(capsys, monkeypatch, command):
     seen = []
-    solve = states.solve_real_momenta
+    solve = states.solve_spectrum
 
     def spy(spec, tol):
         seen.append(tol)
         return solve(spec, tol)
 
-    monkeypatch.setattr(states, "solve_real_momenta", spy)
+    monkeypatch.setattr(states, "solve_spectrum", spy)
     code, _, _ = run(capsys, command, "--n", "7", "--gamma", "0.5", "--tol", "1e-7")
     assert (code, seen) == (0, [1e-7])
 

@@ -141,6 +141,49 @@ def test_oracle_at_any_hopping_scale(j, n, frac):
     assert abs(refined - top) <= 1e-12 * j
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 257, 1000, 1001])
+@pytest.mark.parametrize("j", [1e-300, 1.0, 1e100])
+@pytest.mark.parametrize("ratio", [1e9, 1e100, 1e140, 1e150])
+def test_oracle_up_to_the_largest_gamma(n, j, ratio):
+    # Q's coefficient t + gamma^2 - 1 reaches 1e300 in units of J^2, so
+    # (U, V, U', V') must be in range before Q and Q' are formed; each level
+    # within 1e-12 max(J, |E|) of the Bethe solver's, with no numpy warning
+    spec = ChainSpec(n, j, ratio * j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = oracle_spectrum(spec)
+    energies = solve_spectrum(spec).energies
+    dist = np.abs(roots[:, None] - energies[None, :])
+    assert np.all(dist.min(axis=0) <= 1e-12 * np.maximum(j, np.abs(energies)))
+    assert np.all(dist.min(axis=1) <= 1e-12 * np.maximum(j, np.abs(roots)))
+
+
+@pytest.mark.parametrize("frac", [0.5, 1.3])
+def test_oracle_at_the_largest_tested_n(frac):
+    # 2000 roots in t: no estimate may stop short of its root
+    spec = ChainSpec(4001, 1.0, frac * gamma_critical(4001))
+    assert spectral_distance(oracle_spectrum(spec), solve_spectrum(spec).energies) <= 1e-12
+
+
+def test_aberth_never_returns_a_stalled_estimate():
+    # a step that never shrinks is no root, however small it is
+    seeds = np.array([0.5 + 0.1j, 2.0 - 0.3j, -1.0 + 0.2j])
+    with pytest.raises(NonConvergence, match="stalled after 50 iterations"):
+        _aberth(lambda z: np.full_like(z, 1e-7), seeds, 1e-13, 50)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65])
+@pytest.mark.parametrize("frac", [0.5, 1.0, 1.3])
+def test_oracle_levels_are_exact_pairs(n, frac):
+    # each level is +-sqrt(t) at a root t of Q: the negated set is the set,
+    # exactly, and an odd chain has an exact zero mode, the only zero level
+    # off gamma_c (at gamma_c the pair may be exactly 0 too)
+    roots = oracle_spectrum(ChainSpec(n, 1.0, frac * gamma_critical(n)))
+    assert np.array_equal(np.sort(-roots), roots)
+    assert np.count_nonzero(roots == 0) == n % 2 or frac == 1.0
+    assert np.count_nonzero(roots == 0) >= n % 2
+
+
 def test_oracle_at_large_n_with_weak_hopping():
     spec = ChainSpec(1100, 0.5, 0.2)
     d = spectral_distance(oracle_spectrum(spec), solve_spectrum(spec).energies)
@@ -152,9 +195,11 @@ EXCEPTIONAL_NS = list(range(2, 42)) + [64, 100]
 
 @pytest.mark.parametrize("j", [1.0, 3.0])
 def test_oracle_at_the_exceptional_point(j):
-    # At gamma_c an odd chain has a triple root at E = 0.  Dense eigvals
-    # resolves it only to about eps^(1/3); the oracle, whose D_N is odd in x
-    # there, to about sqrt(eps)
+    # At gamma_c an odd chain has a triple root at E = 0, which dense eigvals
+    # resolves only to about eps^(1/3).  For the oracle it is the zero mode
+    # and one simple root t = 0 of Q; the float gamma_c misses the
+    # exceptional point by its rounding, which puts t within about eps J^2
+    # of 0 and the pair within about sqrt(eps) J
     for n in EXCEPTIONAL_NS:
         spec = ChainSpec(n, j, gamma_critical(n, j))
         roots = oracle_spectrum(spec)

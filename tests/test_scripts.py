@@ -38,10 +38,11 @@ def test_coupling_tables_script():
 
 def test_oracle_scaling_script():
     lines = _run_script("oracle_scaling.py", "--sizes", "8", "16").stdout.splitlines()
-    assert lines[0] == "n,seconds,eigvals_distance"
+    assert lines[0] == "n,seconds,bethe_distance,eigvals_distance"
     rows = [line.split(",") for line in lines[1:3]]
     assert [int(row[0]) for row in rows] == [8, 16], lines
-    assert all(float(row[1]) > 0 and float(row[2]) <= 1e-12 for row in rows), lines
+    assert all(float(row[1]) > 0 and float(row[2]) <= 1e-12 and float(row[3]) <= 1e-12
+               for row in rows), lines
     assert re.fullmatch(r"slope d\(log seconds\)/d\(log N\) = -?\d+\.\d\d", lines[3]), lines
     assert len(lines) == 4, lines
 

@@ -239,6 +239,20 @@ def test_pt_norm_standing_wave():
     assert abs(pt_norm(f)) == pytest.approx(float(np.linalg.norm(f)) ** 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [8, 9, 64, 1000])
+def test_eigenbasis_pair_is_critical_levels_next_to_gamma_c(n):
+    # the energies come from the offsets, E = +-2J sin x0, not from the
+    # rounded k = pi/2 +- x0, so the pair keeps critical_levels' relative
+    # accuracy right up to gamma_c
+    gc = gamma_critical(n)
+    for k in range(4, 16):
+        spec = ChainSpec(n, 1.0, gc * (1 - 10.0 ** -k))
+        energies = build_eigenbasis(spec).energies
+        (up, down), _ = critical_levels(spec)
+        for got, want in ((energies[n // 2 - 1], down), (energies[(n + 1) // 2], up)):
+            assert abs(got - want.real) <= 4 * np.spacing(abs(want.real)), k
+
+
 def test_pt_norm_shrinks_toward_coalescence():
     n = 12
     gc = gamma_critical(n)
