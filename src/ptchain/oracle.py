@@ -81,9 +81,11 @@ def _t_ratio(n: int, gamma: float, t: np.ndarray):
     doubling, so it always starts from an even k.  A doubling and step take
     the largest of |U|, |V|, |U'|, |V'| from B to at most 14 T B^2, and Q and
     Q' are at most 14 T B, with T = max(1, |t|, gamma^2).  So a log2 bound on
-    B, `size`, decides when to scale the four by a power of two to a largest
-    magnitude below 1, which keeps every product in range for any N and up
-    to gamma/J = 1e150 and leaves the ratio unchanged.
+    B, `size`, decides when to scale the four by a power of two, which keeps
+    every product in range for any N and up to gamma/J = 1e150 and leaves
+    the ratio unchanged.  The scale brings the larger of |U|, |V| below 1,
+    not the largest of the four: U' / U grows like k^2 near the band edge,
+    and squaring a U scaled down by U' underflows to 0 at N = 8194.
     """
     m = n - 2
     # (U, V, U', V') at k = 1, or at k = 0 when N = 2
@@ -102,9 +104,9 @@ def _t_ratio(n: int, gamma: float, t: np.ndarray):
             u, v, du, dv = -u - v, u, -du - dv, du
         size = 2 * size + grow
         if 2 * size + grow > 1020:  # the next doubling could pass 2^1024
-            big = np.maximum(np.maximum(np.abs(u), np.abs(v)), np.maximum(np.abs(du), np.abs(dv)))
-            scale = np.ldexp(1.0, -np.frexp(big)[1])
-            u, v, du, dv, size = u * scale, v * scale, du * scale, dv * scale, 0.0
+            scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(u), np.abs(v)))[1])
+            u, v, du, dv = u * scale, v * scale, du * scale, dv * scale
+            size = float(np.max(np.frexp(np.maximum(np.abs(du), np.abs(dv)))[1].clip(0)))
     c = t + (gamma ** 2 - 1.0)
     q, dq = (c * u + v, u + c * du + dv) if n % 2 else (c * u + t * v, u + c * du + v + t * dv)
     if np.any(dq == 0):

@@ -309,6 +309,18 @@ def test_refine_eigenvalue_large_chain():
     assert abs(refined - levels[0]) < 1e-8
 
 
+@pytest.mark.parametrize("n", [8192, 8194, 10000, 16385])
+def test_refine_eigenvalue_at_the_band_edge_of_a_long_chain(n):
+    # U' / U grows like k^2 at the band edge, so a rescale led by U' once
+    # squared U to 0 and the ratio to NaN; the free chain's edge levels are
+    # -+2 cos(pi / (N + 1))
+    spec = ChainSpec(n, 1.0, 0.0)
+    edge = 2 * math.cos(math.pi / (n + 1))
+    for level in (-edge, edge):
+        assert abs(refine_eigenvalue(spec, level * (1 + 1e-9)) - level) <= 1e-12
+        assert np.isfinite(char_poly_ratio(spec, level))
+
+
 def test_refine_eigenvalue_matches_oracle_small():
     spec = ChainSpec(6, 1.0, 0.5)
     target = sorted(oracle_spectrum(spec), key=lambda z: z.real)[0]
