@@ -13,10 +13,8 @@ wherever F increases, and |G| = (gamma^2 + J^2) |cos k| at the bracket ends.
 F' = N - c/(cos^2 k + c^2 sin^2 k) is negative only for 0 < c < 1/N, within
 about 1/(2N) of pi/2: inside the bracket at pi/2, which holds the critical
 pair.  The other N//2 - 1 brackets each side of pi/2 hold one root in
-either phase.  The float signs of G at the bracket ends, where |G| =
-(gamma^2 + J^2) |cos k| and the signs alternate from bracket to bracket,
-give an independent real-root count (`count_real_momenta`), which the
-phase boundary is checked against.
+either phase, so the pair alone decides whether N or N - 2 roots are real,
+and its phase is the sign of c0 (below).
 
 The roots are symmetric about pi/2 (chirality), so only the offsets
 x = k - pi/2 > 0 are solved.  In the bracket centred on x_j = j pi/(2N),
@@ -115,27 +113,6 @@ def _ratio(spec: ChainSpec) -> float:
     return r
 
 
-def _reduced_trig(n: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The gamma-free factors of R at x: cos and sin of Nx (of Nx - pi/2 for odd N) and of x.
-
-    G(pi/2 + x) = +-J^2 R(x), N fixing the sign.  R is G / J^2 expanded about
-    the chain centre: dif cos(Nx) cos x + tot sin(Nx) sin x for even N, with
-    dif = r^2 - 1, tot = r^2 + 1 and r = gamma/J (`_reduced_coefficients`),
-    and the same with Nx - pi/2 in place of Nx for odd N (`_reduced_value`).
-    Written in r, R stays finite and normal however small or large J is.
-    """
-    nx = n * x
-    cu, su = np.cos(nx), np.sin(nx)
-    if n % 2:
-        cu, su = su, -cu
-    return cu, su, np.cos(x), np.sin(x)
-
-
-def _reduced_value(trig, dif, tot) -> np.ndarray:
-    cu, su, cx, sx = trig
-    return dif * cu * cx + tot * su * sx
-
-
 def _reduced_coefficients(r: float) -> tuple[float, float]:
     """dif = r^2 - 1 and tot = r^2 + 1."""
     return r * r - 1.0, r * r + 1.0
@@ -218,28 +195,18 @@ def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray, tol: float) -> n
                          f"after {_MAX_ITER} steps")
 
 
-def _brackets(n: int):
-    """(centre, lo, hi) of the brackets for the roots x > 0 of R, the one at pi/2 first.
-
-    One bracket per integer point k = m pi/N in [pi/2, pi): x = i pi/(2N) with
-    i = N mod 2, ..., N-2 in steps of 2, widened by pi/(2N) each way and cut
-    at x = 0.  The one at pi/2 holds the critical pair, which `_pair_roots`
-    solves; the solve of the others (`_offset_brackets`) starts after it.
-    """
-    h = math.pi / (2 * n)
-    centre = np.arange(n % 2, n - 1, 2) * h
-    return centre, np.maximum(centre - h, 0.0), centre + h
-
-
 def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """(centre, c): the N//2 - 1 `_brackets` past the pair's for each spec in turn, and c.
+    """(centre, c): the N//2 - 1 brackets past the pair's for each spec in turn, and c.
 
-    Every spec has a root in each of them, whatever its phase.  c =
-    dif/tot = (gamma^2 - J^2)/(gamma^2 + J^2) is the spec's, one per
-    bracket.  The specs share N and J.
+    One bracket per integer point k = m pi/N in (pi/2, pi): centred on x =
+    i pi/(2N) with i = N mod 2 + 2, ..., N-2 in steps of 2, and pi/(2N) wide
+    each way.  The one at pi/2 holds the critical pair, which `_pair_roots`
+    solves.  Every spec has a root in each of the others, whatever its
+    phase.  c = dif/tot = (gamma^2 - J^2)/(gamma^2 + J^2) is the spec's, one
+    per bracket.  The specs share N and J.
     """
     n = specs[0].n_sites
-    centre = _brackets(n)[0][1:]
+    centre = np.arange(n % 2 + 2, n - 1, 2) * (math.pi / (2 * n))
     c = np.array([dif / tot for dif, tot in (_reduced_coefficients(_ratio(s)) for s in specs)])
     return np.tile(centre, len(specs)), np.repeat(c, len(centre))
 
@@ -256,35 +223,6 @@ def _real_offsets(specs: list[ChainSpec], pair: np.ndarray, tol: float) -> list[
     x = _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs), min(tol, 1e-14))
     return [np.concatenate([[math.sqrt(t)] if t > 0 else [], row])
             for row, t in zip(x.reshape(len(specs), -1), pair.tolist())]
-
-
-def _real_root_counter(n: int):
-    """count(r) -> the number of real roots in (0, pi) at gamma/J = r, for N = n.
-
-    Read from the signs of R at the bracket ends alone, with no root solved.
-    The gamma-free factors of R at the ends are computed once, so each count
-    costs only the sign test with that r's coefficients.  At x = 0, where R
-    is 0 for odd N, the sign is c0's, the float `classify_phase` reads;
-    every other end has R = +-tot sin x, never 0.
-    """
-    _, lo, hi = _brackets(n)
-    at_lo, at_hi = _reduced_trig(n, lo), _reduced_trig(n, hi)
-
-    def count(r: float) -> int:
-        dif, tot = _reduced_coefficients(r)
-        f = _reduced_value(at_lo, dif, tot)
-        f[0] = _centre_coefficients(n, r)[0]
-        keep = np.sign(f) * np.sign(_reduced_value(at_hi, dif, tot)) < 0
-        return 2 * int(keep.sum()) + n % 2
-    return count
-
-
-def count_real_momenta(spec: ChainSpec) -> int:
-    """Number of real roots in (0, pi) (no count check; used for boundary bisection).
-
-    The one-gamma call of `_real_root_counter`: no root is solved.
-    """
-    return _real_root_counter(spec.n_sites)(_ratio(spec))
 
 
 def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
@@ -513,33 +451,23 @@ def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
 
 def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
                           tol: float = 1e-6) -> float:
-    """gamma_c by bisection on the real-root count (N above, N-2 below).
+    """gamma_c by bisection on the phase rule (`classify_phase`: unbroken below).
 
-    One `_real_root_counter` serves every midpoint, so the gamma-free factors
-    of the count are computed once.  Independent of the closed-form
-    boundary; agrees with it to `tol`, or to the float spacing at gamma_c
-    where that is coarser (large J): the bisection stops once the midpoint
-    is one of the bracket's ends.
+    Independent of the closed-form boundary; agrees with it to `tol`, or to
+    the float spacing at gamma_c where that is coarser (large J): the
+    bisection stops once the midpoint is one of the bracket's ends.
     """
     ChainSpec(n_sites, hopping)  # rejects a bad N or J, before the tol
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    j = hopping
-    count = _real_root_counter(n_sites)
-    # The count is N at lo and N - 2 at hi for every N >= 2: every bracket
-    # but the pair's has end signs +-tot sin x of opposite sign, so only c0's
-    # sign moves it, and c0 is r^2 - 1 or (N - 1) r^2 - (N + 1), negative at
-    # r = 0.5 and positive at r = 2.2.
-    lo, hi = 0.5 * j, 2.2 * j
-
-    def is_unbroken(g: float) -> bool:
-        return count(g / j) == n_sites
-
+    # c0 is r^2 - 1 or (N - 1) r^2 - (N + 1): negative at r = 0.5 and
+    # positive at r = 2.2 for every N >= 2
+    lo, hi = 0.5 * hopping, 2.2 * hopping
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if is_unbroken(mid):
+        if classify_phase(ChainSpec(n_sites, hopping, mid)) is Phase.UNBROKEN:
             lo = mid
         else:
             hi = mid

@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("spectrum", help="eigenmodes at one gamma"), gamma=True)
     common(sub.add_parser("sweep", help="spectra over a gamma grid"), grange=True)
-    common(sub.add_parser("phase", help="phase boundary, analytic vs root-count bisection"))
+    common(sub.add_parser("phase", help="phase boundary, analytic vs bisection on the phase rule"))
     common(sub.add_parser("metric", help="gauged real metric operator entries"), gamma=True)
     common(sub.add_parser("hermitian", help="coupling table of the Hermitian equivalent"),
            gamma=True)

@@ -64,13 +64,14 @@ def _unit_ratio(n: int, gamma: float, x: np.ndarray):
     """D_N(x) / D_N'(x) of the unit chain (J = 1) at the complex points x.
 
     D_N is Q(x^2) for even N and x Q(x^2) for odd N, so with r = Q / Q' at
-    t = x^2 the ratio is r / (2x) and x r / (r + 2t).
+    t = x^2 the ratio is r / (2x) and x r / (r + 2t).  It is 0 wherever D_N
+    is, a multiple root included: the coalesced pair at x = 0.
     """
     r = _t_ratio(n, gamma, x * x)
     num, den = (x * r, r + 2 * x * x) if n % 2 else (r, 2 * x)
-    if np.any(den == 0):
+    if np.any((den == 0) & (num != 0)):
         raise NonConvergence("vanishing derivative in recurrence Newton")
-    return num / den
+    return num / np.where(num == 0, 1.0, den)
 
 
 def _t_ratio(n: int, gamma: float, t: np.ndarray):

@@ -11,8 +11,7 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      spectral_distance)
 from ptchain import bethe
 from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _counting_phase,
-                           _offset_brackets, _pair_point, _pair_roots, _reduced_coefficients,
-                           _reduced_trig, _reduced_value, count_real_momenta, raw_amplitude)
+                           _offset_brackets, _pair_point, _pair_roots, raw_amplitude)
 from ptchain.errors import DomainError, PhaseError, PTChainError
 
 
@@ -74,24 +73,22 @@ def test_no_scanned_root_is_a_null_state():
 
 
 def test_sign_count_equals_solved_count():
-    # the independent count reads only the bracket-end signs, the solve only
-    # the phase rule (N roots unbroken, N-2 otherwise): the two agree even
-    # at gamma_c itself
+    # the solve gives N real roots where the phase rule (the sign of c0)
+    # says unbroken and N-2 elsewhere, even at gamma_c itself
     for n in range(2, 81):
         for j in (0.5, 1.0, 3.0):
             gc = gamma_critical(n, j)
             for frac in (0.0, 0.3, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0):
                 spec = ChainSpec(n, j, frac * gc)
                 expected = n if classify_phase(spec) is Phase.UNBROKEN else n - 2
-                assert count_real_momenta(spec) == expected, (n, j, frac)
                 assert len(solve_real_momenta(spec)) == expected, (n, j, frac)
 
 
 def test_root_count_transition():
     for n in (6, 7, 11, 20):
         gc = gamma_critical(n)
-        assert count_real_momenta(ChainSpec(n, 1.0, gc - 1e-3)) == n
-        assert count_real_momenta(ChainSpec(n, 1.0, gc + 1e-3)) == n - 2
+        assert len(solve_real_momenta(ChainSpec(n, 1.0, gc - 1e-3))) == n
+        assert len(solve_real_momenta(ChainSpec(n, 1.0, gc + 1e-3))) == n - 2
 
 
 def test_root_detection_survives_near_coalescence():
@@ -124,10 +121,10 @@ def test_locate_critical_gamma_is_pinned(j):
     assert got == PINNED_GAMMA_C[j]
 
 
-def _bisection_by_counts(n, j, tol):
-    """locate_critical_gamma as a loop of one-gamma root counts, one spec per midpoint."""
+def _bisection_by_pair_roots(n, j, tol):
+    """locate_critical_gamma as a loop of pair solves: all N roots are real where its t > 0."""
     def is_unbroken(g):
-        return count_real_momenta(ChainSpec(n, j, g)) == n
+        return _pair_roots([ChainSpec(n, j, g)])[0] > 0
 
     lo, hi = 0.5 * j, 2.2 * j
     assert is_unbroken(lo) and not is_unbroken(hi)
@@ -144,18 +141,13 @@ def _bisection_by_counts(n, j, tol):
 
 @pytest.mark.parametrize("j", [1e-300, 1e-3, 0.5, 1.0, 3.0, 1e6, 1e300])
 def test_locate_critical_gamma_is_the_loop_of_root_counts(j):
-    # the bisection shares the gamma-free factors of R across its midpoints
-    # and must take the same steps as counting each midpoint afresh
+    # the bisection reads only the sign of c0 and must take the same steps
+    # as one that solves the pair at each midpoint, whose sign says whether
+    # the pair, and so every root, is real
     for n in [*range(2, 80), 128, 200, 255, 256, 1000, 1001]:
         for tol in (1e-6, 1e-10, 1e-14, 1e-300):
-            got, want = locate_critical_gamma(n, j, tol), _bisection_by_counts(n, j, tol)
+            got, want = locate_critical_gamma(n, j, tol), _bisection_by_pair_roots(n, j, tol)
             assert got.hex() == want.hex(), (n, tol)
-
-
-def _end_signs(n, r, lo, hi):
-    """The float signs of R at lo and at hi."""
-    dif, tot = _reduced_coefficients(r)
-    return (np.sign(_reduced_value(_reduced_trig(n, x), dif, tot)) for x in (lo, hi))
 
 
 def _phase_at_ends(n, centre, c):
@@ -166,24 +158,18 @@ def _phase_at_ends(n, centre, c):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
 def test_root_count_is_the_sign_test_of_the_solve(n):
-    # count_real_momenta reads the float signs of R at every bracket's ends;
-    # they change sign in every bracket past the pair's, in each of which the
-    # solve refines the counting phase from - at its lower end to + at its
-    # upper, and in the pair's just where the pair is real
+    # the solve refines the counting phase from - at the lower end to + at
+    # the upper of every bracket past the pair's, so each holds one root in
+    # either phase, and the pair is real just where the phase is unbroken
     gc = gamma_critical(n)
-    h = math.pi / (2 * n)
     for gamma in gc * np.array([0.0, 0.3, 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 1e9]):
         spec = ChainSpec(n, 1.0, float(gamma))
         centre, c = _offset_brackets([spec])
-        side = np.where(np.arange(len(centre)) % 2, -1.0, 1.0)
-        at_lo, at_hi = _end_signs(n, float(gamma), centre - h, centre + h)
-        assert (at_lo == side).all() and (at_hi == -side).all(), gamma
         phase_lo, phase_hi = _phase_at_ends(n, centre, c)
         assert (phase_lo < 0).all() and (phase_hi > 0).all(), gamma
         real_pair = _pair_roots([spec])[0] > 0
         assert real_pair == (classify_phase(spec) is Phase.UNBROKEN), gamma
-        assert count_real_momenta(spec) == 2 * (len(centre) + real_pair) + n % 2, gamma
-        assert len(solve_real_momenta(spec)) == count_real_momenta(spec), gamma
+        assert len(solve_real_momenta(spec)) == 2 * (len(centre) + real_pair) + n % 2, gamma
 
 
 _CLOSED_FORM_N = [2, 3, 8, 9, 64, 65, 1000, 1001, 10**5, 10**5 + 1]
@@ -234,7 +220,7 @@ def test_spectrum_scales_with_hopping(j, n, frac):
     spec = ChainSpec(n, j, r * j)
     assert np.max(np.abs(solve_spectrum(spec).energies / j
                          - solve_spectrum(unit).energies)) <= 1e-12
-    assert count_real_momenta(spec) == count_real_momenta(unit)
+    assert len(solve_real_momenta(spec)) == len(solve_real_momenta(unit))
     # the kappa residual is the condition divided by J^2
     kappa = np.array([1e-3, 0.1, 0.7])
     assert np.allclose(_scaled_kappa_condition(spec, kappa),
@@ -398,7 +384,7 @@ def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
     # (gamma/J)^2 would overflow: a PTChainError, not a numpy RuntimeWarning
     # (tier-1 runs with warnings as errors)
     spec = ChainSpec(8, j, gamma)
-    for solve in (solve_spectrum, solve_real_momenta, solve_kappa, count_real_momenta,
+    for solve in (solve_spectrum, solve_real_momenta, solve_kappa,
                   lambda s: momentum_index(s, 1.0)):
         with pytest.raises(DomainError, match="above 1e\\+150"):
             solve(spec)
@@ -583,11 +569,11 @@ def _near_gamma_c(n, j):
     return grid + [gc * (1 + s * 10.0 ** -k) for k in range(6, 16) for s in (1.0, -1.0)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 255, 256, 1000, 1001])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 255, 256, 1000, 1001, 4096, 4097, 10**5 + 1])
 def test_one_phase_rule_near_gamma_c(n):
     # the sign of c0 decides the phase; the pair's condition is c0 at t = 0,
     # so its root has the phase's sign, every gamma has all N levels and
-    # its pair, and the sign count agrees
+    # its pair, and N real roots just where the phase is unbroken
     for j in (0.5, 1.0, 3.0):
         grid = _near_gamma_c(n, j)
         sweep = critical_sweep(n, grid, j)
@@ -597,7 +583,7 @@ def test_one_phase_rule_near_gamma_c(n):
             sol = solve_spectrum(spec)
             assert len(sol.energies) == n and sol.phase is phase, gamma
             assert np.sign(t) == {Phase.UNBROKEN: 1, Phase.BROKEN: -1, Phase.CRITICAL: 0}[phase]
-            assert count_real_momenta(spec) == n - 2 * (phase is not Phase.UNBROKEN), gamma
+            assert len(solve_real_momenta(spec)) == n - 2 * (phase is not Phase.UNBROKEN), gamma
             assert repr(report) == repr(critical_sweep(n, [gamma], j)[0]), gamma
             levels, _ = critical_levels(spec)
             assert len(levels) == 2 and levels == report.two_levels, gamma

@@ -94,7 +94,7 @@ def test_refine_eigenvalue_raises_on_nan_guess():
     # and raises cleanly: a numpy warning would fail here as an error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="not finite"):
             refine_eigenvalue(ChainSpec(6, 1.0, 0.5), complex(math.nan))
 
 
@@ -319,6 +319,32 @@ def test_refine_eigenvalue_at_the_band_edge_of_a_long_chain(n):
     for level in (-edge, edge):
         assert abs(refine_eigenvalue(spec, level * (1 + 1e-9)) - level) <= 1e-12
         assert np.isfinite(char_poly_ratio(spec, level))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
+def test_refine_eigenvalue_at_the_coalesced_pair(n, j):
+    # at gamma = J an even chain's pair has coalesced at E = 0, a double root
+    # of D_N where D_N' = 0 too: the ratio there is 0, not a vanishing
+    # derivative
+    spec = ChainSpec(n, j, j)
+    assert np.count_nonzero(solve_spectrum(spec).energies == 0) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert refine_eigenvalue(spec, 0.0) == 0
+        assert char_poly_ratio(spec, 0.0) == 0
+
+
+@pytest.mark.parametrize("n,gamma,guess", [(8, 0.5, 0.0), (4, 1.0, 1.0)])
+def test_refine_eigenvalue_at_a_critical_point_off_the_spectrum(n, gamma, guess):
+    # D_N' = 0 where D_N is not: at x = 0 of an even chain away from gamma_c
+    # (x / 2 = 0 in D_N / D_N'), and at x = 1 for N = 4, gamma = J, where
+    # Q(t) = (t + gamma^2 - 1)(t - 1) - t has Q'(1) = 0 (Q / Q' = 0 in t)
+    spec = ChainSpec(n, 1.0, gamma)
+    with pytest.raises(NonConvergence, match="vanishing derivative"):
+        refine_eigenvalue(spec, guess)
+    with pytest.raises(NonConvergence, match="vanishing derivative"):
+        char_poly_ratio(spec, guess)
 
 
 def test_refine_eigenvalue_matches_oracle_small():

@@ -116,3 +116,15 @@ def test_line_count_script(tmp_path):
         '        # a comment\n        return math.pi\n', encoding="utf-8")
     lines = _run_script("line_count.py", "--root", str(tmp_path)).stdout.splitlines()
     assert lines == ["module,raw,code", "mod,15,4", "total,15,4"], lines
+
+
+def test_guard_mutation_script():
+    # switching off the n_sites guard of ChainSpec fails test_model.py, and
+    # the mutant lives only in a temporary copy
+    model = ROOT / "src" / "ptchain" / "model.py"
+    before = model.read_bytes()
+    lines = _run_script("guard_mutation.py", "--match", "self.n_sites < 2",
+                        "--tests", "tests/test_model.py").stdout.splitlines()
+    assert len(lines) == 2 and re.fullmatch(r"model\.py:\d+,killed", lines[0]), lines
+    assert lines[1] == "0 not killed", lines
+    assert model.read_bytes() == before
