@@ -6,9 +6,11 @@ of three equivalent_hermitian calls, after one untimed warm-up call whose
 result is kept; the median seconds of three hermitian_equivalent calls on
 one metric decomposition, the transform stage alone; and the largest
 distance of the kept Hermitian equivalent from the one built with LAPACK
-eigh in place of the Jacobi solver (the eigh-driven pipeline).  The last
-line is the log-log slope of the median equivalent_hermitian time against
-N, the pipeline's measured N-scaling.
+in place of both Jacobi solvers (the eigh-driven pipeline): eigh for the
+sector block of even N, the SVD for the sublattice blocks of odd N.  The
+default sizes pair each even N with an odd one, so both routes are timed.
+The last line is the log-log slope of the median equivalent_hermitian time
+against N, the pipeline's measured N-scaling.
 """
 
 import argparse
@@ -24,13 +26,22 @@ def _eigh(sym, tol=None):
     return np.linalg.eigh(sym)
 
 
+def _svd(blocks):
+    """(K V, V, sigma) of each block K from its full SVD, sigma 0 on the null columns."""
+    solved = []
+    for block in blocks:
+        _, sigma, vt = np.linalg.svd(block)
+        solved.append((block @ vt.T, vt.T, np.pad(sigma, (0, block.shape[1] - sigma.size))))
+    return solved
+
+
 def _eigh_driven(spec: ChainSpec) -> np.ndarray:
-    jacobi = metric.jacobi_eigensystem
-    metric.jacobi_eigensystem = _eigh
+    solvers = metric.jacobi_eigensystem, metric._one_sided_jacobi
+    metric.jacobi_eigensystem, metric._one_sided_jacobi = _eigh, _svd
     try:
         return equivalent_hermitian(spec).h_matrix
     finally:
-        metric.jacobi_eigensystem = jacobi
+        metric.jacobi_eigensystem, metric._one_sided_jacobi = solvers
 
 
 def _median_seconds(fn, *args) -> float:
@@ -44,7 +55,8 @@ def _median_seconds(fn, *args) -> float:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256, 512, 1024])
+    ap.add_argument("--sizes", type=int, nargs="+",
+                    default=[64, 65, 128, 129, 256, 257, 512, 513, 1024, 1025])
     args = ap.parse_args()
     if len(args.sizes) < 2:
         ap.error("--sizes needs at least two chain lengths for a slope")

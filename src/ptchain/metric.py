@@ -16,25 +16,31 @@ Pipeline (unbroken phase):
    even N, the sign-twisted exchange (exchange o R) for odd N, where
    R|l> = (-1)^l |l>.
 3. Project W onto the orthonormal parity basis P = (e_l + s refl e_l)/|.| of
-   each reflection sector s = +-1; each sector block (P^T W)(P^T W)^T is
-   symmetric by construction and carries no rounding of the other sector.
-   Jacobi-diagonalize the sector blocks together, as one stack in one call
-   of parallel Jacobi in the odd-even ordering (also over neighbouring
-   blocks of rows, above 2 * _BLOCK rows), so every eigenvector has exact
-   parity.  Eigenvalues come in reciprocal pairs (eps, 1/eps) mapped onto
-   each other by R.  For even N, R swaps the two sectors, so only the
-   N/2 x N/2 + block is solved and R supplies the other half; for odd N,
-   R keeps each sector, whose blocks are sized (N-1)/2 and (N+1)/2, and the
-   smaller one is padded by a zero row and column to stack with the larger.
+   each reflection sector s = +-1, so every eigenvector has exact parity and
+   carries no rounding of the other sector.  Eigenvalues come in reciprocal
+   pairs (eps, 1/eps) mapped onto each other by R.  For even N, R swaps the
+   two sectors, so only the N/2 x N/2 + block (P^T W)(P^T W)^T is solved, by
+   parallel Jacobi in the odd-even ordering (also over neighbouring blocks
+   of rows, above 2 * _BLOCK rows), and R supplies the other half.  For odd
+   N, R keeps each sector, sized (N-1)/2 and (N+1)/2, and is +-1 on each of
+   its parity columns, so in R-order R B R = B^-1 gives a sector block
+   B = [[A, K], [K^T, D]] the difference B - B^-1 = [[0, 2K], [2K^T, 0]]:
+   the sector follows from the SVD of its sublattice block
+   K = (P^T W)[R = +1] (P^T W)[R = -1]^T, of half its size, with
+   eps - 1/eps = 2 sigma.  Both sectors' K are solved as one stack by
+   one-sided Jacobi, whose sweeps run the same rounds on Gram matrices
+   formed afresh.
    Matrix elements of the gauged H between equal-parity vectors vanish
    identically, which is what makes the final block structure possible.
 4. One rule orders the basis for both parities: each solved sector, with
    eigenvalues descending, contributes its leading vectors, then their
    R-partners in reverse, and each column pairs with its mirror inside the
    sector's columns.  For even N the whole + sector leads; for odd N the
-   eps > 1 vectors of each sector lead, plus the self-paired eps = 1 vector
-   in the middle of the odd-sized sector.  This gives two parity-uniform
-   halves, the sectors' columns for odd N.  The gauged H is iA, A the real
+   vectors (u, v)/sqrt(2) of K's singular triples K v = sigma u lead, with
+   eps > 1, plus the self-paired eps = 1 vector (0, v) of K's null column in
+   the middle of the odd-sized sector; the R-partner of (u, v) is (u, -v) up
+   to sign.  This gives two parity-uniform halves, the sectors' columns for
+   odd N.  The gauged H is iA, A the real
    tridiagonal matrix of the chain's three-term recurrence: A[l, l+1] =
    (-1)^(l+1) J = -A[l+1, l], A[1, 1] = gamma and A[N, N] = -gamma (sites
    l = 1..N).  So A times the basis is three shifted row products, and
@@ -58,8 +64,8 @@ from .states import EigenBasis, build_eigenbasis
 # the canonical basis is defined by continuity: evaluate at GAMMA_FLOOR J instead.
 GAMMA_FLOOR = 1e-6
 
-# Largest error of a reciprocal pair eps * (1/eps) or of the self-paired
-# vector's R eigenvalue.
+# Largest relative error of a basis vector's Rayleigh quotient |W^T p|^2
+# against its eps, which for an R-partner is that of the pair eps * (1/eps).
 PAIRING_TOL = 1e-8
 
 
@@ -120,7 +126,7 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
 # it moves onto block rounds.
 _BLOCK = 16
 
-# Sweeps of `jacobi_eigensystem` before it gives up.
+# Sweeps of `jacobi_eigensystem` and of `_one_sided_jacobi` before they give up.
 _MAX_SWEEPS = 100
 
 
@@ -217,6 +223,20 @@ def _block_sweeper(x: np.ndarray, count: int):
     return sweep
 
 
+def _sweep_stack(k: int, n: int):
+    """(x, sweep): a zero stack x = [a; V] of shape (k, 2m, m) for k matrices a of n x n, and sweep().
+
+    Odd n gets one zero pad row and column, and sweep() is one
+    `_odd_even_sweeper` sweep; above 2 * _BLOCK rows, the rows are split
+    into the fewest blocks of at most _BLOCK rows, in pairs, the last ones
+    padded by zero rows, and sweep() is one `_block_sweeper` sweep.
+    """
+    count = -(-n // (2 * _BLOCK)) * 2 if n > 2 * _BLOCK else 0
+    m = count * -(-n // count) if count else n + n % 2
+    x = np.zeros((k, 2 * m, m))
+    return x, _block_sweeper(x, count) if count else _odd_even_sweeper(x)
+
+
 def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of real symmetric matrices.
 
@@ -255,15 +275,10 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray,
                 1.0, np.linalg.norm(a, axis=(-2, -1)))[..., None, None])):
         raise ValueError("input must be real symmetric")
     stack = a.reshape(-1, n, n)
-    k = stack.shape[0]
-    # the fewest blocks of at most _BLOCK rows, in pairs: little padding
-    count = -(-n // (2 * _BLOCK)) * 2 if n > 2 * _BLOCK else 0
-    m = count * -(-n // count) if count else n + n % 2
-    # x = [a; V], as in _odd_even_sweeper
-    x = np.zeros((k, 2 * m, m))
+    x, sweep = _sweep_stack(stack.shape[0], n)
+    m = x.shape[2]
     x[:, :n, :n] = stack
     x[:, m:] = np.eye(m)
-    sweep = _block_sweeper(x, count) if count else _odd_even_sweeper(x)
     lower = np.tri(m, k=-1, dtype=bool)
     for sweeps in range(_MAX_SWEEPS):
         if np.all(np.sqrt(np.sum(np.where(lower, x[:, :m], 0.0) ** 2, axis=(1, 2)) * 2) < tol):
@@ -278,6 +293,55 @@ def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray,
     order = np.argsort(values, axis=-1)
     return (np.take_along_axis(values, order, axis=-1).reshape(a.shape[:-1]),
             np.take_along_axis(x[:, m:m + n, :n], order[:, None, :], axis=-1).reshape(a.shape))
+
+
+def _one_sided_jacobi(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """[(K V, V, sigma)] for each p x q block K: V orthogonal, the columns of K V relatively orthogonal.
+
+    One-sided (Hestenes) Jacobi on all blocks at once, stacked and padded by
+    zero rows and columns, with no rotation code of its own: each sweep
+    forms the Gram matrices G = X^T X of the stack X afresh, runs one sweep
+    of the rounds of `jacobi_eigensystem` on [G; I] (`_sweep_stack`, which
+    pads the columns to m), and rotates [X; V] by the rotation that sweep
+    accumulated.  Forming G again at every sweep keeps the accuracy of the
+    one-sided method: the angles come from X itself, and X^T X is never
+    diagonalized as a whole, which would square sigma_max / sigma_min.
+    Sweeps run until every pair of columns is relatively orthogonal,
+    |x_p . x_q| <= m eps |x_p| |x_q|, where a column whose norm is at most
+    8 m eps times the largest of the stack counts as zero.  On the sublattice
+    blocks of odd N up to 513, a null column kept at most 15 eps times the
+    largest norm (N = 115) under a cut of m eps, and the smallest singular
+    value stayed above 6e-10 times the largest up to gamma_c (1 - 1e-7).
+    NonConvergence is raised after _MAX_SWEEPS sweeps.  sigma holds the
+    column norms of K V, 0 for the zero columns.  A zero pad column never
+    mixes in, and a sweep leaves the columns reversed, so after an even
+    number of sweeps each block's own columns are its first q.
+    """
+    rows = max(block.shape[0] for block in blocks)
+    y, sweep = _sweep_stack(len(blocks), max(block.shape[1] for block in blocks))
+    m = y.shape[2]
+    gram, turn = y[:, :m], y[:, m:]
+    xv = np.zeros((len(blocks), rows + m, m))
+    for x, block in zip(xv, blocks):
+        x[: block.shape[0], : block.shape[1]] = block
+    xv[:, rows:] = np.eye(m)
+    top, tol = xv[:, :rows], m * np.finfo(float).eps
+    for sweeps in range(_MAX_SWEEPS):
+        np.matmul(top.swapaxes(1, 2), top, out=gram)
+        norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        norms = np.where(norms > 8 * tol * np.max(norms), norms, 0.0)
+        bound = tol * norms[:, :, None] * norms[:, None, :]
+        if np.all((np.abs(gram) <= bound) | (bound == 0.0) | np.eye(m, dtype=bool)):  # NaN never passes
+            break
+        turn[...] = np.eye(m)
+        sweep()
+        xv[...] = xv @ turn
+    else:
+        raise NonConvergence(f"one-sided Jacobi sweeps exceeded {_MAX_SWEEPS}")
+    if sweeps % 2:  # undo the reversal
+        xv, norms = xv[:, :, ::-1], norms[:, ::-1]
+    return [(x[:p, :q], x[rows:rows + q, :q], sigma[:q])
+            for (p, q), x, sigma in zip((block.shape for block in blocks), xv, norms)]
 
 
 @dataclass(frozen=True)
@@ -322,25 +386,73 @@ def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
     basis *= np.where(lead[np.minimum(np.arange(n), pairing)] < 0, -1.0, 1.0)
 
 
+def _even_sector(factor: np.ndarray, sectors) -> list:
+    """Even N: the + block (P^T W)(P^T W)^T by `jacobi_eigensystem`, all of whose vectors lead."""
+    ((_, p),) = sectors
+    half = p.T @ factor
+    # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
+    # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
+    # |W|^2 / sqrt(N) = tr(eta) / sqrt(N) is at most |eta|.
+    w, u = jacobi_eigensystem(half @ half.T, tol=1e-15 * max(
+        1.0, float(np.vdot(factor, factor)) / np.sqrt(factor.shape[0])))
+    if not w[0] > 0:
+        raise DegeneracyError("metric is not positive definite")
+    return [(p @ u[:, ::-1], w[::-1], 0)]
+
+
+def _odd_sectors(factor: np.ndarray, sectors) -> list:
+    """Odd N: each sector from the SVD of its sublattice block K_s, both in one solve.
+
+    Sector column j is site l = j + 1, on which R = (-1)^l, so in R-order a
+    sector block is B = [[A, K], [K^T, D]] with K = (P^T W)[R = +1 rows]
+    (P^T W)[R = -1 rows]^T, which has no more rows than columns.  R B R =
+    B^-1 gives B - B^-1 = [[0, 2K], [2K^T, 0]], and eps - 1/eps increases,
+    so each singular triple K v = sigma u gives the leader (u, v)/sqrt(2),
+    with eps - 1/eps = 2 sigma, and a zero column of K V the self-paired
+    (0, v), with eps = 1.  A zero diagonal entry of B, |row of P^T W|^2,
+    means eta is not positive definite.
+    """
+    halves = [p.T @ factor for _, p in sectors]
+    if not all(np.all(np.sum(half ** 2, axis=1) > 0) for half in halves):  # NaN never passes
+        raise DegeneracyError("metric is not positive definite")
+    solved = []
+    for (_, p), (x, v, sigma) in zip(sectors, _one_sided_jacobi(
+            [half[1::2] @ half[0::2].T for half in halves])):
+        k = p.shape[1]
+        order = np.argsort(-sigma, kind="stable")
+        ups, mid = order[sigma[order] > 0], order[sigma[order] == 0]
+        if len(mid) != k % 2:  # a wide K leaves at least k % 2 null columns
+            raise DegeneracyError(f"self-paired eigenvalue found in a sector of size {k}")
+        lead = np.zeros((k, len(order)))
+        lead[1::2, : len(ups)] = x[:, ups] / (np.sqrt(2.0) * sigma[ups])
+        lead[0::2] = v[:, order] / np.where(sigma[order] > 0, np.sqrt(2.0), 1.0)
+        w = sigma[ups] + np.sqrt(sigma[ups] ** 2 + 1.0)
+        solved.append((p @ lead, np.append(w, np.ones(len(mid))), len(mid)))
+    return solved
+
+
 def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
     `factor` is a real factor W of the gauged metric eta_g = W W^T, for
     example `gauged_factor`'s N x (N + N mod 2) one.  It is projected onto the
     orthonormal parity basis P = (e_l + s refl e_l)/|.| of each reflection
-    sector s = +-1, and the sector blocks (P^T W)(P^T W)^T are diagonalized
-    together by one `jacobi_eigensystem` call, so every eigenvector has exact
-    parity.  One rule then orders the basis: each solved sector, smaller
-    first, with eigenvalues descending, contributes its leading vectors and
-    then their R-partners s R v in reverse, so each column pairs with its
-    mirror inside the sector's columns.  Even N: R maps the + sector onto the
-    - sector with reciprocal eigenvalues, so only the + block (N/2 x N/2) is
-    solved and all its vectors lead.  Odd N: R keeps each sector, sized
-    (N-1)/2 and (N+1)/2; its leading vectors are those with eps > 1 and, in
-    the odd-sized - sector, the self-paired eps = 1 vector, whose R
-    eigenvalue must be -1 (the trace of R on that sector).  Every R-partner
-    p is checked against its leader's 1/eps through its Rayleigh quotient
-    p^T eta_g p = |W^T p|^2, a sum of squares, to PAIRING_TOL.
+    sector s = +-1, so every eigenvector has exact parity.  Even N: R maps
+    the + sector onto the - sector with reciprocal eigenvalues, so only the
+    + block (P^T W)(P^T W)^T (N/2 x N/2) is diagonalized, by
+    `jacobi_eigensystem`, and all its vectors lead.  Odd N: R keeps each
+    sector, sized (N-1)/2 and (N+1)/2, and each is solved through the SVD of
+    its sublattice block (`_odd_sectors`), both in one `_one_sided_jacobi`
+    call; its leading vectors are those with eps > 1 and, in the odd-sized
+    sector, the self-paired eps = 1 vector, an R = -1 vector by
+    construction.  One rule then orders the basis: each solved sector,
+    smaller first, with eigenvalues descending, contributes its leading
+    vectors and then their R-partners s R v in reverse, so each column pairs
+    with its mirror inside the sector's columns.  Each vector p is checked
+    against its eps through its Rayleigh quotient p^T eta_g p = |W^T p|^2, a
+    sum of squares, to PAIRING_TOL: the R-partners against 1/eps, and for
+    odd N, whose eps come from singular values and not from a formed block,
+    the leaders against eps too, the self-paired one against 1.
     """
     n = factor.shape[0]
     refl = reflection_matrix(n)
@@ -348,57 +460,27 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
     # the smaller sector of odd N first: its columns are the first half
     sectors = sorted(((s, _sector_basis(refl, s)) for s in signs), key=lambda e: e[1].shape[1])
-    # Both sector blocks in one stack; the smaller one of odd N gets a zero
-    # pad row and column, whose eigenpair is exactly (0, its unit vector).
-    size = sectors[-1][1].shape[1]
-    stack = np.zeros((len(sectors), size, size))
-    for block, (_, p) in zip(stack, sectors):
-        half = p.T @ factor
-        block[: p.shape[1], : p.shape[1]] = half @ half.T
-    # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
-    # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
-    # |W|^2 / sqrt(N) = tr(eta) / sqrt(N) is at most |eta|.
-    values, vectors = jacobi_eigensystem(
-        stack, tol=1e-15 * max(1.0, float(np.vdot(factor, factor)) / np.sqrt(n)))
+    solve = _odd_sectors if n % 2 else _even_sector
 
     cols, eps, pairing = [], [], ()
-    for (s, p), w, u in zip(sectors, values, vectors):
-        k = p.shape[1]
-        # descending eigenvalue; a pad's eigenvalue 0 is the smallest of a
-        # positive eta, so the first k are the sector's own
-        w, v = w[::-1][:k], p @ u[:k, ::-1][:, :k]
-        if not w[-1] > 0:
-            raise DegeneracyError("metric is not positive definite")
-        ups, mid = list(range(k)), []
-        if n % 2:
-            single = int(np.argmin(np.abs(w - 1.0)))
-            mid = [single] if abs(w[single] - 1.0) <= 1e-8 else []
-            if len(mid) != k % 2:
-                raise DegeneracyError(
-                    f"self-paired eigenvalue {'missing from' if k % 2 else 'found in'} "
-                    f"a sector of size {k}")
-            ups = [i for i in range(k) if w[i] > 1.0 and i not in mid]
-            if 2 * len(ups) + len(mid) != k:
-                raise DegeneracyError("reciprocal pairs unbalanced inside a sector")
-            sigma = float(v[:, single] @ (r * v[:, single]))
-            if mid and abs(sigma - s) > PAIRING_TOL:
-                raise DegeneracyError(
-                    f"self-paired vector is not an R eigenvector of eigenvalue -1 ({sigma:.3f})")
-        lead, back = ups + mid, ups[::-1]
+    for (s, _), (v, w, mid) in zip(sectors, solve(factor, sectors)):
+        back = np.arange(len(w) - mid - 1, -1, -1)
         # The partners are s R v, the sign that makes the coupling block
-        # reflection-symmetric.  Each is checked against 1/eps of its leader
-        # through its Rayleigh quotient |W^T p|^2.
+        # reflection-symmetric.
         partners = s * r[:, None] * v[:, back]
-        rec = np.sum((factor.T @ partners) ** 2, axis=0)
-        bad = np.flatnonzero(~(np.abs(w[back] * rec - 1.0) <= PAIRING_TOL))  # NaN never passes
+        tested = np.hstack((v, partners)) if n % 2 else partners
+        want = np.concatenate((w, 1.0 / w[back])) if n % 2 else 1.0 / w[back]
+        rec = np.sum((factor.T @ tested) ** 2, axis=0)
+        bad = np.flatnonzero(~(np.abs(rec / want - 1.0) <= PAIRING_TOL))  # NaN never passes
         if bad.size:
-            raise DegeneracyError(
-                f"reciprocal pairing failed: eps={w[back][bad[0]]:.6g}, R-partner "
-                f"Rayleigh quotient {rec[bad[0]]:.6g}")
-        pairing += tuple(range(len(pairing) + len(lead) + len(back) - 1, len(pairing) - 1, -1))
-        cols += [v[:, lead], partners]
-        eps += [w[lead], 1.0 / w[back]]
-    basis = np.hstack(cols)
+            raise DegeneracyError(f"reciprocal pairing failed: eps={want[bad[0]]:.6g}, "
+                                  f"Rayleigh quotient {rec[bad[0]]:.6g}")
+        pairing += tuple(range(len(pairing) + len(w) + len(back) - 1, len(pairing) - 1, -1))
+        cols += [v, partners]
+        eps += [w, 1.0 / w[back]]
+    # column-major: the layout picks the BLAS path of hermitian_equivalent's
+    # products, and so the last bits of the tables
+    basis = np.asfortranarray(np.hstack(cols))
     _fix_pair_signs(basis, pairing)
     return MetricDecomposition(np.concatenate(eps), basis, pairing, n // 2)
 

@@ -164,11 +164,26 @@ def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
 
 
 def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
-    """Newton on D_N / D_N' in x (`char_poly_ratio`), on the unit chain."""
-    j, gamma = spec.hopping, spec.gamma / spec.hopping
-    root = _aberth(lambda z: _unit_ratio(spec.n_sites, gamma, z),
-                   np.array([guess / j]), _ROOT_TOL, _REFINE_MAX_ITER)
-    return complex(j * root[0])
+    """Newton on the unit chain: in t = x^2 on Q / Q' for even N, in x on D_N / D_N' for odd N.
+
+    Even N has D_N(x) = Q(x^2), and the pair coalesced at an exceptional
+    point is a simple root t = 0 of Q but a double root of D_N, where Newton
+    in x only halves its step; the level is +-sqrt(t) on the guess's side.
+    A guess of 0 has no side, and D_N' vanishes there, so it raises unless
+    Q(0) = 0, as Newton in x does.  Odd N steps in x (`char_poly_ratio`), so
+    that its zero mode, the root x = 0 of the factor x, stays exact.
+    """
+    n, j, gamma = spec.n_sites, spec.hopping, spec.gamma / spec.hopping
+    x = complex(guess) / j
+    ratio = _unit_ratio if n % 2 else _t_ratio
+    root = complex(_aberth(lambda z: ratio(n, gamma, z), np.array([x if n % 2 else x * x]),
+                           _ROOT_TOL, _REFINE_MAX_ITER)[0])  # the level x, or t = x^2
+    if n % 2:
+        return j * root
+    if x == 0 and root != 0:
+        raise NonConvergence("vanishing derivative in recurrence Newton")
+    root = cmath.sqrt(root)
+    return j * (-root if (root * x.conjugate()).real < 0 else root)
 
 
 def spectral_distance(a, b) -> float:

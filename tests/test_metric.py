@@ -342,6 +342,47 @@ def test_jacobi_keeps_small_eigenvalues_of_a_graded_matrix(n):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("shapes", [[(3, 4), (4, 4)], [(0, 1), (1, 1)], [(1, 2), (2, 2)],
+                                    [(20, 21), (21, 21)], [(40, 41), (41, 41)]])
+def test_one_sided_jacobi_matches_the_svd(shapes):
+    # the shapes of odd N's sublattice blocks, stacked with zero pads; the
+    # last two run on the block rounds
+    rng = np.random.default_rng(len(shapes) + shapes[0][1])
+    blocks = [rng.normal(size=shape) for shape in shapes]
+    for block, (x, v, sigma) in zip(blocks, metric._one_sided_jacobi(blocks)):
+        p, q = block.shape
+        assert x.shape == (p, q) and v.shape == (q, q) and sigma.shape == (q,)
+        assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-13
+        assert np.max(np.abs(block @ v - x), initial=0.0) <= 1e-13 * q
+        want = np.pad(np.linalg.svd(block, compute_uv=False), (0, q - p))
+        assert np.max(np.abs(np.sort(sigma) - np.sort(want))) <= 1e-13 * q
+        assert np.count_nonzero(sigma == 0) == q - p
+        live = x[:, sigma > 0] / sigma[sigma > 0]
+        assert np.max(np.abs(live.T @ live - np.eye(p)), initial=0.0) <= 1e-14 * q
+
+
+@pytest.mark.parametrize("n", [12, 2 * metric._BLOCK + 2])
+def test_one_sided_jacobi_keeps_small_singular_values_of_a_graded_block(n):
+    # K = B D with B well conditioned and D from 1e-12 to 1: sigma runs from
+    # about 1e-12 to 1, and the one-sided solve fixes each to a few ulps of
+    # itself (Demmel & Veselic)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    block = (rng.normal(size=(n, n)) / np.sqrt(n) + 2 * np.eye(n)) * np.logspace(-12, 0, n)
+    ((_, _, sigma),) = metric._one_sided_jacobi([block])
+    with mp.workdps(40):
+        want = np.sort([float(s) for s in mp.svd_r(mp.matrix(block.tolist()), compute_uv=False)])
+    assert want[0] < 1e-11
+    assert np.max(np.abs(np.sort(sigma) / want - 1.0)) <= 1e-12
+
+
+def test_one_sided_jacobi_sweep_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(metric, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(5)
+    with pytest.raises(NonConvergence, match="one-sided"):
+        metric._one_sided_jacobi([rng.normal(size=(4, 5)), rng.normal(size=(5, 5))])
+
+
 def _fix_pair_signs_loop(basis, pairing):
     # the per-pair loop that _fix_pair_signs replaces
     for i, partner in enumerate(pairing):
@@ -378,19 +419,32 @@ def test_jacobi_rejects_relative_asymmetry():
         jacobi_eigensystem(np.array([[3.0, 1.0], [1.0 + 5e-6, 2.0]]))
 
 
+def _svd_one_sided(blocks):
+    # LAPACK in place of metric._one_sided_jacobi: (K V, V, sigma) from the
+    # full SVD of each block K, sigma 0 on its null columns
+    solved = []
+    for block in blocks:
+        _, sigma, vt = np.linalg.svd(block)
+        solved.append((block @ vt.T, vt.T, np.pad(sigma, (0, block.shape[1] - sigma.size))))
+    return solved
+
+
 @pytest.mark.parametrize("n", [9, 30, 56, 64, 128, 256])
 @pytest.mark.parametrize("frac", [0.3, 0.95])
 def test_equivalent_hermitian_against_eigh_driven_pipeline(n, frac, monkeypatch):
+    # LAPACK in place of both Jacobi solvers: eigh for the even-N block, the
+    # SVD for the sublattice blocks of odd N
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
     got = equivalent_hermitian(spec).h_matrix
     monkeypatch.setattr(metric, "jacobi_eigensystem",
                         lambda sym, tol=None: np.linalg.eigh(sym))
+    monkeypatch.setattr(metric, "_one_sided_jacobi", _svd_one_sided)
     want = equivalent_hermitian(spec).h_matrix
     assert np.max(np.abs(got - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [8, 9, 64, 65, 256, 257])
-@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
 def test_equivalent_hermitian_up_to_gamma_c(n, gap):
     # eps_max grows as 1/gap (about 2/gap for odd N); a quotient p^T eta p of
     # a formed eta carries rounding eps |eta|, which swamps 1/eps_max
@@ -432,11 +486,11 @@ def test_equivalent_hermitian_at_its_reach(n):
 
 @pytest.mark.parametrize("n", [9, 65, 257])
 def test_odd_equivalent_hermitian_at_one_minus_1e7_gamma_c(n):
-    # The table returns with its spectrum within 1e-8 J of the Bethe energies.
-    # |h - h^T| reads 6e-10 to 1.2e-9: the eps |eta| rounding of the sector
-    # blocks (P^T W)(P^T W)^T, amplified by sqrt(eps_max / eps_min) in the
-    # transform, so the 1e-9 symmetry bound of the grid above is not checked
-    # at this gap; a solver on the factor P^T W itself would meet it.
+    # The table returns with its spectrum within 1e-8 J of the Bethe energies;
+    # the grid above checks its 1e-9 symmetry bound at this gap too, which the
+    # two-sided solve of the formed sector blocks (P^T W)(P^T W)^T missed
+    # (1.2e-9 at N = 65): their eps |eta| rounding, amplified by
+    # sqrt(eps_max / eps_min) in the transform.
     spec = ChainSpec(n, 1.0, (1.0 - 1e-7) * gamma_critical(n))
     decomp = metric_decomposition(spec)
     eps = decomp.eigenvalues
@@ -506,12 +560,14 @@ def _sector_factor(n, plus, minus):
 
 
 @pytest.mark.parametrize("n,plus,minus,match", [
-    (3, [3.0, 1 / 3], [2.0], "self-paired eigenvalue missing from a sector of size 1"),
+    # the size-1 sector's one vector is self-paired by construction
+    (3, [3.0, 1 / 3], [2.0], "reciprocal pairing failed: eps=1, Rayleigh quotient 2"),
     (5, [1.0, 1.0], [2.0, 1.0, 0.5], "self-paired eigenvalue found in a sector of size 2"),
-    (5, [3.0, 2.0], [2.0, 1.0, 0.5], "reciprocal pairs unbalanced inside a sector"),
-    (5, [3.0, 1 / 3], [2.0, 1.0, 3.0], "reciprocal pairs unbalanced inside a sector"),
-    # the eps = 1 vector is the rotated one, half R-odd and half R-even: <R> = 0
-    (5, [3.0, 1 / 3], [1.0, 2.0, 0.5], "self-paired vector is not an R eigenvector"),
+    # the turned pair's sublattice coupling sigma = 1/2 gives eps = 1.618 to a
+    # leader whose Rayleigh quotient is the pair's mean eigenvalue plus 1/2
+    (5, [3.0, 2.0], [2.0, 1.0, 0.5], "reciprocal pairing failed: eps=1.61803, Rayleigh quotient 3"),
+    (5, [3.0, 1 / 3], [2.0, 1.0, 3.0], "reciprocal pairing failed: eps=1.61803, Rayleigh quotient 2"),
+    (5, [3.0, 1 / 3], [1.0, 2.0, 0.5], "reciprocal pairing failed: eps=1.61803, Rayleigh quotient 2"),
 ])
 def test_canonical_basis_rejects_a_broken_sector_structure(n, plus, minus, match):
     factor = _sector_factor(n, plus, minus)
@@ -540,25 +596,32 @@ def test_canonical_basis_rejects_a_metric_that_is_not_positive(eta):
 
 
 def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
-    stacks = []
-    solve = metric.jacobi_eigensystem
+    # even N: the + block alone, by jacobi_eigensystem; odd N: the sublattice
+    # blocks K_s of both sectors, in one stacked one-sided solve
+    calls = []
 
-    def spy(sym, *args, **kwargs):
-        stacks.append(sym.copy())
-        return solve(sym, *args, **kwargs)
+    def spy(name, record):
+        solve = getattr(metric, name)
 
-    monkeypatch.setattr(metric, "jacobi_eigensystem", spy)
+        def wrapped(*args, **kwargs):
+            calls.append((name, record(*args)))
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(metric, name, wrapped)
+
+    spy("jacobi_eigensystem", lambda sym, *_: sym.shape)
+    spy("_one_sided_jacobi", lambda blocks: [block.shape for block in blocks])
+    spy("_sweep_stack", lambda k, n: (k, n))
     for n in range(2, 65):
-        stacks.clear()
+        calls.clear()
         metric_decomposition(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
-        assert len(stacks) == 1, n
-        want = [n // 2] if n % 2 == 0 else [(n - 1) // 2, (n + 1) // 2]
-        size = max(want)
-        assert stacks[0].shape == (len(want), size, size), n
-        # each block is nonzero exactly on its sector's rows and columns
-        got = sorted(int(np.count_nonzero(np.any(block != 0.0, axis=0)))
-                     for block in stacks[0])
-        assert got == want, (n, got)
+        if n % 2 == 0:
+            want = [("jacobi_eigensystem", (n // 2, n // 2)), ("_sweep_stack", (1, n // 2))]
+        else:
+            # K_s has the sector's R = +1 columns as rows and its R = -1 columns
+            # as columns, sectors of (N - 1)/2 and (N + 1)/2 columns
+            shapes = [(k // 2, (k + 1) // 2) for k in ((n - 1) // 2, (n + 1) // 2)]
+            want = [("_one_sided_jacobi", shapes), ("_sweep_stack", (2, shapes[1][1]))]
+        assert calls == want, (n, calls)
 
 
 def test_gamma_zero_canonical_basis_is_continuous_limit():

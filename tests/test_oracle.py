@@ -326,13 +326,17 @@ def test_refine_eigenvalue_at_the_band_edge_of_a_long_chain(n):
 def test_refine_eigenvalue_at_the_coalesced_pair(n, j):
     # at gamma = J an even chain's pair has coalesced at E = 0, a double root
     # of D_N where D_N' = 0 too: the ratio there is 0, not a vanishing
-    # derivative
+    # derivative.  From a guess 1e-3 J off, Newton in x only halved its step
+    # and stopped 5.8e-14 J short (N = 8 and 64); in t = x^2 the pair is a
+    # simple root of Q
     spec = ChainSpec(n, j, j)
     assert np.count_nonzero(solve_spectrum(spec).energies == 0) == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert refine_eigenvalue(spec, 0.0) == 0
         assert char_poly_ratio(spec, 0.0) == 0
+        for guess in (1e-3 * j, -1e-3 * j, 1e-3j * j):
+            assert abs(refine_eigenvalue(spec, guess)) <= 1e-15 * j
 
 
 @pytest.mark.parametrize("n,gamma,guess", [(8, 0.5, 0.0), (4, 1.0, 1.0)])
