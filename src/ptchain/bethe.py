@@ -20,9 +20,10 @@ The roots are symmetric about pi/2 (chirality), so only the offsets
 x = k - pi/2 > 0 are solved.  In the bracket centred on x_j = j pi/(2N),
 x = x_j + d solves the counting function itself, less its level:
 Phi(d) = N d + atan2(c, tan x) = 0, which rises from below 0 to above 0
-as d runs over (-pi/(2N), pi/(2N)).  A safeguarded Newton iteration on
-Phi refines all these brackets at once, at one tan and one atan2 per root
-and step.  The critical pair is solved apart, on both sides
+as d runs over (-pi/(2N), pi/(2N)).  Phi is monotone there with
+curvature of one sign, so plain Newton on Phi, with no bracket kept,
+refines all these brackets at once, at one tan and one atan2 per root and
+step.  The critical pair is solved apart, on both sides
 of gamma_c: R (G / J^2 in x) is an entire function of t = x^2 for even N,
 and R/x for odd N, which at t = -kappa^2 < 0 is the broken-phase condition
 
@@ -57,11 +58,12 @@ import numpy as np
 from .errors import DomainError, NonConvergence, PhaseError
 from .model import ChainSpec, Phase
 
-# Bisection alone narrows every bracket used here to 1e-15 within 60 steps.
+# A cap far above the Newton evaluation counts measured on both solves.
 # Newton on the counting phase takes at most 4 evaluations per real root,
 # 2.09 on average and at most 2 on 88.8% (465,495 roots: N = 2 to 129 at 0
-# to 10 gamma_c, N = 256 to 4096 at 0 to 2 gamma_c), and at most 4 also at
-# N = 1e5 and at gamma/J = 1e150.  The critical pair,
+# to 10 gamma_c, N = 256 to 4096 at 0 to 2 gamma_c), and at most 4 on all
+# 8,552,617 roots of N = 4 to 299, 511, 512, 1000, 1001, 4096, 4097, 1e5
+# and 1e5 + 1 at 67 gammas each, up to gamma/J = 1e150.  The critical pair,
 # a simple root in t = x^2, takes at most 6 evaluations, its starts' among
 # them, at 0 to 1e9 gamma_c and 1e-5 or more from it (N = 2 to 4097, J in
 # {0.5, 1, 3}, gamma/J up to 1e150), at most 4 within 1e-6 of gamma_c and
@@ -164,35 +166,41 @@ def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray, tol: float) -> n
     Each bracket's counting phase (`_counting_phase`) rises through it:
     Phi(-h) = -pi/2 + atan2(...) < 0 and Phi(h) = pi/2 + atan2(...) > 0 with
     h = pi/(2N), and Phi' > N - N/pi - 1/2 > 0 at every x >= h for c in
-    [-1, 1].  So the offset d in (-h, h) is solved, where N d has no
-    cancellation, by safeguarded Newton from Phi's first fixed-point step
-    d = -atan2(c, tan centre)/N, on all brackets at once: each evaluation
-    shrinks its bracket, a step that would leave it bisects instead, and a
-    root is done once its last step is at most `tol`.  A done root leaves
-    the iteration with its parameters, and every array stays contiguous, so
-    every root takes the float steps of its solo solve.
+    [-1, 1].  Its curvature Phi'' = c (1 - c^2) sin 2x/(sin^2 x + c^2 cos^2 x)^2
+    has the sign of c on the whole bracket, as x stays in (0, pi/2).  So
+    Newton on Phi converges monotonically, after at most one overshoot, and
+    needs no bracket: the offset d in (-h, h) is solved, where N d has no
+    cancellation, by plain Newton from Phi's first fixed-point step
+    d = -atan2(c, tan centre)/N, on all brackets at once.  A bisection
+    fallback kept in an earlier form fired 0 times in 13,843,647 root-steps
+    (N = 4 to 299, 511, 512, 1000, 1001, 4096, 4097, 1e5 and 1e5 + 1; 67
+    gammas each, from 0 to gamma/J = 1e150).  A root is done once its last
+    step is at most `tol`, and leaves the iteration with its parameters;
+    every array stays contiguous, so every root takes the float steps of
+    its solo solve.  A root not done after `_MAX_ITER` steps, or done
+    outside its bracket, where it is not the bracket's root, raises
+    NonConvergence.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    h = math.pi / (2 * n)
     full, d = centre, -np.arctan2(c, np.tan(centre)) / n
-    lo, hi = np.full_like(d, -h), np.full_like(d, h)
-    offsets, active = d.copy(), np.arange(len(d))
+    offsets, active = np.full_like(d, math.nan), np.arange(len(d))
     for _ in range(_MAX_ITER):
-        if not len(d):
-            return full + offsets
         f, slope = _counting_phase(n, centre, c, d)
-        up = f < 0  # the root lies above d
-        lo, hi = np.where(up, d, lo), np.where(up, hi, d)
         new = d - f / slope
-        new = np.where((lo < new) & (new < hi) | (new == d), new, 0.5 * (lo + hi))
         done = np.abs(new - d) <= tol
-        offsets[active], d = new, new
+        if done.all():
+            offsets[active] = new
+            break
+        d = new
         if done.any():
-            live = ~done
-            active, d, lo, hi, centre, c = (v[live] for v in (active, d, lo, hi, centre, c))
-    raise NonConvergence(f"{len(active)} bracketed roots not within {tol} "
-                         f"after {_MAX_ITER} steps")
+            offsets[active[done]] = new[done]
+            active, d, centre, c = (v[~done] for v in (active, d, centre, c))
+    failed = np.count_nonzero(~(np.abs(offsets) < math.pi / (2 * n)))  # NaN if not done
+    if failed:
+        raise NonConvergence(f"{failed} bracketed roots not within {tol} after {_MAX_ITER} "
+                             f"steps, or outside their brackets")
+    return full + offsets
 
 
 def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +243,7 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     DomainError
         If gamma/J is above 1e150.
     NonConvergence
-        If a bracket fails to converge to `tol`.
+        If a bracket's root fails to converge to `tol` inside it.
     """
     x, half = _real_offsets([spec], _pair_roots([spec]), tol)[0], math.pi / 2
     return np.concatenate([half - x[::-1], [half] if spec.n_sites % 2 else [], half + x])

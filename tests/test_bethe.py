@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
 from ptchain import bethe
 from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _counting_phase,
                            _offset_brackets, _pair_point, _pair_roots, raw_amplitude)
-from ptchain.errors import DomainError, PhaseError, PTChainError
+from ptchain.errors import DomainError, NonConvergence, PhaseError, PTChainError
 
 
 def test_roots_n3_gamma_one():
@@ -394,6 +396,17 @@ def _solve_brackets(specs, tol=1e-14):
     return _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs), tol)
 
 
+def test_a_root_outside_its_bracket_is_non_convergence():
+    # the pair's own bracket, centred on x = 0, holds no root of the counting
+    # phase at c = 0.5: Phi > 0 at both ends, and Newton runs to a root past
+    # -pi/(2N).  That root is no bracket's, so the solve raises, and does so
+    # without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="^1 bracketed roots .* outside their brackets"):
+            _bracketed_roots(8, np.array([0.0]), np.array([0.5]), 1e-14)
+
+
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(min_value=2, max_value=2000),
        far=st.lists(st.floats(min_value=1e-6, max_value=3.0), min_size=1, max_size=3),
@@ -479,6 +492,41 @@ def test_solve_spectra_equals_solve_spectrum(n):
         assert sol.spec == alone.spec and sol.phase is alone.phase
         assert sol.k.tobytes() == alone.k.tobytes()
         assert sol.energies.tobytes() == alone.energies.tobytes()
+
+
+def _spectra_digest(solutions):
+    """sha256 prefix of every float.hex of each solution's k and energies, in order."""
+    text = ",".join(h for sol in solutions for z in (*sol.k.tolist(), *sol.energies.tolist())
+                    for h in (z.real.hex(), z.imag.hex()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_PINNED_FRACS = (0.0, 0.3, 0.9, 1 - 1e-9, 1 + 1e-9, 1.5, 10.0)  # gamma / gamma_c
+
+# sha256 prefix of every float.hex of solve_spectrum(...).k and .energies at
+# J = 1 and the gammas above, recorded with the safeguarded Newton on the
+# real roots, which held lo/hi brackets and a bisection fallback
+PINNED_SPECTRA = {
+    2: "7450edf988319e83", 3: "2578977d63622e91", 8: "bef11f0758bf442a",
+    9: "311014b03c18f5a9", 64: "ac6c30a914c618ea", 65: "cce9e4667286cf1f",
+    256: "418878658100d4f3", 257: "7aac80bdc606ee8e", 4096: "1464a10902a26a11",
+    4097: "99a010f57d32c150",
+}
+# the same digest of solve_spectra(1001, 1.0, 21 gammas over [0, 2 gamma_c])
+PINNED_SWEEP = "3bff3ad0ddef9b67"
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SPECTRA))
+def test_spectrum_is_pinned_to_the_bit(n):
+    gc = gamma_critical(n)
+    sols = [solve_spectrum(ChainSpec(n, 1.0, frac * gc)) for frac in _PINNED_FRACS]
+    assert [len(s.k) for s in sols] == [n] * len(sols)
+    assert _spectra_digest(sols) == PINNED_SPECTRA[n]
+
+
+def test_spectra_sweep_is_pinned_to_the_bit():
+    gammas = np.linspace(0.0, 2.0 * gamma_critical(1001), 21)
+    assert _spectra_digest(solve_spectra(1001, 1.0, gammas)) == PINNED_SWEEP
 
 
 @pytest.mark.parametrize("n", [8, 9])
