@@ -5,10 +5,10 @@ For each requested N, at gamma = gamma_c / 2 and J = 1: the median seconds
 of three equivalent_hermitian calls, after one untimed warm-up call whose
 result is kept; the median seconds of three hermitian_equivalent calls on
 one metric decomposition, the transform stage alone; and the largest
-distance of the kept Hermitian equivalent from the one built with LAPACK
-in place of both Jacobi solvers (the eigh-driven pipeline): eigh for the
-sector block of even N, the SVD for the sublattice blocks of odd N.  The
-default sizes pair each even N with an odd one, so both routes are timed.
+distance of the kept Hermitian equivalent from the one built with LAPACK's
+SVD in place of the one-sided Jacobi solve (the eigh-driven pipeline): of
+(P^T W)^T for even N, of the sublattice blocks for odd N.  The default sizes
+pair each even N with an odd one, so both parities are timed.
 The last line is the log-log slope of the median equivalent_hermitian time
 against N, the pipeline's measured N-scaling.
 """
@@ -22,10 +22,6 @@ from ptchain import (ChainSpec, equivalent_hermitian, gamma_critical, hermitian_
                      metric, metric_decomposition)
 
 
-def _eigh(sym, tol=None):
-    return np.linalg.eigh(sym)
-
-
 def _svd(blocks):
     """(K V, V, sigma) of each block K from its full SVD, sigma 0 on the null columns."""
     solved = []
@@ -36,12 +32,11 @@ def _svd(blocks):
 
 
 def _eigh_driven(spec: ChainSpec) -> np.ndarray:
-    solvers = metric.jacobi_eigensystem, metric._one_sided_jacobi
-    metric.jacobi_eigensystem, metric._one_sided_jacobi = _eigh, _svd
+    solve, metric._one_sided_jacobi = metric._one_sided_jacobi, _svd
     try:
         return equivalent_hermitian(spec).h_matrix
     finally:
-        metric.jacobi_eigensystem, metric._one_sided_jacobi = solvers
+        metric._one_sided_jacobi = solve
 
 
 def _median_seconds(fn, *args) -> float:

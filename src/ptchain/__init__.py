@@ -20,8 +20,7 @@ from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
                           kappa_approx, repulsion_law)
 from .metric import (HermitianEquivalent, MetricDecomposition, build_metric,
                      canonical_basis, equivalent_hermitian, gauged_factor,
-                     hermitian_equivalent, jacobi_eigensystem,
-                     metric_decomposition)
+                     hermitian_equivalent, metric_decomposition)
 from .oracle import (oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
                      spectral_distance)
 from . import errors
@@ -37,7 +36,7 @@ __all__ = [
     "critical_sweep", "delta_approx", "kappa_approx", "repulsion_law",
     "HermitianEquivalent", "MetricDecomposition", "build_metric",
     "canonical_basis", "equivalent_hermitian", "gauged_factor",
-    "hermitian_equivalent", "jacobi_eigensystem", "metric_decomposition",
+    "hermitian_equivalent", "metric_decomposition",
     "oracle_eigenvector", "oracle_spectrum", "refine_eigenvalue",
     "spectral_distance",
     "errors",

@@ -19,17 +19,18 @@ Pipeline (unbroken phase):
    each reflection sector s = +-1, so every eigenvector has exact parity and
    carries no rounding of the other sector.  Eigenvalues come in reciprocal
    pairs (eps, 1/eps) mapped onto each other by R.  For even N, R swaps the
-   two sectors, so only the N/2 x N/2 + block (P^T W)(P^T W)^T is solved, by
-   parallel Jacobi in the odd-even ordering (also over neighbouring blocks
-   of rows, above 2 * _BLOCK rows), and R supplies the other half.  For odd
-   N, R keeps each sector, sized (N-1)/2 and (N+1)/2, and is +-1 on each of
-   its parity columns, so in R-order R B R = B^-1 gives a sector block
-   B = [[A, K], [K^T, D]] the difference B - B^-1 = [[0, 2K], [2K^T, 0]]:
-   the sector follows from the SVD of its sublattice block
-   K = (P^T W)[R = +1] (P^T W)[R = -1]^T, of half its size, with
-   eps - 1/eps = 2 sigma.  Both sectors' K are solved as one stack by
-   one-sided Jacobi, whose sweeps run the same rounds on Gram matrices
-   formed afresh.
+   two sectors, so only the + sector is solved: the SVD of its N x N/2 block
+   (P^T W)^T gives the eigenvectors of (P^T W)(P^T W)^T, with eps = sigma^2,
+   and R supplies the other half.  For odd N, R keeps each sector, sized
+   (N-1)/2 and (N+1)/2, and is +-1 on each of its parity columns, so in
+   R-order R B R = B^-1 gives a sector block B = [[A, K], [K^T, D]] the
+   difference B - B^-1 = [[0, 2K], [2K^T, 0]]: the sector follows from the
+   SVD of its sublattice block K = (P^T W)[R = +1] (P^T W)[R = -1]^T, of
+   half its size, with eps - 1/eps = 2 sigma, and both sectors' K are one
+   stack.  Every SVD is one-sided Jacobi, whose sweeps run parallel rounds
+   in the odd-even ordering (also over neighbouring blocks of rows, above
+   2 * _BLOCK rows) on Gram matrices formed afresh; no block of eta is
+   ever formed.
    Matrix elements of the gauged H between equal-parity vectors vanish
    identically, which is what makes the final block structure possible.
 4. One rule orders the basis for both parities: each solved sector, with
@@ -119,14 +120,15 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
     return np.hstack((g.real, g.imag))
 
 
-# Rows per block of the block rounds, at most.  A matrix of at most 2 * _BLOCK
-# rows is solved by odd-even rounds alone, as is every sector block up to
-# N = 64.  Against 16, _BLOCK = 8 measured level at N = 256 and 1024, up to
-# 25% slower at N = 512, and 1.3-2.4x slower at N = 64, whose sector blocks
-# it moves onto block rounds.
+# Rows per block of the block rounds, at most.  A Gram matrix of at most
+# 2 * _BLOCK rows is swept by odd-even rounds alone, as is every one the
+# metric forms up to N = 65.  Against 16, _BLOCK = 8 measured level at
+# N = 256 and 1024, up to 25% slower at N = 512, and 1.3-2.4x slower at
+# N = 64, which it moves onto block rounds (measured when even N swept the
+# N/2 x N/2 sector block itself, the size of its Gram matrix now).
 _BLOCK = 16
 
-# Sweeps of `jacobi_eigensystem` and of `_one_sided_jacobi` before they give up.
+# Sweeps of `_one_sided_jacobi` before it gives up.
 _MAX_SWEEPS = 100
 
 
@@ -226,10 +228,22 @@ def _block_sweeper(x: np.ndarray, count: int):
 def _sweep_stack(k: int, n: int):
     """(x, sweep): a zero stack x = [a; V] of shape (k, 2m, m) for k matrices a of n x n, and sweep().
 
-    Odd n gets one zero pad row and column, and sweep() is one
-    `_odd_even_sweeper` sweep; above 2 * _BLOCK rows, the rows are split
+    sweep() is one sweep of parallel-ordered Jacobi (Brent & Luk, SIAM J.
+    Sci. Stat. Comput. 6 (1985) 69-84) in the odd-even ordering (Luk & Park,
+    SIAM J. Sci. Stat. Comput. 10 (1989) 18-26): rotations on disjoint
+    (p, q) pairs commute and leave each other's (p, q) entries alone, so a
+    round applies them all at once, and each rotated pair is swapped, so the
+    pairs of neighbours (2i, 2i+1) and (2i+1, 2i+2), taken in turn, meet
+    every index pair once in the m rounds of a sweep and leave the indices
+    reversed.  Odd n gets one zero pad row and column, and sweep() is one
+    `_odd_even_sweeper` sweep.  Above 2 * _BLOCK rows, the rows are split
     into the fewest blocks of at most _BLOCK rows, in pairs, the last ones
-    padded by zero rows, and sweep() is one `_block_sweeper` sweep.
+    padded by zero rows, and sweep() is one `_block_sweeper` sweep: the same
+    ordering one level up, each of whose rounds is one odd-even sweep of
+    every block pair, applied to the rest of the pair's rows and columns by
+    matrix products.  Every rotation still zeroes one a[p, q] and nothing is
+    truncated; no proof cited here covers the odd-even block order, whose
+    convergence is measured.
     """
     count = -(-n // (2 * _BLOCK)) * 2 if n > 2 * _BLOCK else 0
     m = count * -(-n // count) if count else n + n % 2
@@ -237,85 +251,31 @@ def _sweep_stack(k: int, n: int):
     return x, _block_sweeper(x, count) if count else _odd_even_sweeper(x)
 
 
-def jacobi_eigensystem(sym: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of real symmetric matrices.
-
-    `sym` is one n x n matrix or a stack (..., n, n) of them, solved together
-    in the same rounds.  Parallel-ordered Jacobi (Brent & Luk, SIAM J. Sci.
-    Stat. Comput. 6 (1985) 69-84), in the odd-even ordering (Luk & Park,
-    SIAM J. Sci. Stat. Comput. 10 (1989) 18-26): rotations on disjoint
-    (p, q) pairs commute and leave each other's (p, q) entries alone, so a
-    round applies them all at once, and each rotated pair is swapped, so the
-    pairs of neighbours (2i, 2i+1) and (2i+1, 2i+2), taken in turn, meet
-    every index pair once in the m rounds of a sweep (see `_odd_even_sweeper`).
-    A sweep leaves the indices reversed, which is undone after an odd number
-    of sweeps.  Odd n gets one zero pad row and column.
-
-    Above 2 * _BLOCK rows, the rows are split into an even number of blocks
-    of at most _BLOCK rows (the last ones padded by zero rows), and a sweep
-    runs the same odd-even ordering one level up, over neighbouring blocks
-    (see `_block_sweeper`): each block round is one odd-even sweep of every
-    pair's diagonal block, whose accumulated rotation then reaches the rest
-    of the pair's rows and columns by matrix products.  So the method stays
-    scalar Jacobi: every rotation zeroes one a[p, q], nothing is truncated,
-    and the relative accuracy of Jacobi (Demmel & Veselic, SIAM J. Matrix
-    Anal. Appl. 13 (1992) 1204-1245) is kept.  No proof cited here covers
-    the odd-even block order, whose convergence is measured: 6-9 sweeps for
-    the sector blocks of N = 128 to 1024.
-
-    Sweeps run until the off-diagonal Frobenius mass of every stack entry
-    drops below `tol`; NonConvergence is raised after _MAX_SWEEPS sweeps.
-    Returns (values, vectors) with vectors in columns; a zero row and column
-    of the input come back with eigenvalue 0 and exactly their unit vector.
-    """
-    a = np.asarray(sym, dtype=float)
-    n = a.shape[-1] if a.ndim else 0
-    if (a.ndim < 2 or a.shape[-2] != n or not np.all(
-            np.abs(a - a.swapaxes(-1, -2)) <= 1e-12 * np.maximum(
-                1.0, np.linalg.norm(a, axis=(-2, -1)))[..., None, None])):
-        raise ValueError("input must be real symmetric")
-    stack = a.reshape(-1, n, n)
-    x, sweep = _sweep_stack(stack.shape[0], n)
-    m = x.shape[2]
-    x[:, :n, :n] = stack
-    x[:, m:] = np.eye(m)
-    lower = np.tri(m, k=-1, dtype=bool)
-    for sweeps in range(_MAX_SWEEPS):
-        if np.all(np.sqrt(np.sum(np.where(lower, x[:, :m], 0.0) ** 2, axis=(1, 2)) * 2) < tol):
-            break
-        sweep()
-    else:
-        raise NonConvergence(f"Jacobi sweeps exceeded {_MAX_SWEEPS}")
-    if sweeps % 2:  # undo the reversal: [a; V]'s columns, then a's rows
-        x[...] = x[:, :, ::-1]
-        x[:, :m] = x[:, m - 1::-1]
-    values = np.diagonal(x[:, :n, :n], axis1=1, axis2=2)
-    order = np.argsort(values, axis=-1)
-    return (np.take_along_axis(values, order, axis=-1).reshape(a.shape[:-1]),
-            np.take_along_axis(x[:, m:m + n, :n], order[:, None, :], axis=-1).reshape(a.shape))
-
-
 def _one_sided_jacobi(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """[(K V, V, sigma)] for each p x q block K: V orthogonal, the columns of K V relatively orthogonal.
 
-    One-sided (Hestenes) Jacobi on all blocks at once, stacked and padded by
-    zero rows and columns, with no rotation code of its own: each sweep
-    forms the Gram matrices G = X^T X of the stack X afresh, runs one sweep
-    of the rounds of `jacobi_eigensystem` on [G; I] (`_sweep_stack`, which
-    pads the columns to m), and rotates [X; V] by the rotation that sweep
-    accumulated.  Forming G again at every sweep keeps the accuracy of the
-    one-sided method: the angles come from X itself, and X^T X is never
-    diagonalized as a whole, which would square sigma_max / sigma_min.
-    Sweeps run until every pair of columns is relatively orthogonal,
-    |x_p . x_q| <= m eps |x_p| |x_q|, where a column whose norm is at most
-    8 m eps times the largest of the stack counts as zero.  On the sublattice
-    blocks of odd N up to 513, a null column kept at most 15 eps times the
-    largest norm (N = 115) under a cut of m eps, and the smallest singular
-    value stayed above 6e-10 times the largest up to gamma_c (1 - 1e-7).
-    NonConvergence is raised after _MAX_SWEEPS sweeps.  sigma holds the
-    column norms of K V, 0 for the zero columns.  A zero pad column never
-    mixes in, and a sweep leaves the columns reversed, so after an even
-    number of sweeps each block's own columns are its first q.
+    One-sided Jacobi (Hestenes, J. SIAM 6 (1958) 51-90) on all blocks at
+    once, stacked and padded by zero rows and columns, with no rotation code
+    of its own: each sweep forms the Gram matrices G = X^T X of the stack X
+    afresh, runs one `_sweep_stack` sweep on [G; I] (which pads the columns
+    to m), and rotates [X; V] by the rotation that sweep accumulated.  So V
+    is the eigenbasis of K^T K and sigma^2 its eigenvalues.  Forming G again
+    at every sweep keeps the relative accuracy of the one-sided method
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204-1245): the
+    angles come from X itself, and X^T X is never diagonalized as a whole,
+    which would square sigma_max / sigma_min.  Sweeps run until every pair
+    of columns is relatively orthogonal, |x_p . x_q| <= m eps |x_p| |x_q|,
+    where a column whose norm is at most 8 m eps times the largest of the
+    stack counts as zero.  On the sublattice blocks of odd N up to 513, a
+    null column kept at most 15 eps times the largest norm (N = 115) under a
+    cut of m eps, and the smallest singular value stayed above 6e-10 times
+    the largest up to gamma_c (1 - 1e-7); on the blocks (P^T W)^T of even N
+    up to 512 it stayed above 7e-6 times the largest up to
+    gamma_c (1 - 1e-13).  NonConvergence is raised after _MAX_SWEEPS
+    sweeps.  sigma holds the column norms of K V, 0 for the zero columns.
+    A zero pad column never mixes in, and a sweep leaves the columns
+    reversed, so after an even number of sweeps each block's own columns
+    are its first q.
     """
     rows = max(block.shape[0] for block in blocks)
     y, sweep = _sweep_stack(len(blocks), max(block.shape[1] for block in blocks))
@@ -387,17 +347,17 @@ def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
 
 
 def _even_sector(factor: np.ndarray, sectors) -> list:
-    """Even N: the + block (P^T W)(P^T W)^T by `jacobi_eigensystem`, all of whose vectors lead."""
+    """Even N: the + block B = (P^T W)(P^T W)^T from the SVD of (P^T W)^T, all of whose vectors lead.
+
+    `_one_sided_jacobi` on (P^T W)^T gives V, the eigenbasis of B, with
+    eps = sigma^2; a zero sigma means eta is not positive definite.
+    """
     ((_, p),) = sectors
-    half = p.T @ factor
-    # An off-diagonal mass of 1e-14 |eta| still moved eigenvectors by 1e-12
-    # where eigenvalues lie 1e-3 apart (N = 256); one more sweep costs little.
-    # |W|^2 / sqrt(N) = tr(eta) / sqrt(N) is at most |eta|.
-    w, u = jacobi_eigensystem(half @ half.T, tol=1e-15 * max(
-        1.0, float(np.vdot(factor, factor)) / np.sqrt(factor.shape[0])))
-    if not w[0] > 0:
+    ((_, v, sigma),) = _one_sided_jacobi([(p.T @ factor).T])
+    if not np.all(sigma > 0):  # NaN never passes
         raise DegeneracyError("metric is not positive definite")
-    return [(p @ u[:, ::-1], w[::-1], 0)]
+    order = np.argsort(-sigma, kind="stable")
+    return [(p @ v[:, order], sigma[order] ** 2, 0)]
 
 
 def _odd_sectors(factor: np.ndarray, sectors) -> list:
@@ -437,22 +397,22 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     `factor` is a real factor W of the gauged metric eta_g = W W^T, for
     example `gauged_factor`'s N x (N + N mod 2) one.  It is projected onto the
     orthonormal parity basis P = (e_l + s refl e_l)/|.| of each reflection
-    sector s = +-1, so every eigenvector has exact parity.  Even N: R maps
-    the + sector onto the - sector with reciprocal eigenvalues, so only the
-    + block (P^T W)(P^T W)^T (N/2 x N/2) is diagonalized, by
-    `jacobi_eigensystem`, and all its vectors lead.  Odd N: R keeps each
-    sector, sized (N-1)/2 and (N+1)/2, and each is solved through the SVD of
-    its sublattice block (`_odd_sectors`), both in one `_one_sided_jacobi`
-    call; its leading vectors are those with eps > 1 and, in the odd-sized
-    sector, the self-paired eps = 1 vector, an R = -1 vector by
-    construction.  One rule then orders the basis: each solved sector,
-    smaller first, with eigenvalues descending, contributes its leading
-    vectors and then their R-partners s R v in reverse, so each column pairs
-    with its mirror inside the sector's columns.  Each vector p is checked
-    against its eps through its Rayleigh quotient p^T eta_g p = |W^T p|^2, a
-    sum of squares, to PAIRING_TOL: the R-partners against 1/eps, and for
-    odd N, whose eps come from singular values and not from a formed block,
-    the leaders against eps too, the self-paired one against 1.
+    sector s = +-1, so every eigenvector has exact parity.  Both parities
+    take their eigensystem from singular values, in one `_one_sided_jacobi`
+    call.  Even N: R maps the + sector onto the - sector with reciprocal
+    eigenvalues, so only the + sector is solved, through the SVD of its
+    N x N/2 block (P^T W)^T (`_even_sector`), and all its vectors lead.
+    Odd N: R keeps each sector, sized (N-1)/2 and (N+1)/2, and each is
+    solved through the SVD of its sublattice block (`_odd_sectors`); its
+    leading vectors are those with eps > 1 and, in the odd-sized sector, the
+    self-paired eps = 1 vector, an R = -1 vector by construction.  One rule
+    then orders the basis: each solved sector, smaller first, with
+    eigenvalues descending, contributes its leading vectors and then their
+    R-partners s R v in reverse, so each column pairs with its mirror inside
+    the sector's columns.  Each vector p is checked against its eps through
+    its Rayleigh quotient p^T eta_g p = |W^T p|^2, a sum of squares, to
+    PAIRING_TOL: the leaders against eps, the self-paired one against 1, and
+    the R-partners against 1/eps.
     """
     n = factor.shape[0]
     refl = reflection_matrix(n)
@@ -467,17 +427,14 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
         back = np.arange(len(w) - mid - 1, -1, -1)
         # The partners are s R v, the sign that makes the coupling block
         # reflection-symmetric.
-        partners = s * r[:, None] * v[:, back]
-        tested = np.hstack((v, partners)) if n % 2 else partners
-        want = np.concatenate((w, 1.0 / w[back])) if n % 2 else 1.0 / w[back]
-        rec = np.sum((factor.T @ tested) ** 2, axis=0)
-        bad = np.flatnonzero(~(np.abs(rec / want - 1.0) <= PAIRING_TOL))  # NaN never passes
+        cols.append(np.hstack((v, s * r[:, None] * v[:, back])))
+        eps.append(np.concatenate((w, 1.0 / w[back])))
+        rec = np.sum((factor.T @ cols[-1]) ** 2, axis=0)
+        bad = np.flatnonzero(~(np.abs(rec / eps[-1] - 1.0) <= PAIRING_TOL))  # NaN never passes
         if bad.size:
-            raise DegeneracyError(f"reciprocal pairing failed: eps={want[bad[0]]:.6g}, "
+            raise DegeneracyError(f"reciprocal pairing failed: eps={eps[-1][bad[0]]:.6g}, "
                                   f"Rayleigh quotient {rec[bad[0]]:.6g}")
         pairing += tuple(range(len(pairing) + len(w) + len(back) - 1, len(pairing) - 1, -1))
-        cols += [v, partners]
-        eps += [w, 1.0 / w[back]]
     # column-major: the layout picks the BLAS path of hermitian_equivalent's
     # products, and so the last bits of the tables
     basis = np.asfortranarray(np.hstack(cols))
@@ -530,12 +487,12 @@ def metric_decomposition(spec: ChainSpec, tol: float = 1e-12) -> MetricDecomposi
     GAMMA_FLOOR J the metric is fully degenerate (eta -> identity), so the
     canonical basis is taken from the continuity limit: the pipeline runs at
     gamma = GAMMA_FLOOR J instead.  Above gamma_c (1 - reach), reach = 1e-7
-    for odd N and 1e-9 for even N, it raises DegeneracyError: there the
-    rounding eps |eta| of the formed sector blocks swamps 1/eps_max, and the
-    tables were measured to break their bounds.
+    for odd N and 1e-13 for even N, it raises DegeneracyError: there the
+    tables were measured to break their bounds or the pairing check to fail
+    (odd N at 1 - 1e-8, even N at 1 - 1e-14).
     """
     basis = build_eigenbasis(_at_floor(spec), tol)
-    reach = 1e-7 if spec.n_sites % 2 else 1e-9
+    reach = 1e-7 if spec.n_sites % 2 else 1e-13
     if spec.gamma > spec.gamma_c * (1.0 - reach):
         raise DegeneracyError(f"gamma past gamma_c (1 - {reach:g}), the metric's reach")
     return canonical_basis(gauged_factor(basis))

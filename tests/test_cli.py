@@ -444,15 +444,18 @@ def test_verify_energy_bounds_shrink_with_j(capsys, monkeypatch):
 
 
 def test_hermitian_next_to_odd_gamma_c_fails_in_one_line(capsys):
-    # 0.999999 gamma_c of N = 9 and (1 - 1e-7) gamma_c of N = 65 return their
-    # tables; past the metric's reach, at (1 - 1e-8) gamma_c of N = 9 and
-    # (1 - 1e-12) gamma_c of N = 16, valid chains, the metric pipeline fails
-    # (a PTChainError, exit 1), but never as a bad argument (exit 2)
+    # 0.999999 gamma_c of N = 9, (1 - 1e-7) gamma_c of N = 65 and (1 - 1e-12)
+    # gamma_c of N = 16 return their tables; past the metric's reach, at
+    # (1 - 1e-8) gamma_c of N = 9 and (1 - 1e-14) gamma_c of N = 16, valid
+    # chains, the metric pipeline fails (a PTChainError, exit 1), but never as
+    # a bad argument (exit 2)
     code, out, _ = run(capsys, "hermitian", "--n", "9", "--gamma", "1.11803287072")
     assert code == 0 and out.count("\n") == 1 + 4 * 5
     code, out, _ = run(capsys, "hermitian", "--n", "65", "--gamma", "1.015504699029015")
     assert code == 0 and out.count("\n") == 1 + 32 * 33
-    for n, gamma in [("9", "1.118033977569555"), ("16", "0.999999999999")]:
+    code, out, _ = run(capsys, "hermitian", "--n", "16", "--gamma", "0.999999999999")
+    assert code == 0 and out.count("\n") == 1 + 8 * 8
+    for n, gamma in [("9", "1.118033977569555"), ("16", "0.99999999999999")]:
         code, out, err = run(capsys, "hermitian", "--n", n, "--gamma", gamma)
         assert (code, out) == (1, "")
         assert err.startswith("error: DegeneracyError: ") and err.count("\n") == 1

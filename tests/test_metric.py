@@ -8,7 +8,7 @@ import pytest
 from ptchain import (ChainSpec, build_eigenbasis, build_hamiltonian,
                      build_metric, canonical_basis, equivalent_hermitian,
                      gamma_critical, gauged_factor, hermitian_equivalent,
-                     jacobi_eigensystem, metric, metric_decomposition, solve_spectrum)
+                     metric, metric_decomposition, solve_spectrum)
 from ptchain.errors import (DegeneracyError, GaugeError, NonConvergence, PhaseError,
                              PTChainError, StructureError)
 from ptchain.metric import _sector_basis, reflection_matrix
@@ -135,110 +135,99 @@ def test_gauged_factor_passes_garbage_duals_on_to_canonical_basis():
         canonical_basis(w)
 
 
+# The metric takes its eigensystem from `_one_sided_jacobi`: the V and sigma
+# of a block K are the eigenvectors and square roots of the eigenvalues of
+# the Gram matrix K^T K, which is never formed.  The tests named
+# test_jacobi_* check that eigensystem.
+
+def _assert_gram_eigensystem(block, v, sigma, bound):
+    gram = block.T @ block
+    q = gram.shape[0]
+    assert np.max(np.abs(np.sort(sigma ** 2) - np.linalg.eigvalsh(gram)), initial=0.0) <= bound
+    assert np.max(np.abs(v.T @ v - np.eye(q)), initial=0.0) <= bound
+    assert np.max(np.abs(gram @ v - v * sigma ** 2), initial=0.0) <= bound
+
+
 def test_jacobi_identity_and_2x2():
-    w, v = jacobi_eigensystem(np.eye(5))
-    assert np.allclose(w, 1.0)
+    ((_, v, sigma),) = metric._one_sided_jacobi([np.eye(5)])
+    assert np.array_equal(sigma, np.ones(5)) and np.array_equal(v, np.eye(5))
     a, b = 0.7, -0.4
-    w, v = jacobi_eigensystem(np.array([[a, b], [b, a]]))
-    assert np.allclose(np.sort(w), sorted([a - b, a + b]), atol=1e-14)
+    block = np.linalg.cholesky(np.array([[a, b], [b, a]])).T  # Gram [[a, b], [b, a]]
+    ((_, v, sigma),) = metric._one_sided_jacobi([block])
+    assert np.allclose(np.sort(sigma ** 2), sorted([a - b, a + b]), atol=1e-14)
     assert np.max(np.abs(v.T @ v - np.eye(2))) < 1e-12
-
-
-def _assert_eigensystem(a, w, v, bound):
-    n = a.shape[0]
-    assert np.all(np.diff(w) >= 0.0)
-    assert np.max(np.abs(w - np.linalg.eigh(a)[0]), initial=0.0) <= bound
-    assert np.max(np.abs(v.T @ v - np.eye(n)), initial=0.0) <= bound
-    assert np.max(np.abs(a @ v - v * w), initial=0.0) <= bound
 
 
 @pytest.mark.parametrize("n", list(range(1, 10)) + [33, 64, 65])
 def test_jacobi_matches_eigh(n):
-    rng = np.random.default_rng(n)
-    a = rng.normal(size=(n, n))
-    a = a + a.T
-    w, v = jacobi_eigensystem(a)
-    _assert_eigensystem(a, w, v, 1e-12 * max(1.0, np.linalg.norm(a)))
+    block = np.random.default_rng(n).normal(size=(n, n))
+    ((_, v, sigma),) = metric._one_sided_jacobi([block])
+    _assert_gram_eigensystem(block, v, sigma, 1e-12 * max(1.0, np.linalg.norm(block) ** 2))
 
 
 def test_jacobi_matches_eigh_on_a_fixed_random_matrix():
-    rng = np.random.default_rng(20240817)
-    sym = rng.normal(size=(8, 8))
-    sym = 0.5 * (sym + sym.T)
-    w, v = jacobi_eigensystem(sym)
-    _assert_eigensystem(sym, w, v, 1e-12 * max(1.0, np.linalg.norm(sym)))
+    block = np.random.default_rng(20240817).normal(size=(8, 8))
+    ((_, v, sigma),) = metric._one_sided_jacobi([block])
+    _assert_gram_eigensystem(block, v, sigma, 1e-12 * max(1.0, np.linalg.norm(block) ** 2))
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_jacobi_exact_zero_couplings_at_odd_n(n):
-    # Uncoupled sites, a zero diagonal entry and repeated diagonal values: a
-    # rotation of any pair with a[p, q] == 0, the zero pad included, would
-    # move a real index into the pad or divide 0 by 0.
-    a = np.diag(np.arange(n, dtype=float) % 3)
-    a[0, 1] = a[1, 0] = 0.5
-    a[n - 2, n - 1] = a[n - 1, n - 2] = -1.25
-    w, v = jacobi_eigensystem(a)
-    _assert_eigensystem(a, w, v, 1e-12 * max(1.0, np.linalg.norm(a)))
+    # Orthogonal columns, zero columns and repeated norms: a rotation of any
+    # pair whose Gram entry is exactly 0, the zero pad included, would move a
+    # real column into the pad or divide 0 by 0.
+    block = np.diag(np.arange(n, dtype=float) % 3)
+    block[0, 1] = 0.5
+    block[n - 2, n - 1] = -1.25
+    ((_, v, sigma),) = metric._one_sided_jacobi([block])
+    _assert_gram_eigensystem(block, v, sigma, 1e-12 * max(1.0, np.linalg.norm(block) ** 2))
+    assert np.count_nonzero(sigma == 0) == n - np.linalg.matrix_rank(block)
 
 
 def test_jacobi_sweep_budget_exhausted(monkeypatch):
+    # an even-N shape, N x N/2, on the odd-even rounds
     monkeypatch.setattr(metric, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(8, 8))
-    with pytest.raises(NonConvergence):
-        jacobi_eigensystem(a + a.T)
+    with pytest.raises(NonConvergence, match="one-sided"):
+        metric._one_sided_jacobi([rng.normal(size=(16, 8))])
 
 
 def test_jacobi_block_path_sweep_budget_exhausted(monkeypatch):
     monkeypatch.setattr(metric, "_MAX_SWEEPS", 2)
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(2 * metric._BLOCK + 8,) * 2)
-    with pytest.raises(NonConvergence):
-        jacobi_eigensystem(a + a.T)
-
-
-def _random_stack(sizes, n, seed):
-    # one symmetric matrix per size, zero-padded to n x n
-    rng = np.random.default_rng(seed)
-    stack = np.zeros((len(sizes), n, n))
-    for block, size in zip(stack, sizes):
-        a = rng.normal(size=(size, size))
-        block[:size, :size] = a + a.T
-    return stack
+    with pytest.raises(NonConvergence, match="one-sided"):
+        metric._one_sided_jacobi([rng.normal(size=(2 * (2 * metric._BLOCK + 8), 2 * metric._BLOCK + 8))])
 
 
 @pytest.mark.parametrize("n", [7, 16, 2 * metric._BLOCK + 7])
 def test_jacobi_stack_matches_each_member_and_eigh(n):
-    stack = _random_stack([n, n, n], n, seed=n)
-    w, v = jacobi_eigensystem(stack)
-    assert w.shape == (3, n) and v.shape == (3, n, n)
-    for a, w_k, v_k in zip(stack, w, v):
-        bound = 1e-12 * np.linalg.norm(a)
-        _assert_eigensystem(a, w_k, v_k, bound)
-        assert np.max(np.abs(w_k - jacobi_eigensystem(a)[0])) <= bound
+    rng = np.random.default_rng(n)
+    blocks = [rng.normal(size=(2 * n, n)) for _ in range(3)]
+    for block, (_, v, sigma) in zip(blocks, metric._one_sided_jacobi(blocks)):
+        bound = 1e-12 * np.linalg.norm(block) ** 2
+        _assert_gram_eigensystem(block, v, sigma, bound)
+        ((_, _, alone),) = metric._one_sided_jacobi([block])
+        assert np.max(np.abs(np.sort(sigma ** 2) - np.sort(alone ** 2))) <= bound
 
 
 @pytest.mark.parametrize("n", [9, 2 * metric._BLOCK + 1, 3 * metric._BLOCK + 2])
 def test_jacobi_pad_rows_come_back_as_unit_vectors(n):
-    # the smaller member carries one zero pad row and column, as in
-    # canonical_basis; its eigenpair is exactly (0, e_pad)
-    stack = _random_stack([n - 1, n], n, seed=n)
-    w, v = jacobi_eigensystem(stack)
-    pad = np.flatnonzero(v[0, -1])
-    assert pad.size == 1 and v[0, -1, pad[0]] in (1.0, -1.0) and w[0, pad[0]] == 0.0
-    assert np.count_nonzero(v[0, :, pad[0]]) == 1
-    rest = np.delete(np.arange(n), pad[0])
-    _assert_eigensystem(stack[0, :-1, :-1], w[0][rest], v[0][:-1][:, rest],
-                        1e-12 * np.linalg.norm(stack[0]))
+    # the narrower member carries one zero pad column, as the smaller sector
+    # of odd N does; it never mixes in, so the member's own V is orthogonal
+    rng = np.random.default_rng(n)
+    blocks = [rng.normal(size=(n, n - 1)), rng.normal(size=(n, n))]
+    for block, (_, v, sigma) in zip(blocks, metric._one_sided_jacobi(blocks)):
+        _assert_gram_eigensystem(block, v, sigma, 1e-12 * np.linalg.norm(block) ** 2)
 
 
 @pytest.mark.parametrize("n", [2 * metric._BLOCK + 1, 3 * metric._BLOCK,
                                4 * metric._BLOCK + 1])
 def test_jacobi_block_path_matches_eigh(n):
     assert n > 2 * metric._BLOCK  # solved by block rounds
-    stack = _random_stack([n, n], n, seed=n)
-    for a, w, v in zip(stack, *jacobi_eigensystem(stack)):
-        _assert_eigensystem(a, w, v, 1e-12 * np.linalg.norm(a))
+    rng = np.random.default_rng(n)
+    blocks = [rng.normal(size=(n, n)) for _ in range(2)]
+    for block, (_, v, sigma) in zip(blocks, metric._one_sided_jacobi(blocks)):
+        _assert_gram_eigensystem(block, v, sigma, 1e-12 * np.linalg.norm(block) ** 2)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 32, 34])
@@ -269,7 +258,7 @@ def test_odd_even_sweep_meets_every_pair_once_and_reverses(m):
 
 @pytest.mark.parametrize("n", [2 * metric._BLOCK + 1, 5 * metric._BLOCK + 3])
 def test_block_sweep_reverses_every_index(n):
-    # The block partition of jacobi_eigensystem: 4 blocks of 9 rows, or 6 of
+    # The block partition of _sweep_stack: 4 blocks of 9 rows, or 6 of
     # 14 with blocks 0 and 5 idle in the odd rounds.  On a diagonal matrix
     # every pivot is exactly 0, so each pair's sweep is an exact swap and its
     # rotation an exact permutation; one block sweep reverses a and V's columns.
@@ -283,82 +272,41 @@ def test_block_sweep_reverses_every_index(n):
     assert np.array_equal(x[0, m:], np.eye(m)[:, ::-1])
 
 
-def _round_robin(m):
-    # Circle method: index 0 stays put while the others rotate one place per
-    # round, and a round pairs position i with position m-1-i.  Returns the
-    # m-1 rounds of m/2 disjoint (p, q) rows that cover every pair once.
-    shift = np.arange(m - 1)
-    ring = (shift[None, :] - shift[:, None]) % (m - 1) + 1
-    players = np.hstack((np.zeros((shift.size, 1), dtype=int), ring))
-    return np.stack((players[:, : m // 2], players[:, ::-1][:, : m // 2]), axis=2)
-
-
-def _scalar_jacobi(sym, tol):
-    # The one-matrix solver this module had before the stacked and block
-    # rounds, kept verbatim as the reference for relative accuracy, with its
-    # round-robin schedule.
-    a = np.asarray(sym, dtype=float)
-    n = a.shape[0]
-    m = n + n % 2
-    x = np.zeros((m, 2 * m))
-    x[:n, :n] = a
-    x[:, m:] = np.eye(m)
-    a = x[:, :m]
-    a_t, diag = a.T, a.diagonal()
-    rounds = _round_robin(m)
-    for _ in range(100):
-        if np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2) < tol:
-            break
-        for pairs in rounds:
-            p, q = pairs[:, 0], pairs[:, 1]
-            apq = a[p, q]
-            live = apq != 0.0
-            theta = (diag[q] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
-            t = np.where(live, np.copysign(
-                1.0 / (np.abs(theta) + np.hypot(theta, 1.0)), theta), 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
-            x[pairs] = rot @ x[pairs]
-            a_t[pairs] = rot @ a_t[pairs]
-            a[p, q] = a[q, p] = 0.0
-    else:
-        raise NonConvergence("reference Jacobi did not converge")
-    order = np.argsort(diag[:n])
-    return diag[order], x[order, m:m + n].T
-
-
 @pytest.mark.parametrize("n", [12, 2 * metric._BLOCK, 3 * metric._BLOCK])
 def test_jacobi_keeps_small_eigenvalues_of_a_graded_matrix(n):
-    # D A D with A well conditioned and D from 1e-8 to 1: the eigenvalues run
-    # from about 1e-16 to 1, and Jacobi fixes each to a few ulps of itself.
+    # K = B D of the even-N shape 2n x n, with B well conditioned and D from
+    # 1e-8 to 1: the eigenvalues sigma^2 of K^T K run from about 1e-16 to 1,
+    # and each is fixed to a few ulps of itself
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
-    b = rng.normal(size=(n, n))
-    d = np.logspace(-8, 0, n)
-    a = d[:, None] * (b @ b.T / n + np.eye(n)) * d[None, :]
-    got = jacobi_eigensystem(a, tol=1e-30)[0]
-    want = _scalar_jacobi(a, tol=1e-30)[0]
+    block = (rng.normal(size=(2 * n, n)) / np.sqrt(n) + 2 * np.eye(2 * n, n)) * np.logspace(-8, 0, n)
+    ((_, _, sigma),) = metric._one_sided_jacobi([block])
+    with mp.workdps(40):
+        want = np.sort([float(s) ** 2 for s in mp.svd_r(mp.matrix(block.tolist()), compute_uv=False)])
     assert want[0] < 1e-15
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.sort(sigma ** 2) / want - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("shapes", [[(3, 4), (4, 4)], [(0, 1), (1, 1)], [(1, 2), (2, 2)],
-                                    [(20, 21), (21, 21)], [(40, 41), (41, 41)]])
+                                    [(20, 21), (21, 21)], [(40, 41), (41, 41)],
+                                    [(2, 1)], [(8, 4)], [(64, 32)], [(80, 40)]])
 def test_one_sided_jacobi_matches_the_svd(shapes):
-    # the shapes of odd N's sublattice blocks, stacked with zero pads; the
-    # last two run on the block rounds
+    # the shapes of odd N's sublattice blocks, stacked with zero pads, then
+    # the N x N/2 blocks (P^T W)^T of even N; (40, 41) and (80, 40) run on
+    # the block rounds
     rng = np.random.default_rng(len(shapes) + shapes[0][1])
     blocks = [rng.normal(size=shape) for shape in shapes]
     for block, (x, v, sigma) in zip(blocks, metric._one_sided_jacobi(blocks)):
         p, q = block.shape
+        null = max(q - p, 0)
         assert x.shape == (p, q) and v.shape == (q, q) and sigma.shape == (q,)
         assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-13
         assert np.max(np.abs(block @ v - x), initial=0.0) <= 1e-13 * q
-        want = np.pad(np.linalg.svd(block, compute_uv=False), (0, q - p))
+        want = np.pad(np.linalg.svd(block, compute_uv=False), (0, null))
         assert np.max(np.abs(np.sort(sigma) - np.sort(want))) <= 1e-13 * q
-        assert np.count_nonzero(sigma == 0) == q - p
+        assert np.count_nonzero(sigma == 0) == null
         live = x[:, sigma > 0] / sigma[sigma > 0]
-        assert np.max(np.abs(live.T @ live - np.eye(p)), initial=0.0) <= 1e-14 * q
+        assert np.max(np.abs(live.T @ live - np.eye(q - null)), initial=0.0) <= 1e-14 * q
 
 
 @pytest.mark.parametrize("n", [12, 2 * metric._BLOCK + 2])
@@ -413,12 +361,6 @@ def test_fix_pair_signs_matches_the_loop(n):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_jacobi_rejects_relative_asymmetry():
-    # within numpy's default rtol=1e-5 of symmetric, but 5e-6 off in absolute terms
-    with pytest.raises(ValueError):
-        jacobi_eigensystem(np.array([[3.0, 1.0], [1.0 + 5e-6, 2.0]]))
-
-
 def _svd_one_sided(blocks):
     # LAPACK in place of metric._one_sided_jacobi: (K V, V, sigma) from the
     # full SVD of each block K, sigma 0 on its null columns
@@ -432,22 +374,20 @@ def _svd_one_sided(blocks):
 @pytest.mark.parametrize("n", [9, 30, 56, 64, 128, 256])
 @pytest.mark.parametrize("frac", [0.3, 0.95])
 def test_equivalent_hermitian_against_eigh_driven_pipeline(n, frac, monkeypatch):
-    # LAPACK in place of both Jacobi solvers: eigh for the even-N block, the
-    # SVD for the sublattice blocks of odd N
+    # LAPACK's SVD in place of the one-sided Jacobi solve: of (P^T W)^T for
+    # even N, of the sublattice blocks for odd N
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
     got = equivalent_hermitian(spec).h_matrix
-    monkeypatch.setattr(metric, "jacobi_eigensystem",
-                        lambda sym, tol=None: np.linalg.eigh(sym))
     monkeypatch.setattr(metric, "_one_sided_jacobi", _svd_one_sided)
     want = equivalent_hermitian(spec).h_matrix
     assert np.max(np.abs(got - want)) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [8, 9, 64, 65, 256, 257])
-@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12, 1e-13])
 def test_equivalent_hermitian_up_to_gamma_c(n, gap):
-    # eps_max grows as 1/gap (about 2/gap for odd N); a quotient p^T eta p of
-    # a formed eta carries rounding eps |eta|, which swamps 1/eps_max
+    # eps_max grows as gap^(-1/2) for even N and as 2/gap for odd N; the
+    # tables of even N hold their bounds up to the reach of 1 - 1e-13
     spec = ChainSpec(n, 1.0, (1.0 - gap) * gamma_critical(n))
     try:
         decomp = metric_decomposition(spec)
@@ -466,17 +406,17 @@ def test_equivalent_hermitian_up_to_gamma_c(n, gap):
 
 
 def test_metric_refuses_chains_past_its_reach():
-    # Closer to gamma_c than the reach, the formed sector blocks' rounding
-    # eps |eta| swamps 1/eps_max: tables came back with |h - h^T| up to 1e-6
-    # (N = 16 at 1 - 1e-12) or spectra 8e-8 J off (N = 87 at 1 - 1e-8)
-    for n, gap in [(n, 1e-8) for n in range(3, 130, 2)] + [(n, 1e-12) for n in range(2, 129, 2)]:
+    # Closer to gamma_c than the reach, tables came back with spectra 8e-8 J
+    # off (N = 87 at 1 - 1e-8), or the pairing check failed (N = 102 at
+    # 1 - 1e-14)
+    for n, gap in [(n, 1e-8) for n in range(3, 130, 2)] + [(n, 1e-14) for n in range(2, 129, 2)]:
         with pytest.raises(DegeneracyError, match="reach"):
             metric_decomposition(ChainSpec(n, 1.0, (1.0 - gap) * gamma_critical(n)))
 
 
 @pytest.mark.parametrize("n", [8, 9, 64, 65])
 def test_equivalent_hermitian_at_its_reach(n):
-    spec = ChainSpec(n, 1.0, (1.0 - (1e-7 if n % 2 else 1e-9)) * gamma_critical(n))
+    spec = ChainSpec(n, 1.0, (1.0 - (1e-7 if n % 2 else 1e-13)) * gamma_critical(n))
     hm = equivalent_hermitian(spec).h_matrix
     bethe = np.sort(solve_spectrum(spec).energies.real)
     assert np.max(np.abs(np.linalg.eigvalsh(hm) - bethe)) <= 1e-8
@@ -596,8 +536,8 @@ def test_canonical_basis_rejects_a_metric_that_is_not_positive(eta):
 
 
 def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
-    # even N: the + block alone, by jacobi_eigensystem; odd N: the sublattice
-    # blocks K_s of both sectors, in one stacked one-sided solve
+    # even N: the + sector's (P^T W)^T alone; odd N: the sublattice blocks K_s
+    # of both sectors, in one stacked one-sided solve
     calls = []
 
     def spy(name, record):
@@ -608,14 +548,13 @@ def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
             return solve(*args, **kwargs)
         monkeypatch.setattr(metric, name, wrapped)
 
-    spy("jacobi_eigensystem", lambda sym, *_: sym.shape)
     spy("_one_sided_jacobi", lambda blocks: [block.shape for block in blocks])
     spy("_sweep_stack", lambda k, n: (k, n))
     for n in range(2, 65):
         calls.clear()
         metric_decomposition(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
         if n % 2 == 0:
-            want = [("jacobi_eigensystem", (n // 2, n // 2)), ("_sweep_stack", (1, n // 2))]
+            want = [("_one_sided_jacobi", [(n, n // 2)]), ("_sweep_stack", (1, n // 2))]
         else:
             # K_s has the sector's R = +1 columns as rows and its R = -1 columns
             # as columns, sectors of (N - 1)/2 and (N + 1)/2 columns
