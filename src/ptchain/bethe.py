@@ -76,6 +76,9 @@ _MAX_RATIO = 1e150
 # Relative stop rule of the critical pair's t, which is 1e-30 next to gamma_c.
 _PAIR_TOL = 1e-12
 
+# Absolute stop rule of the real roots' offsets d, which are at most pi/(2N).
+_OFFSET_TOL = 1e-14
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
@@ -160,7 +163,7 @@ def _counting_phase(n: int, centre: np.ndarray, c: np.ndarray, d: np.ndarray):
     return n * d + np.arctan2(c, t), n - c * (1 + tt) / (tt + c * c)
 
 
-def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The root x = centre + d of R in every bracket past the pair's, in bracket order.
 
     Each bracket's counting phase (`_counting_phase`) rises through it:
@@ -175,20 +178,18 @@ def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray, tol: float) -> n
     fallback kept in an earlier form fired 0 times in 13,843,647 root-steps
     (N = 4 to 299, 511, 512, 1000, 1001, 4096, 4097, 1e5 and 1e5 + 1; 67
     gammas each, from 0 to gamma/J = 1e150).  A root is done once its last
-    step is at most `tol`, and leaves the iteration with its parameters;
-    every array stays contiguous, so every root takes the float steps of
-    its solo solve.  A root not done after `_MAX_ITER` steps, or done
+    step is at most `_OFFSET_TOL`, and leaves the iteration with its
+    parameters; every array stays contiguous, so every root takes the float
+    steps of its solo solve.  A root not done after `_MAX_ITER` steps, or done
     outside its bracket, where it is not the bracket's root, raises
     NonConvergence.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     full, d = centre, -np.arctan2(c, np.tan(centre)) / n
     offsets, active = np.full_like(d, math.nan), np.arange(len(d))
     for _ in range(_MAX_ITER):
         f, slope = _counting_phase(n, centre, c, d)
         new = d - f / slope
-        done = np.abs(new - d) <= tol
+        done = np.abs(new - d) <= _OFFSET_TOL
         if done.all():
             offsets[active] = new
             break
@@ -198,8 +199,8 @@ def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray, tol: float) -> n
             active, d, centre, c = (v[~done] for v in (active, d, centre, c))
     failed = np.count_nonzero(~(np.abs(offsets) < math.pi / (2 * n)))  # NaN if not done
     if failed:
-        raise NonConvergence(f"{failed} bracketed roots not within {tol} after {_MAX_ITER} "
-                             f"steps, or outside their brackets")
+        raise NonConvergence(f"{failed} bracketed roots not within {_OFFSET_TOL} after "
+                             f"{_MAX_ITER} steps, or outside their brackets")
     return full + offsets
 
 
@@ -219,7 +220,7 @@ def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(centre, len(specs)), np.repeat(c, len(centre))
 
 
-def _real_offsets(specs: list[ChainSpec], pair: np.ndarray, tol: float) -> list[np.ndarray]:
+def _real_offsets(specs: list[ChainSpec], pair: np.ndarray) -> list[np.ndarray]:
     """The offsets x = k - pi/2 > 0 of the real roots of G per spec, ascending: the pair's
     from `pair` (`_pair_roots`) if its t > 0, then one solve of every other bracket.
 
@@ -228,12 +229,12 @@ def _real_offsets(specs: list[ChainSpec], pair: np.ndarray, tol: float) -> list[
     null state: the amplitude vanishes for every l only where e^{2ik} = 1,
     i.e. k in {0, pi}, which no bracket reaches.
     """
-    x = _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs), min(tol, 1e-14))
+    x = _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs))
     return [np.concatenate([[math.sqrt(t)] if t > 0 else [], row])
             for row, t in zip(x.reshape(len(specs), -1), pair.tolist())]
 
 
-def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
+def solve_real_momenta(spec: ChainSpec) -> np.ndarray:
     """All real quasimomenta in (0, pi), sorted ascending.
 
     Returns N roots in the unbroken phase and N-2 in the broken phase.
@@ -243,9 +244,9 @@ def solve_real_momenta(spec: ChainSpec, tol: float = 1e-12) -> np.ndarray:
     DomainError
         If gamma/J is above 1e150.
     NonConvergence
-        If a bracket's root fails to converge to `tol` inside it.
+        If a bracket's root fails to converge inside it.
     """
-    x, half = _real_offsets([spec], _pair_roots([spec]), tol)[0], math.pi / 2
+    x, half = _real_offsets([spec], _pair_roots([spec]))[0], math.pi / 2
     return np.concatenate([half - x[::-1], [half] if spec.n_sites % 2 else [], half + x])
 
 
@@ -262,9 +263,12 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     """Quantization integer n_k with k = (n_k pi + theta_k)/N.
 
     theta_k = atan(((gamma^2-J^2)/(gamma^2+J^2)) tan k), principal branch, with
-    the limiting value +-pi/2 at k = pi/2.  Raises ValueError when k does not
-    satisfy the quantization identity to 1e-9.
+    the limiting value +-pi/2 at k = pi/2.  Raises ValueError when k is not
+    in (0, pi), where the real roots lie, or does not satisfy the
+    quantization identity to 1e-9.
     """
+    if not 0 < k < math.pi:  # NaN too; far outside, the absolute 1e-9 check means nothing
+        raise ValueError(f"k={k} is not in (0, pi)")
     n = spec.n_sites
     dif, tot = _reduced_coefficients(_ratio(spec))
     c = dif / tot  # (gamma^2 - J^2)/(gamma^2 + J^2)
@@ -410,7 +414,7 @@ def _in_gamma_order(solve, gammas) -> list:
     raise batch_error
 
 
-def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
+def _spectra(specs: list[ChainSpec]) -> list[SpectralSolution]:
     """A solution per spec (shared N and J): one solve for the critical pairs, one for the rest.
 
     Each real level comes from its offset x > 0: k = pi/2 -+ x, E = -+2J sin x,
@@ -420,7 +424,7 @@ def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
     """
     phases = [classify_phase(spec) for spec in specs]
     pairs = _pair_roots(specs) if specs else np.empty(0)
-    offsets = _real_offsets(specs, pairs, tol) if specs else []
+    offsets = _real_offsets(specs, pairs) if specs else []
     half = math.pi / 2
     out = []
     for spec, phase, x, t in zip(specs, phases, offsets, pairs.tolist()):
@@ -436,25 +440,23 @@ def _spectra(specs: list[ChainSpec], tol: float) -> list[SpectralSolution]:
     return out
 
 
-def solve_spectra(n_sites: int, hopping: float, gammas,
-                  tol: float = 1e-12) -> list[SpectralSolution]:
+def solve_spectra(n_sites: int, hopping: float, gammas) -> list[SpectralSolution]:
     """`solve_spectrum` at every gamma of a grid with shared N and J, in one solve.
 
     Each solution is bit-identical to its one-gamma solve.  If several gammas
     fail, the error raised is the first failing gamma's.
     """
     return _in_gamma_order(
-        lambda grid: _spectra([ChainSpec(n_sites, hopping, float(g)) for g in grid], tol),
-        gammas)
+        lambda grid: _spectra([ChainSpec(n_sites, hopping, float(g)) for g in grid]), gammas)
 
 
-def solve_spectrum(spec: ChainSpec, tol: float = 1e-12) -> SpectralSolution:
+def solve_spectrum(spec: ChainSpec) -> SpectralSolution:
     """Full mode set: N real modes, or N-2 real plus the conjugate imaginary pair.
 
     At an exact coalescence (Critical phase) the pair is E = 0 twice, at
     k = pi/2.
     """
-    return _spectra([spec], tol)[0]
+    return _spectra([spec])[0]
 
 
 def locate_critical_gamma(n_sites: int, hopping: float = 1.0,

@@ -51,8 +51,7 @@ def _emit(rows: list[tuple], header: list[str], args, meta: dict) -> None:
 
 
 def _meta(args, **extra) -> dict:
-    base = {"version": __version__, "tol": args.tol,
-            "n_sites": args.n, "hopping": args.j}
+    base = {"version": __version__, "n_sites": args.n, "hopping": args.j}
     base.update(extra)
     return base
 
@@ -68,7 +67,7 @@ SPECTRUM_HEADER = ["gamma", "level_index", "k_re", "k_im",
 
 
 def cmd_spectrum(args) -> int:
-    sol = solve_spectrum(ChainSpec(args.n, args.j, args.gamma), args.tol)
+    sol = solve_spectrum(ChainSpec(args.n, args.j, args.gamma))
     _emit(_spectrum_rows(sol), SPECTRUM_HEADER, args,
           _meta(args, gamma=args.gamma, command="spectrum"))
     return 0
@@ -80,7 +79,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    rows = [row for sol in solve_spectra(args.n, args.j, gammas, args.tol)
+    rows = [row for sol in solve_spectra(args.n, args.j, gammas)
             for row in _spectrum_rows(sol)]
     _emit(rows, SPECTRUM_HEADER, args,
           _meta(args, gamma_min=args.gamma_min, gamma_max=args.gamma_max,
@@ -90,8 +89,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_phase(args) -> int:
     analytic = gamma_critical(args.n, args.j)
-    # the floor is in units of J below J = 1, so the bisection resolves a small gamma_c
-    numeric = locate_critical_gamma(args.n, args.j, tol=max(args.tol, 1e-10) * min(1.0, args.j))
+    # the width is in units of J below J = 1, so the bisection resolves a small gamma_c
+    numeric = locate_critical_gamma(args.n, args.j, tol=1e-10 * min(1.0, args.j))
     rows = [(args.n, args.j, analytic, numeric, abs(analytic - numeric))]
     _emit(rows, ["n", "j", "gamma_c_analytic", "gamma_c_numeric", "abs_error"],
           args, _meta(args, command="phase"))
@@ -100,7 +99,7 @@ def cmd_phase(args) -> int:
 
 def cmd_metric(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
-    w = gauged_factor(build_eigenbasis(spec, args.tol))
+    w = gauged_factor(build_eigenbasis(spec))
     eta = w @ w.T
     rows = [(args.n, args.gamma, i + 1, k + 1, value)
             for i, line in enumerate(eta.tolist()) for k, value in enumerate(line)]
@@ -111,7 +110,7 @@ def cmd_metric(args) -> int:
 
 def cmd_hermitian(args) -> int:
     spec = ChainSpec(args.n, args.j, args.gamma)
-    block = equivalent_hermitian(spec, args.tol).block_a
+    block = equivalent_hermitian(spec).block_a
     rows = [(args.n, args.gamma, i + 1, j + 1, value)
             for i, line in enumerate(block.tolist()) for j, value in enumerate(line)]
     _emit(rows, ["n", "gamma", "i", "j", "lambda"], args,
@@ -119,12 +118,13 @@ def cmd_hermitian(args) -> int:
     return 0
 
 
-def _verify_checks(n_max: int, hopping: float, tol: float):
+def _verify_checks(n_max: int, hopping: float):
     """Yield (check, n, ok) triples for the invariant suite.
 
     Bounds on energies, on commutators with H and on gamma are in units of
     J; those on dimensionless quantities (C, the metric, the Gram matrices)
-    are absolute.
+    are absolute.  The Bethe spectra take no tolerance; the bisection for
+    gamma_c runs to 1e-6 J, the bound of its check.
     """
     ident_tol = 1e-8
     energy_tol = ident_tol * hopping
@@ -135,7 +135,7 @@ def _verify_checks(n_max: int, hopping: float, tol: float):
         solved = {}
         for frac in (0.5, 1.3):
             spec = ChainSpec(n, hopping, frac * gc)
-            solved[frac] = solve_spectrum(spec, tol)
+            solved[frac] = solve_spectrum(spec)
             dist = spectral_distance(solved[frac].energies, oracle_spectrum(spec))
             yield (f"oracle_match_{frac}", n, dist <= energy_tol)
 
@@ -188,10 +188,8 @@ def cmd_verify(args) -> int:
     # checked before the first line is written: an error leaves no output
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
-    if not args.tol > 0:
-        raise ValueError("tol must be positive")
     failures = 0
-    for check, n, ok in _verify_checks(args.n_max, args.j, args.tol):
+    for check, n, ok in _verify_checks(args.n_max, args.j):
         sys.stdout.write(f"{check},{n},{'pass' if ok else 'FAIL'}\n")
         failures += 0 if ok else 1
     sys.stdout.write(f"total_failures,,{failures}\n")
@@ -209,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, gamma=False, grange=False):
         p.add_argument("--n", type=int, required=True, help="number of sites N >= 2")
         p.add_argument("--j", type=float, default=1.0, help="hopping J (default 1)")
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if gamma:
@@ -228,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run the invariant suite")
     vp.add_argument("--n-max", type=int, default=8)
     vp.add_argument("--j", type=float, default=1.0)
-    vp.add_argument("--tol", type=float, default=1e-10)
     return parser
 
 

@@ -480,28 +480,27 @@ def _at_floor(spec: ChainSpec) -> ChainSpec:
     return ChainSpec(spec.n_sites, spec.hopping, max(spec.gamma, GAMMA_FLOOR * spec.hopping))
 
 
-def metric_decomposition(spec: ChainSpec, tol: float = 1e-12) -> MetricDecomposition:
+def metric_decomposition(spec: ChainSpec) -> MetricDecomposition:
     """Full pipeline from a chain spec to the canonical metric eigensystem.
 
-    `tol` is the Bethe root tolerance of `build_eigenbasis`.  Below
-    GAMMA_FLOOR J the metric is fully degenerate (eta -> identity), so the
-    canonical basis is taken from the continuity limit: the pipeline runs at
-    gamma = GAMMA_FLOOR J instead.  Above gamma_c (1 - reach), reach = 1e-7
+    Below GAMMA_FLOOR J the metric is fully degenerate (eta -> identity), so
+    the canonical basis is taken from the continuity limit: the pipeline runs
+    at gamma = GAMMA_FLOOR J instead.  Above gamma_c (1 - reach), reach = 1e-7
     for odd N and 1e-13 for even N, it raises DegeneracyError: there the
     tables were measured to break their bounds or the pairing check to fail
     (odd N at 1 - 1e-8, even N at 1 - 1e-14).
     """
-    basis = build_eigenbasis(_at_floor(spec), tol)
+    basis = build_eigenbasis(_at_floor(spec))
     reach = 1e-7 if spec.n_sites % 2 else 1e-13
     if spec.gamma > spec.gamma_c * (1.0 - reach):
         raise DegeneracyError(f"gamma past gamma_c (1 - {reach:g}), the metric's reach")
     return canonical_basis(gauged_factor(basis))
 
 
-def equivalent_hermitian(spec: ChainSpec, tol: float = 1e-12) -> HermitianEquivalent:
+def equivalent_hermitian(spec: ChainSpec) -> HermitianEquivalent:
     """Equivalent Hermitian Hamiltonian of the chain (unbroken phase).
 
-    Like `metric_decomposition`, which `tol` is passed to, it runs at
-    gamma = GAMMA_FLOOR J below the floor.
+    Like `metric_decomposition`, it runs at gamma = GAMMA_FLOOR J below the
+    floor.
     """
-    return hermitian_equivalent(metric_decomposition(spec, tol), _at_floor(spec))
+    return hermitian_equivalent(metric_decomposition(spec), _at_floor(spec))

@@ -73,8 +73,7 @@ def apply_pt(v: np.ndarray) -> np.ndarray:
 
 def gamma_critical(n_sites: int, hopping: float = 1.0) -> float:
     """Exact phase boundary: J*sqrt((n+1)/n) for N = 2n+1, J for N = 2n."""
-    if n_sites < 2:
-        raise ValueError(f"n_sites must be >= 2, got {n_sites}")
+    ChainSpec(n_sites, hopping)  # rejects a bad N or J
     if n_sites % 2:
         n = (n_sites - 1) // 2
         return hopping * math.sqrt((n + 1) / n)

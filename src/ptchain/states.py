@@ -125,13 +125,13 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
-def build_eigenbasis(spec: ChainSpec, tol: float = 1e-12) -> EigenBasis:
+def build_eigenbasis(spec: ChainSpec) -> EigenBasis:
     """All N eigenvectors of H and of H^dagger in the unbroken phase."""
     phase = classify_phase(spec)
     if phase is not Phase.UNBROKEN:
         raise PhaseError(f"complete CPT eigenbasis requires the unbroken phase, "
                          f"got {phase} at gamma={spec.gamma}")
-    return _eigenbasis(solve_spectrum(spec, tol))
+    return _eigenbasis(solve_spectrum(spec))
 
 
 def _eigenbasis(solution: SpectralSolution) -> EigenBasis:

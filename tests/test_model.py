@@ -82,8 +82,20 @@ def test_gamma_critical_values():
 
 
 def test_gamma_critical_rejects_a_chain_below_two_sites():
-    with pytest.raises(ValueError, match="n_sites must be >= 2, got 1"):
+    with pytest.raises(ValueError, match="n_sites must be an integer >= 2, got 1"):
         gamma_critical(1)
+
+
+@pytest.mark.parametrize("n,j,message", [
+    (7.5, 1.0, "n_sites must be an integer"),
+    (8, -1.0, "hopping must be finite"),
+    (8, math.nan, "hopping must be finite"),
+    (8, math.inf, "hopping must be finite"),
+])
+def test_gamma_critical_rejects_what_a_chain_spec_rejects(n, j, message):
+    # the closed form alone would return a number for each: 1.1547, -1, NaN, inf
+    with pytest.raises(ValueError, match=message):
+        gamma_critical(n, j)
 
 
 def test_gamma_critical_odd_decreasing_to_one():
