@@ -463,9 +463,10 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
                           tol: float = 1e-6) -> float:
     """gamma_c by bisection on the phase rule (`classify_phase`: unbroken below).
 
-    Independent of the closed-form boundary; agrees with it to `tol`, or to
-    the float spacing at gamma_c where that is coarser (large J): the
-    bisection stops once the midpoint is one of the bracket's ends.
+    Independent of the closed-form boundary; agrees with it to tol J (tol is
+    in units of J, like the library's other bounds on energies), or to the
+    float spacing at gamma_c where that is coarser: the bisection stops once
+    the midpoint is one of the bracket's ends.
     """
     ChainSpec(n_sites, hopping)  # rejects a bad N or J, before the tol
     if not 0 < tol < math.inf:
@@ -473,7 +474,7 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
     # c0 is r^2 - 1 or (N - 1) r^2 - (N + 1): negative at r = 0.5 and
     # positive at r = 2.2 for every N >= 2
     lo, hi = 0.5 * hopping, 2.2 * hopping
-    while hi - lo > tol:
+    while hi - lo > tol * hopping:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

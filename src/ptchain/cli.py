@@ -89,8 +89,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_phase(args) -> int:
     analytic = gamma_critical(args.n, args.j)
-    # the width is in units of J below J = 1, so the bisection resolves a small gamma_c
-    numeric = locate_critical_gamma(args.n, args.j, tol=1e-10 * min(1.0, args.j))
+    # a width of 1e-10 min(1, J): in units of J below J = 1, so the bisection
+    # resolves a small gamma_c
+    numeric = locate_critical_gamma(args.n, args.j, tol=1e-10 / max(1.0, args.j))
     rows = [(args.n, args.j, analytic, numeric, abs(analytic - numeric))]
     _emit(rows, ["n", "j", "gamma_c_analytic", "gamma_c_numeric", "abs_error"],
           args, _meta(args, command="phase"))
@@ -129,7 +130,7 @@ def _verify_checks(n_max: int, hopping: float):
     ident_tol = 1e-8
     energy_tol = ident_tol * hopping
     for n in range(2, n_max + 1):
-        found = locate_critical_gamma(n, hopping, 1e-6 * hopping)
+        found = locate_critical_gamma(n, hopping, 1e-6)
         yield ("phase_boundary", n, abs(found - gamma_critical(n, hopping)) <= 1e-6 * hopping)
         gc = gamma_critical(n, hopping)
         solved = {}

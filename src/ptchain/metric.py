@@ -27,10 +27,10 @@ Pipeline (unbroken phase):
    difference B - B^-1 = [[0, 2K], [2K^T, 0]]: the sector follows from the
    SVD of its sublattice block K = (P^T W)[R = +1] (P^T W)[R = -1]^T, of
    half its size, with eps - 1/eps = 2 sigma, and both sectors' K are one
-   stack.  Every SVD is one-sided Jacobi, whose sweeps run parallel rounds
-   in the odd-even ordering (also over neighbouring blocks of rows, above
-   2 * _BLOCK rows) on Gram matrices formed afresh; no block of eta is
-   ever formed.
+   stack.  Every SVD is one-sided Jacobi, which rotates the block's own
+   columns in parallel rounds over odd-even ordered pairs of column blocks,
+   each round's angles from its pairs' Gram blocks, formed afresh from the
+   current columns; no block of eta is ever formed.
    Matrix elements of the gauged H between equal-parity vectors vanish
    identically, which is what makes the final block structure possible.
 4. One rule orders the basis for both parities: each solved sector, with
@@ -120,12 +120,12 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
     return np.hstack((g.real, g.imag))
 
 
-# Rows per block of the block rounds, at most.  A Gram matrix of at most
-# 2 * _BLOCK rows is swept by odd-even rounds alone, as is every one the
-# metric forms up to N = 65.  Against 16, _BLOCK = 8 measured level at
-# N = 256 and 1024, up to 25% slower at N = 512, and 1.3-2.4x slower at
-# N = 64, which it moves onto block rounds (measured when even N swept the
-# N/2 x N/2 sector block itself, the size of its Gram matrix now).
+# Columns per block of the block rounds, at most.  Up to 2 * _BLOCK columns,
+# as in every solve the metric makes up to N = 65, one block pair spans them
+# all.  Against 16, _BLOCK = 8 measured level at N = 256 and 1024, up to 25%
+# slower at N = 512, and 1.3-2.4x slower at N = 64, which it splits into two
+# block pairs (measured when even N swept the N/2 x N/2 sector block itself,
+# the size of its Gram matrix now).
 _BLOCK = 16
 
 # Sweeps of `_one_sided_jacobi` before it gives up.
@@ -185,122 +185,99 @@ def _odd_even_sweeper(y: np.ndarray):
     return sweep
 
 
-def _block_sweeper(x: np.ndarray, count: int):
-    """sweep() -> one in-place sweep of odd-even block rounds on x = [a; V] of shape (k, 2m, m).
+def _block_rounds(xv: np.ndarray, rows: int, count: int, gram: np.ndarray):
+    """sweep() -> one in-place sweep of odd-even block rounds on the rows of xv, of shape (k, m, rows + m).
 
-    The m rows are `count` blocks of m / count rows (count even).  Even
-    rounds pair the blocks (2i, 2i+1), odd rounds (2i+1, 2i+2), which leaves
-    the first and last blocks idle.  A round takes the diagonal blocks of its
-    pairs, in every stack entry, through one `_odd_even_sweeper` sweep as
-    one stack; that sweep reverses each pair's indices, so its two blocks
-    trade places.  Each pair's accumulated rotation u then updates its
-    columns of [a; V] and its rows of a by matrix products.  A pair's rows
-    and columns are contiguous, so every read and write is a view made here,
-    once: the diagonal blocks are reshapes of one flat slice, 2 m/count
-    (m+1) apart.  After the `count` rounds of a sweep every block pair has
-    met once and all m indices are reversed, as after one odd-even sweep.
+    Row j of each stack entry holds column j of X (its first `rows` entries)
+    and then column j of V, so a rotation of two columns of [X; V] mixes two
+    rows.  The m rows are `count` blocks of m / count rows (count even).
+    Even rounds pair the blocks (2i, 2i+1), odd rounds (2i+1, 2i+2), which
+    leaves the first and last blocks idle (count = 2 has no odd round).  A
+    round takes the Gram block x x^T of each pair's rows x (their X parts),
+    runs one `_odd_even_sweeper` sweep on [x x^T; I] for all pairs of every
+    stack entry as one stack, and applies the accumulated rotation u to the
+    pair's rows as u^T.  Every round forms its Gram blocks from the current
+    rows, but the first of a sweep, which reads them off the diagonal of
+    `gram`: sweep() is called with X^T X of the current rows in `gram`
+    (k x m x m).  An odd-even sweep reverses each pair's indices, so its two
+    blocks trade places, and after the `count` rounds of a sweep every block
+    pair has met once and all m indices are reversed.  This is parallel-ordered
+    Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985) 69-84) in the
+    odd-even ordering (Luk & Park, SIAM J. Sci. Stat. Comput. 10 (1989)
+    18-26) one level up; no proof cited here covers that block order, whose
+    convergence is measured.  A pair's rows are contiguous, so every read
+    and write is a view made here, once.
     """
-    k, m = x.shape[0], x.shape[2]
+    k, m = xv.shape[:2]
     span = 2 * m // count
-    flat = x.reshape(k, -1)
-    rounds = []
+    eye, rounds = np.eye(span), []
     for first, pairs in ((0, count // 2), (span // 2, count // 2 - 1)):
-        end = first + pairs * span
-        diag = flat[:, first * (m + 1):end * (m + 1)].reshape(k, pairs, -1)[:, :, :span * m]
-        y = np.empty((k, pairs, 2 * span, span))
-        rounds.append((diag.reshape(k, pairs, span, m)[..., :span],
-                       x[:, :, first:end].reshape(k, 2 * m, pairs, span).transpose(0, 2, 1, 3),
-                       x[:, first:end].reshape(k, pairs, span, m),
-                       y, _odd_even_sweeper(y.reshape(-1, 2 * span, span))))
+        if pairs:
+            pair = xv[:, first:first + pairs * span].reshape(k, pairs, span, -1)
+            y = np.empty((k, pairs, 2 * span, span))
+            rounds.append((pair, pair[..., :rows], y[:, :, :span], y[:, :, span:],
+                           _odd_even_sweeper(y.reshape(-1, 2 * span, span))))
+    start = np.einsum("kiaib->kiab", gram.reshape(k, count // 2, span, count // 2, span))
 
     def sweep() -> None:
-        for diag, cols, rows, y, pair_sweep in rounds * (count // 2):
-            y[:, :, :span] = diag
-            y[:, :, span:] = np.eye(span)
+        for r, (pair, x, pair_gram, u, pair_sweep) in enumerate(rounds * (count // 2)):
+            pair_gram[...] = x @ x.swapaxes(2, 3) if r else start
+            u[...] = eye
             pair_sweep()
-            u = y[:, :, span:]
-            cols[...] = cols @ u
-            rows[...] = u.swapaxes(2, 3) @ rows
-            diag[...] = y[:, :, :span]
+            pair[...] = u.swapaxes(2, 3) @ pair
     return sweep
-
-
-def _sweep_stack(k: int, n: int):
-    """(x, sweep): a zero stack x = [a; V] of shape (k, 2m, m) for k matrices a of n x n, and sweep().
-
-    sweep() is one sweep of parallel-ordered Jacobi (Brent & Luk, SIAM J.
-    Sci. Stat. Comput. 6 (1985) 69-84) in the odd-even ordering (Luk & Park,
-    SIAM J. Sci. Stat. Comput. 10 (1989) 18-26): rotations on disjoint
-    (p, q) pairs commute and leave each other's (p, q) entries alone, so a
-    round applies them all at once, and each rotated pair is swapped, so the
-    pairs of neighbours (2i, 2i+1) and (2i+1, 2i+2), taken in turn, meet
-    every index pair once in the m rounds of a sweep and leave the indices
-    reversed.  Odd n gets one zero pad row and column, and sweep() is one
-    `_odd_even_sweeper` sweep.  Above 2 * _BLOCK rows, the rows are split
-    into the fewest blocks of at most _BLOCK rows, in pairs, the last ones
-    padded by zero rows, and sweep() is one `_block_sweeper` sweep: the same
-    ordering one level up, each of whose rounds is one odd-even sweep of
-    every block pair, applied to the rest of the pair's rows and columns by
-    matrix products.  Every rotation still zeroes one a[p, q] and nothing is
-    truncated; no proof cited here covers the odd-even block order, whose
-    convergence is measured.
-    """
-    count = -(-n // (2 * _BLOCK)) * 2 if n > 2 * _BLOCK else 0
-    m = count * -(-n // count) if count else n + n % 2
-    x = np.zeros((k, 2 * m, m))
-    return x, _block_sweeper(x, count) if count else _odd_even_sweeper(x)
 
 
 def _one_sided_jacobi(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """[(K V, V, sigma)] for each p x q block K: V orthogonal, the columns of K V relatively orthogonal.
 
     One-sided Jacobi (Hestenes, J. SIAM 6 (1958) 51-90) on all blocks at
-    once, stacked and padded by zero rows and columns, with no rotation code
-    of its own: each sweep forms the Gram matrices G = X^T X of the stack X
-    afresh, runs one `_sweep_stack` sweep on [G; I] (which pads the columns
-    to m), and rotates [X; V] by the rotation that sweep accumulated.  So V
-    is the eigenbasis of K^T K and sigma^2 its eigenvalues.  Forming G again
-    at every sweep keeps the relative accuracy of the one-sided method
-    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204-1245): the
-    angles come from X itself, and X^T X is never diagonalized as a whole,
-    which would square sigma_max / sigma_min.  Sweeps run until every pair
-    of columns is relatively orthogonal, |x_p . x_q| <= m eps |x_p| |x_q|,
-    where a column whose norm is at most 8 m eps times the largest of the
-    stack counts as zero.  On the sublattice blocks of odd N up to 513, a
-    null column kept at most 15 eps times the largest norm (N = 115) under a
-    cut of m eps, and the smallest singular value stayed above 6e-10 times
-    the largest up to gamma_c (1 - 1e-7); on the blocks (P^T W)^T of even N
-    up to 512 it stayed above 7e-6 times the largest up to
-    gamma_c (1 - 1e-13).  NonConvergence is raised after _MAX_SWEEPS
-    sweeps.  sigma holds the column norms of K V, 0 for the zero columns.
-    A zero pad column never mixes in, and a sweep leaves the columns
-    reversed, so after an even number of sweeps each block's own columns
-    are its first q.
+    once, stacked and padded by zero rows and columns to m columns, with
+    [X; V] = [K; I] stored transposed, one column per row.  The columns are
+    split into the fewest blocks of at most _BLOCK, in pairs (one pair of
+    all columns up to 2 * _BLOCK), and each sweep is one `_block_rounds`
+    sweep on them: each rotation's angle comes from the current columns of
+    X, whose Gram blocks are formed afresh for every round (the first from
+    the sweep's full Gram matrix).  So V is the
+    eigenbasis of K^T K and sigma^2 its eigenvalues, and X^T X is never
+    diagonalized as a whole, which would square sigma_max / sigma_min: the
+    one-sided method keeps its relative accuracy (Demmel & Veselic, SIAM J.
+    Matrix Anal. Appl. 13 (1992) 1204-1245).  Sweeps run until the full Gram
+    matrix X^T X, formed at the start of each, has every pair of columns
+    relatively orthogonal, |x_p . x_q| <= m eps |x_p| |x_q|, where a column
+    whose norm is at most 8 m eps times the largest of the stack counts as
+    zero.  On the sublattice blocks of odd N up to 513, a null column kept
+    at most 15 eps times the largest norm (N = 115) under a cut of m eps,
+    and the smallest singular value stayed above 6e-10 times the largest up
+    to gamma_c (1 - 1e-7); on the blocks (P^T W)^T of even N up to 512 it
+    stayed above 7e-6 times the largest up to gamma_c (1 - 1e-13).
+    NonConvergence is raised after _MAX_SWEEPS sweeps.  sigma holds the
+    column norms of K V, 0 for the zero columns.  A zero pad column never
+    mixes in, and a sweep leaves the columns reversed, so after an even
+    number of sweeps each block's own columns are its first q.
     """
-    rows = max(block.shape[0] for block in blocks)
-    y, sweep = _sweep_stack(len(blocks), max(block.shape[1] for block in blocks))
-    m = y.shape[2]
-    gram, turn = y[:, :m], y[:, m:]
-    xv = np.zeros((len(blocks), rows + m, m))
+    rows, n = (max(block.shape[axis] for block in blocks) for axis in (0, 1))
+    count = -(-n // (2 * _BLOCK)) * 2
+    m = count * -(-n // count)
+    xv = np.zeros((len(blocks), m, rows + m))
     for x, block in zip(xv, blocks):
-        x[: block.shape[0], : block.shape[1]] = block
-    xv[:, rows:] = np.eye(m)
-    top, tol = xv[:, :rows], m * np.finfo(float).eps
+        x[: block.shape[1], : block.shape[0]] = block.T
+    xv[:, :, rows:] = np.eye(m)
+    gram = np.empty((len(blocks), m, m))
+    top, tol, sweep = xv[:, :, :rows], m * np.finfo(float).eps, _block_rounds(xv, rows, count, gram)
     for sweeps in range(_MAX_SWEEPS):
-        np.matmul(top.swapaxes(1, 2), top, out=gram)
+        np.matmul(top, top.swapaxes(1, 2), out=gram)
         norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
         norms = np.where(norms > 8 * tol * np.max(norms), norms, 0.0)
         bound = tol * norms[:, :, None] * norms[:, None, :]
         if np.all((np.abs(gram) <= bound) | (bound == 0.0) | np.eye(m, dtype=bool)):  # NaN never passes
             break
-        turn[...] = np.eye(m)
         sweep()
-        xv[...] = xv @ turn
     else:
         raise NonConvergence(f"one-sided Jacobi sweeps exceeded {_MAX_SWEEPS}")
     if sweeps % 2:  # undo the reversal
-        xv, norms = xv[:, :, ::-1], norms[:, ::-1]
-    return [(x[:p, :q], x[rows:rows + q, :q], sigma[:q])
+        xv, norms = xv[:, ::-1], norms[:, ::-1]
+    return [(x[:q, :p].T, x[:q, rows:rows + q].T, sigma[:q])
             for (p, q), x, sigma in zip((block.shape for block in blocks), xv, norms)]
 
 
@@ -412,8 +389,11 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     the sector's columns.  Each vector p is checked against its eps through
     its Rayleigh quotient p^T eta_g p = |W^T p|^2, a sum of squares, to
     PAIRING_TOL: the leaders against eps, the self-paired one against 1, and
-    the R-partners against 1/eps.
+    the R-partners against 1/eps.  A non-finite factor raises GaugeError,
+    as `gauged_factor` does for non-finite duals, before any arithmetic.
     """
+    if not np.all(np.isfinite(factor)):
+        raise GaugeError("non-finite metric factor")
     n = factor.shape[0]
     refl = reflection_matrix(n)
     r = (-1.0) ** np.arange(1, n + 1)  # R|l> = (-1)^l |l>, as a sign vector

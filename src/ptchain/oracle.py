@@ -54,10 +54,13 @@ def char_poly_ratio(spec: ChainSpec, x):
     Elementwise on an array of points; a scalar gives a complex.  The chain
     with hopping J has D_N(x) = J^N D_N(x/J) of the unit chain (J = 1,
     gamma/J), so the ratio is J times the unit chain's at x/J, which keeps
-    J^2 and every power of J out of the arithmetic for any J.
+    J^2 and every power of J out of the arithmetic for any J.  A non-finite
+    point raises ValueError.
     """
-    j = spec.hopping
-    return j * _unit_ratio(spec.n_sites, spec.gamma / j, np.asarray(x, dtype=complex) / j)
+    j, x = spec.hopping, np.asarray(x, dtype=complex)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("char_poly_ratio needs finite points")
+    return j * _unit_ratio(spec.n_sites, spec.gamma / j, x / j)
 
 
 def _unit_ratio(n: int, gamma: float, x: np.ndarray):
@@ -223,8 +226,11 @@ def oracle_eigenvector(h: np.ndarray, eigenvalue: complex) -> np.ndarray:
     A small deterministic shift keeps the solve non-singular; three reshifts
     of growing size are tried before giving up.  The returned vector satisfies
     ||H v - lambda v||_inf < `_RESIDUAL_TOL` and carries a fixed phase (largest
-    component real non-negative).
+    component real non-negative).  A non-finite h or eigenvalue raises
+    ValueError.
     """
+    if not (np.all(np.isfinite(h)) and cmath.isfinite(eigenvalue)):
+        raise ValueError("oracle_eigenvector needs a finite matrix and eigenvalue")
     n = h.shape[0]
     scale = max(1.0, float(np.max(np.abs(h))))
     ident = np.eye(n)

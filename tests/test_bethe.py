@@ -114,7 +114,15 @@ def test_locate_critical_gamma(n):
     assert locate_critical_gamma(n) == pytest.approx(gamma_critical(n), abs=1e-6)
 
 
-# float.hex of locate_critical_gamma(n, j, 1e-10) from the count by full root solves
+@pytest.mark.parametrize("j", [1e-300, 1e-6])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 100, 101])
+def test_locate_critical_gamma_tol_is_in_units_of_j(n, j):
+    # an absolute 1e-6 would stop the bisection after at most one step at
+    # small J: N = 9 would read 1.35e-300 at J = 1e-300, 21% off gamma_c
+    assert abs(locate_critical_gamma(n, j) - gamma_critical(n, j)) <= 1e-6 * j
+
+
+# float.hex of gamma_c bisected to a width of 1e-10, from the count by full root solves
 PINNED_GAMMA_C = {
     1.0: ["0x1.0000000023334p+0", "0x1.6a09e667f0000p+0", "0x1.0000000023334p+0",
           "0x1.1e3779b990000p+0", "0x1.0000000023334p+0", "0x1.028c1d9596666p+0",
@@ -127,7 +135,8 @@ PINNED_GAMMA_C = {
 
 @pytest.mark.parametrize("j", sorted(PINNED_GAMMA_C))
 def test_locate_critical_gamma_is_pinned(j):
-    got = [locate_critical_gamma(n, j, 1e-10).hex() for n in (2, 3, 8, 9, 100, 101, 1000)]
+    # tol is in units of J: fl(fl(1e-10 / 3) * 3) is 1e-10, the width of the pins
+    got = [locate_critical_gamma(n, j, 1e-10 / j).hex() for n in (2, 3, 8, 9, 100, 101, 1000)]
     assert got == PINNED_GAMMA_C[j]
 
 
@@ -138,7 +147,7 @@ def _bisection_by_pair_roots(n, j, tol):
 
     lo, hi = 0.5 * j, 2.2 * j
     assert is_unbroken(lo) and not is_unbroken(hi)
-    while hi - lo > tol:
+    while hi - lo > tol * j:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

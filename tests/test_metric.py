@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -256,20 +257,21 @@ def test_odd_even_sweep_meets_every_pair_once_and_reverses(m):
     assert np.array_equal(y[0, m:], np.eye(m)[:, ::-1])
 
 
-@pytest.mark.parametrize("n", [2 * metric._BLOCK + 1, 5 * metric._BLOCK + 3])
+@pytest.mark.parametrize("n", [9, 2 * metric._BLOCK + 1, 5 * metric._BLOCK + 3])
 def test_block_sweep_reverses_every_index(n):
-    # The block partition of _sweep_stack: 4 blocks of 9 rows, or 6 of
-    # 14 with blocks 0 and 5 idle in the odd rounds.  On a diagonal matrix
-    # every pivot is exactly 0, so each pair's sweep is an exact swap and its
-    # rotation an exact permutation; one block sweep reverses a and V's columns.
+    # The block partition of _one_sided_jacobi: one pair of all 10 columns,
+    # 4 blocks of 9, or 6 of 14 with blocks 0 and 5 idle in the odd rounds.
+    # On orthogonal columns every Gram block is diagonal, so each pair's
+    # sweep is an exact swap and its rotation an exact permutation; one
+    # block sweep reverses the rows of [X^T, V^T], each a column of X and V.
     count = -(-n // (2 * metric._BLOCK)) * 2
     m = count * -(-n // count)
-    x = np.zeros((1, 2 * m, m))
-    x[0, :m] = np.diag(np.arange(1.0, m + 1))
-    x[0, m:] = np.eye(m)
-    metric._block_sweeper(x, count)()
-    assert np.array_equal(x[0, :m], np.diag(np.arange(m, 0.0, -1)))
-    assert np.array_equal(x[0, m:], np.eye(m)[:, ::-1])
+    xv = np.zeros((1, m, 2 * m + 3))
+    xv[0, :, :m] = np.diag(np.arange(1.0, m + 1))
+    xv[0, :, m + 3:] = np.eye(m)
+    want = xv[:, ::-1].copy()
+    metric._block_rounds(xv, m + 3, count, xv[..., :m + 3] @ xv[..., :m + 3].swapaxes(1, 2))()
+    assert np.array_equal(xv, want)
 
 
 @pytest.mark.parametrize("n", [12, 2 * metric._BLOCK, 3 * metric._BLOCK])
@@ -535,6 +537,18 @@ def test_canonical_basis_rejects_a_metric_that_is_not_positive(eta):
             canonical_basis(eta)
 
 
+@pytest.mark.parametrize("n,bad", [(4, math.inf), (4, math.nan), (5, -math.inf), (5, math.nan)])
+def test_canonical_basis_rejects_a_non_finite_factor(n, bad):
+    # an N x (N + N mod 2) factor of a positive metric with one bad entry:
+    # rejected before any product, so with no numpy warning
+    factor = gauged_factor(build_eigenbasis(ChainSpec(n, 1.0, 0.5 * gamma_critical(n))))
+    factor[n // 2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GaugeError, match="non-finite"):
+            canonical_basis(factor)
+
+
 def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
     # even N: the + sector's (P^T W)^T alone; odd N: the sublattice blocks K_s
     # of both sectors, in one stacked one-sided solve
@@ -549,17 +563,16 @@ def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
         monkeypatch.setattr(metric, name, wrapped)
 
     spy("_one_sided_jacobi", lambda blocks: [block.shape for block in blocks])
-    spy("_sweep_stack", lambda k, n: (k, n))
     for n in range(2, 65):
         calls.clear()
         metric_decomposition(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
         if n % 2 == 0:
-            want = [("_one_sided_jacobi", [(n, n // 2)]), ("_sweep_stack", (1, n // 2))]
+            want = [("_one_sided_jacobi", [(n, n // 2)])]
         else:
             # K_s has the sector's R = +1 columns as rows and its R = -1 columns
             # as columns, sectors of (N - 1)/2 and (N + 1)/2 columns
             shapes = [(k // 2, (k + 1) // 2) for k in ((n - 1) // 2, (n + 1) // 2)]
-            want = [("_one_sided_jacobi", shapes), ("_sweep_stack", (2, shapes[1][1]))]
+            want = [("_one_sided_jacobi", shapes)]
         assert calls == want, (n, calls)
 
 

@@ -274,6 +274,28 @@ _SET_PAIRS = st.integers(1, 12).flatmap(
     lambda n: st.tuples(*[st.lists(_POINT, min_size=n, max_size=n)] * 2))
 
 
+@pytest.mark.parametrize("x", [math.nan, complex(0.3, math.inf), np.array([0.5, math.nan])])
+def test_char_poly_ratio_rejects_a_non_finite_point(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite points"):
+            char_poly_ratio(ChainSpec(6, 1.0, 0.5), x)
+
+
+@pytest.mark.parametrize("bad_h,eigenvalue", [(False, math.nan), (False, complex(math.inf, 0.0)),
+                                              (True, -1.0)])
+def test_oracle_eigenvector_rejects_non_finite_input(bad_h, eigenvalue):
+    # a NaN eigenvalue would spend every reshift on NaN solves, with a
+    # warning each, and end in SingularSolve, which names the wrong cause
+    h = build_hamiltonian(ChainSpec(6, 1.0, 0.5))
+    if bad_h:
+        h[2, 3] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite matrix and eigenvalue"):
+            oracle_eigenvector(h, eigenvalue)
+
+
 @settings(deadline=None, max_examples=300)
 @given(sets=_SET_PAIRS)
 # the nearest neighbour of both 0 and 0.1 is 0.05: the greedy fallback

@@ -128,3 +128,9 @@ def test_guard_mutation_script():
     assert len(lines) == 2 and re.fullmatch(r"model\.py:\d+,killed", lines[0]), lines
     assert lines[1] == "0 not killed", lines
     assert model.read_bytes() == before
+    # a guard in front of a break: a stop test that never passes runs the
+    # one-sided Jacobi out of sweeps
+    lines = _run_script("guard_mutation.py", "--match", "np.abs(gram) <= bound",
+                        "--tests", "tests/test_metric.py::test_jacobi_identity_and_2x2").stdout.splitlines()
+    assert len(lines) == 2 and re.fullmatch(r"metric\.py:\d+,killed", lines[0]), lines
+    assert lines[1] == "0 not killed", lines
