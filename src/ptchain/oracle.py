@@ -17,10 +17,13 @@ so squaring that power gives P_{2k} = P_k^2 - J^2 P_{k-1}^2 and P_{2k-1} =
 
 Binary powering over the bits of N-2 (one doubling per bit, one recurrence
 step per set bit, derivatives by the product rule) evaluates Q and Q' in t
-pointwise in O(log N) array operations, with no coefficient expansion.  One
-vectorized Aberth-Ehrlich iteration on Q / Q' (O. Aberth, Math. Comp. 27
-(1973) 339; D. A. Bini, Numer. Algorithms 13 (1996)) finds all N//2 roots in
-t; D_N / D_N' from the same (Q, Q') Newton-refines one level in x.
+pointwise in O(log N) operations, with no coefficient expansion.  One
+Aberth-Ehrlich iteration on Q / Q' (O. Aberth, Math. Comp. 27 (1973) 339;
+D. A. Bini, Numer. Algorithms 13 (1996)) finds all N//2 roots in t: on
+Python complex scalars up to `_SCALAR_ESTIMATES` roots, where a numpy call
+costs more than its arithmetic, and on arrays above.  Both paths share the
+doubling.  Seeds above gamma_c put one estimate near the broken pair.
+D_N / D_N' from the same (Q, Q') Newton-refines one level in x.
 Eigenvectors come from inverse iteration.
 """
 
@@ -35,10 +38,11 @@ from .errors import NonConvergence, SingularSolve
 from .model import ChainSpec
 
 # Aberth in t from the free-chain seeds takes 2-15 iterations at N <= 80 and
-# 7-17 at N = 128 and 200 (measured for J in {0.5, 1, 3} and gamma from 0 to
-# 1e3 gamma_c, at gamma_c and within 1e-9 of it too), then 20-22 at N = 500,
-# 35-38 at N = 1000, 66-68 at N = 2000 and 124-126 at N = 4001 (J = 1, 0.5
-# and 1.3 gamma_c): about N/32 at large N
+# 7-15 at N = 128 and 200 (measured for J in {0.5, 1, 3} and gamma from 0 to
+# 1e3 gamma_c, at gamma_c and within 1e-9 of it too), then 17-22 at N = 500,
+# 34-38 at N = 1000, 65-66 at N = 2000 and 126 at N = 4001 (J = 1; 0.5 to
+# 1e100 gamma_c up to N = 1001, 0.5 and 1.3 gamma_c above): about N/32 at
+# large N
 _ORACLE_MAX_ITER = 1000
 _REFINE_MAX_ITER = 100
 _ROOT_TOL = 1e-13  # Aberth's last step, relative to max(J, |E|) in x and max(J^2, |E|^2) in t
@@ -46,6 +50,13 @@ _RESIDUAL_TOL = 1e-9  # inverse iteration's ||H v - lambda v||_inf
 
 # The common offset of the free-chain seeds in t, in units of J^2
 _SEED_OFFSET = cmath.rect(0.01, 0.5)
+
+# Aberth on Python complex scalars up to this many estimates (N <= 21), on
+# arrays above it.  One oracle_spectrum call at 0.5 gamma_c and N = 8 / 16 /
+# 20 / 24 / 32 took a median 140 / 183 / 262 / 406 / 433 us on scalars and
+# 318 / 216 / 267 / 371 / 272 us on arrays, whose numpy calls cost about the
+# same for 1 value as for 32 (BENCH_35.json)
+_SCALAR_ESTIMATES = 10
 
 
 def char_poly_ratio(spec: ChainSpec, x):
@@ -77,8 +88,8 @@ def _unit_ratio(n: int, gamma: float, x: np.ndarray):
     return num / np.where(num == 0, 1.0, den)
 
 
-def _t_ratio(n: int, gamma: float, t: np.ndarray):
-    """Q(t) / Q'(t) of the unit chain (J = 1) at the complex points t = x^2.
+def _t_ratio(n: int, gamma: float, t):
+    """Q(t) / Q'(t) of the unit chain (J = 1) at t = x^2: one complex, or an array.
 
     P_k = x^(k mod 2) U(t) and P_{k-1} = x^((k-1) mod 2) V(t) are doubled in
     t, with no odd power of x; the recurrence step k -> k + 1 follows a
@@ -90,19 +101,25 @@ def _t_ratio(n: int, gamma: float, t: np.ndarray):
     the ratio unchanged.  The scale brings the larger of |U|, |V| below 1,
     not the largest of the four: U' / U grows like k^2 near the band edge,
     and squaring a U scaled down by U' underflows to 0 at N = 8194.
+    The doubling is plain arithmetic, and numpy is called only for the
+    bound on |t| and the zero-derivative test of an array and for the rare
+    rescale, so one complex t costs no numpy call.
     """
+    point = isinstance(t, complex)
     m = n - 2
     # (U, V, U', V') at k = 1, or at k = 0 when N = 2
     u, v, du, dv = (-1.0, 1.0, 0.0, 0.0) if m else (1.0, 0.0, 0.0, 0.0)
-    grow, size = math.log2(14 * max(1.0, gamma ** 2, float(np.max(np.abs(t))))), 0.0
+    top = abs(t) if point else float(np.max(np.abs(t)))
+    grow, size = math.log2(14 * max(1.0, gamma ** 2, top)), 0.0
     for last, bit in zip(bin(m)[2:], bin(m)[3:]):  # k -> 2k, then k -> k + 1 on a set bit
         if last == "1":  # k is odd: P_k = x U, P_{k-1} = V
-            s = 2 * u + v
-            u, v, du, dv = (t * u * u - v * v, s * v, u * u + 2 * (t * u * du - v * dv),
+            s, tu = 2 * u + v, t * u
+            u, v, du, dv = (tu * u - v * v, s * v, u * u + 2 * (tu * du - v * dv),
                             (2 * du + dv) * v + s * dv)
         else:  # P_k = U, P_{k-1} = x V
-            s = 2 * u + t * v
-            u, v, du, dv = (u * u - t * v * v, s * v, 2 * (u * du - t * v * dv) - v * v,
+            tv = t * v
+            s = 2 * u + tv
+            u, v, du, dv = (u * u - tv * v, s * v, 2 * (u * du - tv * dv) - v * v,
                             (2 * du + v + t * dv) * v + s * dv)
         if bit == "1":
             u, v, du, dv = -u - v, u, -du - dv, du
@@ -113,7 +130,7 @@ def _t_ratio(n: int, gamma: float, t: np.ndarray):
             size = float(np.max(np.frexp(np.maximum(np.abs(du), np.abs(dv)))[1].clip(0)))
     c = t + (gamma ** 2 - 1.0)
     q, dq = (c * u + v, u + c * du + dv) if n % 2 else (c * u + t * v, u + c * du + v + t * dv)
-    if np.any(dq == 0):
+    if (dq == 0) if point else (dq == 0).any():
         raise NonConvergence("vanishing derivative in recurrence Newton")
     return q / dq
 
@@ -121,47 +138,95 @@ def _t_ratio(n: int, gamma: float, t: np.ndarray):
 def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Roots by Aberth-Ehrlich simultaneous iteration, sorted (real, imag).
 
-    `ratio(z)` is p(z)/p'(z) elementwise.  Each estimate moves by
-    w_i = r_i / (1 - r_i sum_{j != i} 1/(z_i - z_j)), which is Newton for a
-    single estimate, until every |w_i| < tol * max(1, |z_i|).  The steps
-    shrink quadratically near a simple root (every root in t is one) and by
-    half per step near a double one; a step that never shrinks is no root,
-    and raises once `max_iter` is spent.
+    `ratio(z)` is p(z)/p'(z), of one complex or elementwise of an array.
+    Each estimate moves by w_i = r_i / (1 - r_i sum_{j != i} 1/(z_i - z_j)),
+    which is Newton for a single estimate, until every |w_i| < tol *
+    max(1, |z_i|).  The steps shrink quadratically near a simple root (every
+    root in t is one) and by half per step near a double one; a step that
+    never shrinks is no root, and raises once `max_iter` is spent.
     A non-finite step raises, without a numpy warning, so the iteration
-    never converges on NaN.
+    never converges on NaN.  Up to `_SCALAR_ESTIMATES` estimates the
+    iteration runs on Python complex scalars, with its own O(k^2) sum and
+    the same checks; more run on arrays.  The crossover is measured: at
+    N <= 64 an array step costs numpy's per-call overhead, about the same
+    for 1 value as for 32, and the scalars win up to about 10 estimates.
+    The two orders of arithmetic agree to rounding in t.
     """
     z = np.array(seeds, dtype=complex)
+    roots = (_scalar_aberth if len(z) <= _SCALAR_ESTIMATES else _array_aberth)(
+        ratio, z, tol, max_iter)
+    if roots is None:
+        raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
+    return np.sort(np.array(roots, dtype=complex))
+
+
+def _array_aberth(ratio, z: np.ndarray, tol: float, max_iter: int):
+    """`_aberth` on arrays: the roots, or None once `max_iter` is spent."""
+    inv = np.empty((len(z), len(z)), dtype=complex)  # one buffer: N^2 arrays bound large N
+    diagonal = inv.reshape(-1)[::len(z) + 1]
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN steps raise below
         for _ in range(max_iter):
             r = ratio(z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            inv = np.divide(1.0, diff, out=diff)  # in place: N^2 arrays bound large N
-            np.fill_diagonal(inv, 0.0)
+            np.divide(1.0, np.subtract.outer(z, z, out=inv), out=inv)
+            diagonal[:] = 0.0
             step = r / (1.0 - r * inv.sum(axis=1))
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise NonConvergence("Aberth step is not finite")
             z -= step
-            if np.all(np.abs(step) < tol * np.maximum(1.0, np.abs(z))):
-                return np.sort(z)
-    raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
+            if (np.abs(step) < tol * np.maximum(1.0, np.abs(z))).all():
+                return z
+    return None
+
+
+def _scalar_aberth(ratio, z: np.ndarray, tol: float, max_iter: int):
+    """`_aberth` on Python complex scalars: the roots, or None once `max_iter` is spent."""
+    z, k = z.tolist(), len(z)
+    for _ in range(max_iter):
+        sums = [0j] * k
+        try:
+            for i in range(k):  # each pair once: 1/(z_j - z_i) = -1/(z_i - z_j)
+                for j in range(i + 1, k):
+                    w = 1 / (z[i] - z[j])
+                    sums[i] += w
+                    sums[j] -= w
+            step = [r / (1 - r * s) for r, s in zip(map(ratio, z), sums)]
+        except ZeroDivisionError:  # where an array gets inf or NaN
+            raise NonConvergence("Aberth step is not finite") from None
+        if not all(map(cmath.isfinite, step)):
+            raise NonConvergence("Aberth step is not finite")
+        z = [a - w for a, w in zip(z, step)]
+        if all(abs(w) < tol * max(1.0, abs(a)) for a, w in zip(z, step)):
+            return z
+    return None
 
 
 def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
     """All N eigenvalues: +-sqrt(t) at the N//2 roots t of Q, and 0 for odd N.
 
-    Aberth in t is seeded at the squared free-chain levels 4J^2 cos^2(m pi/(N+1)),
-    m = 1..N//2, which are the roots at gamma = 0 and sit close to all but
-    the critical pair's for gamma > 0.  Every seed is moved by the same
-    offset J^2 0.01 e^{0.5i}: Q is real for real t, and real seeds would stay
-    on the real axis.  The roots are those of the unit chain (J = 1,
-    gamma/J) times J, so `_ROOT_TOL` is relative to max(J^2, |E|^2) in t.
-    The levels are sorted (real, imag); each level's negative is bit for bit
-    its partner.
+    Up to gamma_c, Aberth in t is seeded at the squared free-chain levels
+    4J^2 cos^2(m pi/(N+1)), m = 1..N//2, which are the roots at gamma = 0
+    and sit close to all but the critical pair's for gamma > 0.  Above
+    gamma_c the pair has left the band: N//2 - 1 seeds sit at the levels
+    4J^2 cos^2(m pi/(N-1)) of the N-2 inner sites, which the end sites leave
+    behind as gamma grows, and the last at -(gamma - J^2/gamma)^2, the
+    pair's limit E = +-i (gamma - J^2/gamma) where kappa N is large (the
+    bound state of one end site).  A seed moves the iteration count, and
+    the roots only by rounding.  Every seed is moved by the same offset
+    J^2 0.01 e^{0.5i}: Q is real for real t, and real seeds would stay on
+    the real axis.  Up to N = 21 (`_SCALAR_ESTIMATES` roots in t) Aberth
+    runs on Python complex scalars, above on arrays (`_aberth`).  The roots
+    are those of the unit chain (J = 1, gamma/J) times J, so `_ROOT_TOL` is
+    relative to max(J^2, |E|^2) in t.  The levels are sorted (real, imag);
+    each level's negative is bit for bit its partner.
     """
-    n, j = spec.n_sites, spec.hopping
-    seeds = 4 * np.cos(np.pi * np.arange(1, n // 2 + 1) / (n + 1)) ** 2 + _SEED_OFFSET
-    t = _aberth(lambda z: _t_ratio(n, spec.gamma / j, z), seeds, _ROOT_TOL, _ORACLE_MAX_ITER)
+    n, j, gamma = spec.n_sites, spec.hopping, spec.gamma / spec.hopping
+    if spec.gamma > spec.gamma_c:  # the N-2 inner sites' levels, and the pair's limit
+        inner = 4 * np.cos(np.pi * np.arange(1, n // 2) / (n - 1)) ** 2
+        seeds = np.append(inner, -(gamma - 1 / gamma) ** 2)
+    else:
+        seeds = 4 * np.cos(np.pi * np.arange(1, n // 2 + 1) / (n + 1)) ** 2
+    t = _aberth(lambda z: _t_ratio(n, gamma, z), seeds + _SEED_OFFSET, _ROOT_TOL,
+                _ORACLE_MAX_ITER)
     x = j * np.sqrt(t)
     return np.sort(np.concatenate([x, -x, np.zeros(n % 2, complex)]))
 
@@ -174,8 +239,12 @@ def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
     in x only halves its step; the level is +-sqrt(t) on the guess's side.
     A guess of 0 has no side, and D_N' vanishes there, so it raises unless
     Q(0) = 0, as Newton in x does.  Odd N steps in x (`char_poly_ratio`), so
-    that its zero mode, the root x = 0 of the factor x, stays exact.
+    that its zero mode, the root x = 0 of the factor x, stays exact.  One
+    estimate runs on Python complex scalars (`_aberth`).  A non-finite guess
+    raises ValueError.
     """
+    if not cmath.isfinite(guess):
+        raise ValueError("refine_eigenvalue needs a finite guess")
     n, j, gamma = spec.n_sites, spec.hopping, spec.gamma / spec.hopping
     x = complex(guess) / j
     ratio = _unit_ratio if n % 2 else _t_ratio

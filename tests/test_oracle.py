@@ -10,7 +10,8 @@ from ptchain import (ChainSpec, build_hamiltonian, gamma_critical,
                      solve_spectrum, spectral_distance)
 from ptchain.errors import NonConvergence
 from ptchain.exceptional import critical_levels
-from ptchain.oracle import _aberth, char_poly_ratio
+from ptchain import oracle
+from ptchain.oracle import _SCALAR_ESTIMATES, _aberth, char_poly_ratio
 
 
 def _ellipse_points(hopping, count):
@@ -91,11 +92,14 @@ def test_root_residuals_and_conjugation_symmetry(n, frac):
 
 
 def test_refine_eigenvalue_raises_on_nan_guess():
-    # and raises cleanly: a numpy warning would fail here as an error
+    # a non-finite guess is bad input, not a solver failure, as for
+    # char_poly_ratio and oracle_eigenvector; and it raises cleanly: a numpy
+    # warning would fail here as an error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergence, match="not finite"):
-            refine_eigenvalue(ChainSpec(6, 1.0, 0.5), complex(math.nan))
+        for guess in (complex(math.nan), math.inf, complex(0.3, -math.inf)):
+            with pytest.raises(ValueError, match="finite guess"):
+                refine_eigenvalue(ChainSpec(6, 1.0, 0.5), guess)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64])
@@ -165,11 +169,87 @@ def test_oracle_at_the_largest_tested_n(frac):
     assert spectral_distance(oracle_spectrum(spec), solve_spectrum(spec).energies) <= 1e-12
 
 
-def test_aberth_never_returns_a_stalled_estimate():
-    # a step that never shrinks is no root, however small it is
+def test_aberth_never_returns_a_stalled_estimate(monkeypatch):
+    # a step that never shrinks is no root, however small it is; the
+    # crossover patched so that the three estimates run on each path
     seeds = np.array([0.5 + 0.1j, 2.0 - 0.3j, -1.0 + 0.2j])
-    with pytest.raises(NonConvergence, match="stalled after 50 iterations"):
-        _aberth(lambda z: np.full_like(z, 1e-7), seeds, 1e-13, 50)
+    for crossover in (3, 2):
+        monkeypatch.setattr(oracle, "_SCALAR_ESTIMATES", crossover)
+        with pytest.raises(NonConvergence, match="stalled after 50 iterations"):
+            _aberth(lambda z: z * 0 + 1e-7, seeds, 1e-13, 50)
+
+
+@pytest.mark.parametrize("crossover", [3, 2], ids=["scalars", "arrays"])
+@pytest.mark.parametrize("seeds,ratio", [
+    ([0.5 + 0.1j, 2.0 - 0.3j, -1.0 + 0.2j], lambda z: z * math.nan),
+    ([0.5 + 0.1j, 2.0 - 0.3j, 0.5 + 0.1j], lambda z: z - 1.0),  # 1/(z_i - z_j) at z_i = z_j
+])
+def test_aberth_raises_on_a_non_finite_step(monkeypatch, crossover, seeds, ratio):
+    # with no numpy warning: the scalars' ZeroDivisionError is the arrays' inf
+    monkeypatch.setattr(oracle, "_SCALAR_ESTIMATES", crossover)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="Aberth step is not finite"):
+            _aberth(ratio, np.array(seeds), 1e-13, 50)
+
+
+def _both_paths(monkeypatch, spec):
+    # the oracle's levels with every Aberth run on scalars, then on arrays
+    levels = []
+    for crossover in (spec.n_sites, 0):
+        monkeypatch.setattr(oracle, "_SCALAR_ESTIMATES", crossover)
+        levels.append(oracle_spectrum(spec))
+    return levels
+
+
+def _level_distance(a, b, unit):
+    # each level of either set to its nearest in the other, relative to max(unit, |level|)
+    dist = np.abs(a[:, None] - b[None, :])
+    return max(np.max(dist.min(axis=1) / np.maximum(unit, np.abs(a))),
+               np.max(dist.min(axis=0) / np.maximum(unit, np.abs(b))))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 1.3, 10.0])
+def test_scalar_and_array_paths_agree(monkeypatch, j, frac):
+    # the two orders of arithmetic agree to rounding in t, the root Aberth
+    # solves; next to gamma_c the pair sits near sqrt(1e-9) J, where
+    # x = sqrt(t) moves by 1/(2 sqrt t) times t's rounding, so x is bounded
+    # off gamma_c only
+    for n in range(2, 4 * _SCALAR_ESTIMATES + 3):
+        spec = ChainSpec(n, j, frac * gamma_critical(n, j))
+        scalars, arrays = _both_paths(monkeypatch, spec)
+        assert _level_distance(scalars ** 2, arrays ** 2, j * j) <= 1e-14, n
+        if abs(frac - 1) > 1e-6:
+            assert _level_distance(scalars, arrays, j) <= 1e-14, n
+
+
+@pytest.mark.parametrize("n,j,gamma", [(8, 1.0, 1e150), (9, 1.0, 1e150), (8, 0.5, 0.5),
+                                       (8, 1.0, 1.0), (8, 3.0, 3.0)])
+def test_scalar_and_array_paths_agree_at_the_extremes(monkeypatch, n, j, gamma):
+    # gamma/J = 1e150 rescales inside the doubling; at gamma = J an even
+    # chain's pair has coalesced at E = 0
+    scalars, arrays = _both_paths(monkeypatch, ChainSpec(n, j, gamma))
+    assert _level_distance(scalars, arrays, j) <= 1e-14
+
+
+@pytest.mark.parametrize("n,kind", [(2, complex), (2 * _SCALAR_ESTIMATES + 1, complex),
+                                    (2 * _SCALAR_ESTIMATES + 2, np.ndarray)])
+def test_short_chains_run_on_python_scalars(monkeypatch, n, kind):
+    # up to the crossover every Q/Q' is of one Python complex, above it of an array
+    seen, ratio = set(), oracle._t_ratio
+    monkeypatch.setattr(oracle, "_t_ratio", lambda *a: seen.add(type(a[2])) or ratio(*a))
+    oracle_spectrum(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
+    assert seen == {kind}
+
+
+def test_broken_phase_seeds_sit_next_to_the_pair(monkeypatch):
+    # one _t_ratio call per iteration on arrays: from the free-chain seeds
+    # alone, N = 64 at 1.5 gamma_c took 15 iterations
+    calls, ratio = [], oracle._t_ratio
+    monkeypatch.setattr(oracle, "_t_ratio", lambda *a: calls.append(1) or ratio(*a))
+    oracle_spectrum(ChainSpec(64, 1.0, 1.5 * gamma_critical(64)))
+    assert 0 < len(calls) <= 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65])

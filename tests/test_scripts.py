@@ -38,13 +38,16 @@ def test_coupling_tables_script():
 
 def test_oracle_scaling_script():
     lines = _run_script("oracle_scaling.py", "--sizes", "8", "16").stdout.splitlines()
-    assert lines[0] == "n,seconds,bethe_distance,eigvals_distance"
-    rows = [line.split(",") for line in lines[1:3]]
-    assert [int(row[0]) for row in rows] == [8, 16], lines
-    assert all(float(row[1]) > 0 and float(row[2]) <= 1e-12 and float(row[3]) <= 1e-12
+    assert lines[0] == "n,gamma_over_gamma_c,seconds,bethe_distance,eigvals_distance"
+    rows = [line.split(",") for line in lines[1:5]]
+    assert [(int(row[0]), float(row[1])) for row in rows] == [
+        (8, 0.5), (8, 1.5), (16, 0.5), (16, 1.5)], lines
+    assert all(float(row[2]) > 0 and float(row[3]) <= 1e-12 and float(row[4]) <= 1e-12
                for row in rows), lines
-    assert re.fullmatch(r"slope d\(log seconds\)/d\(log N\) = -?\d+\.\d\d", lines[3]), lines
-    assert len(lines) == 4, lines
+    slope = r"-?\d+\.\d\d"
+    assert re.fullmatch(rf"slope d\(log seconds\)/d\(log N\) = {slope} unbroken, {slope} broken",
+                        lines[5]), lines
+    assert len(lines) == 6, lines
 
 
 def test_metric_scaling_script():
