@@ -7,8 +7,9 @@ result is kept; the median seconds of three hermitian_equivalent calls on
 one metric decomposition, the transform stage alone; and the largest
 distance of the kept Hermitian equivalent from the one built with LAPACK's
 SVD in place of the one-sided Jacobi solve (the eigh-driven pipeline): of
-(P^T W)^T for even N, of the sublattice blocks for odd N.  The default sizes
-pair each even N with an odd one, so both parities are timed.
+the square sector block Z^T for even N, of the sublattice blocks for odd N.
+The default sizes pair each even N with an odd one, so both parities are
+timed.
 The last line is the log-log slope of the median equivalent_hermitian time
 against N, the pipeline's measured N-scaling.
 """

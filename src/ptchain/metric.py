@@ -8,29 +8,35 @@ Pipeline (unbroken phase):
    D = diag(i^(l mod 2)), give the gauged metric G~ G~^dagger, and H
    becomes iA with A real.  So the gauged dual at pi - k is a unit-modulus
    multiple of the conjugate of the one at k, and each chiral pair adds
-   2 Re(g~ g~^dagger) of its dual at k >= pi/2: the real factor
-   W = [Re G~, Im G~] of those columns, scaled by sqrt(2) (by 1 for the
-   zero mode of odd N, its own partner), is N x (N + N mod 2) and carries
-   the real symmetric metric as eta_g = W W^T, which is never formed.
-   eta_g commutes with a reflection operator: the plain site exchange for
+   2 Re(g~ g~^dagger) of its dual at k >= pi/2, which no phase of g~
+   changes: the real factor W = [Re G~, Im G~] of those columns, scaled by
+   sqrt(2) (by 1 for the zero mode of odd N, its own partner) and turned by
+   e^(i pi/4) for even N, is N x (N + N mod 2) and carries the real
+   symmetric metric as eta_g = W W^T, which is never formed.  eta_g
+   commutes with a reflection operator refl: the plain site exchange for
    even N, the sign-twisted exchange (exchange o R) for odd N, where
-   R|l> = (-1)^l |l>.
-3. Project W onto the orthonormal parity basis P = (e_l + s refl e_l)/|.| of
-   each reflection sector s = +-1, so every eigenvector has exact parity and
+   R|l> = (-1)^l |l>.  The first half of W's columns lies in its sector
+   s = +1, the second half in s = -1, up to rounding.
+3. A vector of sector s is fixed by its first ceil(N/2) sites, so each
+   sector's block of eta_g in the orthonormal parity basis
+   (e_l + s refl e_l)/|.| is Z Z^T, with Z sliced from the sector's own
+   columns of W: sqrt(2) times their first floor(N/2) rows, plus the middle
+   row of odd N where that site lies in the sector.  Every eigenvector then
+   has exact parity, unfolded from its sector rows by the mirror, and
    carries no rounding of the other sector.  Eigenvalues come in reciprocal
    pairs (eps, 1/eps) mapped onto each other by R.  For even N, R swaps the
-   two sectors, so only the + sector is solved: the SVD of its N x N/2 block
-   (P^T W)^T gives the eigenvectors of (P^T W)(P^T W)^T, with eps = sigma^2,
+   two sectors, so only the + sector is solved: the SVD of its square
+   N/2 x N/2 block Z^T gives the eigenvectors of Z Z^T, with eps = sigma^2,
    and R supplies the other half.  For odd N, R keeps each sector, sized
-   (N-1)/2 and (N+1)/2, and is +-1 on each of its parity columns, so in
-   R-order R B R = B^-1 gives a sector block B = [[A, K], [K^T, D]] the
-   difference B - B^-1 = [[0, 2K], [2K^T, 0]]: the sector follows from the
-   SVD of its sublattice block K = (P^T W)[R = +1] (P^T W)[R = -1]^T, of
-   half its size, with eps - 1/eps = 2 sigma, and both sectors' K are one
-   stack.  Every SVD is one-sided Jacobi, which rotates the block's own
-   columns in parallel rounds over odd-even ordered pairs of column blocks,
-   each round's angles from its pairs' Gram blocks, formed afresh from the
-   current columns; no block of eta is ever formed.
+   (N-1)/2 and (N+1)/2, and is +-1 on each of its sites, so in R-order
+   R B R = B^-1 gives a sector block B = [[A, K], [K^T, D]] the difference
+   B - B^-1 = [[0, 2K], [2K^T, 0]]: the sector follows from the SVD of its
+   sublattice block K = Z[R = +1] Z[R = -1]^T, of half its size, with
+   eps - 1/eps = 2 sigma, and both sectors' K are one stack.  Every SVD is
+   one-sided Jacobi, which rotates the block's own columns in parallel
+   rounds over odd-even ordered pairs of column blocks, each round's angles
+   from its pairs' Gram blocks, formed afresh from the current columns; no
+   block of eta is ever formed.
    Matrix elements of the gauged H between equal-parity vectors vanish
    identically, which is what makes the final block structure possible.
 4. One rule orders the basis for both parities: each solved sector, with
@@ -107,6 +113,11 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
     gauged metric G~ G~^dagger.  W = [Re G~, Im G~] of the columns with
     k >= pi/2, each scaled by sqrt(2) but the zero mode of odd N, its own
     partner: N x (N + N mod 2), and W W^T is real symmetric by construction.
+    A phase of a dual leaves W W^T unchanged, and for even N each is turned
+    by e^(i pi/4), which with the sqrt(2) is one factor 1 + i: its columns
+    become Re - Im and Re + Im.  Then for both parities the first half of
+    W's columns lies in the reflection sector +1 and the second half in -1
+    (`canonical_basis`), up to a leak of a few N eps max|W|.
     GaugeError is raised for non-finite duals and for roots that are not
     chiral pairs, k_i + k_(N-1-i) more than a few ulp from pi.
     """
@@ -116,7 +127,7 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
     if not np.all(np.abs(k + k[::-1] - np.pi) <= 4 * np.spacing(np.pi)):  # NaN never passes
         raise GaugeError("roots are not chiral pairs k, pi - k")
     g = np.conj(_gauge_phases(n))[:, None] * basis.g[:, n // 2:]
-    g[:, n % 2:] *= np.sqrt(2.0)
+    g[:, n % 2:] *= np.sqrt(2.0) if n % 2 else 1.0 + 1.0j  # sqrt(2) e^(i pi/4)
     return np.hstack((g.real, g.imag))
 
 
@@ -124,8 +135,8 @@ def gauged_factor(basis: EigenBasis) -> np.ndarray:
 # as in every solve the metric makes up to N = 65, one block pair spans them
 # all.  Against 16, _BLOCK = 8 measured level at N = 256 and 1024, up to 25%
 # slower at N = 512, and 1.3-2.4x slower at N = 64, which it splits into two
-# block pairs (measured when even N swept the N/2 x N/2 sector block itself,
-# the size of its Gram matrix now).
+# block pairs (measured on an N/2 x N/2 Gram matrix, the size of even N's
+# square block Z^T).
 _BLOCK = 16
 
 # Sweeps of `_one_sided_jacobi` before it gives up.
@@ -247,9 +258,10 @@ def _one_sided_jacobi(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.nda
     relatively orthogonal, |x_p . x_q| <= m eps |x_p| |x_q|, where a column
     whose norm is at most 8 m eps times the largest of the stack counts as
     zero.  On the sublattice blocks of odd N up to 513, a null column kept
-    at most 15 eps times the largest norm (N = 115) under a cut of m eps,
+    at most 29 eps times the largest norm (N = 45 at 0.95 gamma_c; 0.3, 0.5
+    and 0.95 gamma_c and gamma_c (1 - 1e-7) measured) under a cut of 8 m eps,
     and the smallest singular value stayed above 6e-10 times the largest up
-    to gamma_c (1 - 1e-7); on the blocks (P^T W)^T of even N up to 512 it
+    to gamma_c (1 - 1e-7); on the square blocks Z^T of even N up to 512 it
     stayed above 7e-6 times the largest up to gamma_c (1 - 1e-13).
     NonConvergence is raised after _MAX_SWEEPS sweeps.  sigma holds the
     column norms of K V, 0 for the zero columns.  A zero pad column never
@@ -306,14 +318,6 @@ class HermitianEquivalent:
     sublattice_sizes: tuple[int, int]
 
 
-def _sector_basis(refl: np.ndarray, s: float) -> np.ndarray:
-    """Orthonormal columns (e_l + s refl e_l)/|.| spanning the sector refl = s."""
-    n = refl.shape[0]
-    cols = (np.eye(n) + s * refl)[:, : (n + 1) // 2]
-    norms = np.linalg.norm(cols, axis=0)
-    return cols[:, norms > 0] / norms[norms > 0]
-
-
 def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
     # Deterministic gauge: the first significant component of the earlier
     # vector of each pair is made non-negative, and its partner flips with it
@@ -323,39 +327,37 @@ def _fix_pair_signs(basis: np.ndarray, pairing: tuple[int, ...]) -> None:
     basis *= np.where(lead[np.minimum(np.arange(n), pairing)] < 0, -1.0, 1.0)
 
 
-def _even_sector(factor: np.ndarray, sectors) -> list:
-    """Even N: the + block B = (P^T W)(P^T W)^T from the SVD of (P^T W)^T, all of whose vectors lead.
+def _even_sector(halves: list[np.ndarray]) -> list:
+    """Even N: the + block B = Z Z^T from the SVD of the square Z^T, all of whose vectors lead.
 
-    `_one_sided_jacobi` on (P^T W)^T gives V, the eigenbasis of B, with
+    `_one_sided_jacobi` on Z^T gives V, the eigenbasis of B, with
     eps = sigma^2; a zero sigma means eta is not positive definite.
     """
-    ((_, p),) = sectors
-    ((_, v, sigma),) = _one_sided_jacobi([(p.T @ factor).T])
+    ((_, v, sigma),) = _one_sided_jacobi([halves[0].T])
     if not np.all(sigma > 0):  # NaN never passes
         raise DegeneracyError("metric is not positive definite")
     order = np.argsort(-sigma, kind="stable")
-    return [(p @ v[:, order], sigma[order] ** 2, 0)]
+    return [(v[:, order], sigma[order] ** 2, 0)]
 
 
-def _odd_sectors(factor: np.ndarray, sectors) -> list:
+def _odd_sectors(halves: list[np.ndarray]) -> list:
     """Odd N: each sector from the SVD of its sublattice block K_s, both in one solve.
 
-    Sector column j is site l = j + 1, on which R = (-1)^l, so in R-order a
-    sector block is B = [[A, K], [K^T, D]] with K = (P^T W)[R = +1 rows]
-    (P^T W)[R = -1 rows]^T, which has no more rows than columns.  R B R =
-    B^-1 gives B - B^-1 = [[0, 2K], [2K^T, 0]], and eps - 1/eps increases,
-    so each singular triple K v = sigma u gives the leader (u, v)/sqrt(2),
-    with eps - 1/eps = 2 sigma, and a zero column of K V the self-paired
-    (0, v), with eps = 1.  A zero diagonal entry of B, |row of P^T W|^2,
-    means eta is not positive definite.
+    Sector row j is site l = j + 1, on which R = (-1)^l, so in R-order a
+    sector block B = Z Z^T is [[A, K], [K^T, D]] with K = Z[R = +1 rows]
+    Z[R = -1 rows]^T, which has no more rows than columns.  R B R = B^-1
+    gives B - B^-1 = [[0, 2K], [2K^T, 0]], and eps - 1/eps increases, so
+    each singular triple K v = sigma u gives the leader (u, v)/sqrt(2), with
+    eps - 1/eps = 2 sigma, and a zero column of K V the self-paired (0, v),
+    with eps = 1.  A zero diagonal entry of B, |row of Z|^2, means eta is
+    not positive definite.
     """
-    halves = [p.T @ factor for _, p in sectors]
     if not all(np.all(np.sum(half ** 2, axis=1) > 0) for half in halves):  # NaN never passes
         raise DegeneracyError("metric is not positive definite")
     solved = []
-    for (_, p), (x, v, sigma) in zip(sectors, _one_sided_jacobi(
+    for half, (x, v, sigma) in zip(halves, _one_sided_jacobi(
             [half[1::2] @ half[0::2].T for half in halves])):
-        k = p.shape[1]
+        k = half.shape[0]
         order = np.argsort(-sigma, kind="stable")
         ups, mid = order[sigma[order] > 0], order[sigma[order] == 0]
         if len(mid) != k % 2:  # a wide K leaves at least k % 2 null columns
@@ -364,46 +366,61 @@ def _odd_sectors(factor: np.ndarray, sectors) -> list:
         lead[1::2, : len(ups)] = x[:, ups] / (np.sqrt(2.0) * sigma[ups])
         lead[0::2] = v[:, order] / np.where(sigma[order] > 0, np.sqrt(2.0), 1.0)
         w = sigma[ups] + np.sqrt(sigma[ups] ** 2 + 1.0)
-        solved.append((p @ lead, np.append(w, np.ones(len(mid))), len(mid)))
+        solved.append((lead, np.append(w, np.ones(len(mid))), len(mid)))
     return solved
 
 
 def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     """Order the metric eigensystem into reciprocal-paired, parity-definite halves.
 
-    `factor` is a real factor W of the gauged metric eta_g = W W^T, for
-    example `gauged_factor`'s N x (N + N mod 2) one.  It is projected onto the
-    orthonormal parity basis P = (e_l + s refl e_l)/|.| of each reflection
-    sector s = +-1, so every eigenvector has exact parity.  Both parities
-    take their eigensystem from singular values, in one `_one_sided_jacobi`
-    call.  Even N: R maps the + sector onto the - sector with reciprocal
-    eigenvalues, so only the + sector is solved, through the SVD of its
-    N x N/2 block (P^T W)^T (`_even_sector`), and all its vectors lead.
-    Odd N: R keeps each sector, sized (N-1)/2 and (N+1)/2, and each is
-    solved through the SVD of its sublattice block (`_odd_sectors`); its
-    leading vectors are those with eps > 1 and, in the odd-sized sector, the
-    self-paired eps = 1 vector, an R = -1 vector by construction.  One rule
-    then orders the basis: each solved sector, smaller first, with
-    eigenvalues descending, contributes its leading vectors and then their
-    R-partners s R v in reverse, so each column pairs with its mirror inside
-    the sector's columns.  Each vector p is checked against its eps through
-    its Rayleigh quotient p^T eta_g p = |W^T p|^2, a sum of squares, to
-    PAIRING_TOL: the leaders against eps, the self-paired one against 1, and
-    the R-partners against 1/eps.  A non-finite factor raises GaugeError,
-    as `gauged_factor` does for non-finite duals, before any arithmetic.
+    `factor` is a real factor W of the gauged metric eta_g = W W^T laid out
+    as `gauged_factor`'s: the first half of its columns W+ in the reflection
+    sector s = +1, the second half W- in s = -1.  A vector of sector s is
+    fixed by its first ceil(N/2) sites, the others being their mirror images
+    times s t_l, where t_l = (-1)^l for odd N and 1 for even N (refl l ->
+    N+1-l, twisted by R for odd N).  So the sector block of eta_g in the
+    orthonormal parity basis (e_l + s refl e_l)/|.| is Z Z^T, with Z the
+    sector's rows: sqrt(2) W_s on the first floor(N/2) sites, plus the middle
+    site of odd N where that site lies in the sector; no parity basis is
+    formed.  Both parities take their eigensystem from singular values, in
+    one `_one_sided_jacobi` call.  Even N: R maps the + sector onto the -
+    sector with reciprocal eigenvalues, so only the + sector is solved,
+    through the SVD of its square N/2 x N/2 block Z^T (`_even_sector`), and
+    all its vectors lead.  Odd N: R keeps each sector, sized (N-1)/2 and
+    (N+1)/2, and each is solved through the SVD of its sublattice block
+    (`_odd_sectors`); its leading vectors are those with eps > 1 and, in the
+    odd-sized sector, the self-paired eps = 1 vector, an R = -1 vector by
+    construction.  Each leader is unfolded from its sector rows by the
+    mirror.  One rule then orders the basis: each solved sector, smaller
+    first, with eigenvalues descending, contributes its leading vectors and
+    then their R-partners s R v in reverse, so each column pairs with its
+    mirror inside the sector's columns.  Each vector p is checked against
+    its eps through its Rayleigh quotient p^T eta_g p = |W^T p|^2 over the
+    whole factor, a sum of squares, to PAIRING_TOL: the leaders against eps,
+    the self-paired one against 1, and the R-partners against 1/eps.  So a
+    factor off this layout is caught there.  A non-finite factor raises
+    GaugeError, as `gauged_factor` does for non-finite duals, before any
+    arithmetic.
     """
     if not np.all(np.isfinite(factor)):
         raise GaugeError("non-finite metric factor")
-    n = factor.shape[0]
-    refl = reflection_matrix(n)
+    n, c = factor.shape[0], factor.shape[1] // 2
+    h = n // 2
     r = (-1.0) ** np.arange(1, n + 1)  # R|l> = (-1)^l |l>, as a sign vector
-    signs = (1.0,) if n % 2 == 0 else (1.0, -1.0)
-    # the smaller sector of odd N first: its columns are the first half
-    sectors = sorted(((s, _sector_basis(refl, s)) for s in signs), key=lambda e: e[1].shape[1])
+    t = r if n % 2 else np.ones(n)  # refl e_l = t_l e_(N+1-l)
+    scale = np.append(np.full(h, np.sqrt(2.0)), 1.0)
+    # (sign, size) of each solved sector; for odd N the middle site lies in
+    # sector t_m, and the smaller sector goes first: its vectors are the
+    # basis's first half
+    sectors = [(-t[h], h), (t[h], h + 1)] if n % 2 else [(1.0, h)]
+    halves = [(factor[:, :c] if s > 0 else factor[:, c:])[:k] * scale[:k, None] for s, k in sectors]
     solve = _odd_sectors if n % 2 else _even_sector
 
     cols, eps, pairing = [], [], ()
-    for (s, _), (v, w, mid) in zip(sectors, solve(factor, sectors)):
+    for (s, k), (lead, w, mid) in zip(sectors, solve(halves)):
+        v = np.zeros((n, len(w)))
+        v[:k] = lead / scale[:k, None]
+        v[n - h:] = s * (t[:h, None] * v[:h])[::-1]
         back = np.arange(len(w) - mid - 1, -1, -1)
         # The partners are s R v, the sign that makes the coupling block
         # reflection-symmetric.
@@ -419,7 +436,7 @@ def canonical_basis(factor: np.ndarray) -> MetricDecomposition:
     # products, and so the last bits of the tables
     basis = np.asfortranarray(np.hstack(cols))
     _fix_pair_signs(basis, pairing)
-    return MetricDecomposition(np.concatenate(eps), basis, pairing, n // 2)
+    return MetricDecomposition(np.concatenate(eps), basis, pairing, h)
 
 
 def hermitian_equivalent(decomp: MetricDecomposition, spec: ChainSpec) -> HermitianEquivalent:

@@ -701,3 +701,11 @@ def test_kappa_below_one_is_within_four_ulp(n):
         if kappa <= 1:
             want = _kappa_reference(n, gamma, kappa)
             assert abs(mp.mpf(kappa) - want) <= 4 * np.spacing(kappa), gamma
+
+
+def test_pair_root_gives_up_after_its_step_budget(monkeypatch):
+    # one safeguarded Newton step does not converge at N = 8, gamma = 1.5 J
+    # (at N = 64, gamma = 1.3 J the first step already does)
+    monkeypatch.setattr(bethe, "_MAX_ITER", 1)
+    with pytest.raises(NonConvergence, match="critical pair not within .* after 1 steps"):
+        solve_kappa(ChainSpec(8, 1.0, 1.5))

@@ -12,7 +12,7 @@ from ptchain import (ChainSpec, build_eigenbasis, build_hamiltonian,
                      metric, metric_decomposition, solve_spectrum)
 from ptchain.errors import (DegeneracyError, GaugeError, NonConvergence, PhaseError,
                              PTChainError, StructureError)
-from ptchain.metric import _sector_basis, reflection_matrix
+from ptchain.metric import reflection_matrix
 from ptchain.states import EigenBasis
 
 GRID = [(n, frac) for n in (2, 3, 5, 7, 8, 11, 12) for frac in (0.3, 0.6, 0.9)]
@@ -97,6 +97,20 @@ def test_gauged_metric_structure(n, frac):
     refl = reflection_matrix(n)
     assert np.max(np.abs(refl @ eta_r @ refl - eta_r)) < 1e-8
     assert np.linalg.det(eta_r) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [*range(2, 34), 63, 64, 65, 127, 128, 129, 245, 246, 247, 255, 256])
+def test_gauged_factor_halves_are_sector_pure(n):
+    # canonical_basis's layout: the first half of W's columns lies in the
+    # reflection sector +1, the second half in -1.  The leak was measured at
+    # most 5.2 N eps max|W| over N = 2-256 at these gammas (N = 246, 1e-6)
+    refl = reflection_matrix(n)
+    for frac in (1e-6, 0.3, 0.95):
+        w = gauged_factor(build_eigenbasis(ChainSpec(n, 1.0, frac * gamma_critical(n))))
+        c = w.shape[1] // 2
+        bound = 6 * n * np.finfo(float).eps * np.max(np.abs(w))
+        assert np.max(np.abs(refl @ w[:, :c] - w[:, :c])) <= bound
+        assert np.max(np.abs(refl @ w[:, c:] + w[:, c:])) <= bound
 
 
 def _duals(g, k=None):
@@ -291,11 +305,12 @@ def test_jacobi_keeps_small_eigenvalues_of_a_graded_matrix(n):
 
 @pytest.mark.parametrize("shapes", [[(3, 4), (4, 4)], [(0, 1), (1, 1)], [(1, 2), (2, 2)],
                                     [(20, 21), (21, 21)], [(40, 41), (41, 41)],
-                                    [(2, 1)], [(8, 4)], [(64, 32)], [(80, 40)]])
+                                    [(2, 1)], [(8, 4)], [(64, 32)], [(80, 40)],
+                                    [(32, 32)], [(40, 40)]])
 def test_one_sided_jacobi_matches_the_svd(shapes):
     # the shapes of odd N's sublattice blocks, stacked with zero pads, then
-    # the N x N/2 blocks (P^T W)^T of even N; (40, 41) and (80, 40) run on
-    # the block rounds
+    # tall N x N/2 blocks, then the square N/2 x N/2 blocks Z^T of even N;
+    # (40, 41), (80, 40) and (40, 40) run on the block rounds
     rng = np.random.default_rng(len(shapes) + shapes[0][1])
     blocks = [rng.normal(size=shape) for shape in shapes]
     for block, (x, v, sigma) in zip(blocks, metric._one_sided_jacobi(blocks)):
@@ -376,8 +391,8 @@ def _svd_one_sided(blocks):
 @pytest.mark.parametrize("n", [9, 30, 56, 64, 128, 256])
 @pytest.mark.parametrize("frac", [0.3, 0.95])
 def test_equivalent_hermitian_against_eigh_driven_pipeline(n, frac, monkeypatch):
-    # LAPACK's SVD in place of the one-sided Jacobi solve: of (P^T W)^T for
-    # even N, of the sublattice blocks for odd N
+    # LAPACK's SVD in place of the one-sided Jacobi solve: of the square Z^T
+    # for even N, of the sublattice blocks for odd N
     spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
     got = equivalent_hermitian(spec).h_matrix
     monkeypatch.setattr(metric, "_one_sided_jacobi", _svd_one_sided)
@@ -430,7 +445,7 @@ def test_equivalent_hermitian_at_its_reach(n):
 def test_odd_equivalent_hermitian_at_one_minus_1e7_gamma_c(n):
     # The table returns with its spectrum within 1e-8 J of the Bethe energies;
     # the grid above checks its 1e-9 symmetry bound at this gap too, which the
-    # two-sided solve of the formed sector blocks (P^T W)(P^T W)^T missed
+    # two-sided solve of the formed sector blocks Z Z^T missed
     # (1.2e-9 at N = 65): their eps |eta| rounding, amplified by
     # sqrt(eps_max / eps_min) in the transform.
     spec = ChainSpec(n, 1.0, (1.0 - 1e-7) * gamma_critical(n))
@@ -465,10 +480,25 @@ def test_canonical_basis_pairing(n, frac):
     assert np.max(np.abs(np.abs(parities) - 1.0)) < 1e-13
 
 
+def _sector_basis(n, s):
+    """Orthonormal columns (e_l + s refl e_l)/|.| spanning the reflection sector s."""
+    cols = (np.eye(n) + s * reflection_matrix(n))[:, : (n + 1) // 2]
+    norms = np.linalg.norm(cols, axis=0)
+    return cols[:, norms > 0] / norms[norms > 0]
+
+
+def _laid_out(plus, minus):
+    """The factor [W+, W-] of canonical_basis's layout: each sector's columns
+    padded by zero columns to one width, the + sector's first."""
+    width = max(plus.shape[1], minus.shape[1])
+    return np.hstack([np.pad(cols, ((0, 0), (0, width - cols.shape[1]))) for cols in (plus, minus)])
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_canonical_basis_of_a_fully_degenerate_metric(n):
-    # every eps = 1: the reflection sectors alone fix the basis (factor W = I)
-    decomp = canonical_basis(np.eye(n))
+    # every eps = 1: the reflection sectors alone fix the basis (factor W =
+    # [P+, P-], the parity bases of the two sectors, so W W^T = I)
+    decomp = canonical_basis(_laid_out(_sector_basis(n, 1.0), _sector_basis(n, -1.0)))
     assert decomp.pairing == tuple(range(n - 1, -1, -1))
     assert np.max(np.abs(decomp.eigenvalues - 1.0)) < 1e-15
     b, refl = decomp.basis, reflection_matrix(n)
@@ -479,26 +509,27 @@ def test_canonical_basis_of_a_fully_degenerate_metric(n):
 
 
 def test_canonical_basis_rejects_a_non_reciprocal_metric():
-    # reflection-symmetric, but its sector eigenvalues 2.5 and 1.5 are not reciprocal
+    # reflection-symmetric, but its sector eigenvalues 2.5 and 1.5 are not
+    # reciprocal: the partner of eps = 2.5 has the Rayleigh quotient 1.5
     with pytest.raises(DegeneracyError, match="reciprocal pairing"):
-        canonical_basis(np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 2.0]])))
+        canonical_basis(_sector_factor(2, [2.5], [1.5]))
 
 
 def _sector_factor(n, plus, minus):
     """Factor W = [q+ sqrt(plus), q- sqrt(minus)] of the metric W W^T with
-    eigenvalues `plus` and `minus` on the parity bases q+ and q- of the + and - sectors.
+    eigenvalues `plus` and `minus` on the parity bases q+ and q- of the + and - sectors,
+    in canonical_basis's layout.
 
     The two leading basis vectors of each sector, one odd and one even under
     R, are first turned by pi/4 into each other, so R maps the turned pair
     onto itself, as a reciprocal pair must be.
     """
-    refl = reflection_matrix(n)
     cols = []
-    for values, q in ((plus, _sector_basis(refl, 1.0)), (minus, _sector_basis(refl, -1.0))):
+    for values, q in ((plus, _sector_basis(n, 1.0)), (minus, _sector_basis(n, -1.0))):
         if q.shape[1] > 1:
             q[:, :2] = q[:, :2] @ np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
         cols.append(q * np.sqrt(values))
-    return np.hstack(cols)
+    return _laid_out(*cols)
 
 
 @pytest.mark.parametrize("n,plus,minus,match", [
@@ -519,22 +550,39 @@ def test_canonical_basis_rejects_a_broken_sector_structure(n, plus, minus, match
             canonical_basis(factor)
 
 
-# Each metric is given by its real factor W, eta = W W^T: a zero factor, or
-# I - s refl, whose columns lie outside the sector s that is solved first, so
-# that sector's block is zero.  (An indefinite eta has no real factor.)
+# Each metric is given by its real factor W in canonical_basis's layout,
+# eta = W W^T: a zero factor, or the other sector's parity basis alone, so
+# that the block of the sector s that is solved first is zero.  (An
+# indefinite eta has no real factor.)
 @pytest.mark.parametrize("eta", [
     *(factor for n, s in ((2, 1.0), (3, -1.0), (4, 1.0), (5, 1.0))
-      for factor in (np.zeros((n, n)), np.eye(n) - s * reflection_matrix(n))),
+      for factor in (np.zeros((n, n)), _laid_out(*[np.zeros((n, 0)) if t == s else _sector_basis(n, t)
+                                                   for t in (1.0, -1.0)]))),
     # a zero eigenvalue in the smaller, zero-padded sector of odd N: fewer
     # of its columns than its size
-    np.hstack(((np.eye(5) + reflection_matrix(5))[:, :1], np.eye(5) - reflection_matrix(5))),
-    np.hstack((np.eye(7) + reflection_matrix(7), (np.eye(7) - reflection_matrix(7))[:, :2])),
+    _laid_out((np.eye(5) + reflection_matrix(5))[:, :1], np.eye(5) - reflection_matrix(5)),
+    _laid_out(np.eye(7) + reflection_matrix(7), (np.eye(7) - reflection_matrix(7))[:, :2]),
 ])
 def test_canonical_basis_rejects_a_metric_that_is_not_positive(eta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegeneracyError, match="not positive definite"):
             canonical_basis(eta)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_canonical_basis_rejects_a_factor_off_its_layout(n):
+    # a factor of the identity, a gauged factor with its halves swapped and a
+    # random orthogonal factor: the sector blocks are sliced from the wrong
+    # columns, and the Rayleigh check over the whole factor catches it
+    w = gauged_factor(build_eigenbasis(ChainSpec(n, 1.0, 0.5 * gamma_critical(n))))
+    c = w.shape[1] // 2
+    q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+    for factor in (np.eye(n), np.hstack((w[:, c:], w[:, :c])), q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PTChainError):
+                canonical_basis(factor)
 
 
 @pytest.mark.parametrize("n,bad", [(4, math.inf), (4, math.nan), (5, -math.inf), (5, math.nan)])
@@ -550,7 +598,7 @@ def test_canonical_basis_rejects_a_non_finite_factor(n, bad):
 
 
 def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
-    # even N: the + sector's (P^T W)^T alone; odd N: the sublattice blocks K_s
+    # even N: the + sector's square Z^T alone; odd N: the sublattice blocks K_s
     # of both sectors, in one stacked one-sided solve
     calls = []
 
@@ -567,7 +615,7 @@ def test_metric_solves_both_reflection_sectors_in_one_call(monkeypatch):
         calls.clear()
         metric_decomposition(ChainSpec(n, 1.0, 0.5 * gamma_critical(n)))
         if n % 2 == 0:
-            want = [("_one_sided_jacobi", [(n, n // 2)])]
+            want = [("_one_sided_jacobi", [(n // 2, n // 2)])]
         else:
             # K_s has the sector's R = +1 columns as rows and its R = -1 columns
             # as columns, sectors of (N - 1)/2 and (N + 1)/2 columns

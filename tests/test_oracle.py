@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ptchain import (ChainSpec, build_hamiltonian, gamma_critical,
                      oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
                      solve_spectrum, spectral_distance)
-from ptchain.errors import NonConvergence
+from ptchain.errors import DomainError, NonConvergence, SingularSolve
 from ptchain.exceptional import critical_levels
 from ptchain import oracle
 from ptchain.oracle import _SCALAR_ESTIMATES, _aberth, char_poly_ratio
@@ -160,6 +160,37 @@ def test_oracle_up_to_the_largest_gamma(n, j, ratio):
     dist = np.abs(roots[:, None] - energies[None, :])
     assert np.all(dist.min(axis=0) <= 1e-12 * np.maximum(j, np.abs(energies)))
     assert np.all(dist.min(axis=1) <= 1e-12 * np.maximum(j, np.abs(roots)))
+
+
+@pytest.mark.parametrize("n", [8, 30])
+@pytest.mark.parametrize("ratio", [2e150, 1e154, 1.4e154, 1e200])
+def test_oracle_refuses_gamma_past_its_domain(n, ratio):
+    # past gamma/J = 1e150 the levels came back 4e-3 J off with no warning
+    # (N = 8 at 1e154), numpy overflowed (N = 30 at 1e154), or gamma^2
+    # raised a bare OverflowError (from 1.4e154)
+    spec = ChainSpec(n, 1.0, ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (oracle_spectrum, lambda s: refine_eigenvalue(s, 1.0),
+                     lambda s: char_poly_ratio(s, 1.0)):
+            with pytest.raises(DomainError, match="the oracle's domain"):
+                call(spec)
+
+
+@pytest.mark.parametrize("n", [8, 30])
+def test_oracle_at_the_edge_of_its_domain(n):
+    # gamma/J = 1e150 still returns every level, and refines each dense
+    # level, within 1e-8 max(J, |E|), with no numpy warning
+    spec = ChainSpec(n, 1.0, 1e150)
+    dense = np.linalg.eigvals(build_hamiltonian(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = oracle_spectrum(spec)
+        refined = np.array([refine_eigenvalue(spec, e) for e in dense])
+    dist = np.abs(roots[:, None] - dense[None, :])
+    assert np.all(dist.min(axis=0) <= 1e-8 * np.maximum(1.0, np.abs(dense)))
+    assert np.all(dist.min(axis=1) <= 1e-8 * np.maximum(1.0, np.abs(roots)))
+    assert np.all(np.abs(refined - dense) <= 1e-8 * np.maximum(1.0, np.abs(dense)))
 
 
 @pytest.mark.parametrize("frac", [0.5, 1.3])
@@ -395,6 +426,31 @@ def test_eigenvector_symmetric_mode():
     assert np.allclose(v, np.ones(2) / math.sqrt(2), atol=1e-10)
 
 
+def test_eigenvector_reshifts_after_a_singular_solve(monkeypatch):
+    # the first shifted solve raises LinAlgError: the next shift, 1000 times
+    # larger, is tried and converges
+    h = build_hamiltonian(ChainSpec(2, 1.0, 0.0))
+    solve, shifts = np.linalg.solve, []
+
+    def singular_once(a, b):
+        shifts.append(abs(a[0, 0] - h[0, 0] - 1.0))  # |shift| at eigenvalue -1
+        if len(shifts) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    v = oracle_eigenvector(h, -1.0)
+    assert np.allclose(v, np.ones(2) / math.sqrt(2), atol=1e-10)
+    assert shifts[1] == pytest.approx(1000 * shifts[0], rel=1e-3)
+
+
+def test_eigenvector_raises_when_every_shift_is_singular(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSolve, match="after 3 reshifts"):
+        oracle_eigenvector(build_hamiltonian(ChainSpec(2, 1.0, 0.0)), -1.0)
+
+
 def test_eigenvector_zero_mode_n3():
     h = build_hamiltonian(ChainSpec(3, 1.0, 1.0))
     v = oracle_eigenvector(h, 0.0)
@@ -465,6 +521,10 @@ def test_spectral_distance_matches_bethe():
             spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
             d = spectral_distance(solve_spectrum(spec).energies, oracle_spectrum(spec))
             assert d < 1e-8, (n, frac, d)
+
+
+def test_spectral_distance_of_two_empty_sets():
+    assert spectral_distance([], []) == 0.0
 
 
 def test_spectral_distance_rejects_sets_of_unequal_size():
