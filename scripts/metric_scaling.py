@@ -14,13 +14,11 @@ The last line is the log-log slope of the median equivalent_hermitian time
 against N, the pipeline's measured N-scaling.
 """
 
-import argparse
-import time
-
 import numpy as np
 
 from ptchain import (ChainSpec, equivalent_hermitian, gamma_critical, hermitian_equivalent,
                      metric, metric_decomposition)
+from timing import median_seconds, parse_sizes, print_slope
 
 
 def _svd(blocks):
@@ -40,34 +38,18 @@ def _eigh_driven(spec: ChainSpec) -> np.ndarray:
         metric._one_sided_jacobi = solve
 
 
-def _median_seconds(fn, *args) -> float:
-    calls = []
-    for _ in range(3):
-        start = time.perf_counter()
-        fn(*args)
-        calls.append(time.perf_counter() - start)
-    return float(np.median(calls))
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+",
-                    default=[64, 65, 128, 129, 256, 257, 512, 513, 1024, 1025])
-    args = ap.parse_args()
-    if len(args.sizes) < 2:
-        ap.error("--sizes needs at least two chain lengths for a slope")
-
+    sizes = parse_sizes(__doc__, [64, 65, 128, 129, 256, 257, 512, 513, 1024, 1025])
     print("n,seconds,transform_seconds,eigh_distance")
     seconds = []
-    for n in args.sizes:
+    for n in sizes:
         spec = ChainSpec(n, 1.0, 0.5 * gamma_critical(n))
         got = equivalent_hermitian(spec).h_matrix  # the warm-up call
-        seconds.append(_median_seconds(equivalent_hermitian, spec))
-        transform = _median_seconds(hermitian_equivalent, metric_decomposition(spec), spec)
+        seconds.append(median_seconds(equivalent_hermitian, spec))
+        transform = median_seconds(hermitian_equivalent, metric_decomposition(spec), spec)
         distance = float(np.max(np.abs(got - _eigh_driven(spec))))
         print(f"{n},{seconds[-1]:.4f},{transform:.6f},{distance:.2e}")
-    slope = np.polyfit(np.log(args.sizes), np.log(seconds), 1)[0]
-    print(f"slope d(log seconds)/d(log N) = {slope:.2f}")
+    print_slope(sizes, seconds)
 
 
 if __name__ == "__main__":

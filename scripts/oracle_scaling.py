@@ -10,28 +10,23 @@ distance to dense numpy eigvals.  The last line is the log-log slope of
 time against N in each phase, the oracle's measured N-scaling.
 """
 
-import argparse
 import time
 
 import numpy as np
 
 from ptchain import (ChainSpec, build_hamiltonian, gamma_critical, oracle_spectrum,
                      solve_spectrum, spectral_distance)
+from timing import parse_sizes, print_slope
 
 DENSE_MAX_N = 2000
 FRACTIONS = (0.5, 1.5)  # gamma / gamma_c: unbroken, broken
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 500, 1000, 2000])
-    args = ap.parse_args()
-    if len(args.sizes) < 2:
-        ap.error("--sizes needs at least two chain lengths for a slope")
-
+    sizes = parse_sizes(__doc__, [100, 200, 500, 1000, 2000])
     print("n,gamma_over_gamma_c,seconds,bethe_distance,eigvals_distance")
     seconds = []
-    for n in args.sizes:
+    for n in sizes:
         seconds.append([])
         for frac in FRACTIONS:
             spec = ChainSpec(n, 1.0, frac * gamma_critical(n))
@@ -44,8 +39,7 @@ def main() -> None:
                 dense = spectral_distance(roots, np.linalg.eigvals(build_hamiltonian(spec)))
                 dense = f"{dense:.2e}"
             print(f"{n},{frac},{seconds[-1][-1]:.4f},{bethe:.2e},{dense}")
-    slopes = np.polyfit(np.log(args.sizes), np.log(seconds), 1)[0]
-    print(f"slope d(log seconds)/d(log N) = {slopes[0]:.2f} unbroken, {slopes[1]:.2f} broken")
+    print_slope(sizes, seconds)
 
 
 if __name__ == "__main__":

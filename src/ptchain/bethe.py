@@ -398,20 +398,18 @@ def solve_kappa(spec: ChainSpec) -> float:
     return math.sqrt(-float(_pair_roots([spec])[0]))
 
 
-def _in_gamma_order(solve, gammas) -> list:
-    """solve(gammas) as one batch; on failure, the error of the first gamma failing alone.
+def _checked_specs(n_sites: int, hopping: float, gammas) -> list[ChainSpec]:
+    """A ChainSpec per gamma of a grid, each checked by `_ratio` before the next is built.
 
-    Every root of a batch takes its solo float steps, so replaying the gammas
-    one at a time raises exactly what a per-gamma loop would have raised.
+    So the first bad gamma raises its own ValueError (`ChainSpec`) or
+    DomainError before any solve, as a loop of one-gamma solves would.  The
+    front end of `solve_spectra` and `exceptional.critical_sweep`.
     """
-    gammas = list(gammas)
-    try:
-        return solve(gammas)
-    except Exception as exc:  # whatever it is, the replay below decides what to raise
-        batch_error = exc
+    specs = []
     for gamma in gammas:
-        solve([gamma])
-    raise batch_error
+        specs.append(ChainSpec(n_sites, hopping, float(gamma)))
+        _ratio(specs[-1])
+    return specs
 
 
 def _spectra(specs: list[ChainSpec]) -> list[SpectralSolution]:
@@ -443,11 +441,14 @@ def _spectra(specs: list[ChainSpec]) -> list[SpectralSolution]:
 def solve_spectra(n_sites: int, hopping: float, gammas) -> list[SpectralSolution]:
     """`solve_spectrum` at every gamma of a grid with shared N and J, in one solve.
 
-    Each solution is bit-identical to its one-gamma solve.  If several gammas
-    fail, the error raised is the first failing gamma's.
+    Each solution is bit-identical to its one-gamma solve.  A bad gamma
+    raises before any solve, the first one's error (`_checked_specs`), and
+    the critical pairs are solved, and may fail, in gamma order.  The one
+    error that comes from the whole batch is the bracketed roots'
+    NonConvergence, which no measured root comes near: at most 4 Newton
+    evaluations per root against a cap of 100 (`_MAX_ITER`).
     """
-    return _in_gamma_order(
-        lambda grid: _spectra([ChainSpec(n_sites, hopping, float(g)) for g in grid]), gammas)
+    return _spectra(_checked_specs(n_sites, hopping, gammas))
 
 
 def solve_spectrum(spec: ChainSpec) -> SpectralSolution:
@@ -459,22 +460,21 @@ def solve_spectrum(spec: ChainSpec) -> SpectralSolution:
     return _spectra([spec])[0]
 
 
-def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
-                          tol: float = 1e-6) -> float:
+def locate_critical_gamma(n_sites: int, hopping: float = 1.0) -> float:
     """gamma_c by bisection on the phase rule (`classify_phase`: unbroken below).
 
-    Independent of the closed-form boundary; agrees with it to tol J (tol is
-    in units of J, like the library's other bounds on energies), or to the
-    float spacing at gamma_c where that is coarser: the bisection stops once
-    the midpoint is one of the bracket's ends.
+    Independent of the closed-form boundary.  [0.5 J, 2.2 J] is halved until
+    its midpoint is one of its ends, some 53 halvings: the ends are then
+    neighbouring floats, the last unbroken gamma and the next float above
+    it, and the result is the one of them the midpoint rounds to, a float
+    where the phase rule flips.  It lies within 2 ulp of `gamma_critical`
+    (N = 2 to 10^6 + 1, J from 1e-300 to 1e300).
     """
-    ChainSpec(n_sites, hopping)  # rejects a bad N or J, before the tol
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    ChainSpec(n_sites, hopping)  # rejects a bad N or J
     # c0 is r^2 - 1 or (N - 1) r^2 - (N + 1): negative at r = 0.5 and
     # positive at r = 2.2 for every N >= 2
     lo, hi = 0.5 * hopping, 2.2 * hopping
-    while hi - lo > tol * hopping:
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -482,4 +482,4 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid

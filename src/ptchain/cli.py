@@ -89,9 +89,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_phase(args) -> int:
     analytic = gamma_critical(args.n, args.j)
-    # a width of 1e-10 min(1, J): in units of J below J = 1, so the bisection
-    # resolves a small gamma_c
-    numeric = locate_critical_gamma(args.n, args.j, tol=1e-10 / max(1.0, args.j))
+    numeric = locate_critical_gamma(args.n, args.j)
     rows = [(args.n, args.j, analytic, numeric, abs(analytic - numeric))]
     _emit(rows, ["n", "j", "gamma_c_analytic", "gamma_c_numeric", "abs_error"],
           args, _meta(args, command="phase"))
@@ -122,17 +120,17 @@ def cmd_hermitian(args) -> int:
 def _verify_checks(n_max: int, hopping: float):
     """Yield (check, n, ok) triples for the invariant suite.
 
-    Bounds on energies, on commutators with H and on gamma are in units of
-    J; those on dimensionless quantities (C, the metric, the Gram matrices)
-    are absolute.  The Bethe spectra take no tolerance; the bisection for
-    gamma_c runs to 1e-6 J, the bound of its check.
+    Bounds on energies and on commutators with H are in units of J; those
+    on dimensionless quantities (C, the metric, the Gram matrices) are
+    absolute.  The Bethe spectra and the bisection for gamma_c take no
+    tolerance: the bisection ends where the phase rule flips, within 2 ulp
+    of the closed form (`locate_critical_gamma`), the bound of its check.
     """
     ident_tol = 1e-8
     energy_tol = ident_tol * hopping
     for n in range(2, n_max + 1):
-        found = locate_critical_gamma(n, hopping, 1e-6)
-        yield ("phase_boundary", n, abs(found - gamma_critical(n, hopping)) <= 1e-6 * hopping)
-        gc = gamma_critical(n, hopping)
+        gc, found = gamma_critical(n, hopping), locate_critical_gamma(n, hopping)
+        yield ("phase_boundary", n, abs(found - gc) <= 2 * np.spacing(gc))
         solved = {}
         for frac in (0.5, 1.3):
             spec = ChainSpec(n, hopping, frac * gc)
@@ -238,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PTChainError as exc:

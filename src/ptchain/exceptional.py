@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _MAX_RATIO, _centre_coefficients, _in_gamma_order, _pair_levels
+from .bethe import _MAX_RATIO, _centre_coefficients, _checked_specs, _pair_levels
 from .errors import DomainError, PhaseError
 from .model import ChainSpec
 from .states import _critical_pairs, _pt_norms, _row_norms
@@ -158,12 +158,12 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[Cri
     The pairs of the whole grid come from one `_critical_pairs`: each
     point's phase is read once, and one solve gives kappa at the points that
     are not unbroken and the offset x0 at the unbroken ones.  The
-    stack of pairs is reduced to gaps and PT self-pairings in one pass.  If
-    several gammas fail, the error raised is the first failing gamma's.
+    stack of pairs is reduced to gaps and PT self-pairings in one pass.  A
+    bad gamma raises before any solve, the first one's error
+    (`bethe._checked_specs`), and the pairs are solved, and may fail, in
+    gamma order, as a loop of one-gamma sweeps would.
     """
-    return _in_gamma_order(
-        lambda grid: _critical_reports([ChainSpec(n_sites, hopping, float(g)) for g in grid]),
-        gamma_values)
+    return _critical_reports(_checked_specs(n_sites, hopping, gamma_values))
 
 
 def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:

@@ -117,56 +117,61 @@ def test_locate_critical_gamma(n):
 @pytest.mark.parametrize("j", [1e-300, 1e-6])
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 100, 101])
 def test_locate_critical_gamma_tol_is_in_units_of_j(n, j):
-    # an absolute 1e-6 would stop the bisection after at most one step at
-    # small J: N = 9 would read 1.35e-300 at J = 1e-300, 21% off gamma_c
+    # the bisection runs to the float spacing at gamma_c, at any J: one that
+    # stopped at an absolute width of 1e-6 would read 1.35e-300 for N = 9 at
+    # J = 1e-300, 21% off gamma_c
     assert abs(locate_critical_gamma(n, j) - gamma_critical(n, j)) <= 1e-6 * j
 
 
-# float.hex of gamma_c bisected to a width of 1e-10, from the count by full root solves
+# float.hex of gamma_c bisected to the float where the phase rule flips
 PINNED_GAMMA_C = {
-    1.0: ["0x1.0000000023334p+0", "0x1.6a09e667f0000p+0", "0x1.0000000023334p+0",
-          "0x1.1e3779b990000p+0", "0x1.0000000023334p+0", "0x1.028c1d9596666p+0",
-          "0x1.0000000023334p+0"],
-    3.0: ["0x1.7ffffffff799ap+1", "0x1.0f876ccdfe334p+2", "0x1.7ffffffff799ap+1",
-          "0x1.ad5336964399cp+1", "0x1.7ffffffff799ap+1", "0x1.83d22c6076002p+1",
-          "0x1.7ffffffff799ap+1"],
+    1.0: ["0x1.0000000000000p+0", "0x1.6a09e667f3bccp+0", "0x1.0000000000000p+0",
+          "0x1.1e3779b97f4a8p+0", "0x1.0000000000000p+0", "0x1.028c1d959b062p+0",
+          "0x1.0000000000000p+0"],
+    3.0: ["0x1.8000000000000p+1", "0x1.0f876ccdf6cdap+2", "0x1.8000000000000p+1",
+          "0x1.ad5336963eefcp+1", "0x1.8000000000000p+1", "0x1.83d22c6068892p+1",
+          "0x1.8000000000000p+1"],
 }
 
 
 @pytest.mark.parametrize("j", sorted(PINNED_GAMMA_C))
 def test_locate_critical_gamma_is_pinned(j):
-    # tol is in units of J: fl(fl(1e-10 / 3) * 3) is 1e-10, the width of the pins
-    got = [locate_critical_gamma(n, j, 1e-10 / j).hex() for n in (2, 3, 8, 9, 100, 101, 1000)]
+    got = [locate_critical_gamma(n, j).hex() for n in (2, 3, 8, 9, 100, 101, 1000)]
     assert got == PINNED_GAMMA_C[j]
 
 
-def _bisection_by_pair_roots(n, j, tol):
+def _bisection_by_pair_roots(n, j):
     """locate_critical_gamma as a loop of pair solves: all N roots are real where its t > 0."""
     def is_unbroken(g):
         return _pair_roots([ChainSpec(n, j, g)])[0] > 0
 
     lo, hi = 0.5 * j, 2.2 * j
     assert is_unbroken(lo) and not is_unbroken(hi)
-    while hi - lo > tol * j:
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            break
+            return mid
         if is_unbroken(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("j", [1e-300, 1e-3, 0.5, 1.0, 3.0, 1e6, 1e300])
 def test_locate_critical_gamma_is_the_loop_of_root_counts(j):
     # the bisection reads only the sign of c0 and must take the same steps
     # as one that solves the pair at each midpoint, whose sign says whether
-    # the pair, and so every root, is real
-    for n in [*range(2, 80), 128, 200, 255, 256, 1000, 1001]:
-        for tol in (1e-6, 1e-10, 1e-14, 1e-300):
-            got, want = locate_critical_gamma(n, j, tol), _bisection_by_pair_roots(n, j, tol)
-            assert got.hex() == want.hex(), (n, tol)
+    # the pair, and so every root, is real.  It ends on a float where the
+    # phase rule flips between it and its neighbour, within 2 ulp of the
+    # closed form
+    for n in [*range(2, 200), 255, 256, 1000, 1001, 4096, 4097, 10**5, 10**6 + 1]:
+        got = locate_critical_gamma(n, j)
+        assert got.hex() == _bisection_by_pair_roots(n, j).hex(), n
+        below = classify_phase(ChainSpec(n, j, got)) is Phase.UNBROKEN
+        other = math.nextafter(got, math.inf if below else 0.0)
+        assert (classify_phase(ChainSpec(n, j, other)) is Phase.UNBROKEN) is not below, n
+        gc = gamma_critical(n, j)
+        assert abs(got - gc) <= 2 * math.ulp(gc), n
 
 
 def _phase_at_ends(n, centre, c):
@@ -395,22 +400,6 @@ def test_spectrum_traceless_and_chiral(n, frac):
     assert np.max(np.abs(ordered + ordered[::-1])) < 1e-9
 
 
-@pytest.mark.parametrize("solve,gamma,tol", [
-    # a NaN tol would end the bisection at once, a negative one never
-    (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, math.nan),
-    (lambda spec, tol: locate_critical_gamma(spec.n_sites, tol=tol), 0.5, -1e-6),
-])
-def test_non_positive_tol_is_a_value_error(solve, gamma, tol):
-    with pytest.raises(ValueError, match="tol must be positive"):
-        solve(ChainSpec(8, 1.0, gamma), tol=tol)
-
-
-def test_locate_critical_gamma_rejects_infinite_tol():
-    # an infinite tol would end the bisection at once, at the bracket midpoint
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        locate_critical_gamma(8, tol=math.inf)
-
-
 @pytest.mark.parametrize("j,gamma", [(1.0, 1e200), (1e-200, 1.0), (1.0, 1.0001e150)])
 def test_ratio_past_the_limit_is_a_domain_error(j, gamma):
     # (gamma/J)^2 would overflow: a PTChainError, not a numpy RuntimeWarning
@@ -584,13 +573,17 @@ def test_spectra_classify_each_spec_once(n, monkeypatch):
     ([1.2, 1e200, 1e300], DomainError),
     ([0.5, math.nan], ValueError),
 ])
-def test_solve_spectra_raises_the_first_failing_gammas_error(gammas, error):
+def test_solve_spectra_raises_the_first_failing_gammas_error(gammas, error, monkeypatch):
+    # before any solve: the good gamma in front of the bad one is not solved
+    calls = []
+    monkeypatch.setattr(bethe, "_pair_root", lambda *args: calls.append(args))
     first = next(g for g in gammas if not 0 <= g < 1e150)
     with pytest.raises(error) as batch:
         solve_spectra(8, 1.0, gammas)
     with pytest.raises((ValueError, PTChainError)) as alone:
         solve_spectrum(ChainSpec(8, 1.0, first))
     assert str(batch.value) == str(alone.value)
+    assert calls == []
 
 
 def test_solve_spectra_validates_tol_like_one_gamma():

@@ -18,7 +18,10 @@ REF_COUPLINGS_7_050 = [0.5703, 0.9731, 0.3089, 0.0883, 0.2039, 1.2075]
 # sha256 of stdout for each invocation (exit code 0), recorded with the
 # row-dict emitter that formatted every cell through isinstance checks.  The
 # JSON pins here and in PINNED_SWEEPS were re-recorded when `meta` lost its
-# "tol" entry: each output is the one before less the line `"tol": 1e-10,`
+# "tol" entry: each output is the one before less the line `"tol": 1e-10,`.
+# The phase pins were re-recorded when the bisection came to run to the float
+# where the phase rule flips: gamma_c_numeric now prints the analytic value
+# and abs_error 0
 PINNED_OUTPUT = {
     "spectrum --n 8 --gamma 1.5 --format csv":
         "b42eb2997a41298e452a1c5d930fb4a72bd765b400364d714e1a33ba11ecff04",
@@ -33,13 +36,13 @@ PINNED_OUTPUT = {
     "sweep --n 9 --gamma-min 0.3 --gamma-max 1.6 --steps 5 --format json":
         "96a9e0190c69b8d79f5b5355d976ceb9f9f8b24ca4567bf2adba4e7c2bf49267",
     "phase --n 9 --format csv":
-        "0f257f8adabcd964d52f858040e4dd10eac6ddcb79043a726190580581025486",
+        "4db02f5f08fb228a3eef2f1b40dada88132c10458665a2ff9ae2b23be7e58e72",
     "phase --n 9 --format json":
-        "c8ecba650806fdef27255e8959a77b8bec6b2ddf17ed0e7c9c880105b0e5eb2d",
+        "802c4bfe687dfcb13792b564cd88a0da312f91046ed215b2f9c4e1eeb19e954a",
     "phase --n 8 --j 3 --format csv":
-        "25e3fb2553adcdcc1089ba25d3dad9e5bcc0083de5e76ab3dda17d91b32b42db",
+        "488d06d14df9326a46a9c775c828cb06e1c87a69d690af971967d674a0e16ed8",
     "phase --n 8 --j 3 --format json":
-        "94130070b170eb379f69dc72eca12c60fd85414d9bdc4b25d9f0af3f2e6e272d",
+        "38cfbac3a92c6a6e40ae34b0b29098f05874c0f36569d3d0d6ae4dbd13d4b755",
     "metric --n 4 --gamma 0.4 --format csv":
         "63f0765d422a51016f98b77696ea9f3d7f557279cc59f41b31fc3de7c27c88be",
     "metric --n 4 --gamma 0.4 --format json":
@@ -307,9 +310,9 @@ def test_phase_command(capsys):
 
 @pytest.mark.parametrize("j", ["1e6", "1e300"])
 def test_phase_ends_where_the_float_spacing_exceeds_tol(j):
-    # near gamma_c = 1e6 the float spacing, 1.2e-10, exceeds the bisection
-    # tol of 1e-10, so the midpoint stops splitting the bracket; run in a
-    # subprocess with a timeout, a hang fails the test instead of the suite
+    # the bisection ends once the midpoint is a bracket end, at any float
+    # spacing near gamma_c (1.2e-10 at J = 1e6); run in a subprocess with a
+    # timeout, a hang fails the test instead of the suite
     root = Path(__file__).resolve().parents[1]
     path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -318,6 +321,16 @@ def test_phase_ends_where_the_float_spacing_exceeds_tol(j):
     assert (proc.returncode, proc.stderr) == (0, "")
     fields = proc.stdout.splitlines()[1].split(",")
     assert fields[2] == fields[3] == fields[1], fields
+
+
+def test_out_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    # a missing directory and a path that is a directory: one line, no output
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, stdout, err = run(capsys, *"spectrum --n 4 --gamma 0.5 --out".split(), str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+        assert str(out) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_past_the_ratio_limit_exits_1(capsys):
@@ -383,7 +396,8 @@ def test_verify_rejects_bad_arguments_before_any_output(capsys, argv):
     "verify",
 ])
 def test_tol_is_not_an_option(capsys, argv):
-    # the Bethe solves stop at fixed rules and phase bisects to a fixed width
+    # the Bethe solves stop at fixed rules, and phase bisects to the float
+    # where the phase rule flips
     with pytest.raises(SystemExit) as stop:
         main([*argv.split(), "--tol", "1e-10"])
     out, err = capsys.readouterr()
@@ -404,8 +418,8 @@ def test_verify_past_the_coefficient_overflow(capsys):
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_phase_at_tiny_j_resolves_gamma_c(capsys, n):
-    # the bisection floor of 1e-10 is in units of J below J = 1: at J = 1e-300
-    # an absolute floor exceeds the whole bracket and returns its midpoint
+    # the bisection runs to the float spacing at gamma_c: at J = 1e-300 an
+    # absolute width would exceed the whole bracket and return its midpoint
     code, out, _ = run(capsys, "phase", "--n", str(n), "--j", "1e-300")
     assert code == 0
     _, _, analytic, _, error = out.splitlines()[1].split(",")
@@ -427,7 +441,7 @@ def test_verify_energy_bounds_shrink_with_j(capsys, monkeypatch):
     j = 1e-10
     locate, oracle = cli.locate_critical_gamma, cli.oracle_spectrum
     monkeypatch.setattr(cli, "locate_critical_gamma",
-                        lambda n, hopping, tol=1e-6: locate(n, hopping, tol) + 1e-3 * j)
+                        lambda n, hopping: locate(n, hopping) + 1e-3 * j)
     monkeypatch.setattr(cli, "oracle_spectrum", lambda spec: oracle(spec) + 1e-3 * j)
     code, out, _ = run(capsys, "verify", "--n-max", "2", "--j", str(j))
     assert code == 1

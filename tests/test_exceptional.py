@@ -10,6 +10,7 @@ from ptchain import (ChainSpec, Phase, alpha_parameter, build_hamiltonian, class
                      coalescence_gap, critical_levels, critical_sweep, delta_approx,
                      gamma_critical, kappa_approx, oracle_eigenvector, pt_norm,
                      repulsion_law, solve_kappa)
+from ptchain import bethe
 from ptchain.errors import DomainError, PhaseError, PTChainError
 from ptchain.exceptional import CriticalReport, in_asymptotic_window
 
@@ -339,9 +340,14 @@ def test_critical_sweep_is_pinned_across_both_phases(n):
     ([0.5, -1.0, 1e200], ValueError),
     ([1.2, 1e200, -1.0], DomainError),
 ])
-def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error):
-    with pytest.raises(error) as batch:
-        critical_sweep(8, gammas)
+def test_critical_sweep_raises_the_first_failing_gammas_error(gammas, error, monkeypatch):
+    # before any solve: the good gamma in front of the bad one is not solved
+    with monkeypatch.context() as patch:
+        calls = []
+        patch.setattr(bethe, "_pair_root", lambda *args: calls.append(args))
+        with pytest.raises(error) as batch:
+            critical_sweep(8, gammas)
+        assert calls == []
     for gamma in gammas:  # the same error as the per-gamma sweep's
         try:
             critical_sweep(8, [gamma])
