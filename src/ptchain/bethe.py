@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PhaseError
+from .errors import NonConvergence, PhaseError
 from .model import ChainSpec, Phase
 
 # A cap far above the Newton evaluation counts measured on both solves.
@@ -69,9 +69,6 @@ from .model import ChainSpec, Phase
 # {0.5, 1, 3}, gamma/J up to 1e150), at most 4 within 1e-6 of gamma_c and
 # at most 2 on the 8 floats each side of it.
 _MAX_ITER = 100
-
-# Largest gamma/J solved: r^2 times N stays far inside the float range.
-_MAX_RATIO = 1e150
 
 # Relative stop rule of the critical pair's t, which is 1e-30 next to gamma_c.
 _PAIR_TOL = 1e-12
@@ -109,15 +106,6 @@ def _amplitude(n: int, j: float, g, k) -> np.ndarray:
     return np.exp(1j * k * (l - n0)) - eta * np.exp(-1j * k * (l + n0))
 
 
-def _ratio(spec: ChainSpec) -> float:
-    """r = gamma/J, the one parameter of G / J^2, of c and of the kappa condition."""
-    r = spec.gamma / spec.hopping
-    if r > _MAX_RATIO:
-        raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, "
-                          f"where (gamma/J)^2 leaves the float range")
-    return r
-
-
 def _reduced_coefficients(r: float) -> tuple[float, float]:
     """dif = r^2 - 1 and tot = r^2 + 1."""
     return r * r - 1.0, r * r + 1.0
@@ -144,8 +132,7 @@ def classify_phase(spec: ChainSpec) -> Phase:
     value at t = 0 of the pair's condition, which `_pair_roots` solves.  At
     c0 = 0 the pair has coalesced, kappa = 0.
     """
-    r = spec.gamma / spec.hopping  # past _MAX_RATIO, r^2 would leave the float range
-    c0 = _centre_coefficients(spec.n_sites, r)[0] if r <= _MAX_RATIO else math.inf
+    c0 = _centre_coefficients(spec.n_sites, spec.gamma / spec.hopping)[0]
     return Phase.UNBROKEN if c0 < 0 else Phase.BROKEN if c0 > 0 else Phase.CRITICAL
 
 
@@ -216,7 +203,7 @@ def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
     """
     n = specs[0].n_sites
     centre = np.arange(n % 2 + 2, n - 1, 2) * (math.pi / (2 * n))
-    c = np.array([dif / tot for dif, tot in (_reduced_coefficients(_ratio(s)) for s in specs)])
+    c = [dif / tot for dif, tot in (_reduced_coefficients(s.gamma / s.hopping) for s in specs)]
     return np.tile(centre, len(specs)), np.repeat(c, len(centre))
 
 
@@ -241,8 +228,6 @@ def solve_real_momenta(spec: ChainSpec) -> np.ndarray:
 
     Raises
     ------
-    DomainError
-        If gamma/J is above 1e150.
     NonConvergence
         If a bracket's root fails to converge inside it.
     """
@@ -270,7 +255,7 @@ def momentum_index(spec: ChainSpec, k: float) -> int:
     if not 0 < k < math.pi:  # NaN too; far outside, the absolute 1e-9 check means nothing
         raise ValueError(f"k={k} is not in (0, pi)")
     n = spec.n_sites
-    dif, tot = _reduced_coefficients(_ratio(spec))
+    dif, tot = _reduced_coefficients(spec.gamma / spec.hopping)
     c = dif / tot  # (gamma^2 - J^2)/(gamma^2 + J^2)
     if abs(math.cos(k)) < 1e-12:
         theta = math.copysign(math.pi / 2, c) if c != 0 else 0.0
@@ -382,7 +367,7 @@ def _pair_roots(specs: list[ChainSpec]) -> np.ndarray:
     calls of about 0.5 us each per step, more than this loop costs below a
     few dozen specs.
     """
-    return np.array([_pair_root(specs[0].n_sites, _ratio(spec)) for spec in specs])
+    return np.array([_pair_root(specs[0].n_sites, spec.gamma / spec.hopping) for spec in specs])
 
 
 def solve_kappa(spec: ChainSpec) -> float:
@@ -396,20 +381,6 @@ def solve_kappa(spec: ChainSpec) -> float:
         raise PhaseError(f"gamma={spec.gamma} is not in the broken phase "
                          f"(gamma_c={spec.gamma_c})")
     return math.sqrt(-float(_pair_roots([spec])[0]))
-
-
-def _checked_specs(n_sites: int, hopping: float, gammas) -> list[ChainSpec]:
-    """A ChainSpec per gamma of a grid, each checked by `_ratio` before the next is built.
-
-    So the first bad gamma raises its own ValueError (`ChainSpec`) or
-    DomainError before any solve, as a loop of one-gamma solves would.  The
-    front end of `solve_spectra` and `exceptional.critical_sweep`.
-    """
-    specs = []
-    for gamma in gammas:
-        specs.append(ChainSpec(n_sites, hopping, float(gamma)))
-        _ratio(specs[-1])
-    return specs
 
 
 def _spectra(specs: list[ChainSpec]) -> list[SpectralSolution]:
@@ -442,13 +413,13 @@ def solve_spectra(n_sites: int, hopping: float, gammas) -> list[SpectralSolution
     """`solve_spectrum` at every gamma of a grid with shared N and J, in one solve.
 
     Each solution is bit-identical to its one-gamma solve.  A bad gamma
-    raises before any solve, the first one's error (`_checked_specs`), and
+    raises before any solve, the first one's error (`ChainSpec`), and
     the critical pairs are solved, and may fail, in gamma order.  The one
     error that comes from the whole batch is the bracketed roots'
     NonConvergence, which no measured root comes near: at most 4 Newton
     evaluations per root against a cap of 100 (`_MAX_ITER`).
     """
-    return _spectra(_checked_specs(n_sites, hopping, gammas))
+    return _spectra([ChainSpec(n_sites, hopping, float(gamma)) for gamma in gammas])
 
 
 def solve_spectrum(spec: ChainSpec) -> SpectralSolution:
@@ -478,7 +449,7 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0) -> float:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if classify_phase(ChainSpec(n_sites, hopping, mid)) is Phase.UNBROKEN:
+        if _centre_coefficients(n_sites, mid / hopping)[0] < 0:  # unbroken (`classify_phase`)
             lo = mid
         else:
             hi = mid

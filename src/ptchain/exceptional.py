@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import _MAX_RATIO, _centre_coefficients, _checked_specs, _pair_levels
+from .bethe import _centre_coefficients, _pair_levels
 from .errors import DomainError, PhaseError
 from .model import ChainSpec
 from .states import _critical_pairs, _pt_norms, _row_norms
@@ -51,9 +51,8 @@ class CriticalReport:
 
 
 def alpha_parameter(spec: ChainSpec) -> float:
-    """alpha = (r^2 + 1)/(r^2 - 1) = tot/dif in r = gamma/J, inf at r = 1; 1 past r = 1e150."""
-    r = spec.gamma / spec.hopping  # past _MAX_RATIO, 2/dif is below the float spacing at 1
-    dif = _centre_coefficients(spec.n_sites, r)[1] if r <= _MAX_RATIO else math.inf
+    """alpha = (r^2 + 1)/(r^2 - 1) = 1 + 2/dif in r = gamma/J, inf at r = 1."""
+    dif = _centre_coefficients(spec.n_sites, spec.gamma / spec.hopping)[1]
     return 1.0 + 2.0 / dif if dif else math.inf
 
 
@@ -159,11 +158,11 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[Cri
     point's phase is read once, and one solve gives kappa at the points that
     are not unbroken and the offset x0 at the unbroken ones.  The
     stack of pairs is reduced to gaps and PT self-pairings in one pass.  A
-    bad gamma raises before any solve, the first one's error
-    (`bethe._checked_specs`), and the pairs are solved, and may fail, in
-    gamma order, as a loop of one-gamma sweeps would.
+    bad gamma raises before any solve, the first one's error (`ChainSpec`),
+    and the pairs are solved, and may fail, in gamma order, as a loop of
+    one-gamma sweeps would.
     """
-    return _critical_reports(_checked_specs(n_sites, hopping, gamma_values))
+    return _critical_reports([ChainSpec(n_sites, hopping, float(g)) for g in gamma_values])
 
 
 def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:

@@ -14,6 +14,15 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DomainError
+
+# Largest gamma/J of a chain.  Every condition the solvers take depends on
+# gamma and J only through r = gamma/J, and r^2 times N stays far inside the
+# float range.  Above it the oracle's levels came back 4e-3 J off with no
+# warning at N = 8 and gamma/J = 1e154, numpy overflowed at N = 30, and from
+# 1.4e154 gamma^2 raised OverflowError
+_MAX_RATIO = 1e150
+
 
 class Phase(Enum):
     UNBROKEN = "unbroken"
@@ -36,6 +45,9 @@ class ChainSpec:
         Hopping energy J in [1e-300, 1e300]; the energy unit (default 1).
     gamma : float
         Finite strength gamma >= 0 of the imaginary end potentials, in units of J.
+
+    A bad N, J or gamma raises ValueError, and gamma/J above 1e150, where
+    (gamma/J)^2 leaves the float range, DomainError: every solver's domain.
     """
 
     n_sites: int
@@ -49,6 +61,10 @@ class ChainSpec:
             raise ValueError(f"hopping must be finite and in [1e-300, 1e+300], got {self.hopping}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
+        r = self.gamma / self.hopping
+        if r > _MAX_RATIO:
+            raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, "
+                              f"where (gamma/J)^2 leaves the float range")
 
     @property
     def gamma_c(self) -> float:

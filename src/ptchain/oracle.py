@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, SingularSolve
+from .errors import NonConvergence, SingularSolve
 from .model import ChainSpec
 
 # Aberth in t from the free-chain seeds takes 2-15 iterations at N <= 80 and
@@ -51,12 +51,6 @@ _RESIDUAL_TOL = 1e-9  # inverse iteration's ||H v - lambda v||_inf
 # The common offset of the free-chain seeds in t, in units of J^2
 _SEED_OFFSET = cmath.rect(0.01, 0.5)
 
-# Largest gamma/J the oracle takes: the Bethe solvers' bound, kept here so
-# that the oracle imports nothing of theirs.  Above it, at N = 8 and
-# gamma/J = 1e154 the levels came back 4e-3 J off with no warning, at N = 30
-# numpy overflowed, and from 1.4e154 gamma^2 raised OverflowError
-_MAX_RATIO = 1e150
-
 # Aberth on Python complex scalars up to this many estimates (N <= 21), on
 # arrays above it.  One oracle_spectrum call at 0.5 gamma_c and N = 8 / 16 /
 # 20 / 24 / 32 took a median 140 / 183 / 262 / 406 / 433 us on scalars and
@@ -72,20 +66,12 @@ def char_poly_ratio(spec: ChainSpec, x):
     with hopping J has D_N(x) = J^N D_N(x/J) of the unit chain (J = 1,
     gamma/J), so the ratio is J times the unit chain's at x/J, which keeps
     J^2 and every power of J out of the arithmetic for any J.  A non-finite
-    point raises ValueError, gamma/J above 1e150 DomainError.
+    point raises ValueError.
     """
     j, x = spec.hopping, np.asarray(x, dtype=complex)
     if not np.all(np.isfinite(x)):
         raise ValueError("char_poly_ratio needs finite points")
-    return j * _unit_ratio(spec.n_sites, _unit_gamma(spec), x / j)
-
-
-def _unit_gamma(spec: ChainSpec) -> float:
-    """gamma/J, the unit chain's gamma; DomainError above _MAX_RATIO."""
-    r = spec.gamma / spec.hopping
-    if r > _MAX_RATIO:
-        raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, the oracle's domain")
-    return r
+    return j * _unit_ratio(spec.n_sites, spec.gamma / j, x / j)
 
 
 def _unit_ratio(n: int, gamma: float, x: np.ndarray):
@@ -231,10 +217,9 @@ def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
     runs on Python complex scalars, above on arrays (`_aberth`).  The roots
     are those of the unit chain (J = 1, gamma/J) times J, so `_ROOT_TOL` is
     relative to max(J^2, |E|^2) in t.  The levels are sorted (real, imag);
-    each level's negative is bit for bit its partner.  gamma/J above 1e150
-    raises DomainError.
+    each level's negative is bit for bit its partner.
     """
-    n, j, gamma = spec.n_sites, spec.hopping, _unit_gamma(spec)
+    n, j, gamma = spec.n_sites, spec.hopping, spec.gamma / spec.hopping
     if spec.gamma > spec.gamma_c:  # the N-2 inner sites' levels, and the pair's limit
         inner = 4 * np.cos(np.pi * np.arange(1, n // 2) / (n - 1)) ** 2
         seeds = np.append(inner, -(gamma - 1 / gamma) ** 2)
@@ -256,11 +241,11 @@ def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
     Q(0) = 0, as Newton in x does.  Odd N steps in x (`char_poly_ratio`), so
     that its zero mode, the root x = 0 of the factor x, stays exact.  One
     estimate runs on Python complex scalars (`_aberth`).  A non-finite guess
-    raises ValueError, gamma/J above 1e150 DomainError.
+    raises ValueError.
     """
     if not cmath.isfinite(guess):
         raise ValueError("refine_eigenvalue needs a finite guess")
-    n, j, gamma = spec.n_sites, spec.hopping, _unit_gamma(spec)
+    n, j, gamma = spec.n_sites, spec.hopping, spec.gamma / spec.hopping
     x = complex(guess) / j
     ratio = _unit_ratio if n % 2 else _t_ratio
     root = complex(_aberth(lambda z: ratio(n, gamma, z), np.array([x if n % 2 else x * x]),

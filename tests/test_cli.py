@@ -309,7 +309,7 @@ def test_phase_command(capsys):
 
 
 @pytest.mark.parametrize("j", ["1e6", "1e300"])
-def test_phase_ends_where_the_float_spacing_exceeds_tol(j):
+def test_phase_ends_at_any_float_spacing(j):
     # the bisection ends once the midpoint is a bracket end, at any float
     # spacing near gamma_c (1.2e-10 at J = 1e6); run in a subprocess with a
     # timeout, a hang fails the test instead of the suite

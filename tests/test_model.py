@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ptchain import (ChainSpec, Phase, apply_pt, build_hamiltonian,
                      classify_phase, gamma_critical)
+from ptchain.errors import DomainError
 
 
 def test_hamiltonian_n2():
@@ -41,6 +43,31 @@ def test_hamiltonian_trace_and_corner():
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         ChainSpec(**{"hopping": 1.0, "gamma": 0.0, **kwargs})
+
+
+@pytest.mark.parametrize("j,gamma", [
+    (1.0, 1e200), (1.0, 1.0001e150), (1.0, 2e150), (1.0, 1e154), (1.0, 1.4e154),
+    (1.0, math.nextafter(1e150, math.inf)),
+    (1e-200, 1.0), (1e-300, 1e300),  # r = inf
+])
+def test_spec_past_the_ratio_limit_is_a_domain_error(j, gamma):
+    # every solver depends on gamma/J alone, and (gamma/J)^2 leaves the float
+    # range past 1e150: there the Bethe solvers overflowed, the oracle's
+    # levels came back 4e-3 J off with no warning (N = 8 at 1e154), numpy
+    # overflowed (N = 30 at 1e154) and gamma^2 raised a bare OverflowError
+    # (from 1.4e154).  One PTChainError when the spec is built, not a numpy
+    # RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"above 1e\+150"):
+            ChainSpec(8, j, gamma)
+
+
+def test_ratio_limit_is_the_last_float_of_the_domain():
+    # the solvers' tests at gamma/J = 1e150 run on this spec
+    assert ChainSpec(8, 1.0, 1e150).gamma == 1e150
+    with pytest.raises(DomainError, match=r"gamma/J = 1e\+150 is above 1e\+150"):
+        ChainSpec(8, 1.0, math.nextafter(1e150, math.inf))
 
 
 def test_apply_pt_definition():
@@ -117,7 +144,7 @@ def test_classify_phase():
     r = Fraction(0.5773502691896257) / Fraction(0.5)
     assert 6 * r * r - 8 < 0
     assert classify_phase(ChainSpec(7, 0.5, 0.5773502691896257)) is Phase.UNBROKEN
-    assert classify_phase(ChainSpec(9, 1.0, 1e200)) is Phase.BROKEN
+    assert classify_phase(ChainSpec(9, 1.0, 1e150)) is Phase.BROKEN
     with pytest.raises(TypeError):
         classify_phase(ChainSpec(8, 1.0, 1.0), tol=1e-9)
 
