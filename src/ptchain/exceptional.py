@@ -29,8 +29,8 @@ from .states import _critical_pairs, _pt_norms, _row_norms
 
 # Largest scaled distance N |gamma - gamma_c| / gamma_c flagged as inside the
 # window; there the repulsion law is within about 4% of the exact pair.  For
-# odd N it stays clear of gamma near or below J (scaled distance 0.88 at N = 3,
-# tending to 1), where delta_approx has no real solution.
+# odd N it stays clear of the edge of delta_approx's domain, gamma/J =
+# sqrt((N^3 + 1)/(N^3 - 1)) (scaled distance 0.80 at N = 3, tending to 1).
 ASYMPTOTIC_WINDOW = 0.25
 
 
@@ -62,34 +62,46 @@ def in_asymptotic_window(spec: ChainSpec) -> bool:
 
 
 def delta_approx(spec: ChainSpec) -> float:
-    """Leading-order offset of the two critical momenta from pi/2 (unbroken side)."""
+    """Leading-order offset of the two critical momenta from pi/2, unbroken side.
+
+    The side is `classify_phase`'s: PhaseError where c0 > 0 (broken).  Odd N
+    has a real offset only for gamma/J > sqrt((N^3 + 1)/(N^3 - 1)), and
+    raises DomainError at and below that bound, gamma = J included.
+    """
     return _approx(spec, broken=False)
 
 
 def kappa_approx(spec: ChainSpec) -> float:
-    """Mirror of delta_approx across gamma_c (broken side)."""
+    """Mirror of delta_approx across gamma_c: PhaseError where c0 < 0 (unbroken).
+
+    Every broken spec lies in the odd-N domain of `delta_approx`.
+    """
     return _approx(spec, broken=True)
 
 
 def _approx(spec: ChainSpec, broken: bool) -> float:
-    """delta_approx, or kappa_approx if `broken`: the radicand changes sign."""
+    """delta_approx, or kappa_approx if `broken`, from R's centre coefficients c0 and dif.
+
+    With s = +1 (broken) or -1, the side is `classify_phase`'s: s c0 >= 0,
+    where the radicand is >= 0.  Even N: 1/sqrt(s N alpha), alpha = 1 +
+    2/dif, and 0 at dif = 0 (gamma = J = gamma_c).  Odd N: alpha - N
+    cancels next to gamma_c, but N - alpha = c0/dif exactly, so the radicand
+    3 s (c0/dif)/(N^3 - alpha) is formed without it.  It is real and finite
+    just for dif > 0 and N^3 > alpha, that is gamma/J > sqrt((N^3 + 1)/(N^3 - 1)).
+    """
     s = 1.0 if broken else -1.0
-    if s * (spec.gamma - spec.gamma_c) < 0:
+    n = spec.n_sites
+    c0, dif = _centre_coefficients(n, spec.gamma / spec.hopping)
+    if s * c0 < 0:
         raise PhaseError(f"{'kappa' if broken else 'delta'}_approx applies on the "
                          f"{'broken' if broken else 'unbroken'} side")
-    n = spec.n_sites
-    alpha = alpha_parameter(spec)
-    if not math.isfinite(alpha):  # gamma = J: the even-N boundary limit
-        return 0.0
-    if n % 2 == 0:  # s alpha > 0: the side check fixes the sign of dif
-        return 1.0 / math.sqrt(s * n * alpha)
-    radicand = 3 * s * (n - alpha) / (n**3 - alpha)
-    if radicand < 0:
-        if radicand > -1e-10:  # fp residue of alpha = N exactly at the boundary
-            return 0.0
-        raise DomainError(f"gamma={spec.gamma} is outside the odd-N asymptotic domain"
-                          + ("" if broken else " (J, gamma_c]"))
-    return math.sqrt(radicand)
+    alpha = 1.0 + 2.0 / dif if dif else math.inf
+    if n % 2 == 0:  # c0 = dif: s alpha > 0
+        return 1.0 / math.sqrt(s * n * alpha) if dif else 0.0
+    if dif <= 0 or n**3 <= alpha:
+        raise DomainError(f"gamma/J = {spec.gamma / spec.hopping!r} is outside the odd-N "
+                          f"asymptotic domain gamma/J > sqrt((N^3 + 1)/(N^3 - 1)), N = {n}")
+    return math.sqrt(3 * s * (c0 / dif) / (n**3 - alpha))
 
 
 def repulsion_law(spec: ChainSpec) -> tuple[float, float]:
@@ -177,9 +189,8 @@ def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:
         try:
             dk = _approx(spec, side)
             analytic = _pair_levels(spec.hopping, side, dk)
-        except (DomainError, PhaseError):  # PhaseError: the float gamma_c and c0 disagree
-            dk = math.nan
-            analytic = (complex(math.nan, math.nan),) * 2
+        except DomainError:  # odd N at or below the edge of delta_approx's domain
+            dk, analytic = math.nan, (complex(math.nan, math.nan),) * 2
         reports.append(CriticalReport(
             gamma=spec.gamma, gamma_offset=spec.gamma - spec.gamma_c,
             two_levels=_pair_levels(spec.hopping, side, root),

@@ -17,11 +17,14 @@ import numpy as np
 from .errors import DomainError
 
 # Largest gamma/J of a chain.  Every condition the solvers take depends on
-# gamma and J only through r = gamma/J, and r^2 times N stays far inside the
-# float range.  Above it the oracle's levels came back 4e-3 J off with no
-# warning at N = 8 and gamma/J = 1e154, numpy overflowed at N = 30, and from
-# 1.4e154 gamma^2 raised OverflowError
+# gamma and J only through r = gamma/J.  Above it the oracle's levels came
+# back 4e-3 J off with no warning at N = 8 and gamma/J = 1e154, numpy
+# overflowed at N = 30, and from 1.4e154 gamma^2 raised OverflowError
 _MAX_RATIO = 1e150
+# Bound on N max(1, r^2): below it the phase rule's coefficient c0 = (N - 1) r^2
+# - (N + 1) is a float.  Past it every phase read raised OverflowError (N =
+# 10^9 + 1 at gamma/J = 1e150)
+_MAX_SCALE = 1e308
 
 
 class Phase(Enum):
@@ -46,8 +49,10 @@ class ChainSpec:
     gamma : float
         Finite strength gamma >= 0 of the imaginary end potentials, in units of J.
 
-    A bad N, J or gamma raises ValueError, and gamma/J above 1e150, where
-    (gamma/J)^2 leaves the float range, DomainError: every solver's domain.
+    A bad N, J or gamma raises ValueError.  gamma/J above 1e150, where
+    (gamma/J)^2 leaves the float range, and N max(1, (gamma/J)^2) from 1e308
+    on, where the phase rule's (N - 1)(gamma/J)^2 - (N + 1) nears the end of
+    that range, raise DomainError: every solver's domain.
     """
 
     n_sites: int
@@ -65,6 +70,9 @@ class ChainSpec:
         if r > _MAX_RATIO:
             raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, "
                               f"where (gamma/J)^2 leaves the float range")
+        if self.n_sites >= _MAX_SCALE / max(r * r, 1.0):  # an int and a float compare exactly
+            raise DomainError(f"N max(1, (gamma/J)^2) is not below {_MAX_SCALE:.0e} at N = "
+                              f"{self.n_sites}, gamma/J = {r:.3g}: the phase rule overflows")
 
     @property
     def gamma_c(self) -> float:

@@ -135,12 +135,12 @@ def _t_ratio(n: int, gamma: float, t):
     return q / dq
 
 
-def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _aberth(ratio, seeds: np.ndarray, max_iter: int) -> np.ndarray:
     """Roots by Aberth-Ehrlich simultaneous iteration, sorted (real, imag).
 
     `ratio(z)` is p(z)/p'(z), of one complex or elementwise of an array.
     Each estimate moves by w_i = r_i / (1 - r_i sum_{j != i} 1/(z_i - z_j)),
-    which is Newton for a single estimate, until every |w_i| < tol *
+    which is Newton for a single estimate, until every |w_i| < `_ROOT_TOL`
     max(1, |z_i|).  The steps shrink quadratically near a simple root (every
     root in t is one) and by half per step near a double one; a step that
     never shrinks is no root, and raises once `max_iter` is spent.
@@ -153,14 +153,13 @@ def _aberth(ratio, seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     The two orders of arithmetic agree to rounding in t.
     """
     z = np.array(seeds, dtype=complex)
-    roots = (_scalar_aberth if len(z) <= _SCALAR_ESTIMATES else _array_aberth)(
-        ratio, z, tol, max_iter)
+    roots = (_scalar_aberth if len(z) <= _SCALAR_ESTIMATES else _array_aberth)(ratio, z, max_iter)
     if roots is None:
         raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
     return np.sort(np.array(roots, dtype=complex))
 
 
-def _array_aberth(ratio, z: np.ndarray, tol: float, max_iter: int):
+def _array_aberth(ratio, z: np.ndarray, max_iter: int):
     """`_aberth` on arrays: the roots, or None once `max_iter` is spent."""
     inv = np.empty((len(z), len(z)), dtype=complex)  # one buffer: N^2 arrays bound large N
     diagonal = inv.reshape(-1)[::len(z) + 1]
@@ -173,12 +172,12 @@ def _array_aberth(ratio, z: np.ndarray, tol: float, max_iter: int):
             if not np.isfinite(step).all():
                 raise NonConvergence("Aberth step is not finite")
             z -= step
-            if (np.abs(step) < tol * np.maximum(1.0, np.abs(z))).all():
+            if (np.abs(step) < _ROOT_TOL * np.maximum(1.0, np.abs(z))).all():
                 return z
     return None
 
 
-def _scalar_aberth(ratio, z: np.ndarray, tol: float, max_iter: int):
+def _scalar_aberth(ratio, z: np.ndarray, max_iter: int):
     """`_aberth` on Python complex scalars: the roots, or None once `max_iter` is spent."""
     z, k = z.tolist(), len(z)
     for _ in range(max_iter):
@@ -195,7 +194,7 @@ def _scalar_aberth(ratio, z: np.ndarray, tol: float, max_iter: int):
         if not all(map(cmath.isfinite, step)):
             raise NonConvergence("Aberth step is not finite")
         z = [a - w for a, w in zip(z, step)]
-        if all(abs(w) < tol * max(1.0, abs(a)) for a, w in zip(z, step)):
+        if all(abs(w) < _ROOT_TOL * max(1.0, abs(a)) for a, w in zip(z, step)):
             return z
     return None
 
@@ -225,8 +224,7 @@ def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
         seeds = np.append(inner, -(gamma - 1 / gamma) ** 2)
     else:
         seeds = 4 * np.cos(np.pi * np.arange(1, n // 2 + 1) / (n + 1)) ** 2
-    t = _aberth(lambda z: _t_ratio(n, gamma, z), seeds + _SEED_OFFSET, _ROOT_TOL,
-                _ORACLE_MAX_ITER)
+    t = _aberth(lambda z: _t_ratio(n, gamma, z), seeds + _SEED_OFFSET, _ORACLE_MAX_ITER)
     x = j * np.sqrt(t)
     return np.sort(np.concatenate([x, -x, np.zeros(n % 2, complex)]))
 
@@ -249,7 +247,7 @@ def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
     x = complex(guess) / j
     ratio = _unit_ratio if n % 2 else _t_ratio
     root = complex(_aberth(lambda z: ratio(n, gamma, z), np.array([x if n % 2 else x * x]),
-                           _ROOT_TOL, _REFINE_MAX_ITER)[0])  # the level x, or t = x^2
+                           _REFINE_MAX_ITER)[0])  # the level x, or t = x^2
     if n % 2:
         return j * root
     if x == 0 and root != 0:

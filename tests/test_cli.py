@@ -339,6 +339,13 @@ def test_spectrum_past_the_ratio_limit_exits_1(capsys):
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
 
+def test_spectrum_past_the_centre_coefficient_limit_exits_1(capsys):
+    # (N - 1)(gamma/J)^2 leaves the float range: one line, no OverflowError traceback
+    code, out, err = run(capsys, "spectrum", "--n", "1000000001", "--gamma", "1e150")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: DomainError: N max(1, (gamma/J)^2)") and err.count("\n") == 1
+
+
 def test_hermitian_command_matches_couplings(capsys):
     code, out, _ = run(capsys, "hermitian", "--n", "7", "--gamma", "0.50")
     assert code == 0

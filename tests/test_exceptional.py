@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import re
@@ -24,16 +25,28 @@ def test_alpha_and_delta_n20():
 
 
 def test_delta_vanishes_at_odd_boundary():
+    # the side is classify_phase's: the float gamma_c of N = 9 has c0 > 0, so
+    # delta_approx does not apply, and the vanishing pair is kappa_approx's,
+    # which there is the exact kappa of the pair
     n = 9
     spec = ChainSpec(n, 1.0, gamma_critical(n))
     assert alpha_parameter(spec) == pytest.approx(n, rel=1e-12)
-    assert delta_approx(spec) == pytest.approx(0.0, abs=1e-12)
+    assert classify_phase(spec) is Phase.BROKEN
+    with pytest.raises(PhaseError):
+        delta_approx(spec)
+    assert kappa_approx(spec) == pytest.approx(4.0244e-9, rel=1e-4)
+    assert kappa_approx(spec) == pytest.approx(solve_kappa(spec), rel=1e-15)
 
 
 def test_delta_domain_error_far_from_boundary():
-    # odd N below gamma = J sits outside the asymptotic domain
+    # odd N below gamma = J sits outside the asymptotic domain, and so does
+    # gamma = J itself, where alpha is infinite, as on the floats next to it
     with pytest.raises(DomainError):
         delta_approx(ChainSpec(9, 1.0, 0.5))
+    for n in (3, 9, 21):
+        for gamma in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
+            with pytest.raises(DomainError, match=r"sqrt\(\(N\^3 \+ 1\)/\(N\^3 - 1\)\)"):
+                delta_approx(ChainSpec(n, 1.0, gamma))
 
 
 def test_delta_requires_unbroken_side():
@@ -171,8 +184,9 @@ def test_critical_sweep_window_scales_with_n():
 
 
 def test_window_excludes_odd_n_domain_errors():
-    # odd N: delta_approx raises for gamma below J and just above it, at
-    # scaled distances between 0.88 (N = 3) and 1 (large N)
+    # odd N: delta_approx raises at and below gamma/J = sqrt((N^3 + 1)/(N^3 - 1)),
+    # at scaled distances between 0.80 (N = 3) and 1 (large N); each gamma
+    # takes the approximation of classify_phase's side
     for n in (3, 5, 19, 199):
         gc = gamma_critical(n)
         gammas = list(gc * (1 - np.linspace(0.0, 1.5, 1501) / n))
@@ -180,7 +194,71 @@ def test_window_excludes_odd_n_domain_errors():
         for gamma in gammas:
             spec = ChainSpec(n, 1.0, float(gamma))
             if in_asymptotic_window(spec):
-                delta_approx(spec)  # must not raise DomainError
+                broken = classify_phase(spec) is not Phase.UNBROKEN
+                (kappa_approx if broken else delta_approx)(spec)  # must not raise DomainError
+
+
+def _formula(n, r, broken):
+    """The leading-order delta (kappa if `broken`) at the float r, to 60 digits.
+
+    None where its radicand is negative or alpha is infinite: there the
+    library raises DomainError.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        r, s = mp.mpf(r), 1 if broken else -1
+        dif = r * r - 1
+        if dif == 0:
+            return None if n % 2 else mp.mpf(0)
+        alpha = 1 + 2 / dif
+        radicand = 1 / (s * n * alpha) if n % 2 == 0 else 3 * s * (n - alpha) / (n**3 - alpha)
+        return mp.sqrt(radicand) if radicand >= 0 else None
+
+
+def _assert_formula_holds(spec, value):
+    # the value at spec, NaN or the approximation's, is the formula's on
+    # classify_phase's side to 1e-15, NaN just where the formula has no value
+    broken = classify_phase(spec) is not Phase.UNBROKEN
+    want = _formula(spec.n_sites, spec.gamma / spec.hopping, broken)
+    if want is None:
+        assert math.isnan(value), spec
+    else:
+        assert abs(value - want) <= 1e-15 * want, (spec, value, want)
+
+
+@pytest.mark.parametrize("n", [3, 9, 33, 65])
+@pytest.mark.parametrize("j", [1.0, 3.0])
+def test_approximations_are_their_formula_next_to_gamma_c(n, j):
+    # gamma_c (1 +- 10^-k), k = 1..15: N - alpha cancels next to gamma_c, and
+    # was off by up to 8e-3 when formed
+    gc = gamma_critical(n, j)
+    for k in range(1, 16):
+        for side in (1, -1):
+            spec = ChainSpec(n, j, gc * (1 + side * 10.0 ** -k))
+            broken = classify_phase(spec) is not Phase.UNBROKEN
+            try:
+                value = (kappa_approx if broken else delta_approx)(spec)
+            except DomainError:
+                value = math.nan
+            _assert_formula_holds(spec, value)
+
+
+def test_critical_sweep_next_to_gamma_c_has_no_nan():
+    # the side of the asymptotic pair is the report's own (c0): no float
+    # next to gamma_c is NaN.  At N = 29, J = 3 the float gamma_c put this
+    # point on the broken side, where c0 < 0 says unbroken
+    gamma = float.fromhex("0x1.8d7a4e9f4f80bp+1")
+    (report,) = critical_sweep(29, [gamma], hopping=3.0)
+    assert report.delta_or_kappa == pytest.approx(7.4579e-10, rel=1e-4)
+    assert report.analytic_pair[0] == pytest.approx(report.two_levels[0], rel=1e-6)
+    for j in (0.5, 3.0):
+        for n in range(3, 130, 2):
+            gammas = [gamma_critical(n, j)]
+            for _ in range(4):
+                gammas = [math.nextafter(gammas[0], 0.0), *gammas, math.nextafter(gammas[-1], 9.0)]
+            for report in critical_sweep(n, gammas, hopping=j):
+                assert not math.isnan(report.delta_or_kappa), (n, j, report.gamma)
+                assert not any(map(cmath.isnan, report.analytic_pair)), (n, j, report.gamma)
 
 
 def test_critical_sweep_pt_norms_shrink():
@@ -257,35 +335,39 @@ def _log_grid(n):
 # rounding noise); and again when one root in t = x^2 gave the pair on both
 # sides of gamma_c from a correctly rounded c0: the pair's levels moved by
 # up to 3.4e-13 relative (median 1.2e-14), from up to 3.4e-13 off a
-# 60-digit root at the float gamma to within 5.7e-16 of it
+# 60-digit root at the float gamma to within 5.7e-16 of it.  Odd N again
+# when the odd-N radicand took N - alpha as c0/dif, with no cancellation:
+# delta_or_kappa and analytic_pair moved by a median 5 ulp and up to 815 ulp,
+# from up to 1.2e-13 off the formula's 60-digit value at the float gamma to
+# within 2.2e-16 of it
 PINNED_LOG_GRID = {
-    2: "e5f0e916fc7a9860", 3: "cbbb592eca6d3f85", 4: "bdea697a04d784fd",
-    5: "9e71fe17a50738f4", 6: "d25f37f8609db853", 7: "d707cbf59de0123b",
-    8: "e4a39ddbb2672974", 9: "e6c9d8255da9390a", 10: "6b4e46c304ba8ac9",
-    11: "c1caa1c3a7c31e63", 12: "5cdc04a92f18f351", 13: "342c73db7faff0ed",
-    14: "77ad488081bd2a90", 15: "f707bdc6581cb8bf", 16: "4fb59d451f3ad0ff",
-    17: "5ff35f5a3345436b", 18: "49e9e369688288e1", 19: "ecfcb250397d345e",
-    20: "5db56d73c13fb2be", 21: "a94bf6f6b6926fac", 22: "d2570a1e44355cdc",
-    23: "62c924ac08dcacb9", 24: "5039c0f5911ad11f", 25: "08d6f8ae623e254a",
-    26: "836d2cd5cd923040", 27: "9306ee59707d5c47", 28: "ef71fd967add0ac9",
-    29: "2040b2ddbea1ea8e", 30: "1878e91eb694c249", 31: "c3177760daf9b7f5",
-    32: "5c5fb00636719ae2", 33: "3f5c62e43c3122f0", 34: "fe8e304bc0f16b14",
-    35: "8dd0baad371631cd", 36: "ad498bc6d3ac658b", 37: "a6ee97d044093d52",
-    38: "e36cdc292529173f", 39: "f90875d9fe44c6b6", 40: "4b8ab3a3d794af34",
-    41: "877f507ef1b78134", 42: "94fefc9d17af24ef", 43: "9d613e24b0906b24",
-    44: "15eea30766747acb", 45: "54eb78c1edbe0b3b", 46: "7ef8201708e1103c",
-    47: "b3787217de067b1f", 48: "10a88b103b05b40c", 49: "e91906fd6342b19b",
-    50: "52c2364d9f9c17da", 51: "a0a9c9889df666e7", 52: "6c175f7006b07695",
-    53: "24fa29435954dc7c", 54: "f98836983a97add3", 55: "10a5c9f44dba419c",
-    56: "a3aa125ecd0052f9", 57: "d4aeb72ea4aa4ef0", 58: "1497b8b0701da8eb",
-    59: "e457cd8b7fbff51e", 60: "b37e1500eef71bc5", 61: "4622a1df571f9f38",
-    62: "51b145bf0bc78906", 63: "ad4f8a77c6e8553d", 64: "eae61e9f4f8e97b1",
-    65: "8efedc02c72db206", 66: "3230fd79d751e627", 67: "33785f100440a09a",
-    68: "a3129984bc931118", 69: "90e4d7959374ebba", 70: "8dbd6698f7efc1a4",
-    71: "7f41f414ac311515", 72: "af5946f3e260b6f5", 73: "8c7fd91c28d6d5b5",
-    74: "4b1f37ce427cfeef", 75: "f185a9934e1511bd", 76: "c997bb09c30e966a",
-    77: "1f37cd93945b0b5b", 78: "aee671c8ed900488", 79: "1ccb7420870fdabe",
-    128: "416b42ea4b8ee5b0", 200: "45d5c2a8035f6c07", 255: "b316bb51ad26a8be",
+    2: "e5f0e916fc7a9860", 3: "b72548ae00f1042c", 4: "bdea697a04d784fd",
+    5: "ceebc2fe223300bb", 6: "d25f37f8609db853", 7: "0b1f23ae56ddd0ef",
+    8: "e4a39ddbb2672974", 9: "fbe56d1dcdf93830", 10: "6b4e46c304ba8ac9",
+    11: "b93136ae09a4466f", 12: "5cdc04a92f18f351", 13: "7ae379e71557fa45",
+    14: "77ad488081bd2a90", 15: "0137d0f5ed4171a4", 16: "4fb59d451f3ad0ff",
+    17: "561d9b3beab66d23", 18: "49e9e369688288e1", 19: "cf3572692089fa42",
+    20: "5db56d73c13fb2be", 21: "13e12b4cb88d251b", 22: "d2570a1e44355cdc",
+    23: "afcb83d4973840a6", 24: "5039c0f5911ad11f", 25: "d36f03210cd02f2c",
+    26: "836d2cd5cd923040", 27: "604dca14a6696264", 28: "ef71fd967add0ac9",
+    29: "7f08bad7d222ae48", 30: "1878e91eb694c249", 31: "e2754ca55835e6a5",
+    32: "5c5fb00636719ae2", 33: "2d6b6642215c135b", 34: "fe8e304bc0f16b14",
+    35: "6744a5422ed606bd", 36: "ad498bc6d3ac658b", 37: "ccfa3cf966ce18d3",
+    38: "e36cdc292529173f", 39: "8dd9099b0e34cccc", 40: "4b8ab3a3d794af34",
+    41: "34fd6d4e6601227f", 42: "94fefc9d17af24ef", 43: "bb166ff88dd4b54e",
+    44: "15eea30766747acb", 45: "10f4c9e03ee1be0a", 46: "7ef8201708e1103c",
+    47: "8d3c1a666cfca937", 48: "10a88b103b05b40c", 49: "9c87c35af5efa2d8",
+    50: "52c2364d9f9c17da", 51: "2dbb8fc7e525dbfb", 52: "6c175f7006b07695",
+    53: "77fd9f02c7f5c01a", 54: "f98836983a97add3", 55: "18322bd1cd2a2cb2",
+    56: "a3aa125ecd0052f9", 57: "eca88182336a1c29", 58: "1497b8b0701da8eb",
+    59: "2e652e09184e022a", 60: "b37e1500eef71bc5", 61: "9c744cb1bf4294c7",
+    62: "51b145bf0bc78906", 63: "d4c14c057daae49c", 64: "eae61e9f4f8e97b1",
+    65: "76770faac57f68fb", 66: "3230fd79d751e627", 67: "1a45a5b532f2045b",
+    68: "a3129984bc931118", 69: "c60d944bd4e323d8", 70: "8dbd6698f7efc1a4",
+    71: "8079270a5bdf9f6c", 72: "af5946f3e260b6f5", 73: "3be0c8c2ce2d3c50",
+    74: "4b1f37ce427cfeef", 75: "e13c6e4dfb63ea0d", 76: "c997bb09c30e966a",
+    77: "6d4b6f278af9d10f", 78: "aee671c8ed900488", 79: "43914384a8633195",
+    128: "416b42ea4b8ee5b0", 200: "45d5c2a8035f6c07", 255: "daec472905269294",
     256: "6d81bb17605a44b2", 1000: "b69d492004ac10d6",
 }
 # re-recorded with the log grid; these grids also hold gamma_c itself, which
@@ -299,19 +381,23 @@ PINNED_LOG_GRID = {
 # 1.5e-5 below the oracle's, from the + vector that was no eigenvector.  All
 # six again with the root in t = x^2: at the float gamma_c of odd N, kappa
 # was 29-38% off the 60-digit root there (set by the rounding of r*r - 1),
-# and now is within 5.7e-16 of it
+# and now is within 5.7e-16 of it.  N = 3, 9 and 65 again with the odd-N
+# radicand in c0/dif: at the float gamma_c, which is broken for all three,
+# kappa_approx was 0.6-10% off its formula (N = 9: 3.85e-9 against 4.02e-9)
 PINNED_MIXED_GRID = {
-    2: "a25bfd5db0237d95", 3: "d1ba0023d5b28ad1", 8: "e6c2a4b122d800e3",
-    9: "56f04479bac1eede", 64: "f5de46229e4181bf", 65: "0d3a5e66e64db9ab",
+    2: "a25bfd5db0237d95", 3: "d86914afea506e9d", 8: "e6c2a4b122d800e3",
+    9: "5876d4f26aaa4609", 64: "f5de46229e4181bf", 65: "a7fb068d4f87802f",
 }
 
 
 def _assert_pairs_hold(n, reports):
     # a digest pins bits, not physics: before it is read, every broken pair
-    # is PT self-orthogonal and, up to N = 65, every gap is that of the pair
-    # the oracle gives on the dense H
+    # is PT self-orthogonal, every delta_or_kappa is its formula's to 1e-15
+    # and, up to N = 65, every gap is that of the pair the oracle gives on
+    # the dense H
     for report in reports:
         spec = ChainSpec(n, 1.0, report.gamma)
+        _assert_formula_holds(spec, report.delta_or_kappa)
         if classify_phase(spec) is not Phase.UNBROKEN:
             assert max(map(abs, report.pt_norms)) <= 1e-12, report.gamma
         if n <= 65:

@@ -70,6 +70,18 @@ def test_ratio_limit_is_the_last_float_of_the_domain():
         ChainSpec(8, 1.0, math.nextafter(1e150, math.inf))
 
 
+def test_spec_past_the_centre_coefficient_limit_is_a_domain_error():
+    # every phase read forms R's centre coefficient (N - 1)(gamma/J)^2 - (N + 1)
+    # as a float: past N max(1, (gamma/J)^2) = 1e308 classify_phase,
+    # solve_kappa, alpha_parameter and kappa_approx raised a bare OverflowError
+    spec = ChainSpec(10**6 + 1, 1.0, 1e150)
+    assert classify_phase(spec) is Phase.BROKEN
+    assert ChainSpec(10**7, 1.0, 1e150).n_sites == 10**7
+    for n, gamma in [(10**9 + 1, 1e150), (2 * 10**8, 1e150), (10**400, 0.0)]:
+        with pytest.raises(DomainError, match=r"N max\(1, \(gamma/J\)\^2\) is not below 1e\+308"):
+            ChainSpec(n, 1.0, gamma)
+
+
 def test_apply_pt_definition():
     out = apply_pt(np.array([1.0, 1.0j]))
     assert np.array_equal(out, np.array([-1.0j, 1.0]))

@@ -110,7 +110,7 @@ def test_doubling_matches_the_site_by_site_recurrence(n, frac):
     ratios = char_poly_ratio(spec, seeds)
     assert np.max(np.abs(ratios / _recurrence_ratio(spec, seeds) - 1)) <= 1e-12
     dense = np.linalg.eigvals(build_hamiltonian(spec))
-    by_recurrence = _aberth(lambda z: _recurrence_ratio(spec, z), seeds, 1e-13, 1000)
+    by_recurrence = _aberth(lambda z: _recurrence_ratio(spec, z), seeds, 1000)
     assert spectral_distance(by_recurrence, dense) <= 1e-12
     assert spectral_distance(oracle_spectrum(spec), dense) <= 1e-12
 
@@ -192,7 +192,7 @@ def test_aberth_never_returns_a_stalled_estimate(monkeypatch):
     for crossover in (3, 2):
         monkeypatch.setattr(oracle, "_SCALAR_ESTIMATES", crossover)
         with pytest.raises(NonConvergence, match="stalled after 50 iterations"):
-            _aberth(lambda z: z * 0 + 1e-7, seeds, 1e-13, 50)
+            _aberth(lambda z: z * 0 + 1e-7, seeds, 50)
 
 
 @pytest.mark.parametrize("crossover", [3, 2], ids=["scalars", "arrays"])
@@ -206,7 +206,7 @@ def test_aberth_raises_on_a_non_finite_step(monkeypatch, crossover, seeds, ratio
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergence, match="Aberth step is not finite"):
-            _aberth(ratio, np.array(seeds), 1e-13, 50)
+            _aberth(ratio, np.array(seeds), 50)
 
 
 def _both_paths(monkeypatch, spec):
