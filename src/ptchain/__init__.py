@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .model import ChainSpec, Phase, apply_pt, build_hamiltonian, gamma_critical
 from .bethe import (SpectralSolution, classify_phase, locate_critical_gamma,
-                    momentum_index, solve_kappa, solve_real_momenta,
-                    solve_spectra, solve_spectrum)
+                    solve_kappa, solve_spectra, solve_spectrum)
 from .states import (EigenBasis, build_c_operator, build_eigenbasis, cpt_inner,
                      pt_norm)
 from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
@@ -28,8 +27,8 @@ from . import errors
 __all__ = [
     "ChainSpec", "Phase", "apply_pt", "build_hamiltonian", "classify_phase",
     "gamma_critical",
-    "SpectralSolution", "locate_critical_gamma", "momentum_index",
-    "solve_kappa", "solve_real_momenta", "solve_spectra", "solve_spectrum",
+    "SpectralSolution", "locate_critical_gamma", "solve_kappa", "solve_spectra",
+    "solve_spectrum",
     "EigenBasis", "build_c_operator", "build_eigenbasis",
     "cpt_inner", "pt_norm",
     "CriticalReport", "alpha_parameter", "coalescence_gap", "critical_levels",

@@ -6,8 +6,11 @@ The real quasimomenta are the roots in (0, pi) of
          = (gamma^2 + J^2) (cos k / cos theta) sin(N k - theta),
 
 with theta(k) = atan(c tan k) and c = (gamma^2 - J^2)/(gamma^2 + J^2): each
-root is a level F(k) = m pi of the counting function F(k) = N k - theta(k),
-with m its quantization integer (`momentum_index`).  Since |theta| < pi/2,
+root of the factor sin(N k - theta) is a level F(k) = m pi of the counting
+function F(k) = N k - theta(k), with m its quantization integer.  The zero
+mode k = pi/2 of odd N, which G has for every gamma, is a root of G's factor
+cos k and is not solved: at gamma = J, where c = 0 and theta = 0, it is no
+level of F.  Since |theta| < pi/2,
 the root of level m lies in its own bracket ((m - 1/2) pi/N, (m + 1/2) pi/N)
 wherever F increases, and |G| = (gamma^2 + J^2) |cos k| at the bracket ends.
 F' = N - c/(cos^2 k + c^2 sin^2 k) is negative only for 0 < c < 1/N, within
@@ -106,11 +109,6 @@ def _amplitude(n: int, j: float, g, k) -> np.ndarray:
     return np.exp(1j * k * (l - n0)) - eta * np.exp(-1j * k * (l + n0))
 
 
-def _reduced_coefficients(r: float) -> tuple[float, float]:
-    """dif = r^2 - 1 and tot = r^2 + 1."""
-    return r * r - 1.0, r * r + 1.0
-
-
 def _centre_coefficients(n: int, r: float) -> tuple[float, float]:
     """(c0, dif): R's coefficient at x = 0 and dif = r^2 - 1, each correctly rounded.
 
@@ -139,11 +137,12 @@ def classify_phase(spec: ChainSpec) -> Phase:
 def _counting_phase(n: int, centre: np.ndarray, c: np.ndarray, d: np.ndarray):
     """(Phi, Phi') elementwise at the offset d from each bracket's centre.
 
-    Phi(d) = N d + atan2(c, tan(centre + d)) with c = dif/tot is the counting
-    function N k - theta(k) at k = pi/2 + centre + d, less its level m pi:
-    N centre (N centre - pi/2 for odd N) is a multiple of pi, and theta =
-    -atan2(c, tan x) at k = pi/2 + x.  Its roots are those of R, and its
-    slope is N - c (1 + t^2)/(t^2 + c^2) with t = tan(centre + d).
+    Phi(d) = N d + atan2(c, tan(centre + d)), with c the spec's (gamma^2 -
+    J^2)/(gamma^2 + J^2), is the counting function N k - theta(k) at k =
+    pi/2 + centre + d, less its level m pi: N centre (N centre - pi/2 for
+    odd N) is a multiple of pi, and theta = -atan2(c, tan x) at k = pi/2 +
+    x.  Its roots are those of R, and its slope is N - c (1 + t^2)/(t^2 +
+    c^2) with t = tan(centre + d).
     """
     t = np.tan(centre + d)
     tt = t * t
@@ -198,12 +197,12 @@ def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
     i pi/(2N) with i = N mod 2 + 2, ..., N-2 in steps of 2, and pi/(2N) wide
     each way.  The one at pi/2 holds the critical pair, which `_pair_roots`
     solves.  Every spec has a root in each of the others, whatever its
-    phase.  c = dif/tot = (gamma^2 - J^2)/(gamma^2 + J^2) is the spec's, one
-    per bracket.  The specs share N and J.
+    phase.  c = (r^2 - 1)/(r^2 + 1) = (gamma^2 - J^2)/(gamma^2 + J^2), r =
+    gamma/J, is the spec's, one per bracket.  The specs share N and J.
     """
     n = specs[0].n_sites
     centre = np.arange(n % 2 + 2, n - 1, 2) * (math.pi / (2 * n))
-    c = [dif / tot for dif, tot in (_reduced_coefficients(s.gamma / s.hopping) for s in specs)]
+    c = [(r * r - 1.0) / (r * r + 1.0) for r in (s.gamma / s.hopping for s in specs)]
     return np.tile(centre, len(specs)), np.repeat(c, len(centre))
 
 
@@ -221,20 +220,6 @@ def _real_offsets(specs: list[ChainSpec], pair: np.ndarray) -> list[np.ndarray]:
             for row, t in zip(x.reshape(len(specs), -1), pair.tolist())]
 
 
-def solve_real_momenta(spec: ChainSpec) -> np.ndarray:
-    """All real quasimomenta in (0, pi), sorted ascending.
-
-    Returns N roots in the unbroken phase and N-2 in the broken phase.
-
-    Raises
-    ------
-    NonConvergence
-        If a bracket's root fails to converge inside it.
-    """
-    x, half = _real_offsets([spec], _pair_roots([spec]))[0], math.pi / 2
-    return np.concatenate([half - x[::-1], [half] if spec.n_sites % 2 else [], half + x])
-
-
 def _pair_levels(j: float, broken: bool, root: float) -> tuple[complex, complex]:
     """The critical pair: +-2iJ sinh(kappa) from root = kappa if `broken`, else +-2J sin(x0)."""
     if broken:
@@ -242,30 +227,6 @@ def _pair_levels(j: float, broken: bool, root: float) -> tuple[complex, complex]
         return complex(0.0, level), complex(0.0, 0.0 - level)  # kappa = 0: no -0
     level = 2 * j * math.sin(root)
     return complex(level, 0.0), complex(-level, 0.0)
-
-
-def momentum_index(spec: ChainSpec, k: float) -> int:
-    """Quantization integer n_k with k = (n_k pi + theta_k)/N.
-
-    theta_k = atan(((gamma^2-J^2)/(gamma^2+J^2)) tan k), principal branch, with
-    the limiting value +-pi/2 at k = pi/2.  Raises ValueError when k is not
-    in (0, pi), where the real roots lie, or does not satisfy the
-    quantization identity to 1e-9.
-    """
-    if not 0 < k < math.pi:  # NaN too; far outside, the absolute 1e-9 check means nothing
-        raise ValueError(f"k={k} is not in (0, pi)")
-    n = spec.n_sites
-    dif, tot = _reduced_coefficients(spec.gamma / spec.hopping)
-    c = dif / tot  # (gamma^2 - J^2)/(gamma^2 + J^2)
-    if abs(math.cos(k)) < 1e-12:
-        theta = math.copysign(math.pi / 2, c) if c != 0 else 0.0
-    else:
-        theta = math.atan(c * math.tan(k))
-    nk = round((n * k - theta) / math.pi)
-    resid = abs(n * k - theta - nk * math.pi)
-    if resid > 1e-9:
-        raise ValueError(f"k={k} violates the quantization identity (resid={resid:.2e})")
-    return int(nk)
 
 
 # (P, u P') of S at small u, highest power first: sum_k a_(k+1) u^k and

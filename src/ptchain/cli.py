@@ -17,11 +17,11 @@ import numpy as np
 from . import __version__
 from .bethe import SpectralSolution, locate_critical_gamma, solve_spectra, solve_spectrum
 from .errors import PTChainError
-from .metric import (build_metric, canonical_basis, equivalent_hermitian, exchange_matrix,
-                     gauged_factor, hermitian_equivalent, reflection_matrix)
-from .model import ChainSpec, apply_pt, build_hamiltonian, gamma_critical
+from .metric import (build_metric, canonical_basis, equivalent_hermitian, gauged_factor,
+                     hermitian_equivalent, reflection_matrix)
+from .model import ChainSpec, build_hamiltonian, gamma_critical
 from .oracle import oracle_spectrum, spectral_distance
-from .states import _eigenbasis, build_c_operator, build_eigenbasis
+from .states import _eigenbasis, build_c_operator, build_eigenbasis, cpt_inner
 
 
 def _fmt(x: float) -> str:
@@ -144,12 +144,12 @@ def _verify_checks(n_max: int, hopping: float):
         basis = _eigenbasis(solved[0.5])
         c = build_c_operator(basis)
         eye = np.eye(n)
-        p = exchange_matrix(n)
         yield ("c_squared", n, np.max(np.abs(c @ c - eye)) <= ident_tol)
         yield ("c_commutes_h", n, np.max(np.abs(c @ h - h @ c)) <= energy_tol)
-        yield ("c_commutes_pt", n, np.max(np.abs(c @ p - p @ c.conj())) <= ident_tol)
-        # cpt_inner and the Euclidean inner product <g|f> over every pair of states
-        gram = (c @ apply_pt(basis.f)).T @ basis.f
+        # C P - P C* with the site exchange P, as reversed columns and rows
+        yield ("c_commutes_pt", n, np.max(np.abs(c[:, ::-1] - c.conj()[::-1])) <= ident_tol)
+        # the CPT and the Euclidean inner product <g|f> over every pair of states
+        gram = cpt_inner(c, basis.f, basis.f)
         yield ("cpt_gram", n, np.max(np.abs(gram - eye)) <= ident_tol)
         bio = basis.g.conj().T @ basis.f
         yield ("biorthonormal", n, np.max(np.abs(bio - eye)) <= ident_tol)
@@ -165,7 +165,7 @@ def _verify_checks(n_max: int, hopping: float):
         yield ("metric_pseudo_hermiticity", n,
                np.max(np.abs(eta @ h - h.conj().T @ eta)) <= energy_tol)
         yield ("metric_pt_invariant", n,
-               np.max(np.abs(p @ eta.conj() @ p - eta)) <= ident_tol)
+               np.max(np.abs(eta.conj()[::-1, ::-1] - eta)) <= ident_tol)
         yield ("metric_bisymmetric", n,
                np.max(np.abs(refl @ eta_r @ refl - eta_r)) <= ident_tol)
         yield ("metric_det_one", n, abs(np.linalg.det(eta_r) - 1.0) <= ident_tol)

@@ -25,7 +25,7 @@ import numpy as np
 from .bethe import _centre_coefficients, _pair_levels
 from .errors import DomainError, PhaseError
 from .model import ChainSpec
-from .states import _critical_pairs, _pt_norms, _row_norms
+from .states import _critical_pairs, _row_norms, pt_norm
 
 # Largest scaled distance N |gamma - gamma_c| / gamma_c flagged as inside the
 # window; there the repulsion law is within about 4% of the exact pair.  For
@@ -52,7 +52,10 @@ class CriticalReport:
 
 def alpha_parameter(spec: ChainSpec) -> float:
     """alpha = (r^2 + 1)/(r^2 - 1) = 1 + 2/dif in r = gamma/J, inf at r = 1."""
-    dif = _centre_coefficients(spec.n_sites, spec.gamma / spec.hopping)[1]
+    return _alpha(_centre_coefficients(spec.n_sites, spec.gamma / spec.hopping)[1])
+
+
+def _alpha(dif: float) -> float:
     return 1.0 + 2.0 / dif if dif else math.inf
 
 
@@ -95,7 +98,7 @@ def _approx(spec: ChainSpec, broken: bool) -> float:
     if s * c0 < 0:
         raise PhaseError(f"{'kappa' if broken else 'delta'}_approx applies on the "
                          f"{'broken' if broken else 'unbroken'} side")
-    alpha = 1.0 + 2.0 / dif if dif else math.inf
+    alpha = _alpha(dif)
     if n % 2 == 0:  # c0 = dif: s alpha > 0
         return 1.0 / math.sqrt(s * n * alpha) if dif else 0.0
     if dif <= 0 or n**3 <= alpha:
@@ -185,7 +188,7 @@ def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:
     reports = []
     for spec, root, side, gap, pt in zip(specs, roots.tolist(), broken.tolist(),
                                          _coalescence_gaps(unit[:, 0], unit[:, 1]).tolist(),
-                                         map(tuple, _pt_norms(unit).tolist())):
+                                         map(tuple, pt_norm(unit).tolist())):
         try:
             dk = _approx(spec, side)
             analytic = _pair_levels(spec.hopping, side, dk)

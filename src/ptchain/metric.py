@@ -84,11 +84,6 @@ def build_metric(basis: EigenBasis) -> np.ndarray:
     return basis.g @ basis.g.conj().T
 
 
-def exchange_matrix(n: int) -> np.ndarray:
-    """Site reflection l -> N+1-l."""
-    return np.eye(n)[::-1]
-
-
 def reflection_matrix(n: int) -> np.ndarray:
     """The reflection that commutes with the gauged metric.
 
@@ -96,7 +91,7 @@ def reflection_matrix(n: int) -> np.ndarray:
     symmetry into (exchange o R), the exchange with alternating column signs
     (R|l> = (-1)^l |l>, sites numbered 1..N).
     """
-    p = exchange_matrix(n)
+    p = np.eye(n)[::-1]  # the site exchange l -> N+1-l
     return p if n % 2 == 0 else p * (-1.0) ** np.arange(1, n + 1)
 
 

@@ -150,19 +150,21 @@ def build_c_operator(basis: EigenBasis) -> np.ndarray:
     return basis.f @ basis.f.T
 
 
-def cpt_inner(c_op: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
+def cpt_inner(c_op: np.ndarray, u: np.ndarray, v: np.ndarray):
     """CPT inner product sum_l (C PT u)_l v_l; delta_{kk'} on the eigenbasis.
 
-    `c_op` is the matrix of `build_c_operator`.
+    `c_op` is the matrix of `build_c_operator`.  Two states give a scalar;
+    two stacks of states, one per column as in `EigenBasis.f`, give the
+    matrix of every pair, column of u by column of v.
     """
-    return complex(np.sum((c_op @ apply_pt(u)) * v))
+    return (c_op @ apply_pt(u)).T @ v
 
 
-def pt_norm(u: np.ndarray) -> complex:
-    """PT self-pairing sum_l conj(u_{N+1-l}) u_l; vanishes for broken-phase states."""
-    return complex(_pt_norms(np.asarray(u)))
+def pt_norm(u: np.ndarray):
+    """PT self-pairing sum_l conj(u_{N+1-l}) u_l along the last (site) axis.
 
-
-def _pt_norms(u: np.ndarray) -> np.ndarray:
-    """`pt_norm` of each row: the PT reversal runs along the last (site) axis."""
+    One state gives a scalar, a stack of states one per row.  It vanishes
+    for broken-phase states.
+    """
+    u = np.asarray(u)
     return np.sum(np.conj(u[..., ::-1]) * u, axis=-1)

@@ -8,31 +8,41 @@ from hypothesis import given, settings, strategies as st
 
 from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      critical_levels, critical_sweep, gamma_critical,
-                     locate_critical_gamma, momentum_index, refine_eigenvalue,
-                     solve_kappa, solve_real_momenta, solve_spectra, solve_spectrum,
-                     spectral_distance)
+                     locate_critical_gamma, refine_eigenvalue, solve_kappa,
+                     solve_spectra, solve_spectrum, spectral_distance)
 from ptchain import bethe
 from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _counting_phase,
                            _offset_brackets, _pair_point, _pair_roots, raw_amplitude)
 from ptchain.errors import DomainError, NonConvergence, PhaseError, PTChainError
 
 
+def _real_momenta(spec):
+    """The real k of `solve_spectrum`, ascending: those of zero imaginary part, less
+    the two entries of the coalesced pair at pi/2 at an exact coalescence."""
+    sol = solve_spectrum(spec)
+    k = sol.k[sol.k.imag == 0].real
+    if sol.phase is Phase.CRITICAL:
+        mid = spec.n_sites // 2 - 1
+        k = np.delete(k, [mid, mid + 1 + spec.n_sites % 2])
+    return k
+
+
 def test_roots_n3_gamma_one():
     # G reduces to 2 J^2 sin(3k) cos(k); its null-state root k = pi lies
     # outside the scanned interval (0, pi).
-    roots = solve_real_momenta(ChainSpec(3, 1.0, 1.0))
+    roots = _real_momenta(ChainSpec(3, 1.0, 1.0))
     assert np.allclose(roots, [np.pi / 3, np.pi / 2, 2 * np.pi / 3], atol=1e-12)
 
 
 def test_roots_n2_energies():
-    roots = solve_real_momenta(ChainSpec(2, 1.0, 0.6))
+    roots = _real_momenta(ChainSpec(2, 1.0, 0.6))
     energies = np.sort(-2 * np.cos(roots))
     assert np.allclose(energies, [-0.8, 0.8], atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 def test_roots_hermitian_limit(n):
-    roots = solve_real_momenta(ChainSpec(n, 1.0, 0.0))
+    roots = _real_momenta(ChainSpec(n, 1.0, 0.0))
     expected = np.pi * np.arange(1, n + 1) / (n + 1)
     assert np.allclose(roots, expected, atol=1e-12)
 
@@ -40,34 +50,36 @@ def test_roots_hermitian_limit(n):
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_roots_at_gamma_equals_hopping(n):
     # theta_k = 0 there, so the roots sit at n_k pi / N plus the zero mode.
-    roots = solve_real_momenta(ChainSpec(n, 1.0, 1.0))
+    roots = _real_momenta(ChainSpec(n, 1.0, 1.0))
     expected = np.sort(np.append(np.pi * np.arange(1, n) / n, np.pi / 2))
     assert np.allclose(roots, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,gamma", [(6, 0.3), (7, 0.9), (10, 0.5), (9, 1.2)])
-def test_momentum_index_consistency(n, gamma):
-    # momentum_index itself raises when the quantization identity is violated;
-    # the critical pair legitimately shares one interval index.
-    spec = ChainSpec(n, 1.0, gamma)
-    for k in solve_real_momenta(spec):
-        assert 0 <= momentum_index(spec, k) <= n
+# worst |N k - theta(k) - m pi| measured over the grid below: 9.1e-13 (N = 1000)
+_LEVEL_TOL = 2e-12
 
 
-def test_momentum_index_rejects_a_k_off_the_quantization_identity():
-    spec = ChainSpec(8, 1.0, 0.5)
-    k = solve_real_momenta(spec)[2]
-    assert momentum_index(spec, k) == momentum_index(spec, k + 1e-12)
-    with pytest.raises(ValueError, match="violates the quantization identity"):
-        momentum_index(spec, k + 1e-3)
-
-
-@pytest.mark.parametrize("k", [0.0, math.pi, -1.0, 4.0, 1e300, math.nan, math.inf, -math.inf])
-def test_momentum_index_rejects_a_k_outside_zero_to_pi(k):
-    # at k = 1e300 the absolute 1e-9 identity check would pass a 300-digit
-    # index; NaN and inf would fail inside float-to-int conversions
-    with pytest.raises(ValueError, match=r"is not in \(0, pi\)"):
-        momentum_index(ChainSpec(8, 1.0, 0.5), k)
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 65, 1000, 1001])
+def test_quantization_identity_on_every_real_root(n):
+    # every real root but odd N's zero mode is a level N k - theta(k) = m pi
+    # of the counting function, with theta = atan(c tan k) on its principal
+    # branch and m in [0, N]; the zero mode is a root of G's factor cos k,
+    # exactly pi/2, and at gamma = J, where c = 0 and theta = 0, no level
+    for j in (0.5, 1.0, 3.0):
+        gc = gamma_critical(n, j)
+        fracs = [0.0, 0.3, 0.9, 1 - 1e-12, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 1e9]
+        for gamma in [*(gc * np.array(fracs)), j]:
+            spec = ChainSpec(n, j, float(gamma))
+            k = _real_momenta(spec)
+            if n % 2:
+                assert k[len(k) // 2] == math.pi / 2, gamma
+                k = np.delete(k, len(k) // 2)
+            r = gamma / j
+            c = (r * r - 1) / (r * r + 1)
+            level = n * k - np.arctan(c * np.tan(k))
+            m = np.round(level / math.pi)
+            assert np.max(np.abs(level - m * math.pi), initial=0.0) <= _LEVEL_TOL, gamma
+            assert ((0 <= m) & (m <= n)).all(), gamma
 
 
 def test_no_scanned_root_is_a_null_state():
@@ -78,7 +90,7 @@ def test_no_scanned_root_is_a_null_state():
         for gamma in (0.0, 0.3 * gc, 0.9 * gc, gc - 1e-9, gc, gc + 1e-9,
                       1.0, 1.5 * gc, 2.0 * gc):
             spec = ChainSpec(n, 1.0, gamma)
-            for k in solve_real_momenta(spec):
+            for k in _real_momenta(spec):
                 assert np.max(np.abs(raw_amplitude(spec, k))) >= 0.5, (n, gamma, k)
 
 
@@ -91,14 +103,14 @@ def test_sign_count_equals_solved_count():
             for frac in (0.0, 0.3, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0):
                 spec = ChainSpec(n, j, frac * gc)
                 expected = n if classify_phase(spec) is Phase.UNBROKEN else n - 2
-                assert len(solve_real_momenta(spec)) == expected, (n, j, frac)
+                assert len(_real_momenta(spec)) == expected, (n, j, frac)
 
 
 def test_root_count_transition():
     for n in (6, 7, 11, 20):
         gc = gamma_critical(n)
-        assert len(solve_real_momenta(ChainSpec(n, 1.0, gc - 1e-3))) == n
-        assert len(solve_real_momenta(ChainSpec(n, 1.0, gc + 1e-3))) == n - 2
+        assert len(_real_momenta(ChainSpec(n, 1.0, gc - 1e-3))) == n
+        assert len(_real_momenta(ChainSpec(n, 1.0, gc + 1e-3))) == n - 2
 
 
 def test_root_detection_survives_near_coalescence():
@@ -106,7 +118,7 @@ def test_root_detection_survives_near_coalescence():
     # bracket centred on pi/2; their offset from pi/2 is solved directly.
     n = 20
     spec = ChainSpec(n, 1.0, gamma_critical(n) - 1e-5)
-    assert len(solve_real_momenta(spec)) == n
+    assert len(_real_momenta(spec)) == n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 255, 256, 1001])
@@ -193,7 +205,7 @@ def test_root_count_is_the_sign_test_of_the_solve(n):
         assert (phase_lo < 0).all() and (phase_hi > 0).all(), gamma
         real_pair = _pair_roots([spec])[0] > 0
         assert real_pair == (classify_phase(spec) is Phase.UNBROKEN), gamma
-        assert len(solve_real_momenta(spec)) == 2 * (len(centre) + real_pair) + n % 2, gamma
+        assert len(_real_momenta(spec)) == 2 * (len(centre) + real_pair) + n % 2, gamma
 
 
 _CLOSED_FORM_N = [2, 3, 8, 9, 64, 65, 1000, 1001, 10**5, 10**5 + 1]
@@ -260,7 +272,7 @@ def test_spectrum_scales_with_hopping(j, n, frac):
     spec = ChainSpec(n, j, r * j)
     assert np.max(np.abs(solve_spectrum(spec).energies / j
                          - solve_spectrum(unit).energies)) <= 1e-12
-    assert len(solve_real_momenta(spec)) == len(solve_real_momenta(unit))
+    assert len(_real_momenta(spec)) == len(_real_momenta(unit))
     # the kappa residual is the condition divided by J^2
     kappa = np.array([1e-3, 0.1, 0.7])
     assert np.allclose(_scaled_kappa_condition(spec, kappa),
@@ -640,7 +652,7 @@ def test_one_phase_rule_near_gamma_c(n):
             sol = solve_spectrum(spec)
             assert len(sol.energies) == n and sol.phase is phase, gamma
             assert np.sign(t) == {Phase.UNBROKEN: 1, Phase.BROKEN: -1, Phase.CRITICAL: 0}[phase]
-            assert len(solve_real_momenta(spec)) == n - 2 * (phase is not Phase.UNBROKEN), gamma
+            assert len(_real_momenta(spec)) == n - 2 * (phase is not Phase.UNBROKEN), gamma
             assert repr(report) == repr(critical_sweep(n, [gamma], j)[0]), gamma
             levels, _ = critical_levels(spec)
             assert len(levels) == 2 and levels == report.two_levels, gamma

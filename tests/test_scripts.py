@@ -137,3 +137,23 @@ def test_guard_mutation_script():
                         "--tests", "tests/test_metric.py::test_jacobi_identity_and_2x2").stdout.splitlines()
     assert len(lines) == 2 and re.fullmatch(r"metric\.py:\d+,killed", lines[0]), lines
     assert lines[1] == "0 not killed", lines
+
+
+def test_line_map_script():
+    # on test_model.py alone: the ChainSpec guard it trips is reached, the
+    # CPT inner product it never calls is not, and the __main__ line of the
+    # CLI, which only a subprocess runs, never is
+    lines = _run_script("line_map.py", "--tests", "tests/test_model.py").stdout.splitlines()
+    assert re.fullmatch(r"\d+ unreached", lines[-1]) and int(lines[-1].split()[0]) == len(lines) - 1
+    sites = [re.fullmatch(r"(\w+\.py):(\d+): (.+)", line) for line in lines[:-1]]
+    assert all(sites), lines
+    for site in sites:
+        source = (ROOT / "src" / "ptchain" / site[1]).read_text(encoding="utf-8").splitlines()
+        assert source[int(site[2]) - 1].strip() == site[3], site[0]
+    keys = [(site[1], int(site[2])) for site in sites]
+    assert keys == sorted(keys), lines
+    texts = {(site[1], site[3]) for site in sites}
+    assert ("cli.py", "sys.exit(main())") in texts
+    assert ("states.py", "return (c_op @ apply_pt(u)).T @ v") in texts
+    assert not any(name == "model.py" and ("self.n_sites < 2" in text or "n_sites must" in text)
+                   for name, text in texts), lines

@@ -5,7 +5,7 @@ import pytest
 
 from ptchain import (ChainSpec, apply_pt, build_c_operator, build_eigenbasis,
                      build_hamiltonian, cpt_inner, critical_levels, gamma_critical,
-                     oracle_eigenvector, pt_norm, solve_kappa, solve_real_momenta)
+                     oracle_eigenvector, pt_norm, solve_kappa, solve_spectrum)
 from ptchain.bethe import raw_amplitude
 from ptchain.errors import PhaseError
 
@@ -176,7 +176,7 @@ def test_paper_closed_forms(n, frac):
     # The paper's normalization D(k) and its dual amplitude (zeta: eta with
     # +iJ in place of -iJ), against the construction they are not used in.
     spec = _unbroken_spec(n, frac)
-    k = solve_real_momenta(spec)
+    k = solve_spectrum(spec).k.real
     l = np.arange(1, n + 1)
     n0 = (n + 1) / 2
     eta = _paper_coef(spec, k, -1.0)
@@ -222,6 +222,8 @@ def test_cpt_gram_identity(n, frac):
     fs = basis.f.T
     gram = np.array([[cpt_inner(c, fa, fb) for fb in fs] for fa in fs])
     assert np.max(np.abs(gram - np.eye(n))) < 1e-8
+    # two column stacks give the product of every pair at once
+    assert np.max(np.abs(cpt_inner(c, basis.f, basis.f) - gram)) <= 1e-14
 
 
 def test_cpt_reduces_to_euclidean_at_gamma_zero():
@@ -235,8 +237,10 @@ def test_cpt_reduces_to_euclidean_at_gamma_zero():
 
 
 def test_pt_norm_standing_wave():
-    f = build_eigenbasis(ChainSpec(7, 1.0, 0.0)).f[:, 2]
-    assert abs(pt_norm(f)) == pytest.approx(float(np.linalg.norm(f)) ** 2, abs=1e-10)
+    fs = build_eigenbasis(ChainSpec(7, 1.0, 0.0)).f.T
+    assert abs(pt_norm(fs[2])) == pytest.approx(float(np.linalg.norm(fs[2])) ** 2, abs=1e-10)
+    # a stack of states, one per row, gives one self-pairing per row
+    assert np.max(np.abs(pt_norm(fs) - [pt_norm(f) for f in fs])) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [8, 9, 64, 1000])
