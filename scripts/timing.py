@@ -30,13 +30,13 @@ def median_seconds(fn, *args) -> float:
     return float(np.median(calls))
 
 
-def print_slope(sizes: list[int], seconds) -> None:
+def print_slope(sizes: list[int], seconds, label: str = "seconds") -> None:
     """Print the log-log slope of seconds against N: one, or one per phase for two columns.
 
     `seconds` holds a row per size; its two columns, if it has them, are the
-    unbroken and the broken phase.
+    unbroken and the broken phase.  `label` names the timed quantity.
     """
     slope = np.polyfit(np.log(sizes), np.log(seconds), 1)[0]
     text = (f"{slope[0]:.2f} unbroken, {slope[1]:.2f} broken" if np.ndim(slope)
             else f"{slope:.2f}")
-    print(f"slope d(log seconds)/d(log N) = {text}")
+    print(f"slope d(log {label})/d(log N) = {text}")

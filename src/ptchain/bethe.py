@@ -373,13 +373,15 @@ def _spectra(specs: list[ChainSpec]) -> list[SpectralSolution]:
 def solve_spectra(n_sites: int, hopping: float, gammas) -> list[SpectralSolution]:
     """`solve_spectrum` at every gamma of a grid with shared N and J, in one solve.
 
-    Each solution is bit-identical to its one-gamma solve.  A bad gamma
-    raises before any solve, the first one's error (`ChainSpec`), and
-    the critical pairs are solved, and may fail, in gamma order.  The one
-    error that comes from the whole batch is the bracketed roots'
-    NonConvergence, which no measured root comes near: at most 4 Newton
-    evaluations per root against a cap of 100 (`_MAX_ITER`).
+    Each solution is bit-identical to its one-gamma solve.  A bad N or J
+    raises, on an empty grid too.  A bad gamma raises before any solve,
+    the first one's error (`ChainSpec`), and the critical pairs are
+    solved, and may fail, in gamma order.  The one error that comes from
+    the whole batch is the bracketed roots' NonConvergence, which no
+    measured root comes near: at most 4 Newton evaluations per root
+    against a cap of 100 (`_MAX_ITER`).
     """
+    ChainSpec(n_sites, hopping)  # rejects a bad N or J, on an empty grid too
     return _spectra([ChainSpec(n_sites, hopping, float(gamma)) for gamma in gammas])
 
 

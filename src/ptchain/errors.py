@@ -28,6 +28,3 @@ class DegeneracyError(PTChainError):
 class StructureError(PTChainError):
     """Block structure of the equivalent Hamiltonian failed to emerge."""
 
-
-class SingularSolve(PTChainError):
-    """Inverse iteration hit a numerically singular shifted system."""

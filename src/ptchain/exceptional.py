@@ -173,10 +173,12 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[Cri
     point's phase is read once, and one solve gives kappa at the points that
     are not unbroken and the offset x0 at the unbroken ones.  The
     stack of pairs is reduced to gaps and PT self-pairings in one pass.  A
-    bad gamma raises before any solve, the first one's error (`ChainSpec`),
-    and the pairs are solved, and may fail, in gamma order, as a loop of
-    one-gamma sweeps would.
+    bad N or J raises, on an empty grid too.  A bad gamma raises before
+    any solve, the first one's error (`ChainSpec`), and the pairs are
+    solved, and may fail, in gamma order, as a loop of one-gamma sweeps
+    would.
     """
+    ChainSpec(n_sites, hopping)  # rejects a bad N or J, on an empty grid too
     return _critical_reports([ChainSpec(n_sites, hopping, float(g)) for g in gamma_values])
 
 

@@ -593,6 +593,17 @@ def test_solve_spectra_validates_gamma_like_one_gamma():
     assert solve_spectra(8, 1.0, []) == []
 
 
+@pytest.mark.parametrize("sweep", [lambda n, j: solve_spectra(n, j, []),
+                                   lambda n, j: critical_sweep(n, [], hopping=j)],
+                         ids=["solve_spectra", "critical_sweep"])
+@pytest.mark.parametrize("n,j,error", [(1, 1.0, "n_sites must be"), (8, -1.0, "hopping must be"),
+                                       (8, math.nan, "hopping must be")])
+def test_an_empty_grid_still_checks_n_and_j(sweep, n, j, error):
+    # as gamma_critical and locate_critical_gamma do, and as any non-empty grid does
+    with pytest.raises(ValueError, match=error):
+        sweep(n, j)
+
+
 def _check_large_chain(spec):
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     sol = solve_spectrum(spec)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptchain import (ChainSpec, Phase, alpha_parameter, build_hamiltonian, classify_phase,
+from ptchain import (ChainSpec, Phase, alpha_parameter, classify_phase,
                      coalescence_gap, critical_levels, critical_sweep, delta_approx,
                      gamma_critical, kappa_approx, oracle_eigenvector, pt_norm,
                      repulsion_law, solve_kappa)
@@ -393,17 +393,14 @@ PINNED_MIXED_GRID = {
 def _assert_pairs_hold(n, reports):
     # a digest pins bits, not physics: before it is read, every broken pair
     # is PT self-orthogonal, every delta_or_kappa is its formula's to 1e-15
-    # and, up to N = 65, every gap is that of the pair the oracle gives on
-    # the dense H
+    # and every gap is that of the pair the oracle gives from the recurrence
     for report in reports:
         spec = ChainSpec(n, 1.0, report.gamma)
         _assert_formula_holds(spec, report.delta_or_kappa)
         if classify_phase(spec) is not Phase.UNBROKEN:
             assert max(map(abs, report.pt_norms)) <= 1e-12, report.gamma
-        if n <= 65:
-            h = build_hamiltonian(spec)
-            u, v = (oracle_eigenvector(h, level) for level in report.two_levels)
-            assert abs(report.coalescence_gap - coalescence_gap(u, v)) <= 1e-10, report.gamma
+        u, v = oracle_eigenvector(spec, report.two_levels)
+        assert abs(report.coalescence_gap - coalescence_gap(u, v)) <= 1e-10, report.gamma
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_LOG_GRID))
@@ -411,6 +408,12 @@ def test_critical_sweep_is_pinned_on_the_log_grid(n):
     reports = critical_sweep(n, _log_grid(n))
     _assert_pairs_hold(n, reports)
     assert _digest(reports) == PINNED_LOG_GRID[n]
+
+
+@pytest.mark.parametrize("n", [1001, 4096, 4097])
+def test_critical_sweep_gap_matches_the_oracle_on_the_log_grid(n):
+    # the pinned grids' oracle check at large N (N = 1000 is pinned)
+    _assert_pairs_hold(n, critical_sweep(n, _log_grid(n)))
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_MIXED_GRID))

@@ -38,16 +38,18 @@ def test_coupling_tables_script():
 
 def test_oracle_scaling_script():
     lines = _run_script("oracle_scaling.py", "--sizes", "8", "16").stdout.splitlines()
-    assert lines[0] == "n,gamma_over_gamma_c,seconds,bethe_distance,eigvals_distance"
+    assert lines[0] == ("n,gamma_over_gamma_c,seconds,bethe_distance,eigvals_distance,"
+                        "vector_seconds,vector_residual")
     rows = [line.split(",") for line in lines[1:5]]
     assert [(int(row[0]), float(row[1])) for row in rows] == [
         (8, 0.5), (8, 1.5), (16, 0.5), (16, 1.5)], lines
     assert all(float(row[2]) > 0 and float(row[3]) <= 1e-12 and float(row[4]) <= 1e-12
-               for row in rows), lines
+               and float(row[5]) > 0 and 0 <= float(row[6]) <= 8 for row in rows), lines
     slope = r"-?\d+\.\d\d"
-    assert re.fullmatch(rf"slope d\(log seconds\)/d\(log N\) = {slope} unbroken, {slope} broken",
-                        lines[5]), lines
-    assert len(lines) == 6, lines
+    for line, label in zip(lines[5:], ["seconds", "vector_seconds"]):
+        assert re.fullmatch(
+            rf"slope d\(log {label}\)/d\(log N\) = {slope} unbroken, {slope} broken", line), lines
+    assert len(lines) == 7, lines
 
 
 def test_metric_scaling_script():
