@@ -164,30 +164,26 @@ def _bracketed_roots(n: int, centre: np.ndarray, c: np.ndarray) -> np.ndarray:
     fallback kept in an earlier form fired 0 times in 13,843,647 root-steps
     (N = 4 to 299, 511, 512, 1000, 1001, 4096, 4097, 1e5 and 1e5 + 1; 67
     gammas each, from 0 to gamma/J = 1e150).  A root is done once its last
-    step is at most `_OFFSET_TOL`, and leaves the iteration with its
-    parameters; every array stays contiguous, so every root takes the float
-    steps of its solo solve.  A root not done after `_MAX_ITER` steps, or done
-    outside its bracket, where it is not the bracket's root, raises
-    NonConvergence.
+    step is at most `_OFFSET_TOL`; from then on a mask keeps its offset in
+    place while the others step.  Every array stays contiguous and full
+    length, so every root takes the float steps of its solo solve.  A root
+    not done after `_MAX_ITER` steps, or done outside its bracket, where it
+    is not the bracket's root, raises NonConvergence.
     """
-    full, d = centre, -np.arctan2(c, np.tan(centre)) / n
-    offsets, active = np.full_like(d, math.nan), np.arange(len(d))
+    d = -np.arctan2(c, np.tan(centre)) / n
+    done = np.zeros(len(d), dtype=bool)
     for _ in range(_MAX_ITER):
         f, slope = _counting_phase(n, centre, c, d)
-        new = d - f / slope
-        done = np.abs(new - d) <= _OFFSET_TOL
-        if done.all():
-            offsets[active] = new
-            break
+        new = np.where(done, d, d - f / slope)
+        done |= np.abs(new - d) <= _OFFSET_TOL
         d = new
-        if done.any():
-            offsets[active[done]] = new[done]
-            active, d, centre, c = (v[~done] for v in (active, d, centre, c))
-    failed = np.count_nonzero(~(np.abs(offsets) < math.pi / (2 * n)))  # NaN if not done
+        if done.all():
+            break
+    failed = np.count_nonzero(~(done & (np.abs(d) < math.pi / (2 * n))))
     if failed:
         raise NonConvergence(f"{failed} bracketed roots not within {_OFFSET_TOL} after "
                              f"{_MAX_ITER} steps, or outside their brackets")
-    return full + offsets
+    return centre + d
 
 
 def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
@@ -197,27 +193,15 @@ def _offset_brackets(specs: list[ChainSpec]) -> tuple[np.ndarray, np.ndarray]:
     i pi/(2N) with i = N mod 2 + 2, ..., N-2 in steps of 2, and pi/(2N) wide
     each way.  The one at pi/2 holds the critical pair, which `_pair_roots`
     solves.  Every spec has a root in each of the others, whatever its
-    phase.  c = (r^2 - 1)/(r^2 + 1) = (gamma^2 - J^2)/(gamma^2 + J^2), r =
-    gamma/J, is the spec's, one per bracket.  The specs share N and J.
+    phase, and none is a null state: the amplitude vanishes for every l
+    only where e^{2ik} = 1, i.e. k in {0, pi}, which no bracket reaches.
+    c = (r^2 - 1)/(r^2 + 1) = (gamma^2 - J^2)/(gamma^2 + J^2), r = gamma/J,
+    is the spec's, one per bracket.  The specs share N and J.
     """
     n = specs[0].n_sites
     centre = np.arange(n % 2 + 2, n - 1, 2) * (math.pi / (2 * n))
     c = [(r * r - 1.0) / (r * r + 1.0) for r in (s.gamma / s.hopping for s in specs)]
     return np.tile(centre, len(specs)), np.repeat(c, len(centre))
-
-
-def _real_offsets(specs: list[ChainSpec], pair: np.ndarray) -> list[np.ndarray]:
-    """The offsets x = k - pi/2 > 0 of the real roots of G per spec, ascending: the pair's
-    from `pair` (`_pair_roots`) if its t > 0, then one solve of every other bracket.
-
-    N//2 offsets for an unbroken spec and N//2 - 1 for any other; the roots
-    are pi/2 -+ x, and pi/2 itself for odd N, an exact zero of G.  None is a
-    null state: the amplitude vanishes for every l only where e^{2ik} = 1,
-    i.e. k in {0, pi}, which no bracket reaches.
-    """
-    x = _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs))
-    return [np.concatenate([[math.sqrt(t)] if t > 0 else [], row])
-            for row, t in zip(x.reshape(len(specs), -1), pair.tolist())]
 
 
 def _pair_levels(j: float, broken: bool, root: float) -> tuple[complex, complex]:
@@ -348,18 +332,25 @@ def _spectra(specs: list[ChainSpec]) -> list[SpectralSolution]:
     """A solution per spec (shared N and J): one solve for the critical pairs, one for the rest.
 
     Each real level comes from its offset x > 0: k = pi/2 -+ x, E = -+2J sin x,
-    and the zero mode at pi/2 for odd N; a broken or coalesced pair sits in
-    the middle as pi/2 -+ i kappa, E = -+2iJ sinh kappa.  So the levels are
-    built in (Re E, Im E) order.
+    and the zero mode at pi/2 for odd N.  The other brackets' offsets come
+    from one `_bracketed_roots`, a row per spec.  The pair's root t
+    (`_pair_roots`) joins them as x0 = sqrt(t) where `classify_phase` reads
+    the spec as unbroken; anywhere else the pair sits in the middle as
+    pi/2 -+ i kappa, E = -+2iJ sinh kappa, kappa = sqrt(-t).  So the levels
+    are built in (Re E, Im E) order.
     """
+    if not specs:
+        return []
     phases = [classify_phase(spec) for spec in specs]
-    pairs = _pair_roots(specs) if specs else np.empty(0)
-    offsets = _real_offsets(specs, pairs) if specs else []
+    pairs = _pair_roots(specs).tolist()
+    rows = _bracketed_roots(specs[0].n_sites, *_offset_brackets(specs)).reshape(len(specs), -1)
     half = math.pi / 2
     out = []
-    for spec, phase, x, t in zip(specs, phases, offsets, pairs.tolist()):
+    for spec, phase, x, t in zip(specs, phases, rows, pairs):
         k, e = ([half], [0.0]) if spec.n_sites % 2 else ([], [])
-        if phase is not Phase.UNBROKEN:
+        if phase is Phase.UNBROKEN:
+            x = np.concatenate([[math.sqrt(t)], x])
+        else:
             kappa = math.sqrt(-t)
             up, down = _pair_levels(spec.hopping, True, kappa)
             k, e = [complex(half, 0.0 - kappa), *k, complex(half, kappa)], [down, *e, up]
@@ -382,7 +373,7 @@ def solve_spectra(n_sites: int, hopping: float, gammas) -> list[SpectralSolution
     against a cap of 100 (`_MAX_ITER`).
     """
     ChainSpec(n_sites, hopping)  # rejects a bad N or J, on an empty grid too
-    return _spectra([ChainSpec(n_sites, hopping, float(gamma)) for gamma in gammas])
+    return _spectra([ChainSpec(n_sites, hopping, gamma) for gamma in gammas])
 
 
 def solve_spectrum(spec: ChainSpec) -> SpectralSolution:

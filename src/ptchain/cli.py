@@ -19,7 +19,7 @@ from .bethe import SpectralSolution, locate_critical_gamma, solve_spectra, solve
 from .errors import PTChainError
 from .metric import (build_metric, canonical_basis, equivalent_hermitian, gauged_factor,
                      hermitian_equivalent, reflection_matrix)
-from .model import ChainSpec, build_hamiltonian, gamma_critical
+from .model import ChainSpec, _check_gamma, build_hamiltonian, gamma_critical
 from .oracle import oracle_spectrum, spectral_distance
 from .states import _eigenbasis, build_c_operator, build_eigenbasis, cpt_inner
 
@@ -74,6 +74,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for end in (args.gamma_min, args.gamma_max):  # as gammas: linspace makes a nan of an inf
+        _check_gamma(end)
     if not args.gamma_min < args.gamma_max:
         raise ValueError("--gamma-min must be below --gamma-max")
     if args.steps < 2:

@@ -179,10 +179,7 @@ def critical_sweep(n_sites: int, gamma_values, hopping: float = 1.0) -> list[Cri
     would.
     """
     ChainSpec(n_sites, hopping)  # rejects a bad N or J, on an empty grid too
-    return _critical_reports([ChainSpec(n_sites, hopping, float(g)) for g in gamma_values])
-
-
-def _critical_reports(specs: list[ChainSpec]) -> list[CriticalReport]:
+    specs = [ChainSpec(n_sites, hopping, g) for g in gamma_values]
     if not specs:
         return []
     roots, broken, unit = _critical_pairs(specs)

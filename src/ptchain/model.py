@@ -9,6 +9,7 @@ the usual 0-based offsets internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,7 +48,8 @@ class ChainSpec:
     hopping : float
         Hopping energy J in [1e-300, 1e300]; the energy unit (default 1).
     gamma : float
-        Finite strength gamma >= 0 of the imaginary end potentials, in units of J.
+        Finite strength gamma >= 0 of the imaginary end potentials, in units of J;
+        kept as a Python float whatever number type is passed.
 
     A bad N, J or gamma raises ValueError.  gamma/J above 1e150, where
     (gamma/J)^2 leaves the float range, and N max(1, (gamma/J)^2) from 1e308
@@ -64,8 +66,8 @@ class ChainSpec:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
         if not 1e-300 <= self.hopping <= 1e300:  # the range the pipelines are tested over
             raise ValueError(f"hopping must be finite and in [1e-300, 1e+300], got {self.hopping}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", float(self.gamma))  # one type, whatever was passed
         r = self.gamma / self.hopping
         if r > _MAX_RATIO:
             raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, "
@@ -76,7 +78,15 @@ class ChainSpec:
 
     @property
     def gamma_c(self) -> float:
-        return gamma_critical(self.n_sites, self.hopping)
+        """Exact phase boundary: J*sqrt((n+1)/n) for N = 2n+1, J for N = 2n."""
+        n = self.n_sites // 2  # (N - 1)/2 for odd N
+        return self.hopping * math.sqrt((n + 1) / n) if self.n_sites % 2 else float(self.hopping)
+
+
+def _check_gamma(gamma) -> None:
+    """ValueError unless 0 <= gamma <= the largest float: NaN, inf and an int past it fail."""
+    if not 0 <= gamma <= sys.float_info.max:
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -96,10 +106,5 @@ def apply_pt(v: np.ndarray) -> np.ndarray:
 
 
 def gamma_critical(n_sites: int, hopping: float = 1.0) -> float:
-    """Exact phase boundary: J*sqrt((n+1)/n) for N = 2n+1, J for N = 2n."""
-    ChainSpec(n_sites, hopping)  # rejects a bad N or J
-    if n_sites % 2:
-        n = (n_sites - 1) // 2
-        return hopping * math.sqrt((n + 1) / n)
-    return float(hopping)
-
+    """Exact phase boundary `ChainSpec.gamma_c`; a bad N or J raises."""
+    return ChainSpec(n_sites, hopping).gamma_c

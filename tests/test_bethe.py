@@ -604,6 +604,18 @@ def test_an_empty_grid_still_checks_n_and_j(sweep, n, j, error):
         sweep(n, j)
 
 
+@pytest.mark.parametrize("call", [lambda g: ChainSpec(5, 1.0, g),
+                                  lambda g: solve_spectra(5, 1.0, [g]),
+                                  lambda g: critical_sweep(5, [g])],
+                         ids=["ChainSpec", "solve_spectra", "critical_sweep"])
+def test_an_int_gamma_past_the_floats_raises_the_value_error_of_inf(call):
+    # math.isfinite and float() of 10**400 raised a bare OverflowError
+    with pytest.raises(ValueError, match="^gamma must be non-negative and finite, got 1000"):
+        call(10**400)
+    with pytest.raises(ValueError, match="^gamma must be non-negative and finite, got inf$"):
+        call(math.inf)
+
+
 def _check_large_chain(spec):
     n, j, g = spec.n_sites, spec.hopping, spec.gamma
     sol = solve_spectrum(spec)
@@ -714,3 +726,36 @@ def test_pair_root_gives_up_after_its_step_budget(monkeypatch):
     monkeypatch.setattr(bethe, "_MAX_ITER", 1)
     with pytest.raises(NonConvergence, match="critical pair not within .* after 1 steps"):
         solve_kappa(ChainSpec(8, 1.0, 1.5))
+
+
+def test_bracketed_roots_give_up_after_their_step_budget(monkeypatch):
+    # one Newton step leaves every root of N = 1000 at gamma = 0.3 J short of
+    # the stop rule: all are counted, though each is inside its bracket
+    monkeypatch.setattr(bethe, "_MAX_ITER", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence,
+                           match="^499 bracketed roots not within 1e-14 after 1 steps"):
+            _bracketed_roots(1000, *_offset_brackets([ChainSpec(1000, 1.0, 0.3)]))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
+def test_bracketed_roots_stop_after_four_evaluations(j, monkeypatch):
+    # no root needs more than 4 Newton evaluations (`_MAX_ITER`'s comment),
+    # so the loop leaves once every root is done, one gamma at a time or on
+    # a whole grid: finished roots stay in place, so only the count shows it
+    calls = []
+    counting_phase = bethe._counting_phase
+
+    def spy(*args):
+        calls.append(args)
+        return counting_phase(*args)
+
+    monkeypatch.setattr(bethe, "_counting_phase", spy)
+    for n in [*range(4, 130), 255, 256, 1000, 1001, 4096, 4097, 10**5 + 1]:
+        gc = gamma_critical(n, j)
+        gammas = [f * gc for f in (0.0, 0.3, 0.9, 1 - 1e-9, 1 + 1e-9, 1.5, 3.0, 1e3)]
+        for grid in [[g] for g in gammas + [1e149 * j]] + [gammas + [1e149 * j]]:
+            calls.clear()
+            solve_spectra(n, j, grid)
+            assert 1 <= len(calls) <= 4, (n, grid)

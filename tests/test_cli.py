@@ -163,6 +163,18 @@ def test_sweep_reports_the_first_failing_gamma(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ends,value", [(("0", "1e400"), "inf"), (("nan", "1"), "nan")],
+                         ids=["inf", "nan"])
+def test_sweep_names_a_non_finite_end(capsys, ends, value):
+    # each end is checked as a gamma before the grid is built: np.linspace
+    # warned and turned an inf end into a nan, and a nan end was reported as
+    # a bad range
+    code, out, err = run(capsys, "sweep", "--n", "8", "--gamma-min", ends[0],
+                         "--gamma-max", ends[1], "--steps", "3")
+    assert (code, out, err) == (2, "", f"error: gamma must be non-negative and finite, "
+                                       f"got {value}\n")
+
+
 def test_empty_table(capsys):
     # exactly at gamma_c = J for N = 2 no real root is left: the table holds
     # just the coalesced pair, E = 0 twice at k = pi/2
