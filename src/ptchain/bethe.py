@@ -395,15 +395,15 @@ def locate_critical_gamma(n_sites: int, hopping: float = 1.0) -> float:
     where the phase rule flips.  It lies within 2 ulp of `gamma_critical`
     (N = 2 to 10^6 + 1, J from 1e-300 to 1e300).
     """
-    ChainSpec(n_sites, hopping)  # rejects a bad N or J
+    spec = ChainSpec(n_sites, hopping)  # rejects a bad N or J; N as an int, J as a float
     # c0 is r^2 - 1 or (N - 1) r^2 - (N + 1): negative at r = 0.5 and
     # positive at r = 2.2 for every N >= 2
-    lo, hi = 0.5 * hopping, 2.2 * hopping
+    lo, hi = 0.5 * spec.hopping, 2.2 * spec.hopping
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if _centre_coefficients(n_sites, mid / hopping)[0] < 0:  # unbroken (`classify_phase`)
+        if _centre_coefficients(spec.n_sites, mid / spec.hopping)[0] < 0:  # unbroken
             lo = mid
         else:
             hi = mid

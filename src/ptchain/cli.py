@@ -32,14 +32,21 @@ def _rounded(record: dict) -> dict:
     return {h: float(_fmt(v)) if isinstance(v, float) else v for h, v in record.items()}
 
 
-def _emit(rows: list[tuple], header: list[str], args, meta: dict) -> None:
-    """Write `rows`, tuples in `header` order whose columns keep one type each."""
+def _emit(header: list[str], rows: list[tuple], args) -> None:
+    """Write `rows`, tuples in `header` order whose columns keep one type each.
+
+    The JSON meta holds the version, the subcommand and its options, less
+    --format and --out.
+    """
     if args.format == "csv":
         # one template per table: %.12g prints a float as _fmt does, %s as str
         template = ",".join("%.12g" if isinstance(v, float) else "%s"
                             for v in (rows[0] if rows else ()))
         text = "\n".join([",".join(header), *(template % row for row in rows)]) + "\n"
     else:
+        options = {k: v for k, v in vars(args).items()
+                   if k not in ("n", "j", "format", "out", "table")}
+        meta = {"version": __version__, "n_sites": args.n, "hopping": args.j, **options}
         payload = {"meta": _rounded(meta),
                    "records": [_rounded(dict(zip(header, row))) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -50,30 +57,26 @@ def _emit(rows: list[tuple], header: list[str], args, meta: dict) -> None:
             fh.write(text)
 
 
-def _meta(args, **extra) -> dict:
-    base = {"version": __version__, "n_sites": args.n, "hopping": args.j}
-    base.update(extra)
-    return base
-
-
 def _spectrum_rows(sol: SpectralSolution) -> list[tuple]:
     gamma, phase = sol.spec.gamma, sol.phase.value
     return [(gamma, idx, k.real, k.imag, e.real, e.imag, phase)
             for idx, (k, e) in enumerate(zip(sol.k.tolist(), sol.energies.tolist()))]
 
 
+def _matrix_rows(args, matrix: np.ndarray) -> list[tuple]:
+    return [(args.n, args.gamma, i + 1, k + 1, value)
+            for i, line in enumerate(matrix.tolist()) for k, value in enumerate(line)]
+
+
 SPECTRUM_HEADER = ["gamma", "level_index", "k_re", "k_im",
                    "energy_re", "energy_im", "phase"]
 
 
-def cmd_spectrum(args) -> int:
-    sol = solve_spectrum(ChainSpec(args.n, args.j, args.gamma))
-    _emit(_spectrum_rows(sol), SPECTRUM_HEADER, args,
-          _meta(args, gamma=args.gamma, command="spectrum"))
-    return 0
+def cmd_spectrum(args) -> tuple[list[str], list[tuple]]:
+    return SPECTRUM_HEADER, _spectrum_rows(solve_spectrum(ChainSpec(args.n, args.j, args.gamma)))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[list[str], list[tuple]]:
     for end in (args.gamma_min, args.gamma_max):  # as gammas: linspace makes a nan of an inf
         _check_gamma(end)
     if not args.gamma_min < args.gamma_max:
@@ -81,42 +84,25 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    rows = [row for sol in solve_spectra(args.n, args.j, gammas)
-            for row in _spectrum_rows(sol)]
-    _emit(rows, SPECTRUM_HEADER, args,
-          _meta(args, gamma_min=args.gamma_min, gamma_max=args.gamma_max,
-                steps=args.steps, command="sweep"))
-    return 0
+    return SPECTRUM_HEADER, [row for sol in solve_spectra(args.n, args.j, gammas)
+                             for row in _spectrum_rows(sol)]
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> tuple[list[str], list[tuple]]:
     analytic = gamma_critical(args.n, args.j)
     numeric = locate_critical_gamma(args.n, args.j)
-    rows = [(args.n, args.j, analytic, numeric, abs(analytic - numeric))]
-    _emit(rows, ["n", "j", "gamma_c_analytic", "gamma_c_numeric", "abs_error"],
-          args, _meta(args, command="phase"))
-    return 0
+    return (["n", "j", "gamma_c_analytic", "gamma_c_numeric", "abs_error"],
+            [(args.n, args.j, analytic, numeric, abs(analytic - numeric))])
 
 
-def cmd_metric(args) -> int:
-    spec = ChainSpec(args.n, args.j, args.gamma)
-    w = gauged_factor(build_eigenbasis(spec))
-    eta = w @ w.T
-    rows = [(args.n, args.gamma, i + 1, k + 1, value)
-            for i, line in enumerate(eta.tolist()) for k, value in enumerate(line)]
-    _emit(rows, ["n", "gamma", "row", "col", "value"], args,
-          _meta(args, gamma=args.gamma, command="metric"))
-    return 0
+def cmd_metric(args) -> tuple[list[str], list[tuple]]:
+    w = gauged_factor(build_eigenbasis(ChainSpec(args.n, args.j, args.gamma)))
+    return ["n", "gamma", "row", "col", "value"], _matrix_rows(args, w @ w.T)
 
 
-def cmd_hermitian(args) -> int:
-    spec = ChainSpec(args.n, args.j, args.gamma)
-    block = equivalent_hermitian(spec).block_a
-    rows = [(args.n, args.gamma, i + 1, j + 1, value)
-            for i, line in enumerate(block.tolist()) for j, value in enumerate(line)]
-    _emit(rows, ["n", "gamma", "i", "j", "lambda"], args,
-          _meta(args, gamma=args.gamma, command="hermitian"))
-    return 0
+def cmd_hermitian(args) -> tuple[list[str], list[tuple]]:
+    block = equivalent_hermitian(ChainSpec(args.n, args.j, args.gamma)).block_a
+    return ["n", "gamma", "i", "j", "lambda"], _matrix_rows(args, block)
 
 
 def _verify_checks(n_max: int, hopping: float):
@@ -172,9 +158,11 @@ def _verify_checks(n_max: int, hopping: float):
                np.max(np.abs(refl @ eta_r @ refl - eta_r)) <= ident_tol)
         yield ("metric_det_one", n, abs(np.linalg.det(eta_r) - 1.0) <= ident_tol)
         decomp = canonical_basis(w)
+        # each vector's eps from the metric, its Rayleigh quotient |W^T p|^2:
+        # the stored eps of a partner is 1/eps of its leader by construction
+        rec = np.sum((w.T @ decomp.basis) ** 2, axis=0)
         yield ("metric_reciprocal_pairs", n,
-               np.max(np.abs(decomp.eigenvalues * decomp.eigenvalues[list(decomp.pairing)] - 1.0))
-               <= ident_tol)
+               np.max(np.abs(rec * rec[list(decomp.pairing)] - 1.0)) <= ident_tol)
 
         hm = hermitian_equivalent(decomp, spec).h_matrix
         spec_h = np.sort(np.linalg.eigvalsh(hm))
@@ -197,6 +185,19 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+_GAMMA = (("--gamma", float),)
+# name, function, help, and each option past --n, --j, --format and --out
+# (all required), in the order --help lists them
+_TABLES = (
+    ("spectrum", cmd_spectrum, "eigenmodes at one gamma", _GAMMA),
+    ("sweep", cmd_sweep, "spectra over a gamma grid",
+     (("--gamma-min", float), ("--gamma-max", float), ("--steps", int))),
+    ("phase", cmd_phase, "phase boundary, analytic vs bisection on the phase rule", ()),
+    ("metric", cmd_metric, "gauged real metric operator entries", _GAMMA),
+    ("hermitian", cmd_hermitian, "coupling table of the Hermitian equivalent", _GAMMA),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves it unchanged."""
@@ -204,40 +205,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ptchain",
         description="Exact solver for the PT-symmetric chain with imaginary end potentials")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, gamma=False, grange=False):
+    for name, table, text, options in _TABLES:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(table=table)
         p.add_argument("--n", type=int, required=True, help="number of sites N >= 2")
         p.add_argument("--j", type=float, default=1.0, help="hopping J (default 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if gamma:
-            p.add_argument("--gamma", type=float, required=True)
-        if grange:
-            p.add_argument("--gamma-min", type=float, required=True)
-            p.add_argument("--gamma-max", type=float, required=True)
-            p.add_argument("--steps", type=int, required=True)
-
-    common(sub.add_parser("spectrum", help="eigenmodes at one gamma"), gamma=True)
-    common(sub.add_parser("sweep", help="spectra over a gamma grid"), grange=True)
-    common(sub.add_parser("phase", help="phase boundary, analytic vs bisection on the phase rule"))
-    common(sub.add_parser("metric", help="gauged real metric operator entries"), gamma=True)
-    common(sub.add_parser("hermitian", help="coupling table of the Hermitian equivalent"),
-           gamma=True)
+        for flag, kind in options:
+            p.add_argument(flag, type=kind, required=True)
     vp = sub.add_parser("verify", help="run the invariant suite")
     vp.add_argument("--n-max", type=int, default=8)
     vp.add_argument("--j", type=float, default=1.0)
     return parser
 
 
-_DISPATCH = {"spectrum": cmd_spectrum, "sweep": cmd_sweep, "phase": cmd_phase,
-             "metric": cmd_metric, "hermitian": cmd_hermitian, "verify": cmd_verify}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        _emit(*args.table(args), args)
+        return 0
     except (ValueError, OSError) as exc:  # OSError: an --out that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 2

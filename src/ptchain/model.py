@@ -48,8 +48,10 @@ class ChainSpec:
     hopping : float
         Hopping energy J in [1e-300, 1e300]; the energy unit (default 1).
     gamma : float
-        Finite strength gamma >= 0 of the imaginary end potentials, in units of J;
-        kept as a Python float whatever number type is passed.
+        Finite strength gamma >= 0 of the imaginary end potentials, in units of J.
+
+    N is kept as a Python int, and J and gamma as Python floats, whatever
+    number type is passed.
 
     A bad N, J or gamma raises ValueError.  gamma/J above 1e150, where
     (gamma/J)^2 leaves the float range, and N max(1, (gamma/J)^2) from 1e308
@@ -64,10 +66,16 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
-        if not 1e-300 <= self.hopping <= 1e300:  # the range the pipelines are tested over
-            raise ValueError(f"hopping must be finite and in [1e-300, 1e+300], got {self.hopping}")
-        _check_gamma(self.gamma)
-        object.__setattr__(self, "gamma", float(self.gamma))  # one type, whatever was passed
+        # numpy floats as Python floats: a float32 would cast the bounds below
+        hopping = float(self.hopping) if isinstance(self.hopping, np.floating) else self.hopping
+        gamma = float(self.gamma) if isinstance(self.gamma, np.floating) else self.gamma
+        if not 1e-300 <= hopping <= 1e300:  # the range the pipelines are tested over
+            raise ValueError(f"hopping must be finite and in [1e-300, 1e+300], got {hopping}")
+        _check_gamma(gamma)
+        # one type each, whatever was passed: an np.int64 N overflows the exact c0
+        object.__setattr__(self, "n_sites", int(self.n_sites))
+        object.__setattr__(self, "hopping", float(hopping))
+        object.__setattr__(self, "gamma", float(gamma))
         r = self.gamma / self.hopping
         if r > _MAX_RATIO:
             raise DomainError(f"gamma/J = {r:.3g} is above {_MAX_RATIO:.0e}, "
@@ -80,7 +88,7 @@ class ChainSpec:
     def gamma_c(self) -> float:
         """Exact phase boundary: J*sqrt((n+1)/n) for N = 2n+1, J for N = 2n."""
         n = self.n_sites // 2  # (N - 1)/2 for odd N
-        return self.hopping * math.sqrt((n + 1) / n) if self.n_sites % 2 else float(self.hopping)
+        return self.hopping * math.sqrt((n + 1) / n) if self.n_sites % 2 else self.hopping
 
 
 def _check_gamma(gamma) -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,30 @@ def test_verify_past_the_coefficient_overflow(capsys):
     assert "oracle_match_0.5,44,pass" in lines
     assert "oracle_match_1.3,44,pass" in lines
     assert lines[-1] == "total_failures,,0"
+
+
+def test_verify_reads_the_reciprocal_pairs_from_the_metric(capsys, monkeypatch):
+    # columns 0 and 1 of the N = 8 basis turned by 1e-3 leave every stored
+    # eps and its pairing as they were, but move the Rayleigh quotients
+    from ptchain import cli
+
+    canonical = cli.canonical_basis
+
+    def rotated(w):
+        decomp = canonical(w)
+        if w.shape[0] != 8:
+            return decomp
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        basis = decomp.basis.copy()
+        basis[:, :2] = decomp.basis[:, :2] @ np.array([[c, s], [-s, c]])
+        return replace(decomp, basis=basis)
+
+    monkeypatch.setattr(cli, "canonical_basis", rotated)
+    code, out, _ = run(capsys, "verify", "--n-max", "8")
+    lines = out.splitlines()
+    assert code == 1
+    assert "metric_reciprocal_pairs,8,FAIL" in lines
+    assert "metric_reciprocal_pairs,7,pass" in lines
 
 
 @pytest.mark.parametrize("n", [8, 9])

@@ -460,11 +460,13 @@ def test_odd_equivalent_hermitian_at_one_minus_1e7_gamma_c(n):
 
 @pytest.mark.parametrize("n,frac", GRID)
 def test_canonical_basis_pairing(n, frac):
-    decomp = canonical_basis(gauged_factor(build_eigenbasis(
-        ChainSpec(n, 1.0, frac * gamma_critical(n)))))
+    w = gauged_factor(build_eigenbasis(ChainSpec(n, 1.0, frac * gamma_critical(n))))
+    decomp = canonical_basis(w)
     eps = decomp.eigenvalues
-    partner = np.array([eps[j] for j in decomp.pairing])
-    assert np.max(np.abs(eps * partner - 1.0)) < 1e-8
+    # each vector's eps from the metric, its Rayleigh quotient |W^T p|^2: the
+    # stored eps of a partner is 1/eps of its leader by construction
+    rec = np.sum((w.T @ decomp.basis) ** 2, axis=0)
+    assert np.max(np.abs(rec * rec[list(decomp.pairing)] - 1.0)) < 1e-8
     # first half sorted descending; odd N keeps its self-paired unit eigenvalue
     h = decomp.first_half
     firsts = eps[:h] if n % 2 == 0 else eps[: max(h - 1, 0)]

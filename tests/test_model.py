@@ -1,13 +1,15 @@
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ptchain import (ChainSpec, Phase, apply_pt, build_hamiltonian,
-                     classify_phase, gamma_critical)
+from ptchain import (ChainSpec, Phase, apply_pt, build_hamiltonian, classify_phase,
+                     equivalent_hermitian, gamma_critical, locate_critical_gamma,
+                     solve_spectrum)
 from ptchain.errors import DomainError
 
 
@@ -80,6 +82,26 @@ def test_spec_past_the_centre_coefficient_limit_is_a_domain_error():
     for n, gamma in [(10**9 + 1, 1e150), (2 * 10**8, 1e150), (10**400, 0.0)]:
         with pytest.raises(DomainError, match=r"N max\(1, \(gamma/J\)\^2\) is not below 1e\+308"):
             ChainSpec(n, 1.0, gamma)
+
+
+@pytest.mark.parametrize("j", [np.float32(1.0), Fraction(1), Decimal(1), 1, 1.0], ids=repr)
+@pytest.mark.parametrize("n", [np.int64(9), np.int32(9), 9], ids=repr)
+def test_spec_takes_n_as_an_int_and_j_as_a_float(n, j):
+    # an np.int64 N overflowed the exact c0, a float32 J warned as the range
+    # check cast 1e300 to float32, and a Fraction or Decimal J failed in the solve
+    spec = ChainSpec(n, j, 0.3)
+    assert (type(spec.n_sites), type(spec.hopping)) == (int, float)
+    want = solve_spectrum(ChainSpec(9, 1.0, 0.3))
+    got = solve_spectrum(spec)
+    assert got.k.tobytes() == want.k.tobytes()
+    assert got.energies.tobytes() == want.energies.tobytes()
+
+
+def test_numpy_n_and_j_reach_the_bisection_and_the_metric():
+    assert locate_critical_gamma(np.int64(9)) == locate_critical_gamma(9)
+    # a float32 J made gamma/J a float32, which failed the reciprocal pairing
+    got = equivalent_hermitian(ChainSpec(8, np.float32(1.0), 0.5)).h_matrix
+    assert np.array_equal(got, equivalent_hermitian(ChainSpec(8, 1.0, 0.5)).h_matrix)
 
 
 def test_apply_pt_definition():
