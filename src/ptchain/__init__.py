@@ -20,8 +20,7 @@ from .exceptional import (CriticalReport, alpha_parameter, coalescence_gap,
 from .metric import (HermitianEquivalent, MetricDecomposition, build_metric,
                      canonical_basis, equivalent_hermitian, gauged_factor,
                      hermitian_equivalent, metric_decomposition)
-from .oracle import (oracle_eigenvector, oracle_spectrum, refine_eigenvalue,
-                     spectral_distance)
+from .oracle import oracle_eigenvector, oracle_spectrum, spectral_distance
 from . import errors
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "HermitianEquivalent", "MetricDecomposition", "build_metric",
     "canonical_basis", "equivalent_hermitian", "gauged_factor",
     "hermitian_equivalent", "metric_decomposition",
-    "oracle_eigenvector", "oracle_spectrum", "refine_eigenvalue",
-    "spectral_distance",
+    "oracle_eigenvector", "oracle_spectrum", "spectral_distance",
     "errors",
 ]

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Number, Rational
 
 import numpy as np
 
@@ -66,9 +67,10 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites}")
-        # numpy floats as Python floats: a float32 would cast the bounds below
-        hopping = float(self.hopping) if isinstance(self.hopping, np.floating) else self.hopping
-        gamma = float(self.gamma) if isinstance(self.gamma, np.floating) else self.gamma
+        # every inexact number as a Python float: a float32 would cast the bounds
+        # below, and a Decimal NaN signals InvalidOperation when compared
+        hopping, gamma = (float(v) if isinstance(v, Number) and not isinstance(v, Rational) else v
+                          for v in (self.hopping, self.gamma))
         if not 1e-300 <= hopping <= 1e300:  # the range the pipelines are tested over
             raise ValueError(f"hopping must be finite and in [1e-300, 1e+300], got {hopping}")
         _check_gamma(gamma)

@@ -43,9 +43,8 @@ from .model import ChainSpec
 # 1e3 gamma_c, at gamma_c and within 1e-9 of it too), then 17-22 at N = 500,
 # 34-38 at N = 1000, 65-66 at N = 2000 and 126 at N = 4001 (J = 1; 0.5 to
 # 1e100 gamma_c up to N = 1001, 0.5 and 1.3 gamma_c above): about N/32 at
-# large N
-_ORACLE_MAX_ITER = 1000
-_REFINE_MAX_ITER = 100
+# large N.  One budget serves every Aberth run, one estimate or all N//2
+_MAX_ITER = 1000
 _ROOT_TOL = 1e-13  # Aberth's last step, relative to max(J, |E|) in x and max(J^2, |E|^2) in t
 _PIVMIN = 2.0 ** -970  # in place of an exact zero pivot of the twisted factorization
 
@@ -58,21 +57,6 @@ _SEED_OFFSET = cmath.rect(0.01, 0.5)
 # 318 / 216 / 267 / 371 / 272 us on arrays, whose numpy calls cost about the
 # same for 1 value as for 32 (BENCH_35.json)
 _SCALAR_ESTIMATES = 10
-
-
-def char_poly_ratio(spec: ChainSpec, x):
-    """D_N(x) / D_N'(x) by end-site expansion and transfer-matrix doubling.
-
-    Elementwise on an array of points; a scalar gives a complex.  The chain
-    with hopping J has D_N(x) = J^N D_N(x/J) of the unit chain (J = 1,
-    gamma/J), so the ratio is J times the unit chain's at x/J, which keeps
-    J^2 and every power of J out of the arithmetic for any J.  A non-finite
-    point raises ValueError.
-    """
-    j, x = spec.hopping, np.asarray(x, dtype=complex)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("char_poly_ratio needs finite points")
-    return j * _unit_ratio(spec.n_sites, spec.gamma / j, x / j)
 
 
 def _unit_ratio(n: int, gamma: float, x: np.ndarray):
@@ -136,7 +120,7 @@ def _t_ratio(n: int, gamma: float, t):
     return q / dq
 
 
-def _aberth(ratio, seeds: np.ndarray, max_iter: int) -> np.ndarray:
+def _aberth(ratio, seeds: np.ndarray) -> np.ndarray:
     """Roots by Aberth-Ehrlich simultaneous iteration, sorted (real, imag).
 
     `ratio(z)` is p(z)/p'(z), of one complex or elementwise of an array.
@@ -144,7 +128,7 @@ def _aberth(ratio, seeds: np.ndarray, max_iter: int) -> np.ndarray:
     which is Newton for a single estimate, until every |w_i| < `_ROOT_TOL`
     max(1, |z_i|).  The steps shrink quadratically near a simple root (every
     root in t is one) and by half per step near a double one; a step that
-    never shrinks is no root, and raises once `max_iter` is spent.
+    never shrinks is no root, and raises once `_MAX_ITER` steps are spent.
     A non-finite step raises, without a numpy warning, so the iteration
     never converges on NaN.  Up to `_SCALAR_ESTIMATES` estimates the
     iteration runs on Python complex scalars, with its own O(k^2) sum and
@@ -154,18 +138,18 @@ def _aberth(ratio, seeds: np.ndarray, max_iter: int) -> np.ndarray:
     The two orders of arithmetic agree to rounding in t.
     """
     z = np.array(seeds, dtype=complex)
-    roots = (_scalar_aberth if len(z) <= _SCALAR_ESTIMATES else _array_aberth)(ratio, z, max_iter)
+    roots = (_scalar_aberth if len(z) <= _SCALAR_ESTIMATES else _array_aberth)(ratio, z)
     if roots is None:
-        raise NonConvergence(f"Aberth stalled after {max_iter} iterations")
+        raise NonConvergence(f"Aberth stalled after {_MAX_ITER} iterations")
     return np.sort(np.array(roots, dtype=complex))
 
 
-def _array_aberth(ratio, z: np.ndarray, max_iter: int):
-    """`_aberth` on arrays: the roots, or None once `max_iter` is spent."""
+def _array_aberth(ratio, z: np.ndarray):
+    """`_aberth` on arrays: the roots, or None once `_MAX_ITER` steps are spent."""
     inv = np.empty((len(z), len(z)), dtype=complex)  # one buffer: N^2 arrays bound large N
     diagonal = inv.reshape(-1)[::len(z) + 1]
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN steps raise below
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             r = ratio(z)
             np.divide(1.0, np.subtract.outer(z, z, out=inv), out=inv)
             diagonal[:] = 0.0
@@ -178,10 +162,10 @@ def _array_aberth(ratio, z: np.ndarray, max_iter: int):
     return None
 
 
-def _scalar_aberth(ratio, z: np.ndarray, max_iter: int):
-    """`_aberth` on Python complex scalars: the roots, or None once `max_iter` is spent."""
+def _scalar_aberth(ratio, z: np.ndarray):
+    """`_aberth` on Python complex scalars: the roots, or None once `_MAX_ITER` steps are spent."""
     z, k = z.tolist(), len(z)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         sums = [0j] * k
         try:
             for i in range(k):  # each pair once: 1/(z_j - z_i) = -1/(z_i - z_j)
@@ -225,30 +209,31 @@ def oracle_spectrum(spec: ChainSpec) -> np.ndarray:
         seeds = np.append(inner, -(gamma - 1 / gamma) ** 2)
     else:
         seeds = 4 * np.cos(np.pi * np.arange(1, n // 2 + 1) / (n + 1)) ** 2
-    t = _aberth(lambda z: _t_ratio(n, gamma, z), seeds + _SEED_OFFSET, _ORACLE_MAX_ITER)
+    t = _aberth(lambda z: _t_ratio(n, gamma, z), seeds + _SEED_OFFSET)
     x = j * np.sqrt(t)
     return np.sort(np.concatenate([x, -x, np.zeros(n % 2, complex)]))
 
 
-def refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
+def _refine_eigenvalue(spec: ChainSpec, guess: complex) -> complex:
     """Newton on the unit chain: in t = x^2 on Q / Q' for even N, in x on D_N / D_N' for odd N.
 
     Even N has D_N(x) = Q(x^2), and the pair coalesced at an exceptional
     point is a simple root t = 0 of Q but a double root of D_N, where Newton
     in x only halves its step; the level is +-sqrt(t) on the guess's side.
     A guess of 0 has no side, and D_N' vanishes there, so it raises unless
-    Q(0) = 0, as Newton in x does.  Odd N steps in x (`char_poly_ratio`), so
+    Q(0) = 0, as Newton in x does.  Odd N steps in x (`_unit_ratio`), so
     that its zero mode, the root x = 0 of the factor x, stays exact.  One
     estimate runs on Python complex scalars (`_aberth`).  A non-finite guess
-    raises ValueError.
+    raises ValueError.  It is the tests' per-level reference at large N,
+    where `oracle_spectrum` needs O(N^2) memory.
     """
     if not cmath.isfinite(guess):
-        raise ValueError("refine_eigenvalue needs a finite guess")
+        raise ValueError("_refine_eigenvalue needs a finite guess")
     n, j, gamma = spec.n_sites, spec.hopping, spec.gamma / spec.hopping
     x = complex(guess) / j
     ratio = _unit_ratio if n % 2 else _t_ratio
-    root = complex(_aberth(lambda z: ratio(n, gamma, z), np.array([x if n % 2 else x * x]),
-                           _REFINE_MAX_ITER)[0])  # the level x, or t = x^2
+    root = complex(_aberth(lambda z: ratio(n, gamma, z),
+                           np.array([x if n % 2 else x * x]))[0])  # the level x, or t = x^2
     if n % 2:
         return j * root
     if x == 0 and root != 0:

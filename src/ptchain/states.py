@@ -38,7 +38,6 @@ class EigenBasis:
     real root `k[i]` with energy `energies[i]`; roots ascend.
     """
 
-    spec: ChainSpec
     k: np.ndarray
     energies: np.ndarray
     f: np.ndarray
@@ -142,7 +141,7 @@ def _eigenbasis(solution: SpectralSolution) -> EigenBasis:
     """
     k = solution.k.real
     f, g = _cpt_states(raw_amplitude(solution.spec, k))
-    return EigenBasis(spec=solution.spec, k=k, energies=solution.energies.real, f=f.T, g=g.T)
+    return EigenBasis(k=k, energies=solution.energies.real, f=f.T, g=g.T)
 
 
 def build_c_operator(basis: EigenBasis) -> np.ndarray:

@@ -9,13 +9,13 @@ PUBLIC = [
     "classify_phase", "coalescence_gap", "cpt_inner", "critical_levels", "critical_sweep",
     "delta_approx", "equivalent_hermitian", "errors", "gamma_critical", "gauged_factor",
     "hermitian_equivalent", "kappa_approx", "locate_critical_gamma", "metric_decomposition",
-    "oracle_eigenvector", "oracle_spectrum", "pt_norm", "refine_eigenvalue", "repulsion_law",
+    "oracle_eigenvector", "oracle_spectrum", "pt_norm", "repulsion_law",
     "solve_kappa", "solve_spectra", "solve_spectrum", "spectral_distance",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 36
     assert sorted(ptchain.__all__) == PUBLIC
     namespace = {}
     exec("from ptchain import *", namespace)

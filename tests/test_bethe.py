@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from ptchain import (ChainSpec, Phase, build_hamiltonian, classify_phase,
                      critical_levels, critical_sweep, gamma_critical,
-                     locate_critical_gamma, refine_eigenvalue, solve_kappa,
+                     locate_critical_gamma, solve_kappa,
                      solve_spectra, solve_spectrum, spectral_distance)
 from ptchain import bethe
 from ptchain.bethe import (_bracketed_roots, _centre_coefficients, _counting_phase,
                            _offset_brackets, _pair_point, _pair_roots, raw_amplitude)
 from ptchain.errors import DomainError, NonConvergence, PhaseError, PTChainError
+from ptchain.oracle import _refine_eigenvalue
 
 
 def _real_momenta(spec):
@@ -641,7 +642,7 @@ def test_large_chain_spectrum(n, frac, picks):
     # the oracle's Newton on the recurrence, independent of the Bethe roots
     for u in picks:
         e = energies[int(u * n)]
-        assert abs(refine_eigenvalue(spec, e) - e) <= 1e-10
+        assert abs(_refine_eigenvalue(spec, e) - e) <= 1e-10
 
 
 @pytest.mark.parametrize("frac", [0.5, 1.5])

@@ -118,7 +118,7 @@ def _duals(g, k=None):
     # by default, which are not chiral pairs)
     n = g.shape[0]
     k = np.zeros(n) if k is None else k
-    return EigenBasis(ChainSpec(n, 1.0, 0.0), k, np.zeros(n), g, g)
+    return EigenBasis(k, np.zeros(n), g, g)
 
 
 def _chiral_roots(n):
@@ -448,10 +448,12 @@ def test_odd_equivalent_hermitian_at_one_minus_1e7_gamma_c(n):
     # two-sided solve of the formed sector blocks Z Z^T missed
     # (1.2e-9 at N = 65): their eps |eta| rounding, amplified by
     # sqrt(eps_max / eps_min) in the transform.
+    # Each vector's eps is its Rayleigh quotient |W^T p|^2 on the factor: the
+    # stored eps of a partner is 1/eps of its leader by construction.
     spec = ChainSpec(n, 1.0, (1.0 - 1e-7) * gamma_critical(n))
     decomp = metric_decomposition(spec)
-    eps = decomp.eigenvalues
-    assert np.max(np.abs(eps * eps[list(decomp.pairing)] - 1.0)) <= 1e-8
+    rec = np.sum((gauged_factor(build_eigenbasis(spec)).T @ decomp.basis) ** 2, axis=0)
+    assert np.max(np.abs(rec * rec[list(decomp.pairing)] - 1.0)) <= 1e-8
     eq = hermitian_equivalent(decomp, spec)
     assert np.max(np.abs(eq.block_a - eq.block_a[::-1, ::-1])) <= 1e-8
     bethe = np.sort(solve_spectrum(spec).energies.real)

@@ -97,6 +97,17 @@ def test_spec_takes_n_as_an_int_and_j_as_a_float(n, j):
     assert got.energies.tobytes() == want.energies.tobytes()
 
 
+@pytest.mark.parametrize("j,gamma", [(Decimal("NaN"), 0.0), (1.0, Decimal("NaN")),
+                                     (Decimal("sNaN"), 0.0)], ids=repr)
+def test_a_decimal_nan_is_a_value_error(j, gamma):
+    # 1e-300 <= Decimal('NaN') signals: it raised decimal.InvalidOperation,
+    # an ArithmeticError, where a float NaN raises ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            ChainSpec(8, j, gamma)
+
+
 def test_numpy_n_and_j_reach_the_bisection_and_the_metric():
     assert locate_critical_gamma(np.int64(9)) == locate_critical_gamma(9)
     # a float32 J made gamma/J a float32, which failed the reciprocal pairing
