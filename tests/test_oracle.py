@@ -127,6 +127,23 @@ def test_unit_ratio_is_finite_off_the_axes_of_a_long_chain(n):
     assert np.max(np.abs(ratios / _recurrence_ratio(ChainSpec(n, 1.0, 0.4), y) - 1)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1100, 2000, 4097])
+@pytest.mark.parametrize("j", [0.1, 0.5, 1e-300, 1e300])
+def test_char_poly_ratio_scales_with_hopping(n, j):
+    # D_N scales like J^N, so the characteristic-polynomial ratio is taken on
+    # the unit chain at x / J and gamma / J: refined levels of a long chain at
+    # hopping J are J times those at J = 1, with no underflow or overflow on
+    # the way, and each is a root of the unit chain's D_N
+    guesses = 2 * np.cos(np.pi * np.array([1, n // 3, n // 2]) / (n + 1)) + 1e-9j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = np.array([_refine_eigenvalue(ChainSpec(n, 1.0, 0.4), g) for g in guesses])
+        got = np.array([_refine_eigenvalue(ChainSpec(n, j, 0.4 * j), j * g) for g in guesses])
+        residuals = _unit_ratio(n, 0.4, unit)
+    assert np.max(np.abs(got / (j * unit) - 1)) <= 1e-12
+    assert np.max(np.abs(residuals)) <= 1e-12
+
+
 @pytest.mark.parametrize("j", [1e-300, 1e-160, 1e-100, 0.7, 3.0, 1e100, 1e155, 1e300])
 @pytest.mark.parametrize("n", [8, 9, 64])
 @pytest.mark.parametrize("frac", [0.5, 1.3])
